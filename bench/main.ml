@@ -343,38 +343,12 @@ let assert_untraced_bytes_unchanged () =
     (W.send_ok_item ~seq:3 ~trace:None)
 
 (* E12 golden gate: the experiments never enable the connection
-   dictionary, so their wire must be digit-for-digit the pre-dictionary
-   tables — any drift means the dictionary-off path changed bytes. *)
-let e12_goldens =
-  [
-    ("RPC", false, 1600, 68098);
-    ("RPC", true, 801, 51319);
-    ("stream B=16", false, 100, 14833);
-    ("stream B=16", true, 52, 13361);
-    ("send B=16", false, 100, 14096);
-    ("send B=16", true, 52, 12624);
-    ("stream adaptive", false, 48, 13077);
-    ("stream adaptive", true, 29, 12520);
-  ]
-
+   dictionary, so their wire must be digit-for-digit the pinned table —
+   any drift means the dictionary-off path changed bytes. *)
 let assert_e12_goldens rows =
-  List.iter
-    (fun (mode, piggyback, msgs, bytes) ->
-      match
-        List.find_opt
-          (fun (r : Workloads.Exp_wire.row) ->
-            r.r_mode = mode && r.r_piggyback = piggyback)
-          rows
-      with
-      | Some r when r.r_msgs = msgs && r.r_bytes = bytes -> ()
-      | Some r ->
-          failwith
-            (Printf.sprintf
-               "dictionary-off wire regression: E12 %s piggyback=%b moved to %d msgs / %d B \
-                (golden: %d / %d)"
-               mode piggyback r.r_msgs r.r_bytes msgs bytes)
-      | None -> failwith (Printf.sprintf "E12 golden row missing: %s" mode))
-    e12_goldens
+  match Workloads.Exp_wire.golden_mismatches rows with
+  | [] -> ()
+  | ms -> failwith ("dictionary-off wire regression: " ^ String.concat "; " ms)
 
 let run_wire () =
   assert_untraced_bytes_unchanged ();

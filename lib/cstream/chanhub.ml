@@ -4,7 +4,7 @@ module B = Xdr.Bin
 type key = { src : Net.address; label : string; idx : int; meta : string }
 
 type ack_entry = {
-  a_key : key;
+  a_idx : int;  (* the acked channel's index on the hub this ack goes to *)
   a_upto : int;  (* cumulative: everything up to this seq arrived *)
   a_pressure : int;
       (* receiver queue-depth signal for the acked channel: 0 = fine,
@@ -12,33 +12,33 @@ type ack_entry = {
          imminent or underway). Senders treat >= 2 as congestion. *)
 }
 
+type opening = { open_label : string; open_meta : string }
+
 type packet =
   | Data of {
-      key : key;
+      src : Net.address;
+      idx : int;
       first_seq : int;
+      opening : opening option;  (* present exactly when first_seq = 0 *)
       acks : ack_entry list;  (* piggybacked cumulative acks *)
       items : Xdr.value list;
     }
   | Ack of { acks : ack_entry list }
-  | Reset of { key : key; reason : string }
+  | Reset of { src : Net.address; idx : int; reason : string }
 
 type frame = string
 
 (* ------------------------------------------------------------------ *)
 (* Packet frame codec. Layout: version byte, packet tag (1 = Data,
-   2 = Ack, 3 = Reset), then the packet body. Every string — channel
-   labels, meta, record field names inside items — goes through one
-   intern table per frame, so a batch of calls to the same port pays
-   for the port name once. *)
-
-let encode_key e (k : key) =
-  B.add_uvarint e k.src;
-  B.add_string e k.label;
-  B.add_uvarint e k.idx;
-  B.add_string e k.meta
+   2 = Ack, 3 = Reset), then the packet body. A channel is named by
+   (src, idx); only a Data packet starting at seq 0 also carries its
+   label and meta, so every frame decodes on its own and a retransmit
+   from seq 0 re-opens the channel. Every string — label, meta, record
+   field names inside items — goes through one intern table per frame,
+   so a batch of calls to the same port pays for the port name once. *)
 
 let encode_ack e (a : ack_entry) =
-  encode_key e a.a_key;
+  B.add_uvarint e a.a_idx;
   (* upto is -1 for "nothing received yet", hence signed *)
   B.add_varint e a.a_upto;
   B.add_uvarint e a.a_pressure
@@ -48,10 +48,18 @@ let encode_ack e (a : ack_entry) =
    flush costs one encoder, not one per item. *)
 let encode_packet_body e p =
   match p with
-  | Data { key; first_seq; acks; items } ->
+  | Data { src; idx; first_seq; opening; acks; items } ->
       B.add_byte e 1;
-      encode_key e key;
+      B.add_uvarint e src;
+      B.add_uvarint e idx;
       B.add_uvarint e first_seq;
+      (match (first_seq, opening) with
+      | 0, Some o ->
+          B.add_string e o.open_label;
+          B.add_string e o.open_meta
+      | 0, None | _, Some _ ->
+          invalid_arg "Chanhub.encode_packet: opening fields go with first_seq = 0 only"
+      | _, None -> ());
       B.add_uvarint e (List.length acks);
       List.iter (encode_ack e) acks;
       B.add_uvarint e (List.length items);
@@ -60,9 +68,10 @@ let encode_packet_body e p =
       B.add_byte e 2;
       B.add_uvarint e (List.length acks);
       List.iter (encode_ack e) acks
-  | Reset { key; reason } ->
+  | Reset { src; idx; reason } ->
       B.add_byte e 3;
-      encode_key e key;
+      B.add_uvarint e src;
+      B.add_uvarint e idx;
       B.add_raw_string e reason
 
 let encode_packet p =
@@ -87,9 +96,9 @@ let encode_packet_dict dc p =
 
 (* Dictionary negotiation control frames, always v1-encoded: tag 4 is
    hello (sender offers epoch), tag 5 welcome (receiver accepts). A
-   pre-dictionary peer answers a hello with a decode error on its own
-   side and never welcomes, so the sender keeps speaking v1 — old
-   peers see byte-identical Data frames. *)
+   peer without dictionary support answers a hello with a decode error
+   on its own side and never welcomes, so the sender keeps speaking
+   v1 — such peers see byte-identical Data frames. *)
 let encode_dict_ctrl ~tag ~epoch =
   B.with_encoder (fun e ->
       B.add_byte e B.version;
@@ -99,26 +108,47 @@ let encode_dict_ctrl ~tag ~epoch =
 
 let ( let* ) = Result.bind
 
-let decode_key d =
-  let* src = B.read_uvarint d in
-  let* label = B.read_string d in
-  let* idx = B.read_uvarint d in
-  let* meta = B.read_string d in
-  Ok { src; label; idx; meta }
-
-let decode_acks d =
+(* [n] elements of [read], the count bounded by the input left. *)
+let decode_list what read d =
   let* n = B.read_uvarint d in
-  if n < 0 || n > B.remaining d then Error "ack count overruns input"
+  if n < 0 || n > B.remaining d then Error (what ^ " count overruns input")
   else
     let rec go k acc =
       if k = 0 then Ok (List.rev acc)
       else
-        let* key = decode_key d in
-        let* upto = B.read_varint d in
-        let* pressure = B.read_uvarint d in
-        go (k - 1) ({ a_key = key; a_upto = upto; a_pressure = pressure } :: acc)
+        let* x = read d in
+        go (k - 1) (x :: acc)
     in
     go n []
+
+let decode_acks =
+  decode_list "ack" (fun d ->
+      let* a_idx = B.read_uvarint d in
+      let* a_upto = B.read_varint d in
+      let* a_pressure = B.read_uvarint d in
+      Ok { a_idx; a_upto; a_pressure })
+
+(* Data packets: the header up to the acks, then [read] per item. *)
+let decode_data read d k =
+  let* src = B.read_uvarint d in
+  let* idx = B.read_uvarint d in
+  let* first_seq = B.read_uvarint d in
+  let* opening =
+    if first_seq <> 0 then Ok None
+    else
+      let* open_label = B.read_string d in
+      let* open_meta = B.read_string d in
+      Ok (Some { open_label; open_meta })
+  in
+  let* acks = decode_acks d in
+  let* items = decode_list "item" read d in
+  Ok (k ~src ~idx ~first_seq ~opening ~acks ~items)
+
+let decode_reset d k =
+  let* src = B.read_uvarint d in
+  let* idx = B.read_uvarint d in
+  let* reason = B.read_raw_string d in
+  Ok (k ~src ~idx ~reason)
 
 let decode_packet frame =
   let d = B.decoder frame in
@@ -129,27 +159,12 @@ let decode_packet frame =
     let* p =
       match tag with
       | 1 ->
-          let* key = decode_key d in
-          let* first_seq = B.read_uvarint d in
-          let* acks = decode_acks d in
-          let* n = B.read_uvarint d in
-          if n < 0 || n > B.remaining d then Error "item count overruns input"
-          else
-            let rec go k acc =
-              if k = 0 then Ok (List.rev acc)
-              else
-                let* item = B.read_value d in
-                go (k - 1) (item :: acc)
-            in
-            let* items = go n [] in
-            Ok (Data { key; first_seq; acks; items })
+          decode_data B.read_value d (fun ~src ~idx ~first_seq ~opening ~acks ~items ->
+              Data { src; idx; first_seq; opening; acks; items })
       | 2 ->
           let* acks = decode_acks d in
           Ok (Ack { acks })
-      | 3 ->
-          let* key = decode_key d in
-          let* reason = B.read_raw_string d in
-          Ok (Reset { key; reason })
+      | 3 -> decode_reset d (fun ~src ~idx ~reason -> Reset { src; idx; reason })
       | t -> Error (Printf.sprintf "unknown packet tag %d" t)
     in
     let* () = B.expect_end d in
@@ -262,7 +277,7 @@ and in_chan = {
 }
 
 and pending_acks = {
-  p_acks : (key, int * int) Hashtbl.t;  (* per reverse channel: max upto, max pressure *)
+  p_acks : (int, int * int) Hashtbl.t;  (* per acked channel idx: max upto, max pressure *)
   mutable p_armed : bool;  (* delayed standalone-Ack timer pending *)
 }
 
@@ -277,10 +292,10 @@ and hub = {
   h_sched : S.t;
   h_ack_delay : float;
   h_dict : bool;  (* offer the connection dictionary to peers *)
-  h_outs : (key, out_chan) Hashtbl.t;
-  h_ins : (key, in_chan) Hashtbl.t;
+  h_outs : (int, out_chan) Hashtbl.t;  (* by idx *)
+  h_ins : (Net.address * int, in_chan) Hashtbl.t;  (* by (src, idx) *)
   h_acceptors : (string, in_chan -> unit) Hashtbl.t;
-  h_dead : (key, string) Hashtbl.t;
+  h_dead : (Net.address * int, string) Hashtbl.t;
   h_pending : (Net.address, pending_acks) Hashtbl.t;
   h_dict_out : (Net.address, out_dict) Hashtbl.t;  (* sender state per peer *)
   h_dict_in : (Net.address, int * B.dict_table) Hashtbl.t;  (* (epoch, table) per peer *)
@@ -445,8 +460,7 @@ let drain_pending hub dst =
   | Some p ->
       let acks =
         Hashtbl.fold
-          (fun k (upto, pressure) acc ->
-            { a_key = k; a_upto = upto; a_pressure = pressure } :: acc)
+          (fun a_idx (a_upto, a_pressure) acc -> { a_idx; a_upto; a_pressure } :: acc)
           p.p_acks []
       in
       Hashtbl.reset p.p_acks;
@@ -458,22 +472,23 @@ let take_piggyback hub ~dst =
   if acks <> [] then Sim.Stats.add (hub_counter hub "chan_piggybacked_acks") (List.length acks);
   acks
 
-(* Acknowledge [upto] on [key]'s reverse path. With no ack delay the
-   standalone Ack goes out immediately (the pre-piggybacking
-   behaviour). With a delay, the ack is parked hoping a reverse-
-   direction Data packet picks it up; a timer bounds how long the
-   sender waits (it must come well under the retransmit timeout). *)
-let post_ack hub ~dst ~key ~upto ~pressure =
+(* Acknowledge [upto] on channel [idx] of the hub at [dst], the
+   channel's sender. With no ack delay the standalone Ack goes out
+   immediately (the pre-piggybacking behaviour). With a delay, the ack
+   is parked hoping a reverse-direction Data packet picks it up; a
+   timer bounds how long the sender waits (it must come well under the
+   retransmit timeout). *)
+let post_ack hub ~dst ~idx ~upto ~pressure =
   if hub.h_ack_delay <= 0.0 then begin
     Sim.Stats.incr (hub_counter hub "chan_standalone_acks");
-    transmit hub ~dst (Ack { acks = [ { a_key = key; a_upto = upto; a_pressure = pressure } ] })
+    transmit hub ~dst (Ack { acks = [ { a_idx = idx; a_upto = upto; a_pressure = pressure } ] })
   end
   else begin
     let p = pending_for hub dst in
-    (match Hashtbl.find_opt p.p_acks key with
+    (match Hashtbl.find_opt p.p_acks idx with
     | Some (prev_upto, prev_pressure) ->
-        Hashtbl.replace p.p_acks key (max prev_upto upto, max prev_pressure pressure)
-    | None -> Hashtbl.replace p.p_acks key (upto, pressure));
+        Hashtbl.replace p.p_acks idx (max prev_upto upto, max prev_pressure pressure)
+    | None -> Hashtbl.replace p.p_acks idx (upto, pressure));
     if not p.p_armed then begin
       p.p_armed <- true;
       S.after hub.h_sched hub.h_ack_delay (fun () ->
@@ -522,7 +537,7 @@ let break_out o ~reason =
        channel; the Reset itself may be lost, in which case the
        receiver end lingers harmlessly until a retransmit hits the
        tombstone on our side. *)
-    transmit o.o_hub ~dst:o.o_dst (Reset { key = o.o_key; reason });
+    transmit o.o_hub ~dst:o.o_dst (Reset { src = o.o_key.src; idx = o.o_key.idx; reason });
     mark_broken o reason
   end
 
@@ -550,6 +565,14 @@ let cut_window o ~why =
 let grow_window o =
   if o.o_cfg.adaptive_window && o.o_window < o.o_cfg.max_inflight_bytes then
     o.o_window <- min o.o_cfg.max_inflight_bytes (o.o_window + o.o_cfg.window_increase)
+
+(* Only a packet starting at seq 0 names the channel in full, so a
+   go-back-n retransmit from an unacked seq 0 re-opens it. *)
+let data_packet o ~first_seq ~acks ~items =
+  let opening =
+    if first_seq = 0 then Some { open_label = o.o_key.label; open_meta = o.o_key.meta } else None
+  in
+  Data { src = o.o_key.src; idx = o.o_key.idx; first_seq; opening; acks; items }
 
 (* The timer is anchored to the oldest unacked item: further sends do
    not push it back, so a dead peer is detected after at most
@@ -589,7 +612,7 @@ let rec arm_retransmit o =
                   o.o_unacked
               in
               let acks = take_piggyback o.o_hub ~dst:o.o_dst in
-              transmit o.o_hub ~dst:o.o_dst (Data { key = o.o_key; first_seq; acks; items });
+              transmit o.o_hub ~dst:o.o_dst (data_packet o ~first_seq ~acks ~items);
               span_items o.o_hub Sim.Span.Retransmit
                 ~note:(Printf.sprintf "try %d -> n%d" o.o_retries o.o_dst)
                 items;
@@ -620,7 +643,7 @@ let flush_out o =
     o.o_inflight_bytes <- o.o_inflight_bytes + batch_bytes;
     let items = List.map fst entries in
     let acks = take_piggyback o.o_hub ~dst:o.o_dst in
-    transmit o.o_hub ~dst:o.o_dst (Data { key = o.o_key; first_seq; acks; items });
+    transmit o.o_hub ~dst:o.o_dst (data_packet o ~first_seq ~acks ~items);
     span_items o.o_hub Sim.Span.Transmit ~note:(Printf.sprintf "-> n%d" o.o_dst) items;
     arm_retransmit o
   end
@@ -731,12 +754,14 @@ let handle_ack o ~upto ~pressure =
     if o.o_cfg.flush_on_idle && o.o_unacked = [] && o.o_buf <> [] then flush_out o
   end
 
+let in_id i = (i.i_key.src, i.i_key.idx)
+
 let break_in i ~reason =
   let hub = i.i_hub in
-  if Hashtbl.mem hub.h_ins i.i_key then begin
-    Hashtbl.remove hub.h_ins i.i_key;
-    Hashtbl.replace hub.h_dead i.i_key reason;
-    transmit hub ~dst:i.i_key.src (Reset { key = i.i_key; reason })
+  if Hashtbl.mem hub.h_ins (in_id i) then begin
+    Hashtbl.remove hub.h_ins (in_id i);
+    Hashtbl.replace hub.h_dead (in_id i) reason;
+    transmit hub ~dst:i.i_key.src (Reset { src = i.i_key.src; idx = i.i_key.idx; reason })
   end;
   mark_in_broken i reason
 
@@ -752,25 +777,32 @@ let deliver_fresh i fresh =
       f (List.filter_map (fun vw -> Result.to_option (Xdr.View.materialize vw)) fresh)
   | None -> ()
 
-let handle_data hub ~key ~first_seq ~items =
-  match Hashtbl.find_opt hub.h_dead key with
+(* Only an opening packet can create the receiving end. A compact one
+   for a channel never opened here (its opening packet was lost or
+   overtaken) is dropped without a Reset: the sender's retransmit from
+   seq 0 carries the opening fields again. *)
+let handle_data hub ~src ~idx ~first_seq ~opening ~items =
+  match Hashtbl.find_opt hub.h_dead (src, idx) with
   | Some reason ->
       (* The channel was broken here earlier; keep telling the sender. *)
-      transmit hub ~dst:key.src (Reset { key; reason })
+      transmit hub ~dst:src (Reset { src; idx; reason })
   | None ->
       let chan =
-        match Hashtbl.find_opt hub.h_ins key with
-        | Some i -> Some i
-        | None -> (
-            match Hashtbl.find_opt hub.h_acceptors key.label with
+        match (Hashtbl.find_opt hub.h_ins (src, idx), opening) with
+        | (Some _ as found), _ -> found
+        | None, None ->
+            Sim.Stats.incr (hub_counter hub "chan_unopened_drops");
+            None
+        | None, Some { open_label; open_meta } -> (
+            match Hashtbl.find_opt hub.h_acceptors open_label with
             | None ->
-                transmit hub ~dst:key.src (Reset { key; reason = "no such port group" });
+                transmit hub ~dst:src (Reset { src; idx; reason = "no such port group" });
                 None
             | Some acceptor ->
                 let i =
                   {
                     i_hub = hub;
-                    i_key = key;
+                    i_key = { src; label = open_label; idx; meta = open_meta };
                     i_expected = 0;
                     i_deliver = None;
                     i_pressure = None;
@@ -778,7 +810,7 @@ let handle_data hub ~key ~first_seq ~items =
                     i_on_break = [];
                   }
                 in
-                Hashtbl.replace hub.h_ins key i;
+                Hashtbl.replace hub.h_ins (src, idx) i;
                 acceptor i;
                 Some i)
       in
@@ -788,50 +820,61 @@ let handle_data hub ~key ~first_seq ~items =
           let count = List.length items in
           if first_seq > i.i_expected then
             (* Gap: go-back-n — drop and re-ack what we have. *)
-            post_ack hub ~dst:key.src ~key ~upto:(i.i_expected - 1)
-              ~pressure:(probe_pressure i)
+            post_ack hub ~dst:src ~idx ~upto:(i.i_expected - 1) ~pressure:(probe_pressure i)
           else begin
             let skip = i.i_expected - first_seq in
             if skip > 0 then
               Sim.Stats.add (hub_counter hub "chan_dup_items_suppressed") (min skip count);
-            let fresh = if skip >= count then [] else List.filteri (fun idx _ -> idx >= skip) items in
+            let fresh = if skip >= count then [] else List.filteri (fun k _ -> k >= skip) items in
             if fresh <> [] then begin
               i.i_expected <- i.i_expected + List.length fresh;
-              span_views hub Sim.Span.Deliver ~note:(Printf.sprintf "from n%d" key.src) fresh;
+              span_views hub Sim.Span.Deliver ~note:(Printf.sprintf "from n%d" src) fresh;
               deliver_fresh i fresh
             end;
-            post_ack hub ~dst:key.src ~key ~upto:(i.i_expected - 1)
-              ~pressure:(probe_pressure i)
+            post_ack hub ~dst:src ~idx ~upto:(i.i_expected - 1) ~pressure:(probe_pressure i)
           end
 
-let handle_reset hub ~key ~reason =
-  (match Hashtbl.find_opt hub.h_outs key with
-  | Some o ->
-      Hashtbl.remove hub.h_outs key;
-      mark_broken o reason
-  | None -> ());
-  match Hashtbl.find_opt hub.h_ins key with
+(* A Reset names a channel by its sender: ours when [src] is this hub
+   (the receiver refused it), the peer's otherwise. *)
+let handle_reset hub ~src ~idx ~reason =
+  (if src = hub_addr hub then
+     match Hashtbl.find_opt hub.h_outs idx with
+     | Some o ->
+         Hashtbl.remove hub.h_outs idx;
+         mark_broken o reason
+     | None -> ());
+  match Hashtbl.find_opt hub.h_ins (src, idx) with
   | Some i ->
-      Hashtbl.remove hub.h_ins key;
-      Hashtbl.replace hub.h_dead key reason;
+      Hashtbl.remove hub.h_ins (src, idx);
+      Hashtbl.replace hub.h_dead (src, idx) reason;
       mark_in_broken i reason
   | None -> ()
 
-let handle_acks hub acks =
+(* An ack always travels to the acked channel's sender, so its index
+   alone names one of our out-channels — provided it came from that
+   channel's peer. *)
+let handle_acks hub ~from acks =
   List.iter
     (fun a ->
-      match Hashtbl.find_opt hub.h_outs a.a_key with
-      | Some o -> handle_ack o ~upto:a.a_upto ~pressure:a.a_pressure
-      | None -> ())
+      match Hashtbl.find_opt hub.h_outs a.a_idx with
+      | Some o when o.o_dst = from -> handle_ack o ~upto:a.a_upto ~pressure:a.a_pressure
+      | _ -> ())
     acks
 
 (* Inbound frames, decoded lazily: Data items become views, not trees.
    The variant is internal — the public {!decode_packet} (v1, fully
    materialised) is unchanged for tools and tests. *)
 type inbound =
-  | I_data of { key : key; first_seq : int; acks : ack_entry list; items : Xdr.View.t list }
+  | I_data of {
+      src : Net.address;
+      idx : int;
+      first_seq : int;
+      opening : opening option;
+      acks : ack_entry list;
+      items : Xdr.View.t list;
+    }
   | I_ack of ack_entry list
-  | I_reset of { key : key; reason : string }
+  | I_reset of { src : Net.address; idx : int; reason : string }
   | I_hello of int  (* peer offers its dictionary, payload = epoch *)
   | I_welcome of int  (* peer accepted ours *)
 
@@ -859,27 +902,12 @@ let decode_inbound hub ~src frame =
   let* p =
     match tag with
     | 1 ->
-        let* key = decode_key d in
-        let* first_seq = B.read_uvarint d in
-        let* acks = decode_acks d in
-        let* n = B.read_uvarint d in
-        if n < 0 || n > B.remaining d then Error "item count overruns input"
-        else
-          let rec go k acc =
-            if k = 0 then Ok (List.rev acc)
-            else
-              let* item = Xdr.View.read d in
-              go (k - 1) (item :: acc)
-          in
-          let* items = go n [] in
-          Ok (I_data { key; first_seq; acks; items })
+        decode_data Xdr.View.read d (fun ~src ~idx ~first_seq ~opening ~acks ~items ->
+            I_data { src; idx; first_seq; opening; acks; items })
     | 2 ->
         let* acks = decode_acks d in
         Ok (I_ack acks)
-    | 3 ->
-        let* key = decode_key d in
-        let* reason = B.read_raw_string d in
-        Ok (I_reset { key; reason })
+    | 3 -> decode_reset d (fun ~src ~idx ~reason -> I_reset { src; idx; reason })
     | 4 ->
         let* epoch = B.read_uvarint d in
         Ok (I_hello epoch)
@@ -896,12 +924,12 @@ let receive hub ~src frame =
   | Error _ ->
       (* Corrupt frame: drop it; go-back-n retransmission recovers. *)
       Sim.Stats.incr (hub_counter hub "chan_decode_errors")
-  | Ok (I_data { key; first_seq; acks; items }) ->
+  | Ok (I_data { src = chan_src; idx; first_seq; opening; acks; items }) ->
       (* Acks ride in front of the data they share a packet with. *)
-      handle_acks hub acks;
-      handle_data hub ~key ~first_seq ~items
-  | Ok (I_ack acks) -> handle_acks hub acks
-  | Ok (I_reset { key; reason }) -> handle_reset hub ~key ~reason
+      handle_acks hub ~from:src acks;
+      handle_data hub ~src:chan_src ~idx ~first_seq ~opening ~items
+  | Ok (I_ack acks) -> handle_acks hub ~from:src acks
+  | Ok (I_reset { src; idx; reason }) -> handle_reset hub ~src ~idx ~reason
   | Ok (I_hello epoch) ->
       (* Any hub can decode v2 frames; accepting costs one table. *)
       ignore (dict_in hub src epoch : B.dict_table);
@@ -941,7 +969,7 @@ let peer_down hub ~peer ~reason =
   in
   List.iter
     (fun o ->
-      Hashtbl.remove hub.h_outs o.o_key;
+      Hashtbl.remove hub.h_outs o.o_key.idx;
       mark_broken o reason)
     outs;
   let ins =
@@ -949,8 +977,8 @@ let peer_down hub ~peer ~reason =
   in
   List.iter
     (fun i ->
-      Hashtbl.remove hub.h_ins i.i_key;
-      Hashtbl.replace hub.h_dead i.i_key reason;
+      Hashtbl.remove hub.h_ins (in_id i);
+      Hashtbl.replace hub.h_dead (in_id i) reason;
       mark_in_broken i reason)
     ins
 
@@ -1042,7 +1070,7 @@ let connect hub ~dst ~label ~meta cfg =
       o_waiters = Queue.create ();
     }
   in
-  Hashtbl.replace hub.h_outs key o;
+  Hashtbl.replace hub.h_outs key.idx o;
   o
 
 let hub_recv_overhead h = h.h_tr.Transport.recv_overhead ()

@@ -26,11 +26,15 @@
     back-pressure callers through {!await_window}.
 
     Each node owns a {e hub} that multiplexes all channel endpoints on
-    that node. Channels are identified by (source address, label,
-    index); the label doubles as the rendezvous name — a hub registers
-    a factory per label and inbound channels with that label are
-    accepted by it. The [meta] string rides along for the stream layer
-    (it carries the reply-channel label). *)
+    that node. On the wire a channel is named by (source address,
+    index), the index being unique per sending hub; acks name only the
+    index, since they always travel to the channel's sender. The
+    channel's [label] and [meta] ride once, on a Data packet starting
+    at seq 0 (the {e opening} packet, re-sent whenever go-back-n
+    retransmits from seq 0). The label is the rendezvous name — a hub
+    registers a factory per label and inbound channels with that label
+    are accepted by it. The [meta] string rides along for the stream
+    layer (it carries the reply-channel label). *)
 
 type hub
 (** Per-node endpoint multiplexer. *)
@@ -42,9 +46,13 @@ type in_chan
 (** Receiving end of a channel (lives on the destination node). *)
 
 type key = { src : Net.address; label : string; idx : int; meta : string }
+(** A channel's full identity, as both ends know it ({!in_key},
+    {!out_key}). *)
 
 type ack_entry = {
-  a_key : key;
+  a_idx : int;
+      (** index of the acked channel on the hub receiving the ack (its
+          sender) *)
   a_upto : int;  (** cumulative: every seq [<= a_upto] is acknowledged *)
   a_pressure : int;
       (** receiver queue-depth signal riding on the ack: [0] relaxed,
@@ -53,17 +61,27 @@ type ack_entry = {
           (multiplicative decrease) and [1] as "hold growth". *)
 }
 
+type opening = { open_label : string; open_meta : string }
+(** The fields a receiver needs once, to accept a channel: its
+    {!key.label} and {!key.meta}. *)
+
 type packet =
   | Data of {
-      key : key;
+      src : Net.address;
+      idx : int;
       first_seq : int;
+      opening : opening option;
+          (** [Some] exactly when [first_seq = 0]; {!encode_packet}
+              raises [Invalid_argument] otherwise *)
       acks : ack_entry list;
           (** cumulative acks for reverse-direction channels,
               piggybacked on this data packet *)
       items : Xdr.value list;
     }
   | Ack of { acks : ack_entry list }
-  | Reset of { key : key; reason : string }
+  | Reset of { src : Net.address; idx : int; reason : string }
+      (** [(src, idx)] names the channel by its sender, whichever end
+          sends the Reset *)
 
 type frame = string
 (** A packet encoded for the wire: what actually travels through
@@ -180,7 +198,8 @@ val hub_sched : hub -> Sched.Scheduler.t
     [chan_data_packets], [chan_ack_packets], [chan_reset_packets],
     [chan_wire_bytes], [chan_items_sent], [chan_piggybacked_acks],
     [chan_standalone_acks], [chan_decode_errors],
-    [chan_window_cuts], [chan_dict_hellos], [chan_dict_negotiated],
+    [chan_unopened_drops] (compact Data for a channel never opened
+    here, dropped without a Reset), [chan_window_cuts], [chan_dict_hellos], [chan_dict_negotiated],
     [chan_dict_defines], [chan_dict_refs] — plus the [chan_rtt]
     summary of clean ack RTT samples — and break events in its
     {!Sim.Trace}. *)
@@ -188,8 +207,8 @@ val hub_sched : hub -> Sched.Scheduler.t
 val on_connect : hub -> label:string -> (in_chan -> unit) -> unit
 (** Register the acceptor for inbound channels labelled [label]. The
     acceptor must call {!set_deliver} before returning; items from the
-    first packet are delivered right after it returns. Inbound data for
-    an unregistered label is answered with a [Reset]. *)
+    first packet are delivered right after it returns. An opening packet
+    for an unregistered label is answered with a [Reset]. *)
 
 val remove_acceptor : hub -> label:string -> unit
 

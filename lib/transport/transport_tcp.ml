@@ -6,20 +6,12 @@ let hello_len = 8 (* magic + BE32 dialer address *)
 
 let max_frame = 1 lsl 26 (* sanity bound; a corrupt length prefix must not OOM us *)
 
-(* --- big-endian 32-bit helpers ------------------------------------ *)
+let be32_get b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffff_ffff
 
-let be32_get s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
-
-let be32_put n =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
+let hello addr =
+  let b = Bytes.create hello_len in
+  Bytes.blit_string hello_magic 0 b 0 4;
+  Bytes.set_int32_be b 4 (Int32.of_int addr);
   Bytes.unsafe_to_string b
 
 type ep = {
@@ -33,7 +25,7 @@ type conn = {
   c_fd : Unix.file_descr;
   c_ep : ep; (* local endpoint this connection delivers to *)
   mutable c_peer : int; (* -1 on an accepted connection until its hello *)
-  mutable c_racc : string; (* unparsed received bytes *)
+  mutable c_racc : string; (* received bytes of a frame (or hello) not yet whole *)
   mutable c_wpend : string; (* queued unwritten bytes (short writes) *)
   mutable c_closed : bool;
 }
@@ -49,6 +41,7 @@ type fabric = {
   f_wake_w : Unix.file_descr;
   f_epoch : float; (* gettimeofday at create minus scheduler time then *)
   mutable f_max_chunk : int;
+  mutable f_rbuf : Bytes.t; (* shared read buffer, at least f_max_chunk long *)
   mutable f_closed : bool;
 }
 
@@ -82,8 +75,16 @@ let rec try_flush fab c =
         conn_down fab c ("write: " ^ Unix.error_message e)
   end
 
-let enqueue fab c payload =
-  c.c_wpend <- c.c_wpend ^ payload;
+(* Append [prefix] (if any) and [body] to the write queue in one
+   allocation, then write what the kernel takes. *)
+let enqueue fab c ?prefix body =
+  let pend = String.length c.c_wpend and blen = String.length body in
+  let plen = if prefix = None then 0 else 4 in
+  let b = Bytes.create (pend + plen + blen) in
+  Bytes.blit_string c.c_wpend 0 b 0 pend;
+  Option.iter (fun n -> Bytes.set_int32_be b pend (Int32.of_int n)) prefix;
+  Bytes.blit_string body 0 b (pend + plen) blen;
+  c.c_wpend <- Bytes.unsafe_to_string b;
   try_flush fab c
 
 let find_conn fab ep dst =
@@ -111,7 +112,7 @@ let dial fab ep dst =
               in
               fab.f_conns <- c :: fab.f_conns;
               Sim.Stats.incr (counter fab "transport_conns_opened");
-              enqueue fab c (hello_magic ^ be32_put ep.e_addr);
+              enqueue fab c (hello ep.e_addr);
               Some c
           | exception Unix.Unix_error _ ->
               (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -128,47 +129,63 @@ let send fab ep ~dst frame =
     | Some c ->
         Sim.Stats.incr (counter fab "transport_frames_sent");
         Sim.Stats.add (counter fab "transport_bytes_sent") (String.length frame);
-        enqueue fab c (be32_put (String.length frame) ^ frame)
+        enqueue fab c ~prefix:(String.length frame) frame
 
 (* --- receive path -------------------------------------------------- *)
 
-let rec parse fab c =
-  if not c.c_closed then
-    if c.c_peer < 0 then begin
-      (* Accepted connection: first bytes must be the dialer's hello. *)
-      if String.length c.c_racc >= hello_len then
-        if String.sub c.c_racc 0 4 <> hello_magic then conn_down fab c "bad hello"
-        else begin
-          c.c_peer <- be32_get c.c_racc 4;
-          c.c_racc <- String.sub c.c_racc hello_len (String.length c.c_racc - hello_len);
-          parse fab c
-        end
+(* Deliver every whole frame in [buf.[off, stop)], frames in place by
+   offset; return the offset of the first byte not yet consumed. *)
+let rec parse fab c buf off stop =
+  if c.c_closed then stop
+  else if c.c_peer < 0 then begin
+    (* Accepted connection: first bytes must be the dialer's hello. *)
+    if stop - off < hello_len then off
+    else if Bytes.sub_string buf off 4 <> hello_magic then begin
+      conn_down fab c "bad hello";
+      stop
     end
     else begin
-      let len = String.length c.c_racc in
-      if len >= 4 then begin
-        let flen = be32_get c.c_racc 0 in
-        if flen > max_frame then conn_down fab c "oversized frame"
-        else if len >= 4 + flen then begin
-          let frame = String.sub c.c_racc 4 flen in
-          c.c_racc <- String.sub c.c_racc (4 + flen) (len - 4 - flen);
-          Sim.Stats.incr (counter fab "transport_frames_received");
-          Sim.Stats.add (counter fab "transport_bytes_received") flen;
-          c.c_ep.e_recv ~src:c.c_peer frame;
-          parse fab c
-        end
-      end
+      c.c_peer <- be32_get buf (off + 4);
+      parse fab c buf (off + hello_len) stop
+    end
+  end
+  else if stop - off < 4 then off
+  else
+    let flen = be32_get buf off in
+    if flen > max_frame then begin
+      conn_down fab c "oversized frame";
+      stop
+    end
+    else if stop - off < 4 + flen then off
+    else begin
+      let frame = Bytes.sub_string buf (off + 4) flen in
+      Sim.Stats.incr (counter fab "transport_frames_received");
+      Sim.Stats.add (counter fab "transport_bytes_received") flen;
+      c.c_ep.e_recv ~src:c.c_peer frame;
+      parse fab c buf (off + 4 + flen) stop
     end
 
+(* Reads land in the fabric's one buffer. Whole frames are delivered
+   straight from it; only an incomplete tail is copied out, and only
+   then does the next read pay to join it. *)
 let handle_readable fab c =
   if not c.c_closed then begin
     let want = fab.f_max_chunk in
-    let buf = Bytes.create want in
-    match Unix.read c.c_fd buf 0 want with
+    match Unix.read c.c_fd fab.f_rbuf 0 want with
     | 0 -> conn_down fab c "connection closed by peer"
     | n ->
-        c.c_racc <- c.c_racc ^ Bytes.sub_string buf 0 n;
-        parse fab c
+        let buf, stop =
+          if c.c_racc = "" then (fab.f_rbuf, n)
+          else begin
+            let held = String.length c.c_racc in
+            let joined = Bytes.create (held + n) in
+            Bytes.blit_string c.c_racc 0 joined 0 held;
+            Bytes.blit fab.f_rbuf 0 joined held n;
+            (joined, held + n)
+          end
+        in
+        let off = parse fab c buf 0 stop in
+        c.c_racc <- (if off = stop then "" else Bytes.sub_string buf off (stop - off))
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error (e, _, _) -> conn_down fab c ("read: " ^ Unix.error_message e)
   end
@@ -245,6 +262,7 @@ let create sched =
          timers armed before the fabric existed stay meaningful. *)
       f_epoch = Unix.gettimeofday () -. S.now sched;
       f_max_chunk = 65536;
+      f_rbuf = Bytes.create 65536;
       f_closed = false;
     }
   in
@@ -310,7 +328,8 @@ let drop_peer_connections fab ~addr =
 
 let set_max_chunk fab n =
   if n <= 0 then invalid_arg "Transport_tcp.set_max_chunk: must be positive";
-  fab.f_max_chunk <- n
+  fab.f_max_chunk <- n;
+  if n > Bytes.length fab.f_rbuf then fab.f_rbuf <- Bytes.create n
 
 let close fab =
   if not fab.f_closed then begin

@@ -167,7 +167,7 @@ let e18 ?(n = 400) () =
          still-encoded, 'args decoded' the views forced into trees for a handler. Serving \
          decodes every call; shedding rejects from the envelope scan alone, so shed calls \
          never pay the argument decode";
-        "with the dictionary off, frames are byte-identical to the pre-dictionary wire \
+        "with the dictionary off, frames are byte-identical to a dictionary-off hub's \
          (the E12 golden table is the gate); 'decode errs' must be 0 on every run";
       ]
     (List.map render rows)

@@ -97,6 +97,33 @@ let e12_rows ?(n = 400) () =
       List.map (fun piggyback -> run_mode ~n ~mode ~piggyback ()) [ false; true ])
     [ Rpc; Stream 16; Send_mode 16; Adaptive ]
 
+(* E12 at the default [n] and seed, per row: (mode, piggyback, msgs,
+   bytes). The msgs cells are those of the first binary wire; the bytes
+   are those of the compact channel header (docs/WIRE.md §2). *)
+let goldens =
+  [
+    ("RPC", false, 1600, 30544);
+    ("RPC", true, 801, 28147);
+    ("stream B=16", false, 100, 12529);
+    ("stream B=16", true, 52, 12205);
+    ("send B=16", false, 100, 11792);
+    ("send B=16", true, 52, 11468);
+    ("stream adaptive", false, 48, 11963);
+    ("stream adaptive", true, 29, 11852);
+  ]
+
+let golden_mismatches rows =
+  List.filter_map
+    (fun (mode, piggyback, msgs, bytes) ->
+      match List.find_opt (fun r -> r.r_mode = mode && r.r_piggyback = piggyback) rows with
+      | Some r when r.r_msgs = msgs && r.r_bytes = bytes -> None
+      | Some r ->
+          Some
+            (Printf.sprintf "E12 %s piggyback=%b: %d msgs / %d B (golden %d / %d)" mode piggyback
+               r.r_msgs r.r_bytes msgs bytes)
+      | None -> Some (Printf.sprintf "E12 %s piggyback=%b: row missing" mode piggyback))
+    goldens
+
 let e12 ?(n = 400) () =
   let rows = e12_rows ~n () in
   let render r =

@@ -24,4 +24,13 @@ val e12_rows : ?n:int -> unit -> row list
 (** The raw measurements: every (mode × piggyback on/off) combination,
     [n] calls each (default 400). Used by the bench JSON emitter. *)
 
+val goldens : (string * bool * int * int) list
+(** The pinned E12 table at the default [n]: [(mode, piggyback, msgs,
+    bytes)] per row. The wire tests, the transport byte-identity
+    regression and the bench runner all gate on it. *)
+
+val golden_mismatches : row list -> string list
+(** One line per {!goldens} row that [rows] lacks or whose msgs or bytes
+    differ; [[]] when every row matches. *)
+
 val e12 : ?n:int -> unit -> Table.t

@@ -754,7 +754,8 @@ module Bin = struct
           push_interned d s;
           s
         end
-        else if n - 1 < d.d_count then d.d_table.(n - 1)
+        (* a 9-byte marker can wrap negative: refs are bounded on both sides *)
+        else if n > 0 && n - 1 < d.d_count then d.d_table.(n - 1)
         else bad "string ref %d out of table range (%d entries)" n d.d_count)
     | Some dt ->
         let m = uvarint_exn d in
@@ -773,14 +774,14 @@ module Bin = struct
         end
         else if m = 2 then begin
           let k = uvarint_exn d in
-          if k < dt.dt_count then begin
+          if k >= 0 && k < dt.dt_count then begin
             let s = dt.dt_arr.(k) in
             push_interned d s;
             s
           end
           else bad "dict ref %d out of range (%d entries)" k dt.dt_count
         end
-        else if m - 3 < d.d_count then d.d_table.(m - 3)
+        else if m > 0 && m - 3 < d.d_count then d.d_table.(m - 3)
         else bad "string ref %d out of table range (%d entries)" (m - 3) d.d_count
 
   let real_exn d =

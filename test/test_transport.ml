@@ -290,40 +290,11 @@ let test_tcp_exactly_once_across_break () =
 
 (* --- regression: Transport_sim is byte-identical -------------------- *)
 
-(* The figures published in BENCH_wire.json (n=400, seed 42) before the
-   transport seam existed. If any of these move, the refactor changed
-   wire behavior. *)
-let e12_goldens =
-  [
-    ("RPC", false, 1600, 68098);
-    ("RPC", true, 801, 51319);
-    ("stream B=16", false, 100, 14833);
-    ("stream B=16", true, 52, 13361);
-    ("send B=16", false, 100, 14096);
-    ("send B=16", true, 52, 12624);
-    ("stream adaptive", false, 48, 13077);
-    ("stream adaptive", true, 29, 12520);
-  ]
-
+(* The sim backend must reproduce the pinned E12 table exactly; if any
+   cell moves, the transport seam changed wire behavior. *)
 let test_sim_byte_identical () =
-  let rows = Workloads.Exp_wire.e12_rows ~n:400 () in
-  List.iter
-    (fun (mode, piggyback, msgs, bytes) ->
-      match
-        List.find_opt
-          (fun r ->
-            r.Workloads.Exp_wire.r_mode = mode && r.Workloads.Exp_wire.r_piggyback = piggyback)
-          rows
-      with
-      | None -> Alcotest.failf "E12 row %s/%b missing" mode piggyback
-      | Some r ->
-          check Alcotest.int
-            (Printf.sprintf "%s piggyback=%b msgs" mode piggyback)
-            msgs r.Workloads.Exp_wire.r_msgs;
-          check Alcotest.int
-            (Printf.sprintf "%s piggyback=%b bytes" mode piggyback)
-            bytes r.Workloads.Exp_wire.r_bytes)
-    e12_goldens
+  check Alcotest.(list string) "E12 matches its goldens" []
+    (Workloads.Exp_wire.golden_mismatches (Workloads.Exp_wire.e12_rows ~n:400 ()))
 
 (* E17's own invariant: whenever TCP runs, its frame/byte counts equal
    the sim prediction exactly. *)

@@ -133,6 +133,17 @@ let test_pref_bad_field_marker_rejected () =
   | Ok v -> Alcotest.failf "bad field marker decoded as %a" Xdr.pp_value v
   | Error _ -> ()
 
+let test_wrapped_string_ref_rejected () =
+  (* A 9-byte string-ref marker that wraps to a negative int: the ref
+     must be refused, not used as an array index. *)
+  let frame = "\n\000\001n\n\001\005\239\166\161\142\187\193\202\192\127" in
+  (match B.of_string frame with
+  | Error _ -> ()
+  | Ok v -> Alcotest.failf "wrapped ref decoded as %a" Xdr.pp_value v);
+  match Xdr.View.of_string frame with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "wrapped ref scanned"
+
 let test_deep_nesting_roundtrips () =
   let rec deep n acc = if n = 0 then acc else deep (n - 1) (Xdr.Pair (Xdr.Int n, acc)) in
   assert_roundtrips "300 levels" (deep 300 Xdr.Unit)
@@ -214,44 +225,40 @@ let prop_random_bytes_never_raise =
 (* ------------------------------------------------------------------ *)
 (* Packet frame codec *)
 
-let ack ?(pressure = 0) key upto = { CH.a_key = key; a_upto = upto; a_pressure = pressure }
-
-let equal_acks a b =
-  List.length a = List.length b
-  && List.for_all2 (fun (x : CH.ack_entry) (y : CH.ack_entry) -> x = y) a b
+let ack ?(pressure = 0) idx upto = { CH.a_idx = idx; a_upto = upto; a_pressure = pressure }
 
 let equal_packet (a : CH.packet) (b : CH.packet) =
   match (a, b) with
-  | ( CH.Data { key = k1; first_seq = f1; acks = a1; items = i1 },
-      CH.Data { key = k2; first_seq = f2; acks = a2; items = i2 } ) ->
-      k1 = k2 && f1 = f2 && equal_acks a1 a2
+  | ( CH.Data { src = s1; idx = x1; first_seq = f1; opening = o1; acks = a1; items = i1 },
+      CH.Data { src = s2; idx = x2; first_seq = f2; opening = o2; acks = a2; items = i2 } ) ->
+      s1 = s2 && x1 = x2 && f1 = f2 && o1 = o2 && a1 = a2
       && List.length i1 = List.length i2
       && List.for_all2 Xdr.equal_value i1 i2
-  | CH.Ack { acks = a1 }, CH.Ack { acks = a2 } -> equal_acks a1 a2
-  | CH.Reset { key = k1; reason = r1 }, CH.Reset { key = k2; reason = r2 } ->
-      k1 = k2 && r1 = r2
+  | CH.Ack { acks = a1 }, CH.Ack { acks = a2 } -> a1 = a2
+  | CH.Reset _, CH.Reset _ -> a = b
   | _ -> false
 
-let sample_key = { CH.src = 3; label = "grades"; idx = 7; meta = "~r/a/grades/1/0" }
+let sample_opening = { CH.open_label = "grades"; open_meta = "~r/a/grades/1/0" }
+
+let data ?(acks = []) ?(items = []) ~first_seq () =
+  let opening = if first_seq = 0 then Some sample_opening else None in
+  CH.Data { src = 3; idx = 7; first_seq; opening; acks; items }
 
 let test_packet_roundtrips () =
   let packets =
     [
-      CH.Data
-        {
-          key = sample_key;
-          first_seq = 42;
-          acks = [ ack sample_key (-1); ack ~pressure:2 { sample_key with CH.idx = 8 } 17 ];
-          items =
-            List.init 5 (fun i ->
-                W.call_item ~seq:(42 + i) ~cid:(100 + i) ~trace:None ~port:"record_grade"
-                  ~kind:W.Call
-                  ~args:(Xdr.Pair (Xdr.Str "stu00001", Xdr.Int 85)) ());
-        };
-      CH.Data { key = sample_key; first_seq = 0; acks = []; items = [] };
-      CH.Ack { acks = [ ack ~pressure:1 sample_key 12 ] };
+      data ~first_seq:42
+        ~acks:[ ack 7 (-1); ack ~pressure:2 8 17 ]
+        ~items:
+          (List.init 5 (fun i ->
+               W.call_item ~seq:(42 + i) ~cid:(100 + i) ~trace:None ~port:"record_grade"
+                 ~kind:W.Call
+                 ~args:(Xdr.Pair (Xdr.Str "stu00001", Xdr.Int 85)) ()))
+        ();
+      data ~first_seq:0 ();
+      CH.Ack { acks = [ ack ~pressure:1 7 12 ] };
       CH.Ack { acks = [] };
-      CH.Reset { key = sample_key; reason = "no such port group" };
+      CH.Reset { src = 3; idx = 7; reason = "no such port group" };
     ]
   in
   List.iter
@@ -261,8 +268,66 @@ let test_packet_roundtrips () =
       | Error e -> Alcotest.failf "packet decode failed: %s" e)
     packets
 
+let gen_packet : CH.packet QCheck.Gen.t =
+  let open QCheck.Gen in
+  let nat = oneof [ small_nat; int_bound max_int ] in
+  let gen_ack =
+    map3
+      (fun a_idx a_upto a_pressure -> { CH.a_idx; a_upto; a_pressure })
+      nat (oneof [ return (-1); nat ]) (int_bound 2)
+  in
+  let gen_string = string_size ~gen:printable (int_range 0 24) in
+  let gen_data =
+    (* first_seq = 0 half the time: the opening form is not a corner case *)
+    let* first_seq = oneof [ return 0; map succ nat ] in
+    let* opening =
+      if first_seq = 0 then
+        map2 (fun open_label open_meta -> Some { CH.open_label; open_meta }) gen_string gen_string
+      else return None
+    in
+    map4
+      (fun src idx acks items -> CH.Data { src; idx; first_seq; opening; acks; items })
+      nat nat
+      (list_size (int_range 0 4) gen_ack)
+      (list_size (int_range 0 4) gen_value)
+  in
+  oneof
+    [
+      gen_data;
+      gen_data;
+      map (fun acks -> CH.Ack { acks }) (list_size (int_range 0 4) gen_ack);
+      map3 (fun src idx reason -> CH.Reset { src; idx; reason }) nat nat gen_string;
+    ]
+
+let prop_packet_roundtrip =
+  QCheck.Test.make ~name:"decode (encode p) = p, and re-encodes byte-for-byte" ~count:500
+    (QCheck.make gen_packet) (fun p ->
+      let f = CH.encode_packet p in
+      match CH.decode_packet f with
+      | Ok p' -> equal_packet p p' && String.equal (CH.encode_packet p') f
+      | Error e -> QCheck.Test.fail_reportf "packet decode failed: %s" e)
+
+let test_opening_fields_only_at_seq_zero () =
+  let compact = CH.encode_packet (data ~first_seq:1 ()) in
+  let opening = CH.encode_packet (data ~first_seq:0 ()) in
+  check Alcotest.int "an opening frame adds exactly its label and meta"
+    (String.length compact
+    + String.length (B.to_string (Xdr.Str sample_opening.open_label))
+    + String.length (B.to_string (Xdr.Str sample_opening.open_meta))
+    - 2)
+    (String.length opening);
+  let rejects p =
+    match CH.encode_packet p with
+    | _ -> Alcotest.fail "inconsistent opening encoded"
+    | exception Invalid_argument _ -> ()
+  in
+  rejects (CH.Data { src = 3; idx = 7; first_seq = 0; opening = None; acks = []; items = [] });
+  rejects
+    (CH.Data
+       { src = 3; idx = 7; first_seq = 1; opening = Some sample_opening; acks = []; items = [] })
+
 let test_packet_bytes_is_actual_size () =
-  let p = CH.Ack { acks = [ ack sample_key 12 ] } in
+  let p = CH.Ack { acks = [ ack 7 12 ] } in
   check Alcotest.int "packet_bytes = encoded length"
     (String.length (CH.encode_packet p))
     (CH.packet_bytes p)
@@ -272,12 +337,15 @@ let test_packet_garbage_rejected () =
   (match CH.decode_packet "\x02\x01" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong version accepted");
-  let enc = CH.encode_packet (CH.Reset { key = sample_key; reason = "r" }) in
-  for len = 0 to String.length enc - 1 do
-    match CH.decode_packet (String.sub enc 0 len) with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "truncated frame (%d bytes) accepted" len
-  done
+  List.iter
+    (fun p ->
+      let enc = CH.encode_packet p in
+      for len = 0 to String.length enc - 1 do
+        match CH.decode_packet (String.sub enc 0 len) with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "truncated frame (%d bytes) accepted" len
+      done)
+    [ CH.Reset { src = 3; idx = 7; reason = "r" }; data ~first_seq:0 () ]
 
 (* ------------------------------------------------------------------ *)
 (* Behaviour: piggybacking, Nagle flush, sliding window *)
@@ -490,6 +558,150 @@ let test_stream_call_window_preserves_order () =
     (List.init 15 (fun i -> i + 101))
     (of_fiber 101 115);
   check Alcotest.int "nothing lost or duplicated" 30 (List.length executed)
+
+(* ------------------------------------------------------------------ *)
+(* Compact channel names: only the opening packet names a channel in
+   full, so the hub must cope with compact packets it cannot place. *)
+
+let peek w name = Sim.Stats.peek (S.stats w.sched) name
+
+(* Hand packet [p] to [dst]'s hub as if [src] had sent it. *)
+let inject w ~src ~dst p = Net.send w.net ~src ~dst:(Net.address dst) ~bytes_:0 (CH.encode_packet p)
+
+let sink w =
+  let got = ref [] and opened = ref 0 in
+  CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
+      incr opened;
+      CH.set_deliver in_chan (fun items -> got := !got @ items));
+  (got, opened)
+
+let test_compact_for_unknown_channel_dropped () =
+  let w = make_world () in
+  let got, opened = sink w in
+  let a = Net.address w.node_a in
+  inject w ~src:w.node_a ~dst:w.node_b
+    (CH.Data { src = a; idx = 0; first_seq = 3; opening = None; acks = []; items = [ Xdr.Int 1 ] });
+  run_ok w;
+  check Alcotest.int "no in-chan created" 0 !opened;
+  check Alcotest.int "nothing delivered" 0 (List.length !got);
+  check Alcotest.int "no Reset sent" 0 (peek w "chan_reset_packets");
+  check Alcotest.int "no ack sent" 0 (peek w "chan_ack_packets");
+  check Alcotest.int "counted" 1 (peek w "chan_unopened_drops")
+
+let test_lost_opening_recovered_by_retransmit () =
+  (* Hub a's link loses exactly the first frame it sends — the opening
+     packet — and delivers the compact one behind it. *)
+  let sched = S.create ~seed:42 () in
+  let net = Net.create sched Net.default_config in
+  let node_a = Net.add_node net ~name:"a" and node_b = Net.add_node net ~name:"b" in
+  let tr = Transport_sim.endpoint net node_a in
+  let lost = ref 0 in
+  let lossy =
+    {
+      tr with
+      Transport.send =
+        (fun ~dst frame -> if !lost = 0 then incr lost else tr.Transport.send ~dst frame);
+    }
+  in
+  let w =
+    {
+      sched;
+      net;
+      node_a;
+      node_b;
+      hub_a = CH.create_hub ~transport:lossy ();
+      hub_b = CH.create_hub ~net:(net, node_b) ();
+    }
+  in
+  let got, opened = sink w in
+  let out =
+    CH.connect w.hub_a ~dst:(Net.address node_b) ~label:"sink" ~meta:""
+      { CH.rpc_config with CH.retransmit_timeout = 10e-3 }
+  in
+  ignore
+    (S.spawn sched (fun () ->
+         List.iter (fun i -> ignore (CH.send out (Xdr.Int i) : (unit, string) result)) [ 1; 2 ]));
+  run_ok w;
+  check Alcotest.int "the opening packet was lost" 1 !lost;
+  check Alcotest.bool "the compact packet was dropped, not answered" true
+    (peek w "chan_unopened_drops" >= 1 && peek w "chan_reset_packets" = 0);
+  check Alcotest.bool "recovered by retransmit" true (peek w "chan_retransmits" >= 1);
+  check Alcotest.int "opened once" 1 !opened;
+  check Alcotest.bool "delivered exactly once, in order" true
+    (List.equal Xdr.equal_value [ Xdr.Int 1; Xdr.Int 2 ] !got);
+  check Alcotest.int "fully acked" 0 (CH.unacked_count out)
+
+let test_ack_for_unknown_idx_ignored () =
+  let w = make_world () in
+  (* The channel's peer runs no hub: only the injected acks below can
+     move the channel. *)
+  let peer = Net.add_node w.net ~name:"silent" in
+  let out =
+    CH.connect w.hub_a ~dst:(Net.address peer) ~label:"sink" ~meta:""
+      { CH.rpc_config with CH.retransmit_timeout = 10.0 }
+  in
+  ignore (CH.send out (Xdr.Int 1) : (unit, string) result);
+  let unacked_at = ref [] in
+  let probe () = unacked_at := CH.unacked_count out :: !unacked_at in
+  let ack_from node idx = inject w ~src:node ~dst:w.node_a (CH.Ack { acks = [ ack idx 0 ] }) in
+  ack_from peer 5;  (* an idx hub a never opened *)
+  ack_from w.node_b 0;  (* the right idx, from a node that is not the peer *)
+  S.after w.sched 0.1 probe;
+  S.after w.sched 0.2 (fun () -> ack_from peer 0);
+  S.after w.sched 0.3 probe;
+  ignore (S.run ~until:1.0 w.sched : S.outcome);
+  check Alcotest.(list int) "stray acks ignored, the peer's ack frees the item" [ 0; 1 ]
+    !unacked_at
+
+let test_truncated_opening_counted () =
+  let w = make_world () in
+  let _, opened = sink w in
+  let frame =
+    CH.encode_packet
+      (CH.Data
+         {
+           src = Net.address w.node_a;
+           idx = 0;
+           first_seq = 0;
+           opening = Some { CH.open_label = "sink"; open_meta = "~r/agent/g/1/0" };
+           acks = [];
+           items = [];
+         })
+  in
+  (* The frame ends with meta's bytes, then the two empty list counts:
+     cut four bytes into meta's tail. *)
+  let cut = String.sub frame 0 (String.length frame - 6) in
+  (match CH.decode_packet cut with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "frame truncated inside meta decoded");
+  Net.send w.net ~src:w.node_a ~dst:(Net.address w.node_b) ~bytes_:0 cut;
+  run_ok w;
+  check Alcotest.int "counted as a decode error" 1 (peek w "chan_decode_errors");
+  check Alcotest.int "no channel opened" 0 !opened
+
+let test_stale_compact_after_reset_answered () =
+  let w = make_world () in
+  let got, _ = sink w in
+  let out = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:"" CH.rpc_config in
+  ignore (CH.send out (Xdr.Int 1) : (unit, string) result);
+  S.after w.sched 0.1 (fun () -> CH.break_out out ~reason:"restart");
+  let stale =
+    CH.Data
+      {
+        src = (CH.out_key out).CH.src;
+        idx = (CH.out_key out).CH.idx;
+        first_seq = 1;
+        opening = None;
+        acks = [];
+        items = [ Xdr.Int 2 ];
+      }
+  in
+  S.after w.sched 0.2 (fun () -> inject w ~src:w.node_a ~dst:w.node_b stale);
+  run_ok w;
+  check Alcotest.int "only the first item delivered" 1 (List.length !got);
+  check Alcotest.int "the sender's Reset, then the receiver's answer to the stale packet" 2
+    (peek w "chan_reset_packets");
+  check Alcotest.int "not mistaken for an unopened channel" 0 (peek w "chan_unopened_drops")
 
 (* ------------------------------------------------------------------ *)
 (* Lazy views (docs/WIRE.md §Lazy views): a scan-validated slice must
@@ -724,31 +936,14 @@ let test_dict_reset_bumps_epoch_and_redefines () =
 
 (* ------------------------------------------------------------------ *)
 (* Golden wire bytes: with the dictionary off, every E12 cell must stay
-   digit-for-digit on the pre-dictionary numbers (the same table the
-   bench runner gates on before writing BENCH_wire.json). *)
-
-let e12_goldens =
-  [
-    ("RPC", false, 1600, 68098);
-    ("RPC", true, 801, 51319);
-    ("stream B=16", false, 100, 14833);
-    ("stream B=16", true, 52, 13361);
-    ("send B=16", false, 100, 14096);
-    ("send B=16", true, 52, 12624);
-    ("stream adaptive", false, 48, 13077);
-    ("stream adaptive", true, 29, 12520);
-  ]
+   digit-for-digit on the pinned table (the same one the bench runner
+   gates on before writing BENCH_wire.json). *)
 
 let test_e12_golden_bytes () =
   let rows = Workloads.Exp_wire.e12_rows () in
-  check Alcotest.int "row count" (List.length e12_goldens) (List.length rows);
-  List.iter2
-    (fun (mode, pb, msgs, bytes) (r : Workloads.Exp_wire.row) ->
-      check Alcotest.string "mode" mode r.Workloads.Exp_wire.r_mode;
-      check Alcotest.bool (mode ^ " piggyback") pb r.Workloads.Exp_wire.r_piggyback;
-      check Alcotest.int (mode ^ " msgs") msgs r.Workloads.Exp_wire.r_msgs;
-      check Alcotest.int (mode ^ " bytes") bytes r.Workloads.Exp_wire.r_bytes)
-    e12_goldens rows
+  check Alcotest.int "row count" (List.length Workloads.Exp_wire.goldens) (List.length rows);
+  check Alcotest.(list string) "E12 matches its goldens" []
+    (Workloads.Exp_wire.golden_mismatches rows)
 
 (* ------------------------------------------------------------------ *)
 (* Satellite regressions: field-order tolerant parse, NaN equality *)
@@ -806,12 +1001,16 @@ let () =
         [
           Alcotest.test_case "every truncation errors" `Quick test_truncated_returns_error;
           Alcotest.test_case "trailing garbage rejected" `Quick test_trailing_garbage_rejected;
+          Alcotest.test_case "wrapped string ref rejected" `Quick test_wrapped_string_ref_rejected;
           QCheck_alcotest.to_alcotest prop_corruption_never_raises;
           QCheck_alcotest.to_alcotest prop_random_bytes_never_raise;
         ] );
       ( "packet frames",
         [
           Alcotest.test_case "packet roundtrips" `Quick test_packet_roundtrips;
+          QCheck_alcotest.to_alcotest prop_packet_roundtrip;
+          Alcotest.test_case "opening fields only at seq 0" `Quick
+            test_opening_fields_only_at_seq_zero;
           Alcotest.test_case "packet_bytes is actual size" `Quick test_packet_bytes_is_actual_size;
           Alcotest.test_case "garbage frames rejected" `Quick test_packet_garbage_rejected;
         ] );
@@ -828,6 +1027,19 @@ let () =
             test_window_waiters_released_on_break;
           Alcotest.test_case "window preserves call order" `Quick
             test_stream_call_window_preserves_order;
+        ] );
+      ( "compact channel names",
+        [
+          Alcotest.test_case "compact data for an unknown channel dropped" `Quick
+            test_compact_for_unknown_channel_dropped;
+          Alcotest.test_case "lost opening recovered by retransmit" `Quick
+            test_lost_opening_recovered_by_retransmit;
+          Alcotest.test_case "ack for an unknown idx ignored" `Quick
+            test_ack_for_unknown_idx_ignored;
+          Alcotest.test_case "opening truncated inside meta counted" `Quick
+            test_truncated_opening_counted;
+          Alcotest.test_case "stale compact data after reset answered" `Quick
+            test_stale_compact_after_reset_answered;
         ] );
       ( "lazy views",
         [
