@@ -159,31 +159,8 @@ let run_e10 () =
 
 module W = Cstream.Wire
 
-(* Payloads shaped like real traffic at three sizes: one call item, a
-   16-call batch (the string table pays off: the port name and field
-   names repeat), and a bulky argument tree. *)
 let wire_payloads =
-  let small =
-    W.call_item ~seq:12 ~cid:12 ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) ()
-  in
-  let medium =
-    Xdr.List
-      (List.init 16 (fun i ->
-           W.call_item ~seq:i ~cid:i ~trace:None ~port:"record_grade" ~kind:W.Call
-             ~args:(Xdr.Pair (Xdr.Str (Printf.sprintf "stu%05d" i), Xdr.Int (50 + i))) ()))
-  in
-  let large =
-    Xdr.List
-      (List.init 64 (fun i ->
-           Xdr.Record
-             [
-               ("name", Xdr.Str (Printf.sprintf "student-%04d" i));
-               ("grades", Xdr.List (List.init 16 (fun g -> Xdr.Int (40 + ((i * g) mod 60)))));
-               ("mean", Xdr.Real (50.0 +. (float_of_int i /. 7.0)));
-               ("active", Xdr.Bool (i mod 2 = 0));
-             ]))
-  in
-  [ ("small", small); ("medium", medium); ("large", large) ]
+  List.map (fun (label, v, _) -> (label, v)) Workloads.Exp_wire.reference_payloads
 
 (* Lazy views (docs/WIRE.md): the wire path hands each arriving call a
    validated view over the frame bytes, so "consume one field of a
@@ -352,6 +329,9 @@ let assert_e12_goldens rows =
 
 let run_wire () =
   assert_untraced_bytes_unchanged ();
+  (match Workloads.Exp_wire.payload_mismatches () with
+  | [] -> ()
+  | ms -> failwith ("codec reference payload regression: " ^ String.concat "; " ms));
   let codec_rows = measure_ns wire_tests in
   let e12_rows = Workloads.Exp_wire.e12_rows () in
   assert_e12_goldens e12_rows;

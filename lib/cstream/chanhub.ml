@@ -287,9 +287,24 @@ and out_dict = {
   mutable od_helloed : bool;  (* hello sent for the current epoch *)
 }
 
+(* Per-packet counters, resolved once per hub: a by-name lookup costs a
+   mutex and a string hash on every packet. *)
+and hub_counters = {
+  hc_wire_bytes : Sim.Stats.counter;
+  hc_data_packets : Sim.Stats.counter;
+  hc_items_sent : Sim.Stats.counter;
+  hc_ack_packets : Sim.Stats.counter;
+  hc_reset_packets : Sim.Stats.counter;
+  hc_piggybacked_acks : Sim.Stats.counter;
+  hc_standalone_acks : Sim.Stats.counter;
+  hc_dict_defines : Sim.Stats.counter;
+  hc_dict_refs : Sim.Stats.counter;
+}
+
 and hub = {
   h_tr : Transport.t;
   h_sched : S.t;
+  h_ctr : hub_counters;
   h_ack_delay : float;
   h_dict : bool;  (* offer the connection dictionary to peers *)
   h_outs : (int, out_chan) Hashtbl.t;  (* by idx *)
@@ -368,9 +383,12 @@ let hub_counter hub name = Sim.Stats.counter (S.stats hub.h_sched) name
 
 let hub_trace hub fmt = Sim.Trace.recordf (S.trace hub.h_sched) ~time:(S.now hub.h_sched) fmt
 
+let spans_on hub = Sim.Span.enabled (S.spans hub.h_sched)
+
 (* Causal tracing (docs/TRACING.md): every item that carries a trace id
    gets a span at each transport edge. Items without one — all of them,
-   when tracing is off — cost a single branch here. *)
+   when tracing is off — cost a single branch here; call sites that
+   format a [note] test [spans_on] first, so they format nothing then. *)
 let span_items hub kind ?note items =
   let spans = S.spans hub.h_sched in
   if Sim.Span.enabled spans then
@@ -422,26 +440,26 @@ let transmit hub ~dst packet =
           od.od_helloed <- true;
           Sim.Stats.incr (hub_counter hub "chan_dict_hellos");
           let hf = encode_dict_ctrl ~tag:4 ~epoch:(B.dict_epoch od.od_dict) in
-          Sim.Stats.add (hub_counter hub "chan_wire_bytes") (String.length hf);
+          Sim.Stats.add hub.h_ctr.hc_wire_bytes (String.length hf);
           hub.h_tr.Transport.send ~dst hf
         end;
         if od.od_on then begin
           let d0 = B.dict_defines od.od_dict and r0 = B.dict_refs od.od_dict in
           let f = encode_packet_dict od.od_dict packet in
-          Sim.Stats.add (hub_counter hub "chan_dict_defines") (B.dict_defines od.od_dict - d0);
-          Sim.Stats.add (hub_counter hub "chan_dict_refs") (B.dict_refs od.od_dict - r0);
+          Sim.Stats.add hub.h_ctr.hc_dict_defines (B.dict_defines od.od_dict - d0);
+          Sim.Stats.add hub.h_ctr.hc_dict_refs (B.dict_refs od.od_dict - r0);
           f
         end
         else encode_packet packet
   in
-  let bytes = String.length frame in
-  Sim.Stats.add (hub_counter hub "chan_wire_bytes") bytes;
+  let ctr = hub.h_ctr in
+  Sim.Stats.add ctr.hc_wire_bytes (String.length frame);
   (match packet with
   | Data { items; _ } ->
-      Sim.Stats.incr (hub_counter hub "chan_data_packets");
-      Sim.Stats.add (hub_counter hub "chan_items_sent") (List.length items)
-  | Ack _ -> Sim.Stats.incr (hub_counter hub "chan_ack_packets")
-  | Reset _ -> Sim.Stats.incr (hub_counter hub "chan_reset_packets"));
+      Sim.Stats.incr ctr.hc_data_packets;
+      Sim.Stats.add ctr.hc_items_sent (List.length items)
+  | Ack _ -> Sim.Stats.incr ctr.hc_ack_packets
+  | Reset _ -> Sim.Stats.incr ctr.hc_reset_packets);
   hub.h_tr.Transport.send ~dst frame
 
 (* --- delayed acks and piggybacking -------------------------------- *)
@@ -469,7 +487,7 @@ let drain_pending hub dst =
 (* Acks waiting for [dst] hitch a ride on this Data packet. *)
 let take_piggyback hub ~dst =
   let acks = drain_pending hub dst in
-  if acks <> [] then Sim.Stats.add (hub_counter hub "chan_piggybacked_acks") (List.length acks);
+  if acks <> [] then Sim.Stats.add hub.h_ctr.hc_piggybacked_acks (List.length acks);
   acks
 
 (* Acknowledge [upto] on channel [idx] of the hub at [dst], the
@@ -480,7 +498,7 @@ let take_piggyback hub ~dst =
    retransmit timeout). *)
 let post_ack hub ~dst ~idx ~upto ~pressure =
   if hub.h_ack_delay <= 0.0 then begin
-    Sim.Stats.incr (hub_counter hub "chan_standalone_acks");
+    Sim.Stats.incr hub.h_ctr.hc_standalone_acks;
     transmit hub ~dst (Ack { acks = [ { a_idx = idx; a_upto = upto; a_pressure = pressure } ] })
   end
   else begin
@@ -495,7 +513,7 @@ let post_ack hub ~dst ~idx ~upto ~pressure =
           p.p_armed <- false;
           let acks = drain_pending hub dst in
           if acks <> [] then begin
-            Sim.Stats.add (hub_counter hub "chan_standalone_acks") (List.length acks);
+            Sim.Stats.add hub.h_ctr.hc_standalone_acks (List.length acks);
             transmit hub ~dst (Ack { acks })
           end)
     end
@@ -613,9 +631,10 @@ let rec arm_retransmit o =
               in
               let acks = take_piggyback o.o_hub ~dst:o.o_dst in
               transmit o.o_hub ~dst:o.o_dst (data_packet o ~first_seq ~acks ~items);
-              span_items o.o_hub Sim.Span.Retransmit
-                ~note:(Printf.sprintf "try %d -> n%d" o.o_retries o.o_dst)
-                items;
+              if spans_on o.o_hub then
+                span_items o.o_hub Sim.Span.Retransmit
+                  ~note:(Printf.sprintf "try %d -> n%d" o.o_retries o.o_dst)
+                  items;
               arm_retransmit o
             end
           end
@@ -644,7 +663,8 @@ let flush_out o =
     let items = List.map fst entries in
     let acks = take_piggyback o.o_hub ~dst:o.o_dst in
     transmit o.o_hub ~dst:o.o_dst (data_packet o ~first_seq ~acks ~items);
-    span_items o.o_hub Sim.Span.Transmit ~note:(Printf.sprintf "-> n%d" o.o_dst) items;
+    if spans_on o.o_hub then
+      span_items o.o_hub Sim.Span.Transmit ~note:(Printf.sprintf "-> n%d" o.o_dst) items;
     arm_retransmit o
   end
 
@@ -671,11 +691,11 @@ let await_window o ~bytes =
         wait ()
       end
 
-let send o item =
+let send ?size o item =
   match o.o_broken with
   | Some reason -> Error reason
   | None ->
-      let size = B.size item in
+      let size = match size with Some n -> n | None -> B.size item in
       o.o_buf <- (item, size) :: o.o_buf;
       o.o_buf_len <- o.o_buf_len + 1;
       o.o_buf_bytes <- o.o_buf_bytes + size;
@@ -828,7 +848,8 @@ let handle_data hub ~src ~idx ~first_seq ~opening ~items =
             let fresh = if skip >= count then [] else List.filteri (fun k _ -> k >= skip) items in
             if fresh <> [] then begin
               i.i_expected <- i.i_expected + List.length fresh;
-              span_views hub Sim.Span.Deliver ~note:(Printf.sprintf "from n%d" src) fresh;
+              if spans_on hub then
+                span_views hub Sim.Span.Deliver ~note:(Printf.sprintf "from n%d" src) fresh;
               deliver_fresh i fresh
             end;
             post_ack hub ~dst:src ~idx ~upto:(i.i_expected - 1) ~pressure:(probe_pressure i)
@@ -934,7 +955,7 @@ let receive hub ~src frame =
       (* Any hub can decode v2 frames; accepting costs one table. *)
       ignore (dict_in hub src epoch : B.dict_table);
       let f = encode_dict_ctrl ~tag:5 ~epoch in
-      Sim.Stats.add (hub_counter hub "chan_wire_bytes") (String.length f);
+      Sim.Stats.add hub.h_ctr.hc_wire_bytes (String.length f);
       hub.h_tr.Transport.send ~dst:src f
   | Ok (I_welcome epoch) -> (
       match Hashtbl.find_opt hub.h_dict_out src with
@@ -983,10 +1004,23 @@ let peer_down hub ~peer ~reason =
     ins
 
 let create_hub_on ?(ack_delay = 0.0) ?(dict = false) tr =
+  let counter = Sim.Stats.counter (S.stats tr.Transport.sched) in
   let hub =
     {
       h_tr = tr;
       h_sched = tr.Transport.sched;
+      h_ctr =
+        {
+          hc_wire_bytes = counter "chan_wire_bytes";
+          hc_data_packets = counter "chan_data_packets";
+          hc_items_sent = counter "chan_items_sent";
+          hc_ack_packets = counter "chan_ack_packets";
+          hc_reset_packets = counter "chan_reset_packets";
+          hc_piggybacked_acks = counter "chan_piggybacked_acks";
+          hc_standalone_acks = counter "chan_standalone_acks";
+          hc_dict_defines = counter "chan_dict_defines";
+          hc_dict_refs = counter "chan_dict_refs";
+        };
       h_ack_delay = ack_delay;
       (* Dictionary frames need every frame delivered exactly once and
          in order; on an unreliable endpoint the request is dropped

@@ -218,13 +218,15 @@ val connect : hub -> dst:Net.address -> label:string -> meta:string -> config ->
 (** Open a channel to the hub at [dst]. No handshake message is sent;
     the first data packet establishes the channel at the receiver. *)
 
-val send : out_chan -> Xdr.value -> (unit, string) result
+val send : ?size:int -> out_chan -> Xdr.value -> (unit, string) result
 (** Buffer one item for ordered delivery. [Error reason] means the
     channel is (already) broken — a break racing a buffered send is a
     normal condition under churn, not a programming error, so it is
     reported as a value rather than an exception. [send] itself never
     blocks; callers that want window back-pressure call
-    {!await_window} first. *)
+    {!await_window} first. [size], when given, must be
+    [Xdr.Bin.size item]: a caller that already sized the item for
+    {!await_window} hands it on instead of paying for a second count. *)
 
 val await_window : out_chan -> bytes:int -> (unit, string) result
 (** Block the calling fiber until the channel can admit [bytes] more

@@ -216,7 +216,8 @@ let call_traced ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
         Wire.call_item ~handoff ~elide ~seq:probe_seq ~cid:probe_cid ~trace:wire_trace ~port
           ~kind ~args ()
       in
-      match Chanhub.await_window t.chan ~bytes:(Xdr.Bin.size probe) with
+      let probe_size = Xdr.Bin.size probe in
+      match Chanhub.await_window t.chan ~bytes:probe_size with
       | Error reason -> Error reason
       | Ok () ->
       match t.s_broken with
@@ -236,12 +237,13 @@ let call_traced ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
           p_elide = elide;
           p_on_reply = on_reply;
         };
-      let item =
-        if seq = probe_seq then probe
-        else Wire.call_item ~handoff ~elide ~seq ~cid ~trace:wire_trace ~port ~kind ~args ()
+      (* [size = None] makes [send] count the rebuilt item itself. *)
+      let item, size =
+        if seq = probe_seq then (probe, Some probe_size)
+        else (Wire.call_item ~handoff ~elide ~seq ~cid ~trace:wire_trace ~port ~kind ~args (), None)
       in
       span t ~kind:Sim.Span.Issue ~trace:tid ~call:cid ~note:port ();
-      (match Chanhub.send t.chan item with
+      (match Chanhub.send ?size t.chan item with
       | Ok () ->
           span t ~kind:Sim.Span.Enqueue ~trace:tid ~call:cid ();
           Ok (cid, tid)

@@ -31,9 +31,21 @@ type in_progress = { mutable waiters : (Wire.routcome -> unit) list }
 
 type entry = In_progress of in_progress | Done of Wire.routcome
 
+(* Per-call counters, resolved once at [create]: a by-name lookup costs
+   a mutex and a string hash on every call. *)
+type counters = {
+  n_lazy_args : Sim.Stats.counter;
+  n_materialized : Sim.Stats.counter;
+  n_sheds : Sim.Stats.counter;
+  n_shard_dispatches : Sim.Stats.counter;
+  n_shard_hwm : Sim.Stats.counter;
+  n_shard_imbalance : Sim.Stats.counter;
+}
+
 type t = {
   hub : Chanhub.hub;
   sched : S.t;
+  t_ctr : counters;
   t_gid : string;
   reply_config : Chanhub.config;
   t_ordered : bool;
@@ -129,11 +141,15 @@ let span t ~kind ~trace ?stream ?call ?note () =
           ~node:(Chanhub.hub_addr t.hub)
           ?stream ?call ?note ()
 
+(* Whether [span] would record for [trace]. Call sites that format a
+   note test this first, so a tracing-off run formats nothing. *)
+let traced t trace = Option.is_some trace && Sim.Span.enabled (S.spans t.sched)
+
 (* Raise a counter to a new high-water mark (counters only add). *)
 let bump_hwm c v = if v > Sim.Stats.count c then Sim.Stats.add c (v - Sim.Stats.count c)
 
 let materialize_view t vw =
-  Sim.Stats.incr (counter t "target_args_materialized");
+  Sim.Stats.incr t.t_ctr.n_materialized;
   Xdr.View.materialize vw
 
 let force_args t = function
@@ -211,9 +227,9 @@ let emit_reply c ~seq ~kind ~trace ~elide outcome =
        mode) instead of growing the unacked queue without limit. A
        no-op outside fiber context or when the reply config leaves the
        window unbounded. *)
-    ignore
-      (Chanhub.await_window c.c_reply ~bytes:(Xdr.Bin.size item) : (unit, string) result);
-    if not c.c_broken then ignore (Chanhub.send c.c_reply item : (unit, string) result)
+    let size = Xdr.Bin.size item in
+    ignore (Chanhub.await_window c.c_reply ~bytes:size : (unit, string) result);
+    if not c.c_broken then ignore (Chanhub.send ~size c.c_reply item : (unit, string) result)
   end
 
 (* The sending stream's identity across restarts: its reply-channel
@@ -281,7 +297,7 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
                   | Error _ -> ())
             end)
           handoffs;
-        if handoffs <> [] then
+        if handoffs <> [] && traced t trace then
           span t ~kind:Sim.Span.Handoff ~trace ~stream:c.c_stable ~call:cid
             ~note:(Printf.sprintf "%d foreign ref(s) accepted" (List.length handoffs))
             ();
@@ -346,9 +362,10 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
                 match Pipeline.substitute ~lookup args with
                 | Ok args' ->
                     Sim.Stats.add (counter t "ref_substitutions") (List.length refs);
-                    span t ~kind:Sim.Span.Substitute ~trace ~stream:c.c_stable ~call:cid
-                      ~note:(Printf.sprintf "%d ref(s)" (List.length refs))
-                      ();
+                    if traced t trace then
+                      span t ~kind:Sim.Span.Substitute ~trace ~stream:c.c_stable ~call:cid
+                        ~note:(Printf.sprintf "%d ref(s)" (List.length refs))
+                        ();
                     k args'
                 | Error reason -> fail reason)
           in
@@ -410,9 +427,10 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
                 fail "pipeline dependency table full"
             | Ok registered ->
                 Sim.Stats.incr (counter t "parked_calls");
-                span t ~kind:Sim.Span.Park ~trace ~stream:c.c_stable ~call:cid
-                  ~note:(Printf.sprintf "%d outcome(s) missing" (List.length missing))
-                  ();
+                if traced t trace then
+                  span t ~kind:Sim.Span.Park ~trace ~stream:c.c_stable ~call:cid
+                    ~note:(Printf.sprintf "%d outcome(s) missing" (List.length missing))
+                    ();
                 if not t.t_dedup then
                   on_conn_close c (fun () ->
                       List.iter (Pipeline.Registry.cancel reg) registered)
@@ -470,9 +488,10 @@ let handle_handoff_notice c ~trace ~args ~reply =
   let t = c.c_target in
   with_handoff_target c ~what:"handoff" ~check_epoch:true ~args ~reply (fun reg ho ->
       let push o =
-        span t ~kind:Sim.Span.Handoff ~trace ~stream:ho.Wire.ho_stream ~call:ho.Wire.ho_call
-          ~note:(Printf.sprintf "push -> n%d" ho.Wire.ho_owner)
-          ();
+        if traced t trace then
+          span t ~kind:Sim.Span.Handoff ~trace ~stream:ho.Wire.ho_stream ~call:ho.Wire.ho_call
+            ~note:(Printf.sprintf "push -> n%d" ho.Wire.ho_owner)
+            ();
         Chanhub.handoff_push t.hub ~dst:ho.Wire.ho_owner ~stream:ho.Wire.ho_stream
           ~call:ho.Wire.ho_call (Wire.outcome_value o)
       in
@@ -707,7 +726,7 @@ let accept t in_chan =
                      work queue as a view. *)
                   let routed =
                     if t.t_shards = 1 then (
-                      Sim.Stats.incr (counter t "target_lazy_args");
+                      Sim.Stats.incr t.t_ctr.n_lazy_args;
                       Ok (Encoded cv.Wire.cv_args, 0))
                     else
                       match materialize_view t cv.Wire.cv_args with
@@ -736,10 +755,12 @@ let accept t in_chan =
                     | Some _ | None -> false
                   in
                   if shed then begin
-                    Sim.Stats.incr (counter t "target_sheds");
-                    span t ~kind:Sim.Span.Shed ~trace ~stream:c.c_stable ~call:cid
-                      ~note:(Printf.sprintf "lane %d depth %d" s (Sched.Bqueue.length lane.sh_work))
-                      ();
+                    Sim.Stats.incr t.t_ctr.n_sheds;
+                    if traced t trace then
+                      span t ~kind:Sim.Span.Shed ~trace ~stream:c.c_stable ~call:cid
+                        ~note:
+                          (Printf.sprintf "lane %d depth %d" s (Sched.Bqueue.length lane.sh_work))
+                        ();
                     Hashtbl.replace c.c_done seq
                       (kind, trace, false, Wire.W_unavailable "overloaded: call shed by receiver");
                     release_in_order c
@@ -749,9 +770,10 @@ let accept t in_chan =
                     touched.(s) <- true;
                     Sched.Bqueue.enq lane.sh_work Overhead
                   end;
-                  span t ~kind:Sim.Span.Dispatch ~trace ~stream:c.c_stable ~call:cid
-                    ~note:(Printf.sprintf "lane %d/%d" s t.t_shards)
-                    ();
+                  if traced t trace then
+                    span t ~kind:Sim.Span.Dispatch ~trace ~stream:c.c_stable ~call:cid
+                      ~note:(Printf.sprintf "lane %d/%d" s t.t_shards)
+                      ();
                   (* Elided calls skip the ack-tied release map: the
                      reply carries no outcome, so its ack proves
                      nothing about who may still redeem the result. *)
@@ -770,12 +792,12 @@ let accept t in_chan =
                          elide = cv.Wire.cv_elide;
                        });
                   if t.t_shards > 1 then begin
-                    Sim.Stats.incr (counter t "shard_dispatches");
+                    Sim.Stats.incr t.t_ctr.n_shard_dispatches;
                     t.t_dispatch_counts.(s) <- t.t_dispatch_counts.(s) + 1;
-                    bump_hwm (counter t "shard_queue_hwm") (Sched.Bqueue.length lane.sh_work);
+                    bump_hwm t.t_ctr.n_shard_hwm (Sched.Bqueue.length lane.sh_work);
                     let mx = Array.fold_left max 0 t.t_dispatch_counts in
                     let mn = Array.fold_left min max_int t.t_dispatch_counts in
-                    bump_hwm (counter t "shard_imbalance") (mx - mn)
+                    bump_hwm t.t_ctr.n_shard_imbalance (mx - mn)
                   end
                   end)
               | Error reason -> break_conn c ~reason)
@@ -793,10 +815,21 @@ let accept t in_chan =
 let create hub ~gid ?(config = Group_config.default) dispatch =
   if config.Group_config.shards <= 0 then
     invalid_arg "Target.create: shards must be positive";
+  let sched = Chanhub.hub_sched hub in
+  let counter = Sim.Stats.counter (S.stats sched) in
   let t =
     {
       hub;
-      sched = Chanhub.hub_sched hub;
+      sched;
+      t_ctr =
+        {
+          n_lazy_args = counter "target_lazy_args";
+          n_materialized = counter "target_args_materialized";
+          n_sheds = counter "target_sheds";
+          n_shard_dispatches = counter "shard_dispatches";
+          n_shard_hwm = counter "shard_queue_hwm";
+          n_shard_imbalance = counter "shard_imbalance";
+        };
       t_gid = gid;
       reply_config = config.Group_config.reply_config;
       t_ordered = config.Group_config.ordered;

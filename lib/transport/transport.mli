@@ -71,11 +71,3 @@ type t = {
           mutated into lossiness — the {!Fault} layer — must not be
           combined with dictionary-enabled hubs). *)
 }
-
-val account_send : t -> int -> unit
-(** Bump [transport_frames_sent] / [transport_bytes_sent] in the
-    endpoint's registry. Backends whose substrate does not already
-    count (TCP) call this per outgoing frame. *)
-
-val account_recv : t -> int -> unit
-(** Bump [transport_frames_received] / [transport_bytes_received]. *)

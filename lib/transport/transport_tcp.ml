@@ -33,6 +33,12 @@ type conn = {
 type fabric = {
   f_sched : S.t;
   f_stats : Sim.Stats.t;
+  (* per-frame counters, resolved once: a by-name lookup costs a mutex
+     and a string hash *)
+  f_frames_sent : Sim.Stats.counter;
+  f_bytes_sent : Sim.Stats.counter;
+  f_frames_received : Sim.Stats.counter;
+  f_bytes_received : Sim.Stats.counter;
   f_eps : (int, ep) Hashtbl.t;
   f_book : (int, Unix.sockaddr) Hashtbl.t; (* address book for dialing *)
   mutable f_listeners : (Unix.file_descr * ep) list;
@@ -127,8 +133,8 @@ let send fab ep ~dst frame =
     match c with
     | None -> () (* unreachable peer: drop, like a lossy net; retransmit recovers *)
     | Some c ->
-        Sim.Stats.incr (counter fab "transport_frames_sent");
-        Sim.Stats.add (counter fab "transport_bytes_sent") (String.length frame);
+        Sim.Stats.incr fab.f_frames_sent;
+        Sim.Stats.add fab.f_bytes_sent (String.length frame);
         enqueue fab c ~prefix:(String.length frame) frame
 
 (* --- receive path -------------------------------------------------- *)
@@ -159,8 +165,8 @@ let rec parse fab c buf off stop =
     else if stop - off < 4 + flen then off
     else begin
       let frame = Bytes.sub_string buf (off + 4) flen in
-      Sim.Stats.incr (counter fab "transport_frames_received");
-      Sim.Stats.add (counter fab "transport_bytes_received") flen;
+      Sim.Stats.incr fab.f_frames_received;
+      Sim.Stats.add fab.f_bytes_received flen;
       c.c_ep.e_recv ~src:c.c_peer frame;
       parse fab c buf (off + 4 + flen) stop
     end
@@ -248,10 +254,15 @@ let create sched =
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
+  let stats = Sim.Stats.create () in
   let fab =
     {
       f_sched = sched;
-      f_stats = Sim.Stats.create ();
+      f_stats = stats;
+      f_frames_sent = Sim.Stats.counter stats "transport_frames_sent";
+      f_bytes_sent = Sim.Stats.counter stats "transport_bytes_sent";
+      f_frames_received = Sim.Stats.counter stats "transport_frames_received";
+      f_bytes_received = Sim.Stats.counter stats "transport_bytes_received";
       f_eps = Hashtbl.create 4;
       f_book = Hashtbl.create 4;
       f_listeners = [];

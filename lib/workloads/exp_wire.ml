@@ -124,6 +124,43 @@ let golden_mismatches rows =
       | None -> Some (Printf.sprintf "E12 %s piggyback=%b: row missing" mode piggyback))
     goldens
 
+(* The codec bench's reference payloads, shaped like real traffic at
+   three sizes: one call item, a 16-call batch (the string table pays
+   off: the port name and field names repeat), and a 64-record grade
+   sheet whose 16 grades per record take the packed int-list encoding.
+   The sizes are pinned like the E12 cells: (label, value, bytes). *)
+let reference_payloads =
+  let module W = Cstream.Wire in
+  let small =
+    W.call_item ~seq:12 ~cid:12 ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) ()
+  in
+  let medium =
+    Xdr.List
+      (List.init 16 (fun i ->
+           W.call_item ~seq:i ~cid:i ~trace:None ~port:"record_grade" ~kind:W.Call
+             ~args:(Xdr.Pair (Xdr.Str (Printf.sprintf "stu%05d" i), Xdr.Int (50 + i))) ()))
+  in
+  let large =
+    Xdr.List
+      (List.init 64 (fun i ->
+           Xdr.Record
+             [
+               ("name", Xdr.Str (Printf.sprintf "student-%04d" i));
+               ("grades", Xdr.List (List.init 16 (fun g -> Xdr.Int (40 + ((i * g) mod 60)))));
+               ("mean", Xdr.Real (50.0 +. (float_of_int i /. 7.0)));
+               ("active", Xdr.Bool (i mod 2 = 0));
+             ]))
+  in
+  [ ("small", small, 34); ("medium", medium, 493); ("large", large, 3701) ]
+
+let payload_mismatches () =
+  List.filter_map
+    (fun (label, v, bytes) ->
+      let got = String.length (Xdr.Bin.to_string v) in
+      if got = bytes then None
+      else Some (Printf.sprintf "payload %s: %d B (golden %d)" label got bytes))
+    reference_payloads
+
 let e12 ?(n = 400) () =
   let rows = e12_rows ~n () in
   let render r =

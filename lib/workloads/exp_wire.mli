@@ -33,4 +33,14 @@ val golden_mismatches : row list -> string list
 (** One line per {!goldens} row that [rows] lacks or whose msgs or bytes
     differ; [[]] when every row matches. *)
 
+val reference_payloads : (string * Xdr.value * int) list
+(** The codec bench's payloads — one call item, a 16-call batch and a
+    64-record grade sheet — with their pinned {!Xdr.Bin} sizes:
+    [(label, value, bytes)]. The bench times them; the wire tests and
+    the bench runner gate on the sizes. *)
+
+val payload_mismatches : unit -> string list
+(** One line per {!reference_payloads} entry whose encoding is not its
+    pinned size; [[]] when all match. *)
+
 val e12 : ?n:int -> unit -> Table.t

@@ -351,6 +351,16 @@ module Bin = struct
   and t_record = 0x09
   and t_tagged = 0x0A
   and t_pref = 0x0B
+  and t_packed = 0x0C
+
+  (* A non-empty list of [Int]s only ships as [t_packed]: one tag, one
+     count, then bare zigzag varints. Every other list — empty, or with
+     any non-[Int] element — stays [t_list], so each value has exactly
+     one encoding. [packed_count] is that rule: the element count of a
+     packable list, 0 for any other. It stops at the first non-[Int]. *)
+  let packed_count vs =
+    let rec go n = function [] -> n | Int _ :: rest -> go (n + 1) rest | _ :: _ -> 0 in
+    go 0 vs
 
   (* Decode refuses nesting deeper than this rather than risking a
      stack overflow on adversarial input. *)
@@ -526,10 +536,16 @@ module Bin = struct
         add_byte e t_pair;
         add_value e a;
         add_value e b
-    | List vs ->
-        add_byte e t_list;
-        add_uvarint e (List.length vs);
-        List.iter (add_value e) vs
+    | List vs -> (
+        match packed_count vs with
+        | 0 ->
+            add_byte e t_list;
+            add_uvarint e (List.length vs);
+            List.iter (add_value e) vs
+        | n ->
+            add_byte e t_packed;
+            add_uvarint e n;
+            List.iter (function Int i -> add_varint e i | _ -> ()) vs)
     | Record fields ->
         add_byte e t_record;
         add_uvarint e (List.length fields);
@@ -617,9 +633,16 @@ module Bin = struct
         z.s_len <- z.s_len + 1;
         size_value z a;
         size_value z b
-    | List vs ->
-        z.s_len <- z.s_len + 1 + uvarint_len (List.length vs);
-        List.iter (size_value z) vs
+    | List vs -> (
+        match packed_count vs with
+        | 0 ->
+            z.s_len <- z.s_len + 1 + uvarint_len (List.length vs);
+            List.iter (size_value z) vs
+        | n ->
+            z.s_len <- z.s_len + 1 + uvarint_len n;
+            List.iter
+              (function Int i -> z.s_len <- z.s_len + uvarint_len (zigzag i) | _ -> ())
+              vs)
     | Record fields ->
         z.s_len <- z.s_len + 1 + uvarint_len (List.length fields);
         List.iter
@@ -790,6 +813,14 @@ module Bin = struct
     d.d_pos <- d.d_pos + 8;
     Int64.float_of_bits bits
 
+  (* The count after a [t_packed] tag: at least one element (an empty
+     list is [t_list]), and no more than the bytes left, since every
+     element takes at least one. *)
+  let packed_count_exn d =
+    let n = uvarint_exn d in
+    if n < 1 || n > remaining d then bad "packed list of %d ints overruns input" n;
+    n
+
   let rec value_exn d depth =
     if depth > max_depth then bad "nesting deeper than %d" max_depth;
     let tag = u8 d in
@@ -810,6 +841,13 @@ module Bin = struct
       if n < 0 || n > remaining d then bad "list of %d elements overruns input" n;
       let rec go k acc =
         if k = 0 then List.rev acc else go (k - 1) (value_exn d (depth + 1) :: acc)
+      in
+      List (go n [])
+    end
+    else if tag = t_packed then begin
+      let n = packed_count_exn d in
+      let rec go k acc =
+        if k = 0 then List.rev acc else go (k - 1) (Int (unzigzag (uvarint_exn d)) :: acc)
       in
       List (go n [])
     end
@@ -857,6 +895,15 @@ module Bin = struct
     else if pos >= last then bad "varint longer than 9 bytes at %d" (pos + 1)
     else skip_uvarint src slen (pos + 1) last
 
+  (* One whole varint starting at [pos]. *)
+  let[@inline] skip_varint src slen pos =
+    if pos >= slen then truncated_at pos;
+    if Char.code (String.unsafe_get src pos) < 0x80 then pos + 1
+    else skip_uvarint src slen (pos + 1) (pos + 8)
+
+  let rec skip_varints src slen n pos =
+    if n = 0 then pos else skip_varints src slen (n - 1) (skip_varint src slen pos)
+
   (* Structural scan without materialisation: validates exactly what
      [value_exn] would and leaves the cursor after the value, but
      allocates nothing except intern-table entries (the per-frame and
@@ -873,11 +920,7 @@ module Bin = struct
     let tag = Char.code (String.unsafe_get src pos) in
     let pos = pos + 1 in
     if tag = t_unit || tag = t_false || tag = t_true then pos
-    else if tag = t_int then begin
-      if pos >= slen then truncated_at pos;
-      if Char.code (String.unsafe_get src pos) < 0x80 then pos + 1
-      else skip_uvarint src slen (pos + 1) (pos + 8)
-    end
+    else if tag = t_int then skip_varint src slen pos
     else if tag = t_real then begin
       if slen - pos < 8 then bad "truncated real at byte %d" pos;
       pos + 8
@@ -899,6 +942,11 @@ module Bin = struct
       let n = uvarint_exn d in
       if n < 0 || n > remaining d then bad "list of %d elements overruns input" n;
       skip_items d src slen stop_at_pref (depth + 1) n d.d_pos
+    end
+    else if tag = t_packed then begin
+      d.d_pos <- pos;
+      let n = packed_count_exn d in
+      skip_varints src slen n d.d_pos
     end
     else if tag = t_record then begin
       d.d_pos <- pos;
@@ -1087,7 +1135,7 @@ module View = struct
     else if t = Bin.t_real then Vreal
     else if t = Bin.t_str_ref || t = Bin.t_str_inline then Vstr
     else if t = Bin.t_pair then Vpair
-    else if t = Bin.t_list then Vlist
+    else if t = Bin.t_list || t = Bin.t_packed then Vlist
     else if t = Bin.t_record then Vrecord
     else if t = Bin.t_tagged then Vtagged
     else Vpref
@@ -1123,14 +1171,43 @@ module View = struct
         (a, b))
       (replay v)
 
+  (* An element of a packed int list has no tag byte of its own, so its
+     view is a fresh standalone [Int] encoding rather than a slice of
+     the frame. *)
+  let packed_item_exn (d : Bin.decoder) =
+    let start = d.Bin.d_pos in
+    ignore (Bin.uvarint_exn d : int);
+    let len = d.Bin.d_pos - start in
+    let b = Bytes.create (1 + len) in
+    Bytes.set b 0 (Char.chr Bin.t_int);
+    Bytes.blit_string d.Bin.d_src start b 1 len;
+    {
+      v_src = Bytes.unsafe_to_string b;
+      v_start = 0;
+      v_stop = 1 + len;
+      v_table = [||];
+      v_tcount = 0;
+      v_dict = None;
+    }
+
+  (* Read a list head: the element count, and whether the elements are
+     packed ints (bare varints) rather than tagged values. *)
+  let list_head_exn (d : Bin.decoder) =
+    let t = Bin.u8 d in
+    if t = Bin.t_list then begin
+      let n = Bin.uvarint_exn d in
+      if n < 0 || n > Bin.remaining d then Bin.bad "list of %d elements overruns input" n;
+      (n, false)
+    end
+    else if t = Bin.t_packed then (Bin.packed_count_exn d, true)
+    else Bin.bad "expected list, got tag 0x%02x" t
+
   let list_items v =
     Bin.wrap
       (fun d ->
-        let t = Bin.u8 d in
-        if t <> Bin.t_list then Bin.bad "expected list, got tag 0x%02x" t;
-        let n = Bin.uvarint_exn d in
-        if n < 0 || n > Bin.remaining d then Bin.bad "list of %d elements overruns input" n;
-        let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (sub_exn d :: acc) in
+        let n, packed = list_head_exn d in
+        let item = if packed then packed_item_exn else sub_exn in
+        let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (item d :: acc) in
         go n [])
       (replay v)
 
@@ -1141,11 +1218,14 @@ module View = struct
     else
       Bin.wrap
         (fun d ->
-          let t = Bin.u8 d in
-          if t <> Bin.t_list then Bin.bad "expected list, got tag 0x%02x" t;
-          let n = Bin.uvarint_exn d in
-          if n < 0 || n > Bin.remaining d then Bin.bad "list of %d elements overruns input" n;
+          let n, packed = list_head_exn d in
           if i >= n then None
+          else if packed then begin
+            for _ = 1 to i do
+              ignore (Bin.uvarint_exn d : int)
+            done;
+            Some (packed_item_exn d)
+          end
           else begin
             for _ = 1 to i do
               Bin.skip_value_exn d 0

@@ -65,6 +65,10 @@ let gen_value : Xdr.value QCheck.Gen.t =
             leaf;
             map2 (fun a b -> Xdr.Pair (a, b)) sub sub;
             map (fun vs -> Xdr.List vs) (list_size (int_range 0 6) sub);
+            (* all-Int lists take the packed encoding *)
+            map
+              (fun is -> Xdr.List (List.map (fun i -> Xdr.Int i) is))
+              (list_size (int_range 0 6) gen_int);
             map
               (fun fields -> Xdr.Record fields)
               (list_size (int_range 0 5)
@@ -183,6 +187,9 @@ let test_truncated_returns_error () =
       Xdr.Str "hello world";
       Xdr.List [ Xdr.Int 1; Xdr.Str "two"; Xdr.Real 3.0 ];
       Xdr.Record [ ("q", Xdr.Int 1); ("a", Xdr.Tagged ("n", Xdr.Unit)) ];
+      (* packed: multi-byte varints, so cuts land inside an element *)
+      Xdr.List [ Xdr.Int 1; Xdr.Int min_int; Xdr.Int 300; Xdr.Int max_int ];
+      Xdr.Record [ ("grades", Xdr.List [ Xdr.Int 90; Xdr.Int (-7) ]); ("n", Xdr.Int 2) ];
     ]
   in
   List.iter
@@ -935,6 +942,168 @@ let test_dict_reset_bumps_epoch_and_redefines () =
   | Ok got -> Alcotest.failf "stale dict ref decoded as %a" Xdr.pp_value got
 
 (* ------------------------------------------------------------------ *)
+(* Packed int lists (docs/WIRE.md §1, tag 0x0C) *)
+
+let ints is = Xdr.List (List.map (fun i -> Xdr.Int i) is)
+
+(* Values built around int lists: empty, singleton, extreme ints, mixed
+   int/non-int, nested in records, pairs and tagged values. *)
+let gen_int_list_value : Xdr.value QCheck.Gen.t =
+  let open QCheck.Gen in
+  let gen_int = oneof [ small_signed_int; int; oneofl [ 0; -1; 1; -6; max_int; min_int ] ] in
+  let int_list =
+    oneof
+      [
+        return (Xdr.List []);
+        map (fun i -> ints [ i ]) gen_int;
+        map ints (list_size (int_range 1 20) gen_int);
+        return (ints [ min_int; max_int; 0 ]);
+        (* mixed: one non-Int anywhere keeps the tagged encoding *)
+        map2
+          (fun is k ->
+            let n = List.length is in
+            Xdr.List
+              (List.mapi
+                 (fun j i -> if j = k mod (n + 1) then Xdr.Str "x" else Xdr.Int i)
+                 (is @ [ 0 ])))
+          (list_size (int_range 0 6) gen_int) nat;
+      ]
+  in
+  sized @@ fix (fun self n ->
+      if n <= 0 then int_list
+      else
+        let sub = self (n / 3) in
+        oneof
+          [
+            int_list;
+            map2 (fun a b -> Xdr.Pair (a, b)) sub sub;
+            map (fun vs -> Xdr.List vs) (list_size (int_range 1 4) sub);
+            map2
+              (fun g v -> Xdr.Record [ ("name", Xdr.Str "stu"); ("grades", g); ("x", v) ])
+              int_list sub;
+            map2 (fun t v -> Xdr.Tagged (t, v)) (oneofl [ "n"; "some" ]) sub;
+          ])
+
+let prop_packed_roundtrip =
+  QCheck.Test.make ~name:"int lists: decode, re-encode and size agree" ~count:500
+    (QCheck.make ~print:(Format.asprintf "%a" Xdr.pp_value) gen_int_list_value)
+    (fun v ->
+      let enc = B.to_string v in
+      match B.of_string enc with
+      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
+      | Ok v' ->
+          Xdr.equal_value v v'
+          && String.equal enc (B.to_string v')
+          && B.size v = String.length enc)
+
+let hex s =
+  String.concat " " (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_packed_pinned_bytes () =
+  let bytes what expect v = check Alcotest.string what expect (hex (B.to_string v)) in
+  (* tag 0x0C, count, then zigzag varints with no per-element tags *)
+  bytes "all-Int list is packed" "0c 03 02 01 d8 04" (ints [ 1; -1; 300 ]);
+  bytes "singleton is packed" "0c 01 00" (ints [ 0 ]);
+  bytes "extreme ints are packed"
+    "0c 02 ff ff ff ff ff ff ff ff 7f fe ff ff ff ff ff ff ff 7f"
+    (ints [ min_int; max_int ]);
+  bytes "empty list keeps 0x08" "08 00" (Xdr.List []);
+  bytes "mixed list keeps 0x08" "08 02 03 02 00" (Xdr.List [ Xdr.Int 1; Xdr.Unit ]);
+  bytes "list of int lists: outer 0x08, inner 0x0C" "08 02 0c 01 02 08 00"
+    (Xdr.List [ ints [ 1 ]; Xdr.List [] ]);
+  (* 16 grades: one tag and one count instead of 16 tags *)
+  let grades = ints (List.init 16 (fun g -> 40 + g)) in
+  check Alcotest.int "16 one-byte grades" 18 (B.size grades)
+
+let expect_rejected what frame =
+  (match B.of_string frame with
+  | Error _ -> ()
+  | Ok v -> Alcotest.failf "%s: decoded as %a" what Xdr.pp_value v
+  | exception e -> Alcotest.failf "%s: decode raised %s" what (Printexc.to_string e));
+  match Xdr.View.of_string frame with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s: scanned" what
+  | exception e -> Alcotest.failf "%s: scan raised %s" what (Printexc.to_string e)
+
+let test_packed_hostile_rejected () =
+  expect_rejected "count 0" "\x0c\x00";
+  expect_rejected "count past the input" "\x0c\x05\x02\x04";
+  expect_rejected "huge count" "\x0c\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x02";
+  expect_rejected "truncated varint" "\x0c\x02\x02\x80";
+  expect_rejected "10-byte varint" ("\x0c\x01" ^ String.make 9 '\xff' ^ "\x01");
+  expect_rejected "truncated inside a record"
+    "\x09\x01\x00\x06grades\x0c\x03\x02\x04";
+  (* the bytes left cover the count but not the elements *)
+  expect_rejected "elements past the input" "\x0c\x02\x80\x80";
+  expect_rejected "inside a tagged list" "\x08\x01\x0c\x02\x02"
+
+let test_packed_views () =
+  (* -6 zigzags to 0x0b, the Pref tag byte: the memchr pre-filter hits,
+     and the structural walk must still say no. *)
+  let v = ints [ 5; -6; 300; min_int ] in
+  let vw = view_of v in
+  check Alcotest.bool "shape is Vlist" true (Xdr.View.shape vw = Xdr.View.Vlist);
+  check Alcotest.bool "no prefs" false (Xdr.View.has_prefs vw);
+  check Alcotest.bool "materialize" true (Xdr.equal_value v (materialize_ok vw));
+  (match Xdr.View.list_items vw with
+  | Ok items ->
+      check Alcotest.(list int) "items" [ 5; -6; 300; min_int ]
+        (List.map
+           (fun it ->
+             check Alcotest.bool "item shape" true (Xdr.View.shape it = Xdr.View.Vint);
+             match Xdr.View.as_int it with Ok i -> i | Error e -> Alcotest.fail e)
+           items)
+  | Error e -> Alcotest.fail e);
+  (match Xdr.View.list_item vw 2 with
+  | Ok (Some it) -> check Alcotest.(result int string) "item 2" (Ok 300) (Xdr.View.as_int it)
+  | _ -> Alcotest.fail "list_item 2 missing");
+  (match Xdr.View.list_item vw 4 with
+  | Ok None -> ()
+  | _ -> Alcotest.fail "index past the end must be Ok None");
+  (* a record field holding a packed list, reached by projection *)
+  let r = Xdr.Record [ ("grades", v); ("mean", Xdr.Real 1.5) ] in
+  match Xdr.View.record_field (view_of r) "mean" with
+  | Ok (Some f) -> check Alcotest.bool "field after packed list" true
+                     (Xdr.equal_value (Xdr.Real 1.5) (materialize_ok f))
+  | _ -> Alcotest.fail "record_field mean missing"
+
+let test_packed_dict_frames () =
+  (* v2 frames: strings shift to the dictionary marker scheme, packed
+     lists are unchanged and decode the same through tree and view. *)
+  let frame i =
+    Xdr.Record
+      [
+        ("host", Xdr.Str "shard-host-03.internal");
+        ("grades", ints (List.init 8 (fun g -> (i * g) - 20)));
+        ("mixed", Xdr.List [ Xdr.Int i; Xdr.Str "shard-host-03.internal" ]);
+      ]
+  in
+  let dict = B.create_dict () in
+  let frames = List.init 4 (fun i -> dict_frame dict (frame i)) in
+  check Alcotest.bool "strings were promoted" true (B.dict_defines dict > 0);
+  let dt = B.create_dict_table () in
+  List.iteri
+    (fun i s ->
+      match dict_decode dt s with
+      | Ok v -> check Alcotest.bool "frame decodes" true (Xdr.equal_value (frame i) v)
+      | Error e -> Alcotest.failf "frame %d failed: %s" i e)
+    frames;
+  let dt = B.create_dict_table () in
+  List.iteri
+    (fun i s ->
+      let d = B.decoder s in
+      B.use_dict_table d dt;
+      match Xdr.View.read d with
+      | Ok vw -> (
+          match Xdr.View.record_field vw "grades" with
+          | Ok (Some g) ->
+              check Alcotest.bool "grades via view" true
+                (Xdr.equal_value (ints (List.init 8 (fun g -> (i * g) - 20))) (materialize_ok g))
+          | _ -> Alcotest.fail "grades missing")
+      | Error e -> Alcotest.failf "frame %d scan failed: %s" i e)
+    frames
+
+(* ------------------------------------------------------------------ *)
 (* Golden wire bytes: with the dictionary off, every E12 cell must stay
    digit-for-digit on the pinned table (the same one the bench runner
    gates on before writing BENCH_wire.json). *)
@@ -944,6 +1113,10 @@ let test_e12_golden_bytes () =
   check Alcotest.int "row count" (List.length Workloads.Exp_wire.goldens) (List.length rows);
   check Alcotest.(list string) "E12 matches its goldens" []
     (Workloads.Exp_wire.golden_mismatches rows)
+
+let test_reference_payload_sizes () =
+  check Alcotest.(list string) "codec reference payloads match their sizes" []
+    (Workloads.Exp_wire.payload_mismatches ())
 
 (* ------------------------------------------------------------------ *)
 (* Satellite regressions: field-order tolerant parse, NaN equality *)
@@ -1056,8 +1229,21 @@ let () =
           Alcotest.test_case "reset bumps epoch and redefines" `Quick
             test_dict_reset_bumps_epoch_and_redefines;
         ] );
+      ( "packed int lists",
+        [
+          QCheck_alcotest.to_alcotest prop_packed_roundtrip;
+          Alcotest.test_case "pinned bytes" `Quick test_packed_pinned_bytes;
+          Alcotest.test_case "hostile counts and varints rejected" `Quick
+            test_packed_hostile_rejected;
+          Alcotest.test_case "views" `Quick test_packed_views;
+          Alcotest.test_case "v2 dictionary frames" `Quick test_packed_dict_frames;
+        ] );
       ( "golden wire",
-        [ Alcotest.test_case "E12 dictionary-off bytes" `Quick test_e12_golden_bytes ] );
+        [
+          Alcotest.test_case "E12 dictionary-off bytes" `Quick test_e12_golden_bytes;
+          Alcotest.test_case "codec reference payload sizes" `Quick
+            test_reference_payload_sizes;
+        ] );
       ( "satellites",
         [
           Alcotest.test_case "parse_call ignores field order" `Quick

@@ -113,6 +113,31 @@ let prop_wire_size_positive =
       let s = Xdr.wire_size (enc xs) in
       s > 0 && Xdr.wire_size (enc (0 :: xs)) > s)
 
+(* Typed int lists ride the packed Bin encoding (docs/WIRE.md §1): the
+   typed layer must not notice. *)
+let bin_roundtrip codec x =
+  match Xdr.encode codec x with
+  | Error e -> Alcotest.failf "encode failed: %s" e
+  | Ok v -> (
+      let s = Xdr.Bin.to_string v in
+      if Xdr.Bin.size v <> String.length s then Alcotest.fail "Bin.size disagrees";
+      match Xdr.Bin.of_string s with
+      | Error e -> Alcotest.failf "Bin decode failed: %s" e
+      | Ok v' -> (
+          match Xdr.decode codec v' with
+          | Ok x' -> x'
+          | Error e -> Alcotest.failf "typed decode failed: %s" e))
+
+let prop_int_lists_over_bin =
+  QCheck.Test.make ~name:"typed int lists roundtrip through Bin" ~count:300
+    QCheck.(list_of_size (Gen.int_range 0 6) (pair int (list_of_size (Gen.int_range 0 8) int)))
+    (fun v ->
+      let codec = Xdr.(list (pair int (list int))) in
+      bin_roundtrip codec v = v
+      && bin_roundtrip Xdr.(list int) (List.concat_map snd v) = List.concat_map snd v
+      && bin_roundtrip Xdr.(option (array int)) (Some (Array.of_list (List.map fst v)))
+         = Some (Array.of_list (List.map fst v)))
+
 let suite =
   [
     ( "codecs",
@@ -125,6 +150,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_int_roundtrip;
         QCheck_alcotest.to_alcotest prop_string_roundtrip;
         QCheck_alcotest.to_alcotest prop_nested_roundtrip;
+        QCheck_alcotest.to_alcotest prop_int_lists_over_bin;
       ] );
     ( "sizing",
       [
