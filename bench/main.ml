@@ -162,6 +162,8 @@ module W = Cstream.Wire
 let wire_payloads =
   List.map (fun (label, v, _) -> (label, v)) Workloads.Exp_wire.reference_payloads
 
+let exn = function Ok x -> x | Error e -> failwith e
+
 (* Lazy views (docs/WIRE.md): the wire path hands each arriving call a
    validated view over the frame bytes, so "consume one field of a
    large frame" splits into an arrival cost and a projection cost.
@@ -177,7 +179,6 @@ let wire_view_tests =
   let large = List.assoc "large" wire_payloads in
   let encoded = Xdr.Bin.to_string large in
   let sz = String.length encoded in
-  let exn = function Ok x -> x | Error e -> failwith e in
   let view = exn (Xdr.View.of_string encoded) in
   [
     Test.make
@@ -203,6 +204,20 @@ let wire_view_tests =
            | _ -> failwith "decode failed"));
   ]
 
+(* The envelope rung of the cost ledger: building and encoding the
+   rpc-shaped call item (the "small" payload), and parsing its envelope
+   from a view as the receive path does. *)
+let wire_envelope_tests =
+  let call () =
+    W.call_item ~seq:12 ~cid:12 ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) ()
+  in
+  let view = exn (Xdr.View.of_string (Xdr.Bin.to_string (call ()))) in
+  [
+    Test.make ~name:"encode call item" (Staged.stage (fun () -> Xdr.Bin.to_string (call ())));
+    Test.make ~name:"parse call envelope (view)"
+      (Staged.stage (fun () -> exn (W.parse_call_view view)));
+  ]
+
 let wire_tests =
   Test.make_grouped ~name:"wire"
     (List.concat_map
@@ -217,7 +232,7 @@ let wire_tests =
              (Staged.stage (fun () -> Xdr.Bin.of_string encoded));
          ])
        wire_payloads
-    @ wire_view_tests)
+    @ wire_view_tests @ wire_envelope_tests)
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -292,32 +307,13 @@ let write_bench_wire_json ~codec_rows ~e12_rows ~e18_rows path =
   out "}\n";
   close_out oc
 
-(* With tracing disabled, wire items must be byte-for-byte the
-   pre-tracing encodings (docs/TRACING.md) — otherwise the E12
-   bytes-per-call figures in BENCH_wire.json would silently shift.
-   Checked against literal copies of the original compact shapes. *)
+(* With tracing disabled, wire items must be byte-for-byte the pinned
+   envelopes (docs/TRACING.md, docs/WIRE.md §1.2) — otherwise the E12
+   bytes-per-call figures in BENCH_wire.json would silently shift. *)
 let assert_untraced_bytes_unchanged () =
-  let bin = Xdr.Bin.to_string in
-  let expect what reference item =
-    if bin reference <> bin item then
-      failwith (Printf.sprintf "tracing-off wire regression: %s encoding changed" what)
-  in
-  expect "call item"
-    (Xdr.Record
-       [
-         ("q", Xdr.Int 12);
-         ("i", Xdr.Int 12);
-         ("p", Xdr.Str "work");
-         ("k", Xdr.Str "c");
-         ("a", Xdr.Int 42);
-       ])
-    (W.call_item ~seq:12 ~cid:12 ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) ());
-  expect "reply item"
-    (Xdr.Pair (Xdr.Int 3, Xdr.Tagged ("n", Xdr.Int 7)))
-    (W.reply_item ~seq:3 ~trace:None (W.W_normal (Xdr.Int 7)));
-  expect "send-ok item"
-    (Xdr.Pair (Xdr.Int 3, Xdr.Tagged ("o", Xdr.Unit)))
-    (W.send_ok_item ~seq:3 ~trace:None)
+  match Workloads.Exp_wire.envelope_mismatches () with
+  | [] -> ()
+  | ms -> failwith ("tracing-off wire regression: " ^ String.concat "; " ms)
 
 (* E12 golden gate: the experiments never enable the connection
    dictionary, so their wire must be digit-for-digit the pinned table —

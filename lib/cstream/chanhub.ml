@@ -33,8 +33,8 @@ type frame = string
    2 = Ack, 3 = Reset), then the packet body. A channel is named by
    (src, idx); only a Data packet starting at seq 0 also carries its
    label and meta, so every frame decodes on its own and a retransmit
-   from seq 0 re-opens the channel. Every string — label, meta, record
-   field names inside items — goes through one intern table per frame,
+   from seq 0 re-opens the channel. Every string — label, meta, port
+   names inside items — goes through one intern table per frame,
    so a batch of calls to the same port pays for the port name once. *)
 
 let encode_ack e (a : ack_entry) =

@@ -239,7 +239,7 @@ let call_traced ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
         };
       (* [size = None] makes [send] count the rebuilt item itself. *)
       let item, size =
-        if seq = probe_seq then (probe, Some probe_size)
+        if seq = probe_seq && cid = probe_cid then (probe, Some probe_size)
         else (Wire.call_item ~handoff ~elide ~seq ~cid ~trace:wire_trace ~port ~kind ~args (), None)
       in
       span t ~kind:Sim.Span.Issue ~trace:tid ~call:cid ~note:port ();

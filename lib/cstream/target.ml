@@ -693,14 +693,14 @@ let accept t in_chan =
       Chanhub.on_ack reply (fun items ->
           List.iter
             (fun item ->
-              match Wire.parse_reply item with
-              | Ok (seq, _) -> (
+              match Wire.reply_seq item with
+              | Some seq -> (
                   match Hashtbl.find_opt c.c_seq2cid seq with
                   | Some cid ->
                       Hashtbl.remove c.c_seq2cid seq;
                       Pipeline.Registry.mark_releasable reg ~stream:c.c_stable ~call:cid
                   | None -> ())
-              | Error _ -> ())
+              | None -> ())
             items));
   Chanhub.set_deliver_views in_chan (fun items ->
       if not c.c_broken then begin

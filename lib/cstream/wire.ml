@@ -96,63 +96,60 @@ let parse_handoff_push v =
       | _ -> malformed ())
   | _ -> malformed ()
 
-let kind_tag = function Call -> "c" | Send -> "s"
+(* --- envelopes ------------------------------------------------------ *)
 
-let kind_of_tag = function
-  | "c" -> Ok Call
-  | "s" -> Ok Send
-  | other -> Error (Printf.sprintf "unknown call kind %S" other)
+(* Call and reply items are positional lists: no field names and no
+   kind string (docs/WIRE.md §1.2). A call is
 
-(* The optional "t" field carries the per-call trace id (docs/TRACING.md).
-   It is appended only when the sender's span store is enabled, so with
-   tracing off the encoding is byte-for-byte the pre-tracing format;
-   [parse_call] ignores unknown fields either way. *)
-(* The optional "r" field marks a crash-recovery resubmit: load-shedding
-   receivers (docs/OVERLOAD.md) must never shed these — the original
-   attempt may already have executed, so the caller needs the deduped
-   outcome, not [unavailable]. *)
-(* The optional "h" field lists handoff annotations (one per foreign
-   [Pref] in the arguments) and the optional "y" field asks the
-   receiver to elide a normal result from the reply (the value will
-   travel by handoff push instead). Both are appended only when used,
-   so handoff-free frames stay byte-identical to the prior format. *)
+     [Int seq; Int head; Str port; args; cid?; handoff?; trace?]
+
+   with [head] a bit set: 0x01 Send, 0x02 resubmit (never shed),
+   0x04 elide (reply with send-ok; the value travels by handoff), then
+   one bit per optional element, present exactly when its bit is set
+   and in this order — 0x08 cid (only when it differs from [seq], as
+   after a restart), 0x10 handoff annotations, 0x20 trace id. The trace
+   id is the last element of a call or reply alike, so the channel layer
+   reads it without knowing which of the two an item is. *)
+let b_send, b_resubmit, b_elide, b_cid, b_handoff, b_trace = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20)
+
+let call_bits = 0x3f
+
+let bit b on = if on then b else 0
+
 let call_item ?(resubmit = false) ?(handoff = []) ?(elide = false) ~seq ~cid ~trace ~port
     ~kind ~args () =
-  Xdr.Record
-    ([
-       ("q", Xdr.Int seq);
-       ("i", Xdr.Int cid);
-       ("p", Xdr.Str port);
-       ("k", Xdr.Str (kind_tag kind));
-       ("a", args);
-     ]
-    @ (match trace with Some tid -> [ ("t", Xdr.Int tid) ] | None -> [])
-    @ (if resubmit then [ ("r", Xdr.Int 1) ] else [])
-    @ (match handoff with
-      | [] -> []
-      | hs -> [ ("h", Xdr.List (List.map handoff_value hs)) ])
-    @ if elide then [ ("y", Xdr.Int 1) ] else [])
+  let head =
+    bit b_send (kind = Send) lor bit b_resubmit resubmit lor bit b_elide elide
+    lor bit b_cid (cid <> seq) lor bit b_handoff (handoff <> []) lor bit b_trace (trace <> None)
+  in
+  let tail = match trace with Some tid -> [ Xdr.Int tid ] | None -> [] in
+  let tail = if handoff = [] then tail else Xdr.List (List.map handoff_value handoff) :: tail in
+  let tail = if cid <> seq then Xdr.Int cid :: tail else tail in
+  Xdr.List (Xdr.Int seq :: Xdr.Int head :: Xdr.Str port :: args :: tail)
 
-(* Parse by field name, not position: a reordered-but-complete record
-   (e.g. from a future encoder) must decode, and unknown extra fields
-   are ignored for forward compatibility. *)
-let parse_call v =
-  let malformed () = Error (Format.asprintf "malformed call item: %a" Xdr.pp_value v) in
-  match v with
-  | Xdr.Record fields -> (
-      let field name = List.assoc_opt name fields in
-      match (field "q", field "i", field "p", field "k", field "a") with
-      | ( Some (Xdr.Int seq),
-          Some (Xdr.Int cid),
-          Some (Xdr.Str port),
-          Some (Xdr.Str k),
-          Some args ) -> (
-          match kind_of_tag k with
-          | Ok kind -> Ok (seq, cid, port, kind, args)
-          | Error e -> Error e)
-      | _ -> malformed ())
-  | _ -> malformed ()
+(* Replies: the untraced normal reply to a [Call] — the common case —
+   is the bare pair [(seq, value)]. Every other reply is
+   [[Int seq; Int head; payload...; trace?]], [head] being the outcome
+   code — 0 normal [v], 1 signal [name; v], 2 unavailable [reason],
+   3 failure [reason], 4 send-ok [] — plus 0x20 when traced. The
+   top-level shape picks the form, so a [Tagged] user value cannot be
+   misread. An untraced send-ok is all-[Int] and packs. *)
+let coded_reply ~seq ~trace code payload =
+  match trace with
+  | None -> Xdr.List (Xdr.Int seq :: Xdr.Int code :: payload)
+  | Some tid -> Xdr.List (Xdr.Int seq :: Xdr.Int (code lor b_trace) :: (payload @ [ Xdr.Int tid ]))
 
+let reply_item ~seq ~trace = function
+  | W_normal v when trace = None -> Xdr.Pair (Xdr.Int seq, v)
+  | W_normal v -> coded_reply ~seq ~trace 0 [ v ]
+  | W_signal (name, v) -> coded_reply ~seq ~trace 1 [ Xdr.Str name; v ]
+  | W_unavailable reason -> coded_reply ~seq ~trace 2 [ Xdr.Str reason ]
+  | W_failure reason -> coded_reply ~seq ~trace 3 [ Xdr.Str reason ]
+
+let send_ok_item ~seq ~trace = coded_reply ~seq ~trace 4 []
+
+(* A bare outcome outside any reply envelope: handoff pushes carry it
+   and dedup byte budgets size it. *)
 let outcome_value = function
   | W_normal v -> Xdr.Tagged ("n", v)
   | W_signal (name, v) -> Xdr.Tagged ("g", Xdr.Pair (Xdr.Str name, v))
@@ -167,46 +164,34 @@ let outcome_of_value = function
   | Xdr.Tagged ("o", Xdr.Unit) -> Ok (W_normal Xdr.Unit)
   | v -> Error (Format.asprintf "malformed outcome: %a" Xdr.pp_value v)
 
-(* Replies have two wire forms: the compact pair (tracing off — the
-   original format) and a field-named record carrying the call's trace
-   id (tracing on). [parse_reply] accepts both. *)
-let reply_value ~seq ~trace ov =
-  match trace with
-  | None -> Xdr.Pair (Xdr.Int seq, ov)
-  | Some tid -> Xdr.Record [ ("q", Xdr.Int seq); ("t", Xdr.Int tid); ("o", ov) ]
+let rec last = function [ x ] -> Some x | _ :: rest -> last rest | [] -> None
 
-let reply_item ~seq ~trace outcome = reply_value ~seq ~trace (outcome_value outcome)
-
-let send_ok_item ~seq ~trace = reply_value ~seq ~trace (Xdr.Tagged ("o", Xdr.Unit))
-
-let parse_reply = function
-  | Xdr.Pair (Xdr.Int seq, ov) -> (
-      match outcome_of_value ov with Ok o -> Ok (seq, o) | Error e -> Error e)
-  | Xdr.Record fields as v -> (
-      match (List.assoc_opt "q" fields, List.assoc_opt "o" fields) with
-      | Some (Xdr.Int seq), Some ov -> (
-          match outcome_of_value ov with Ok o -> Ok (seq, o) | Error e -> Error e)
-      | _ -> Error (Format.asprintf "malformed reply item: %a" Xdr.pp_value v))
-  | v -> Error (Format.asprintf "malformed reply item: %a" Xdr.pp_value v)
-
-(* The trace id of a call or (traced-form) reply item; [None] for the
-   compact forms, for untraced items and for anything malformed. Total:
-   the channel layer applies it to every item it moves. *)
+(* Total over arbitrary values: the channel layer applies these to
+   every item it moves, not only to well-formed envelopes. *)
 let item_trace = function
-  | Xdr.Record fields -> (
-      match List.assoc_opt "t" fields with Some (Xdr.Int tid) -> Some tid | _ -> None)
+  | Xdr.List (Xdr.Int _ :: Xdr.Int head :: (_ :: _ as rest)) when head land b_trace <> 0 -> (
+      match last rest with Some (Xdr.Int tid) -> Some tid | _ -> None)
   | _ -> None
 
+(* How many optional elements a call with this head carries. *)
+let n_optional head = ((head lsr 3) land 1) + ((head lsr 4) land 1) + ((head lsr 5) land 1)
+
+(* A call's element count matches its optional bits, which no reply
+   shape does while also having the resubmit bit set. *)
 let item_resubmit = function
-  | Xdr.Record fields -> List.assoc_opt "r" fields <> None
+  | Xdr.List (Xdr.Int _ :: Xdr.Int head :: Xdr.Str _ :: _ :: opt) ->
+      head land lnot call_bits = 0 && head land b_resubmit <> 0 && List.length opt = n_optional head
   | _ -> false
 
-(* --- lazy (view-based) parsing ------------------------------------ *)
+let reply_seq = function
+  | Xdr.Pair (Xdr.Int seq, _) | Xdr.List (Xdr.Int seq :: Xdr.Int _ :: _) -> Some seq
+  | _ -> None
 
-(* The zero-copy receive path (docs/WIRE.md §Lazy views): envelope
-   fields are tiny and are materialised individually; the argument —
-   the only part that can be large — stays an un-decoded slice until a
-   handler actually consumes it. *)
+(* --- lazy (view-based) parsing ------------------------------------
+   The receive path (docs/WIRE.md §Lazy views): envelope elements are
+   tiny and are read one by one; the argument or outcome payload — the
+   only part that can be large — stays an encoded slice until a
+   consumer needs it. *)
 
 module V = Xdr.View
 
@@ -222,93 +207,97 @@ type call_view = {
   cv_elide : bool;
 }
 
-let parse_call_view vw =
-  match V.record_fields vw with
-  | Error e -> Error ("malformed call item: " ^ e)
-  | Ok fields -> (
-      let field name = List.assoc_opt name fields in
-      let int_field name =
-        match field name with
-        | Some f -> ( match V.as_int f with Ok i -> Some i | Error _ -> None)
-        | None -> None
-      in
-      let str_field name =
-        match field name with
-        | Some f -> ( match V.as_string f with Ok s -> Some s | Error _ -> None)
-        | None -> None
-      in
-      (* Handoff annotations are tiny envelope data: materialise the
-         "h" slice (when present) and decode each entry eagerly. An
-         unparsable annotation fails the whole item — the receiver
-         would otherwise mis-route a foreign reference. *)
-      let handoffs () =
-        match field "h" with
-        | None -> Ok []
-        | Some hv -> (
-            match V.materialize hv with
-            | Error e -> Error ("malformed call item: " ^ e)
-            | Ok (Xdr.List items) ->
-                List.fold_left
-                  (fun acc item ->
-                    match (acc, parse_handoff item) with
-                    | Error e, _ -> Error e
-                    | Ok hs, Ok h -> Ok (h :: hs)
-                    | Ok _, Error e -> Error e)
-                  (Ok []) items
-                |> Result.map List.rev
-            | Ok v ->
-                Error (Format.asprintf "malformed call item: handoff field %a" Xdr.pp_value v))
-      in
-      match (int_field "q", int_field "i", str_field "p", str_field "k", field "a") with
-      | Some seq, Some cid, Some port, Some k, Some args -> (
-          match (kind_of_tag k, handoffs ()) with
-          | Ok kind, Ok hs ->
-              Ok
-                {
-                  cv_seq = seq;
-                  cv_cid = cid;
-                  cv_port = port;
-                  cv_kind = kind;
-                  cv_args = args;
-                  cv_trace = int_field "t";
-                  cv_resubmit = field "r" <> None;
-                  cv_handoff = hs;
-                  cv_elide = field "y" <> None;
-                }
-          | Error e, _ | _, Error e -> Error e)
-      | _ -> Error "malformed call item: missing or mistyped envelope field")
+(* The parsers below raise [Malformed] internally, as [Xdr.Bin]'s
+   decoder does, and [guard] turns it into an [Error] at every entry
+   point: no result threading, so no closure per bind on the receive
+   path. *)
+exception Malformed of string
 
-(* Reply parsing pulls only the sequence number out of the bytes; the
-   outcome slice is returned unmaterialised so stale replies (already
-   completed, e.g. after a resubmit race) cost no decode at all. *)
-let parse_reply_view vw =
-  match V.shape vw with
-  | V.Vpair -> (
-      match V.pair_parts vw with
-      | Error e -> Error ("malformed reply item: " ^ e)
-      | Ok (s, ov) -> (
-          match V.as_int s with
-          | Ok seq -> Ok (seq, ov)
-          | Error e -> Error ("malformed reply item: " ^ e)))
-  | V.Vrecord -> (
-      match V.record_fields vw with
-      | Error e -> Error ("malformed reply item: " ^ e)
-      | Ok fields -> (
-          match (List.assoc_opt "q" fields, List.assoc_opt "o" fields) with
-          | Some q, Some ov -> (
-              match V.as_int q with
-              | Ok seq -> Ok (seq, ov)
-              | Error e -> Error ("malformed reply item: " ^ e))
-          | _ -> Error "malformed reply item: missing q/o field"))
-  | _ -> Error "malformed reply item: not a pair or record"
+let get = function Ok x -> x | Error e -> raise (Malformed e)
 
-let outcome_of_view vw =
-  match V.materialize vw with Ok v -> outcome_of_value v | Error e -> Error e
+let fail fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
+
+let guard what f vw = try Ok (f vw) with Malformed m -> Error ("malformed " ^ what ^ " item: " ^ m)
+
+(* An unparsable handoff annotation fails the whole call: the receiver
+   would otherwise mis-route a foreign reference. *)
+let handoffs_of_view vw =
+  match get (V.materialize vw) with
+  | Xdr.List (_ :: _ as items) -> List.map (fun item -> get (parse_handoff item)) items
+  | _ -> fail "handoff element is not a list of annotations"
+
+let parse_call_view =
+  guard "call" (fun vw ->
+      match get (V.list_items vw) with
+      | seq :: head :: port :: args :: opt ->
+          let seq = get (V.as_int seq) and head = get (V.as_int head) in
+          let port = get (V.as_string port) and n_opt = List.length opt in
+          if head land lnot call_bits <> 0 then fail "unknown head bits 0x%x" head;
+          if n_opt <> n_optional head then fail "head 0x%x with %d optional elements" head n_opt;
+          (* The count matches the bits, so each element's position
+             follows from the bits before it; the trace is last. *)
+          let int_at b i =
+            if head land b = 0 then None else Some (get (V.as_int (List.nth opt i)))
+          in
+          {
+            cv_seq = seq;
+            cv_cid = Option.value (int_at b_cid 0) ~default:seq;
+            cv_port = port;
+            cv_kind = (if head land b_send <> 0 then Send else Call);
+            cv_args = args;
+            cv_trace = int_at b_trace (n_opt - 1);
+            cv_resubmit = head land b_resubmit <> 0;
+            cv_handoff =
+              (if head land b_handoff = 0 then []
+               else handoffs_of_view (List.nth opt ((head lsr 3) land 1)));
+            cv_elide = head land b_elide <> 0;
+          }
+      | items -> fail "%d elements" (List.length items))
+
+type reply_body =
+  | R_normal of V.t | R_signal of V.t * V.t | R_unavailable of V.t | R_failure of V.t | R_send_ok
+
+(* Only the seq, head and trace are read: payload slices stay encoded,
+   so a stale reply (already completed, e.g. after a resubmit race)
+   costs no outcome decode. *)
+let parse_reply_view =
+  guard "reply" (fun vw ->
+      if V.shape vw = V.Vpair then
+        let seq, v = get (V.pair_parts vw) in
+        (get (V.as_int seq), R_normal v)
+      else
+        match get (V.list_items vw) with
+        | seq :: head :: payload -> (
+            let seq = get (V.as_int seq) and head = get (V.as_int head) in
+            let traced = head land b_trace <> 0 in
+            let payload =
+              if not traced then payload
+              else
+                match List.rev payload with
+                | tid :: rev -> ignore (get (V.as_int tid) : int); List.rev rev
+                | [] -> fail "head 0x%x promises a missing trace id" head
+            in
+            match (head land lnot b_trace, payload) with
+            | 0, [ v ] when traced -> (seq, R_normal v)
+            | 1, [ name; v ] -> (seq, R_signal (name, v))
+            | 2, [ reason ] -> (seq, R_unavailable reason)
+            | 3, [ reason ] -> (seq, R_failure reason)
+            | 4, [] -> (seq, R_send_ok)
+            | _ -> fail "head 0x%x with %d payload elements" head (List.length payload))
+        | items -> fail "%d elements" (List.length items))
+
+let outcome_of_view =
+  guard "reply" (function
+    | R_normal v -> W_normal (get (V.materialize v))
+    | R_signal (name, v) -> W_signal (get (V.as_string name), get (V.materialize v))
+    | R_unavailable reason -> W_unavailable (get (V.as_string reason))
+    | R_failure reason -> W_failure (get (V.as_string reason))
+    | R_send_ok -> W_normal Xdr.Unit)
 
 let item_trace_view vw =
-  match V.shape vw with
-  | V.Vrecord -> (
-      match V.record_field vw "t" with
-      | Ok (Some f) -> ( match V.as_int f with Ok tid -> Some tid | Error _ -> None)
+  match V.list_items vw with
+  | Ok (_ :: head :: (_ :: _ as rest)) -> (
+      match (V.as_int head, last rest) with
+      | Ok head, Some tid when head land b_trace <> 0 -> Result.to_option (V.as_int tid)
       | _ -> None)
-  | _ -> None
+  | Ok _ | Error _ -> None

@@ -78,32 +78,31 @@ val call_item :
   ?elide:bool ->
   seq:int -> cid:int -> trace:int option -> port:string -> kind:kind -> args:Xdr.value ->
   unit -> Xdr.value
-(** [seq] is the per-incarnation wire sequence (resets on restart);
-    [cid] is the {e stable call-id}, monotonic over the whole life of
-    the sending stream end — it never resets, so the receiver can
-    deduplicate calls re-submitted after a reincarnation (see
-    [docs/FAULTS.md]). [trace] is the call's causal trace id
-    (docs/TRACING.md), carried in an extra field only when tracing is
-    enabled: with [trace:None] the encoding is byte-for-byte the
-    pre-tracing wire format. [resubmit] (default [false]) marks a
-    crash-recovery resubmission; a load-shedding receiver never sheds
-    such a call (docs/OVERLOAD.md). [handoff] (default [[]]) lists the
-    handoff annotations for foreign [Pref]s in [args]; [elide]
-    (default [false]) asks the receiver to reply to a normal outcome
-    with a value-free completion marker because the value travels by
-    handoff push instead (docs/HANDOFF.md). All optional fields are
-    omitted when unused, keeping handoff-free frames byte-identical to
-    the prior format. *)
-
-val parse_call : Xdr.value -> (int * int * string * kind * Xdr.value, string) result
-(** Inverse of {!call_item}: [(seq, cid, port, kind, args)]. *)
+(** The positional call envelope
+    [[Int seq; Int head; Str port; args; cid?; handoff?; trace?]]
+    (docs/WIRE.md §1.2). [seq] is the per-incarnation wire sequence
+    (resets on restart); [cid] is the {e stable call-id}, monotonic over
+    the whole life of the sending stream end — it never resets, so the
+    receiver can deduplicate calls re-submitted after a reincarnation
+    (see [docs/FAULTS.md]); it rides only when it differs from [seq].
+    [trace] is the call's causal trace id (docs/TRACING.md), the last
+    element when present; with [trace:None] the item carries no trace
+    bytes at all. [resubmit] (default [false]) marks a crash-recovery
+    resubmission; a load-shedding receiver never sheds such a call
+    (docs/OVERLOAD.md). [handoff] (default [[]]) lists the handoff
+    annotations for foreign [Pref]s in [args]; [elide] (default
+    [false]) asks the receiver to reply to a normal outcome with a
+    value-free completion marker because the value travels by handoff
+    push instead (docs/HANDOFF.md). The kind and the three flags are
+    bits of [head]; each optional element is present exactly when its
+    head bit is set. *)
 
 (** {1 Reply items} *)
 
 val outcome_value : routcome -> Xdr.value
-(** The encodable form of one outcome (the payload of {!reply_item}).
-    Exposed so byte budgets can size a stored outcome exactly as it
-    would ship ([Xdr.Bin.size (outcome_value o)]). *)
+(** The encodable form of one bare outcome, outside any reply envelope.
+    Exposed so byte budgets can size a stored outcome
+    ([Xdr.Bin.size (outcome_value o)]); handoff pushes carry it. *)
 
 val outcome_of_value : Xdr.value -> (routcome, string) result
 (** Inverse of {!outcome_value} — a handoff push carries a bare
@@ -112,16 +111,18 @@ val outcome_of_value : Xdr.value -> (routcome, string) result
 
 val reply_item : seq:int -> trace:int option -> routcome -> Xdr.value
 (** Encodes the outcome; a [W_normal] reply to a [Send] should be
-    constructed with {!send_ok_item} instead. With [trace:Some id] the
-    reply takes a record form carrying the call's trace id so the
-    return leg of the journey is traceable; [trace:None] is the
-    original compact pair. *)
+    constructed with {!send_ok_item} instead. The untraced normal reply
+    is the pair [(Int seq, value)]; every other reply is
+    [[Int seq; Int head; payload...; trace?]] with the outcome code in
+    [head] (docs/WIRE.md §1.2). *)
 
 val send_ok_item : seq:int -> trace:int option -> Xdr.value
-(** Minimal "completed normally" reply for a [Send]. *)
+(** Minimal "completed normally" reply for a [Send]: untraced, an
+    all-[Int] list of two elements. *)
 
-val parse_reply : Xdr.value -> (int * routcome, string) result
-(** Accepts both reply forms; [send_ok_item] parses as [W_normal Unit]. *)
+val reply_seq : Xdr.value -> int option
+(** The sequence number of a reply item, without decoding its outcome;
+    [None] if the value has neither reply form. *)
 
 val item_trace : Xdr.value -> int option
 (** The trace id carried by a call or reply item, if any. Total over
@@ -129,14 +130,17 @@ val item_trace : Xdr.value -> int option
     transmits, delivers or acknowledges (docs/TRACING.md). *)
 
 val item_resubmit : Xdr.value -> bool
-(** Whether a call item carries the resubmit marker. Total over
-    arbitrary values; [false] for replies and malformed items. *)
+(** Whether a call item carries the resubmit bit. Total over arbitrary
+    values; [false] for replies and malformed items. *)
 
 (** {1 Lazy (view-based) parsing}
 
-    The zero-copy receive path (docs/WIRE.md §Lazy views): the same
-    item grammars, parsed over {!Xdr.View.t} slices so the argument or
-    outcome payload is never decoded unless a consumer asks for it. *)
+    The receive path (docs/WIRE.md §Lazy views): envelopes are parsed
+    over {!Xdr.View.t} slices so the argument or outcome payload is
+    never decoded unless a consumer asks for it. Every malformed
+    envelope — a short list, a mistyped element, unknown head bits, a
+    head bit naming a missing element, trailing elements, an unknown
+    outcome code — is an [Error], never an exception. *)
 
 (** A parsed call envelope whose argument is still an encoded slice. *)
 type call_view = {
@@ -152,16 +156,20 @@ type call_view = {
 }
 
 val parse_call_view : Xdr.View.t -> (call_view, string) result
-(** View counterpart of {!parse_call}: materialises only the small
-    envelope fields; [cv_args] stays lazy. *)
+(** Inverse of {!call_item}: materialises only the small envelope
+    elements; [cv_args] stays lazy. *)
 
-val parse_reply_view : Xdr.View.t -> (int * Xdr.View.t, string) result
-(** View counterpart of {!parse_reply}: [(seq, outcome slice)]. The
-    outcome is left encoded so a stale reply costs no decode; pass it
-    to {!outcome_of_view} when the call is actually pending. *)
+type reply_body
+(** A validated reply envelope whose outcome payload is still encoded. *)
 
-val outcome_of_view : Xdr.View.t -> (routcome, string) result
-(** Materialise an outcome slice returned by {!parse_reply_view}. *)
+val parse_reply_view : Xdr.View.t -> (int * reply_body, string) result
+(** Inverse of {!reply_item} and {!send_ok_item}, up to the outcome:
+    [(seq, body)]. The payload is left encoded so a stale reply costs
+    no decode; pass it to {!outcome_of_view} when the call is actually
+    pending. A [send_ok_item] yields [W_normal Unit]. *)
+
+val outcome_of_view : reply_body -> (routcome, string) result
+(** Materialise the outcome of a body returned by {!parse_reply_view}. *)
 
 val item_trace_view : Xdr.View.t -> int option
 (** View counterpart of {!item_trace}; equally total. *)

@@ -113,12 +113,20 @@ let dial fab ep dst =
             Unix.set_nonblock fd
           with
           | () ->
+              (* The hello is queued, not written: the frame that
+                 caused the dial flushes both in one write. *)
               let c =
-                { c_fd = fd; c_ep = ep; c_peer = dst; c_racc = ""; c_wpend = ""; c_closed = false }
+                {
+                  c_fd = fd;
+                  c_ep = ep;
+                  c_peer = dst;
+                  c_racc = "";
+                  c_wpend = hello ep.e_addr;
+                  c_closed = false;
+                }
               in
               fab.f_conns <- c :: fab.f_conns;
               Sim.Stats.incr (counter fab "transport_conns_opened");
-              enqueue fab c (hello ep.e_addr);
               Some c
           | exception Unix.Unix_error _ ->
               (try Unix.close fd with Unix.Unix_error _ -> ());

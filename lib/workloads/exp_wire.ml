@@ -98,18 +98,19 @@ let e12_rows ?(n = 400) () =
     [ Rpc; Stream 16; Send_mode 16; Adaptive ]
 
 (* E12 at the default [n] and seed, per row: (mode, piggyback, msgs,
-   bytes). The msgs cells are those of the first binary wire; the bytes
-   are those of the compact channel header (docs/WIRE.md §2). *)
+   bytes), with positional call and reply envelopes (docs/WIRE.md
+   §1.2). The adaptive rows' 1 KiB batch budget holds 50 of these items
+   per data packet. *)
 let goldens =
   [
-    ("RPC", false, 1600, 30544);
-    ("RPC", true, 801, 28147);
-    ("stream B=16", false, 100, 12529);
-    ("stream B=16", true, 52, 12205);
-    ("send B=16", false, 100, 11792);
-    ("send B=16", true, 52, 11468);
-    ("stream adaptive", false, 48, 11963);
-    ("stream adaptive", true, 29, 11852);
+    ("RPC", false, 1600, 21008);
+    ("RPC", true, 801, 18611);
+    ("stream B=16", false, 100, 8243);
+    ("stream B=16", true, 52, 7919);
+    ("send B=16", false, 100, 7506);
+    ("send B=16", true, 52, 7182);
+    ("stream adaptive", false, 32, 7663);
+    ("stream adaptive", true, 19, 7585);
   ]
 
 let golden_mismatches rows =
@@ -124,11 +125,42 @@ let golden_mismatches rows =
       | None -> Some (Printf.sprintf "E12 %s piggyback=%b: row missing" mode piggyback))
     goldens
 
+(* The untraced call, reply and send-ok envelopes (docs/WIRE.md §1.2),
+   pinned byte for byte: (label, item, bytes). A trace id must cost
+   bytes only when present, so with tracing off the wire is exactly
+   this. *)
+let envelope_goldens =
+  let module W = Cstream.Wire in
+  [
+    ( "call item",
+      W.call_item ~seq:12 ~cid:12 ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) (),
+      (* list of 4: seq 12, head 0, "work" (interned), 42 *)
+      "\x08\x04\x03\x18\x03\x00\x05\x00\x04work\x03\x54" );
+    ( "reply item",
+      W.reply_item ~seq:3 ~trace:None (W.W_normal (Xdr.Int 7)),
+      (* pair: seq 3, value 7 *)
+      "\x07\x03\x06\x03\x0e" );
+    ( "send-ok item",
+      W.send_ok_item ~seq:3 ~trace:None,
+      (* packed int list of 2: seq 3, head 4 (send-ok) *)
+      "\x0c\x02\x06\x08" );
+  ]
+
+let envelope_mismatches () =
+  List.filter_map
+    (fun (label, item, bytes) ->
+      let got = Xdr.Bin.to_string item in
+      if got = bytes then None
+      else
+        Some
+          (Printf.sprintf "%s: %s (golden %s)" label (String.escaped got) (String.escaped bytes)))
+    envelope_goldens
+
 (* The codec bench's reference payloads, shaped like real traffic at
    three sizes: one call item, a 16-call batch (the string table pays
-   off: the port name and field names repeat), and a 64-record grade
-   sheet whose 16 grades per record take the packed int-list encoding.
-   The sizes are pinned like the E12 cells: (label, value, bytes). *)
+   off: the port name repeats), and a 64-record grade sheet whose 16
+   grades per record take the packed int-list encoding. The sizes are
+   pinned like the E12 cells: (label, value, bytes). *)
 let reference_payloads =
   let module W = Cstream.Wire in
   let small =
@@ -151,7 +183,7 @@ let reference_payloads =
                ("active", Xdr.Bool (i mod 2 = 0));
              ]))
   in
-  [ ("small", small, 34); ("medium", medium, 493); ("large", large, 3701) ]
+  [ ("small", small, 15); ("medium", medium, 369); ("large", large, 3701) ]
 
 let payload_mismatches () =
   List.filter_map

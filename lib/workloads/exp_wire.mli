@@ -33,6 +33,15 @@ val golden_mismatches : row list -> string list
 (** One line per {!goldens} row that [rows] lacks or whose msgs or bytes
     differ; [[]] when every row matches. *)
 
+val envelope_goldens : (string * Xdr.value * string) list
+(** The untraced call, reply and send-ok envelopes with their pinned
+    {!Xdr.Bin} bytes: [(label, item, bytes)]. The wire tests and the
+    bench runner both gate on it. *)
+
+val envelope_mismatches : unit -> string list
+(** One line per {!envelope_goldens} entry whose encoding differs from
+    its pinned bytes; [[]] when all match. *)
+
 val reference_payloads : (string * Xdr.value * int) list
 (** The codec bench's payloads — one call item, a 16-call batch and a
     64-record grade sheet — with their pinned {!Xdr.Bin} sizes:

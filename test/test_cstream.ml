@@ -41,23 +41,37 @@ let ints_of_values vs =
 (* ------------------------------------------------------------------ *)
 (* Wire encoding *)
 
+(* Envelopes are parsed from views over their encoded bytes, exactly as
+   the receive path sees them. *)
+let view v =
+  match Xdr.View.of_string (Xdr.Bin.to_string v) with
+  | Ok vw -> vw
+  | Error e -> Alcotest.failf "view scan failed: %s" e
+
+let parse_reply v =
+  Result.bind (W.parse_reply_view (view v)) (fun (seq, body) ->
+      Result.map (fun o -> (seq, o)) (W.outcome_of_view body))
+
+let args_of cv =
+  match Xdr.View.materialize cv.W.cv_args with Ok v -> v | Error e -> Alcotest.fail e
+
 let test_wire_call_roundtrip () =
   let item =
     W.call_item ~seq:7 ~cid:42 ~trace:None ~port:"record_grade" ~kind:W.Call ~args:(Xdr.Int 5) ()
   in
-  match W.parse_call item with
-  | Ok (seq, cid, port, kind, args) ->
-      check Alcotest.int "seq" 7 seq;
-      check Alcotest.int "cid" 42 cid;
-      check Alcotest.string "port" "record_grade" port;
-      check Alcotest.bool "kind" true (kind = W.Call);
-      check Alcotest.bool "args" true (args = Xdr.Int 5)
+  match W.parse_call_view (view item) with
+  | Ok cv ->
+      check Alcotest.int "seq" 7 cv.W.cv_seq;
+      check Alcotest.int "cid" 42 cv.W.cv_cid;
+      check Alcotest.string "port" "record_grade" cv.W.cv_port;
+      check Alcotest.bool "kind" true (cv.W.cv_kind = W.Call);
+      check Alcotest.bool "args" true (args_of cv = Xdr.Int 5)
   | Error e -> Alcotest.fail e
 
 let test_wire_send_kind_roundtrip () =
   let item = W.call_item ~seq:0 ~cid:0 ~trace:None ~port:"p" ~kind:W.Send ~args:Xdr.Unit () in
-  match W.parse_call item with
-  | Ok (_, _, _, kind, _) -> check Alcotest.bool "send kind" true (kind = W.Send)
+  match W.parse_call_view (view item) with
+  | Ok cv -> check Alcotest.bool "send kind" true (cv.W.cv_kind = W.Send)
   | Error e -> Alcotest.fail e
 
 let test_wire_reply_roundtrips () =
@@ -71,7 +85,7 @@ let test_wire_reply_roundtrips () =
   in
   List.iteri
     (fun i outcome ->
-      match W.parse_reply (W.reply_item ~seq:i ~trace:None outcome) with
+      match parse_reply (W.reply_item ~seq:i ~trace:None outcome) with
       | Ok (seq, got) ->
           check Alcotest.int "seq" i seq;
           check Alcotest.bool "outcome" true (got = outcome)
@@ -79,7 +93,7 @@ let test_wire_reply_roundtrips () =
     cases
 
 let test_wire_send_ok_parses_as_normal_unit () =
-  match W.parse_reply (W.send_ok_item ~seq:3 ~trace:None) with
+  match parse_reply (W.send_ok_item ~seq:3 ~trace:None) with
   | Ok (3, W.W_normal Xdr.Unit) -> ()
   | Ok _ -> Alcotest.fail "wrong parse"
   | Error e -> Alcotest.fail e
@@ -92,10 +106,10 @@ let test_wire_send_ok_is_small () =
   check Alcotest.bool "compact reply much smaller" true (compact * 5 < full)
 
 let test_wire_malformed_rejected () =
-  (match W.parse_call (Xdr.Int 3) with
+  (match W.parse_call_view (view (Xdr.Int 3)) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parsed garbage call");
-  match W.parse_reply (Xdr.Str "nope") with
+  match parse_reply (Xdr.Str "nope") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parsed garbage reply"
 

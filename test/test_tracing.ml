@@ -261,50 +261,52 @@ let test_trace_dump_covers_every_edge () =
     (contains ~affix:"WARNING" out)
 
 (* ------------------------------------------------------------------ *)
-(* Tracing disabled: wire items are byte-for-byte the pre-tracing
-   encodings, and the span store records nothing (ids still advance so
+(* Tracing disabled: wire items are byte-for-byte the pinned untraced
+   envelopes, and the span store records nothing (ids still advance so
    toggling tracing mid-run keeps them stable). *)
 
 let bin v = Xdr.Bin.to_string v
 
+let view v =
+  match Xdr.View.of_string (bin v) with Ok vw -> vw | Error e -> Alcotest.fail e
+
+let parse_reply v =
+  Result.bind (W.parse_reply_view (view v)) (fun (seq, body) ->
+      Result.map (fun o -> (seq, o)) (W.outcome_of_view body))
+
 let test_wire_identity_when_disabled () =
-  let untraced =
-    W.call_item ~seq:5 ~cid:7 ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) ()
-  in
-  let compact =
-    Xdr.Record
-      [
-        ("q", Xdr.Int 5);
-        ("i", Xdr.Int 7);
-        ("p", Xdr.Str "work");
-        ("k", Xdr.Str "c");
-        ("a", Xdr.Int 42);
-      ]
-  in
-  check Alcotest.string "untraced call = pre-tracing bytes" (bin compact) (bin untraced);
-  check Alcotest.(option int) "no trace field" None (W.item_trace untraced);
-  let reply = W.reply_item ~seq:5 ~trace:None (W.W_normal (Xdr.Int 43)) in
-  check Alcotest.string "untraced reply = pre-tracing bytes"
-    (bin (Xdr.Pair (Xdr.Int 5, Xdr.Tagged ("n", Xdr.Int 43))))
-    (bin reply);
-  check Alcotest.string "untraced send-ok = pre-tracing bytes"
-    (bin (Xdr.Pair (Xdr.Int 5, Xdr.Tagged ("o", Xdr.Unit))))
-    (bin (W.send_ok_item ~seq:5 ~trace:None));
+  check Alcotest.(list string) "untraced envelopes = pinned bytes" []
+    (Workloads.Exp_wire.envelope_mismatches ());
+  List.iter
+    (fun (label, item, _) ->
+      check Alcotest.(option int) (label ^ ": no trace element") None (W.item_trace item);
+      check Alcotest.(option int) (label ^ ": no trace element (view)") None
+        (W.item_trace_view (view item)))
+    Workloads.Exp_wire.envelope_goldens;
   (* Traced forms carry the id, decode identically, and are the only
      forms that grow. *)
-  let traced =
-    W.call_item ~seq:5 ~cid:7 ~trace:(Some 9) ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) ()
+  let call trace =
+    W.call_item ~seq:5 ~cid:7 ~trace ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) ()
   in
+  let untraced = call None and traced = call (Some 9) in
   check Alcotest.(option int) "traced call carries the id" (Some 9) (W.item_trace traced);
-  check Alcotest.bool "trace field costs bytes only when present" true
+  check Alcotest.bool "trace element costs bytes only when present" true
     (String.length (bin traced) > String.length (bin untraced));
-  (match (W.parse_call untraced, W.parse_call traced) with
-  | Ok a, Ok b -> check Alcotest.bool "both call forms parse alike" true (a = b)
+  (match (W.parse_call_view (view untraced), W.parse_call_view (view traced)) with
+  | Ok a, Ok b ->
+      check Alcotest.bool "both call forms parse alike" true
+        ((a.W.cv_seq, a.W.cv_cid, a.W.cv_port, a.W.cv_kind)
+        = (b.W.cv_seq, b.W.cv_cid, b.W.cv_port, b.W.cv_kind));
+      check Alcotest.(pair (option int) (option int)) "only the traced form has an id"
+        (None, Some 9) (a.W.cv_trace, b.W.cv_trace)
   | _ -> Alcotest.fail "call items failed to parse");
-  let traced_reply = W.reply_item ~seq:5 ~trace:(Some 9) (W.W_normal (Xdr.Int 43)) in
+  let reply trace = W.reply_item ~seq:5 ~trace (W.W_normal (Xdr.Int 43)) in
+  let traced_reply = reply (Some 9) in
   check Alcotest.(option int) "traced reply carries the id" (Some 9)
     (W.item_trace traced_reply);
-  match (W.parse_reply reply, W.parse_reply traced_reply) with
+  check Alcotest.bool "traced reply grows" true
+    (String.length (bin traced_reply) > String.length (bin (reply None)));
+  match (parse_reply (reply None), parse_reply traced_reply) with
   | Ok (sa, W.W_normal (Xdr.Int va)), Ok (sb, W.W_normal (Xdr.Int vb)) ->
       check Alcotest.(pair int int) "both reply forms parse alike" (sa, va) (sb, vb)
   | _ -> Alcotest.fail "reply items failed to parse"

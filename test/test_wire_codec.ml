@@ -179,6 +179,9 @@ let test_string_interning_compresses () =
 (* ------------------------------------------------------------------ *)
 (* Truncation / corruption: total decoding *)
 
+let sample_handoff =
+  { W.ho_owner = 2; ho_stream = "1|~r/a/grades/2"; ho_call = 5; ho_epoch = 1 }
+
 let test_truncated_returns_error () =
   let victims =
     [
@@ -190,6 +193,13 @@ let test_truncated_returns_error () =
       (* packed: multi-byte varints, so cuts land inside an element *)
       Xdr.List [ Xdr.Int 1; Xdr.Int min_int; Xdr.Int 300; Xdr.Int max_int ];
       Xdr.Record [ ("grades", Xdr.List [ Xdr.Int 90; Xdr.Int (-7) ]); ("n", Xdr.Int 2) ];
+      (* envelopes: a call with every optional element, replies of
+         both forms and a packed send-ok *)
+      W.call_item ~resubmit:true ~handoff:[ sample_handoff ] ~seq:3 ~cid:300 ~trace:(Some 70000)
+        ~port:"record_grade" ~kind:W.Send ~args:(Xdr.Pair (Xdr.Str "stu1", Xdr.Int 85)) ();
+      W.reply_item ~seq:300 ~trace:None (W.W_normal (Xdr.Str "done"));
+      W.reply_item ~seq:300 ~trace:(Some 70000) (W.W_signal ("no_such_user", Xdr.Str "bob"));
+      W.send_ok_item ~seq:300 ~trace:None;
     ]
   in
   List.iter
@@ -1119,30 +1129,183 @@ let test_reference_payload_sizes () =
     (Workloads.Exp_wire.payload_mismatches ())
 
 (* ------------------------------------------------------------------ *)
-(* Satellite regressions: field-order tolerant parse, NaN equality *)
+(* Call and reply envelopes (docs/WIRE.md §1.2): positional lists whose
+   head bits decide which optional elements follow. Parsed from views
+   over the encoded bytes, as the receive path sees them. *)
 
-let test_parse_call_field_order_insensitive () =
-  let reordered =
-    Xdr.Record
-      [
-        ("a", Xdr.Str "payload");
-        ("k", Xdr.Str "c");
-        ("p", Xdr.Str "work");
-        ("i", Xdr.Int 9);
-        ("q", Xdr.Int 4);
-        ("future_field", Xdr.Unit);  (* unknown extras ignored *)
-      ]
+let view_of v =
+  match Xdr.View.of_string (B.to_string v) with
+  | Ok vw -> vw
+  | Error e -> Alcotest.failf "view scan failed: %s" e
+
+let parse_reply v =
+  Result.bind (W.parse_reply_view (view_of v)) (fun (seq, body) ->
+      Result.map (fun o -> (seq, o)) (W.outcome_of_view body))
+
+(* Every head combination: kind × resubmit × elide × cid <> seq ×
+   trace × non-empty handoff, each with random contents. *)
+let prop_call_envelope_roundtrip =
+  QCheck.Test.make ~name:"call envelopes round-trip under every head" ~count:50
+    QCheck.(quad small_nat (int_bound max_int) small_printable_string arb_value)
+    (fun (seq, tid, port, args) ->
+      List.for_all
+        (fun combo ->
+          let on b = combo land b <> 0 in
+          let kind = if on 1 then W.Send else W.Call in
+          let resubmit = on 2 and elide = on 4 in
+          let cid = if on 8 then seq + 1 + (tid mod 1000) else seq in
+          let handoff =
+            if on 16 then [ sample_handoff; { sample_handoff with W.ho_call = 6 } ] else []
+          in
+          let trace = if on 32 then Some tid else None in
+          let item = W.call_item ~resubmit ~handoff ~elide ~seq ~cid ~trace ~port ~kind ~args () in
+          let vw = view_of item in
+          let fail fmt = QCheck.Test.fail_reportf ("combo 0x%x: " ^^ fmt) combo in
+          match W.parse_call_view vw with
+          | Error e -> fail "parse failed: %s" e
+          | Ok cv -> (
+              if (cv.W.cv_seq, cv.W.cv_cid, cv.W.cv_port, cv.W.cv_kind) <> (seq, cid, port, kind)
+              then fail "envelope fields differ"
+              else if (cv.W.cv_trace, cv.W.cv_resubmit, cv.W.cv_elide, cv.W.cv_handoff)
+                      <> (trace, resubmit, elide, handoff)
+              then fail "flags or optional elements differ"
+              else if W.item_trace item <> trace || W.item_trace_view vw <> trace then
+                fail "item_trace disagrees"
+              else if W.item_resubmit item <> resubmit then fail "item_resubmit disagrees"
+              else
+                match Xdr.View.materialize cv.W.cv_args with
+                | Ok a when Xdr.equal_value a args -> true
+                | Ok _ -> fail "args differ"
+                | Error e -> fail "args: %s" e))
+        (List.init 64 Fun.id))
+
+let test_reply_envelope_roundtrips () =
+  let outcomes =
+    [
+      W.W_normal (Xdr.Int 7);
+      (* a user value shaped like an old outcome: the top-level form,
+         not the value, decides how a reply is read *)
+      W.W_normal (Xdr.Tagged ("g", Xdr.Pair (Xdr.Str "x", Xdr.Unit)));
+      W.W_normal (Xdr.List [ Xdr.Int 1; Xdr.Int 2 ]);
+      W.W_signal ("no_such_user", Xdr.Str "bob");
+      W.W_unavailable "cannot communicate";
+      W.W_failure "handler does not exist";
+    ]
   in
-  match W.parse_call reordered with
-  | Ok (4, 9, "work", W.Call, Xdr.Str "payload") -> ()
-  | Ok _ -> Alcotest.fail "wrong fields extracted"
-  | Error e -> Alcotest.fail e
+  List.iter
+    (fun trace ->
+      let expect what item outcome =
+        (match parse_reply item with
+        | Ok (seq, got) ->
+            check Alcotest.int (what ^ ": seq") 300 seq;
+            check Alcotest.bool (what ^ ": outcome") true (got = outcome)
+        | Error e -> Alcotest.failf "%s: %s" what e);
+        check Alcotest.(option int) (what ^ ": reply_seq") (Some 300) (W.reply_seq item);
+        check Alcotest.(option int) (what ^ ": item_trace") trace (W.item_trace item);
+        check Alcotest.(option int) (what ^ ": item_trace_view") trace
+          (W.item_trace_view (view_of item));
+        check Alcotest.bool (what ^ ": no resubmit bit") false (W.item_resubmit item)
+      in
+      List.iter
+        (fun o -> expect (Format.asprintf "%a" W.pp_routcome o) (W.reply_item ~seq:300 ~trace o) o)
+        outcomes;
+      expect "send-ok" (W.send_ok_item ~seq:300 ~trace) (W.W_normal Xdr.Unit))
+    [ None; Some 9; Some max_int ]
 
-let test_parse_call_missing_field_rejected () =
-  let missing = Xdr.Record [ ("q", Xdr.Int 1); ("i", Xdr.Int 2); ("p", Xdr.Str "x") ] in
-  match W.parse_call missing with
+let ok_args = Xdr.Pair (Xdr.Str "stu1", Xdr.Int 85)
+
+let hostile_calls =
+  let i n = Xdr.Int n and port = Xdr.Str "p" in
+  [
+    ("not a list", i 3);
+    ( "the field-named record form",
+      Xdr.Record [ ("q", i 1); ("i", i 1); ("p", port); ("k", Xdr.Str "c"); ("a", i 1) ] );
+    ("short list", Xdr.List [ i 1; i 0; port ]);
+    ("empty list", Xdr.List []);
+    ("seq mistyped", Xdr.List [ Xdr.Str "1"; i 0; port; ok_args ]);
+    ("head mistyped", Xdr.List [ i 1; Xdr.Bool true; port; ok_args ]);
+    ("port mistyped", Xdr.List [ i 1; i 0; i 5; ok_args ]);
+    ("cid mistyped", Xdr.List [ i 1; i 0x08; port; ok_args; Xdr.Str "2" ]);
+    ("trace mistyped", Xdr.List [ i 1; i 0x20; port; ok_args; Xdr.Unit ]);
+    ("handoff mistyped", Xdr.List [ i 1; i 0x10; port; ok_args; i 3 ]);
+    ("handoff list empty", Xdr.List [ i 1; i 0x10; port; ok_args; Xdr.List [] ]);
+    ("handoff entry malformed", Xdr.List [ i 1; i 0x10; port; ok_args; Xdr.List [ i 3 ] ]);
+    ("unknown head bit", Xdr.List [ i 1; i 0x40; port; ok_args ]);
+    ("negative head", Xdr.List [ i 1; i (-1); port; ok_args ]);
+    ("cid bit, no cid", Xdr.List [ i 1; i 0x08; port; ok_args ]);
+    ("trace bit, no trace", Xdr.List [ i 1; i 0x20; port; ok_args ]);
+    ("cid and trace bits, one element", Xdr.List [ i 1; i 0x28; port; ok_args; i 2 ]);
+    ("trailing element", Xdr.List [ i 1; i 0; port; ok_args; i 2 ]);
+    ("trailing after trace", Xdr.List [ i 1; i 0x20; port; ok_args; i 9; i 2 ]);
+    ( "optional elements out of order",
+      Xdr.List [ i 1; i 0x18; port; ok_args; Xdr.List [ W.handoff_value sample_handoff ]; i 2 ] );
+  ]
+
+let hostile_replies =
+  let i n = Xdr.Int n in
+  [
+    ("not a pair or list", Xdr.Str "nope");
+    ( "the tagged-outcome record form",
+      Xdr.Record [ ("q", i 1); ("t", i 9); ("o", Xdr.Tagged ("n", i 7)) ] );
+    ("short list", Xdr.List [ i 1 ]);
+    ("empty list", Xdr.List []);
+    ("pair seq mistyped", Xdr.Pair (Xdr.Str "1", i 7));
+    ("list seq mistyped", Xdr.List [ Xdr.Str "1"; i 4 ]);
+    ("head mistyped", Xdr.List [ i 1; Xdr.Str "n"; i 7 ]);
+    ("code out of range", Xdr.List [ i 1; i 5 ]);
+    ("code out of range, payload", Xdr.List [ i 1; i 7; Xdr.Str "x" ]);
+    ("negative code", Xdr.List [ i 1; i (-1); Xdr.Str "x" ]);
+    ("untraced normal in list form", Xdr.List [ i 1; i 0; i 7 ]);
+    ("trace bit, no trace", Xdr.List [ i 1; i 0x24 ]);
+    ("trace mistyped", Xdr.List [ i 1; i 0x22; Xdr.Str "r"; Xdr.Str "9" ]);
+    ("send-ok with payload", Xdr.List [ i 1; i 4; i 9 ]);
+    ("unavailable with extra", Xdr.List [ i 1; i 2; Xdr.Str "r"; Xdr.Str "extra" ]);
+    ("signal missing value", Xdr.List [ i 1; i 1; Xdr.Str "oops" ]);
+    ("signal name mistyped", Xdr.List [ i 1; i 1; i 3; Xdr.Unit ]);
+    ("failure reason mistyped", Xdr.List [ i 1; i 3; i 5 ]);
+  ]
+
+let test_hostile_envelopes_rejected () =
+  List.iter
+    (fun (what, v) ->
+      match W.parse_call_view (view_of v) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "hostile call accepted: %s" what
+      | exception e -> Alcotest.failf "hostile call %s raised %s" what (Printexc.to_string e))
+    hostile_calls;
+  List.iter
+    (fun (what, v) ->
+      match parse_reply v with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "hostile reply accepted: %s" what
+      | exception e -> Alcotest.failf "hostile reply %s raised %s" what (Printexc.to_string e))
+    hostile_replies;
+  List.iter
+    (fun (what, v) ->
+      check Alcotest.bool (what ^ ": no resubmit bit") false (W.item_resubmit v))
+    hostile_calls
+
+(* Elements are read by position: the order is fixed, and a call
+   without its argument is rejected. *)
+let test_call_elements_positional () =
+  let item =
+    W.call_item ~seq:4 ~cid:9 ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Str "payload") ()
+  in
+  (match item with
+  | Xdr.List [ Xdr.Int 4; Xdr.Int 0x08; Xdr.Str "work"; Xdr.Str "payload"; Xdr.Int 9 ] -> ()
+  | v -> Alcotest.failf "unexpected call layout %a" Xdr.pp_value v);
+  let reordered = Xdr.List [ Xdr.Int 4; Xdr.Str "work"; Xdr.Int 0; Xdr.Str "payload" ] in
+  match W.parse_call_view (view_of reordered) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "reordered call accepted"
+
+let test_call_missing_elements_rejected () =
+  match W.parse_call_view (view_of (Xdr.List [ Xdr.Int 1; Xdr.Int 0; Xdr.Str "x" ])) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "incomplete call accepted"
+
+(* ------------------------------------------------------------------ *)
+(* Satellite regressions: NaN equality *)
 
 let test_equal_value_nan () =
   check Alcotest.bool "NaN = NaN" true (Xdr.equal_value (Xdr.Real nan) (Xdr.Real nan));
@@ -1244,12 +1407,19 @@ let () =
           Alcotest.test_case "codec reference payload sizes" `Quick
             test_reference_payload_sizes;
         ] );
+      ( "envelopes",
+        [
+          QCheck_alcotest.to_alcotest prop_call_envelope_roundtrip;
+          Alcotest.test_case "reply round-trips, traced and untraced" `Quick
+            test_reply_envelope_roundtrips;
+          Alcotest.test_case "hostile envelopes rejected" `Quick test_hostile_envelopes_rejected;
+        ] );
       ( "satellites",
         [
-          Alcotest.test_case "parse_call ignores field order" `Quick
-            test_parse_call_field_order_insensitive;
-          Alcotest.test_case "parse_call rejects missing fields" `Quick
-            test_parse_call_missing_field_rejected;
+          Alcotest.test_case "parse_call_view reads elements by position" `Quick
+            test_call_elements_positional;
+          Alcotest.test_case "parse_call_view rejects missing elements" `Quick
+            test_call_missing_elements_rejected;
           Alcotest.test_case "equal_value handles NaN" `Quick test_equal_value_nan;
         ] );
     ]
