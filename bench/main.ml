@@ -255,57 +255,56 @@ let write_machine_stanza oc =
     (json_escape Sys.ocaml_version)
     Sys.word_size (json_escape Sys.os_type)
 
-let write_bench_wire_json ~codec_rows ~e12_rows ~e18_rows path =
+(* Every BENCH_<group>.json has one shape: the group name, the machine
+   stanza, any [fields], a units map, then one array per section. A
+   section is (name, unit, rows); each row is the inside of one JSON
+   object. *)
+let write_bench_json ~bench ?(fields = []) sections path =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
+  let sep i xs = if i = List.length xs - 1 then "" else "," in
   out "{\n";
-  out "  \"bench\": \"wire\",\n";
+  out "  \"bench\": \"%s\",\n" bench;
   write_machine_stanza oc;
-  out "  \"units\": { \"codec\": \"ns/op\", \"e12\": \"per call\", \"e18\": \"per call\" },\n";
-  out "  \"codec\": [\n";
-  let n_codec = List.length codec_rows in
+  List.iter (fun (k, v) -> out "  \"%s\": %s,\n" k v) fields;
+  out "  \"units\": { %s },\n"
+    (String.concat ", "
+       (List.map (fun (name, unit, _) -> Printf.sprintf "\"%s\": \"%s\"" name unit) sections));
   List.iteri
-    (fun i (name, ns) ->
-      out "    { \"subject\": \"%s\", \"ns_per_op\": %.1f }%s\n" (json_escape name) ns
-        (if i = n_codec - 1 then "" else ","))
-    codec_rows;
-  out "  ],\n";
-  out "  \"e12\": [\n";
-  let n_rows = List.length e12_rows in
-  List.iteri
-    (fun i (r : Workloads.Exp_wire.row) ->
-      out
-        "    { \"mode\": \"%s\", \"piggyback\": %b, \"calls\": %d, \"msgs\": %d, \"bytes\": \
-         %d, \"msgs_per_call\": %.4f, \"bytes_per_call\": %.2f, \"calls_per_data_packet\": \
-         %.2f, \"standalone_ack_packets\": %d, \"piggybacked_acks\": %d, \
-         \"completion_ms\": %.3f }%s\n"
-        (json_escape r.r_mode) r.r_piggyback r.r_calls r.r_msgs r.r_bytes
-        (float_of_int r.r_msgs /. float_of_int r.r_calls)
-        (float_of_int r.r_bytes /. float_of_int r.r_calls)
-        (Workloads.Exp_wire.calls_per_data_pkt r)
-        r.r_ack_pkts r.r_piggybacked
-        (r.r_time *. 1e3)
-        (if i = n_rows - 1 then "" else ","))
-    e12_rows;
-  out "  ],\n";
-  out "  \"e18\": [\n";
-  let n_e18 = List.length e18_rows in
-  List.iteri
-    (fun i (r : Workloads.Exp_dict.row) ->
-      out
-        "    { \"mode\": \"%s\", \"dict\": %b, \"calls\": %d, \"msgs\": %d, \"bytes\": %d, \
-         \"bytes_per_call\": %.2f, \"dict_defines\": %d, \"dict_refs\": %d, \
-         \"lazy_args\": %d, \"args_decoded\": %d, \"sheds\": %d, \"completion_ms\": %.3f \
-         }%s\n"
-        (json_escape r.r_mode) r.r_dict r.r_calls r.r_msgs r.r_bytes
-        (float_of_int r.r_bytes /. float_of_int r.r_calls)
-        r.r_defines r.r_refs r.r_lazy r.r_forced r.r_sheds
-        (r.r_time *. 1e3)
-        (if i = n_e18 - 1 then "" else ","))
-    e18_rows;
-  out "  ]\n";
+    (fun si (name, _, rows) ->
+      out "  \"%s\": [\n" name;
+      List.iteri (fun i row -> out "    { %s }%s\n" row (sep i rows)) rows;
+      out "  ]%s\n" (sep si sections))
+    sections;
   out "}\n";
   close_out oc
+
+(* The wall-clock rows every group leads with. *)
+let subject_json rows =
+  List.map
+    (fun (name, ns) ->
+      Printf.sprintf "\"subject\": \"%s\", \"ns_per_op\": %.1f" (json_escape name) ns)
+    rows
+
+let e12_json (r : Workloads.Exp_wire.row) =
+  Printf.sprintf
+    "\"mode\": \"%s\", \"piggyback\": %b, \"calls\": %d, \"msgs\": %d, \"bytes\": %d, \
+     \"msgs_per_call\": %.4f, \"bytes_per_call\": %.2f, \"calls_per_data_packet\": %.2f, \
+     \"standalone_ack_packets\": %d, \"piggybacked_acks\": %d, \"completion_ms\": %.3f"
+    (json_escape r.r_mode) r.r_piggyback r.r_calls r.r_msgs r.r_bytes
+    (float_of_int r.r_msgs /. float_of_int r.r_calls)
+    (float_of_int r.r_bytes /. float_of_int r.r_calls)
+    (Workloads.Exp_wire.calls_per_data_pkt r)
+    r.r_ack_pkts r.r_piggybacked (r.r_time *. 1e3)
+
+let e18_json (r : Workloads.Exp_dict.row) =
+  Printf.sprintf
+    "\"mode\": \"%s\", \"dict\": %b, \"calls\": %d, \"msgs\": %d, \"bytes\": %d, \
+     \"bytes_per_call\": %.2f, \"dict_defines\": %d, \"dict_refs\": %d, \"lazy_args\": %d, \
+     \"args_decoded\": %d, \"sheds\": %d, \"completion_ms\": %.3f"
+    (json_escape r.r_mode) r.r_dict r.r_calls r.r_msgs r.r_bytes
+    (float_of_int r.r_bytes /. float_of_int r.r_calls)
+    r.r_defines r.r_refs r.r_lazy r.r_forced r.r_sheds (r.r_time *. 1e3)
 
 (* With tracing disabled, wire items must be byte-for-byte the pinned
    envelopes (docs/TRACING.md, docs/WIRE.md §1.2) — otherwise the E12
@@ -332,7 +331,13 @@ let run_wire () =
   let e12_rows = Workloads.Exp_wire.e12_rows () in
   assert_e12_goldens e12_rows;
   let e18_rows = Workloads.Exp_dict.e18_rows () in
-  write_bench_wire_json ~codec_rows ~e12_rows ~e18_rows "BENCH_wire.json";
+  write_bench_json ~bench:"wire"
+    [
+      ("codec", "ns/op", subject_json codec_rows);
+      ("e12", "per call", List.map e12_json e12_rows);
+      ("e18", "per call", List.map e18_json e18_rows);
+    ]
+    "BENCH_wire.json";
   let table_rows =
     List.map (fun (name, ns) -> [ name; Printf.sprintf "%.1f ns" ns ]) codec_rows
   in
@@ -412,54 +417,22 @@ let pipeline_tests =
       Test.make ~name:"registry await+record (parked)" (bench_registry_await_cycle ());
     ]
 
-let write_bench_pipeline_json ~subject_rows ~e13_rows ~e19_rows path =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"bench\": \"pipeline\",\n";
-  write_machine_stanza oc;
-  out
-    "  \"units\": { \"subjects\": \"ns/op\", \"e13\": \"per chain\", \"e19\": \"per \
-     delegation loop\" },\n";
-  out "  \"subjects\": [\n";
-  let n_subj = List.length subject_rows in
-  List.iteri
-    (fun i (name, ns) ->
-      out "    { \"subject\": \"%s\", \"ns_per_op\": %.1f }%s\n" (json_escape name) ns
-        (if i = n_subj - 1 then "" else ","))
-    subject_rows;
-  out "  ],\n";
-  out "  \"e13\": [\n";
-  let n_rows = List.length e13_rows in
-  List.iteri
-    (fun i (r : Workloads.Exp_pipeline.row) ->
-      out
-        "    { \"mode\": \"%s\", \"depth\": %d, \"completion_ms\": %.3f, \"msgs\": %d, \
-         \"bytes\": %d, \"data_packets\": %d, \"pipelined_calls\": %d, \
-         \"ref_substitutions\": %d }%s\n"
-        (json_escape r.r_mode) r.r_depth (r.r_time *. 1e3) r.r_msgs r.r_bytes r.r_data_pkts
-        r.r_pipelined r.r_substitutions
-        (if i = n_rows - 1 then "" else ","))
-    e13_rows;
-  out "  ],\n";
-  (* handoff vs proxy (E19): the third-party delegation A->B->C both
-     ways, on both backends; skipped TCP rows record ok=false *)
-  out "  \"e19\": [\n";
-  let n_e19 = List.length e19_rows in
-  List.iteri
-    (fun i (r : Workloads.Exp_handoff.row) ->
-      out
-        "    { \"mode\": \"%s\", \"backend\": \"%s\", \"calls\": %d, \"ok\": %b, \
-         \"completion_ms\": %.3f, \"msgs\": %d, \"bytes\": %d, \"forwards\": %d, \
-         \"fallbacks\": %d, \"dup_execs\": %d }%s\n"
-        (json_escape r.r_mode) (json_escape r.r_backend) r.r_calls r.r_ok
-        (if r.r_ok then r.r_time *. 1e3 else 0.0)
-        r.r_msgs r.r_bytes r.r_forwards r.r_fallbacks r.r_dup_execs
-        (if i = n_e19 - 1 then "" else ","))
-    e19_rows;
-  out "  ]\n";
-  out "}\n";
-  close_out oc
+let e13_json (r : Workloads.Exp_pipeline.row) =
+  Printf.sprintf
+    "\"mode\": \"%s\", \"depth\": %d, \"completion_ms\": %.3f, \"msgs\": %d, \"bytes\": %d, \
+     \"data_packets\": %d, \"pipelined_calls\": %d, \"ref_substitutions\": %d"
+    (json_escape r.r_mode) r.r_depth (r.r_time *. 1e3) r.r_msgs r.r_bytes r.r_data_pkts
+    r.r_pipelined r.r_substitutions
+
+(* handoff vs proxy (E19): the third-party delegation A->B->C both ways,
+   on both backends; skipped TCP rows record ok=false *)
+let e19_json (r : Workloads.Exp_handoff.row) =
+  Printf.sprintf
+    "\"mode\": \"%s\", \"backend\": \"%s\", \"calls\": %d, \"ok\": %b, \"completion_ms\": \
+     %.3f, \"msgs\": %d, \"bytes\": %d, \"forwards\": %d, \"fallbacks\": %d, \"dup_execs\": %d"
+    (json_escape r.r_mode) (json_escape r.r_backend) r.r_calls r.r_ok
+    (if r.r_ok then r.r_time *. 1e3 else 0.0)
+    r.r_msgs r.r_bytes r.r_forwards r.r_fallbacks r.r_dup_execs
 
 let run_pipeline () =
   let subject_rows = measure_ns pipeline_tests in
@@ -479,7 +452,13 @@ let run_pipeline () =
            (Printf.sprintf "E19 regression: handoff bytes %d >= proxy bytes %d"
               handoff.r_bytes proxy.r_bytes)
    | _ -> failwith "E19 regression: sim rows missing");
-  write_bench_pipeline_json ~subject_rows ~e13_rows ~e19_rows "BENCH_pipeline.json";
+  write_bench_json ~bench:"pipeline"
+    [
+      ("subjects", "ns/op", subject_json subject_rows);
+      ("e13", "per chain", List.map e13_json e13_rows);
+      ("e19", "per delegation loop", List.map e19_json e19_rows);
+    ]
+    "BENCH_pipeline.json";
   let table_rows =
     List.map (fun (name, ns) -> [ name; Printf.sprintf "%.1f ns" ns ]) subject_rows
   in
@@ -541,41 +520,23 @@ let shard_tests =
       Test.make ~name:"registry record+find (byte-sized)" (bench_registry_record_sized ());
     ]
 
-let write_bench_shard_json ~subject_rows ~e14_rows path =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"bench\": \"shard\",\n";
-  write_machine_stanza oc;
-  out "  \"units\": { \"subjects\": \"ns/op\", \"e14\": \"per run\" },\n";
-  out "  \"subjects\": [\n";
-  let n_subj = List.length subject_rows in
-  List.iteri
-    (fun i (name, ns) ->
-      out "    { \"subject\": \"%s\", \"ns_per_op\": %.1f }%s\n" (json_escape name) ns
-        (if i = n_subj - 1 then "" else ","))
-    subject_rows;
-  out "  ],\n";
-  out "  \"e14\": [\n";
-  let n_rows = List.length e14_rows in
-  List.iteri
-    (fun i (r : Workloads.Exp_shard.row) ->
-      out
-        "    { \"series\": \"%s\", \"shards\": %d, \"calls\": %d, \"completion_ms\": %.3f, \
-         \"calls_per_s\": %.1f, \"speedup\": %.3f, \"shard_dispatches\": %d, \
-         \"queue_depth_hwm\": %d, \"imbalance_hwm\": %d, \"per_key_order\": %b }%s\n"
-        (json_escape r.r_series) r.r_shards r.r_calls (r.r_time *. 1e3) r.r_throughput
-        r.r_speedup r.r_dispatches r.r_queue_hwm r.r_imbalance r.r_ordered
-        (if i = n_rows - 1 then "" else ","))
-    e14_rows;
-  out "  ]\n";
-  out "}\n";
-  close_out oc
+let e14_json (r : Workloads.Exp_shard.row) =
+  Printf.sprintf
+    "\"series\": \"%s\", \"shards\": %d, \"calls\": %d, \"completion_ms\": %.3f, \
+     \"calls_per_s\": %.1f, \"speedup\": %.3f, \"shard_dispatches\": %d, \"queue_depth_hwm\": \
+     %d, \"imbalance_hwm\": %d, \"per_key_order\": %b"
+    (json_escape r.r_series) r.r_shards r.r_calls (r.r_time *. 1e3) r.r_throughput r.r_speedup
+    r.r_dispatches r.r_queue_hwm r.r_imbalance r.r_ordered
 
 let run_shard () =
   let subject_rows = measure_ns shard_tests in
   let e14_rows = Workloads.Exp_shard.e14_rows () in
-  write_bench_shard_json ~subject_rows ~e14_rows "BENCH_shard.json";
+  write_bench_json ~bench:"shard"
+    [
+      ("subjects", "ns/op", subject_json subject_rows);
+      ("e14", "per run", List.map e14_json e14_rows);
+    ]
+    "BENCH_shard.json";
   let table_rows =
     List.map (fun (name, ns) -> [ name; Printf.sprintf "%.1f ns" ns ]) subject_rows
   in
@@ -623,44 +584,25 @@ let overload_tests =
       Test.make ~name:"registry mark_releasable" (bench_mark_releasable ());
     ]
 
-let write_bench_overload_json ~subject_rows ~e15_rows path =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"bench\": \"overload\",\n";
-  write_machine_stanza oc;
-  out "  \"units\": { \"subjects\": \"ns/op\", \"e15\": \"per run\" },\n";
-  out "  \"subjects\": [\n";
-  let n_subj = List.length subject_rows in
-  List.iteri
-    (fun i (name, ns) ->
-      out "    { \"subject\": \"%s\", \"ns_per_op\": %.1f }%s\n" (json_escape name) ns
-        (if i = n_subj - 1 then "" else ","))
-    subject_rows;
-  out "  ],\n";
-  out "  \"e15\": [\n";
-  let n_rows = List.length e15_rows in
-  List.iteri
-    (fun i (r : Workloads.Exp_overload.row) ->
-      out
-        "    { \"window\": \"%s\", \"calls\": %d, \"completion_ms\": %.3f, \
-         \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"p999_ms\": %.3f, \"sheds\": %d, \
-         \"retries\": %d, \"retry_successes\": %d, \"unavailable\": %d, \
-         \"window_cuts\": %d, \"window_min_bytes\": %d, \"window_max_bytes\": %d, \
-         \"lost\": %d, \"duplicates\": %d }%s\n"
-        (json_escape r.r_mode) r.r_calls (r.r_time *. 1e3) (r.r_p50 *. 1e3)
-        (r.r_p99 *. 1e3) (r.r_p999 *. 1e3) r.r_sheds r.r_retries r.r_retry_ok r.r_unavail
-        r.r_cuts r.r_win_min r.r_win_max r.r_lost r.r_dups
-        (if i = n_rows - 1 then "" else ","))
-    e15_rows;
-  out "  ]\n";
-  out "}\n";
-  close_out oc
+let e15_json (r : Workloads.Exp_overload.row) =
+  Printf.sprintf
+    "\"window\": \"%s\", \"calls\": %d, \"completion_ms\": %.3f, \"p50_ms\": %.3f, \"p99_ms\": \
+     %.3f, \"p999_ms\": %.3f, \"sheds\": %d, \"retries\": %d, \"retry_successes\": %d, \
+     \"unavailable\": %d, \"window_cuts\": %d, \"window_min_bytes\": %d, \"window_max_bytes\": \
+     %d, \"lost\": %d, \"duplicates\": %d"
+    (json_escape r.r_mode) r.r_calls (r.r_time *. 1e3) (r.r_p50 *. 1e3) (r.r_p99 *. 1e3)
+    (r.r_p999 *. 1e3) r.r_sheds r.r_retries r.r_retry_ok r.r_unavail r.r_cuts r.r_win_min
+    r.r_win_max r.r_lost r.r_dups
 
 let run_overload () =
   let subject_rows = measure_ns overload_tests in
   let e15_rows = Workloads.Exp_overload.e15_rows () in
-  write_bench_overload_json ~subject_rows ~e15_rows "BENCH_overload.json";
+  write_bench_json ~bench:"overload"
+    [
+      ("subjects", "ns/op", subject_json subject_rows);
+      ("e15", "per run", List.map e15_json e15_rows);
+    ]
+    "BENCH_overload.json";
   let table_rows =
     List.map (fun (name, ns) -> [ name; Printf.sprintf "%.1f ns" ns ]) subject_rows
   in
@@ -685,36 +627,12 @@ let run_overload () =
    rows ride along in the JSON, where the machine stanza says how many
    cores the numbers were taken on. *)
 
-let write_bench_domains_json ~subject_rows ~e16_rows path =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"bench\": \"domains\",\n";
-  write_machine_stanza oc;
-  out "  \"units\": { \"subjects\": \"ns/op\", \"e16\": \"per run (wall-clock)\" },\n";
-  out "  \"subjects\": [\n";
-  let n_subj = List.length subject_rows in
-  List.iteri
-    (fun i (name, ns) ->
-      out "    { \"subject\": \"%s\", \"ns_per_op\": %.1f }%s\n" (json_escape name) ns
-        (if i = n_subj - 1 then "" else ","))
-    subject_rows;
-  out "  ],\n";
-  out "  \"e16\": [\n";
-  let n_rows = List.length e16_rows in
-  List.iteri
-    (fun i (r : Workloads.Exp_domains.row) ->
-      out
-        "    { \"mode\": \"%s\", \"pool\": %d, \"lanes\": %d, \"calls\": %d, \
-         \"completion_ms\": %.3f, \"calls_per_s\": %.1f, \"speedup\": %.3f, \
-         \"per_key_order\": %b, \"lost\": %d, \"dups\": %d }%s\n"
-        (json_escape r.r_mode) r.r_pool r.r_lanes r.r_calls (r.r_wall *. 1e3)
-        r.r_throughput r.r_speedup r.r_ordered r.r_lost r.r_dups
-        (if i = n_rows - 1 then "" else ","))
-    e16_rows;
-  out "  ]\n";
-  out "}\n";
-  close_out oc
+let e16_json (r : Workloads.Exp_domains.row) =
+  Printf.sprintf
+    "\"mode\": \"%s\", \"pool\": %d, \"lanes\": %d, \"calls\": %d, \"completion_ms\": %.3f, \
+     \"calls_per_s\": %.1f, \"speedup\": %.3f, \"per_key_order\": %b, \"lost\": %d, \"dups\": %d"
+    (json_escape r.r_mode) r.r_pool r.r_lanes r.r_calls (r.r_wall *. 1e3) r.r_throughput
+    r.r_speedup r.r_ordered r.r_lost r.r_dups
 
 let run_domains () =
   let sched = Sched.Scheduler.create () in
@@ -736,7 +654,12 @@ let run_domains () =
   let subject_rows = measure_ns tests in
   Sched.Pool.shutdown pool;
   let e16_rows = Workloads.Exp_domains.e16_rows () in
-  write_bench_domains_json ~subject_rows ~e16_rows "BENCH_domains.json";
+  write_bench_json ~bench:"domains"
+    [
+      ("subjects", "ns/op", subject_json subject_rows);
+      ("e16", "per run (wall-clock)", List.map e16_json e16_rows);
+    ]
+    "BENCH_domains.json";
   let table_rows =
     List.map (fun (name, ns) -> [ name; Printf.sprintf "%.1f ns" ns ]) subject_rows
   in
@@ -873,37 +796,13 @@ let make_transport_tests () =
         Tr.close (fst echo_fab);
         Tr.close (fst rpc_fab) )
 
-let write_bench_transport_json ~tcp_ok ~subject_rows ~e17_rows path =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"bench\": \"transport\",\n";
-  write_machine_stanza oc;
-  out "  \"tcp_available\": %b,\n" tcp_ok;
-  out "  \"units\": { \"subjects\": \"ns/op\", \"e17\": \"per run\" },\n";
-  out "  \"subjects\": [\n";
-  let n_subj = List.length subject_rows in
-  List.iteri
-    (fun i (name, ns) ->
-      out "    { \"subject\": \"%s\", \"ns_per_op\": %.1f }%s\n" (json_escape name) ns
-        (if i = n_subj - 1 then "" else ","))
-    subject_rows;
-  out "  ],\n";
-  out "  \"e17\": [\n";
-  let n_rows = List.length e17_rows in
-  List.iteri
-    (fun i (r : Workloads.Exp_transport.row) ->
-      out
-        "    { \"workload\": \"%s\", \"backend\": \"%s\", \"calls\": %d, \"ok\": %b, \
-         \"completion_ms\": %s, \"msgs\": %d, \"bytes\": %d }%s\n"
-        (json_escape r.r_workload) (json_escape r.r_backend) r.r_calls r.r_ok
-        (if r.r_ok then Printf.sprintf "%.3f" (r.r_time *. 1e3) else "null")
-        r.r_msgs r.r_bytes
-        (if i = n_rows - 1 then "" else ","))
-    e17_rows;
-  out "  ]\n";
-  out "}\n";
-  close_out oc
+let e17_json (r : Workloads.Exp_transport.row) =
+  Printf.sprintf
+    "\"workload\": \"%s\", \"backend\": \"%s\", \"calls\": %d, \"ok\": %b, \"completion_ms\": \
+     %s, \"msgs\": %d, \"bytes\": %d"
+    (json_escape r.r_workload) (json_escape r.r_backend) r.r_calls r.r_ok
+    (if r.r_ok then Printf.sprintf "%.3f" (r.r_time *. 1e3) else "null")
+    r.r_msgs r.r_bytes
 
 let run_transport () =
   let sim_tests, tcp_tests, cleanup = make_transport_tests () in
@@ -913,7 +812,13 @@ let run_transport () =
   let subject_rows = measure_ns (Test.make_grouped ~name:"transport" (sim_tests @ tcp_tests)) in
   cleanup ();
   let e17_rows = Workloads.Exp_transport.e17_rows () in
-  write_bench_transport_json ~tcp_ok ~subject_rows ~e17_rows "BENCH_transport.json";
+  write_bench_json ~bench:"transport"
+    ~fields:[ ("tcp_available", string_of_bool tcp_ok) ]
+    [
+      ("subjects", "ns/op", subject_json subject_rows);
+      ("e17", "per run", List.map e17_json e17_rows);
+    ]
+    "BENCH_transport.json";
   let table_rows =
     List.map (fun (name, ns) -> [ name; Printf.sprintf "%.1f ns" ns ]) subject_rows
   in

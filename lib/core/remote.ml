@@ -39,17 +39,16 @@ let start_encoded ?handoff ?elide h ~kind ~args ~on_reply =
   if S.wounded h.h_sched then
     (* "It cannot make any remote calls at such a point" (§4.2). *)
     raise S.Terminated;
-  match
-    SE.call_traced ?handoff ?elide h.h_stream ~port:h.h_sig.Sigs.hname ~kind ~args ~on_reply
-  with
+  match SE.call ?handoff ?elide h.h_stream ~port:h.h_sig.Sigs.hname ~kind ~args ~on_reply with
   | Ok ids -> ids
   | Error reason -> raise (Promise.Unavailable_exn reason)
 
-(* Shared front half of the typed call forms: encode, then transmit. *)
-let start_call ?elide h ~kind arg ~on_reply =
+let encode h arg =
   match Xdr.encode h.h_sig.Sigs.arg_c arg with
   | Error reason -> raise (Promise.Failure_exn ("encoding failed: " ^ reason))
-  | Ok args -> start_encoded ?elide h ~kind ~args ~on_reply
+  | Ok args -> args
+
+let start_call h ~kind arg ~on_reply = start_encoded h ~kind ~args:(encode h arg) ~on_reply
 
 (* A promise born here can be piped into a later call on the same node
    (remember which call produces it), forwarded to another node
@@ -61,31 +60,33 @@ let stamp_origin h p (cid, tid) =
   Promise.set_trace p tid;
   Promise.set_home p h.h_stream
 
-let stream_call h arg =
+(* Issue one call whose result is a promise. With [elide] the receiver
+   strips the normal result from the reply, so the promise's typed
+   state is only ever a deferred-result marker (or a real abnormal
+   outcome). *)
+let issue ?handoff ?elide h ~args =
   let p = Promise.create h.h_sched in
+  if Option.value elide ~default:false then Promise.set_elided p;
   let ids =
-    start_call h ~kind:W.Call arg ~on_reply:(fun w ->
-        Promise.put_wire p w;
-        Promise.resolve p (decode_outcome h.h_sig w))
+    start_encoded ?handoff ?elide h ~kind:W.Call ~args ~on_reply:(function
+      | W.W_normal _ when Promise.elided p ->
+          (* the elision marker, not a value — the real result lives
+             only in the producer's registry *)
+          Promise.resolve p
+            (Promise.Failure "result deferred (Remote.Call.defer_result): pipe it, do not claim")
+      | w ->
+          Promise.put_wire p w;
+          Promise.resolve p (decode_outcome h.h_sig w))
   in
   stamp_origin h p ids;
   p
-
-let stream_call_ h arg =
-  ignore
-    (start_call h ~kind:W.Call arg ~on_reply:(fun w ->
-         (* Decoded and discarded, as §3 specifies for statement form. *)
-         ignore (decode_outcome h.h_sig w : _ Promise.outcome))
-      : int * int)
-
-let send h arg = ignore (start_call h ~kind:W.Send arg ~on_reply:(fun _ -> ()) : int * int)
 
 (* {2 Promise pipelining (docs/PIPELINE.md)} *)
 
 type ref_arg = {
   ar_origin : Promise.origin;
   ar_field : string option;
-  ar_home : SE.t option;  (* the stream the producing call went out on *)
+  ar_home : SE.t;  (* the stream the producing call went out on *)
   ar_watch : (W.routcome -> unit) -> unit;
       (* register for the producer's wire outcome — the handoff
          machinery's hook for pushing it to a foreign owner *)
@@ -102,20 +103,20 @@ type 'a arg =
 let arg v = Arg_now v
 
 let ref_of_promise ~what p ~field =
-  match Promise.origin p with
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Remote.%s: promise was not born from a stream call (no origin to reference)" what)
-  | Some og ->
+  match (Promise.origin p, Promise.home p) with
+  | Some og, Some home ->
       Arg_ref
         {
           ar_origin = og;
           ar_field = field;
-          ar_home = Promise.home p;
+          ar_home = home;
           ar_watch = Promise.on_wire p;
           ar_elided = Promise.elided p;
         }
+  | None, _ | Some _, None ->
+      invalid_arg
+        (Printf.sprintf
+           "Remote.%s: promise was not born from a stream call (no origin to reference)" what)
 
 let pipe p =
   if Promise.elided p then
@@ -148,7 +149,7 @@ let pipe_field (p : _ Promise.t) ~field =
     | Some (Promise.Normal _ | Promise.Signal _) | None ->
         ref_of_promise ~what:"pipe_field" p ~field:(Some field)
 
-(* The dependent call of a same-node pipelined reference. *)
+(* The dependent call of a pipelined reference. *)
 let issue_ref ?handoff h ~origin ~field =
   let args =
     Xdr.Pref
@@ -158,36 +159,13 @@ let issue_ref ?handoff h ~origin ~field =
         ps_field = field;
       }
   in
-  let p = Promise.create h.h_sched in
-  let ids =
-    start_encoded ?handoff h ~kind:W.Call ~args ~on_reply:(fun w ->
-        Promise.put_wire p w;
-        Promise.resolve p (decode_outcome h.h_sig w))
-  in
-  stamp_origin h p ids;
+  let p = issue ?handoff h ~args in
   Sim.Stats.incr (Sim.Stats.counter (S.stats h.h_sched) "pipelined_calls");
   p
 
-let stream_call_p h a =
-  match a with
-  | Arg_now v -> stream_call h v
-  | Arg_dead w ->
-      (* "The producer's fate is the dependent's fate": complete
-         abnormally right here, transmitting nothing. *)
-      Promise.resolved h.h_sched (decode_outcome h.h_sig w)
-  | Arg_ref { ar_origin; ar_field; _ } ->
-      (* The sender can only validate the node: which guardian a group
-         belongs to is receiver-local knowledge. A same-node reference
-         that crosses guardians (disjoint registries) is rejected by
-         the receiver's scope check with the same "claim it instead"
-         failure, instead of parking forever. *)
-      if ar_origin.Promise.og_dst <> SE.dst h.h_stream then
-        raise
-          (Promise.Failure_exn
-             "pipelined argument references a call on a different node; claim it instead")
-      else issue_ref h ~origin:ar_origin ~field:ar_field
-
 let flush h = SE.flush h.h_stream
+
+let synch h = SE.synch h.h_stream
 
 (* {2 Retry-on-unavailable (docs/OVERLOAD.md)} *)
 
@@ -217,21 +195,21 @@ let retry_delay policy rng ~attempt =
   let spread = policy.retry_jitter *. ((2.0 *. Sim.Rng.float rng 1.0) -. 1.0) in
   Float.max 0.0 (capped *. (1.0 +. spread))
 
-let stream_call_retry ?(policy = default_retry_policy) ?deadline h arg =
+(* Each attempt is a fresh call with a fresh stable call-id: a shed
+   call never executed, so this is retry, not resubmission — dedup is
+   not implicated and receiver-side at-most-once holds per attempt.
+   (Crash-driven [restart_resubmit] is the opposite: same cid, because
+   the original may have executed.) The promise carries the first
+   attempt's trace id but no origin: piping it would mint a reference
+   to a possibly-shed, never-executed call. *)
+let issue_retry ?(policy = default_retry_policy) ?deadline h arg =
   if policy.retry_attempts <= 0 then
-    invalid_arg "Remote.stream_call_retry: retry_attempts must be positive";
+    invalid_arg "Remote.Call.with_retry: retry_attempts must be positive";
   let sched = h.h_sched in
   let p = Promise.create sched in
   let rng = Sim.Rng.split (S.rng sched) in
   let counter name = Sim.Stats.counter (S.stats sched) name in
   let resolve w = Promise.resolve p (decode_outcome h.h_sig w) in
-  (* Each attempt is a fresh call with a fresh stable call-id: a shed
-     call never executed, so this is retry, not resubmission — dedup is
-     not implicated and receiver-side at-most-once holds per attempt.
-     (Crash-driven [restart_resubmit] is the opposite: same cid,
-     because the original may have executed.) The promise carries the
-     first attempt's trace id but no origin: piping it would mint a
-     reference to a possibly-shed, never-executed call. *)
   let rec attempt n =
     let on_reply = function
       | W.W_unavailable reason -> next n reason
@@ -270,38 +248,9 @@ let stream_call_retry ?(policy = default_retry_policy) ?deadline h arg =
   attempt 1;
   p
 
-let rpc h arg =
-  let p = stream_call h arg in
-  flush h;
-  Promise.claim p
-
-let synch h = SE.synch h.h_stream
-
-(* {2 The unified call builder (docs/HANDOFF.md)} *)
+(* {2 The call builder (docs/HANDOFF.md)} *)
 
 module CH = Cstream.Chanhub
-
-(* A call issued with reply elision: the receiver strips the normal
-   result from the reply, so the promise's typed state is only ever a
-   deferred-result marker (or a real abnormal outcome). *)
-let issue_elided h v =
-  let p = Promise.create h.h_sched in
-  Promise.set_elided p;
-  let ids =
-    start_call ~elide:true h ~kind:W.Call v ~on_reply:(fun w ->
-        match w with
-        | W.W_normal _ ->
-            (* the elision marker, not a value — the real result lives
-               only in the producer's registry *)
-            Promise.resolve p
-              (Promise.Failure
-                 "result deferred (Remote.Call.defer_result): pipe it, do not claim")
-        | W.W_signal _ | W.W_unavailable _ | W.W_failure _ ->
-            Promise.put_wire p w;
-            Promise.resolve p (decode_outcome h.h_sig w))
-  in
-  stamp_origin h p ids;
-  p
 
 module Call = struct
   type ('a, 'r, 'e) plan = {
@@ -309,20 +258,16 @@ module Call = struct
     c_arg : 'a arg;
     c_kind : W.kind;
     c_retry : (retry_policy option * float option) option;
-    c_handoff : bool;
     c_elide : bool;
   }
 
-  let piped h a =
-    { c_h = h; c_arg = a; c_kind = W.Call; c_retry = None; c_handoff = true; c_elide = false }
+  let piped h a = { c_h = h; c_arg = a; c_kind = W.Call; c_retry = None; c_elide = false }
 
   let make h v = piped h (Arg_now v)
 
   let as_send b = { b with c_kind = W.Send }
 
   let with_retry ?policy ?deadline b = { b with c_retry = Some (policy, deadline) }
-
-  let allow_handoff flag b = { b with c_handoff = flag }
 
   let defer_result b = { b with c_elide = true }
 
@@ -332,8 +277,8 @@ module Call = struct
      notice) to push the outcome to the owner directly; and if anything
      on that path refuses, this node falls back to relaying the outcome
      itself, which is exactly the proxy the handoff replaced. *)
-  let submit_handoff b r home =
-    let h = b.c_h in
+  let submit_handoff h r =
+    let home = r.ar_home in
     let sched = h.h_sched in
     let counter name = Sim.Stats.counter (S.stats sched) name in
     let hub = SE.hub home in
@@ -375,7 +320,7 @@ module Call = struct
         (* the value exists only in the producer's registry: redeem it
            by reference — the proxy-equivalent round trip — and relay *)
         match
-          SE.call_traced home ~port:W.handoff_redeem_port ~kind:W.Call
+          SE.call home ~port:W.handoff_redeem_port ~kind:W.Call
             ~args:(W.handoff_value ann) ~on_reply:push
         with
         | Ok _ -> SE.flush home
@@ -385,7 +330,7 @@ module Call = struct
         r.ar_watch push
     in
     (match
-       SE.call_traced home ~port:W.handoff_notice_port ~kind:W.Send
+       SE.call home ~port:W.handoff_notice_port ~kind:W.Send
          ~args:(W.handoff_value ann)
          ~on_reply:(function
            | W.W_normal _ -> () (* accepted: the producer's node pushes *)
@@ -402,44 +347,54 @@ module Call = struct
     p
 
   let submit b =
-    match b.c_kind with
-    | W.Send -> invalid_arg "Remote.Call.submit: a send has no promise; use detach"
-    | W.Call -> (
-        match b.c_retry with
-        | Some (policy, deadline) -> (
-            match b.c_arg with
-            | Arg_now v when not b.c_elide -> stream_call_retry ?policy ?deadline b.c_h v
-            | Arg_now _ | Arg_ref _ | Arg_dead _ ->
-                invalid_arg "Remote.Call.submit: with_retry applies only to plain by-value calls")
-        | None -> (
-            match b.c_arg with
-            | Arg_now v when b.c_elide -> issue_elided b.c_h v
-            | Arg_now v -> stream_call b.c_h v
-            | Arg_dead w -> Promise.resolved b.c_h.h_sched (decode_outcome b.c_h.h_sig w)
-            | Arg_ref r ->
-                if r.ar_origin.Promise.og_dst = SE.dst b.c_h.h_stream then
-                  stream_call_p b.c_h b.c_arg
-                else (
-                  match (b.c_handoff, r.ar_home) with
-                  | true, Some home -> submit_handoff b r home
-                  | false, _ | true, None ->
-                      (* same failure the pre-handoff API raised *)
-                      stream_call_p b.c_h b.c_arg)))
+    let h = b.c_h in
+    match (b.c_kind, b.c_retry, b.c_arg) with
+    | W.Send, _, _ -> invalid_arg "Remote.Call.submit: a send has no promise; use detach"
+    | W.Call, Some (policy, deadline), Arg_now v when not b.c_elide ->
+        issue_retry ?policy ?deadline h v
+    | W.Call, Some _, _ ->
+        invalid_arg "Remote.Call.submit: with_retry applies only to plain by-value calls"
+    | W.Call, None, Arg_now v when b.c_elide -> issue ~elide:true h ~args:(encode h v)
+    | W.Call, None, Arg_now v -> issue h ~args:(encode h v)
+    | W.Call, None, Arg_dead w ->
+        (* "The producer's fate is the dependent's fate": complete
+           abnormally right here, transmitting nothing. *)
+        Promise.resolved h.h_sched (decode_outcome h.h_sig w)
+    | W.Call, None, Arg_ref r ->
+        (* The sender can only validate the node: which guardian a
+           group belongs to is receiver-local knowledge. A same-node
+           reference that crosses guardians (disjoint registries) is
+           rejected by the receiver's scope check instead of parking
+           forever. *)
+        if r.ar_origin.Promise.og_dst = SE.dst h.h_stream then
+          issue_ref h ~origin:r.ar_origin ~field:r.ar_field
+        else submit_handoff h r
 
   let detach b =
-    match b.c_retry with
-    | Some _ -> invalid_arg "Remote.Call.detach: with_retry needs a promise; use submit"
-    | None -> (
-        match (b.c_kind, b.c_arg) with
-        | W.Send, Arg_now v -> send b.c_h v
-        | W.Send, Arg_dead _ -> ()
-        | W.Send, Arg_ref _ ->
-            invalid_arg "Remote.Call.detach: a send cannot take a pipelined argument"
-        | W.Call, Arg_now v when not b.c_elide -> stream_call_ b.c_h v
-        | W.Call, _ -> ignore (submit b : _ Promise.t))
+    let h = b.c_h in
+    match (b.c_retry, b.c_kind, b.c_arg) with
+    | Some _, _, _ -> invalid_arg "Remote.Call.detach: with_retry needs a promise; use submit"
+    | None, W.Send, Arg_now v -> ignore (start_call h ~kind:W.Send v ~on_reply:ignore : int * int)
+    | None, W.Send, Arg_dead _ -> ()
+    | None, W.Send, Arg_ref _ ->
+        invalid_arg "Remote.Call.detach: a send cannot take a pipelined argument"
+    | None, W.Call, Arg_now v when not b.c_elide ->
+        (* The statement form: no promise. The reply is decoded and
+           discarded, as §3 specifies. *)
+        ignore
+          (start_call h ~kind:W.Call v ~on_reply:(fun w ->
+               ignore (decode_outcome h.h_sig w : _ Promise.outcome))
+            : int * int)
+    | None, W.Call, _ -> ignore (submit b : _ Promise.t)
 
   let sync b =
     let p = submit b in
     flush b.c_h;
     Promise.claim p
 end
+
+let stream_call h v = Call.(submit (make h v))
+
+let send h v = Call.(detach (as_send (make h v)))
+
+let rpc h v = Call.(sync (make h v))

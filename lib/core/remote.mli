@@ -13,6 +13,9 @@
     - {!rpc} — ordinary remote procedure call: transmitted immediately,
       caller waits for the outcome.
 
+    All three are one-line forms of the {!Call} builder, which also
+    carries retry, pipelining and handoff.
+
     Immediate failures follow the paper's semantics exactly: if
     argument encoding fails or the stream is already broken, the call
     raises ({!Promise.Failure_exn} / {!Promise.Unavailable_exn}) and
@@ -38,20 +41,18 @@ val stream : ('a, 'r, 'e) h -> Cstream.Stream_end.t
 (** {1 Call forms} *)
 
 val stream_call : ('a, 'r, 'e) h -> 'a -> ('r, 'e) Promise.t
-(** Make a stream call; the promise becomes ready when the reply
-    arrives (or the stream breaks). Promises for earlier calls on the
-    same stream become ready first. *)
-
-val stream_call_ : ('a, 'r, 'e) h -> 'a -> unit
-(** Stream call as a statement — "the program need not create a
-    promise" (§3): the reply is still decoded and then discarded. *)
+(** [Call.(submit (make h v))]: make a stream call; the promise becomes
+    ready when the reply arrives (or the stream breaks). Promises for
+    earlier calls on the same stream become ready first. *)
 
 val send : ('a, 'r, 'e) h -> 'a -> unit
-(** A send: the result value is discarded at the receiver; abnormal
-    termination is observable through {!synch}. *)
+(** [Call.(detach (as_send (make h v)))]: a send. The result value is
+    discarded at the receiver; abnormal termination is observable
+    through {!synch}. *)
 
 val rpc : ('a, 'r, 'e) h -> 'a -> ('r, 'e) Promise.outcome
-(** Flush and wait for this call's outcome (fiber context only). *)
+(** [Call.(sync (make h v))]: flush and wait for this call's outcome
+    (fiber context only). *)
 
 (** {1 Retry on [unavailable] (docs/OVERLOAD.md)} *)
 
@@ -64,24 +65,8 @@ type retry_policy = {
 }
 
 val default_retry_policy : retry_policy
-(** 4 attempts, 5 ms base, doubling, 500 ms cap, 20% jitter. *)
-
-val stream_call_retry :
-  ?policy:retry_policy -> ?deadline:float -> ('a, 'r, 'e) h -> 'a -> ('r, 'e) Promise.t
-(** {!stream_call} that retries [unavailable] outcomes — load sheds,
-    broken streams — with jittered exponential backoff, up to
-    [retry_attempts] total attempts. Each attempt is a {e fresh} call
-    (fresh stable call-id): a shed call never executed, so this is
-    retry, not crash-driven resubmission, and receiver-side
-    at-most-once holds per attempt. A retry whose earliest landing time
-    would pass [deadline] (absolute, for use with
-    {!Promise.claim_deadline}) is not sent; the promise resolves
-    [Unavailable] immediately. The promise carries the first attempt's
-    trace id but {e no} origin — piping it would reference a
-    possibly-never-executed call. Never raises
-    {!Promise.Unavailable_exn}; issue-time refusals feed the same
-    retry loop. Counted as [remote_unavailable_retries],
-    [remote_retry_successes] and [remote_retry_exhausted]. *)
+(** 4 attempts, 5 ms base, doubling, 500 ms cap, 20% jitter. Used by
+    {!Call.with_retry}. *)
 
 (** {1 Promise pipelining}
 
@@ -92,12 +77,14 @@ val stream_call_retry :
     waiting (or paying a round trip) for the producer's reply. The
     receiver substitutes the produced value before executing; if the
     producer terminates abnormally, the dependent call completes with
-    the same abnormal outcome and never executes.
+    the same abnormal outcome and never executes. Submit the dependent
+    call with [Call.(submit (piped h a))].
 
-    Both calls must target the same node, and the destination port
-    groups must belong to the same guardian (they share the outcome
-    registry). Referencing across nodes raises {!Promise.Failure_exn}
-    at the call site. *)
+    On the same node, the destination port groups must belong to the
+    same guardian (they share the outcome registry). A reference to a
+    call on a different node is handed off (see {!Call}): the
+    dependent call goes straight to the consuming node and the
+    producer pushes the outcome there. *)
 
 type 'a arg
 (** An argument for a handler taking ['a]: either a value, or a
@@ -120,14 +107,6 @@ val pipe_field : (_, _) Promise.t -> field:string -> 'a arg
     the receiver, and a missing field or non-record result as a
     [failure] reply to the dependent call. *)
 
-val stream_call_p : ('a, 'r, 'e) h -> 'a arg -> ('r, 'e) Promise.t
-(** {!stream_call}, accepting a pipelineable argument. A reference to a
-    producer that already terminated with [unavailable]/[failure]
-    yields an already-ready promise with that same outcome — nothing is
-    transmitted. Pipelined transmissions are counted in {!Sim.Stats} as
-    [pipelined_calls] (sender side); receiver-side events appear as
-    [parked_calls], [ref_substitutions] and [ref_failures]. *)
-
 (** {1 Stream control (per handle)} *)
 
 val flush : ('a, 'r, 'e) h -> unit
@@ -138,29 +117,19 @@ val synch : ('a, 'r, 'e) h -> (unit, [ `Exception_reply | `Broken of string ]) r
     complete, and report whether any of them (since the last synch)
     terminated with an exception. *)
 
-(** {1 The unified call builder}
+(** {1 The call builder}
 
-    One entry point subsuming the per-variant functions above — build a
-    plan, refine it, submit it:
-
-    {[
-      (* stream_call h v *)        Call.(submit (make h v))
-      (* stream_call_ h v *)       Call.(detach (make h v))
-      (* send h v *)               Call.(detach (as_send (make h v)))
-      (* rpc h v *)                Call.(sync (make h v))
-      (* stream_call_retry h v *)  Call.(submit (with_retry (make h v)))
-      (* stream_call_p h a *)      Call.(submit (piped h a))
-    ]}
+    The one way to issue a typed call: build a plan, refine it, submit
+    it. The call forms above are its shortest uses.
 
     The builder is also where {b third-party handoff}
-    (docs/HANDOFF.md) lives, on by default: submitting a plan whose
-    {!pipe}d argument references a call on a {e different} node no
-    longer raises — the dependent call is forwarded to that node with
-    its reference annotated, the producer is told to push the outcome
-    there directly, and one full proxy hop of latency and bytes
-    disappears. If the producer's node refuses (epoch mismatch, no
-    registry, table full) or its stream breaks, this node falls back to
-    relaying the outcome itself — the exactly-once and
+    (docs/HANDOFF.md) lives: submitting a plan whose {!pipe}d argument
+    references a call on a {e different} node forwards the dependent
+    call to that node with its reference annotated, the producer is
+    told to push the outcome there directly, and one full proxy hop of
+    latency and bytes disappears. If the producer's node refuses (epoch
+    mismatch, no registry, table full) or its stream breaks, this node
+    falls back to relaying the outcome itself — the exactly-once and
     abnormal-propagation semantics are those of the proxy it replaces.
     Counted in {!Sim.Stats} as [handoff_calls] (forwarded plans) and
     [handoff_fallbacks] (refusals that fell back); producer/owner-side
@@ -177,7 +146,13 @@ module Call : sig
   (** A plan for an ordinary by-value call. *)
 
   val piped : ('a, 'r, 'e) h -> 'a arg -> ('a, 'r, 'e) plan
-  (** A plan whose argument may be a {!pipe}d promise reference. *)
+  (** A plan whose argument may be a {!pipe}d promise reference. A
+      reference to a producer that already terminated with
+      [unavailable]/[failure] yields an already-ready promise with that
+      same outcome — nothing is transmitted. Pipelined transmissions
+      are counted in {!Sim.Stats} as [pipelined_calls] (sender side);
+      receiver-side events appear as [parked_calls],
+      [ref_substitutions] and [ref_failures]. *)
 
   val as_send : ('a, 'r, 'e) plan -> ('a, 'r, 'e) plan
   (** Deliver as a send: no result, abnormal termination observable
@@ -185,15 +160,27 @@ module Call : sig
 
   val with_retry :
     ?policy:retry_policy -> ?deadline:float -> ('a, 'r, 'e) plan -> ('a, 'r, 'e) plan
-  (** Retry [unavailable] outcomes as {!stream_call_retry} does.
-      Applies only to plain by-value call plans ({!submit} raises
-      [Invalid_argument] otherwise): each attempt is a fresh call, so a
-      piped, deferred or send plan cannot be retried. *)
+  (** Retry [unavailable] outcomes — load sheds, broken streams — with
+      jittered exponential backoff ([policy], default
+      {!default_retry_policy}), up to [retry_attempts] total attempts.
+      Each attempt is a {e fresh} call (fresh stable call-id): a shed
+      call never executed, so this is retry, not crash-driven
+      resubmission, and receiver-side at-most-once holds per attempt.
+      A retry whose earliest landing time would pass [deadline]
+      (absolute, for use with {!Promise.claim_deadline}) is not sent;
+      the promise resolves [Unavailable] immediately. The promise
+      carries the first attempt's trace id but {e no} origin — piping
+      it would reference a possibly-never-executed call. {!submit}
+      never raises {!Promise.Unavailable_exn} for such a plan;
+      issue-time refusals feed the same retry loop. Counted as
+      [remote_unavailable_retries], [remote_retry_successes] and
+      [remote_retry_exhausted].
 
-  val allow_handoff : bool -> ('a, 'r, 'e) plan -> ('a, 'r, 'e) plan
-  (** Enable ([true], the default) or disable third-party handoff for
-      this plan. With [false], a cross-node reference raises
-      {!Promise.Failure_exn} exactly as the pre-handoff API did. *)
+      Applies only to plain by-value call plans: each attempt is a
+      fresh call, so a piped, deferred or send plan cannot be retried.
+      {!submit} raises [Invalid_argument] for those, and {!detach} for
+      any retried plan (it needs a promise). A non-positive
+      [retry_attempts] makes {!submit} raise [Invalid_argument]. *)
 
   val defer_result : ('a, 'r, 'e) plan -> ('a, 'r, 'e) plan
   (** Ask the receiver to strip the normal result from the reply
@@ -207,8 +194,11 @@ module Call : sig
       [Invalid_argument] for a send plan (no promise — use {!detach}). *)
 
   val detach : ('a, 'r, 'e) plan -> unit
-  (** Issue without a promise: the statement form for calls, the only
-      form for sends. *)
+  (** Issue without a promise: the statement form for calls — "the
+      program need not create a promise" (§3); the reply is still
+      decoded and then discarded — and the only form for sends. Raises
+      [Invalid_argument] for a retried plan and for a send with a
+      {!pipe}d reference argument. *)
 
   val sync : ('a, 'r, 'e) plan -> ('r, 'e) Promise.outcome
   (** {!submit}, {!flush}, {!Promise.claim} — the RPC form (fiber

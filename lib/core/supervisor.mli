@@ -22,9 +22,8 @@
     [docs/FAULTS.md] for the full protocol, including why receiver-side
     dedup is required for exactly-once.
 
-    Transitions are recorded in the scheduler's {!Sim.Trace}; counters
-    [sup_restarts], [sup_opens], [sup_probes], [sup_closes] land in its
-    {!Sim.Stats}. All delays draw jitter from an RNG split off the
+    Counters [sup_restarts], [sup_opens], [sup_probes], [sup_closes]
+    land in the scheduler's {!Sim.Stats}. All delays draw jitter from an RNG split off the
     scheduler's, so runs stay reproducible from the seed. *)
 
 type t

@@ -262,15 +262,11 @@ type out_chan = {
   o_waiters : unit S.waker Queue.t;  (* fibers parked in await_window *)
 }
 
-and deliver =
-  | Deliver_values of (Xdr.value list -> unit)
-  | Deliver_views of (Xdr.View.t list -> unit)
-
 and in_chan = {
   i_hub : hub;
   i_key : key;
   mutable i_expected : int;
-  mutable i_deliver : deliver option;
+  mutable i_deliver : (Xdr.View.t list -> unit) option;
   mutable i_pressure : (unit -> int) option;  (* receiver queue-depth probe for acks *)
   mutable i_broken : string option;
   mutable i_on_break : (string -> unit) list;
@@ -357,9 +353,7 @@ let in_key i = i.i_key
 
 let in_src i = i.i_key.src
 
-let set_deliver i f = i.i_deliver <- Some (Deliver_values f)
-
-let set_deliver_views i f = i.i_deliver <- Some (Deliver_views f)
+let set_deliver i f = i.i_deliver <- Some f
 
 let set_pressure i f = i.i_pressure <- Some f
 
@@ -380,8 +374,6 @@ let mark_in_broken i reason =
   end
 
 let hub_counter hub name = Sim.Stats.counter (S.stats hub.h_sched) name
-
-let hub_trace hub fmt = Sim.Trace.recordf (S.trace hub.h_sched) ~time:(S.now hub.h_sched) fmt
 
 let spans_on hub = Sim.Span.enabled (S.spans hub.h_sched)
 
@@ -531,7 +523,6 @@ let wake_waiters o =
 let mark_broken o reason =
   if o.o_broken = None then begin
     Sim.Stats.incr (hub_counter o.o_hub "chan_out_breaks");
-    hub_trace o.o_hub "chan: out %s->%d broken: %s" o.o_key.label o.o_dst reason;
     o.o_broken <- Some reason;
     o.o_buf <- [];
     o.o_buf_len <- 0;
@@ -565,7 +556,7 @@ let break_out o ~reason =
    a cut, everything that was in the air at cut time must be acked
    before the next cut, so one congestion episode costs one halving
    instead of collapsing the window to the floor. *)
-let cut_window o ~why =
+let cut_window o =
   if o.o_cfg.adaptive_window && o.o_acked_upto >= o.o_cut_barrier then begin
     let next =
       max o.o_cfg.window_min_bytes
@@ -573,9 +564,7 @@ let cut_window o ~why =
     in
     if next < o.o_window then begin
       o.o_window <- next;
-      Sim.Stats.incr (hub_counter o.o_hub "chan_window_cuts");
-      hub_trace o.o_hub "chan: out %s->%d window cut to %dB (%s)" o.o_key.label o.o_dst
-        o.o_window why
+      Sim.Stats.incr (hub_counter o.o_hub "chan_window_cuts")
     end;
     o.o_cut_barrier <- o.o_next_seq - 1
   end
@@ -612,7 +601,7 @@ let rec arm_retransmit o =
               mark_broken o "retransmit limit exceeded: peer unreachable"
             else begin
               Sim.Stats.incr (hub_counter o.o_hub "chan_retransmits");
-              cut_window o ~why:"retransmit";
+              cut_window o;
               let first_seq =
                 match o.o_unacked with u :: _ -> u.u_seq | [] -> assert false
               in
@@ -751,8 +740,7 @@ let handle_ack o ~upto ~pressure =
         && o.o_rtt_ewma > 0.0
         && !rtt_sample > o.o_cfg.rtt_inflation *. o.o_rtt_ewma
       in
-      if pressure >= 2 then cut_window o ~why:"receiver pressure"
-      else if congested then cut_window o ~why:"rtt inflation"
+      if pressure >= 2 || congested then cut_window o
       else if pressure = 0 && not !freed_retx then grow_window o;
       if Float.is_nan !rtt_sample = false then begin
         Sim.Stats.observe (Sim.Stats.summary (S.stats o.o_hub.h_sched) "chan_rtt") !rtt_sample;
@@ -784,18 +772,6 @@ let break_in i ~reason =
     transmit hub ~dst:i.i_key.src (Reset { src = i.i_key.src; idx = i.i_key.idx; reason })
   end;
   mark_in_broken i reason
-
-(* Items arrive as validated views; a value-based consumer gets them
-   materialised here, a view-based one (the zero-copy target/stream
-   paths) receives the slices untouched. Materialisation of a
-   scan-validated slice cannot fail — [filter_map] only guards against
-   memory corruption. *)
-let deliver_fresh i fresh =
-  match i.i_deliver with
-  | Some (Deliver_views f) -> f fresh
-  | Some (Deliver_values f) ->
-      f (List.filter_map (fun vw -> Result.to_option (Xdr.View.materialize vw)) fresh)
-  | None -> ()
 
 (* Only an opening packet can create the receiving end. A compact one
    for a channel never opened here (its opening packet was lost or
@@ -850,7 +826,7 @@ let handle_data hub ~src ~idx ~first_seq ~opening ~items =
               i.i_expected <- i.i_expected + List.length fresh;
               if spans_on hub then
                 span_views hub Sim.Span.Deliver ~note:(Printf.sprintf "from n%d" src) fresh;
-              deliver_fresh i fresh
+              (match i.i_deliver with Some f -> f fresh | None -> ())
             end;
             post_ack hub ~dst:src ~idx ~upto:(i.i_expected - 1) ~pressure:(probe_pressure i)
           end
@@ -1053,8 +1029,6 @@ let create_hub ?ack_delay ?dict ?transport ?net () =
   | Some _, Some _ | None, None ->
       invalid_arg "Chanhub.create_hub: pass exactly one of ~transport / ~net"
 
-let create_hub_tr ?ack_delay ?dict tr = create_hub ?ack_delay ?dict ~transport:tr ()
-
 let on_connect hub ~label acceptor = Hashtbl.replace hub.h_acceptors label acceptor
 
 let remove_acceptor hub ~label = Hashtbl.remove hub.h_acceptors label
@@ -1152,9 +1126,9 @@ let handoff_listen hub =
         set_deliver i (fun items ->
             List.iter
               (fun item ->
-                match Wire.parse_handoff_push item with
+                match Result.bind (Xdr.View.materialize item) Wire.parse_handoff_push with
                 | Ok push -> handle_push hub push
-                | Error e -> hub_trace hub "handoff: malformed push dropped: %s" e)
+                | Error _ -> Sim.Stats.incr (hub_counter hub "handoff_malformed_pushes"))
               items))
   end
 

@@ -184,10 +184,6 @@ val create_hub :
     resets the dictionary (epoch bump), so calls resubmitted after an
     incarnation change decode against a fresh table. *)
 
-val create_hub_tr : ?ack_delay:float -> ?dict:bool -> Transport.t -> hub
-  [@@deprecated "use create_hub ~transport instead"]
-(** Thin alias for [create_hub ~transport]. *)
-
 val hub_addr : hub -> Net.address
 (** This hub's transport address (the node address in sim mode). *)
 
@@ -201,14 +197,16 @@ val hub_sched : hub -> Sched.Scheduler.t
     [chan_unopened_drops] (compact Data for a channel never opened
     here, dropped without a Reset), [chan_window_cuts], [chan_dict_hellos], [chan_dict_negotiated],
     [chan_dict_defines], [chan_dict_refs] — plus the [chan_rtt]
-    summary of clean ack RTT samples — and break events in its
-    {!Sim.Trace}. *)
+    summary of clean ack RTT samples. *)
 
 val on_connect : hub -> label:string -> (in_chan -> unit) -> unit
-(** Register the acceptor for inbound channels labelled [label]. The
-    acceptor must call {!set_deliver} before returning; items from the
-    first packet are delivered right after it returns. An opening packet
-    for an unregistered label is answered with a [Reset]. *)
+(** Register the acceptor for inbound channels labelled [label]. It
+    runs once per new inbound channel, when its opening packet arrives,
+    and must install the channel's consumer with {!set_deliver} before
+    returning: the items of that first packet are delivered right after
+    it returns, and a channel without a consumer drops what it
+    receives. An opening packet for an unregistered label is answered
+    with a [Reset]. *)
 
 val remove_acceptor : hub -> label:string -> unit
 
@@ -276,21 +274,16 @@ val unacked_count : out_chan -> int
 
 (** {1 Receiving end} *)
 
-val set_deliver : in_chan -> (Xdr.value list -> unit) -> unit
-(** Install the in-order delivery callback. Each invocation passes the
-    items of one arriving network message (so the receiver can charge
-    per-message costs); concatenated across calls the items appear
-    exactly once, in send order. Items are materialised from their
-    frame slices for this callback; use {!set_deliver_views} for the
-    zero-copy path. *)
-
-val set_deliver_views : in_chan -> (Xdr.View.t list -> unit) -> unit
-(** Like {!set_deliver}, but items arrive as validated
-    {!Xdr.View.t} slices of the frame buffer — nothing is decoded
-    until the callback asks for it (docs/WIRE.md §Lazy views). The
+val set_deliver : in_chan -> (Xdr.View.t list -> unit) -> unit
+(** Install the in-order delivery callback (see {!on_connect} for when).
+    Each invocation passes the items of one arriving network message (so
+    the receiver can charge per-message costs); concatenated across
+    calls the items appear exactly once, in send order. Items arrive as
+    validated {!Xdr.View.t} slices of the frame buffer — nothing is
+    decoded until the consumer asks for it (docs/WIRE.md §Lazy views);
+    a consumer that wants trees calls {!Xdr.View.materialize}. The
     views borrow frame state and are not domain-safe: materialise
-    before offloading. The last [set_deliver]/[set_deliver_views]
-    call wins. *)
+    before offloading. The last call wins. *)
 
 val in_key : in_chan -> key
 
@@ -324,7 +317,9 @@ val on_in_break : in_chan -> (string -> unit) -> unit
     replayed after a crash joins the first copy instead of
     re-resolving. Counters: [handoff_forwards] (outcomes pushed),
     [handoff_streams_opened] (push channels dialled),
-    [handoff_dedup_joins] (replayed pushes absorbed). *)
+    [handoff_dedup_joins] (replayed pushes absorbed),
+    [handoff_malformed_pushes] (pushed items that do not parse as an
+    outcome push, dropped). *)
 
 val handoff_epoch : hub -> int
 (** This hub's handoff protocol epoch, stamped into every handoff

@@ -52,8 +52,6 @@ let on_progress t f = t.progress_hook <- Some f
 
 let counter t name = Sim.Stats.counter (S.stats t.sched) name
 
-let trace t fmt = Sim.Trace.recordf (S.trace t.sched) ~time:(S.now t.sched) fmt
-
 let spans t = S.spans t.sched
 
 let node_addr t = Chanhub.hub_addr t.hub
@@ -116,7 +114,6 @@ let handle_break t reason =
   if t.s_broken = None then begin
     t.s_broken <- Some reason;
     Sim.Stats.incr (counter t "stream_breaks");
-    trace t "stream %s->%s/%d inc=%d break: %s" t.s_agent t.s_gid t.s_dst t.incarnation reason;
     if Sim.Span.enabled (spans t) then
       Hashtbl.iter
         (fun _ p -> span t ~kind:Sim.Span.Break ~trace:p.p_trace ~call:p.p_cid ~note:reason ())
@@ -162,7 +159,7 @@ let deliver_replies t items =
 let attach t chan =
   let label = reply_label t in
   Chanhub.on_connect t.hub ~label (fun in_chan ->
-      Chanhub.set_deliver_views in_chan (fun items -> deliver_replies t items));
+      Chanhub.set_deliver in_chan (fun items -> deliver_replies t items));
   Chanhub.on_out_break chan (fun reason -> handle_break t reason);
   t.chan <- chan
 
@@ -194,7 +191,7 @@ let create hub ~agent ~dst ~gid ?(config = Chanhub.default_config) () =
   attach t chan;
   t
 
-let call_traced ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
+let call ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
   match t.s_broken with
   | Some reason -> Error reason
   | None -> (
@@ -255,12 +252,6 @@ let call_traced ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
           t.next_seq <- seq;
           Error reason))
 
-let call_cid t ~port ~kind ~args ~on_reply =
-  Result.map fst (call_traced t ~port ~kind ~args ~on_reply)
-
-let call t ~port ~kind ~args ~on_reply =
-  Result.map (fun (_ : int) -> ()) (call_cid t ~port ~kind ~args ~on_reply)
-
 let flush t = if t.s_broken = None then Chanhub.flush_out t.chan
 
 let window_bytes t = Chanhub.window_bytes t.chan
@@ -313,8 +304,6 @@ let restart t =
   | Some reason -> fail_pending t ~reason:("stream broken: " ^ reason)
   | None -> ());
   Sim.Stats.incr (counter t "stream_restarts");
-  trace t "stream %s->%s/%d restart (fresh incarnation %d)" t.s_agent t.s_gid t.s_dst
-    (t.incarnation + 1);
   t.next_seq <- 0;
   t.completed_upto <- -1;
   t.exn_since_synch <- false;
@@ -338,8 +327,6 @@ let restart_resubmit t =
       t.completed_upto <- -1;
       Sim.Stats.incr (counter t "stream_restarts");
       Sim.Stats.add (counter t "stream_resubmitted_calls") (List.length pend);
-      trace t "stream %s->%s/%d resubmit restart: incarnation %d, %d calls replayed"
-        t.s_agent t.s_gid t.s_dst (t.incarnation + 1) (List.length pend);
       reincarnate t;
       let wire_trace p =
         if Sim.Span.sampled (spans t) p.p_trace then Some p.p_trace else None

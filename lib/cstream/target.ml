@@ -702,7 +702,7 @@ let accept t in_chan =
                   | None -> ())
               | None -> ())
             items));
-  Chanhub.set_deliver_views in_chan (fun items ->
+  Chanhub.set_deliver in_chan (fun items ->
       if not c.c_broken then begin
         (* The cost model charges kernel overhead once per arriving
            network message; every lane the message feeds charges it

@@ -36,7 +36,6 @@ type t = {
   mutable next_gid : int;
   sched_rng : Sim.Rng.t;
   sched_stats : Sim.Stats.t;
-  sched_trace : Sim.Trace.t;
   sched_spans : Sim.Span.t;
   (* External-wakeup path (docs/DOMAINS.md): thunks pushed by worker
      domains, drained by the main loop on the scheduler's own domain so
@@ -100,7 +99,6 @@ let create ?(seed = 42) () =
     next_gid = 0;
     sched_rng = Sim.Rng.create ~seed;
     sched_stats = Sim.Stats.create ();
-    sched_trace = Sim.Trace.create ();
     sched_spans = Sim.Span.create ();
     inj_m = Stdlib.Mutex.create ();
     inj_cv = Stdlib.Condition.create ();
@@ -115,8 +113,6 @@ let rng t = t.sched_rng
 
 let stats t = t.sched_stats
 
-let trace t = t.sched_trace
-
 let spans t = t.sched_spans
 
 let current t = t.cur
@@ -128,8 +124,6 @@ let fiber_name f = f.fname
 let fiber_result f = f.fresult
 
 let alive f = f.fresult = None
-
-let tracef t fmt = Sim.Trace.recordf t.sched_trace ~time:t.time fmt
 
 (* Group bookkeeping is internal; the public [Group] module wraps it. *)
 let group_remove t g fiber =
@@ -163,11 +157,6 @@ let finish t fiber result =
   fiber.fwaiting <- None;
   if not fiber.fdaemon then t.live <- t.live - 1;
   Hashtbl.remove t.live_tbl fiber.fid;
-  tracef t "fiber %d (%s) %s" fiber.fid fiber.fname
-    (match result with
-    | Finished -> "finished"
-    | Failed _ -> "failed"
-    | Killed -> "killed");
   (match fiber.fgroup with Some g -> group_remove t g fiber | None -> ());
   let hooks = fiber.fon_exit in
   fiber.fon_exit <- [];
@@ -192,7 +181,6 @@ let spawn t ?(name = "fiber") ?(daemon = false) ?group ?on_exit body =
   if not daemon then t.live <- t.live + 1;
   Hashtbl.add t.live_tbl fiber.fid fiber;
   (match group with Some g -> g.gmembers <- fiber :: g.gmembers | None -> ());
-  tracef t "spawn fiber %d (%s)" fiber.fid name;
   let thunk () =
     if fiber.fkilled then begin
       t.cur <- Some fiber;

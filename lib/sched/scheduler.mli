@@ -45,8 +45,8 @@ type outcome =
 (** {1 Construction and the main loop} *)
 
 val create : ?seed:int -> unit -> t
-(** [create ~seed ()] makes a scheduler whose RNG and trace are fresh.
-    The clock starts at [0.0]. *)
+(** [create ~seed ()] makes a scheduler whose RNG, statistics and span
+    store are fresh. The clock starts at [0.0]. *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)
@@ -54,8 +54,6 @@ val now : t -> float
 val rng : t -> Sim.Rng.t
 
 val stats : t -> Sim.Stats.t
-
-val trace : t -> Sim.Trace.t
 
 val spans : t -> Sim.Span.t
 (** The scheduler's causal-trace span store ({!Sim.Span},

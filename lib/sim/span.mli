@@ -1,9 +1,8 @@
 (** Structured causal-trace events (spans) for call lifecycles.
 
-    Where {!Trace} is a ring of free-form strings, a span store keeps
-    {e typed} events — each tagged with a per-call trace id, the node
-    that emitted it, and optionally the sending stream's stable id and
-    stable call-id — so the full journey of one promise (issue →
+    A span store keeps {e typed} events — each tagged with a per-call
+    trace id, the node that emitted it, and optionally the sending
+    stream's stable id and stable call-id — so the full journey of one promise (issue →
     transmit → deliver → dispatch → execute → reply → ack → claim,
     docs/TRACING.md) can be reconstructed and rendered after a run.
 

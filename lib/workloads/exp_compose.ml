@@ -44,7 +44,7 @@ let grades_fig31 ~n ~svc ~produce_cost =
         List.iter2
           (fun (stu, _) avg_p ->
             match P.claim avg_p with
-            | P.Normal avg -> R.stream_call_ print (Printf.sprintf "%s: %.1f" stu avg)
+            | P.Normal avg -> R.Call.(detach (make print (Printf.sprintf "%s: %.1f" stu avg)))
             | P.Signal _ | P.Unavailable _ | P.Failure _ -> failwith "record failed")
           students averages;
         match R.synch print with Ok () -> () | Error _ -> failwith "print failed")
@@ -75,7 +75,7 @@ let grades_fig42 ~n ~svc ~produce_cost =
             | Error _ -> failwith "cannot_record")
           ~consume:(fun (stu, avg_p) ->
             match P.claim avg_p with
-            | P.Normal avg -> R.stream_call_ print (Printf.sprintf "%s: %.1f" stu avg)
+            | P.Normal avg -> R.Call.(detach (make print (Printf.sprintf "%s: %.1f" stu avg)))
             | P.Signal _ | P.Unavailable _ | P.Failure _ -> failwith "record failed")
           ();
         match R.synch print with Ok () -> () | Error _ -> failwith "print failed")

@@ -53,7 +53,7 @@ let run_variant ~variant ~n ~crash_at =
   in
   let consume print (stu, avg_p) =
     match P.claim avg_p with
-    | P.Normal avg -> R.stream_call_ print (Printf.sprintf "%s: %.1f" stu avg)
+    | P.Normal avg -> R.Call.(detach (make print (Printf.sprintf "%s: %.1f" stu avg)))
     | P.Signal _ | P.Unavailable _ | P.Failure _ -> failwith "cannot_record"
   in
   match variant with
@@ -111,7 +111,7 @@ let run_variant ~variant ~n ~crash_at =
                         | P.Normal avg -> avg
                         | P.Signal _ | P.Unavailable _ | P.Failure _ -> nan
                       in
-                      R.stream_call_ print (Printf.sprintf "%s: %.1f" stu avg))
+                      R.Call.(detach (make print (Printf.sprintf "%s: %.1f" stu avg))))
                     students;
                   Ok ())
             in

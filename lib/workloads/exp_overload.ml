@@ -201,7 +201,8 @@ let run_one ~mode ~(p : params) () =
                      for i = 0 to n - 1 do
                        let id = (a * p.calls_per_agent) + !issued + i in
                        let key = zipf_draw cdf rng in
-                       Sched.Bqueue.enq q (R.stream_call_retry ~policy:retry_policy h (key, id))
+                       Sched.Bqueue.enq q
+                         R.Call.(submit (with_retry ~policy:retry_policy (make h (key, id))))
                      done;
                      issued := !issued + n;
                      R.flush h;

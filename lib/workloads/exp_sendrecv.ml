@@ -16,6 +16,9 @@ let batch = 16
 
 let chan_cfg = { CH.default_config with CH.max_batch = batch; flush_interval = 1e-3 }
 
+(* Channels deliver validated views; the raw protocol works on trees. *)
+let values items = List.filter_map (fun vw -> Result.to_option (Xdr.View.materialize vw)) items
+
 (* Raw send/receive: the client manually numbers requests, sends them
    on a channel, and matches numbered replies from the server's reply
    channel against a table of continuations. *)
@@ -47,7 +50,7 @@ let run_raw ~n =
                loop ()
              in
              loop ()));
-      CH.set_deliver in_chan (fun items -> Sched.Bqueue.enq work items));
+      CH.set_deliver in_chan (fun items -> Sched.Bqueue.enq work (values items)));
   (* client bookkeeping *)
   let pending : (int, int S.waker) Hashtbl.t = Hashtbl.create 64 in
   let max_pending = ref 0 in
@@ -64,7 +67,7 @@ let run_raw ~n =
                       ignore (S.wake w v : bool)
                   | None -> ())
               | _ -> ())
-            items));
+            (values items)));
   let out =
     CH.connect client_hub ~dst:(Net.address server_node) ~label:"raw-svc" ~meta:"raw-replies"
       chan_cfg

@@ -43,7 +43,7 @@ let pipelined_chain ?(depth = 4) () =
          let h = Fixtures.work_handle pair ~config:chain_config ~agent:"tracer" () in
          let p = ref (R.stream_call h 0) in
          for _ = 2 to depth do
-           p := R.stream_call_p h (R.pipe !p)
+           p := R.Call.(submit (piped h (R.pipe !p)))
          done;
          R.flush h;
          (match P.claim !p with

@@ -133,7 +133,7 @@ let chain_workload ~depth world () =
   let h = R.bind ag ~dst:world.w_server_addr ~gid:"main" Fixtures.work_sig in
   let p = ref (R.stream_call h 0) in
   for _ = 2 to depth do
-    p := R.stream_call_p h (R.pipe !p)
+    p := R.Call.(submit (piped h (R.pipe !p)))
   done;
   R.flush h;
   check ~what:"chain" ~expect:depth (P.claim !p)

@@ -35,8 +35,15 @@ let run_ok w =
       Alcotest.failf "deadlock: %s" (String.concat "," (List.map S.fiber_name fs))
   | S.Time_limit -> Alcotest.fail "unexpected time limit"
 
-let ints_of_values vs =
-  List.map (function Xdr.Int i -> i | v -> Alcotest.failf "not an int: %a" Xdr.pp_value v) vs
+(* Channels deliver validated views; these tests read them as ints. *)
+let ints_of_views vws =
+  List.map
+    (fun vw ->
+      match Xdr.View.materialize vw with
+      | Ok (Xdr.Int i) -> i
+      | Ok v -> Alcotest.failf "not an int: %a" Xdr.pp_value v
+      | Error e -> Alcotest.failf "view does not materialise: %s" e)
+    vws
 
 (* ------------------------------------------------------------------ *)
 (* Wire encoding *)
@@ -121,7 +128,7 @@ let collect_channel w ~cfg ~n =
      order, world) after the run completes. *)
   let received = ref [] in
   CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
-      CH.set_deliver in_chan (fun items -> received := !received @ ints_of_values items));
+      CH.set_deliver in_chan (fun items -> received := !received @ ints_of_views items));
   let out = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:"" cfg in
   ignore
     (S.spawn w.sched (fun () ->
@@ -198,7 +205,7 @@ let prop_chan_random_flush_interleavings =
       let w = make_world ~cfg ~seed () in
       let received = ref [] in
       CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
-          CH.set_deliver in_chan (fun items -> received := !received @ ints_of_values items));
+          CH.set_deliver in_chan (fun items -> received := !received @ ints_of_views items));
       let out =
         CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:""
           { CH.default_config with CH.max_batch = 4 }
@@ -313,7 +320,7 @@ let test_stream_call_reply () =
             SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 21)
               ~on_reply:(fun o -> got := Some o)
           with
-         | Ok () -> ()
+         | Ok _ -> ()
          | Error e -> Alcotest.fail e);
          SE.flush stream));
   run_ok w;
@@ -334,7 +341,7 @@ let test_stream_replies_in_call_order () =
              SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int i)
                ~on_reply:(fun _ -> order := i :: !order)
            with
-           | Ok () -> ()
+           | Ok _ -> ()
            | Error e -> Alcotest.fail e
          done;
          SE.flush stream));
@@ -351,7 +358,7 @@ let test_target_executes_in_call_order () =
            ignore
              (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int i)
                 ~on_reply:(fun _ -> ())
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          SE.flush stream));
   run_ok w;
@@ -372,7 +379,7 @@ let test_streams_processed_concurrently () =
            ignore
              (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 1)
                 ~on_reply:(fun _ -> ())
-               : (unit, string) result);
+               : (int * int, string) result);
            SE.flush stream;
            match SE.synch stream with
            | Ok () -> finished := (name, S.now w.sched) :: !finished
@@ -397,7 +404,7 @@ let test_stream_signal_propagates () =
          ignore
            (SE.call stream ~port:"fail" ~kind:W.Call ~args:Xdr.Unit
               ~on_reply:(fun o -> got := Some o)
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream));
   run_ok w;
   match !got with
@@ -415,7 +422,7 @@ let test_send_kind_gets_compact_ok () =
          ignore
            (SE.call stream ~port:"double" ~kind:W.Send ~args:(Xdr.Int 21)
               ~on_reply:(fun o -> got := Some o)
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream));
   run_ok w;
   match !got with
@@ -432,15 +439,15 @@ let test_synch_ok_and_exception_reply () =
     (S.spawn w.sched (fun () ->
          ignore
            (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 1) ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          results := ("first", SE.synch stream = Ok ()) :: !results;
          ignore
            (SE.call stream ~port:"fail" ~kind:W.Call ~args:Xdr.Unit ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          results := ("second", SE.synch stream = Error `Exception_reply) :: !results;
          ignore
            (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 2) ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          (* the exception flag was consumed by the previous synch *)
          results := ("third", SE.synch stream = Ok ()) :: !results));
   run_ok w;
@@ -461,7 +468,7 @@ let test_synch_waits_for_completion () =
            ignore
              (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int i)
                 ~on_reply:(fun _ -> ())
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          (match SE.synch stream with Ok () -> () | Error _ -> Alcotest.fail "synch");
          done_at := S.now w.sched;
@@ -481,7 +488,7 @@ let test_crash_breaks_stream_unavailable () =
            ignore
              (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int i)
                 ~on_reply:(fun o -> outcomes := o :: !outcomes)
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          SE.flush stream));
   run_ok w;
@@ -503,7 +510,7 @@ let test_call_on_broken_stream_fails_immediately () =
          Net.crash w.net w.node_b;
          ignore
            (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 1) ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream));
   run_ok w;
   (* Now broken; a further call must fail without creating anything. *)
@@ -511,7 +518,7 @@ let test_call_on_broken_stream_fails_immediately () =
     SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 2) ~on_reply:(fun _ -> ())
   with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "call on broken stream should fail immediately"
+  | Ok _ -> Alcotest.fail "call on broken stream should fail immediately"
 
 let test_restart_reincarnates () =
   let w = make_world () in
@@ -524,7 +531,7 @@ let test_restart_reincarnates () =
          Net.crash w.net w.node_b;
          ignore
            (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 1) ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream;
          (* wait for the break *)
          while SE.broken stream = None do
@@ -537,7 +544,7 @@ let test_restart_reincarnates () =
             SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 21)
               ~on_reply:(fun o -> got := Some o)
           with
-         | Ok () -> ()
+         | Ok _ -> ()
          | Error e -> Alcotest.fail e);
          SE.flush stream));
   run_ok w;
@@ -565,13 +572,13 @@ let test_receiver_initiated_break () =
     (S.spawn w.sched (fun () ->
          ignore
            (SE.call stream ~port:"work" ~kind:W.Call ~args:Xdr.Unit ~on_reply:(record "ok1")
-             : (unit, string) result);
+             : (int * int, string) result);
          ignore
            (SE.call stream ~port:"poison" ~kind:W.Call ~args:Xdr.Unit ~on_reply:(record "bad")
-             : (unit, string) result);
+             : (int * int, string) result);
          ignore
            (SE.call stream ~port:"work" ~kind:W.Call ~args:Xdr.Unit ~on_reply:(record "after")
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream));
   run_ok w;
   let find tag = List.assoc tag !outcomes in
@@ -597,7 +604,7 @@ let test_stream_reliable_under_loss () =
            ignore
              (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int i)
                 ~on_reply:(fun o -> replies := o :: !replies)
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          match SE.synch stream with
          | Ok () -> ()
@@ -629,14 +636,14 @@ let test_partition_breaks_then_restart_works () =
          (* first call works *)
          ignore
            (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 1) ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream;
          S.sleep w.sched 10e-3;
          (* partition: next call can never be delivered *)
          Net.partition w.net (Net.address w.node_a) (Net.address w.node_b);
          ignore
            (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 2) ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream;
          while SE.broken stream = None do
            S.sleep w.sched 5e-3
@@ -648,7 +655,7 @@ let test_partition_breaks_then_restart_works () =
            SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 21)
              ~on_reply:(fun o -> got := Some o)
          with
-         | Ok () -> SE.flush stream
+         | Ok _ -> SE.flush stream
          | Error e -> Alcotest.fail e));
   run_ok w;
   match !got with
@@ -674,7 +681,7 @@ let test_break_during_synch_observes_broken () =
            ignore
              (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int i)
                 ~on_reply:(fun _ -> ())
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          (* parks in synch; the retransmit-exhaustion break must wake it *)
          result := Some (SE.synch stream)));
@@ -701,7 +708,7 @@ let test_restart_inflight_resolves_each_exactly_once () =
                 ~on_reply:(fun o ->
                   counts.(i) <- counts.(i) + 1;
                   outcomes.(i) <- Some o)
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          SE.flush stream;
          S.sleep w.sched 10e-3;
@@ -743,7 +750,7 @@ let test_resubmit_preserves_and_replays_calls () =
                 ~on_reply:(fun o ->
                   counts.(i) <- counts.(i) + 1;
                   match o with W.W_normal _ -> incr normals | _ -> ())
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          SE.flush stream;
          while SE.broken stream = None do
@@ -796,7 +803,7 @@ let test_resubmit_dedups_already_executed_calls () =
                 ~on_reply:(fun o ->
                   counts.(i) <- counts.(i) + 1;
                   match o with W.W_normal _ -> incr normals | _ -> ())
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          SE.flush stream;
          (* 3 ms: the calls have been delivered, executed and acked, but
@@ -810,7 +817,7 @@ let test_resubmit_dedups_already_executed_calls () =
               ~on_reply:(fun o ->
                 counts.(3) <- counts.(3) + 1;
                 match o with W.W_normal _ -> incr normals | _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream;
          while SE.broken stream = None do
            S.sleep w.sched 5e-3
@@ -842,9 +849,9 @@ let test_two_channels_do_not_interfere () =
   let w = make_world () in
   let got1 = ref [] and got2 = ref [] in
   CH.on_connect w.hub_b ~label:"one" (fun in_chan ->
-      CH.set_deliver in_chan (fun items -> got1 := !got1 @ ints_of_values items));
+      CH.set_deliver in_chan (fun items -> got1 := !got1 @ ints_of_views items));
   CH.on_connect w.hub_b ~label:"two" (fun in_chan ->
-      CH.set_deliver in_chan (fun items -> got2 := !got2 @ ints_of_values items));
+      CH.set_deliver in_chan (fun items -> got2 := !got2 @ ints_of_views items));
   let c1 = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"one" ~meta:"" CH.rpc_config in
   let c2 = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"two" ~meta:"" CH.rpc_config in
   ignore
@@ -887,7 +894,7 @@ let test_unordered_target_overlaps_but_replies_in_order () =
                       reply_order := v :: !reply_order;
                       done_at := S.now w.sched
                   | _ -> ())
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          SE.flush stream));
   run_ok w;

@@ -252,6 +252,48 @@ let test_epoch_refusal_falls_back () =
   check Alcotest.int "exactly-once" 0 (dup_execs w)
 
 (* ------------------------------------------------------------------ *)
+(* A peer can put anything on a handoff channel. A push that does not
+   parse is dropped and counted; the channel stays up and the valid
+   push behind it is still delivered and claimed. *)
+
+let test_malformed_push_counted () =
+  let w = make_world () in
+  let ov = Cstream.Wire.outcome_value (Cstream.Wire.W_normal (Xdr.Int 42)) in
+  let got = ref None in
+  CH.handoff_expect w.c_hub ~stream:"s" ~call:7 (fun v -> got := Some v);
+  let o = CH.connect w.a_hub ~dst:(Net.address w.c_node) ~label:"~handoff" ~meta:"" chan_cfg in
+  List.iter
+    (fun item -> ignore (CH.send o item : (unit, string) result))
+    [ Xdr.Str "not a push"; Cstream.Wire.handoff_push_item ~stream:"s" ~call:7 ov ];
+  CH.flush_out o;
+  run_ok w.sched;
+  check Alcotest.int "malformed push counted" 1 (peek w.sched "handoff_malformed_pushes");
+  check Alcotest.bool "valid push delivered and claimed" true
+    (Option.equal Xdr.equal_value !got (Some ov));
+  check Alcotest.bool "push channel still up" true (CH.out_broken o = None)
+
+(* A push shaped like a record but missing a field, or with a field of
+   the wrong type, is refused and counted the same way. *)
+let test_misshapen_record_push_counted () =
+  let w = make_world () in
+  let ov = Cstream.Wire.outcome_value (Cstream.Wire.W_normal (Xdr.Int 42)) in
+  let got = ref None in
+  CH.handoff_expect w.c_hub ~stream:"s" ~call:7 (fun v -> got := Some v);
+  let o = CH.connect w.a_hub ~dst:(Net.address w.c_node) ~label:"~handoff" ~meta:"" chan_cfg in
+  List.iter
+    (fun item -> ignore (CH.send o item : (unit, string) result))
+    [
+      Xdr.Record [ ("s", Xdr.Str "s"); ("c", Xdr.Int 7) ];
+      Xdr.Record [ ("s", Xdr.Str "s"); ("c", Xdr.Str "7"); ("v", ov) ];
+      Cstream.Wire.handoff_push_item ~stream:"s" ~call:7 ov;
+    ];
+  CH.flush_out o;
+  run_ok w.sched;
+  check Alcotest.int "both misshapen pushes counted" 2 (peek w.sched "handoff_malformed_pushes");
+  check Alcotest.bool "valid push delivered and claimed" true
+    (Option.equal Xdr.equal_value !got (Some ov))
+
+(* ------------------------------------------------------------------ *)
 (* E19 invariants: the acceptance numbers behind the experiment table.
    Handoff must beat proxying on bytes and on completion time (one full
    hop per delegation at 1 ms wire latency), with clean exactly-once
@@ -305,6 +347,10 @@ let () =
             test_resubmit_exactly_once;
           Alcotest.test_case "old epoch refused, falls back to proxy" `Quick
             test_epoch_refusal_falls_back;
+          Alcotest.test_case "malformed push counted, valid push claimed" `Quick
+            test_malformed_push_counted;
+          Alcotest.test_case "misshapen record pushes counted" `Quick
+            test_misshapen_record_push_counted;
         ] );
       ( "experiment",
         [ Alcotest.test_case "E19 acceptance invariants" `Quick test_e19_invariants ] );

@@ -182,7 +182,7 @@ let test_shed_retry_success_exactly_once () =
   ignore
     (S.spawn w.sched (fun () ->
          let h = handle w ~config:burst_cfg ~agent:"c" ~gid:"g" () in
-         let ps = List.init total (fun i -> R.stream_call_retry ~policy h i) in
+         let ps = List.init total (fun i -> R.Call.(submit (with_retry ~policy (make h i)))) in
          R.flush h;
          List.iter
            (fun p ->
@@ -226,7 +226,7 @@ let test_retransmit_racing_shed_accounting () =
   ignore
     (S.spawn w.sched (fun () ->
          let h = handle w ~config:cfg ~agent:"c" ~gid:"g" () in
-         let ps = List.init total (fun i -> R.stream_call_retry ~policy h i) in
+         let ps = List.init total (fun i -> R.Call.(submit (with_retry ~policy (make h i)))) in
          R.flush h;
          List.iter
            (fun p ->

@@ -76,7 +76,7 @@ let test_chain_single_round_trip () =
          let h = handle w ~agent:"c" ~gid:"main" step_sig in
          let p = ref (R.stream_call h 0) in
          for _ = 2 to depth do
-           p := R.stream_call_p h (R.pipe !p)
+           p := R.Call.(submit (piped h (R.pipe !p)))
          done;
          R.flush h;
          got := Some (P.claim !p);
@@ -115,7 +115,7 @@ let test_cross_stream_parking () =
          let consumer = handle w ~agent:"b" ~gid:"aux" step_sig in
          let p1 = R.stream_call producer 7 in
          R.flush producer;
-         let p2 = R.stream_call_p consumer (R.pipe p1) in
+         let p2 = R.Call.(submit (piped consumer (R.pipe p1))) in
          R.flush consumer;
          got := Some (P.claim p2)));
   run_ok w.sched;
@@ -151,10 +151,10 @@ let test_producer_signal_propagates () =
          let h = handle w ~agent:"c" ~gid:"main" checked_sig in
          (* Producer signals: dependent must signal identically. *)
          let p1 = R.stream_call h 100 in
-         let p2 = R.stream_call_p h (R.pipe p1) in
+         let p2 = R.Call.(submit (piped h (R.pipe p1))) in
          (* Producer fails (handler crash): dependent must fail. *)
          let q1 = R.stream_call h (-1) in
-         let q2 = R.stream_call_p h (R.pipe q1) in
+         let q2 = R.Call.(submit (piped h (R.pipe q1))) in
          R.flush h;
          sig_out := Some (P.claim p2);
          fail_out := Some (P.claim q2)));
@@ -191,7 +191,7 @@ let test_dead_producer_short_circuits () =
          | P.Unavailable _ -> ()
          | _ -> Alcotest.fail "broken stream should resolve p1 Unavailable");
          msgs_before := Sim.Stats.peek (Net.stats w.net) "msgs_sent";
-         let p2 = R.stream_call_p h (R.pipe p1) in
+         let p2 = R.Call.(submit (piped h (R.pipe p1))) in
          check Alcotest.bool "dead-producer dependent is ready at once" true (P.ready p2);
          msgs_after := Sim.Stats.peek (Net.stats w.net) "msgs_sent";
          out := Some (P.claim p2)));
@@ -222,8 +222,8 @@ let test_field_selection () =
          let maker = handle w ~agent:"a" ~gid:"main" make_sig in
          let stepper = handle w ~agent:"b" ~gid:"aux" step_sig in
          let p1 = R.stream_call maker 3 in
-         let p2 = R.stream_call_p stepper (R.pipe_field p1 ~field:"hi") in
-         let p3 = R.stream_call_p stepper (R.pipe_field p1 ~field:"nope") in
+         let p2 = R.Call.(submit (piped stepper (R.pipe_field p1 ~field:"hi"))) in
+         let p3 = R.Call.(submit (piped stepper (R.pipe_field p1 ~field:"nope"))) in
          R.flush maker;
          R.flush stepper;
          got := Some (P.claim p2);
@@ -263,7 +263,7 @@ let test_forward_ref_on_same_stream_fails () =
             SE.call se ~port:"step" ~kind:Cstream.Wire.Call ~args ~on_reply:(fun o ->
                 out := Some o)
           with
-         | Ok () -> ()
+         | Ok _ -> ()
          | Error e -> Alcotest.failf "call rejected: %s" e);
          SE.flush se));
   run_ok w.sched;
@@ -272,23 +272,45 @@ let test_forward_ref_on_same_stream_fails () =
   | _ -> Alcotest.fail "forward self-reference must fail");
   check Alcotest.int "counted as ref failure" 1 (peek w.sched "ref_failures")
 
-let test_cross_node_pipe_rejected () =
+(* The builder's refused combinations: each raises [Invalid_argument]
+   at the call site and transmits nothing. [plan h p1] tries one refused
+   plan, with [p1] a stream call to pipe on. *)
+let refused_plan plan () =
   let w = make_world () in
-  let other_node = Net.add_node w.net ~name:"other" in
-  let other_hub = CH.create_hub ~net:(w.net, other_node) () in
-  let other = G.create other_hub ~name:"other" in
-  G.register w.server ~group:"main" step_sig (fun _ n -> Ok (n + 1));
-  G.register other ~group:"main" step_sig (fun _ n -> Ok (n + 1));
+  let runs = ref 0 and accepted = ref false and producer = ref None in
+  G.register w.server ~group:"main" step_sig (fun _ n ->
+      incr runs;
+      Ok (n + 1));
   ignore
     (S.spawn w.sched (fun () ->
-         let h1 = handle w ~agent:"a" ~gid:"main" step_sig in
-         let ag = Core.Agent.create w.client_hub ~name:"b" ~config:batch_cfg () in
-         let h2 = R.bind ag ~dst:(Net.address other_node) ~gid:"main" step_sig in
-         let p1 = R.stream_call h1 1 in
-         match R.stream_call_p h2 (R.pipe p1) with
-         | _ -> Alcotest.fail "cross-node pipe must be rejected"
-         | exception P.Failure_exn _ -> ()));
-  run_ok w.sched
+         let h = handle w ~agent:"c" ~gid:"main" step_sig in
+         let p1 = R.stream_call h 1 in
+         (* Recorded, not raised: a failure inside a fiber would only
+            end the fiber. *)
+         (match plan h p1 with
+         | () -> accepted := true
+         | exception Invalid_argument _ -> ());
+         R.flush h;
+         producer := Some (P.claim p1)));
+  run_ok w.sched;
+  check Alcotest.bool "plan refused" false !accepted;
+  check Alcotest.bool "producer answered" true (!producer = Some (P.Normal 2));
+  check Alcotest.int "only the producer executed" 1 !runs;
+  check Alcotest.int "nothing pipelined" 0 (peek w.sched "pipelined_calls")
+
+let test_refuse_submit_send =
+  refused_plan (fun h _ -> ignore R.Call.(submit (as_send (make h 2))))
+
+let test_refuse_detach_retry = refused_plan (fun h _ -> R.Call.(detach (with_retry (make h 2))))
+
+let test_refuse_retry_piped =
+  refused_plan (fun h p1 -> ignore R.Call.(submit (with_retry (piped h (R.pipe p1)))))
+
+let test_refuse_retry_deferred =
+  refused_plan (fun h _ -> ignore R.Call.(submit (with_retry (defer_result (make h 2)))))
+
+let test_refuse_send_piped =
+  refused_plan (fun h p1 -> R.Call.(detach (as_send (piped h (R.pipe p1)))))
 
 (* ------------------------------------------------------------------ *)
 (* Supervision x pipelining: break the stream with the producer and the
@@ -325,7 +347,7 @@ let test_resubmit_dependent_exactly_once () =
          let se = R.stream h in
          SE.set_preserve_on_break se true;
          let p1 = R.stream_call h 7 in
-         let p2 = R.stream_call_p h (R.pipe p1) in
+         let p2 = R.Call.(submit (piped h (R.pipe p1))) in
          R.flush h;
          (* A probe into the outage: the first two calls were already
             acked, so without fresh unacked data the client would never
@@ -401,7 +423,7 @@ let test_parked_dependent_conn_break_exactly_once () =
          let p1 = R.stream_call producer 7 in
          R.flush producer;
          let p0 = R.stream_call consumer 100 in
-         let p2 = R.stream_call_p consumer (R.pipe p1) in
+         let p2 = R.Call.(submit (piped consumer (R.pipe p1))) in
          R.flush consumer;
          (* Probes into the outage so each sender notices the break. *)
          S.sleep w.sched 4e-3;
@@ -466,7 +488,7 @@ let test_evicted_reference_fails () =
             SE.call se ~port:"step" ~kind:Cstream.Wire.Call ~args ~on_reply:(fun o ->
                 out := Some o)
           with
-         | Ok () -> ()
+         | Ok _ -> ()
          | Error e -> Alcotest.failf "call rejected: %s" e);
          SE.flush se));
   run_ok w.sched;
@@ -497,7 +519,7 @@ let test_cross_guardian_ref_fails () =
          let producer = handle w ~agent:"a" ~gid:"main" step_sig in
          let dependent = handle w ~agent:"b" ~gid:"g2" step_sig in
          let p1 = R.stream_call producer 1 in
-         let p2 = R.stream_call_p dependent (R.pipe p1) in
+         let p2 = R.Call.(submit (piped dependent (R.pipe p1))) in
          R.flush producer;
          R.flush dependent;
          ignore (P.claim p1 : _ P.outcome);
@@ -532,7 +554,7 @@ let test_parked_waiters_reclaimed_on_conn_break () =
          let consumer = handle w ~agent:"b" ~gid:"aux" step_sig in
          let p1 = R.stream_call producer 7 in
          R.flush producer;
-         let _p2 = R.stream_call_p consumer (R.pipe p1) in
+         let _p2 = R.Call.(submit (piped consumer (R.pipe p1))) in
          R.flush consumer;
          S.sleep w.sched 5e-3;
          check Alcotest.int "dependent parked one waiter" 1 (Pipeline.Registry.waiting reg);
@@ -601,8 +623,15 @@ let () =
             test_pipe_requires_origin;
           Alcotest.test_case "forward self-reference fails, no deadlock" `Quick
             test_forward_ref_on_same_stream_fails;
-          Alcotest.test_case "cross-node pipe rejected at call site" `Quick
-            test_cross_node_pipe_rejected;
+          Alcotest.test_case "builder refuses submit of a send" `Quick test_refuse_submit_send;
+          Alcotest.test_case "builder refuses detach of a retried plan" `Quick
+            test_refuse_detach_retry;
+          Alcotest.test_case "builder refuses retry of a piped plan" `Quick
+            test_refuse_retry_piped;
+          Alcotest.test_case "builder refuses retry of a deferred plan" `Quick
+            test_refuse_retry_deferred;
+          Alcotest.test_case "builder refuses send with a piped argument" `Quick
+            test_refuse_send_piped;
           Alcotest.test_case "evicted reference fails, no park" `Quick
             test_evicted_reference_fails;
           Alcotest.test_case "cross-guardian reference fails, no park" `Quick

@@ -610,23 +610,6 @@ let test_semaphore_models_parallel_speedup () =
   check (Alcotest.float 1e-9) "2 cpus" 2.0 (elapsed 2);
   check (Alcotest.float 1e-9) "4 cpus" 1.0 (elapsed 4)
 
-let test_trace_records_lifecycle () =
-  let t = S.create () in
-  Sim.Trace.enable (S.trace t) true;
-  ignore (S.spawn t ~name:"traced" (fun () -> S.sleep t 1.0));
-  run_ok t;
-  let records = List.map snd (Sim.Trace.to_list (S.trace t)) in
-  let has needle =
-    List.exists
-      (fun r ->
-        let nr = String.length r and nn = String.length needle in
-        let rec scan i = i + nn <= nr && (String.sub r i nn = needle || scan (i + 1)) in
-        scan 0)
-      records
-  in
-  check Alcotest.bool "spawn traced" true (has "spawn");
-  check Alcotest.bool "finish traced" true (has "finished")
-
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -723,7 +706,6 @@ let suite =
         Alcotest.test_case "past events clamped" `Quick test_at_past_clamped;
         Alcotest.test_case "run until" `Quick test_run_until;
         Alcotest.test_case "simultaneous events FIFO" `Quick test_simultaneous_events_fifo;
-        Alcotest.test_case "trace records lifecycle" `Quick test_trace_records_lifecycle;
         QCheck_alcotest.to_alcotest prop_sleep_sum;
         QCheck_alcotest.to_alcotest prop_random_fiber_programs_complete;
       ] );

@@ -178,7 +178,7 @@ let raw_reply_order ~seed ~shards =
                ~args:(Xdr.Pair (Xdr.Int i, Xdr.Int i))
                ~on_reply:(fun _ -> order := i :: !order)
            with
-           | Ok () -> ()
+           | Ok _ -> ()
            | Error e -> Alcotest.fail e
          done;
          SE.flush stream));
@@ -363,7 +363,7 @@ let test_cross_shard_pipelining () =
     (S.spawn w.sched (fun () ->
          let h = handle w ~agent:"c" ~gid:"hot" step_sig in
          let p1 = R.stream_call h 7 in
-         let p2 = R.stream_call_p h (R.pipe p1) in
+         let p2 = R.Call.(submit (piped h (R.pipe p1))) in
          R.flush h;
          got2 := Some (P.claim p2);
          got1 := Some (P.claim p1)));

@@ -1,4 +1,4 @@
-(* Tests for the simulation substrate: heap, rng, stats, trace. *)
+(* Tests for the simulation substrate: heap, rng, stats. *)
 
 let check = Alcotest.check
 
@@ -205,37 +205,6 @@ let prop_quantile_monotone =
       Sim.Stats.quantile s 0.25 <= Sim.Stats.quantile s 0.5
       && Sim.Stats.quantile s 0.5 <= Sim.Stats.quantile s 0.9)
 
-(* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_disabled_by_default () =
-  let tr = Sim.Trace.create () in
-  Sim.Trace.record tr ~time:1.0 "hidden";
-  check Alcotest.int "no records" 0 (List.length (Sim.Trace.to_list tr))
-
-let test_trace_records_in_order () =
-  let tr = Sim.Trace.create () in
-  Sim.Trace.enable tr true;
-  Sim.Trace.record tr ~time:1.0 "a";
-  Sim.Trace.recordf tr ~time:2.0 "b %d" 42;
-  check
-    Alcotest.(list (pair (float 0.0) string))
-    "ordered" [ (1.0, "a"); (2.0, "b 42") ] (Sim.Trace.to_list tr)
-
-let test_trace_ring_wraps () =
-  let tr = Sim.Trace.create ~capacity:3 () in
-  Sim.Trace.enable tr true;
-  List.iter (fun i -> Sim.Trace.record tr ~time:(float_of_int i) (string_of_int i)) [ 1; 2; 3; 4; 5 ];
-  let msgs = List.map snd (Sim.Trace.to_list tr) in
-  check Alcotest.(list string) "last 3 kept" [ "3"; "4"; "5" ] msgs
-
-let test_trace_clear () =
-  let tr = Sim.Trace.create () in
-  Sim.Trace.enable tr true;
-  Sim.Trace.record tr ~time:0.0 "x";
-  Sim.Trace.clear tr;
-  check Alcotest.int "cleared" 0 (List.length (Sim.Trace.to_list tr))
-
 let suite =
   [
     ( "heap",
@@ -268,13 +237,6 @@ let suite =
         Alcotest.test_case "reset" `Quick test_stats_reset;
         Alcotest.test_case "listing sorted" `Quick test_stats_listing;
         QCheck_alcotest.to_alcotest prop_quantile_monotone;
-      ] );
-    ( "trace",
-      [
-        Alcotest.test_case "disabled by default" `Quick test_trace_disabled_by_default;
-        Alcotest.test_case "records in order" `Quick test_trace_records_in_order;
-        Alcotest.test_case "ring wraps" `Quick test_trace_ring_wraps;
-        Alcotest.test_case "clear" `Quick test_trace_clear;
       ] );
   ]
 

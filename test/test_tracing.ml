@@ -237,7 +237,7 @@ let test_parked_pipelined_call_spans () =
     (S.spawn w.sched (fun () ->
          let h = handle w ~agent:"c" ~gid:"pipe" () in
          let p1 = R.stream_call h 1 in
-         let p2 = R.stream_call_p h (R.pipe p1) in
+         let p2 = R.Call.(submit (piped h (R.pipe p1))) in
          R.flush h;
          check Alcotest.int "chained result" 3 (claim_normal p2);
          tid1 := trace_of p1;

@@ -174,7 +174,9 @@ let backpressure rig =
   let hub_b = CH.create_hub ~transport:rig.rg_b () in
   let delivered = ref [] in
   CH.on_connect hub_b ~label:"bp" (fun ic ->
-      CH.set_deliver ic (fun items -> delivered := List.rev_append items !delivered));
+      CH.set_deliver ic (fun items ->
+          let values = List.map (fun vw -> Result.get_ok (Xdr.View.materialize vw)) items in
+          delivered := List.rev_append values !delivered));
   let cfg = { CH.default_config with CH.max_batch = 1; max_inflight_bytes = 100 } in
   let n = 25 in
   let over_window = ref 0 in

@@ -409,7 +409,7 @@ let run_echo ~w ~cfg ~n =
            match
              SE.call se ~port:"p" ~kind:W.Call ~args:(Xdr.Int i) ~on_reply:(fun _ -> incr replies)
            with
-           | Ok () -> ()
+           | Ok _ -> ()
            | Error e -> Alcotest.failf "call failed: %s" e
          done;
          match SE.synch se with
@@ -555,7 +555,7 @@ let test_stream_call_window_preserves_order () =
     S.spawn w.sched (fun () ->
         for i = lo to hi do
           match SE.call se ~port:"p" ~kind:W.Call ~args:(Xdr.Int i) ~on_reply:(fun _ -> ()) with
-          | Ok () -> ()
+          | Ok _ -> ()
           | Error e -> Alcotest.failf "call failed: %s" e
         done)
   in
@@ -589,7 +589,8 @@ let sink w =
   let got = ref [] and opened = ref 0 in
   CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
       incr opened;
-      CH.set_deliver in_chan (fun items -> got := !got @ items));
+      CH.set_deliver in_chan (fun items ->
+          got := !got @ List.map (fun vw -> Result.get_ok (Xdr.View.materialize vw)) items));
   (got, opened)
 
 let test_compact_for_unknown_channel_dropped () =

@@ -77,7 +77,7 @@ let test_grades_overlap_measured () =
     List.iter2
       (fun (stu, _) p ->
         let avg = Core.Promise.claim_normal p ~on_signal:(fun _ -> nan) in
-        Core.Remote.stream_call_ print (Printf.sprintf "%s %.1f" stu avg))
+        Core.Remote.Call.(detach (make print (Printf.sprintf "%s %.1f" stu avg))))
       students ps;
     match Core.Remote.synch print with Ok () -> () | Error _ -> failwith "print"
   in
@@ -95,7 +95,7 @@ let test_grades_overlap_measured () =
         match Core.Remote.synch record_grade with Ok () -> () | Error _ -> failwith "db")
       ~consume:(fun (stu, p) ->
         let avg = Core.Promise.claim_normal p ~on_signal:(fun _ -> nan) in
-        Core.Remote.stream_call_ print (Printf.sprintf "%s %.1f" stu avg))
+        Core.Remote.Call.(detach (make print (Printf.sprintf "%s %.1f" stu avg))))
       ();
     match Core.Remote.synch print with Ok () -> () | Error _ -> failwith "print"
   in
