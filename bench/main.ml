@@ -209,7 +209,7 @@ let wire_view_tests =
    from a view as the receive path does. *)
 let wire_envelope_tests =
   let call () =
-    W.call_item ~seq:12 ~cid:12 ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) ()
+    W.call_item ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) ()
   in
   let view = exn (Xdr.View.of_string (Xdr.Bin.to_string (call ()))) in
   [

@@ -252,7 +252,7 @@ type out_chan = {
          cut until it is acked, so one congested flight costs one cut *)
   mutable o_broken : string option;
   mutable o_on_break : (string -> unit) list;
-  mutable o_on_ack : (Xdr.value list -> unit) option;
+  mutable o_on_ack : (int -> int -> unit) option;
   mutable o_flush_gen : int;
   mutable o_retx_gen : int;
   mutable o_retx_armed : bool;
@@ -266,7 +266,7 @@ and in_chan = {
   i_hub : hub;
   i_key : key;
   mutable i_expected : int;
-  mutable i_deliver : (Xdr.View.t list -> unit) option;
+  mutable i_deliver : (int -> Xdr.View.t list -> unit) option;
   mutable i_pressure : (unit -> int) option;  (* receiver queue-depth probe for acks *)
   mutable i_broken : string option;
   mutable i_on_break : (string -> unit) list;
@@ -661,9 +661,11 @@ let flush_out o =
    answer is always yes, so a single item larger than the whole window
    still goes through (alone) instead of deadlocking. [o_window] is the
    live bound: pinned to [max_inflight_bytes] for a static config,
-   moved by the AIMD controller for an adaptive one. *)
+   moved by the AIMD controller for an adaptive one; at its floor that
+   one flies exactly one item, whatever the item's size. *)
 let window_admits o bytes =
-  inflight_bytes o = 0 || inflight_bytes o + bytes <= o.o_window
+  let at_floor = o.o_cfg.adaptive_window && o.o_window <= o.o_cfg.window_min_bytes in
+  inflight_bytes o = 0 || ((not at_floor) && inflight_bytes o + bytes <= o.o_window)
 
 let await_window o ~bytes =
   match o.o_broken with
@@ -707,6 +709,7 @@ let send ?size o item =
 
 let handle_ack o ~upto ~pressure =
   if o.o_broken = None && upto > o.o_acked_upto then begin
+    let first = o.o_acked_upto + 1 and last = ref (-1) in
     o.o_acked_upto <- upto;
     let freed = ref 0 in
     let freed_items = ref [] in
@@ -719,14 +722,14 @@ let handle_ack o ~upto ~pressure =
           if u.u_seq <= upto then begin
             freed := !freed + u.u_size;
             freed_items := u.u_item :: !freed_items;
+            last := u.u_seq;
             if u.u_retx then freed_retx := true
             else rtt_sample := now -. u.u_sent_at;
             false
           end
           else true)
         o.o_unacked;
-    let freed_items = List.rev !freed_items in
-    span_items o.o_hub Sim.Span.Ack freed_items;
+    span_items o.o_hub Sim.Span.Ack (List.rev !freed_items);
     o.o_inflight_bytes <- o.o_inflight_bytes - !freed;
     o.o_retries <- 0;
     (* AIMD step. The RTT sample comes from the newest freed item that
@@ -749,7 +752,7 @@ let handle_ack o ~upto ~pressure =
            else (0.875 *. o.o_rtt_ewma) +. (0.125 *. !rtt_sample))
       end
     end;
-    (match o.o_on_ack with Some f -> f freed_items | None -> ());
+    (match o.o_on_ack with Some f when !last >= first -> f first !last | _ -> ());
     (* restart the timer for the (new) oldest unacked item *)
     o.o_retx_gen <- o.o_retx_gen + 1;
     o.o_retx_armed <- false;
@@ -826,7 +829,7 @@ let handle_data hub ~src ~idx ~first_seq ~opening ~items =
               i.i_expected <- i.i_expected + List.length fresh;
               if spans_on hub then
                 span_views hub Sim.Span.Deliver ~note:(Printf.sprintf "from n%d" src) fresh;
-              (match i.i_deliver with Some f -> f fresh | None -> ())
+              (match i.i_deliver with Some f -> f (first_seq + skip) fresh | None -> ())
             end;
             post_ack hub ~dst:src ~idx ~upto:(i.i_expected - 1) ~pressure:(probe_pressure i)
           end
@@ -1123,7 +1126,7 @@ let handoff_listen hub =
   if not hub.h_ho_listening then begin
     hub.h_ho_listening <- true;
     on_connect hub ~label:handoff_label (fun i ->
-        set_deliver i (fun items ->
+        set_deliver i (fun _seq items ->
             List.iter
               (fun item ->
                 match Result.bind (Xdr.View.materialize item) Wire.parse_handoff_push with

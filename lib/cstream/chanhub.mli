@@ -247,11 +247,12 @@ val rtt_ewma : out_chan -> float
     (alpha 0.125, Karn-filtered: retransmitted items contribute no
     sample). [0.] until the first clean sample. *)
 
-val on_ack : out_chan -> (Xdr.value list -> unit) -> unit
-(** Install a hook fired once per cumulative ack with the items the ack
-    freed, oldest first. The pipelining outcome registry uses this to
-    learn when a call item can no longer be retransmitted — its outcome
-    becomes safely evictable (docs/PIPELINE.md). At most one hook. *)
+val on_ack : out_chan -> (int -> int -> unit) -> unit
+(** Install a hook fired once per cumulative ack that frees items, with
+    the first and last seq it freed. The pipelining outcome registry
+    uses this to learn when a reply can no longer be retransmitted — its
+    outcome becomes safely evictable (docs/PIPELINE.md). At most one
+    hook. *)
 
 val flush_out : out_chan -> unit
 (** Transmit everything buffered now. *)
@@ -274,11 +275,13 @@ val unacked_count : out_chan -> int
 
 (** {1 Receiving end} *)
 
-val set_deliver : in_chan -> (Xdr.View.t list -> unit) -> unit
+val set_deliver : in_chan -> (int -> Xdr.View.t list -> unit) -> unit
 (** Install the in-order delivery callback (see {!on_connect} for when).
-    Each invocation passes the items of one arriving network message (so
-    the receiver can charge per-message costs); concatenated across
-    calls the items appear exactly once, in send order. Items arrive as
+    Each invocation [f seq items] passes the items of one arriving
+    network message (so the receiver can charge per-message costs);
+    concatenated across calls the items appear exactly once, in send
+    order, the [k]-th at channel position [seq + k]: the stream layer's
+    sequence number, which items do not carry. Items arrive as
     validated {!Xdr.View.t} slices of the frame buffer — nothing is
     decoded until the consumer asks for it (docs/WIRE.md §Lazy views);
     a consumer that wants trees calls {!Xdr.View.materialize}. The

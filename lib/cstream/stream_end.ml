@@ -131,16 +131,17 @@ let handle_break t reason =
     List.iter (fun f -> f reason) hooks
   end
 
-(* Replies arrive as lazy views: the cheap envelope scan yields the
-   seq, and the outcome bytes are only decoded when that seq is still
-   pending. Stale replies (after a break resolved everything, or a
-   resubmit raced a late original) cost an integer read, not a full
-   outcome materialisation. *)
-let deliver_replies t items =
-  List.iter
-    (fun vw ->
+(* Replies arrive as lazy views, in call order: a reply's channel
+   position is its call's seq. The outcome bytes are only decoded when
+   that seq is still pending, so stale replies (after a break resolved
+   everything, or a resubmit raced a late original) cost an envelope
+   scan, not a full outcome materialisation. *)
+let deliver_replies t first items =
+  List.iteri
+    (fun k vw ->
+      let seq = first + k in
       match Wire.parse_reply_view vw with
-      | Ok (seq, ovw) ->
+      | Ok ovw ->
           if Hashtbl.mem t.pending seq then (
             match Wire.outcome_of_view ovw with
             | Ok outcome ->
@@ -159,7 +160,7 @@ let deliver_replies t items =
 let attach t chan =
   let label = reply_label t in
   Chanhub.on_connect t.hub ~label (fun in_chan ->
-      Chanhub.set_deliver in_chan (fun items -> deliver_replies t items));
+      Chanhub.set_deliver in_chan (fun seq items -> deliver_replies t seq items));
   Chanhub.on_out_break chan (fun reason -> handle_break t reason);
   t.chan <- chan
 
@@ -191,6 +192,8 @@ let create hub ~agent ~dst ~gid ?(config = Chanhub.default_config) () =
   attach t chan;
   t
 
+let cid_element ~seq cid = if cid = seq then None else Some cid
+
 let call ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
   match t.s_broken with
   | Some reason -> Error reason
@@ -205,13 +208,11 @@ let call ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
       (* Reserve window space BEFORE claiming a sequence number: a fiber
          that blocked after taking its seq would let later calls enter
          the channel first and violate in-call-order delivery. The size
-         probe uses the current seq; if another fiber wins the race
-         while we are parked, the item is rebuilt below (the varint seq
-         may change its length by a byte or two). *)
-      let probe_seq = t.next_seq and probe_cid = t.next_cid in
+         probe uses the current cid element; the item is rebuilt below
+         only if that element changed while we were parked. *)
+      let probe_cid = cid_element ~seq:t.next_seq t.next_cid in
       let probe =
-        Wire.call_item ~handoff ~elide ~seq:probe_seq ~cid:probe_cid ~trace:wire_trace ~port
-          ~kind ~args ()
+        Wire.call_item ~handoff ~elide ?cid:probe_cid ~trace:wire_trace ~port ~kind ~args ()
       in
       let probe_size = Xdr.Bin.size probe in
       match Chanhub.await_window t.chan ~bytes:probe_size with
@@ -236,8 +237,9 @@ let call ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
         };
       (* [size = None] makes [send] count the rebuilt item itself. *)
       let item, size =
-        if seq = probe_seq && cid = probe_cid then (probe, Some probe_size)
-        else (Wire.call_item ~handoff ~elide ~seq ~cid ~trace:wire_trace ~port ~kind ~args (), None)
+        let cid = cid_element ~seq cid in
+        if cid = probe_cid then (probe, Some probe_size)
+        else (Wire.call_item ~handoff ~elide ?cid ~trace:wire_trace ~port ~kind ~args (), None)
       in
       span t ~kind:Sim.Span.Issue ~trace:tid ~call:cid ~note:port ();
       (match Chanhub.send ?size t.chan item with
@@ -339,9 +341,9 @@ let restart_resubmit t =
              through to the dedup cache rather than rejecting it. *)
           ignore
             (Chanhub.send t.chan
-               (Wire.call_item ~resubmit:true ~handoff:p.p_handoff ~elide:p.p_elide ~seq:i
-                  ~cid:p.p_cid ~trace:(wire_trace p) ~port:p.p_port ~kind:p.p_kind
-                  ~args:p.p_args ())
+               (Wire.call_item ~resubmit:true ~handoff:p.p_handoff ~elide:p.p_elide
+                  ?cid:(cid_element ~seq:i p.p_cid) ~trace:(wire_trace p) ~port:p.p_port
+                  ~kind:p.p_kind ~args:p.p_args ())
               : (unit, string) result))
         pend;
       if pend <> [] then Chanhub.flush_out t.chan;

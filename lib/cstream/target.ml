@@ -203,7 +203,9 @@ let break_conn c ~reason =
   end
   else do_break c reason
 
-let emit_reply c ~seq ~kind ~trace ~elide outcome =
+(* Replies leave in call order: a reply's channel position is its
+   call's seq. *)
+let emit_reply c ~kind ~trace ~elide outcome =
   if not c.c_broken then begin
     let t = c.c_target in
     (* The reply carries the call's trace id only while tracing is on,
@@ -211,15 +213,15 @@ let emit_reply c ~seq ~kind ~trace ~elide outcome =
     let wire_trace = if Sim.Span.enabled (S.spans t.sched) then trace else None in
     let item =
       match (kind, outcome) with
-      | Wire.Send, Wire.W_normal _ -> Wire.send_ok_item ~seq ~trace:wire_trace
+      | Wire.Send, Wire.W_normal _ -> Wire.send_ok_item ~trace:wire_trace
       | Wire.Call, Wire.W_normal _ when elide ->
           (* The value travels by handoff push (docs/HANDOFF.md); the
              reply only needs to preserve stream ordering and synch.
              Abnormal outcomes always ship in full — the caller turns
              them into its fallback push. *)
           Sim.Stats.incr (counter t "handoff_elided_replies");
-          Wire.send_ok_item ~seq ~trace:wire_trace
-      | (Wire.Call | Wire.Send), _ -> Wire.reply_item ~seq ~trace:wire_trace outcome
+          Wire.send_ok_item ~trace:wire_trace
+      | (Wire.Call | Wire.Send), _ -> Wire.reply_item ~trace:wire_trace outcome
     in
     span t ~kind:Sim.Span.Reply ~trace ~stream:c.c_stable ();
     (* Back-pressure: a slow/unreachable caller bounds the reply
@@ -580,7 +582,7 @@ let release_in_order c =
     match Hashtbl.find_opt c.c_done c.c_next_reply with
     | Some (kind, trace, elide, outcome) ->
         Hashtbl.remove c.c_done c.c_next_reply;
-        emit_reply c ~seq:c.c_next_reply ~kind ~trace ~elide outcome;
+        emit_reply c ~kind ~trace ~elide outcome;
         c.c_next_reply <- c.c_next_reply + 1;
         go ()
     | None -> ()
@@ -632,7 +634,7 @@ let driver_loop c sh =
                   ignore (S.wake w o : bool)))
         in
         c.c_inflight <- c.c_inflight - 1;
-        if direct then emit_reply c ~seq ~kind ~trace ~elide outcome
+        if direct then emit_reply c ~kind ~trace ~elide outcome
         else park_reply ~seq ~kind ~trace ~elide outcome;
         match c.c_breaking with
         | Some reason when c.c_inflight = 0 ->
@@ -690,19 +692,15 @@ let accept t in_chan =
   (match t.t_registry with
   | None -> ()
   | Some reg ->
-      Chanhub.on_ack reply (fun items ->
-          List.iter
-            (fun item ->
-              match Wire.reply_seq item with
-              | Some seq -> (
-                  match Hashtbl.find_opt c.c_seq2cid seq with
-                  | Some cid ->
-                      Hashtbl.remove c.c_seq2cid seq;
-                      Pipeline.Registry.mark_releasable reg ~stream:c.c_stable ~call:cid
-                  | None -> ())
-              | None -> ())
-            items));
-  Chanhub.set_deliver in_chan (fun items ->
+      Chanhub.on_ack reply (fun first last ->
+          for seq = first to last do
+            match Hashtbl.find_opt c.c_seq2cid seq with
+            | Some cid ->
+                Hashtbl.remove c.c_seq2cid seq;
+                Pipeline.Registry.mark_releasable reg ~stream:c.c_stable ~call:cid
+            | None -> ()
+          done));
+  Chanhub.set_deliver in_chan (fun first items ->
       if not c.c_broken then begin
         (* The cost model charges kernel overhead once per arriving
            network message; every lane the message feeds charges it
@@ -712,12 +710,13 @@ let accept t in_chan =
         Sched.Bqueue.enq c.c_shards.(0).sh_work Overhead;
         let touched = Array.make t.t_shards false in
         touched.(0) <- true;
-        List.iter
-          (fun item ->
+        List.iteri
+          (fun k item ->
             if not c.c_broken then
               match Wire.parse_call_view item with
               | Ok cv -> (
-                  let seq = cv.Wire.cv_seq and cid = cv.Wire.cv_cid in
+                  let seq = first + k in
+                  let cid = Option.value cv.Wire.cv_cid ~default:seq in
                   let port = cv.Wire.cv_port and kind = cv.Wire.cv_kind in
                   let trace = cv.Wire.cv_trace in
                   (* The shard router hashes the first argument, so with

@@ -98,55 +98,56 @@ let parse_handoff_push v =
 
 (* --- envelopes ------------------------------------------------------ *)
 
-(* Call and reply items are positional lists: no field names and no
-   kind string (docs/WIRE.md §1.2). A call is
+(* Call and reply items are positional lists: no field names, no kind
+   string and no sequence number — an item's position on its channel is
+   its seq (docs/WIRE.md §1.2). A call is
 
-     [Int seq; Int head; Str port; args; cid?; handoff?; trace?]
+     [Int head; Str port; args; cid?; handoff?; trace?]
 
    with [head] a bit set: 0x01 Send, 0x02 resubmit (never shed),
    0x04 elide (reply with send-ok; the value travels by handoff), then
    one bit per optional element, present exactly when its bit is set
-   and in this order — 0x08 cid (only when it differs from [seq], as
-   after a restart), 0x10 handoff annotations, 0x20 trace id. The trace
-   id is the last element of a call or reply alike, so the channel layer
-   reads it without knowing which of the two an item is. *)
+   and in this order — 0x08 cid (only when it differs from the
+   position, as after a restart), 0x10 handoff annotations, 0x20 trace
+   id. The trace id is the last element of a call or reply alike, so the
+   channel layer reads it without knowing which of the two an item is. *)
 let b_send, b_resubmit, b_elide, b_cid, b_handoff, b_trace = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20)
 
 let call_bits = 0x3f
 
 let bit b on = if on then b else 0
 
-let call_item ?(resubmit = false) ?(handoff = []) ?(elide = false) ~seq ~cid ~trace ~port
-    ~kind ~args () =
+let call_item ?(resubmit = false) ?(handoff = []) ?(elide = false) ?cid ~trace ~port ~kind
+    ~args () =
   let head =
     bit b_send (kind = Send) lor bit b_resubmit resubmit lor bit b_elide elide
-    lor bit b_cid (cid <> seq) lor bit b_handoff (handoff <> []) lor bit b_trace (trace <> None)
+    lor bit b_cid (cid <> None) lor bit b_handoff (handoff <> []) lor bit b_trace (trace <> None)
   in
   let tail = match trace with Some tid -> [ Xdr.Int tid ] | None -> [] in
   let tail = if handoff = [] then tail else Xdr.List (List.map handoff_value handoff) :: tail in
-  let tail = if cid <> seq then Xdr.Int cid :: tail else tail in
-  Xdr.List (Xdr.Int seq :: Xdr.Int head :: Xdr.Str port :: args :: tail)
+  let tail = match cid with Some cid -> Xdr.Int cid :: tail | None -> tail in
+  Xdr.List (Xdr.Int head :: Xdr.Str port :: args :: tail)
 
-(* Replies: the untraced normal reply to a [Call] — the common case —
-   is the bare pair [(seq, value)]. Every other reply is
-   [[Int seq; Int head; payload...; trace?]], [head] being the outcome
-   code — 0 normal [v], 1 signal [name; v], 2 unavailable [reason],
-   3 failure [reason], 4 send-ok [] — plus 0x20 when traced. The
-   top-level shape picks the form, so a [Tagged] user value cannot be
-   misread. An untraced send-ok is all-[Int] and packs. *)
-let coded_reply ~seq ~trace code payload =
+(* Replies: the element count picks the form, so a [Tagged] user value
+   cannot be misread. The untraced normal reply to a [Call] — the common
+   case — is [[value]] and the untraced send-ok is [[]]. Every other
+   reply is [[Int head; payload...; trace?]], at least two elements,
+   [head] being the outcome code — 0 normal [v], 1 signal [name; v],
+   2 unavailable [reason], 3 failure [reason], 4 send-ok [] — plus 0x20
+   when traced. *)
+let coded_reply ~trace code payload =
   match trace with
-  | None -> Xdr.List (Xdr.Int seq :: Xdr.Int code :: payload)
-  | Some tid -> Xdr.List (Xdr.Int seq :: Xdr.Int (code lor b_trace) :: (payload @ [ Xdr.Int tid ]))
+  | None -> Xdr.List (Xdr.Int code :: payload)
+  | Some tid -> Xdr.List (Xdr.Int (code lor b_trace) :: (payload @ [ Xdr.Int tid ]))
 
-let reply_item ~seq ~trace = function
-  | W_normal v when trace = None -> Xdr.Pair (Xdr.Int seq, v)
-  | W_normal v -> coded_reply ~seq ~trace 0 [ v ]
-  | W_signal (name, v) -> coded_reply ~seq ~trace 1 [ Xdr.Str name; v ]
-  | W_unavailable reason -> coded_reply ~seq ~trace 2 [ Xdr.Str reason ]
-  | W_failure reason -> coded_reply ~seq ~trace 3 [ Xdr.Str reason ]
+let reply_item ~trace = function
+  | W_normal v when trace = None -> Xdr.List [ v ]
+  | W_normal v -> coded_reply ~trace 0 [ v ]
+  | W_signal (name, v) -> coded_reply ~trace 1 [ Xdr.Str name; v ]
+  | W_unavailable reason -> coded_reply ~trace 2 [ Xdr.Str reason ]
+  | W_failure reason -> coded_reply ~trace 3 [ Xdr.Str reason ]
 
-let send_ok_item ~seq ~trace = coded_reply ~seq ~trace 4 []
+let send_ok_item ~trace = if trace = None then Xdr.List [] else coded_reply ~trace 4 []
 
 (* A bare outcome outside any reply envelope: handoff pushes carry it
    and dedup byte budgets size it. *)
@@ -169,7 +170,7 @@ let rec last = function [ x ] -> Some x | _ :: rest -> last rest | [] -> None
 (* Total over arbitrary values: the channel layer applies these to
    every item it moves, not only to well-formed envelopes. *)
 let item_trace = function
-  | Xdr.List (Xdr.Int _ :: Xdr.Int head :: (_ :: _ as rest)) when head land b_trace <> 0 -> (
+  | Xdr.List (Xdr.Int head :: (_ :: _ as rest)) when head land b_trace <> 0 -> (
       match last rest with Some (Xdr.Int tid) -> Some tid | _ -> None)
   | _ -> None
 
@@ -179,13 +180,9 @@ let n_optional head = ((head lsr 3) land 1) + ((head lsr 4) land 1) + ((head lsr
 (* A call's element count matches its optional bits, which no reply
    shape does while also having the resubmit bit set. *)
 let item_resubmit = function
-  | Xdr.List (Xdr.Int _ :: Xdr.Int head :: Xdr.Str _ :: _ :: opt) ->
+  | Xdr.List (Xdr.Int head :: Xdr.Str _ :: _ :: opt) ->
       head land lnot call_bits = 0 && head land b_resubmit <> 0 && List.length opt = n_optional head
   | _ -> false
-
-let reply_seq = function
-  | Xdr.Pair (Xdr.Int seq, _) | Xdr.List (Xdr.Int seq :: Xdr.Int _ :: _) -> Some seq
-  | _ -> None
 
 (* --- lazy (view-based) parsing ------------------------------------
    The receive path (docs/WIRE.md §Lazy views): envelope elements are
@@ -196,8 +193,7 @@ let reply_seq = function
 module V = Xdr.View
 
 type call_view = {
-  cv_seq : int;
-  cv_cid : int;
+  cv_cid : int option;
   cv_port : string;
   cv_kind : kind;
   cv_args : V.t;
@@ -229,9 +225,9 @@ let handoffs_of_view vw =
 let parse_call_view =
   guard "call" (fun vw ->
       match get (V.list_items vw) with
-      | seq :: head :: port :: args :: opt ->
-          let seq = get (V.as_int seq) and head = get (V.as_int head) in
-          let port = get (V.as_string port) and n_opt = List.length opt in
+      | head :: port :: args :: opt ->
+          let head = get (V.as_int head) and port = get (V.as_string port) in
+          let n_opt = List.length opt in
           if head land lnot call_bits <> 0 then fail "unknown head bits 0x%x" head;
           if n_opt <> n_optional head then fail "head 0x%x with %d optional elements" head n_opt;
           (* The count matches the bits, so each element's position
@@ -240,8 +236,7 @@ let parse_call_view =
             if head land b = 0 then None else Some (get (V.as_int (List.nth opt i)))
           in
           {
-            cv_seq = seq;
-            cv_cid = Option.value (int_at b_cid 0) ~default:seq;
+            cv_cid = int_at b_cid 0;
             cv_port = port;
             cv_kind = (if head land b_send <> 0 then Send else Call);
             cv_args = args;
@@ -257,34 +252,31 @@ let parse_call_view =
 type reply_body =
   | R_normal of V.t | R_signal of V.t * V.t | R_unavailable of V.t | R_failure of V.t | R_send_ok
 
-(* Only the seq, head and trace are read: payload slices stay encoded,
-   so a stale reply (already completed, e.g. after a resubmit race)
-   costs no outcome decode. *)
+(* Only the head and trace are read: payload slices stay encoded, so a
+   stale reply (already completed, e.g. after a resubmit race) costs no
+   outcome decode. *)
 let parse_reply_view =
   guard "reply" (fun vw ->
-      if V.shape vw = V.Vpair then
-        let seq, v = get (V.pair_parts vw) in
-        (get (V.as_int seq), R_normal v)
-      else
-        match get (V.list_items vw) with
-        | seq :: head :: payload -> (
-            let seq = get (V.as_int seq) and head = get (V.as_int head) in
-            let traced = head land b_trace <> 0 in
-            let payload =
-              if not traced then payload
-              else
-                match List.rev payload with
-                | tid :: rev -> ignore (get (V.as_int tid) : int); List.rev rev
-                | [] -> fail "head 0x%x promises a missing trace id" head
-            in
-            match (head land lnot b_trace, payload) with
-            | 0, [ v ] when traced -> (seq, R_normal v)
-            | 1, [ name; v ] -> (seq, R_signal (name, v))
-            | 2, [ reason ] -> (seq, R_unavailable reason)
-            | 3, [ reason ] -> (seq, R_failure reason)
-            | 4, [] -> (seq, R_send_ok)
-            | _ -> fail "head 0x%x with %d payload elements" head (List.length payload))
-        | items -> fail "%d elements" (List.length items))
+      match get (V.list_items vw) with
+      | [] -> R_send_ok
+      | [ v ] -> R_normal v
+      | head :: payload -> (
+          let head = get (V.as_int head) in
+          let traced = head land b_trace <> 0 in
+          let payload =
+            if not traced then payload
+            else
+              match List.rev payload with
+              | tid :: rev -> ignore (get (V.as_int tid) : int); List.rev rev
+              | [] -> fail "head 0x%x promises a missing trace id" head
+          in
+          match (head land lnot b_trace, payload) with
+          | 0, [ v ] when traced -> R_normal v
+          | 1, [ name; v ] -> R_signal (name, v)
+          | 2, [ reason ] -> R_unavailable reason
+          | 3, [ reason ] -> R_failure reason
+          | 4, [] -> R_send_ok
+          | _ -> fail "head 0x%x with %d payload elements" head (List.length payload)))
 
 let outcome_of_view =
   guard "reply" (function
@@ -294,10 +286,13 @@ let outcome_of_view =
     | R_failure reason -> W_failure (get (V.as_string reason))
     | R_send_ok -> W_normal Xdr.Unit)
 
+(* Reads the head by projection and walks to the last element only
+   when the trace bit is set: an untraced item costs one small view. *)
 let item_trace_view vw =
-  match V.list_items vw with
-  | Ok (_ :: head :: (_ :: _ as rest)) -> (
-      match (V.as_int head, last rest) with
-      | Ok head, Some tid when head land b_trace <> 0 -> Result.to_option (V.as_int tid)
-      | _ -> None)
+  let int_at i =
+    match V.list_item vw i with Ok (Some e) -> Result.to_option (V.as_int e) | _ -> None
+  in
+  match V.list_length vw with
+  | Ok n when n >= 2 -> (
+      match int_at 0 with Some head when head land b_trace <> 0 -> int_at (n - 1) | _ -> None)
   | Ok _ | Error _ -> None

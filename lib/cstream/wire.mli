@@ -76,15 +76,16 @@ val call_item :
   ?resubmit:bool ->
   ?handoff:handoff list ->
   ?elide:bool ->
-  seq:int -> cid:int -> trace:int option -> port:string -> kind:kind -> args:Xdr.value ->
+  ?cid:int ->
+  trace:int option -> port:string -> kind:kind -> args:Xdr.value ->
   unit -> Xdr.value
 (** The positional call envelope
-    [[Int seq; Int head; Str port; args; cid?; handoff?; trace?]]
-    (docs/WIRE.md §1.2). [seq] is the per-incarnation wire sequence
-    (resets on restart); [cid] is the {e stable call-id}, monotonic over
-    the whole life of the sending stream end — it never resets, so the
-    receiver can deduplicate calls re-submitted after a reincarnation
-    (see [docs/FAULTS.md]); it rides only when it differs from [seq].
+    [[Int head; Str port; args; cid?; handoff?; trace?]]
+    (docs/WIRE.md §1.2). The call's seq is its channel position, not a
+    field. [cid] is the {e stable call-id}, monotonic over the whole
+    life of the sending stream end — it never resets, so the receiver
+    can deduplicate calls re-submitted after a reincarnation (see
+    [docs/FAULTS.md]); pass it only when it differs from the position.
     [trace] is the call's causal trace id (docs/TRACING.md), the last
     element when present; with [trace:None] the item carries no trace
     bytes at all. [resubmit] (default [false]) marks a crash-recovery
@@ -93,9 +94,9 @@ val call_item :
     annotations for foreign [Pref]s in [args]; [elide] (default
     [false]) asks the receiver to reply to a normal outcome with a
     value-free completion marker because the value travels by handoff
-    push instead (docs/HANDOFF.md). The kind and the three flags are
-    bits of [head]; each optional element is present exactly when its
-    head bit is set. *)
+    push instead (docs/HANDOFF.md). The kind and the flags are bits of
+    [head]; each optional element is present exactly when its head bit
+    is set. *)
 
 (** {1 Reply items} *)
 
@@ -109,20 +110,16 @@ val outcome_of_value : Xdr.value -> (routcome, string) result
     outcome payload outside any reply item, so the receiving hub
     decodes it with this. *)
 
-val reply_item : seq:int -> trace:int option -> routcome -> Xdr.value
+val reply_item : trace:int option -> routcome -> Xdr.value
 (** Encodes the outcome; a [W_normal] reply to a [Send] should be
-    constructed with {!send_ok_item} instead. The untraced normal reply
-    is the pair [(Int seq, value)]; every other reply is
-    [[Int seq; Int head; payload...; trace?]] with the outcome code in
-    [head] (docs/WIRE.md §1.2). *)
+    constructed with {!send_ok_item} instead. A reply's channel position
+    is its call's seq. The untraced normal reply is [[value]]; every
+    other reply is [[Int head; payload...; trace?]] (two or more
+    elements) with the outcome code in [head] (docs/WIRE.md §1.2). *)
 
-val send_ok_item : seq:int -> trace:int option -> Xdr.value
-(** Minimal "completed normally" reply for a [Send]: untraced, an
-    all-[Int] list of two elements. *)
-
-val reply_seq : Xdr.value -> int option
-(** The sequence number of a reply item, without decoding its outcome;
-    [None] if the value has neither reply form. *)
+val send_ok_item : trace:int option -> Xdr.value
+(** Minimal "completed normally" reply for a [Send]: untraced, the
+    empty list. *)
 
 val item_trace : Xdr.value -> int option
 (** The trace id carried by a call or reply item, if any. Total over
@@ -142,10 +139,10 @@ val item_resubmit : Xdr.value -> bool
     head bit naming a missing element, trailing elements, an unknown
     outcome code — is an [Error], never an exception. *)
 
-(** A parsed call envelope whose argument is still an encoded slice. *)
+(** A parsed call envelope whose argument is still an encoded slice;
+    [cv_cid = None] means the cid is the channel position. *)
 type call_view = {
-  cv_seq : int;
-  cv_cid : int;
+  cv_cid : int option;
   cv_port : string;
   cv_kind : kind;
   cv_args : Xdr.View.t;
@@ -162,11 +159,11 @@ val parse_call_view : Xdr.View.t -> (call_view, string) result
 type reply_body
 (** A validated reply envelope whose outcome payload is still encoded. *)
 
-val parse_reply_view : Xdr.View.t -> (int * reply_body, string) result
-(** Inverse of {!reply_item} and {!send_ok_item}, up to the outcome:
-    [(seq, body)]. The payload is left encoded so a stale reply costs
-    no decode; pass it to {!outcome_of_view} when the call is actually
-    pending. A [send_ok_item] yields [W_normal Unit]. *)
+val parse_reply_view : Xdr.View.t -> (reply_body, string) result
+(** Inverse of {!reply_item} and {!send_ok_item}, up to the outcome.
+    The payload is left encoded so a stale reply costs no decode; pass
+    it to {!outcome_of_view} when the call is actually pending. A
+    [send_ok_item] yields [W_normal Unit]. *)
 
 val outcome_of_view : reply_body -> (routcome, string) result
 (** Materialise the outcome of a body returned by {!parse_reply_view}. *)

@@ -120,9 +120,10 @@ let run_one ~mode ~(p : params) () =
   let server = G.create server_hub ~name:"server" in
   let cpu = Cpu.create sched ~cores:p.cores in
   (* Both rows share one config except the controller switch; the
-     static row runs at the pinned 64 KiB [max_inflight_bytes]. The
-     64-byte floor means a fully cut window flies one call at a time —
-     the TCP one-segment minimum, scaled to our item size. *)
+     static row runs at the pinned 64 KiB [max_inflight_bytes]. A
+     fully cut window flies one call at a time whatever its encoded
+     size — the TCP one-segment minimum — and grows from the 64-byte
+     floor in 128-byte steps. *)
   let base_cfg = { CH.aimd_config with CH.window_min_bytes = 64; window_increase = 128 } in
   let chan_cfg =
     match mode with

@@ -50,12 +50,12 @@ let run_raw ~n =
                loop ()
              in
              loop ()));
-      CH.set_deliver in_chan (fun items -> Sched.Bqueue.enq work (values items)));
+      CH.set_deliver in_chan (fun _ items -> Sched.Bqueue.enq work (values items)));
   (* client bookkeeping *)
   let pending : (int, int S.waker) Hashtbl.t = Hashtbl.create 64 in
   let max_pending = ref 0 in
   CH.on_connect client_hub ~label:"raw-replies" (fun in_chan ->
-      CH.set_deliver in_chan (fun items ->
+      CH.set_deliver in_chan (fun _ items ->
           List.iter
             (fun item ->
               match item with

@@ -103,14 +103,14 @@ let e12_rows ?(n = 400) () =
    per data packet. *)
 let goldens =
   [
-    ("RPC", false, 1600, 21008);
-    ("RPC", true, 801, 18611);
-    ("stream B=16", false, 100, 8243);
-    ("stream B=16", true, 52, 7919);
-    ("send B=16", false, 100, 7506);
-    ("send B=16", true, 52, 7182);
-    ("stream adaptive", false, 32, 7663);
-    ("stream adaptive", true, 19, 7585);
+    ("RPC", false, 1600, 18736);
+    ("RPC", true, 801, 16339);
+    ("stream B=16", false, 100, 5971);
+    ("stream B=16", true, 52, 5647);
+    ("send B=16", false, 100, 5234);
+    ("send B=16", true, 52, 4910);
+    ("stream adaptive", false, 32, 5392);
+    ("stream adaptive", true, 18, 5307);
   ]
 
 let golden_mismatches rows =
@@ -133,17 +133,18 @@ let envelope_goldens =
   let module W = Cstream.Wire in
   [
     ( "call item",
-      W.call_item ~seq:12 ~cid:12 ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) (),
-      (* list of 4: seq 12, head 0, "work" (interned), 42 *)
-      "\x08\x04\x03\x18\x03\x00\x05\x00\x04work\x03\x54" );
+      W.call_item ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) (),
+      (* list of 3: head 0, "work" (interned), 42; no seq, and the cid
+         equals the position *)
+      "\x08\x03\x03\x00\x05\x00\x04work\x03\x54" );
     ( "reply item",
-      W.reply_item ~seq:3 ~trace:None (W.W_normal (Xdr.Int 7)),
-      (* pair: seq 3, value 7 *)
-      "\x07\x03\x06\x03\x0e" );
+      W.reply_item ~trace:None (W.W_normal (Xdr.Int 7)),
+      (* packed int list of 1: value 7 *)
+      "\x0c\x01\x0e" );
     ( "send-ok item",
-      W.send_ok_item ~seq:3 ~trace:None,
-      (* packed int list of 2: seq 3, head 4 (send-ok) *)
-      "\x0c\x02\x06\x08" );
+      W.send_ok_item ~trace:None,
+      (* the empty list *)
+      "\x08\x00" );
   ]
 
 let envelope_mismatches () =
@@ -164,12 +165,12 @@ let envelope_mismatches () =
 let reference_payloads =
   let module W = Cstream.Wire in
   let small =
-    W.call_item ~seq:12 ~cid:12 ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) ()
+    W.call_item ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) ()
   in
   let medium =
     Xdr.List
       (List.init 16 (fun i ->
-           W.call_item ~seq:i ~cid:i ~trace:None ~port:"record_grade" ~kind:W.Call
+           W.call_item ~trace:None ~port:"record_grade" ~kind:W.Call
              ~args:(Xdr.Pair (Xdr.Str (Printf.sprintf "stu%05d" i), Xdr.Int (50 + i))) ()))
   in
   let large =
@@ -183,7 +184,7 @@ let reference_payloads =
                ("active", Xdr.Bool (i mod 2 = 0));
              ]))
   in
-  [ ("small", small, 15); ("medium", medium, 369); ("large", large, 3701) ]
+  [ ("small", small, 13); ("medium", medium, 337); ("large", large, 3701) ]
 
 let payload_mismatches () =
   List.filter_map

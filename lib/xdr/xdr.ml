@@ -1211,6 +1211,8 @@ module View = struct
         go n [])
       (replay v)
 
+  let list_length v = Bin.wrap (fun d -> fst (list_head_exn d)) (replay v)
+
   (* One-item projection: items before [i] are skipped, items after it
      never scanned. [Ok None] when the list is shorter than [i + 1]. *)
   let list_item v i =

@@ -328,6 +328,9 @@ module View : sig
 
   val list_items : t -> (t list, string) result
 
+  val list_length : t -> (int, string) result
+  (** The element count, read from the list head alone. *)
+
   val list_item : t -> int -> (t option, string) result
   (** One-item projection: items before index [i] are skipped by
       structure, items after it never scanned. [Ok None] when the list

@@ -56,27 +56,25 @@ let view v =
   | Error e -> Alcotest.failf "view scan failed: %s" e
 
 let parse_reply v =
-  Result.bind (W.parse_reply_view (view v)) (fun (seq, body) ->
-      Result.map (fun o -> (seq, o)) (W.outcome_of_view body))
+  Result.bind (W.parse_reply_view (view v)) W.outcome_of_view
 
 let args_of cv =
   match Xdr.View.materialize cv.W.cv_args with Ok v -> v | Error e -> Alcotest.fail e
 
 let test_wire_call_roundtrip () =
   let item =
-    W.call_item ~seq:7 ~cid:42 ~trace:None ~port:"record_grade" ~kind:W.Call ~args:(Xdr.Int 5) ()
+    W.call_item ~cid:42 ~trace:None ~port:"record_grade" ~kind:W.Call ~args:(Xdr.Int 5) ()
   in
   match W.parse_call_view (view item) with
   | Ok cv ->
-      check Alcotest.int "seq" 7 cv.W.cv_seq;
-      check Alcotest.int "cid" 42 cv.W.cv_cid;
+      check Alcotest.(option int) "cid" (Some 42) cv.W.cv_cid;
       check Alcotest.string "port" "record_grade" cv.W.cv_port;
       check Alcotest.bool "kind" true (cv.W.cv_kind = W.Call);
       check Alcotest.bool "args" true (args_of cv = Xdr.Int 5)
   | Error e -> Alcotest.fail e
 
 let test_wire_send_kind_roundtrip () =
-  let item = W.call_item ~seq:0 ~cid:0 ~trace:None ~port:"p" ~kind:W.Send ~args:Xdr.Unit () in
+  let item = W.call_item ~trace:None ~port:"p" ~kind:W.Send ~args:Xdr.Unit () in
   match W.parse_call_view (view item) with
   | Ok cv -> check Alcotest.bool "send kind" true (cv.W.cv_kind = W.Send)
   | Error e -> Alcotest.fail e
@@ -90,26 +88,24 @@ let test_wire_reply_roundtrips () =
       W.W_failure "handler does not exist";
     ]
   in
-  List.iteri
-    (fun i outcome ->
-      match parse_reply (W.reply_item ~seq:i ~trace:None outcome) with
-      | Ok (seq, got) ->
-          check Alcotest.int "seq" i seq;
-          check Alcotest.bool "outcome" true (got = outcome)
+  List.iter
+    (fun outcome ->
+      match parse_reply (W.reply_item ~trace:None outcome) with
+      | Ok got -> check Alcotest.bool "outcome" true (got = outcome)
       | Error e -> Alcotest.fail e)
     cases
 
 let test_wire_send_ok_parses_as_normal_unit () =
-  match parse_reply (W.send_ok_item ~seq:3 ~trace:None) with
-  | Ok (3, W.W_normal Xdr.Unit) -> ()
+  match parse_reply (W.send_ok_item ~trace:None) with
+  | Ok (W.W_normal Xdr.Unit) -> ()
   | Ok _ -> Alcotest.fail "wrong parse"
   | Error e -> Alcotest.fail e
 
 let test_wire_send_ok_is_small () =
   let full =
-    Xdr.wire_size (W.reply_item ~seq:0 ~trace:None (W.W_normal (Xdr.Str (String.make 100 'x'))))
+    Xdr.wire_size (W.reply_item ~trace:None (W.W_normal (Xdr.Str (String.make 100 'x'))))
   in
-  let compact = Xdr.wire_size (W.send_ok_item ~seq:0 ~trace:None) in
+  let compact = Xdr.wire_size (W.send_ok_item ~trace:None) in
   check Alcotest.bool "compact reply much smaller" true (compact * 5 < full)
 
 let test_wire_malformed_rejected () =
@@ -128,7 +124,7 @@ let collect_channel w ~cfg ~n =
      order, world) after the run completes. *)
   let received = ref [] in
   CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
-      CH.set_deliver in_chan (fun items -> received := !received @ ints_of_views items));
+      CH.set_deliver in_chan (fun _ items -> received := !received @ ints_of_views items));
   let out = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:"" cfg in
   ignore
     (S.spawn w.sched (fun () ->
@@ -167,7 +163,7 @@ let test_chan_flush_interval_fires () =
   let cfg = { CH.default_config with CH.max_batch = 1000; flush_interval = 5e-3 } in
   let received_at = ref (-1.0) in
   CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
-      CH.set_deliver in_chan (fun _ -> received_at := S.now w.sched));
+      CH.set_deliver in_chan (fun _ _ -> received_at := S.now w.sched));
   let out = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:"" cfg in
   ignore
     (S.spawn w.sched (fun () -> ignore (CH.send out (Xdr.Int 1) : (unit, string) result)));
@@ -205,7 +201,7 @@ let prop_chan_random_flush_interleavings =
       let w = make_world ~cfg ~seed () in
       let received = ref [] in
       CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
-          CH.set_deliver in_chan (fun items -> received := !received @ ints_of_views items));
+          CH.set_deliver in_chan (fun _ items -> received := !received @ ints_of_views items));
       let out =
         CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:""
           { CH.default_config with CH.max_batch = 4 }
@@ -220,6 +216,85 @@ let prop_chan_random_flush_interleavings =
              CH.flush_out out));
       (match S.run w.sched with S.Completed -> () | _ -> failwith "bad run");
       !received = List.init (List.length plan) (fun i -> i + 1))
+
+(* Hand-built Data frames for channel 0 of node a, injected straight
+   into the network. *)
+let chan_data w ~first_seq values =
+  let opening = if first_seq = 0 then Some { CH.open_label = "sink"; open_meta = "" } else None in
+  CH.Data
+    {
+      src = Net.address w.node_a;
+      idx = 0;
+      first_seq;
+      opening;
+      acks = [];
+      items = List.map (fun v -> Xdr.Int v) values;
+    }
+
+let inject w p =
+  let f = CH.encode_packet p in
+  Net.send w.net ~src:w.node_a ~dst:(Net.address w.node_b) ~bytes_:(String.length f) f
+
+(* The deliver callback gets each item's channel position: the stream
+   layer's only sequence number. Frames are hand-built and injected in
+   order: a compact packet before the channel opened (dropped), the
+   opening packet, a packet past a gap (dropped, go-back-n), a
+   retransmit overlapping what was delivered (skip = 1), then the
+   packet that was gapped. *)
+let test_chan_positions_across_gap_dup_and_lost_opening () =
+  let w = make_world () in
+  let got = ref [] in
+  CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
+      CH.set_deliver in_chan (fun seq items -> got := !got @ [ (seq, ints_of_views items) ]));
+  let plan =
+    [
+      chan_data w ~first_seq:2 [ 2; 3 ];
+      chan_data w ~first_seq:0 [ 0; 1 ];
+      chan_data w ~first_seq:4 [ 4; 5 ];
+      chan_data w ~first_seq:1 [ 1; 2; 3 ];
+      chan_data w ~first_seq:4 [ 4; 5 ];
+    ]
+  in
+  ignore
+    (S.spawn w.sched (fun () ->
+         List.iter
+           (fun p ->
+             inject w p;
+             S.sleep w.sched 5e-3)
+           plan));
+  run_ok w;
+  check
+    Alcotest.(list (pair int (list int)))
+    "each delivery starts at the sender's position"
+    [ (0, [ 0; 1 ]); (2, [ 2; 3 ]); (4, [ 4; 5 ]) ]
+    !got;
+  let count name = Sim.Stats.count (Sim.Stats.counter (S.stats w.sched) name) in
+  check Alcotest.int "compact packet before the opening dropped" 1 (count "chan_unopened_drops");
+  check Alcotest.int "overlapping item suppressed" 1 (count "chan_dup_items_suppressed")
+
+(* Any arrival pattern — windows of the sender's sequence at random
+   offsets, so gaps, duplicates, partial overlaps and compact packets
+   ahead of the opening all occur — delivers a gap-free prefix, each
+   item at its sender position (the item's value here). *)
+let prop_chan_positions_any_arrivals =
+  QCheck.Test.make ~name:"delivered positions match the sender's for any arrivals" ~count:100
+    QCheck.(list_of_size (Gen.int_range 1 30) (pair (int_range 0 20) (int_range 1 5)))
+    (fun windows ->
+      let w = make_world () in
+      let got = ref [] in
+      CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
+          CH.set_deliver in_chan (fun seq items ->
+              List.iteri (fun k v -> got := (seq + k, v) :: !got) (ints_of_views items)));
+      ignore
+        (S.spawn w.sched (fun () ->
+             List.iter
+               (fun (first_seq, len) ->
+                 inject w (chan_data w ~first_seq (List.init len (fun k -> first_seq + k)));
+                 S.sleep w.sched 5e-3)
+               windows));
+      run_ok w;
+      let got = List.rev !got in
+      List.for_all (fun (pos, v) -> pos = v) got && List.mapi (fun i _ -> i) got = List.map fst got)
 
 let test_chan_break_on_unreachable_peer () =
   let w = make_world () in
@@ -260,7 +335,7 @@ let test_chan_receiver_break () =
   let broke = ref None in
   let seen = ref 0 in
   CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
-      CH.set_deliver in_chan (fun items ->
+      CH.set_deliver in_chan (fun _ items ->
           seen := !seen + List.length items;
           if !seen >= 3 then CH.break_in in_chan ~reason:"receiver had enough"));
   let out =
@@ -845,13 +920,126 @@ let test_resubmit_dedups_already_executed_calls () =
   in
   check Alcotest.bool "dedup cache replayed the executed calls" true (replays >= 3)
 
+(* After a restart the surviving calls take fresh positions 0.. on the
+   new channel while keeping their stable cids, so every resubmitted
+   item carries a cid that differs from its position. Replies are still
+   matched by position — each call gets its own result — and the dedup
+   cache keeps every execution at one. *)
+let test_resubmit_with_cids_off_position () =
+  let w = make_world () in
+  let applied : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let dispatch _conn ~seq:_ ~port:_ ~kind:_ ~args ~reply =
+    ignore
+      (S.spawn w.sched (fun () ->
+           match args with
+           | Xdr.Int i ->
+               Hashtbl.replace applied i (1 + Option.value ~default:0 (Hashtbl.find_opt applied i));
+               reply (W.W_normal (Xdr.Int (1000 + i)))
+           | _ -> reply (W.W_failure "bad args")))
+  in
+  ignore (T.create w.hub_b ~gid:"svc" ~config:GC.(default |> with_dedup) dispatch : T.t);
+  let stream =
+    SE.create w.hub_a ~agent:"client" ~dst:(Net.address w.node_b) ~gid:"svc"
+      ~config:fast_cfg ()
+  in
+  SE.set_preserve_on_break stream true;
+  let n = 6 in
+  let results = Array.make n [] in
+  let call i =
+    ignore
+      (SE.call stream ~port:"echo" ~kind:W.Call ~args:(Xdr.Int i)
+         ~on_reply:(fun o -> results.(i) <- o :: results.(i))
+        : (int * int, string) result)
+  in
+  ignore
+    (S.spawn w.sched (fun () ->
+         (* Two calls complete on the first incarnation: the survivors'
+            cids (2..5) then sit two above their new positions (0..3). *)
+         call 0;
+         call 1;
+         (match SE.synch stream with Ok () -> () | Error _ -> Alcotest.fail "first synch");
+         for i = 2 to 4 do
+           call i
+         done;
+         SE.flush stream;
+         S.sleep w.sched 3e-3;
+         Net.partition w.net (Net.address w.node_a) (Net.address w.node_b);
+         call 5;
+         SE.flush stream;
+         while SE.broken stream = None do
+           S.sleep w.sched 5e-3
+         done;
+         Net.heal w.net (Net.address w.node_a) (Net.address w.node_b);
+         check Alcotest.int "four survivors resubmitted" 4 (SE.restart_resubmit stream);
+         match SE.synch stream with
+         | Ok () -> ()
+         | Error `Exception_reply -> Alcotest.fail "unexpected exception reply"
+         | Error (`Broken r) -> Alcotest.failf "stream broke again: %s" r));
+  run_ok w;
+  Array.iteri
+    (fun i outcomes ->
+      match outcomes with
+      | [ W.W_normal (Xdr.Int v) ] ->
+          check Alcotest.int (Printf.sprintf "call %d's own result" i) (1000 + i) v
+      | _ -> Alcotest.failf "call %d resolved %d times or abnormally" i (List.length outcomes))
+    results;
+  for i = 0 to n - 1 do
+    check Alcotest.int
+      (Printf.sprintf "arg %d executed exactly once" i)
+      1
+      (Option.value ~default:0 (Hashtbl.find_opt applied i))
+  done;
+  check Alcotest.bool "dedup cache replayed the calls executed before the break" true
+    (Sim.Stats.count (Sim.Stats.counter (S.stats w.sched) "target_dedup_replays") >= 3)
+
+(* A peer that sends more replies than there are pending calls: the
+   extra positions match nothing and are dropped as stale — no break,
+   no exception, and the real replies still land on their calls. *)
+let test_surplus_replies_are_stale () =
+  let w = make_world () in
+  CH.on_connect w.hub_b ~label:"svc" (fun in_chan ->
+      let key = CH.in_key in_chan in
+      let reply = CH.connect w.hub_b ~dst:key.CH.src ~label:key.CH.meta ~meta:"" CH.rpc_config in
+      let seen = ref 0 in
+      CH.set_deliver in_chan (fun seq items ->
+          List.iteri
+            (fun k _ ->
+              let send v = ignore (CH.send reply v : (unit, string) result) in
+              send (W.reply_item ~trace:None (W.W_normal (Xdr.Int (10 * (seq + k)))));
+              incr seen;
+              if !seen = 2 then begin
+                send (W.reply_item ~trace:None (W.W_normal (Xdr.Int 99)));
+                send (W.send_ok_item ~trace:None);
+                send (W.reply_item ~trace:(Some 5) (W.W_signal ("late", Xdr.Unit)))
+              end)
+            items));
+  let stream = SE.create w.hub_a ~agent:"client" ~dst:(Net.address w.node_b) ~gid:"svc" () in
+  let got = Array.make 2 [] in
+  ignore
+    (S.spawn w.sched (fun () ->
+         for i = 0 to 1 do
+           ignore
+             (SE.call stream ~port:"p" ~kind:W.Call ~args:Xdr.Unit
+                ~on_reply:(fun o -> got.(i) <- o :: got.(i))
+               : (int * int, string) result)
+         done;
+         match SE.synch stream with
+         | Ok () -> ()
+         | Error _ -> Alcotest.fail "synch failed"));
+  run_ok w;
+  check Alcotest.bool "call 0 got position 0's reply" true (got.(0) = [ W.W_normal (Xdr.Int 0) ]);
+  check Alcotest.bool "call 1 got position 1's reply" true (got.(1) = [ W.W_normal (Xdr.Int 10) ]);
+  check Alcotest.(option string) "surplus replies did not break the stream" None
+    (SE.broken stream);
+  check Alcotest.int "nothing outstanding" 0 (SE.outstanding stream)
+
 let test_two_channels_do_not_interfere () =
   let w = make_world () in
   let got1 = ref [] and got2 = ref [] in
   CH.on_connect w.hub_b ~label:"one" (fun in_chan ->
-      CH.set_deliver in_chan (fun items -> got1 := !got1 @ ints_of_views items));
+      CH.set_deliver in_chan (fun _ items -> got1 := !got1 @ ints_of_views items));
   CH.on_connect w.hub_b ~label:"two" (fun in_chan ->
-      CH.set_deliver in_chan (fun items -> got2 := !got2 @ ints_of_views items));
+      CH.set_deliver in_chan (fun _ items -> got2 := !got2 @ ints_of_views items));
   let c1 = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"one" ~meta:"" CH.rpc_config in
   let c2 = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"two" ~meta:"" CH.rpc_config in
   ignore
@@ -932,6 +1120,9 @@ let suite =
           test_chan_send_after_break_errors;
         QCheck_alcotest.to_alcotest prop_chan_reliable_any_seed;
         QCheck_alcotest.to_alcotest prop_chan_random_flush_interleavings;
+        Alcotest.test_case "positions across a gap, a duplicate and a lost opening" `Quick
+          test_chan_positions_across_gap_dup_and_lost_opening;
+        QCheck_alcotest.to_alcotest prop_chan_positions_any_arrivals;
       ] );
     ( "stream",
       [
@@ -957,6 +1148,7 @@ let suite =
           test_two_channels_do_not_interfere;
         Alcotest.test_case "unordered override overlaps, replies ordered" `Quick
           test_unordered_target_overlaps_but_replies_in_order;
+        Alcotest.test_case "surplus replies are stale" `Quick test_surplus_replies_are_stale;
       ] );
     ( "supervision",
       [
@@ -968,6 +1160,8 @@ let suite =
           test_resubmit_preserves_and_replays_calls;
         Alcotest.test_case "resubmit dedups already-executed calls" `Quick
           test_resubmit_dedups_already_executed_calls;
+        Alcotest.test_case "resubmit with cids off position" `Quick
+          test_resubmit_with_cids_off_position;
       ] );
   ]
 

@@ -107,6 +107,42 @@ let test_window_grows_on_clean_link () =
   check Alcotest.bool "rtt ewma converged to a positive value" true (!ewma > 0.0);
   check Alcotest.int "no inflight bytes at quiescence" 0 !leftover
 
+(* AIMD: a window at its floor flies exactly one item, whatever the
+   item's encoded size, so a smaller encoding cannot loosen a fully cut
+   window. The receiver reports pressure 1 ("hold growth") on every ack,
+   pinning the window at the floor for the whole run. *)
+let test_floor_flies_one_item () =
+  List.iter
+    (fun payload ->
+      let sched = S.create ~seed:42 () in
+      let net = Net.create sched Net.default_config in
+      let a = Net.add_node net ~name:"a" and b = Net.add_node net ~name:"b" in
+      let hub_a = CH.create_hub ~net:(net, a) () and hub_b = CH.create_hub ~net:(net, b) () in
+      let delivered = ref 0 in
+      CH.on_connect hub_b ~label:"sink" (fun ic ->
+          CH.set_pressure ic (fun () -> 1);
+          CH.set_deliver ic (fun _ items -> delivered := !delivered + List.length items));
+      let cfg = { CH.aimd_config with CH.window_min_bytes = 64 } in
+      let o = CH.connect hub_a ~dst:(Net.address b) ~label:"sink" ~meta:"" cfg in
+      let item = Xdr.Str (String.make payload 'x') in
+      let size = Xdr.Bin.size item in
+      let most = ref 0 in
+      ignore
+        (S.spawn sched (fun () ->
+             for _ = 1 to 10 do
+               (match CH.await_window o ~bytes:size with
+               | Ok () -> ()
+               | Error e -> Alcotest.fail e);
+               ignore (CH.send ~size o item : (unit, string) result);
+               most := max !most (CH.unacked_count o)
+             done));
+      run_ok sched;
+      let what = Printf.sprintf "%d-byte items" size in
+      check Alcotest.int (what ^ ": window stayed at the floor") 64 (CH.window_bytes o);
+      check Alcotest.int (what ^ ": one item in flight at a time") 1 !most;
+      check Alcotest.int (what ^ ": all delivered") 10 !delivered)
+    [ 8; 58 ]
+
 (* ------------------------------------------------------------------ *)
 (* AIMD: multiplicative decrease under injected loss (retransmits) and
    under injected delay (RTT inflation), both seed-deterministic. *)
@@ -292,7 +328,7 @@ let test_sampled_out_wire_identity () =
   Span.record sp ~time:0.0 ~kind:Span.Issue ~trace:1 ();
   check Alcotest.int "sampled-out record is a no-op" 0 (List.length (Span.events sp));
   let item trace =
-    W.call_item ~seq:5 ~cid:7 ~trace ~port:"inc" ~kind:W.Call ~args:(Xdr.Int 1) ()
+    W.call_item ~cid:7 ~trace ~port:"inc" ~kind:W.Call ~args:(Xdr.Int 1) ()
   in
   let wire t = Xdr.Bin.to_string (item t) in
   check Alcotest.string "sampled-out call = untraced bytes" (wire None)
@@ -350,6 +386,7 @@ let () =
           Alcotest.test_case "grows on a clean link" `Quick test_window_grows_on_clean_link;
           Alcotest.test_case "cuts under injected loss" `Quick test_window_cuts_under_loss;
           Alcotest.test_case "cuts under injected delay" `Quick test_window_cuts_under_delay;
+          Alcotest.test_case "floor flies one item of any size" `Quick test_floor_flies_one_item;
         ] );
       ( "load shedding",
         [

@@ -174,7 +174,7 @@ let backpressure rig =
   let hub_b = CH.create_hub ~transport:rig.rg_b () in
   let delivered = ref [] in
   CH.on_connect hub_b ~label:"bp" (fun ic ->
-      CH.set_deliver ic (fun items ->
+      CH.set_deliver ic (fun _ items ->
           let values = List.map (fun vw -> Result.get_ok (Xdr.View.materialize vw)) items in
           delivered := List.rev_append values !delivered));
   let cfg = { CH.default_config with CH.max_batch = 1; max_inflight_bytes = 100 } in
