@@ -496,7 +496,7 @@ let large_call_args =
         ] )
 
 let bench_shard_key v =
-  Staged.stage (fun () -> T.default_shard_key ~port:"shard_work" v)
+  Staged.stage (fun () -> T.default_shard_key v)
 
 let bench_registry_record_sized () =
   let reg : W.routcome Pipeline.Registry.t =

@@ -14,14 +14,16 @@ type ack_entry = {
 
 type opening = { open_label : string; open_meta : string }
 
-type packet =
+(* One packet grammar for both item representations: trees for the
+   public codec, frame-borrowing views on the receive path. *)
+type 'item packet =
   | Data of {
       src : Net.address;
       idx : int;
       first_seq : int;
       opening : opening option;  (* present exactly when first_seq = 0 *)
       acks : ack_entry list;  (* piggybacked cumulative acks *)
-      items : Xdr.value list;
+      items : 'item list;
     }
   | Ack of { acks : ack_entry list }
   | Reset of { src : Net.address; idx : int; reason : string }
@@ -128,49 +130,61 @@ let decode_acks =
       let* a_pressure = B.read_uvarint d in
       Ok { a_idx; a_upto; a_pressure })
 
-(* Data packets: the header up to the acks, then [read] per item. *)
-let decode_data read d k =
-  let* src = B.read_uvarint d in
-  let* idx = B.read_uvarint d in
-  let* first_seq = B.read_uvarint d in
-  let* opening =
-    if first_seq <> 0 then Ok None
-    else
-      let* open_label = B.read_string d in
-      let* open_meta = B.read_string d in
-      Ok (Some { open_label; open_meta })
-  in
-  let* acks = decode_acks d in
-  let* items = decode_list "item" read d in
-  Ok (k ~src ~idx ~first_seq ~opening ~acks ~items)
-
-let decode_reset d k =
-  let* src = B.read_uvarint d in
-  let* idx = B.read_uvarint d in
-  let* reason = B.read_raw_string d in
-  Ok (k ~src ~idx ~reason)
-
-let decode_packet frame =
+(* The one frame decoder. [read] decodes a Data item (a tree or a
+   view). [dict] maps a v2 frame's epoch to the peer's dictionary
+   table; without it v2 frames are refused. Dictionary control frames
+   come back as [`Hello] / [`Welcome], packets as [`Packet]. *)
+let decode_frame ~read ?dict frame =
   let d = B.decoder frame in
   let* v = B.read_byte d in
-  if v <> B.version then Error (Printf.sprintf "unsupported wire version %d" v)
-  else
-    let* tag = B.read_byte d in
-    let* p =
-      match tag with
-      | 1 ->
-          decode_data B.read_value d (fun ~src ~idx ~first_seq ~opening ~acks ~items ->
-              Data { src; idx; first_seq; opening; acks; items })
-      | 2 ->
-          let* acks = decode_acks d in
-          Ok (Ack { acks })
-      | 3 -> decode_reset d (fun ~src ~idx ~reason -> Reset { src; idx; reason })
-      | t -> Error (Printf.sprintf "unknown packet tag %d" t)
-    in
-    let* () = B.expect_end d in
-    Ok p
+  let* () =
+    match dict with
+    | Some table when v = dict_version ->
+        let* epoch = B.read_uvarint d in
+        Ok (B.use_dict_table d (table epoch))
+    | _ -> if v = B.version then Ok () else Error (Printf.sprintf "unsupported wire version %d" v)
+  in
+  let* tag = B.read_byte d in
+  let* p =
+    match tag with
+    | 1 ->
+        let* src = B.read_uvarint d in
+        let* idx = B.read_uvarint d in
+        let* first_seq = B.read_uvarint d in
+        let* opening =
+          if first_seq <> 0 then Ok None
+          else
+            let* open_label = B.read_string d in
+            let* open_meta = B.read_string d in
+            Ok (Some { open_label; open_meta })
+        in
+        let* acks = decode_acks d in
+        let* items = decode_list "item" read d in
+        Ok (`Packet (Data { src; idx; first_seq; opening; acks; items }))
+    | 2 ->
+        let* acks = decode_acks d in
+        Ok (`Packet (Ack { acks }))
+    | 3 ->
+        let* src = B.read_uvarint d in
+        let* idx = B.read_uvarint d in
+        let* reason = B.read_raw_string d in
+        Ok (`Packet (Reset { src; idx; reason }))
+    | 4 ->
+        let* epoch = B.read_uvarint d in
+        Ok (`Hello epoch)
+    | 5 ->
+        let* epoch = B.read_uvarint d in
+        Ok (`Welcome epoch)
+    | t -> Error (Printf.sprintf "unknown packet tag %d" t)
+  in
+  let* () = B.expect_end d in
+  Ok p
 
-let packet_bytes p = String.length (encode_packet p)
+let decode_packet frame =
+  match decode_frame ~read:B.read_value frame with
+  | Ok (`Packet p) -> Ok p
+  | Ok (`Hello _ | `Welcome _) -> Error "dictionary control frame, not a packet"
+  | Error _ as e -> e
 
 (* ------------------------------------------------------------------ *)
 
@@ -185,8 +199,6 @@ type config = {
   adaptive_window : bool;
   window_min_bytes : int;
   window_increase : int;
-  window_decrease : float;
-  rtt_inflation : float;
 }
 
 let default_config =
@@ -201,8 +213,6 @@ let default_config =
     adaptive_window = false;
     window_min_bytes = 512;
     window_increase = 256;
-    window_decrease = 0.5;
-    rtt_inflation = 2.0;
   }
 
 let rpc_config = { default_config with max_batch = 1; flush_interval = 0.0 }
@@ -224,12 +234,19 @@ let adaptive_config =
 let aimd_config =
   { adaptive_config with adaptive_window = true; max_inflight_bytes = 64 * 1024 }
 
-type unacked = {
-  u_seq : int;
-  u_size : int;
-  u_item : Xdr.value;
-  mutable u_sent_at : float;  (* time of the most recent transmission *)
-  mutable u_retx : bool;  (* retransmitted at least once: no RTT sample (Karn) *)
+(* The AIMD multiplicative cut, and how many times the RTT average an
+   ack's RTT sample must exceed to count as congestion. *)
+let window_cut_factor = 0.5
+
+let rtt_congestion_ratio = 2.0
+
+(* One item on a sending channel: buffered until its flush, then
+   unacked until a cumulative ack covers it. *)
+type entry = {
+  e_item : Xdr.value;
+  e_size : int;  (* encoded bytes, charged to the window *)
+  mutable e_sent_at : float;  (* time of the most recent transmission *)
+  mutable e_retx : bool;  (* retransmitted at least once: no RTT sample (Karn) *)
 }
 
 type out_chan = {
@@ -238,11 +255,10 @@ type out_chan = {
   o_dst : Net.address;
   o_cfg : config;
   mutable o_next_seq : int;  (* seq of the next item accepted by [send] *)
-  mutable o_buf : (Xdr.value * int) list;  (* reversed: newest first; item, encoded size *)
-  mutable o_buf_len : int;
-  mutable o_buf_bytes : int;
-  mutable o_unacked : unacked list;  (* oldest first *)
-  mutable o_inflight_bytes : int;
+  o_buf : entry Queue.t;  (* accepted, not yet transmitted *)
+  mutable o_buf_bytes : int;  (* encoded bytes in [o_buf]: the batch-size trigger *)
+  o_unacked : entry Queue.t;  (* transmitted; seqs [o_acked_upto + 1] onwards *)
+  mutable o_inflight_bytes : int;  (* encoded bytes in both queues: the window's measure *)
   mutable o_acked_upto : int;
   mutable o_retries : int;
   mutable o_window : int;  (* live AIMD window; pinned to max_inflight_bytes when static *)
@@ -254,11 +270,9 @@ type out_chan = {
   mutable o_on_break : (string -> unit) list;
   mutable o_on_ack : (int -> int -> unit) option;
   mutable o_flush_gen : int;
-  mutable o_retx_gen : int;
-  mutable o_retx_armed : bool;
   mutable o_retx_timer : S.timer option;
-      (* heap handle for the armed timer: cancelled eagerly on disarm so
-         a realtime run never waits out a timer that can only no-op *)
+      (* the armed retransmit timer; every disarm cancels it, so a
+         timer that fires is always the live one *)
   o_waiters : unit S.waker Queue.t;  (* fibers parked in await_window *)
 }
 
@@ -339,9 +353,9 @@ let on_out_break o f =
       f reason
   | None -> o.o_on_break <- f :: o.o_on_break
 
-let unacked_count o = o.o_buf_len + List.length o.o_unacked
+let unacked_count o = Queue.length o.o_buf + Queue.length o.o_unacked
 
-let inflight_bytes o = o.o_buf_bytes + o.o_inflight_bytes
+let inflight_bytes o = o.o_inflight_bytes
 
 let window_bytes o = o.o_window
 
@@ -358,8 +372,6 @@ let set_deliver i f = i.i_deliver <- Some f
 let set_pressure i f = i.i_pressure <- Some f
 
 let probe_pressure i = match i.i_pressure with Some f -> max 0 (f ()) | None -> 0
-
-let in_broken i = i.i_broken
 
 let on_in_break i f =
   match i.i_broken with Some reason -> f reason | None -> i.i_on_break <- f :: i.i_on_break
@@ -520,20 +532,20 @@ let wake_waiters o =
     ignore (S.wake (Queue.pop o.o_waiters) ())
   done
 
+let disarm_retransmit o =
+  Option.iter S.cancel_timer o.o_retx_timer;
+  o.o_retx_timer <- None
+
 let mark_broken o reason =
   if o.o_broken = None then begin
     Sim.Stats.incr (hub_counter o.o_hub "chan_out_breaks");
     o.o_broken <- Some reason;
-    o.o_buf <- [];
-    o.o_buf_len <- 0;
+    Queue.clear o.o_buf;
     o.o_buf_bytes <- 0;
-    o.o_unacked <- [];
+    Queue.clear o.o_unacked;
     o.o_inflight_bytes <- 0;
     o.o_flush_gen <- o.o_flush_gen + 1;
-    o.o_retx_gen <- o.o_retx_gen + 1;
-    o.o_retx_armed <- false;
-    (match o.o_retx_timer with Some tm -> S.cancel_timer tm | None -> ());
-    o.o_retx_timer <- None;
+    disarm_retransmit o;
     wake_waiters o;
     let hooks = o.o_on_break in
     o.o_on_break <- [];
@@ -560,7 +572,7 @@ let cut_window o =
   if o.o_cfg.adaptive_window && o.o_acked_upto >= o.o_cut_barrier then begin
     let next =
       max o.o_cfg.window_min_bytes
-        (int_of_float (float_of_int o.o_window *. o.o_cfg.window_decrease))
+        (int_of_float (float_of_int o.o_window *. window_cut_factor))
     in
     if next < o.o_window then begin
       o.o_window <- next;
@@ -581,75 +593,55 @@ let data_packet o ~first_seq ~acks ~items =
   in
   Data { src = o.o_key.src; idx = o.o_key.idx; first_seq; opening; acks; items }
 
+(* The items of [q], oldest first, each stamped as (re)transmitted now. *)
+let stamp_sent o q ~retx =
+  let now = S.now o.o_hub.h_sched in
+  List.rev
+    (Queue.fold
+       (fun acc e ->
+         e.e_sent_at <- now;
+         e.e_retx <- retx;
+         e.e_item :: acc)
+       [] q)
+
 (* The timer is anchored to the oldest unacked item: further sends do
    not push it back, so a dead peer is detected after at most
    [retransmit_timeout * (max_retries + 1)] even under a continuous
    call stream. *)
 let rec arm_retransmit o =
-  if o.o_broken = None && o.o_unacked <> [] && not o.o_retx_armed then begin
-    o.o_retx_armed <- true;
-    o.o_retx_gen <- o.o_retx_gen + 1;
-    let gen = o.o_retx_gen in
-    let tm =
-      S.after_cancellable o.o_hub.h_sched o.o_cfg.retransmit_timeout (fun () ->
-        if gen = o.o_retx_gen then begin
-          o.o_retx_armed <- false;
-          o.o_retx_timer <- None;
-          if o.o_broken = None && o.o_unacked <> [] then begin
-            o.o_retries <- o.o_retries + 1;
-            if o.o_retries > o.o_cfg.max_retries then
-              mark_broken o "retransmit limit exceeded: peer unreachable"
-            else begin
-              Sim.Stats.incr (hub_counter o.o_hub "chan_retransmits");
-              cut_window o;
-              let first_seq =
-                match o.o_unacked with u :: _ -> u.u_seq | [] -> assert false
-              in
-              (* Re-send only: the bytes are already counted in
-                 [o_inflight_bytes] from their first transmission, so a
-                 retransmit — including one racing a receiver shed —
-                 must not charge the window a second time. *)
-              let now = S.now o.o_hub.h_sched in
-              let items =
-                List.map
-                  (fun u ->
-                    u.u_retx <- true;
-                    u.u_sent_at <- now;
-                    u.u_item)
-                  o.o_unacked
-              in
-              let acks = take_piggyback o.o_hub ~dst:o.o_dst in
-              transmit o.o_hub ~dst:o.o_dst (data_packet o ~first_seq ~acks ~items);
-              if spans_on o.o_hub then
-                span_items o.o_hub Sim.Span.Retransmit
-                  ~note:(Printf.sprintf "try %d -> n%d" o.o_retries o.o_dst)
-                  items;
-              arm_retransmit o
-            end
-          end
-        end)
-    in
-    o.o_retx_timer <- Some tm
-  end
+  if o.o_broken = None && o.o_retx_timer = None && not (Queue.is_empty o.o_unacked) then
+    o.o_retx_timer <-
+      Some
+        (S.after_cancellable o.o_hub.h_sched o.o_cfg.retransmit_timeout (fun () ->
+             o.o_retx_timer <- None;
+             o.o_retries <- o.o_retries + 1;
+             if o.o_retries > o.o_cfg.max_retries then
+               mark_broken o "retransmit limit exceeded: peer unreachable"
+             else begin
+               Sim.Stats.incr (hub_counter o.o_hub "chan_retransmits");
+               cut_window o;
+               (* Re-send only: the bytes are already counted in
+                  [o_inflight_bytes] from their first transmission, so a
+                  retransmit — including one racing a receiver shed —
+                  must not charge the window a second time. *)
+               let items = stamp_sent o o.o_unacked ~retx:true in
+               let acks = take_piggyback o.o_hub ~dst:o.o_dst in
+               transmit o.o_hub ~dst:o.o_dst
+                 (data_packet o ~first_seq:(o.o_acked_upto + 1) ~acks ~items);
+               if spans_on o.o_hub then
+                 span_items o.o_hub Sim.Span.Retransmit
+                   ~note:(Printf.sprintf "try %d -> n%d" o.o_retries o.o_dst)
+                   items;
+               arm_retransmit o
+             end))
 
 let flush_out o =
-  if o.o_broken = None && o.o_buf <> [] then begin
-    let entries = List.rev o.o_buf in
-    let first_seq = o.o_next_seq - o.o_buf_len in
-    let batch_bytes = o.o_buf_bytes in
-    o.o_buf <- [];
-    o.o_buf_len <- 0;
+  if o.o_broken = None && not (Queue.is_empty o.o_buf) then begin
+    let first_seq = o.o_next_seq - Queue.length o.o_buf in
+    let items = stamp_sent o o.o_buf ~retx:false in
+    Queue.transfer o.o_buf o.o_unacked;
     o.o_buf_bytes <- 0;
     o.o_flush_gen <- o.o_flush_gen + 1;
-    let now = S.now o.o_hub.h_sched in
-    o.o_unacked <-
-      o.o_unacked
-      @ List.mapi
-          (fun i (item, size) ->
-            { u_seq = first_seq + i; u_size = size; u_item = item; u_sent_at = now; u_retx = false })
-          entries;
-    o.o_inflight_bytes <- o.o_inflight_bytes + batch_bytes;
-    let items = List.map fst entries in
     let acks = take_piggyback o.o_hub ~dst:o.o_dst in
     transmit o.o_hub ~dst:o.o_dst (data_packet o ~first_seq ~acks ~items);
     if spans_on o.o_hub then
@@ -687,16 +679,17 @@ let send ?size o item =
   | Some reason -> Error reason
   | None ->
       let size = match size with Some n -> n | None -> B.size item in
-      o.o_buf <- (item, size) :: o.o_buf;
-      o.o_buf_len <- o.o_buf_len + 1;
+      Queue.add { e_item = item; e_size = size; e_sent_at = 0.0; e_retx = false } o.o_buf;
       o.o_buf_bytes <- o.o_buf_bytes + size;
+      o.o_inflight_bytes <- o.o_inflight_bytes + size;
       o.o_next_seq <- o.o_next_seq + 1;
+      let buffered = Queue.length o.o_buf in
       if
-        o.o_buf_len >= o.o_cfg.max_batch
+        buffered >= o.o_cfg.max_batch
         || o.o_buf_bytes >= o.o_cfg.max_batch_bytes
-        || (o.o_cfg.flush_on_idle && o.o_unacked = [])
+        || (o.o_cfg.flush_on_idle && Queue.is_empty o.o_unacked)
       then flush_out o
-      else if o.o_buf_len = 1 && o.o_cfg.flush_interval < infinity then begin
+      else if buffered = 1 && o.o_cfg.flush_interval < infinity then begin
         if o.o_cfg.flush_interval <= 0.0 then flush_out o
         else begin
           o.o_flush_gen <- o.o_flush_gen + 1;
@@ -708,28 +701,26 @@ let send ?size o item =
       Ok ()
 
 let handle_ack o ~upto ~pressure =
+  (* An ack covers transmitted seqs only: [upto] past the unacked
+     queue's tail (a confused or hostile peer) is clamped, so the pops
+     below never overrun the queue. *)
+  let upto = min upto (o.o_acked_upto + Queue.length o.o_unacked) in
   if o.o_broken = None && upto > o.o_acked_upto then begin
-    let first = o.o_acked_upto + 1 and last = ref (-1) in
+    let first = o.o_acked_upto + 1 in
     o.o_acked_upto <- upto;
+    let spans = spans_on o.o_hub in
     let freed = ref 0 in
     let freed_items = ref [] in
     let rtt_sample = ref nan in
     let freed_retx = ref false in
     let now = S.now o.o_hub.h_sched in
-    o.o_unacked <-
-      List.filter
-        (fun u ->
-          if u.u_seq <= upto then begin
-            freed := !freed + u.u_size;
-            freed_items := u.u_item :: !freed_items;
-            last := u.u_seq;
-            if u.u_retx then freed_retx := true
-            else rtt_sample := now -. u.u_sent_at;
-            false
-          end
-          else true)
-        o.o_unacked;
-    span_items o.o_hub Sim.Span.Ack (List.rev !freed_items);
+    for _ = first to upto do
+      let e = Queue.pop o.o_unacked in
+      freed := !freed + e.e_size;
+      if spans then freed_items := e.e_item :: !freed_items;
+      if e.e_retx then freed_retx := true else rtt_sample := now -. e.e_sent_at
+    done;
+    if spans then span_items o.o_hub Sim.Span.Ack (List.rev !freed_items);
     o.o_inflight_bytes <- o.o_inflight_bytes - !freed;
     o.o_retries <- 0;
     (* AIMD step. The RTT sample comes from the newest freed item that
@@ -741,7 +732,7 @@ let handle_ack o ~upto ~pressure =
       let congested =
         Float.is_nan !rtt_sample = false
         && o.o_rtt_ewma > 0.0
-        && !rtt_sample > o.o_cfg.rtt_inflation *. o.o_rtt_ewma
+        && !rtt_sample > rtt_congestion_ratio *. o.o_rtt_ewma
       in
       if pressure >= 2 || congested then cut_window o
       else if pressure = 0 && not !freed_retx then grow_window o;
@@ -752,17 +743,15 @@ let handle_ack o ~upto ~pressure =
            else (0.875 *. o.o_rtt_ewma) +. (0.125 *. !rtt_sample))
       end
     end;
-    (match o.o_on_ack with Some f when !last >= first -> f first !last | _ -> ());
+    Option.iter (fun f -> f first upto) o.o_on_ack;
     (* restart the timer for the (new) oldest unacked item *)
-    o.o_retx_gen <- o.o_retx_gen + 1;
-    o.o_retx_armed <- false;
-    (match o.o_retx_timer with Some tm -> S.cancel_timer tm | None -> ());
-    o.o_retx_timer <- None;
-    if o.o_unacked <> [] then arm_retransmit o;
+    disarm_retransmit o;
+    arm_retransmit o;
     if !freed > 0 then wake_waiters o;
     (* Nagle release: the wire went idle — ship what accumulated while
        the previous batch was in flight. *)
-    if o.o_cfg.flush_on_idle && o.o_unacked = [] && o.o_buf <> [] then flush_out o
+    if o.o_cfg.flush_on_idle && Queue.is_empty o.o_unacked && not (Queue.is_empty o.o_buf) then
+      flush_out o
   end
 
 let in_id i = (i.i_key.src, i.i_key.idx)
@@ -834,20 +823,27 @@ let handle_data hub ~src ~idx ~first_seq ~opening ~items =
             post_ack hub ~dst:src ~idx ~upto:(i.i_expected - 1) ~pressure:(probe_pressure i)
           end
 
+(* A frame naming a channel that its sender is not a peer of: counted
+   and dropped, so no node can feed or break another pair's channel. *)
+let spoofed hub = Sim.Stats.incr (hub_counter hub "chan_spoofed_drops")
+
 (* A Reset names a channel by its sender: ours when [src] is this hub
-   (the receiver refused it), the peer's otherwise. *)
-let handle_reset hub ~src ~idx ~reason =
+   (the receiver refused it), the peer's otherwise. Only the channel's
+   peer — [from], the frame's transport sender — may break it. *)
+let handle_reset hub ~from ~src ~idx ~reason =
   (if src = hub_addr hub then
      match Hashtbl.find_opt hub.h_outs idx with
-     | Some o ->
+     | Some o when o.o_dst = from ->
          Hashtbl.remove hub.h_outs idx;
          mark_broken o reason
+     | Some _ -> spoofed hub
      | None -> ());
   match Hashtbl.find_opt hub.h_ins (src, idx) with
-  | Some i ->
+  | Some i when src = from ->
       Hashtbl.remove hub.h_ins (src, idx);
       Hashtbl.replace hub.h_dead (src, idx) reason;
       mark_in_broken i reason
+  | Some _ -> spoofed hub
   | None -> ()
 
 (* An ack always travels to the acked channel's sender, so its index
@@ -861,23 +857,6 @@ let handle_acks hub ~from acks =
       | _ -> ())
     acks
 
-(* Inbound frames, decoded lazily: Data items become views, not trees.
-   The variant is internal — the public {!decode_packet} (v1, fully
-   materialised) is unchanged for tools and tests. *)
-type inbound =
-  | I_data of {
-      src : Net.address;
-      idx : int;
-      first_seq : int;
-      opening : opening option;
-      acks : ack_entry list;
-      items : Xdr.View.t list;
-    }
-  | I_ack of ack_entry list
-  | I_reset of { src : Net.address; idx : int; reason : string }
-  | I_hello of int  (* peer offers its dictionary, payload = epoch *)
-  | I_welcome of int  (* peer accepted ours *)
-
 (* Receiver dictionary table for [(src, epoch)]; an epoch change swaps
    in a fresh table (views over old frames keep the old one alive). *)
 let dict_in hub src epoch =
@@ -888,55 +867,27 @@ let dict_in hub src epoch =
       Hashtbl.replace hub.h_dict_in src (epoch, dt);
       dt
 
-let decode_inbound hub ~src frame =
-  let d = B.decoder frame in
-  let* v = B.read_byte d in
-  let* () =
-    if v = B.version then Ok ()
-    else if v = dict_version then
-      let* epoch = B.read_uvarint d in
-      Ok (B.use_dict_table d (dict_in hub src epoch))
-    else Error (Printf.sprintf "unsupported wire version %d" v)
-  in
-  let* tag = B.read_byte d in
-  let* p =
-    match tag with
-    | 1 ->
-        decode_data Xdr.View.read d (fun ~src ~idx ~first_seq ~opening ~acks ~items ->
-            I_data { src; idx; first_seq; opening; acks; items })
-    | 2 ->
-        let* acks = decode_acks d in
-        Ok (I_ack acks)
-    | 3 -> decode_reset d (fun ~src ~idx ~reason -> I_reset { src; idx; reason })
-    | 4 ->
-        let* epoch = B.read_uvarint d in
-        Ok (I_hello epoch)
-    | 5 ->
-        let* epoch = B.read_uvarint d in
-        Ok (I_welcome epoch)
-    | t -> Error (Printf.sprintf "unknown packet tag %d" t)
-  in
-  let* () = B.expect_end d in
-  Ok p
-
+(* Inbound frames decode lazily: Data items become views, not trees. *)
 let receive hub ~src frame =
-  match decode_inbound hub ~src frame with
+  match decode_frame ~read:Xdr.View.read ~dict:(dict_in hub src) frame with
   | Error _ ->
       (* Corrupt frame: drop it; go-back-n retransmission recovers. *)
       Sim.Stats.incr (hub_counter hub "chan_decode_errors")
-  | Ok (I_data { src = chan_src; idx; first_seq; opening; acks; items }) ->
+  | Ok (`Packet (Data { src = chan_src; _ })) when chan_src <> src -> spoofed hub
+  | Ok (`Packet (Data { idx; first_seq; opening; acks; items; _ })) ->
       (* Acks ride in front of the data they share a packet with. *)
       handle_acks hub ~from:src acks;
-      handle_data hub ~src:chan_src ~idx ~first_seq ~opening ~items
-  | Ok (I_ack acks) -> handle_acks hub ~from:src acks
-  | Ok (I_reset { src; idx; reason }) -> handle_reset hub ~src ~idx ~reason
-  | Ok (I_hello epoch) ->
+      handle_data hub ~src ~idx ~first_seq ~opening ~items
+  | Ok (`Packet (Ack { acks })) -> handle_acks hub ~from:src acks
+  | Ok (`Packet (Reset { src = chan_src; idx; reason })) ->
+      handle_reset hub ~from:src ~src:chan_src ~idx ~reason
+  | Ok (`Hello epoch) ->
       (* Any hub can decode v2 frames; accepting costs one table. *)
       ignore (dict_in hub src epoch : B.dict_table);
       let f = encode_dict_ctrl ~tag:5 ~epoch in
       Sim.Stats.add hub.h_ctr.hc_wire_bytes (String.length f);
       hub.h_tr.Transport.send ~dst:src f
-  | Ok (I_welcome epoch) -> (
+  | Ok (`Welcome epoch) -> (
       match Hashtbl.find_opt hub.h_dict_out src with
       | Some od when od.od_helloed && B.dict_epoch od.od_dict = epoch ->
           if not od.od_on then begin
@@ -1046,11 +997,7 @@ let connect hub ~dst ~label ~meta cfg =
     if cfg.window_min_bytes <= 0 || cfg.window_min_bytes > cfg.max_inflight_bytes then
       invalid_arg "Chanhub.connect: window_min_bytes must be in (0, max_inflight_bytes]";
     if cfg.window_increase <= 0 then
-      invalid_arg "Chanhub.connect: window_increase must be positive";
-    if cfg.window_decrease <= 0.0 || cfg.window_decrease >= 1.0 then
-      invalid_arg "Chanhub.connect: window_decrease must be in (0, 1)";
-    if cfg.rtt_inflation <= 1.0 then
-      invalid_arg "Chanhub.connect: rtt_inflation must exceed 1"
+      invalid_arg "Chanhub.connect: window_increase must be positive"
   end;
   let key = { src = hub.h_tr.Transport.addr; label; idx = hub.h_next_idx; meta } in
   hub.h_next_idx <- hub.h_next_idx + 1;
@@ -1061,10 +1008,9 @@ let connect hub ~dst ~label ~meta cfg =
       o_dst = dst;
       o_cfg = cfg;
       o_next_seq = 0;
-      o_buf = [];
-      o_buf_len = 0;
+      o_buf = Queue.create ();
       o_buf_bytes = 0;
-      o_unacked = [];
+      o_unacked = Queue.create ();
       o_inflight_bytes = 0;
       o_acked_upto = -1;
       o_window = (if cfg.adaptive_window then cfg.window_min_bytes else cfg.max_inflight_bytes);
@@ -1075,8 +1021,6 @@ let connect hub ~dst ~label ~meta cfg =
       o_broken = None;
       o_on_break = [];
       o_flush_gen = 0;
-      o_retx_gen = 0;
-      o_retx_armed = false;
       o_retx_timer = None;
       o_waiters = Queue.create ();
     }
@@ -1085,8 +1029,6 @@ let connect hub ~dst ~label ~meta cfg =
   o
 
 let hub_recv_overhead h = h.h_tr.Transport.recv_overhead ()
-
-let hub_transport h = h.h_tr
 
 (* --- third-party handoff (docs/HANDOFF.md) ------------------------ *)
 

@@ -65,7 +65,10 @@ type opening = { open_label : string; open_meta : string }
 (** The fields a receiver needs once, to accept a channel: its
     {!key.label} and {!key.meta}. *)
 
-type packet =
+(** One packet grammar, parameterised by its item: {!Xdr.value} trees
+    for the public codec below, {!Xdr.View.t} slices on a hub's
+    receive path (see {!set_deliver}). *)
+type 'item packet =
   | Data of {
       src : Net.address;
       idx : int;
@@ -76,7 +79,7 @@ type packet =
       acks : ack_entry list;
           (** cumulative acks for reverse-direction channels,
               piggybacked on this data packet *)
-      items : Xdr.value list;
+      items : 'item list;
     }
   | Ack of { acks : ack_entry list }
   | Reset of { src : Net.address; idx : int; reason : string }
@@ -87,14 +90,14 @@ type frame = string
 (** A packet encoded for the wire: what actually travels through
     {!Net}. *)
 
-val encode_packet : packet -> frame
+val encode_packet : Xdr.value packet -> frame
+(** A version-1 frame: no connection dictionary. *)
 
-val decode_packet : frame -> (packet, string) result
-(** Total: malformed frames yield [Error], never an exception. *)
-
-val packet_bytes : packet -> int
-(** Actual encoded size of the packet in bytes
-    ([String.length (encode_packet p)]). *)
+val decode_packet : frame -> (Xdr.value packet, string) result
+(** Decode a version-1 packet frame. Total: malformed frames yield
+    [Error], never an exception; so do version-2 (dictionary) frames
+    and the dictionary's hello/welcome control frames, which only a
+    hub's receive path reads. *)
 
 type config = {
   max_batch : int;  (** flush after this many buffered items *)
@@ -117,13 +120,10 @@ type config = {
           at [window_min_bytes], grows by [window_increase] bytes per
           clean ack round, and is cut multiplicatively on retransmit,
           ack-RTT inflation, or receiver pressure — at most once per
-          outstanding flight. *)
+          outstanding flight. The cut factor and the inflation ratio
+          are constants (see {!aimd_config}). *)
   window_min_bytes : int;  (** adaptive window floor (and start value) *)
   window_increase : int;  (** additive increase per clean ack, bytes *)
-  window_decrease : float;  (** multiplicative cut factor, in (0, 1) *)
-  rtt_inflation : float;
-      (** an ack RTT above [rtt_inflation *. rtt_ewma] counts as
-          congestion; must exceed 1 *)
 }
 
 val default_config : config
@@ -145,8 +145,11 @@ val adaptive_config : config
 
 val aimd_config : config
 (** {!adaptive_config} plus AIMD flow control: [adaptive_window = true]
-    with a 64 KiB ceiling, 512 B floor, +256 B additive increase and a
-    0.5 multiplicative cut (docs/OVERLOAD.md). *)
+    with a 64 KiB ceiling, 512 B floor and +256 B additive increase
+    (docs/OVERLOAD.md). Every adaptive window uses two fixed constants:
+    a cut multiplies the window by [window_cut_factor = 0.5], and an
+    ack whose RTT sample exceeds [rtt_congestion_ratio = 2.0] times the
+    RTT average counts as congestion. *)
 
 (** {1 Hubs} *)
 
@@ -195,9 +198,18 @@ val hub_sched : hub -> Sched.Scheduler.t
     [chan_wire_bytes], [chan_items_sent], [chan_piggybacked_acks],
     [chan_standalone_acks], [chan_decode_errors],
     [chan_unopened_drops] (compact Data for a channel never opened
-    here, dropped without a Reset), [chan_window_cuts], [chan_dict_hellos], [chan_dict_negotiated],
+    here, dropped without a Reset), [chan_spoofed_drops] (a Data or
+    Reset frame not sent by the named channel's peer, dropped),
+    [chan_window_cuts], [chan_dict_hellos], [chan_dict_negotiated],
     [chan_dict_defines], [chan_dict_refs] — plus the [chan_rtt]
-    summary of clean ack RTT samples. *)
+    summary of clean ack RTT samples.
+
+    A hub accepts a channel's traffic only from that channel's peer,
+    the transport sender of the frame: an ack only from the acked
+    channel's receiver, a Data packet only from the channel's source
+    ([src]), and a Reset only from the other end of the channel it
+    names — the destination of one of our sending channels, the
+    source of one of our receiving ones. *)
 
 val on_connect : hub -> label:string -> (in_chan -> unit) -> unit
 (** Register the acceptor for inbound channels labelled [label]. It
@@ -302,8 +314,6 @@ val break_in : in_chan -> reason:string -> unit
 (** Receiver-initiated break: discard further data and tell the sender
     (it observes the reason via {!on_out_break}). *)
 
-val in_broken : in_chan -> string option
-
 val on_in_break : in_chan -> (string -> unit) -> unit
 (** Register a callback fired when this receiving end is broken — by
     {!break_in} locally or by a [Reset] from the sender (e.g. a stream
@@ -357,6 +367,3 @@ val hub_recv_overhead : hub -> float
     current {!Net.config}'s [kernel_overhead] (the fault layer mutates
     it mid-run), a real backend reports [0.] because its costs are
     already wall-clock. *)
-
-val hub_transport : hub -> Transport.t
-(** The transport endpoint this hub multiplexes. *)

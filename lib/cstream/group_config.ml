@@ -1,12 +1,9 @@
-type shard_key = port:string -> Xdr.value -> int
-
 type t = {
   reply_config : Chanhub.config;
   ordered : bool;
   dedup : bool;
   dedup_cache : int;
   shards : int;
-  shard_key : shard_key option;
   pipeline : Wire.routcome Pipeline.Registry.t option;
   shed_hwm : int option;
   offload : Sched.Pool.t option;
@@ -19,7 +16,6 @@ let default =
     dedup = false;
     dedup_cache = 1024;
     shards = 1;
-    shard_key = None;
     pipeline = None;
     shed_hwm = None;
     offload = None;
@@ -33,11 +29,9 @@ let with_dedup ?(cache = 1024) t = { t with dedup = true; dedup_cache = cache }
 
 let without_dedup t = { t with dedup = false }
 
-let with_shards ?key shards t =
+let with_shards shards t =
   if shards <= 0 then invalid_arg "Group_config.with_shards: shards must be positive";
-  { t with shards; shard_key = (match key with Some _ -> key | None -> t.shard_key) }
-
-let with_pipeline reg t = { t with pipeline = Some reg }
+  { t with shards }
 
 let with_shed hwm t =
   if hwm <= 0 then invalid_arg "Group_config.with_shed: high-water mark must be positive";
@@ -45,13 +39,11 @@ let with_shed hwm t =
 
 let with_offload pool t = { t with offload = Some pool }
 
-let without_offload t = { t with offload = None }
-
 (* Whole-config equality, used by {!Guardian.get_group} to detect a
-   conflicting re-registration. The functional/abstract fields
-   ([shard_key], [pipeline]) compare physically: re-passing the same
-   value is compatible, a different one conflicts — functions have no
-   structural equality to offer. *)
+   conflicting re-registration. The abstract fields ([pipeline],
+   [offload]) compare physically: re-passing the same value is
+   compatible, a different one conflicts — registries and pools have
+   no structural equality to offer. *)
 let equal a b =
   a.reply_config = b.reply_config
   && a.ordered = b.ordered
@@ -59,10 +51,6 @@ let equal a b =
   && a.dedup_cache = b.dedup_cache
   && a.shards = b.shards
   && a.shed_hwm = b.shed_hwm
-  && (match (a.shard_key, b.shard_key) with
-     | None, None -> true
-     | Some f, Some g -> f == g
-     | None, Some _ | Some _, None -> false)
   && (match (a.pipeline, b.pipeline) with
      | None, None -> true
      | Some r, Some s -> r == s
@@ -85,11 +73,6 @@ let diff a b =
       ("dedup_cache", a.dedup_cache <> b.dedup_cache);
       ("shards", a.shards <> b.shards);
       ("shed_hwm", a.shed_hwm <> b.shed_hwm);
-      ( "shard_key",
-        match (a.shard_key, b.shard_key) with
-        | None, None -> false
-        | Some f, Some g -> not (f == g)
-        | None, Some _ | Some _, None -> true );
       ( "pipeline",
         match (a.pipeline, b.pipeline) with
         | None, None -> false
@@ -104,10 +87,8 @@ let diff a b =
 
 let pp ppf t =
   Format.fprintf ppf
-    "{ordered=%b; dedup=%b; dedup_cache=%d; shards=%d; shard_key=%s; pipeline=%s; \
-     shed_hwm=%s; offload=%s}"
+    "{ordered=%b; dedup=%b; dedup_cache=%d; shards=%d; pipeline=%s; shed_hwm=%s; offload=%s}"
     t.ordered t.dedup t.dedup_cache t.shards
-    (match t.shard_key with Some _ -> "<fn>" | None -> "default")
     (match t.pipeline with Some _ -> "<registry>" | None -> "none")
     (match t.shed_hwm with Some h -> string_of_int h | None -> "off")
     (match t.offload with

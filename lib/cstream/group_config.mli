@@ -15,11 +15,6 @@
     {!equal} when a group is re-registered, so a conflicting
     re-registration fails loudly, field-by-field ({!diff}). *)
 
-type shard_key = port:string -> Xdr.value -> int
-(** A pure partition function routing each call to an execution lane
-    (docs/SHARDING.md). Purity matters: a resubmitted call must re-hash
-    to its original lane. *)
-
 type t = {
   reply_config : Chanhub.config;  (** buffering of the per-stream reply channel *)
   ordered : bool;
@@ -34,9 +29,8 @@ type t = {
   dedup_cache : int;  (** retained outcomes (oldest evicted first) *)
   shards : int;
       (** execution lanes per connection; >1 relaxes in-order execution
-          to per-key order (docs/SHARDING.md) *)
-  shard_key : shard_key option;
-      (** [None] = hash of the first argument ({!Target.default_shard_key}) *)
+          to per-key order (docs/SHARDING.md). A call's lane is always
+          the hash of its first argument ({!Target.default_shard_key}). *)
   pipeline : Wire.routcome Pipeline.Registry.t option;
       (** promise-pipelining outcome registry (docs/PIPELINE.md). The
           guardian layer always substitutes its own per-guardian
@@ -72,12 +66,9 @@ val with_dedup : ?cache:int -> t -> t
 
 val without_dedup : t -> t
 
-val with_shards : ?key:shard_key -> int -> t -> t
-(** Set the lane count (raises [Invalid_argument] on [<= 0]); [key]
-    replaces the partition function, otherwise any previously set key
-    is kept. *)
-
-val with_pipeline : Wire.routcome Pipeline.Registry.t -> t -> t
+val with_shards : int -> t -> t
+(** Set the lane count (raises [Invalid_argument] on [<= 0]). Calls are
+    partitioned by the hash of their first argument. *)
 
 val with_shed : int -> t -> t
 (** Enable load-shedding at the given per-lane queue depth (raises
@@ -90,13 +81,10 @@ val with_offload : Sched.Pool.t -> t -> t
     (docs/DOMAINS.md). Combine with {!with_shards}: each lane offloads
     its current call and lanes overlap on real cores. *)
 
-val without_offload : t -> t
-
 val equal : t -> t -> bool
-(** Structural on the plain fields; {e physical} on [shard_key],
-    [pipeline] and [offload] (functions, registries and pools have no
-    structural equality) — so re-passing the very same config value is
-    always compatible. *)
+(** Structural on the plain fields; {e physical} on [pipeline] and
+    [offload] (registries and pools have no structural equality) — so
+    re-passing the very same config value is always compatible. *)
 
 val diff : t -> t -> string list
 (** Names of the fields on which the two configs disagree (empty iff

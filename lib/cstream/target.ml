@@ -52,13 +52,11 @@ type t = {
   t_dedup : bool;
   t_shards : int;
   t_shed : int option;  (* load-shed high-water mark on lane queue depth *)
-  t_shard_key : port:string -> Xdr.value -> int;
   t_dispatch_counts : int array;
       (* cumulative calls routed to each shard, for the imbalance stat *)
   t_cache_cap : int;
   t_cache : (string * int, entry) Hashtbl.t;
   t_done_order : (string * int) Queue.t;
-  mutable t_done_count : int;
   t_registry : Wire.routcome Pipeline.Registry.t option;
       (* promise-pipelining outcome registry, possibly shared with
          other targets of the same guardian (docs/PIPELINE.md) *)
@@ -77,7 +75,7 @@ and conn = {
   mutable c_inflight : int;  (* calls being executed right now, across all lanes *)
   mutable c_breaking : string option;  (* break requested mid-call *)
   mutable c_on_close : (unit -> unit) list;
-  (* sharded/unordered modes: outcomes parked until all earlier replies went out *)
+  (* outcomes parked until all earlier replies went out *)
   c_done : (int, Wire.kind * int option * bool * Wire.routcome) Hashtbl.t;
       (* (kind, trace, elide, outcome) *)
   mutable c_next_reply : int;
@@ -107,24 +105,16 @@ let dedup t = t.t_dedup
 
 let shards t = t.t_shards
 
-(* Default partition function: hash of the first argument, so a
-   [Pair (key, payload)] argument shards on the key alone. The function
-   must be pure — a resubmitted call (same stable call item, possibly a
-   new stream incarnation) re-hashes to the same shard, which is what
-   keeps dedup joins and per-key order stable across restarts. *)
+(* The partition function: hash of the first argument, so a
+   [Pair (key, payload)] argument shards on the key alone. It is pure —
+   a resubmitted call (same stable call item, possibly a new stream
+   incarnation) re-hashes to the same shard, which is what keeps dedup
+   joins and per-key order stable across restarts. *)
 let first_arg = function Xdr.Pair (a, _) -> a | v -> v
 
-let default_shard_key ~port:_ args = Hashtbl.hash (first_arg args)
-
-let shard_of t ~port args =
-  if t.t_shards = 1 then 0
-  else
-    let k = t.t_shard_key ~port args in
-    ((k mod t.t_shards) + t.t_shards) mod t.t_shards
+let default_shard_key args = Hashtbl.hash (first_arg args)
 
 let conn_src c = Chanhub.in_src c.c_in
-
-let conn_count t = Hashtbl.length t.conns
 
 let counter t name = Sim.Stats.counter (S.stats t.sched) name
 
@@ -243,11 +233,8 @@ let stable_stream_id (key : Chanhub.key) =
 let remember t id outcome =
   Hashtbl.replace t.t_cache id (Done outcome);
   Queue.push id t.t_done_order;
-  t.t_done_count <- t.t_done_count + 1;
-  while t.t_done_count > t.t_cache_cap do
-    let victim = Queue.pop t.t_done_order in
-    Hashtbl.remove t.t_cache victim;
-    t.t_done_count <- t.t_done_count - 1
+  while Queue.length t.t_done_order > t.t_cache_cap do
+    Hashtbl.remove t.t_cache (Queue.pop t.t_done_order)
   done
 
 (* Promise pipelining (docs/PIPELINE.md): substitute {!Xdr.Pref}
@@ -574,9 +561,9 @@ let exec_call c ~seq ~cid ~trace ~port ~kind ~args ~handoff ~reply =
   end
   end
 
-(* Unordered mode keeps the stream's reply-order guarantee: outcomes
-   are released strictly by call sequence even though execution
-   overlaps. *)
+(* The one reply route: outcomes are released strictly by call
+   sequence, whatever order lanes, unordered execution or sheds produce
+   them in. The next reply due leaves at once. *)
 let release_in_order c =
   let rec go () =
     match Hashtbl.find_opt c.c_done c.c_next_reply with
@@ -593,20 +580,13 @@ let release_in_order c =
    the handler replies before taking the next piece of work. With one
    shard this is the paper's per-stream order; with several, each lane
    keeps that discipline for its own partition of the key space while
-   lanes run concurrently (docs/SHARDING.md), and replies are parked in
-   [c_done] so they still leave in call order. With [t_ordered = false]
+   lanes run concurrently (docs/SHARDING.md). With [t_ordered = false]
    (the override hinted at in §2.1), calls are dispatched as they
-   arrive and run concurrently; only the replies are sequenced. *)
+   arrive and run concurrently. Either way replies are parked in
+   [c_done] so they leave in call order. *)
 let driver_loop c sh =
   let t = c.c_target in
   let overhead = Chanhub.hub_recv_overhead t.hub in
-  (* Only the single-lane ordered mode may emit straight from the
-     driver: any overlap in execution can scramble completion order, so
-     replies go through the in-order parking table instead. Shedding
-     also forces the parking table — a shed outcome is produced at
-     delivery time, out of band of the driver, and must still leave in
-     call order. *)
-  let direct = t.t_ordered && t.t_shards = 1 && t.t_shed = None in
   let park_reply ~seq ~kind ~trace ~elide o =
     if not c.c_broken then begin
       Hashtbl.replace c.c_done seq (kind, trace, elide, o);
@@ -634,8 +614,7 @@ let driver_loop c sh =
                   ignore (S.wake w o : bool)))
         in
         c.c_inflight <- c.c_inflight - 1;
-        if direct then emit_reply c ~kind ~trace ~elide outcome
-        else park_reply ~seq ~kind ~trace ~elide outcome;
+        park_reply ~seq ~kind ~trace ~elide outcome;
         match c.c_breaking with
         | Some reason when c.c_inflight = 0 ->
             c.c_breaking <- None;
@@ -729,7 +708,7 @@ let accept t in_chan =
                       Ok (Encoded cv.Wire.cv_args, 0))
                     else
                       match materialize_view t cv.Wire.cv_args with
-                      | Ok v -> Ok (Materialized v, shard_of t ~port v)
+                      | Ok v -> Ok (Materialized v, default_shard_key v mod t.t_shards)
                       | Error reason -> Error reason
                   in
                   match routed with
@@ -835,13 +814,10 @@ let create hub ~gid ?(config = Group_config.default) dispatch =
       t_dedup = config.Group_config.dedup;
       t_shards = config.Group_config.shards;
       t_shed = config.Group_config.shed_hwm;
-      t_shard_key =
-        Option.value config.Group_config.shard_key ~default:default_shard_key;
       t_dispatch_counts = Array.make config.Group_config.shards 0;
       t_cache_cap = config.Group_config.dedup_cache;
       t_cache = Hashtbl.create (if config.Group_config.dedup then 64 else 1);
       t_done_order = Queue.create ();
-      t_done_count = 0;
       t_registry = config.Group_config.pipeline;
       dispatch;
       conns = Hashtbl.create 8;

@@ -68,16 +68,16 @@ val create : Chanhub.hub -> gid:string -> ?config:Group_config.t -> dispatch -> 
     receiver-ordering ablation.
 
     [shards] (default 1) partitions each stream's execution across that
-    many concurrent lanes, keyed by [shard_key] (default
-    {!default_shard_key}). The paper's in-order guarantee is relaxed to
-    {e per-key} order: two calls whose keys map to the same shard still
-    execute strictly in call order, while calls on different shards
-    overlap (docs/SHARDING.md). Replies are nevertheless released in
-    call order, so the stream's reply-order guarantee (and
-    promise-readiness order) is unchanged. [shard_key] must be a pure
-    function of its arguments: a resubmitted call re-hashes to the same
-    shard, which is what keeps dedup joins and per-key order stable
-    across stream incarnations. Sharded dispatch is counted in
+    many concurrent lanes, keyed by the hash of each call's first
+    argument ({!default_shard_key}). The paper's in-order guarantee is
+    relaxed to {e per-key} order: two calls whose keys map to the same
+    shard still execute strictly in call order, while calls on
+    different shards overlap (docs/SHARDING.md). Replies are
+    nevertheless released in call order, so the stream's reply-order
+    guarantee (and promise-readiness order) is unchanged. The key is a
+    pure function of the arguments: a resubmitted call re-hashes to the
+    same shard, which is what keeps dedup joins and per-key order
+    stable across stream incarnations. Sharded dispatch is counted in
     {!Sim.Stats} as [shard_dispatches], with high-water marks
     [shard_queue_hwm] (lane queue depth) and [shard_imbalance] (spread
     between the most- and least-loaded lane's cumulative dispatches).
@@ -116,16 +116,14 @@ val dedup : t -> bool
 val shards : t -> int
 (** Number of execution lanes per connection (1 = unsharded). *)
 
-val default_shard_key : port:string -> Xdr.value -> int
-(** The default partition function: [Hashtbl.hash] of the first
-    argument ([Pair (a, _)] shards on [a]; any other shape on the whole
-    value). Deterministic across incarnations. *)
+val default_shard_key : Xdr.value -> int
+(** The partition function: [Hashtbl.hash] of the first argument
+    ([Pair (a, _)] shards on [a]; any other shape on the whole value).
+    Non-negative and deterministic across incarnations; a call with
+    arguments [v] runs on lane [default_shard_key v mod shards]. *)
 
 val conn_src : conn -> Net.address
 (** Node address of the sending agent. *)
-
-val conn_count : t -> int
-(** Live incoming streams. *)
 
 val break_conn : conn -> reason:string -> unit
 (** Receiver-initiated stream break (§2): pending replies are flushed
@@ -134,8 +132,6 @@ val break_conn : conn -> reason:string -> unit
     then the sender is told the stream is broken and further calls are
     discarded. This is the paper's {e synchronous} break: calls already
     replied to are unaffected. *)
-
-val flush_replies : conn -> unit
 
 val on_conn_close : conn -> (unit -> unit) -> unit
 (** Run a hook when this connection goes away for any reason (break

@@ -177,13 +177,6 @@ let item_trace = function
 (* How many optional elements a call with this head carries. *)
 let n_optional head = ((head lsr 3) land 1) + ((head lsr 4) land 1) + ((head lsr 5) land 1)
 
-(* A call's element count matches its optional bits, which no reply
-   shape does while also having the resubmit bit set. *)
-let item_resubmit = function
-  | Xdr.List (Xdr.Int head :: Xdr.Str _ :: _ :: opt) ->
-      head land lnot call_bits = 0 && head land b_resubmit <> 0 && List.length opt = n_optional head
-  | _ -> false
-
 (* --- lazy (view-based) parsing ------------------------------------
    The receive path (docs/WIRE.md §Lazy views): envelope elements are
    tiny and are read one by one; the argument or outcome payload — the

@@ -92,8 +92,8 @@ val register_group :
     If the group already exists (created by an earlier [register_group]
     or first [register]), a [config] passed here must equal the one the
     group was registered with ({!Cstream.Group_config.equal} — whole
-    configs are compared, [shard_key] physically since functions cannot
-    be compared structurally): a conflicting config raises
+    configs are compared; sharding always hashes the first argument, so
+    the lane count is the only sharding field): a conflicting config raises
     [Invalid_argument] naming the differing fields instead of being
     silently ignored. Omitting [config] always passes. *)
 

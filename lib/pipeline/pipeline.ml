@@ -31,29 +31,6 @@ let project ~field v =
             (Format.asprintf "field selector %S applied to non-record result %a" f Xdr.pp_value
                other))
 
-(* Same contract as {!project}, against an encoded outcome: with a
-   field selector only the selected field's slice is decoded — earlier
-   fields are skipped by structure, later ones never scanned. *)
-let project_view ~field vw =
-  match field with
-  | None -> Xdr.View.materialize vw
-  | Some f -> (
-      match Xdr.View.shape vw with
-      | Xdr.View.Vrecord -> (
-          match Xdr.View.record_field vw f with
-          | Ok (Some fv) -> Xdr.View.materialize fv
-          | Ok None -> Error (Printf.sprintf "produced record has no field %S" f)
-          | Error e -> Error e)
-      | _ -> (
-          (* Decode only to render the error — this is the failure
-             path, never the projection itself. *)
-          match Xdr.View.materialize vw with
-          | Ok other ->
-              Error
-                (Format.asprintf "field selector %S applied to non-record result %a" f
-                   Xdr.pp_value other)
-          | Error e -> Error e))
-
 let ( let* ) = Result.bind
 
 let rec substitute ~lookup v =

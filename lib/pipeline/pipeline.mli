@@ -29,12 +29,6 @@ val project : field:string option -> Xdr.value -> (Xdr.value, string) result
     returns the value itself; [Some f] requires a [Record] with a
     field [f] and returns that field's value. *)
 
-val project_view : field:string option -> Xdr.View.t -> (Xdr.value, string) result
-(** {!project} against a still-encoded outcome: [Some f] decodes only
-    the selected field's slice ({!Xdr.View.record_field} — earlier
-    fields are skipped by structure, later ones never scanned); [None]
-    materializes the whole slice. Same error messages as {!project}. *)
-
 val substitute :
   lookup:(Xdr.promise_ref -> (Xdr.value, string) result) ->
   Xdr.value ->

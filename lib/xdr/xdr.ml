@@ -12,21 +12,6 @@ type value =
   | Tagged of string * value
   | Pref of promise_ref
 
-let rec wire_size = function
-  | Unit -> 1
-  | Bool _ -> 1
-  | Int _ -> 8
-  | Real _ -> 8
-  | Str s -> 4 + String.length s
-  | Pair (a, b) -> 1 + wire_size a + wire_size b
-  | List vs -> 4 + List.fold_left (fun acc v -> acc + wire_size v) 0 vs
-  | Record fields ->
-      4 + List.fold_left (fun acc (name, v) -> acc + String.length name + 1 + wire_size v) 0 fields
-  | Tagged (tag, v) -> 1 + String.length tag + wire_size v
-  | Pref r ->
-      1 + String.length r.ps_stream + 8
-      + (match r.ps_field with Some f -> 1 + String.length f | None -> 1)
-
 let rec pp_value ppf = function
   | Unit -> Format.pp_print_string ppf "()"
   | Bool b -> Format.pp_print_bool ppf b
@@ -323,8 +308,6 @@ let failing_decode ?(reason = "injected decode failure") ~every c =
         incr count;
         if !count mod every = 0 then Error reason else c.decode v);
   }
-
-let encoded_size c v = match c.encode v with Ok enc -> wire_size enc | Error _ -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Binary wire codec *)

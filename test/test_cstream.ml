@@ -103,9 +103,9 @@ let test_wire_send_ok_parses_as_normal_unit () =
 
 let test_wire_send_ok_is_small () =
   let full =
-    Xdr.wire_size (W.reply_item ~trace:None (W.W_normal (Xdr.Str (String.make 100 'x'))))
+    Xdr.Bin.size (W.reply_item ~trace:None (W.W_normal (Xdr.Str (String.make 100 'x'))))
   in
-  let compact = Xdr.wire_size (W.send_ok_item ~trace:None) in
+  let compact = Xdr.Bin.size (W.send_ok_item ~trace:None) in
   check Alcotest.bool "compact reply much smaller" true (compact * 5 < full)
 
 let test_wire_malformed_rejected () =
@@ -181,14 +181,40 @@ let test_chan_reliable_under_duplication () =
   let got = collect_channel w ~cfg:CH.default_config ~n:50 in
   check Alcotest.(list int) "duplicates suppressed" (expected_ints 50) got
 
+(* The sender configs in use: unbatched, batching by count and timer,
+   flush-on-idle batching with a static and with an AIMD window. *)
+let chan_configs =
+  [
+    ("rpc", CH.rpc_config);
+    ("default", CH.default_config);
+    ("adaptive", CH.adaptive_config);
+    ("aimd", CH.aimd_config);
+  ]
+
 let prop_chan_reliable_any_seed =
-  QCheck.Test.make ~name:"channel is exactly-once in-order for any seed/loss" ~count:40
-    QCheck.(pair small_int (int_range 0 40))
-    (fun (seed, loss_pct) ->
-      let cfg = Net.lossy ~loss:(float_of_int loss_pct /. 100.) ~dup:0.1 Net.default_config in
-      let w = make_world ~cfg ~seed () in
-      let got = collect_channel w ~cfg:CH.default_config ~n:30 in
-      got = expected_ints 30)
+  QCheck.Test.make
+    ~name:"channel is exactly-once in-order for any seed/loss/config/item size" ~count:40
+    QCheck.(quad small_int (int_range 0 40) (oneofl ~print:fst chan_configs) (int_range 1 300))
+    (fun (seed, loss_pct, (_, cfg), size) ->
+      let net_cfg = Net.lossy ~loss:(float_of_int loss_pct /. 100.) ~dup:0.1 Net.default_config in
+      let w = make_world ~cfg:net_cfg ~seed () in
+      let item i = Xdr.Pair (Xdr.Int i, Xdr.Str (String.make size 'x')) in
+      let received = ref [] in
+      CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
+          CH.set_deliver in_chan (fun _ items ->
+              received := !received @ List.map (fun vw -> Result.get_ok (Xdr.View.materialize vw)) items));
+      let out = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:"" cfg in
+      ignore
+        (S.spawn w.sched (fun () ->
+             for i = 1 to 30 do
+               ignore (CH.send out (item i) : (unit, string) result)
+             done;
+             CH.flush_out out));
+      run_ok w;
+      (* Quiescent: every byte the window charged has been acked. *)
+      List.equal Xdr.equal_value (List.init 30 (fun i -> item (i + 1))) !received
+      && CH.inflight_bytes out = 0
+      && CH.unacked_count out = 0)
 
 let prop_chan_random_flush_interleavings =
   (* Random explicit flushes between sends, under loss and duplication:

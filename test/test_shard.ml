@@ -58,13 +58,21 @@ let handle w ?(config = batch_cfg) ~agent ~gid hs =
   let ag = Core.Agent.create w.client_hub ~name:agent ~config () in
   R.bind ag ~dst:(Net.address w.server_node) ~gid hs
 
-(* (key, op) -> result; sharded on [key] via an explicit partition so
-   the lane each call lands on is known exactly, not hash-dependent. *)
+(* (key, op) -> result; sharded on [key], the first argument. *)
 let kv_sig = Core.Sigs.hsig0 "work" ~arg:(Xdr.pair Xdr.int Xdr.int) ~res:Xdr.int
 
-let key_mod shards ~port:_ = function
-  | Xdr.Pair (Xdr.Int k, _) -> k mod shards
-  | _ -> 0
+(* The lane of a call whose first argument is [v]: routing always
+   hashes the first argument. *)
+let lane_of ~shards v = T.default_shard_key v mod shards
+
+(* The first [n] positive int keys whose calls land on [lane], so each
+   case knows exactly which lane each of its calls runs on. *)
+let keys_on_lane ~shards ~lane n =
+  let rec go k acc =
+    if List.length acc = n then List.rev acc
+    else go (k + 1) (if lane_of ~shards (Xdr.Int k) = lane then k :: acc else acc)
+  in
+  go 1 []
 
 (* Issue one stream call per argument, in list order. (A list literal
    of [stream_call]s would evaluate right-to-left and scramble the seq
@@ -84,7 +92,7 @@ let claim_normal p =
 let test_independent_keys_overlap () =
   let w = make_world () in
   G.register_group w.server ~group:"hot"
-    ~config:GC.(default |> with_reply_config batch_cfg |> with_shards ~key:(key_mod 4) 4)
+    ~config:GC.(default |> with_reply_config batch_cfg |> with_shards 4)
     ();
   G.register w.server ~group:"hot" kv_sig (fun ctx (_, op) ->
       S.sleep ctx.G.sched 5e-3;
@@ -93,7 +101,10 @@ let test_independent_keys_overlap () =
   ignore
     (S.spawn w.sched (fun () ->
          let h = handle w ~agent:"c" ~gid:"hot" kv_sig in
-         let ps = call_each h (List.init 8 (fun i -> (i, i))) in
+         (* Two keys per lane: lanes 0..3, then 0..3 again. *)
+         let keys = List.init 4 (fun lane -> keys_on_lane ~shards:4 ~lane 2) in
+         let order = List.map List.hd keys @ List.map (fun ks -> List.nth ks 1) keys in
+         let ps = call_each h (List.mapi (fun i k -> (k, i)) order) in
          R.flush h;
          List.iteri (fun i p -> check Alcotest.int "result" i (claim_normal p)) ps;
          finished := S.now w.sched));
@@ -114,7 +125,7 @@ let test_independent_keys_overlap () =
 let test_same_key_serialised_in_order () =
   let w = make_world () in
   G.register_group w.server ~group:"hot"
-    ~config:GC.(default |> with_reply_config batch_cfg |> with_shards ~key:(key_mod 4) 4)
+    ~config:GC.(default |> with_reply_config batch_cfg |> with_shards 4)
     ();
   let executed = ref [] in
   G.register w.server ~group:"hot" kv_sig (fun ctx (_, op) ->
@@ -213,14 +224,15 @@ let fast_chan_cfg =
 
 let test_sharded_dedup_crash_resubmit_exactly_once () =
   let w = make_world () in
+  (* One key per lane. *)
+  let key lane = List.hd (keys_on_lane ~shards:4 ~lane 1) in
+  let k0 = key 0 and k1 = key 1 and k2 = key 2 and k3 = key 3 in
   let executions : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
   let per_key : (int, int list) Hashtbl.t = Hashtbl.create 8 in
   let key_order_ok = ref true in
   G.register_group w.server ~group:"ctr"
     ~config:
-      GC.(
-        default |> with_reply_config fast_chan_cfg |> with_dedup
-        |> with_shards ~key:(key_mod 4) 4)
+      GC.(default |> with_reply_config fast_chan_cfg |> with_dedup |> with_shards 4)
     ();
   G.register w.server ~group:"ctr" kv_sig (fun ctx (k, op) ->
       S.sleep ctx.G.sched 2e-3;
@@ -241,11 +253,11 @@ let test_sharded_dedup_crash_resubmit_exactly_once () =
          let h = handle w ~config:fast_chan_cfg ~agent:"c" ~gid:"ctr" kv_sig in
          let se = R.stream h in
          SE.set_preserve_on_break se true;
-         let ps = call_each h [ (0, 0); (0, 1); (1, 0); (1, 1); (2, 0); (2, 1) ] in
+         let ps = call_each h [ (k0, 0); (k0, 1); (k1, 0); (k1, 1); (k2, 0); (k2, 1) ] in
          R.flush h;
          (* A probe into the outage so the client notices the break. *)
          S.sleep w.sched 3e-3;
-         let probe = R.stream_call h (3, 0) in
+         let probe = R.stream_call h (k3, 0) in
          R.flush h;
          while SE.broken se = None do
            S.sleep w.sched 1e-3
@@ -257,7 +269,8 @@ let test_sharded_dedup_crash_resubmit_exactly_once () =
          outcomes := List.map claim_normal (ps @ [ probe ])));
   run_ok w.sched;
   check Alcotest.(list int) "all results, in call order"
-    [ 0; 1; 100; 101; 200; 201; 300 ] !outcomes;
+    [ k0 * 100; (k0 * 100) + 1; k1 * 100; (k1 * 100) + 1; k2 * 100; (k2 * 100) + 1; k3 * 100 ]
+    !outcomes;
   Hashtbl.iter
     (fun (k, op) count ->
       check Alcotest.int (Printf.sprintf "call (%d,%d) executed exactly once" k op) 1 count)
@@ -276,18 +289,15 @@ let expect_invalid what f =
 
 let test_group_reregistration_conflicts () =
   let w = make_world () in
-  let key = key_mod 4 in
-  let cfg =
-    GC.(default |> with_reply_config fast_chan_cfg |> with_dedup |> with_shards ~key 4)
-  in
+  let cfg = GC.(default |> with_reply_config fast_chan_cfg |> with_dedup |> with_shards 4) in
   G.register_group w.server ~group:"g" ~config:cfg ();
   (* An omitted config is "don't care" (this is what [register] relies
      on); re-passing the registration config — or a structurally equal
-     rebuild sharing the same key function — is fine. *)
+     rebuild — is fine. *)
   G.register w.server ~group:"g" kv_sig (fun _ (_, op) -> Ok op);
   G.register_group w.server ~group:"g" ~config:cfg ();
   G.register_group w.server ~group:"g"
-    ~config:GC.(default |> with_reply_config fast_chan_cfg |> with_dedup |> with_shards ~key 4)
+    ~config:GC.(default |> with_reply_config fast_chan_cfg |> with_dedup |> with_shards 4)
     ();
   expect_invalid "conflicting shards" (fun () ->
       G.register_group w.server ~group:"g" ~config:GC.(cfg |> with_shards 2) ());
@@ -298,11 +308,7 @@ let test_group_reregistration_conflicts () =
   expect_invalid "conflicting dedup_cache" (fun () ->
       G.register_group w.server ~group:"g" ~config:GC.(cfg |> with_dedup ~cache:7) ());
   expect_invalid "conflicting reply_config" (fun () ->
-      G.register_group w.server ~group:"g" ~config:GC.(cfg |> with_reply_config batch_cfg) ());
-  expect_invalid "a different shard_key function conflicts" (fun () ->
-      G.register_group w.server ~group:"g"
-        ~config:GC.(cfg |> with_shards ~key:(key_mod 4) 4)
-        ())
+      G.register_group w.server ~group:"g" ~config:GC.(cfg |> with_reply_config batch_cfg) ())
 
 (* ------------------------------------------------------------------ *)
 (* Registry byte budget: outcomes are sized on record, FIFO-evicted
@@ -349,27 +355,33 @@ let step_sig = Core.Sigs.hsig0 "step" ~arg:Xdr.int ~res:Xdr.int
 
 let test_cross_shard_pipelining () =
   let w = make_world () in
-  (* Ordinary ints go to lane 0; a promise-reference argument (not yet
-     an int when the lane is chosen) goes to lane 1. *)
-  let by_shape ~port:_ = function Xdr.Int _ -> 0 | _ -> 1 in
   G.register_group w.server ~group:"hot"
-    ~config:GC.(default |> with_reply_config batch_cfg |> with_shards ~key:by_shape 2)
+    ~config:GC.(default |> with_reply_config batch_cfg |> with_shards 2)
     ();
   G.register w.server ~group:"hot" step_sig (fun ctx n ->
       S.sleep ctx.G.sched 5e-3;
       Ok (n * 2));
-  let got1 = ref None and got2 = ref None in
+  let got1 = ref None and got2 = ref None and n = ref 0 in
   ignore
     (S.spawn w.sched (fun () ->
          let h = handle w ~agent:"c" ~gid:"hot" step_sig in
-         let p1 = R.stream_call h 7 in
+         (* The dependent's argument is a reference to the stream's first
+            call (cid 0), not yet an int when its lane is chosen. The
+            producer's argument is picked to hash to the other lane. *)
+         let ref_lane =
+           lane_of ~shards:2
+             (Xdr.Pref
+                { Xdr.ps_stream = SE.stable_id (R.stream h); ps_call = 0; ps_field = None })
+         in
+         n := List.hd (keys_on_lane ~shards:2 ~lane:(1 - ref_lane) 1);
+         let p1 = R.stream_call h !n in
          let p2 = R.Call.(submit (piped h (R.pipe p1))) in
          R.flush h;
          got2 := Some (P.claim p2);
          got1 := Some (P.claim p1)));
   run_ok w.sched;
-  check Alcotest.bool "producer result" true (!got1 = Some (P.Normal 14));
-  check Alcotest.bool "dependent result (substituted)" true (!got2 = Some (P.Normal 28));
+  check Alcotest.bool "producer result" true (!got1 = Some (P.Normal (2 * !n)));
+  check Alcotest.bool "dependent result (substituted)" true (!got2 = Some (P.Normal (4 * !n)));
   (* The dependent reached its own lane while the producer was still
      sleeping on lane 0 — it parked, then ran on substitution. *)
   check Alcotest.int "dependent parked on the registry" 1 (peek w.sched "parked_calls");

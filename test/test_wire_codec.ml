@@ -245,7 +245,7 @@ let prop_random_bytes_never_raise =
 
 let ack ?(pressure = 0) idx upto = { CH.a_idx = idx; a_upto = upto; a_pressure = pressure }
 
-let equal_packet (a : CH.packet) (b : CH.packet) =
+let equal_packet (a : Xdr.value CH.packet) (b : Xdr.value CH.packet) =
   match (a, b) with
   | ( CH.Data { src = s1; idx = x1; first_seq = f1; opening = o1; acks = a1; items = i1 },
       CH.Data { src = s2; idx = x2; first_seq = f2; opening = o2; acks = a2; items = i2 } ) ->
@@ -286,7 +286,7 @@ let test_packet_roundtrips () =
       | Error e -> Alcotest.failf "packet decode failed: %s" e)
     packets
 
-let gen_packet : CH.packet QCheck.Gen.t =
+let gen_packet : Xdr.value CH.packet QCheck.Gen.t =
   let open QCheck.Gen in
   let nat = oneof [ small_nat; int_bound max_int ] in
   let gen_ack =
@@ -343,12 +343,6 @@ let test_opening_fields_only_at_seq_zero () =
   rejects
     (CH.Data
        { src = 3; idx = 7; first_seq = 1; opening = Some sample_opening; acks = []; items = [] })
-
-let test_packet_bytes_is_actual_size () =
-  let p = CH.Ack { acks = [ ack 7 12 ] } in
-  check Alcotest.int "packet_bytes = encoded length"
-    (String.length (CH.encode_packet p))
-    (CH.packet_bytes p)
 
 let test_packet_garbage_rejected () =
   (match CH.decode_packet "" with Error _ -> () | Ok _ -> Alcotest.fail "empty frame accepted");
@@ -672,6 +666,81 @@ let test_ack_for_unknown_idx_ignored () =
   check Alcotest.(list int) "stray acks ignored, the peer's ack frees the item" [ 0; 1 ]
     !unacked_at
 
+(* An ack past the last transmitted seq frees what was sent and
+   nothing more: the next item stays tracked until its own ack. *)
+let test_ack_past_sent_clamped () =
+  let w = make_world () in
+  let peer = Net.add_node w.net ~name:"silent" in
+  let out =
+    CH.connect w.hub_a ~dst:(Net.address peer) ~label:"sink" ~meta:""
+      { CH.rpc_config with CH.retransmit_timeout = 10.0 }
+  in
+  let idx = (CH.out_key out).CH.idx in
+  let unacked_at = ref [] in
+  let probe () = unacked_at := CH.unacked_count out :: !unacked_at in
+  let ack_upto upto = inject w ~src:peer ~dst:w.node_a (CH.Ack { acks = [ ack idx upto ] }) in
+  ignore (CH.send out (Xdr.Int 1) : (unit, string) result);
+  S.after w.sched 0.1 (fun () -> ack_upto 5);
+  S.after w.sched 0.2 (fun () ->
+      probe ();
+      ignore (CH.send out (Xdr.Int 2) : (unit, string) result);
+      probe ());
+  S.after w.sched 0.3 (fun () -> ack_upto 1);
+  S.after w.sched 0.4 probe;
+  ignore (S.run ~until:1.0 w.sched : S.outcome);
+  check Alcotest.(list int) "seq 0 freed, seq 1 tracked, then freed by its ack" [ 0; 1; 0 ]
+    (List.rev !unacked_at);
+  check Alcotest.bool "not broken" true (CH.out_broken out = None)
+
+(* Only a channel's peer may feed or break it: Data or a Reset from a
+   third node naming the a->b channel is dropped and counted, and the
+   channel carries on. The peer sends item 1 before the forgery and
+   item 2 after it, at the position the forged Data claimed. *)
+let spoof_world () =
+  let w = make_world () in
+  let got, _ = sink w in
+  let out = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:"" CH.rpc_config in
+  let send_at time v =
+    S.after w.sched time (fun () -> ignore (CH.send out (Xdr.Int v) : (unit, string) result))
+  in
+  send_at 0.0 1;
+  send_at 0.2 2;
+  (w, got, out, Net.add_node w.net ~name:"mallory")
+
+let check_channel_survived w got out =
+  check Alcotest.bool "the peer's items delivered, in order" true
+    (List.equal Xdr.equal_value [ Xdr.Int 1; Xdr.Int 2 ] !got);
+  check Alcotest.bool "sender not broken" true (CH.out_broken out = None);
+  check Alcotest.int "fully acked" 0 (CH.unacked_count out);
+  check Alcotest.int "counted" 1 (peek w "chan_spoofed_drops")
+
+let test_spoofed_data_dropped () =
+  let w, got, out, mallory = spoof_world () in
+  let k = CH.out_key out in
+  S.after w.sched 0.1 (fun () ->
+      inject w ~src:mallory ~dst:w.node_b
+        (CH.Data
+           {
+             src = k.CH.src;
+             idx = k.CH.idx;
+             first_seq = 1;
+             opening = None;
+             acks = [];
+             items = [ Xdr.Int 99 ];
+           }));
+  run_ok w;
+  check_channel_survived w got out;
+  check Alcotest.int "acks only for the peer's two packets" 2 (peek w "chan_ack_packets")
+
+let test_spoofed_reset_dropped at () =
+  let w, got, out, mallory = spoof_world () in
+  let k = CH.out_key out in
+  S.after w.sched 0.1 (fun () ->
+      inject w ~src:mallory ~dst:(at w)
+        (CH.Reset { src = k.CH.src; idx = k.CH.idx; reason = "forged" }));
+  run_ok w;
+  check_channel_survived w got out
+
 let test_truncated_opening_counted () =
   let w = make_world () in
   let _, opened = sink w in
@@ -823,19 +892,9 @@ let test_view_projection_units () =
   (match Xdr.View.record_field rw "b" with
   | Ok (Some f) -> check Alcotest.bool "field b" true (Xdr.equal_value (Xdr.Str "bee") (materialize_ok f))
   | _ -> Alcotest.fail "record_field b missing");
-  (match Xdr.View.record_field rw "zz" with
+  match Xdr.View.record_field rw "zz" with
   | Ok None -> ()
-  | _ -> Alcotest.fail "absent field must be Ok None");
-  (* Pipeline's one-field projection rides the same slicing. *)
-  (match Pipeline.project_view ~field:(Some "b") rw with
-  | Ok v -> check Alcotest.bool "project_view field" true (Xdr.equal_value (Xdr.Str "bee") v)
-  | Error e -> Alcotest.fail e);
-  (match Pipeline.project_view ~field:None rw with
-  | Ok v -> check Alcotest.bool "project_view whole" true (Xdr.equal_value r v)
-  | Error e -> Alcotest.fail e);
-  match Pipeline.project_view ~field:(Some "b") lw with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "field projection of a non-record must be an error"
+  | _ -> Alcotest.fail "absent field must be Ok None"
 
 (* ------------------------------------------------------------------ *)
 (* Connection dictionary (docs/WIRE.md §Connection dictionary) *)
@@ -1172,7 +1231,6 @@ let prop_call_envelope_roundtrip =
               then fail "flags or optional elements differ"
               else if W.item_trace item <> trace || W.item_trace_view vw <> trace then
                 fail "item_trace disagrees"
-              else if W.item_resubmit item <> resubmit then fail "item_resubmit disagrees"
               else
                 match Xdr.View.materialize cv.W.cv_args with
                 | Ok a when Xdr.equal_value a args -> true
@@ -1195,7 +1253,6 @@ let check_reply_roundtrip ~trace item outcome =
   | Ok _ ->
       if W.item_trace item <> trace || W.item_trace_view (view_of item) <> trace then
         Error "item_trace disagrees"
-      else if W.item_resubmit item then Error "reply reads as a resubmitted call"
       else Ok ()
 
 let all_reply_forms v =
@@ -1320,11 +1377,7 @@ let test_hostile_envelopes_rejected () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "hostile reply accepted: %s" what
       | exception e -> Alcotest.failf "hostile reply %s raised %s" what (Printexc.to_string e))
-    hostile_replies;
-  List.iter
-    (fun (what, v) ->
-      check Alcotest.bool (what ^ ": no resubmit bit") false (W.item_resubmit v))
-    hostile_calls
+    hostile_replies
 
 (* Elements are read by position: the order is fixed, and a call
    without its argument is rejected. *)
@@ -1388,7 +1441,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_packet_roundtrip;
           Alcotest.test_case "opening fields only at seq 0" `Quick
             test_opening_fields_only_at_seq_zero;
-          Alcotest.test_case "packet_bytes is actual size" `Quick test_packet_bytes_is_actual_size;
           Alcotest.test_case "garbage frames rejected" `Quick test_packet_garbage_rejected;
         ] );
       ( "adaptive wire",
@@ -1413,6 +1465,14 @@ let () =
             test_lost_opening_recovered_by_retransmit;
           Alcotest.test_case "ack for an unknown idx ignored" `Quick
             test_ack_for_unknown_idx_ignored;
+          Alcotest.test_case "ack past the last sent seq clamped" `Quick
+            test_ack_past_sent_clamped;
+          Alcotest.test_case "spoofed data neither delivered nor acked" `Quick
+            test_spoofed_data_dropped;
+          Alcotest.test_case "spoofed reset at the receiver ignored" `Quick
+            (test_spoofed_reset_dropped (fun w -> w.node_b));
+          Alcotest.test_case "spoofed reset at the sender ignored" `Quick
+            (test_spoofed_reset_dropped (fun w -> w.node_a));
           Alcotest.test_case "opening truncated inside meta counted" `Quick
             test_truncated_opening_counted;
           Alcotest.test_case "stale compact data after reset answered" `Quick

@@ -59,20 +59,6 @@ let test_type_errors_reported () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "heterogeneous list accepted"
 
-let test_wire_size_model () =
-  check Alcotest.int "int" 8 (Xdr.wire_size (Xdr.Int 1));
-  check Alcotest.int "bool" 1 (Xdr.wire_size (Xdr.Bool true));
-  check Alcotest.int "string" (4 + 5) (Xdr.wire_size (Xdr.Str "hello"));
-  check Alcotest.bool "list adds header" true
-    (Xdr.wire_size (Xdr.List [ Xdr.Int 1; Xdr.Int 2 ]) = 4 + 16);
-  check Alcotest.bool "bigger strings cost more" true
-    (Xdr.wire_size (Xdr.Str (String.make 100 'x')) > Xdr.wire_size (Xdr.Str "x"))
-
-let test_encoded_size () =
-  check Alcotest.int "via codec" 8 (Xdr.encoded_size Xdr.int 7);
-  let failing = Xdr.failing_encode ~every:1 Xdr.int in
-  check Alcotest.int "failure sizes to 0" 0 (Xdr.encoded_size failing 7)
-
 let test_failing_encode_every () =
   let c = Xdr.failing_encode ~every:3 Xdr.int in
   let results = List.init 6 (fun i -> Result.is_ok (Xdr.encode c i)) in
@@ -104,14 +90,6 @@ let prop_nested_roundtrip =
     (fun v ->
       let codec = Xdr.(list (pair int (list string))) in
       roundtrip codec v = v)
-
-let prop_wire_size_positive =
-  QCheck.Test.make ~name:"wire size is positive and monotone in list length" ~count:200
-    QCheck.(list small_int)
-    (fun xs ->
-      let enc xs = match Xdr.encode Xdr.(list int) xs with Ok v -> v | Error _ -> Xdr.Unit in
-      let s = Xdr.wire_size (enc xs) in
-      s > 0 && Xdr.wire_size (enc (0 :: xs)) > s)
 
 (* Typed int lists ride the packed Bin encoding (docs/WIRE.md §1): the
    typed layer must not notice. *)
@@ -151,12 +129,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_string_roundtrip;
         QCheck_alcotest.to_alcotest prop_nested_roundtrip;
         QCheck_alcotest.to_alcotest prop_int_lists_over_bin;
-      ] );
-    ( "sizing",
-      [
-        Alcotest.test_case "wire size model" `Quick test_wire_size_model;
-        Alcotest.test_case "encoded_size" `Quick test_encoded_size;
-        QCheck_alcotest.to_alcotest prop_wire_size_positive;
       ] );
     ( "failure-injection",
       [
