@@ -288,10 +288,10 @@ let subject_json rows =
 
 let e12_json (r : Workloads.Exp_wire.row) =
   Printf.sprintf
-    "\"mode\": \"%s\", \"piggyback\": %b, \"calls\": %d, \"msgs\": %d, \"bytes\": %d, \
+    "\"mode\": \"%s\", \"ack_delay_ms\": %g, \"calls\": %d, \"msgs\": %d, \"bytes\": %d, \
      \"msgs_per_call\": %.4f, \"bytes_per_call\": %.2f, \"calls_per_data_packet\": %.2f, \
      \"standalone_ack_packets\": %d, \"piggybacked_acks\": %d, \"completion_ms\": %.3f"
-    (json_escape r.r_mode) r.r_piggyback r.r_calls r.r_msgs r.r_bytes
+    (json_escape r.r_mode) (r.r_ack_delay *. 1e3) r.r_calls r.r_msgs r.r_bytes
     (float_of_int r.r_msgs /. float_of_int r.r_calls)
     (float_of_int r.r_bytes /. float_of_int r.r_calls)
     (Workloads.Exp_wire.calls_per_data_pkt r)
@@ -799,10 +799,10 @@ let make_transport_tests () =
 let e17_json (r : Workloads.Exp_transport.row) =
   Printf.sprintf
     "\"workload\": \"%s\", \"backend\": \"%s\", \"calls\": %d, \"ok\": %b, \"completion_ms\": \
-     %s, \"msgs\": %d, \"bytes\": %d"
+     %s, \"data_frames\": %d, \"items\": %d, \"ack_frames\": %d, \"msgs\": %d, \"bytes\": %d"
     (json_escape r.r_workload) (json_escape r.r_backend) r.r_calls r.r_ok
     (if r.r_ok then Printf.sprintf "%.3f" (r.r_time *. 1e3) else "null")
-    r.r_msgs r.r_bytes
+    r.r_data_frames r.r_items r.r_ack_frames r.r_msgs r.r_bytes
 
 let run_transport () =
   let sim_tests, tcp_tests, cleanup = make_transport_tests () in

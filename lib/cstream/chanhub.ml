@@ -495,32 +495,26 @@ let take_piggyback hub ~dst =
   acks
 
 (* Acknowledge [upto] on channel [idx] of the hub at [dst], the
-   channel's sender. With no ack delay the standalone Ack goes out
-   immediately (the pre-piggybacking behaviour). With a delay, the ack
-   is parked hoping a reverse-direction Data packet picks it up; a
-   timer bounds how long the sender waits (it must come well under the
-   retransmit timeout). *)
+   channel's sender. The ack parks with [dst]'s other pending entries
+   and rides the next Data packet to [dst]; if none leaves first, the
+   [ack_delay] timer sends them all as one standalone Ack. At the
+   default 0 it fires at the end of the scheduler turn, once the run
+   queue is empty, so an ack never waits on a clock. *)
 let post_ack hub ~dst ~idx ~upto ~pressure =
-  if hub.h_ack_delay <= 0.0 then begin
-    Sim.Stats.incr hub.h_ctr.hc_standalone_acks;
-    transmit hub ~dst (Ack { acks = [ { a_idx = idx; a_upto = upto; a_pressure = pressure } ] })
-  end
-  else begin
-    let p = pending_for hub dst in
-    (match Hashtbl.find_opt p.p_acks idx with
-    | Some (prev_upto, prev_pressure) ->
-        Hashtbl.replace p.p_acks idx (max prev_upto upto, max prev_pressure pressure)
-    | None -> Hashtbl.replace p.p_acks idx (upto, pressure));
-    if not p.p_armed then begin
-      p.p_armed <- true;
-      S.after hub.h_sched hub.h_ack_delay (fun () ->
-          p.p_armed <- false;
-          let acks = drain_pending hub dst in
-          if acks <> [] then begin
-            Sim.Stats.add hub.h_ctr.hc_standalone_acks (List.length acks);
-            transmit hub ~dst (Ack { acks })
-          end)
-    end
+  let p = pending_for hub dst in
+  (match Hashtbl.find_opt p.p_acks idx with
+  | Some (prev_upto, prev_pressure) ->
+      Hashtbl.replace p.p_acks idx (max prev_upto upto, max prev_pressure pressure)
+  | None -> Hashtbl.replace p.p_acks idx (upto, pressure));
+  if not p.p_armed then begin
+    p.p_armed <- true;
+    S.after hub.h_sched hub.h_ack_delay (fun () ->
+        p.p_armed <- false;
+        let acks = drain_pending hub dst in
+        if acks <> [] then begin
+          Sim.Stats.add hub.h_ctr.hc_standalone_acks (List.length acks);
+          transmit hub ~dst (Ack { acks })
+        end)
   end
 
 (* --- sending end -------------------------------------------------- *)
@@ -915,6 +909,10 @@ let peer_down hub ~peer ~reason =
       od.od_helloed <- false
   | None -> ());
   Hashtbl.remove hub.h_dict_in peer;
+  (* Parked acks name the old incarnation's channel indexes, which a
+     restarted peer reuses from 0: drop them (the armed timer then finds
+     nothing to send). *)
+  Hashtbl.remove hub.h_pending peer;
   let outs =
     Hashtbl.fold (fun _ o acc -> if o.o_dst = peer then o :: acc else acc) hub.h_outs []
   in

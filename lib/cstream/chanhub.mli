@@ -19,9 +19,11 @@
 
     Packets travel as {!frame}s — compact binary strings produced by
     {!Xdr.Bin} (see docs/WIRE.md) — so every byte count the simulator
-    charges is the actual encoded size. Cumulative acks piggyback on
-    reverse-direction Data packets when the hub is given an
-    [ack_delay]; a delayed standalone Ack is the fallback. A sender-
+    charges is the actual encoded size. Cumulative acks park per peer
+    and piggyback on the next reverse-direction Data packet; a
+    standalone Ack carrying every parked entry is the fallback, sent
+    once the hub's [ack_delay] expires — at the default 0, at the end
+    of the current scheduler turn. A sender-
     side sliding window ([max_inflight_bytes]) lets a slow receiver
     back-pressure callers through {!await_window}.
 
@@ -140,8 +142,9 @@ val adaptive_config : config
 (** Nagle-style adaptive batching: [flush_on_idle = true] with
     [max_batch = 64], [max_batch_bytes = 1024] and an 8 KiB in-flight
     window — low latency when idle, aggressive coalescing under load.
-    Pair with a hub [ack_delay] to enable ack piggybacking. The window
-    is still static; see {!aimd_config} for the adaptive variant. *)
+    Acks piggyback on reply packets sent in the turn they are parked;
+    a hub [ack_delay] lets them wait longer for one. The window is
+    still static; see {!aimd_config} for the adaptive variant. *)
 
 val aimd_config : config
 (** {!adaptive_config} plus AIMD flow control: [adaptive_window = true]
@@ -166,14 +169,20 @@ val create_hub :
     shorthand for [~transport:(Transport_sim.endpoint net node)]);
     anything else raises [Invalid_argument].
 
-    [ack_delay] (default [0.], i.e. disabled) holds acks back for that
-    many seconds hoping a reverse-direction Data packet will carry
-    them; whatever is still pending when the timer fires goes out as
-    one standalone Ack packet. Keep it well under the senders'
-    [retransmit_timeout]. A transport peer-down breaks every channel to
-    or from that peer, with the incoming ends tombstoned exactly as a
-    [Reset] would be — so a retransmit arriving over a fresh connection
-    is refused rather than resurrecting the old incarnation.
+    [ack_delay] (default [0.]) is how long an ack may wait for a ride:
+    every ack parks per destination, merged with that peer's other
+    pending entries, and leaves on the next Data packet to the peer;
+    whatever is still pending when the [ack_delay] timer fires goes out
+    as one standalone Ack packet. At [0.] the timer fires at the end of
+    the current scheduler turn (due timers run only once the run queue
+    is empty, before time advances or the transport blocks), so an ack
+    rides a reply sent in the same turn and otherwise adds no latency.
+    Keep a positive delay well under the senders' [retransmit_timeout].
+    A transport peer-down breaks every channel to or from that peer and
+    drops the acks parked for it, with the incoming ends tombstoned
+    exactly as a [Reset] would be — so a retransmit arriving over a
+    fresh connection is refused rather than resurrecting the old
+    incarnation.
 
     [dict] (default [false]) opts this hub's {e sending} side into the
     per-connection interning dictionary (docs/WIRE.md §Connection

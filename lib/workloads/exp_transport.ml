@@ -3,9 +3,13 @@
    dependent-call chain — run twice from one binary: over the simulated
    net (Transport_sim, virtual time = the model's prediction) and over
    real loopback TCP sockets (Transport_tcp, wall-clock time = the
-   measurement). Frame and byte counts must agree exactly — the stream
-   layer is byte-identical above the seam — while the time columns
-   compare the cost model against a real kernel (docs/TRANSPORT.md). *)
+   measurement). Data frames and the items they carry must agree
+   exactly — the stream layer batches identically above the seam —
+   while the time columns compare the cost model against a real kernel
+   (docs/TRANSPORT.md). Ack frames may differ: an ack waits for a reply
+   until the end of the scheduler turn, and a simulated reply leaves a
+   turn later, after the receive overhead charged as lane time, so TCP
+   never needs more ack frames than the sim. *)
 
 module S = Sched.Scheduler
 module CH = Cstream.Chanhub
@@ -20,7 +24,10 @@ type row = {
   r_calls : int;
   r_ok : bool;  (** [false]: TCP unavailable (sandbox), row is a skip *)
   r_time : float;  (** completion, seconds: sim = predicted, tcp = measured *)
-  r_msgs : int;
+  r_data_frames : int;  (** Data packets sent by both hubs *)
+  r_items : int;  (** items those Data packets carried *)
+  r_ack_frames : int;  (** standalone Ack packets sent by both hubs *)
+  r_msgs : int;  (** every frame that crossed the substrate *)
   r_bytes : int;
 }
 
@@ -139,18 +146,25 @@ let chain_workload ~depth world () =
   check ~what:"chain" ~expect:depth (P.claim !p)
 
 let run_workload ~workload ~calls body =
-  let sim =
-    let w = make_sim_world () in
-    let time = timed_body w (body w) in
+  (* Read after the run, before the world is closed. *)
+  let measured w ~backend ~time =
+    let chan name = Sim.Stats.peek (S.stats w.w_sched) name in
     {
       r_workload = workload;
-      r_backend = "sim";
+      r_backend = backend;
       r_calls = calls;
       r_ok = true;
       r_time = time;
+      r_data_frames = chan "chan_data_packets";
+      r_items = chan "chan_items_sent";
+      r_ack_frames = chan "chan_ack_packets";
       r_msgs = w.w_msgs ();
       r_bytes = w.w_bytes ();
     }
+  in
+  let sim =
+    let w = make_sim_world () in
+    measured w ~backend:"sim" ~time:(timed_body w (body w))
   in
   let skip reason =
     {
@@ -159,6 +173,9 @@ let run_workload ~workload ~calls body =
       r_calls = calls;
       r_ok = false;
       r_time = nan;
+      r_data_frames = 0;
+      r_items = 0;
+      r_ack_frames = 0;
       r_msgs = 0;
       r_bytes = 0;
     }
@@ -169,17 +186,9 @@ let run_workload ~workload ~calls body =
     | Ok w -> (
         match timed_body w (body w) with
         | time ->
-            let msgs = w.w_msgs () and bytes = w.w_bytes () in
+            let row = measured w ~backend:"tcp" ~time in
             w.w_close ();
-            {
-              r_workload = workload;
-              r_backend = "tcp";
-              r_calls = calls;
-              r_ok = true;
-              r_time = time;
-              r_msgs = msgs;
-              r_bytes = bytes;
-            }
+            row
         | exception Unix.Unix_error (e, _, _) ->
             w.w_close ();
             skip (Unix.error_message e))
@@ -198,13 +207,17 @@ let e17 ?(n = 400) ?(depth = 4) () =
     List.filter_map (fun r -> if r.r_backend = "sim" then Some (r.r_workload, r.r_time) else None) rows
   in
   let render r =
+    let count n = if r.r_ok then Table.cell_i n else "-" in
     [
       r.r_workload;
       r.r_backend;
       Table.cell_i r.r_calls;
       (if r.r_ok then Table.cell_ms r.r_time else "-");
-      (if r.r_ok then Table.cell_i r.r_msgs else "-");
-      (if r.r_ok then Table.cell_i r.r_bytes else "-");
+      count r.r_data_frames;
+      count r.r_items;
+      count r.r_ack_frames;
+      count r.r_msgs;
+      count r.r_bytes;
       (if r.r_ok && r.r_backend = "tcp" then
          match List.assoc_opt r.r_workload predicted with
          | Some p when p > 0.0 -> Table.cell_f (r.r_time /. p)
@@ -214,16 +227,26 @@ let e17 ?(n = 400) ?(depth = 4) () =
   in
   Table.make ~id:"E17"
     ~title:"real transport: simulated prediction vs loopback-TCP wall clock"
-    ~header:[ "workload"; "backend"; "calls"; "completion"; "msgs"; "bytes"; "wall/sim" ]
+    ~header:
+      [
+        "workload"; "backend"; "calls"; "completion"; "data frames"; "items"; "ack frames";
+        "msgs"; "bytes"; "wall/sim";
+      ]
     ~notes:
       [
         "the identical codec, batching, windows and supervision run over both backends \
          (docs/TRANSPORT.md); 'sim' rows are virtual-time predictions on the cost model (1 ms \
          wire latency), 'tcp' rows are wall-clock measurements over real loopback sockets in \
          real time";
-        "msgs/bytes count what actually crossed each substrate (Net counters vs TCP frame \
-         counters) and agree exactly: the stream layer above the transport seam is \
-         byte-identical";
+        "'data frames' and 'items' are the hubs' Data packets and the items they carried, \
+         and agree exactly: the stream layer batches identically above the transport seam; \
+         'msgs'/'bytes' count what actually crossed each substrate (Net counters vs TCP \
+         frame counters)";
+        "'ack frames' are standalone Acks. An ack waits for a reverse-direction Data packet \
+         until the scheduler runs out of work at the current instant; over TCP (no modelled \
+         receive overhead) a reply leaves in that same turn and carries the ack, while a \
+         simulated reply leaves a turn later, so tcp sends no more ack frames than sim and \
+         its data bytes differ only by the ack entries the frames carry";
         "'wall/sim' below 1 means loopback beats the modelled 1 ms-latency LAN — expected; \
          the point is that packet counts transfer and times stay the same order of magnitude";
         "tcp rows print '-' and a skip reason when the sandbox forbids sockets";

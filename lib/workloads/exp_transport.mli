@@ -8,7 +8,10 @@ type row = {
   r_calls : int;
   r_ok : bool;  (** [false]: TCP unavailable (sandbox), row is a skip *)
   r_time : float;  (** completion, seconds: sim = predicted, tcp = measured *)
-  r_msgs : int;
+  r_data_frames : int;  (** Data packets sent by both hubs: sim and tcp agree *)
+  r_items : int;  (** items those Data packets carried: sim and tcp agree *)
+  r_ack_frames : int;  (** standalone Ack packets: tcp sends no more than sim *)
+  r_msgs : int;  (** every frame that crossed the substrate *)
   r_bytes : int;
 }
 

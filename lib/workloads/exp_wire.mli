@@ -4,7 +4,7 @@
 
 type row = {
   r_mode : string;
-  r_piggyback : bool;
+  r_ack_delay : float;  (** the hubs' ack hold: 0 = to the end of the scheduler turn *)
   r_calls : int;
   r_time : float;  (** completion (simulated seconds) *)
   r_msgs : int;  (** network messages of any kind *)
@@ -21,11 +21,12 @@ val calls_per_data_pkt : row -> float
     calls} one data packet carries on average across both directions. *)
 
 val e12_rows : ?n:int -> unit -> row list
-(** The raw measurements: every (mode × piggyback on/off) combination,
+(** The raw measurements: every (mode × ack hold) combination — the
+    default end-of-turn hold ([ack_delay = 0]) and a 1 ms hold —
     [n] calls each (default 400). Used by the bench JSON emitter. *)
 
-val goldens : (string * bool * int * int) list
-(** The pinned E12 table at the default [n]: [(mode, piggyback, msgs,
+val goldens : (string * float * int * int) list
+(** The pinned E12 table at the default [n]: [(mode, ack_delay, msgs,
     bytes)] per row. The wire tests, the transport byte-identity
     regression and the bench runner all gate on it. *)
 

@@ -25,8 +25,9 @@ val make_pair :
 (** Build the two-node world; [service] is the handler's per-call
     compute time, [group_config] the server group's whole
     {!Cstream.Group_config.t} (reply buffering, ordering, dedup,
-    shards), [ack_delay] (default 0: disabled) enables ack piggybacking
-    on both hubs — see {!Cstream.Chanhub.create_hub}. *)
+    shards), [ack_delay] (default 0: the end of the scheduler turn) is
+    how long both hubs hold an ack for a reverse-direction Data packet —
+    see {!Cstream.Chanhub.create_hub}. *)
 
 val work_handle :
   pair -> ?config:Cstream.Chanhub.config -> agent:string -> unit ->

@@ -147,16 +147,18 @@ let test_chan_batching_message_count () =
   let cfg = { CH.default_config with CH.max_batch = 5; flush_interval = infinity } in
   let got = collect_channel w ~cfg ~n:20 in
   check Alcotest.(list int) "delivered" (expected_ints 20) got;
-  (* 20 items at batch 5 = 4 data messages; each acked once. *)
+  (* 20 items at batch 5 = 4 data messages, delivered in one instant and
+     acked together by one frame at the end of that turn. *)
   let sent = Sim.Stats.count (Sim.Stats.counter (Net.stats w.net) "msgs_sent") in
-  check Alcotest.int "4 data + 4 acks" 8 sent
+  check Alcotest.int "4 data + 1 ack" 5 sent
 
 let test_chan_no_batching_message_count () =
   let w = make_world () in
   let got = collect_channel w ~cfg:CH.rpc_config ~n:20 in
   check Alcotest.(list int) "delivered" (expected_ints 20) got;
   let sent = Sim.Stats.count (Sim.Stats.counter (Net.stats w.net) "msgs_sent") in
-  check Alcotest.int "20 data + 20 acks" 40 sent
+  (* The 20 packets land in one instant: one ack frame covers them. *)
+  check Alcotest.int "20 data + 1 ack" 21 sent
 
 let test_chan_flush_interval_fires () =
   let w = make_world () in

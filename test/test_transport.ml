@@ -290,6 +290,43 @@ let test_tcp_exactly_once_across_break () =
     (fun i c -> check Alcotest.int (Printf.sprintf "call %d executed exactly once" i) 1 c)
     execs
 
+(* --- acks ride RPC traffic over a real socket ------------------------ *)
+
+(* A TCP reply leaves in the scheduler turn its call arrived in, so the
+   call's ack rides the reply and the reply's ack rides the next call:
+   two frames per RPC. One Ack frame per packet would double both
+   counts. *)
+let test_tcp_rpc_acks_ride () =
+  with_tcp "rpc acks ride" @@ fun () ->
+  let sched = S.create () in
+  let fab = T.create sched in
+  Fun.protect ~finally:(fun () -> T.close fab) @@ fun () ->
+  let a = T.endpoint fab ~addr:0 ~name:"client" () in
+  let b = T.endpoint fab ~addr:1 ~name:"server" () in
+  let hub_a = CH.create_hub ~transport:a () in
+  let server = G.create (CH.create_hub ~transport:b ()) ~name:"server" in
+  G.register_group server ~group:"main" ~config:GC.(default |> with_reply_config CH.rpc_config) ();
+  G.register server ~group:"main" work_sig (fun _ctx i -> Ok (i + 1));
+  T.set_peer fab ~addr:1 (T.listen_loopback fab ~addr:1);
+  let n = 200 in
+  ignore
+    (S.spawn sched ~name:"client" (fun () ->
+         let ag = Core.Agent.create hub_a ~name:"rpc" ~config:CH.rpc_config () in
+         let h = R.bind ag ~dst:1 ~gid:"main" work_sig in
+         for i = 1 to n do
+           match R.rpc h i with
+           | P.Normal v when v = i + 1 -> ()
+           | _ -> Alcotest.failf "rpc %d failed" i
+         done));
+  run_ok sched;
+  let acks = Sim.Stats.peek (S.stats sched) "chan_ack_packets" in
+  let frames = Sim.Stats.peek (T.stats fab) "transport_frames_sent" in
+  check Alcotest.bool (Printf.sprintf "%d standalone acks <= 2" acks) true (acks <= 2);
+  check Alcotest.bool
+    (Printf.sprintf "%d frames <= 2 x %d + 4" frames n)
+    true
+    (frames <= (2 * n) + 4)
+
 (* --- regression: Transport_sim is byte-identical -------------------- *)
 
 (* The sim backend must reproduce the pinned E12 table exactly; if any
@@ -298,8 +335,11 @@ let test_sim_byte_identical () =
   check Alcotest.(list string) "E12 matches its goldens" []
     (Workloads.Exp_wire.golden_mismatches (Workloads.Exp_wire.e12_rows ~n:400 ()))
 
-(* E17's own invariant: whenever TCP runs, its frame/byte counts equal
-   the sim prediction exactly. *)
+(* E17's own invariant: whenever TCP runs, its Data frames and the
+   items they carry equal the sim prediction exactly, and it sends no
+   more standalone Acks than the sim (a TCP reply leaves in the turn
+   its call's ack was parked and carries it; a simulated one leaves a
+   turn later, behind the modelled receive overhead). *)
 let test_e17_counts_agree () =
   let rows = Workloads.Exp_transport.e17_rows ~n:60 ~depth:4 () in
   let by_backend w b =
@@ -313,8 +353,14 @@ let test_e17_counts_agree () =
       if r.r_backend = "sim" then
         match by_backend r.r_workload "tcp" with
         | Some t when t.r_ok ->
-            check Alcotest.int (r.r_workload ^ " msgs agree") r.r_msgs t.r_msgs;
-            check Alcotest.int (r.r_workload ^ " bytes agree") r.r_bytes t.r_bytes
+            check Alcotest.int (r.r_workload ^ " data frames agree") r.r_data_frames
+              t.r_data_frames;
+            check Alcotest.int (r.r_workload ^ " items agree") r.r_items t.r_items;
+            check Alcotest.bool
+              (Printf.sprintf "%s: tcp ack frames %d <= sim %d" r.r_workload t.r_ack_frames
+                 r.r_ack_frames)
+              true
+              (t.r_ack_frames <= r.r_ack_frames)
         | Some _ | None -> Printf.printf "SKIP %s: tcp row skipped\n%!" r.r_workload)
     rows
 
@@ -337,6 +383,9 @@ let () =
           Alcotest.test_case "break -> resubmit -> dedup over a real socket" `Quick
             test_tcp_exactly_once_across_break;
         ] );
+      ( "ack hold",
+        [ Alcotest.test_case "rpc acks ride calls and replies (tcp)" `Quick test_tcp_rpc_acks_ride ]
+      );
       ( "sim-regression",
         [
           Alcotest.test_case "E12 byte figures match BENCH_wire.json" `Quick

@@ -415,6 +415,9 @@ let run_echo ~w ~cfg ~n =
   check Alcotest.int "all replies arrived" n !replies;
   S.stats w.sched
 
+(* A simulated reply leaves a turn after its call arrived (the receive
+   overhead is lane time), so with the end-of-turn hold the call acks
+   go alone; a 1 ms hold waits for the replies. *)
 let test_piggybacking_halves_standalone_acks () =
   let cfg = { CH.default_config with CH.max_batch = 8; flush_interval = 1e-3 } in
   let without = run_echo ~w:(make_world ()) ~cfg ~n:64 in
@@ -422,8 +425,8 @@ let test_piggybacking_halves_standalone_acks () =
   let acks_off = Sim.Stats.peek without "chan_ack_packets" in
   let acks_on = Sim.Stats.peek with_ "chan_ack_packets" in
   check Alcotest.bool
-    (Printf.sprintf "standalone ack packets: %d with piggyback <= half of %d without" acks_on
-       acks_off)
+    (Printf.sprintf "standalone ack packets: %d with a 1 ms hold <= half of %d with a turn hold"
+       acks_on acks_off)
     true
     (acks_on * 2 <= acks_off);
   check Alcotest.bool "some acks actually piggybacked" true
@@ -1399,6 +1402,206 @@ let test_call_missing_elements_rejected () =
   | Ok _ -> Alcotest.fail "incomplete call accepted"
 
 (* ------------------------------------------------------------------ *)
+(* Ack hold: every ack parks for the next Data packet to its peer until
+   the scheduler runs out of work at the current instant *)
+
+type logged = { at : float; packet : Xdr.value CH.packet }
+
+(* [tr] with every packet it sends and receives logged, oldest first. *)
+let recording tr =
+  let sent = ref [] and received = ref [] in
+  let log into frame =
+    match CH.decode_packet frame with
+    | Ok packet -> into := { at = S.now tr.Transport.sched; packet } :: !into
+    | Error e -> Alcotest.failf "undecodable frame: %s" e
+  in
+  let tr =
+    {
+      tr with
+      Transport.send =
+        (fun ~dst frame ->
+          log sent frame;
+          tr.Transport.send ~dst frame);
+      set_receiver =
+        (fun f ->
+          tr.Transport.set_receiver (fun ~src frame ->
+              log received frame;
+              f ~src frame));
+    }
+  in
+  (tr, (fun () -> List.rev !sent), fun () -> List.rev !received)
+
+type recorded = {
+  rw : world;
+  a_sent : unit -> logged list;
+  b_sent : unit -> logged list;
+  b_received : unit -> logged list;
+}
+
+let recorded_world () =
+  let sched = S.create ~seed:42 () in
+  let net = Net.create sched Net.default_config in
+  let node_a = Net.add_node net ~name:"a" and node_b = Net.add_node net ~name:"b" in
+  let tr_a, a_sent, _ = recording (Transport_sim.endpoint net node_a) in
+  let tr_b, b_sent, b_received = recording (Transport_sim.endpoint net node_b) in
+  let rw =
+    {
+      sched;
+      net;
+      node_a;
+      node_b;
+      hub_a = CH.create_hub ~transport:tr_a ();
+      hub_b = CH.create_hub ~transport:tr_b ();
+    }
+  in
+  { rw; a_sent; b_sent; b_received }
+
+let acks_of = function CH.Ack { acks } -> Some acks | CH.Data _ | CH.Reset _ -> None
+
+let is_data = function CH.Data _ -> true | CH.Ack _ | CH.Reset _ -> false
+
+(* A guardian on hub b serving [work] after [service] seconds, and a
+   client agent on hub a bound to it. *)
+let work_pair w ~cfg ~service =
+  let server = Argus.Guardian.create w.hub_b ~name:"server" in
+  Argus.Guardian.register_group server ~group:"main" ~config:GC.(default |> with_reply_config cfg)
+    ();
+  Argus.Guardian.register server ~group:"main" Workloads.Fixtures.work_sig (fun ctx i ->
+      if service > 0.0 then S.sleep ctx.Argus.Guardian.sched service;
+      Ok i);
+  let ag = Core.Agent.create w.hub_a ~name:"client" ~config:cfg () in
+  Core.Remote.bind ag ~dst:(Net.address w.node_b) ~gid:"main" Workloads.Fixtures.work_sig
+
+let rpc_loop w h ~n =
+  ignore
+    (S.spawn w.sched (fun () ->
+         for i = 1 to n do
+           match Core.Remote.rpc h i with
+           | Core.Promise.Normal v when v = i -> ()
+           | _ -> Alcotest.failf "rpc %d failed" i
+         done));
+  run_ok w
+
+(* (a) In an RPC loop each reply's ack rides the client's next call:
+   the client sends one standalone Ack at most, after its last call. *)
+let test_rpc_reply_acks_ride_next_call () =
+  let r = recorded_world () in
+  let n = 20 in
+  rpc_loop r.rw (work_pair r.rw ~cfg:CH.rpc_config ~service:0.0) ~n;
+  let sent = r.a_sent () in
+  let calls = List.filter (fun l -> is_data l.packet) sent in
+  check Alcotest.int "one Data packet per call" n (List.length calls);
+  List.iteri
+    (fun k l ->
+      match l.packet with
+      | CH.Data { acks; _ } ->
+          check Alcotest.int (Printf.sprintf "call %d carries the previous reply's ack" k)
+            (min k 1) (List.length acks)
+      | CH.Ack _ | CH.Reset _ -> ())
+    calls;
+  match List.filter (fun l -> acks_of l.packet <> None) sent with
+  | [] -> ()
+  | [ l ] ->
+      check Alcotest.bool "the one standalone ack is the last frame" true
+        (l == List.nth sent (List.length sent - 1))
+  | acks -> Alcotest.failf "%d standalone acks" (List.length acks)
+
+(* (b) A receiver that sends nothing back still acks in the virtual
+   instant the packet was delivered. *)
+let test_silent_receiver_acks_same_instant () =
+  let r = recorded_world () in
+  let w = r.rw in
+  let got, _ = sink w in
+  let out = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:"" CH.rpc_config in
+  ignore (CH.send out (Xdr.Int 1) : (unit, string) result);
+  run_ok w;
+  check Alcotest.int "delivered" 1 (List.length !got);
+  match (r.b_received (), r.b_sent ()) with
+  | [ delivered ], [ { at; packet = CH.Ack { acks = [ _ ] } } ] ->
+      check (Alcotest.float 0.0) "acked at the delivery instant" delivered.at at;
+      check Alcotest.int "sender fully acked" 0 (CH.unacked_count out)
+  | _ -> Alcotest.fail "expected one Data in and one standalone Ack out"
+
+(* (c) A handler slower than the caller's retransmit timeout: its call
+   is acked at delivery, so nothing is retransmitted. *)
+let test_slow_handler_acked_at_delivery () =
+  let r = recorded_world () in
+  let cfg = { CH.rpc_config with CH.retransmit_timeout = 10e-3 } in
+  rpc_loop r.rw (work_pair r.rw ~cfg ~service:50e-3) ~n:1;
+  (match (r.b_received (), r.b_sent ()) with
+  | call :: _, { at; packet = CH.Ack _ } :: _ ->
+      check (Alcotest.float 0.0) "call acked at delivery" call.at at
+  | _ -> Alcotest.fail "expected the server's first frame to be a standalone Ack");
+  check Alcotest.int "no retransmits" 0 (peek r.rw "chan_retransmits")
+
+(* (d) Packets from one peer on two channels, delivered in one instant,
+   are acked by one frame. *)
+let test_two_channels_one_ack_frame () =
+  let r = recorded_world () in
+  let w = r.rw in
+  let got, opened = sink w in
+  let outs =
+    List.init 2 (fun _ ->
+        CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:"" CH.rpc_config)
+  in
+  List.iter (fun o -> ignore (CH.send o (Xdr.Int 1) : (unit, string) result)) outs;
+  run_ok w;
+  check Alcotest.int "both channels opened" 2 !opened;
+  check Alcotest.int "both items delivered" 2 (List.length !got);
+  (match r.b_received () with
+  | [ p; q ] -> check (Alcotest.float 0.0) "delivered in one instant" p.at q.at
+  | _ -> Alcotest.fail "expected two Data packets");
+  (match List.filter_map (fun l -> acks_of l.packet) (r.b_sent ()) with
+  | [ acks ] -> check Alcotest.int "one Ack frame, two entries" 2 (List.length acks)
+  | frames -> Alcotest.failf "%d Ack frames" (List.length frames));
+  List.iter (fun o -> check Alcotest.int "fully acked" 0 (CH.unacked_count o)) outs
+
+(* A connection loss drops the acks parked for that peer: they name the
+   old incarnation's channel indexes, which a restarted peer reuses.
+   The simulated net never fires the peer watch, so the hub runs on a
+   hand-built transport. *)
+let test_peer_down_drops_parked_acks () =
+  let sched = S.create () in
+  let receiver = ref (fun ~src:_ _ -> ()) in
+  let watch = ref (fun ~peer:_ ~reason:_ -> ()) in
+  let sent = ref [] in
+  let tr =
+    {
+      Transport.addr = 0;
+      node_name = "hub";
+      backend = "test";
+      sched;
+      stats = Sim.Stats.create ();
+      send = (fun ~dst frame -> sent := (dst, frame) :: !sent);
+      set_receiver = (fun f -> receiver := f);
+      set_peer_watch = (fun f -> watch := f);
+      recv_overhead = (fun () -> 0.0);
+      realtime = false;
+      reliable = true;
+    }
+  in
+  let hub = CH.create_hub ~transport:tr () in
+  let delivered = ref 0 in
+  CH.on_connect hub ~label:"sink" (fun i ->
+      CH.set_deliver i (fun _ items -> delivered := List.length items));
+  let opening = Some { CH.open_label = "sink"; open_meta = "" } in
+  S.at sched 0.0 (fun () ->
+      !receiver ~src:1
+        (CH.encode_packet
+           (CH.Data
+              { src = 1; idx = 0; first_seq = 0; opening; acks = []; items = [ Xdr.Int 1 ] }));
+      !watch ~peer:1 ~reason:"connection reset");
+  ignore (S.run sched : S.outcome);
+  check Alcotest.int "delivered" 1 !delivered;
+  let acks_to_peer =
+    List.filter
+      (fun (dst, frame) ->
+        dst = 1 && match CH.decode_packet frame with Ok (CH.Ack _) -> true | _ -> false)
+      !sent
+  in
+  check Alcotest.int "no Ack sent to the lost peer" 0 (List.length acks_to_peer)
+
+(* ------------------------------------------------------------------ *)
 (* Satellite regressions: NaN equality *)
 
 let test_equal_value_nan () =
@@ -1456,6 +1659,18 @@ let () =
             test_window_waiters_released_on_break;
           Alcotest.test_case "window preserves call order" `Quick
             test_stream_call_window_preserves_order;
+        ] );
+      ( "ack hold",
+        [
+          Alcotest.test_case "rpc reply acks ride the next call" `Quick
+            test_rpc_reply_acks_ride_next_call;
+          Alcotest.test_case "silent receiver acks in the delivery instant" `Quick
+            test_silent_receiver_acks_same_instant;
+          Alcotest.test_case "slow handler's call acked at delivery" `Quick
+            test_slow_handler_acked_at_delivery;
+          Alcotest.test_case "two channels, one ack frame" `Quick test_two_channels_one_ack_frame;
+          Alcotest.test_case "peer down drops parked acks" `Quick
+            test_peer_down_drops_parked_acks;
         ] );
       ( "compact channel names",
         [
