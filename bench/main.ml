@@ -158,6 +158,7 @@ let run_e10 () =
 (* --- wire codec bench + BENCH_wire.json ----------------------------- *)
 
 module W = Cstream.Wire
+module CH = Cstream.Chanhub
 
 let wire_payloads =
   List.map (fun (label, v, _) -> (label, v)) Workloads.Exp_wire.reference_payloads
@@ -205,18 +206,57 @@ let wire_view_tests =
   ]
 
 (* The envelope rung of the cost ledger: building and encoding the
-   rpc-shaped call item (the "small" payload), and parsing its envelope
-   from a view as the receive path does. *)
+   rpc-shaped call item (the "small" payload) as a channel's first call
+   to its port spells it (define) and as every later call names it
+   (port ref), and parsing each envelope from a view as the receive
+   path does; then a 64-call packet of [work] calls, framed, decoded to
+   views and parsed item by item — steady state (every item a port
+   ref) against every item spelling the port, so the rung shows what
+   the bytes the table saves cost in time. *)
 let wire_envelope_tests =
-  let call () =
-    W.call_item ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) ()
+  let call port () = W.call_item ~trace:None ~port ~kind:W.Call ~args:(Xdr.Int 42) () in
+  let view port = exn (Xdr.View.of_string (Xdr.Bin.to_string (call port ()))) in
+  let define = W.Define "work" and ref0 = W.Ref 0 in
+  let define_view = view define and ref_view = view ref0 in
+  let packet_tests label port =
+    let packet =
+      CH.Data
+        {
+          src = 1;
+          idx = 0;
+          first_seq = 64;
+          opening = None;
+          acks = [];
+          items =
+            List.init 64 (fun i -> W.call_item ~trace:None ~port ~kind:W.Call ~args:(Xdr.Int i) ());
+        }
+    in
+    let frame = CH.encode_packet packet in
+    let name what =
+      Printf.sprintf "work packet x64, %s: %s (%dB)" label what (String.length frame)
+    in
+    [
+      Test.make ~name:(name "encode") (Staged.stage (fun () -> CH.encode_packet packet));
+      Test.make ~name:(name "decode + parse")
+        (Staged.stage (fun () ->
+             match CH.decode_packet_view frame with
+             | Ok (CH.Data { items; _ }) ->
+                 List.iter (fun vw -> ignore (exn (W.parse_call_view vw) : W.call_view)) items
+             | Ok _ | Error _ -> failwith "work packet does not decode"));
+    ]
   in
-  let view = exn (Xdr.View.of_string (Xdr.Bin.to_string (call ()))) in
   [
-    Test.make ~name:"encode call item" (Staged.stage (fun () -> Xdr.Bin.to_string (call ())));
+    Test.make ~name:"encode call item"
+      (Staged.stage (fun () -> Xdr.Bin.to_string (call define ())));
     Test.make ~name:"parse call envelope (view)"
-      (Staged.stage (fun () -> exn (W.parse_call_view view)));
+      (Staged.stage (fun () -> exn (W.parse_call_view define_view)));
+    Test.make ~name:"encode call item (port ref)"
+      (Staged.stage (fun () -> Xdr.Bin.to_string (call ref0 ())));
+    Test.make ~name:"parse call envelope (view, port ref)"
+      (Staged.stage (fun () -> exn (W.parse_call_view ref_view)));
   ]
+  @ packet_tests "port refs" ref0
+  @ packet_tests "port spelled" define
 
 let wire_tests =
   Test.make_grouped ~name:"wire"

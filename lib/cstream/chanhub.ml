@@ -180,11 +180,14 @@ let decode_frame ~read ?dict frame =
   let* () = B.expect_end d in
   Ok p
 
-let decode_packet frame =
-  match decode_frame ~read:B.read_value frame with
+let packet_of = function
   | Ok (`Packet p) -> Ok p
   | Ok (`Hello _ | `Welcome _) -> Error "dictionary control frame, not a packet"
   | Error _ as e -> e
+
+let decode_packet frame = packet_of (decode_frame ~read:B.read_value frame)
+
+let decode_packet_view frame = packet_of (decode_frame ~read:Xdr.View.read frame)
 
 (* ------------------------------------------------------------------ *)
 
@@ -892,10 +895,12 @@ let receive hub ~src frame =
 
 (* The transport told us every connection to [peer] is gone: break each
    channel touching it so supervision (stream restart + resubmit) takes
-   over. Incoming ends are tombstoned exactly as a Reset would, so a
-   stale retransmit arriving over a fresh connection is answered with
-   Reset rather than resurrecting the old incarnation. Only real
-   transports fire this; the simulated net has no connections. *)
+   over. Tombstones die with the connection they came from: the peer's
+   own [peer_down] broke every channel it sent on, so nothing from the
+   old incarnation can arrive later, and a restarted peer numbering its
+   channels from 0 again must not meet its predecessor's Resets. This
+   also bounds [h_dead] by the live connections. Only real transports
+   fire this; the simulated net has no connections. *)
 let peer_down hub ~peer ~reason =
   let reason = Printf.sprintf "connection to n%d lost: %s" peer reason in
   (* Dictionary state is connection-scoped: the next incarnation must
@@ -924,10 +929,12 @@ let peer_down hub ~peer ~reason =
   let ins =
     Hashtbl.fold (fun _ i acc -> if i.i_key.src = peer then i :: acc else acc) hub.h_ins []
   in
+  Hashtbl.filter_map_inplace
+    (fun (src, _) reason -> if src = peer then None else Some reason)
+    hub.h_dead;
   List.iter
     (fun i ->
       Hashtbl.remove hub.h_ins (in_id i);
-      Hashtbl.replace hub.h_dead (in_id i) reason;
       mark_in_broken i reason)
     ins
 

@@ -101,6 +101,10 @@ val decode_packet : frame -> (Xdr.value packet, string) result
     and the dictionary's hello/welcome control frames, which only a
     hub's receive path reads. *)
 
+val decode_packet_view : frame -> (Xdr.View.t packet, string) result
+(** {!decode_packet} with every Data item left an encoded slice, as a
+    hub's receive path reads it before {!set_deliver}. *)
+
 type config = {
   max_batch : int;  (** flush after this many buffered items *)
   max_batch_bytes : int;  (** … or this many buffered encoded bytes *)

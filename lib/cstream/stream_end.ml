@@ -19,6 +19,7 @@ type t = {
   s_gid : string;
   s_cfg : Chanhub.config;
   mutable chan : Chanhub.out_chan;
+  mutable ports : Wire.port_names;  (* this incarnation's channel port table *)
   mutable incarnation : int;
   mutable s_broken : string option;
   pending : (int, pending) Hashtbl.t;
@@ -176,6 +177,7 @@ let create hub ~agent ~dst ~gid ?(config = Chanhub.default_config) () =
       s_gid = gid;
       s_cfg = config;
       chan;
+      ports = Wire.port_names ();
       incarnation = 0;
       s_broken = None;
       pending = Hashtbl.create 32;
@@ -208,11 +210,13 @@ let call ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
       (* Reserve window space BEFORE claiming a sequence number: a fiber
          that blocked after taking its seq would let later calls enter
          the channel first and violate in-call-order delivery. The size
-         probe uses the current cid element; the item is rebuilt below
-         only if that element changed while we were parked. *)
+         probe uses the current cid element and port form; the item is
+         rebuilt below only if either changed while we were parked. *)
       let probe_cid = cid_element ~seq:t.next_seq t.next_cid in
+      let probe_port = Wire.port_form t.ports port in
       let probe =
-        Wire.call_item ~handoff ~elide ?cid:probe_cid ~trace:wire_trace ~port ~kind ~args ()
+        Wire.call_item ~handoff ~elide ?cid:probe_cid ~trace:wire_trace ~port:probe_port ~kind
+          ~args ()
       in
       let probe_size = Xdr.Bin.size probe in
       match Chanhub.await_window t.chan ~bytes:probe_size with
@@ -235,11 +239,15 @@ let call ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
           p_elide = elide;
           p_on_reply = on_reply;
         };
-      (* [size = None] makes [send] count the rebuilt item itself. *)
+      (* The port is interned with the seq, so the table fills in
+         channel order. [size = None] makes [send] count the rebuilt
+         item itself. *)
       let item, size =
-        let cid = cid_element ~seq cid in
-        if cid = probe_cid then (probe, Some probe_size)
-        else (Wire.call_item ~handoff ~elide ?cid ~trace:wire_trace ~port ~kind ~args (), None)
+        let cid = cid_element ~seq cid and wire_port = Wire.intern_port t.ports port in
+        if cid = probe_cid && wire_port = probe_port then (probe, Some probe_size)
+        else
+          ( Wire.call_item ~handoff ~elide ?cid ~trace:wire_trace ~port:wire_port ~kind ~args (),
+            None )
       in
       span t ~kind:Sim.Span.Issue ~trace:tid ~call:cid ~note:port ();
       (match Chanhub.send ?size t.chan item with
@@ -283,11 +291,12 @@ let on_break t f =
   match t.s_broken with Some reason -> f reason | None -> t.break_hooks <- f :: t.break_hooks
 
 (* Shared tail of both restart flavours: bump the incarnation and open
-   its fresh channel pair. *)
+   its fresh channel pair, whose port table starts empty. *)
 let reincarnate t =
   Chanhub.remove_acceptor t.hub ~label:(reply_label t);
   t.incarnation <- t.incarnation + 1;
   t.s_broken <- None;
+  t.ports <- Wire.port_names ();
   let label = reply_label t in
   let chan = Chanhub.connect t.hub ~dst:t.s_dst ~label:t.s_gid ~meta:label t.s_cfg in
   attach t chan
@@ -342,8 +351,8 @@ let restart_resubmit t =
           ignore
             (Chanhub.send t.chan
                (Wire.call_item ~resubmit:true ~handoff:p.p_handoff ~elide:p.p_elide
-                  ?cid:(cid_element ~seq:i p.p_cid) ~trace:(wire_trace p) ~port:p.p_port
-                  ~kind:p.p_kind ~args:p.p_args ())
+                  ?cid:(cid_element ~seq:i p.p_cid) ~trace:(wire_trace p)
+                  ~port:(Wire.intern_port t.ports p.p_port) ~kind:p.p_kind ~args:p.p_args ())
               : (unit, string) result))
         pend;
       if pend <> [] then Chanhub.flush_out t.chan;

@@ -71,6 +71,7 @@ and conn = {
   c_reply : Chanhub.out_chan;
   c_stable : string;  (* incarnation-independent identity of the sending stream *)
   c_shards : shard array;  (* one execution lane per shard (docs/SHARDING.md) *)
+  c_ports : Wire.port_table;  (* the call channel's port table, filled in delivery order *)
   mutable c_broken : bool;
   mutable c_inflight : int;  (* calls being executed right now, across all lanes *)
   mutable c_breaking : string option;  (* break requested mid-call *)
@@ -638,6 +639,7 @@ let accept t in_chan =
       c_shards =
         Array.init t.t_shards (fun _ ->
             { sh_work = Sched.Bqueue.create t.sched; sh_driver = None });
+      c_ports = Wire.port_table ();
       c_broken = false;
       c_inflight = 0;
       c_breaking = None;
@@ -694,9 +696,17 @@ let accept t in_chan =
             if not c.c_broken then
               match Wire.parse_call_view item with
               | Ok cv -> (
+                  (* Ports resolve in delivery order, before anything
+                     can drop the call, so this table stays in step with
+                     the sender's. *)
+                  match Wire.resolve_port c.c_ports cv.Wire.cv_port with
+                  | None ->
+                      Sim.Stats.incr (counter t "target_bad_port_refs");
+                      break_conn c ~reason:"call names a port the channel never defined"
+                  | Some port ->
                   let seq = first + k in
                   let cid = Option.value cv.Wire.cv_cid ~default:seq in
-                  let port = cv.Wire.cv_port and kind = cv.Wire.cv_kind in
+                  let kind = cv.Wire.cv_kind in
                   let trace = cv.Wire.cv_trace in
                   (* The shard router hashes the first argument, so with
                      several lanes the value is materialised here; on a

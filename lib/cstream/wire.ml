@@ -102,7 +102,7 @@ let parse_handoff_push v =
    string and no sequence number — an item's position on its channel is
    its seq (docs/WIRE.md §1.2). A call is
 
-     [Int head; Str port; args; cid?; handoff?; trace?]
+     [Int head; Str port?; args; cid?; handoff?; trace?]
 
    with [head] a bit set: 0x01 Send, 0x02 resubmit (never shed),
    0x04 elide (reply with send-ok; the value travels by handoff), then
@@ -110,23 +110,73 @@ let parse_handoff_push v =
    and in this order — 0x08 cid (only when it differs from the
    position, as after a restart), 0x10 handoff annotations, 0x20 trace
    id. The trace id is the last element of a call or reply alike, so the
-   channel layer reads it without knowing which of the two an item is. *)
+   channel layer reads it without knowing which of the two an item is.
+   The port is named once per channel: 0x40 "define" spells it as
+   [Str port]; without that bit the port is entry [head lsr 7] of the
+   channel's port table and no port element follows. *)
 let b_send, b_resubmit, b_elide, b_cid, b_handoff, b_trace = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20)
 
-let call_bits = 0x3f
+let b_define = 0x40
+
+let index_shift = 7
+
+type port = Define of string | Ref of int
 
 let bit b on = if on then b else 0
 
 let call_item ?(resubmit = false) ?(handoff = []) ?(elide = false) ?cid ~trace ~port ~kind
     ~args () =
-  let head =
+  let flags =
     bit b_send (kind = Send) lor bit b_resubmit resubmit lor bit b_elide elide
     lor bit b_cid (cid <> None) lor bit b_handoff (handoff <> []) lor bit b_trace (trace <> None)
   in
   let tail = match trace with Some tid -> [ Xdr.Int tid ] | None -> [] in
   let tail = if handoff = [] then tail else Xdr.List (List.map handoff_value handoff) :: tail in
   let tail = match cid with Some cid -> Xdr.Int cid :: tail | None -> tail in
-  Xdr.List (Xdr.Int head :: Xdr.Str port :: args :: tail)
+  match port with
+  | Define name -> Xdr.List (Xdr.Int (flags lor b_define) :: Xdr.Str name :: args :: tail)
+  | Ref index -> Xdr.List (Xdr.Int (flags lor (index lsl index_shift)) :: args :: tail)
+
+(* --- port tables ---------------------------------------------------
+   Both ends of a call channel append each defined port at the next
+   index, in channel order, until the table holds [port_table_cap]
+   names; past that a port travels as a define every time and neither
+   end appends. Go-back-n delivers every item once and in order, so the
+   two tables agree on lossy nets too. *)
+let port_table_cap = 256
+
+type port_names = (string, int) Hashtbl.t
+
+let port_names () : port_names = Hashtbl.create 4
+
+let port_form names port =
+  match Hashtbl.find_opt names port with Some i -> Ref i | None -> Define port
+
+let intern_port names port =
+  let form = port_form names port in
+  (match form with
+  | Define _ when Hashtbl.length names < port_table_cap ->
+      Hashtbl.replace names port (Hashtbl.length names)
+  | Define _ | Ref _ -> ());
+  form
+
+type port_table = { mutable pt_names : string array; mutable pt_len : int }
+
+let port_table () = { pt_names = [||]; pt_len = 0 }
+
+let resolve_port pt = function
+  | Define name ->
+      if pt.pt_len < port_table_cap then begin
+        if pt.pt_len = Array.length pt.pt_names then begin
+          let grown = Array.make (max 4 (2 * pt.pt_len)) "" in
+          Array.blit pt.pt_names 0 grown 0 pt.pt_len;
+          pt.pt_names <- grown
+        end;
+        pt.pt_names.(pt.pt_len) <- name;
+        pt.pt_len <- pt.pt_len + 1
+      end;
+      Some name
+  | Ref i -> if i < pt.pt_len then Some pt.pt_names.(i) else None
 
 (* Replies: the element count picks the form, so a [Tagged] user value
    cannot be misread. The untraced normal reply to a [Call] — the common
@@ -187,7 +237,7 @@ module V = Xdr.View
 
 type call_view = {
   cv_cid : int option;
-  cv_port : string;
+  cv_port : port;
   cv_kind : kind;
   cv_args : V.t;
   cv_trace : int option;
@@ -218,29 +268,42 @@ let handoffs_of_view vw =
 let parse_call_view =
   guard "call" (fun vw ->
       match get (V.list_items vw) with
-      | head :: port :: args :: opt ->
-          let head = get (V.as_int head) and port = get (V.as_string port) in
-          let n_opt = List.length opt in
-          if head land lnot call_bits <> 0 then fail "unknown head bits 0x%x" head;
-          if n_opt <> n_optional head then fail "head 0x%x with %d optional elements" head n_opt;
-          (* The count matches the bits, so each element's position
-             follows from the bits before it; the trace is last. *)
-          let int_at b i =
-            if head land b = 0 then None else Some (get (V.as_int (List.nth opt i)))
+      | head :: rest -> (
+          let head = get (V.as_int head) in
+          if head < 0 then fail "negative head %d" head;
+          let index = head lsr index_shift in
+          let port, rest =
+            if head land b_define = 0 then (Ref index, rest)
+            else if index <> 0 then fail "head 0x%x defines a port and names index %d" head index
+            else
+              match rest with
+              | port :: rest -> (Define (get (V.as_string port)), rest)
+              | [] -> fail "head 0x%x promises a missing port" head
           in
-          {
-            cv_cid = int_at b_cid 0;
-            cv_port = port;
-            cv_kind = (if head land b_send <> 0 then Send else Call);
-            cv_args = args;
-            cv_trace = int_at b_trace (n_opt - 1);
-            cv_resubmit = head land b_resubmit <> 0;
-            cv_handoff =
-              (if head land b_handoff = 0 then []
-               else handoffs_of_view (List.nth opt ((head lsr 3) land 1)));
-            cv_elide = head land b_elide <> 0;
-          }
-      | items -> fail "%d elements" (List.length items))
+          match rest with
+          | args :: opt ->
+              let n_opt = List.length opt in
+              if n_opt <> n_optional head then
+                fail "head 0x%x with %d optional elements" head n_opt;
+              (* The count matches the bits, so each element's position
+                 follows from the bits before it; the trace is last. *)
+              let int_at b i =
+                if head land b = 0 then None else Some (get (V.as_int (List.nth opt i)))
+              in
+              {
+                cv_cid = int_at b_cid 0;
+                cv_port = port;
+                cv_kind = (if head land b_send <> 0 then Send else Call);
+                cv_args = args;
+                cv_trace = int_at b_trace (n_opt - 1);
+                cv_resubmit = head land b_resubmit <> 0;
+                cv_handoff =
+                  (if head land b_handoff = 0 then []
+                   else handoffs_of_view (List.nth opt ((head lsr 3) land 1)));
+                cv_elide = head land b_elide <> 0;
+              }
+          | [] -> fail "head 0x%x with no arguments" head)
+      | [] -> fail "0 elements")
 
 type reply_body =
   | R_normal of V.t | R_signal of V.t * V.t | R_unavailable of V.t | R_failure of V.t | R_send_ok

@@ -72,31 +72,73 @@ val handoff_redeem_port : string
 
 (** {1 Call items} *)
 
+(** How a call item names its port (docs/WIRE.md §1.2): [Define name]
+    spells it (head bit [0x40]); [Ref i] is entry [i] of the call
+    channel's port table, carried in the head as [i lsl 7] with no
+    port element. *)
+type port = Define of string | Ref of int
+
 val call_item :
   ?resubmit:bool ->
   ?handoff:handoff list ->
   ?elide:bool ->
   ?cid:int ->
-  trace:int option -> port:string -> kind:kind -> args:Xdr.value ->
+  trace:int option -> port:port -> kind:kind -> args:Xdr.value ->
   unit -> Xdr.value
 (** The positional call envelope
-    [[Int head; Str port; args; cid?; handoff?; trace?]]
+    [[Int head; Str port?; args; cid?; handoff?; trace?]]
     (docs/WIRE.md §1.2). The call's seq is its channel position, not a
-    field. [cid] is the {e stable call-id}, monotonic over the whole
-    life of the sending stream end — it never resets, so the receiver
-    can deduplicate calls re-submitted after a reincarnation (see
-    [docs/FAULTS.md]); pass it only when it differs from the position.
-    [trace] is the call's causal trace id (docs/TRACING.md), the last
-    element when present; with [trace:None] the item carries no trace
-    bytes at all. [resubmit] (default [false]) marks a crash-recovery
-    resubmission; a load-shedding receiver never sheds such a call
-    (docs/OVERLOAD.md). [handoff] (default [[]]) lists the handoff
-    annotations for foreign [Pref]s in [args]; [elide] (default
-    [false]) asks the receiver to reply to a normal outcome with a
-    value-free completion marker because the value travels by handoff
-    push instead (docs/HANDOFF.md). The kind and the flags are bits of
-    [head]; each optional element is present exactly when its head bit
-    is set. *)
+    field, and so is its port's table index: [port] is [Define name]
+    for the first call on a channel to use [name] (or every call to a
+    port past the table's cap) and [Ref i] afterwards, as
+    {!intern_port} decides. [cid] is the {e stable call-id}, monotonic
+    over the whole life of the sending stream end — it never resets, so
+    the receiver can deduplicate calls re-submitted after a
+    reincarnation (see [docs/FAULTS.md]); pass it only when it differs
+    from the position. [trace] is the call's causal trace id
+    (docs/TRACING.md), the last element when present; with
+    [trace:None] the item carries no trace bytes at all. [resubmit]
+    (default [false]) marks a crash-recovery resubmission; a
+    load-shedding receiver never sheds such a call (docs/OVERLOAD.md).
+    [handoff] (default [[]]) lists the handoff annotations for foreign
+    [Pref]s in [args]; [elide] (default [false]) asks the receiver to
+    reply to a normal outcome with a value-free completion marker
+    because the value travels by handoff push instead
+    (docs/HANDOFF.md). The kind, the flags and the port index are bits
+    of [head]; each optional element is present exactly when its head
+    bit is set. *)
+
+(** {2 Port tables}
+
+    Each call channel has one port table per end, filled in channel
+    order: a [Define] appends its name at the next index while the
+    table holds fewer than {!port_table_cap} names, on both ends. *)
+
+val port_table_cap : int
+(** 256: past it every call to a new port stays a [Define] and
+    neither end appends. *)
+
+type port_names
+(** The sending end's table: name to index. *)
+
+val port_names : unit -> port_names
+
+val port_form : port_names -> string -> port
+(** How the next call to this port would name it; no side effect. *)
+
+val intern_port : port_names -> string -> port
+(** {!port_form}, appending the name on a [Define] under the cap. Call
+    it exactly once per call item, in channel order. *)
+
+type port_table
+(** The receiving end's table: index to name. *)
+
+val port_table : unit -> port_table
+
+val resolve_port : port_table -> port -> string option
+(** Applies a delivered call's port, in delivery order: a [Define]
+    appends under the cap and yields its name; a [Ref] yields its
+    entry, or [None] when it points past the end of the table. *)
 
 (** {1 Reply items} *)
 
@@ -131,15 +173,17 @@ val item_trace : Xdr.value -> int option
     The receive path (docs/WIRE.md §Lazy views): envelopes are parsed
     over {!Xdr.View.t} slices so the argument or outcome payload is
     never decoded unless a consumer asks for it. Every malformed
-    envelope — a short list, a mistyped element, unknown head bits, a
-    head bit naming a missing element, trailing elements, an unknown
-    outcome code — is an [Error], never an exception. *)
+    envelope — a short list, a mistyped element, a negative head, a
+    define with index bits, a head bit naming a missing element,
+    trailing elements, an unknown outcome code — is an [Error], never
+    an exception. *)
 
 (** A parsed call envelope whose argument is still an encoded slice;
-    [cv_cid = None] means the cid is the channel position. *)
+    [cv_cid = None] means the cid is the channel position; [cv_port]
+    is resolved against the channel's port table by the receiver. *)
 type call_view = {
   cv_cid : int option;
-  cv_port : string;
+  cv_port : port;
   cv_kind : kind;
   cv_args : Xdr.View.t;
   cv_trace : int option;

@@ -63,20 +63,23 @@ let args_of cv =
 
 let test_wire_call_roundtrip () =
   let item =
-    W.call_item ~cid:42 ~trace:None ~port:"record_grade" ~kind:W.Call ~args:(Xdr.Int 5) ()
+    W.call_item ~cid:42 ~trace:None ~port:(W.Define "record_grade") ~kind:W.Call
+      ~args:(Xdr.Int 5) ()
   in
   match W.parse_call_view (view item) with
   | Ok cv ->
       check Alcotest.(option int) "cid" (Some 42) cv.W.cv_cid;
-      check Alcotest.string "port" "record_grade" cv.W.cv_port;
+      check Alcotest.bool "port" true (cv.W.cv_port = W.Define "record_grade");
       check Alcotest.bool "kind" true (cv.W.cv_kind = W.Call);
       check Alcotest.bool "args" true (args_of cv = Xdr.Int 5)
   | Error e -> Alcotest.fail e
 
 let test_wire_send_kind_roundtrip () =
-  let item = W.call_item ~trace:None ~port:"p" ~kind:W.Send ~args:Xdr.Unit () in
+  let item = W.call_item ~trace:None ~port:(W.Ref 2) ~kind:W.Send ~args:Xdr.Unit () in
   match W.parse_call_view (view item) with
-  | Ok cv -> check Alcotest.bool "send kind" true (cv.W.cv_kind = W.Send)
+  | Ok cv ->
+      check Alcotest.bool "send kind" true (cv.W.cv_kind = W.Send);
+      check Alcotest.bool "port ref" true (cv.W.cv_port = W.Ref 2)
   | Error e -> Alcotest.fail e
 
 let test_wire_reply_roundtrips () =
@@ -1120,6 +1123,131 @@ let test_unordered_target_overlaps_but_replies_in_order () =
      not the 30 ms sum of sequential execution *)
   check Alcotest.bool "calls overlapped" true (!done_at < 20e-3)
 
+(* ------------------------------------------------------------------ *)
+(* Port tables (docs/WIRE.md §1.2): a call names its port once per
+   channel, and both ends index it in channel order. *)
+
+(* A target on hub b whose every port echoes its own name. *)
+let install_port_echo w =
+  let bad_refs () = Sim.Stats.peek (S.stats w.sched) "target_bad_port_refs" in
+  ignore
+    (T.create w.hub_b ~gid:"echo" (fun _conn ~seq:_ ~port ~kind:_ ~args:_ ~reply ->
+         reply (W.W_normal (Xdr.Str port)))
+      : T.t);
+  bad_refs
+
+let prop_ports_reach_their_handlers =
+  QCheck.Test.make ~name:"calls over up to 300 ports reach the port they name, lossy net"
+    ~count:12
+    QCheck.(
+      triple (int_bound 10_000) (int_range 1 300) (list_of_size Gen.(int_range 0 200) small_nat))
+    (fun (seed, k, picks) ->
+      let w = make_world ~cfg:(Net.lossy ~loss:0.1 ~dup:0.1 Net.default_config) ~seed () in
+      let bad_refs = install_port_echo w in
+      let stream = SE.create w.hub_a ~agent:"c" ~dst:(Net.address w.node_b) ~gid:"echo" () in
+      (* Every port once in order (so k > 256 runs past the cap), then
+         random repeats. *)
+      let ports = List.init k Fun.id @ List.map (fun p -> p mod k) picks in
+      let wrong = ref 0 and right = ref 0 in
+      ignore
+        (S.spawn w.sched (fun () ->
+             List.iter
+               (fun p ->
+                 let port = Printf.sprintf "port-%03d" p in
+                 ignore
+                   (SE.call stream ~port ~kind:W.Call ~args:(Xdr.Int p) ~on_reply:(function
+                      | W.W_normal (Xdr.Str got) when got = port -> incr right
+                      | _ -> incr wrong)
+                     : (int * int, string) result))
+               ports;
+             ignore (SE.synch stream : (unit, [ `Broken of string | `Exception_reply ]) result)));
+      run_ok w;
+      if !wrong > 0 || !right <> List.length ports || bad_refs () > 0 then
+        QCheck.Test.fail_reportf "k=%d: %d echoed, %d wrong of %d; %d bad refs" k !right !wrong
+          (List.length ports) (bad_refs ())
+      else true)
+
+(* [make_world] with every frame hub a sends logged. *)
+let recording_world () =
+  let sched = S.create ~seed:42 () in
+  let net = Net.create sched Net.default_config in
+  let node_a = Net.add_node net ~name:"a" in
+  let node_b = Net.add_node net ~name:"b" in
+  let tr = Transport_sim.endpoint net node_a in
+  let sent = ref [] in
+  let send ~dst frame =
+    sent := frame :: !sent;
+    tr.Transport.send ~dst frame
+  in
+  let logged = { tr with Transport.send } in
+  let hub_a = CH.create_hub ~transport:logged () in
+  let hub_b = CH.create_hub ~net:(net, node_b) () in
+  ({ sched; net; node_a; node_b; hub_a; hub_b }, fun () -> List.rev !sent)
+
+(* (channel idx, port) for every port define in these frames, without
+   repeats: a retransmit resends the same define. *)
+let port_defines frames =
+  List.concat_map
+    (fun f ->
+      match CH.decode_packet f with
+      | Ok (CH.Data { idx; items; _ }) ->
+          List.filter_map
+            (function
+              | Xdr.List (Xdr.Int head :: Xdr.Str port :: _) when head land 0x40 <> 0 ->
+                  Some (idx, port)
+              | _ -> None)
+            items
+      | Ok _ | Error _ -> [])
+    frames
+  |> List.sort_uniq compare
+
+(* The resubmitted calls go out on a fresh channel whose tables start
+   empty, so they define their ports again — including "a", which the
+   first incarnation had already defined and referenced. *)
+let test_resubmit_redefines_ports () =
+  let w, sent = recording_world () in
+  let bad_refs = install_port_echo w in
+  let stream =
+    SE.create w.hub_a ~agent:"client" ~dst:(Net.address w.node_b) ~gid:"echo"
+      ~config:fast_cfg ()
+  in
+  SE.set_preserve_on_break stream true;
+  let echoes = ref [] in
+  let call port =
+    ignore
+      (SE.call stream ~port ~kind:W.Call ~args:Xdr.Unit ~on_reply:(fun o ->
+           echoes := (port, o) :: !echoes)
+        : (int * int, string) result)
+  in
+  ignore
+    (S.spawn w.sched (fun () ->
+         call "a";
+         (match SE.synch stream with Ok () -> () | Error _ -> Alcotest.fail "first call failed");
+         Net.crash w.net w.node_b;
+         call "a";
+         call "b";
+         SE.flush stream;
+         while SE.broken stream = None do
+           S.sleep w.sched 5e-3
+         done;
+         Net.recover w.net w.node_b;
+         check Alcotest.int "both resubmitted" 2 (SE.restart_resubmit stream);
+         match SE.synch stream with
+         | Ok () -> ()
+         | Error _ -> Alcotest.fail "resubmitted calls failed"));
+  run_ok w;
+  check Alcotest.int "no bad refs" 0 (bad_refs ());
+  List.iter
+    (fun (port, o) ->
+      check Alcotest.bool (port ^ " echoed") true (o = W.W_normal (Xdr.Str port)))
+    !echoes;
+  check Alcotest.int "three calls answered" 3 (List.length !echoes);
+  match port_defines (sent ()) with
+  | [ (i0, "a"); (i0', "b"); (i1, "a"); (i1', "b") ] when i0 = i0' && i1 = i1' && i0 < i1 -> ()
+  | defs ->
+      Alcotest.failf "defines per channel: %s"
+        (String.concat ", " (List.map (fun (i, p) -> Printf.sprintf "%d:%s" i p) defs))
+
 let suite =
   [
     ( "wire",
@@ -1190,7 +1318,11 @@ let suite =
           test_resubmit_dedups_already_executed_calls;
         Alcotest.test_case "resubmit with cids off position" `Quick
           test_resubmit_with_cids_off_position;
+        Alcotest.test_case "resubmits re-define their ports" `Quick
+          test_resubmit_redefines_ports;
       ] );
+    ( "port tables",
+      [ QCheck_alcotest.to_alcotest prop_ports_reach_their_handlers ] );
   ]
 
 let () = Alcotest.run "cstream" suite

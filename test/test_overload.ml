@@ -328,7 +328,7 @@ let test_sampled_out_wire_identity () =
   Span.record sp ~time:0.0 ~kind:Span.Issue ~trace:1 ();
   check Alcotest.int "sampled-out record is a no-op" 0 (List.length (Span.events sp));
   let item trace =
-    W.call_item ~cid:7 ~trace ~port:"inc" ~kind:W.Call ~args:(Xdr.Int 1) ()
+    W.call_item ~cid:7 ~trace ~port:(W.Define "inc") ~kind:W.Call ~args:(Xdr.Int 1) ()
   in
   let wire t = Xdr.Bin.to_string (item t) in
   check Alcotest.string "sampled-out call = untraced bytes" (wire None)

@@ -285,7 +285,7 @@ let test_wire_identity_when_disabled () =
   (* Traced forms carry the id, decode identically, and are the only
      forms that grow. *)
   let call trace =
-    W.call_item ~cid:7 ~trace ~port:"work" ~kind:W.Call ~args:(Xdr.Int 42) ()
+    W.call_item ~cid:7 ~trace ~port:(W.Ref 0) ~kind:W.Call ~args:(Xdr.Int 42) ()
   in
   let untraced = call None and traced = call (Some 9) in
   check Alcotest.(option int) "traced call carries the id" (Some 9) (W.item_trace traced);

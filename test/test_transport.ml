@@ -292,33 +292,49 @@ let test_tcp_exactly_once_across_break () =
 
 (* --- acks ride RPC traffic over a real socket ------------------------ *)
 
-(* A TCP reply leaves in the scheduler turn its call arrived in, so the
-   call's ack rides the reply and the reply's ack rides the next call:
-   two frames per RPC. One Ack frame per packet would double both
-   counts. *)
-let test_tcp_rpc_acks_ride () =
-  with_tcp "rpc acks ride" @@ fun () ->
+(* [tr] with every frame it sends logged, oldest first. *)
+let recording tr =
+  let sent = ref [] in
+  let send ~dst frame =
+    sent := frame :: !sent;
+    tr.Transport.send ~dst frame
+  in
+  ({ tr with Transport.send }, fun () -> List.rev !sent)
+
+(* [n] sequential RPCs of [hs] on one stream over loopback; [k] then
+   reads the run's scheduler and fabric and every frame the client
+   sent. *)
+let tcp_rpc_loop hs ~n k =
   let sched = S.create () in
   let fab = T.create sched in
   Fun.protect ~finally:(fun () -> T.close fab) @@ fun () ->
-  let a = T.endpoint fab ~addr:0 ~name:"client" () in
+  let a, sent = recording (T.endpoint fab ~addr:0 ~name:"client" ()) in
   let b = T.endpoint fab ~addr:1 ~name:"server" () in
   let hub_a = CH.create_hub ~transport:a () in
   let server = G.create (CH.create_hub ~transport:b ()) ~name:"server" in
   G.register_group server ~group:"main" ~config:GC.(default |> with_reply_config CH.rpc_config) ();
-  G.register server ~group:"main" work_sig (fun _ctx i -> Ok (i + 1));
+  G.register server ~group:"main" hs (fun _ctx i -> Ok (i + 1));
   T.set_peer fab ~addr:1 (T.listen_loopback fab ~addr:1);
-  let n = 200 in
   ignore
     (S.spawn sched ~name:"client" (fun () ->
          let ag = Core.Agent.create hub_a ~name:"rpc" ~config:CH.rpc_config () in
-         let h = R.bind ag ~dst:1 ~gid:"main" work_sig in
+         let h = R.bind ag ~dst:1 ~gid:"main" hs in
          for i = 1 to n do
            match R.rpc h i with
            | P.Normal v when v = i + 1 -> ()
            | _ -> Alcotest.failf "rpc %d failed" i
          done));
   run_ok sched;
+  k sched fab (sent ())
+
+(* A TCP reply leaves in the scheduler turn its call arrived in, so the
+   call's ack rides the reply and the reply's ack rides the next call:
+   two frames per RPC. One Ack frame per packet would double both
+   counts. *)
+let test_tcp_rpc_acks_ride () =
+  with_tcp "rpc acks ride" @@ fun () ->
+  let n = 200 in
+  tcp_rpc_loop work_sig ~n @@ fun sched fab _ ->
   let acks = Sim.Stats.peek (S.stats sched) "chan_ack_packets" in
   let frames = Sim.Stats.peek (T.stats fab) "transport_frames_sent" in
   check Alcotest.bool (Printf.sprintf "%d standalone acks <= 2" acks) true (acks <= 2);
@@ -326,6 +342,127 @@ let test_tcp_rpc_acks_ride () =
     (Printf.sprintf "%d frames <= 2 x %d + 4" frames n)
     true
     (frames <= (2 * n) + 4)
+
+(* --- a restarted peer reopens its channels ------------------------- *)
+
+(* A hub that comes back at the same address numbers its channels from
+   0 again; the tombstones of its predecessor's channels died with the
+   connection, so its first call is accepted, not Reset. *)
+let test_tcp_restarted_peer_reopens () =
+  with_tcp "restarted peer reopens" @@ fun () ->
+  let sched = S.create () in
+  let fab = T.create sched in
+  Fun.protect ~finally:(fun () -> T.close fab) @@ fun () ->
+  let b = T.endpoint fab ~addr:1 ~name:"server" () in
+  let server = G.create (CH.create_hub ~transport:b ()) ~name:"server" in
+  G.register_group server ~group:"main" ~config:GC.(default |> with_reply_config CH.rpc_config) ();
+  G.register server ~group:"main" work_sig (fun _ctx i -> Ok (i + 1));
+  T.set_peer fab ~addr:1 (T.listen_loopback fab ~addr:1);
+  let call_once i =
+    let hub = CH.create_hub ~transport:(T.endpoint fab ~addr:0 ~name:"client" ()) () in
+    let ag = Core.Agent.create hub ~name:"client" ~config:CH.rpc_config () in
+    R.rpc (R.bind ag ~dst:1 ~gid:"main" work_sig) i
+  in
+  let outcomes = ref [] in
+  ignore
+    (S.spawn sched ~name:"client" (fun () ->
+         let first = call_once 1 in
+         T.drop_peer_connections fab ~addr:1;
+         T.drop_peer_connections fab ~addr:0;
+         let second = call_once 2 in
+         outcomes := [ first; second ]));
+  run_ok sched;
+  List.iteri
+    (fun k o ->
+      match o with
+      | P.Normal v -> check Alcotest.int (Printf.sprintf "call %d" k) (k + 2) v
+      | P.Unavailable r | P.Failure r -> Alcotest.failf "call %d failed: %s" k r
+      | P.Signal _ -> Alcotest.failf "call %d signalled" k)
+    !outcomes;
+  check Alcotest.int "both calls returned" 2 (List.length !outcomes)
+
+(* --- a port is named once per channel -------------------------------- *)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let probe_port = "port-table-probe"
+
+let probe_sig = Core.Sigs.hsig0 probe_port ~arg:Xdr.int ~res:Xdr.int
+
+(* 200 sequential RPCs on one stream: only the first call spells the
+   port, every later one names it by its table index. *)
+let test_tcp_port_named_once () =
+  with_tcp "port named once" @@ fun () ->
+  let n = 200 in
+  tcp_rpc_loop probe_sig ~n @@ fun _ _ frames ->
+  check Alcotest.bool "every call left in a frame" true (List.length frames >= n);
+  check Alcotest.int "frames spelling the port" 1
+    (List.length (List.filter (contains ~sub:probe_port) frames))
+
+(* The sim twin, per channel incarnation: a stream calling three ports
+   in turn, restarted twice, spells each port in exactly one frame of
+   each incarnation's call channel. *)
+let test_sim_ports_named_once_per_incarnation () =
+  let sched = S.create ~seed:7 () in
+  let net = Net.create sched Net.default_config in
+  let na = Net.add_node net ~name:"a" and nb = Net.add_node net ~name:"b" in
+  let tr, sent = recording (Transport_sim.endpoint net na) in
+  let hub_a = CH.create_hub ~transport:tr () in
+  let hub_b = CH.create_hub ~net:(net, nb) () in
+  ignore
+    (Cstream.Target.create hub_b ~gid:"echo" (fun _conn ~seq:_ ~port ~kind:_ ~args:_ ~reply ->
+         reply (Cstream.Wire.W_normal (Xdr.Str port)))
+      : Cstream.Target.t);
+  let ports = [ "port-alpha"; "port-beta"; "port-gamma" ] in
+  let se =
+    Cstream.Stream_end.create hub_a ~agent:"c" ~dst:(Net.address nb) ~gid:"echo"
+      ~config:{ CH.default_config with CH.max_batch = 4 } ()
+  in
+  let incarnations = 3 and rounds = 20 in
+  ignore
+    (S.spawn sched ~name:"client" (fun () ->
+         for inc = 1 to incarnations do
+           for r = 1 to rounds do
+             List.iter
+               (fun port ->
+                 ignore
+                   (Cstream.Stream_end.call se ~port ~kind:Cstream.Wire.Call ~args:(Xdr.Int r)
+                      ~on_reply:(fun o ->
+                        if o <> Cstream.Wire.W_normal (Xdr.Str port) then
+                          Alcotest.failf "%s: %a" port Cstream.Wire.pp_routcome o)
+                     : (int * int, string) result))
+               ports
+           done;
+           (match Cstream.Stream_end.synch se with
+           | Ok () -> ()
+           | Error _ -> Alcotest.failf "incarnation %d failed" inc);
+           if inc < incarnations then Cstream.Stream_end.restart se
+         done));
+  run_ok sched;
+  (* Call frames by channel index: one index per incarnation. *)
+  let by_idx = Hashtbl.create 4 in
+  List.iter
+    (fun f ->
+      match CH.decode_packet f with
+      | Ok (CH.Data { idx; _ }) ->
+          let earlier = Option.value ~default:[] (Hashtbl.find_opt by_idx idx) in
+          Hashtbl.replace by_idx idx (f :: earlier)
+      | Ok _ | Error _ -> ())
+    (sent ());
+  check Alcotest.int "one call channel per incarnation" incarnations (Hashtbl.length by_idx);
+  Hashtbl.iter
+    (fun idx frames ->
+      List.iter
+        (fun port ->
+          check Alcotest.int
+            (Printf.sprintf "channel %d: frames spelling %s" idx port)
+            1
+            (List.length (List.filter (contains ~sub:port) frames)))
+        ports)
+    by_idx
 
 (* --- regression: Transport_sim is byte-identical -------------------- *)
 
@@ -382,6 +519,18 @@ let () =
         [
           Alcotest.test_case "break -> resubmit -> dedup over a real socket" `Quick
             test_tcp_exactly_once_across_break;
+        ] );
+      ( "reconnect",
+        [
+          Alcotest.test_case "a restarted peer reopens its channels (tcp)" `Quick
+            test_tcp_restarted_peer_reopens;
+        ] );
+      ( "port table",
+        [
+          Alcotest.test_case "200 rpcs spell the port in one frame (tcp)" `Quick
+            test_tcp_port_named_once;
+          Alcotest.test_case "three ports, one spelling per incarnation (sim)" `Quick
+            test_sim_ports_named_once_per_incarnation;
         ] );
       ( "ack hold",
         [ Alcotest.test_case "rpc acks ride calls and replies (tcp)" `Quick test_tcp_rpc_acks_ride ]

@@ -196,7 +196,8 @@ let test_truncated_returns_error () =
       (* envelopes: a call with every optional element, replies of
          both forms, a packed int reply and a traced send-ok *)
       W.call_item ~resubmit:true ~handoff:[ sample_handoff ] ~cid:300 ~trace:(Some 70000)
-        ~port:"record_grade" ~kind:W.Send ~args:(Xdr.Pair (Xdr.Str "stu1", Xdr.Int 85)) ();
+        ~port:(W.Define "record_grade") ~kind:W.Send
+        ~args:(Xdr.Pair (Xdr.Str "stu1", Xdr.Int 85)) ();
       W.reply_item ~trace:None (W.W_normal (Xdr.Str "done"));
       W.reply_item ~trace:None (W.W_normal (Xdr.Int 70000));
       W.reply_item ~trace:(Some 70000) (W.W_signal ("no_such_user", Xdr.Str "bob"));
@@ -269,8 +270,8 @@ let test_packet_roundtrips () =
         ~acks:[ ack 7 (-1); ack ~pressure:2 8 17 ]
         ~items:
           (List.init 5 (fun i ->
-               W.call_item ~cid:(100 + i) ~trace:None ~port:"record_grade"
-                 ~kind:W.Call
+               W.call_item ~cid:(100 + i) ~trace:None
+                 ~port:(if i = 0 then W.Define "record_grade" else W.Ref 0) ~kind:W.Call
                  ~args:(Xdr.Pair (Xdr.Str "stu00001", Xdr.Int 85)) ()))
         ();
       data ~first_seq:0 ();
@@ -1205,8 +1206,8 @@ let view_of v =
 let parse_reply v = Result.bind (W.parse_reply_view (view_of v)) W.outcome_of_view
 
 (* Every head combination: kind × resubmit × elide × cid (present when
-   it differs from the position) × trace × non-empty handoff, each with
-   random contents. *)
+   it differs from the position) × trace × non-empty handoff × port
+   define or ref, each with random contents. *)
 let prop_call_envelope_roundtrip =
   QCheck.Test.make ~name:"call envelopes round-trip under every head" ~count:50
     QCheck.(quad small_nat (int_bound max_int) small_printable_string arb_value)
@@ -1221,6 +1222,7 @@ let prop_call_envelope_roundtrip =
             if on 16 then [ sample_handoff; { sample_handoff with W.ho_call = 6 } ] else []
           in
           let trace = if on 32 then Some tid else None in
+          let port = if on 64 then W.Ref (tid lsr 8) else W.Define port in
           let item = W.call_item ~resubmit ~handoff ~elide ?cid ~trace ~port ~kind ~args () in
           let vw = view_of item in
           let fail fmt = QCheck.Test.fail_reportf ("combo 0x%x: " ^^ fmt) combo in
@@ -1239,7 +1241,7 @@ let prop_call_envelope_roundtrip =
                 | Ok a when Xdr.equal_value a args -> true
                 | Ok _ -> fail "args differ"
                 | Error e -> fail "args: %s" e))
-        (List.init 64 Fun.id))
+        (List.init 128 Fun.id))
 
 (* Every reply form: untraced [[v]] and [[]], and the coded form for
    everything else, each traced or not. *)
@@ -1314,32 +1316,40 @@ let test_reply_envelope_roundtrips () =
 
 let ok_args = Xdr.Pair (Xdr.Str "stu1", Xdr.Int 85)
 
+(* Define-form heads carry 0x40 and a port element; ref-form heads
+   carry the table index above bit 7 and no port element. *)
 let hostile_calls =
-  let i n = Xdr.Int n and port = Xdr.Str "p" in
+  let i n = Xdr.Int n and port = Xdr.Str "p" and d = 0x40 in
   [
     ("not a list", i 3);
     ( "the field-named record form",
       Xdr.Record [ ("q", i 1); ("i", i 1); ("p", port); ("k", Xdr.Str "c"); ("a", i 1) ] );
     ("old form with a leading seq", Xdr.List [ i 12; i 0; Xdr.Str "work"; i 42 ]);
     ("old form with seq 0", Xdr.List [ i 0; i 0x20; port; ok_args; i 9 ]);
-    ("short list", Xdr.List [ i 0; port ]);
+    ("short list", Xdr.List [ i d; port ]);
+    ("lone ref head", Xdr.List [ i 0x80 ]);
     ("empty list", Xdr.List []);
     ("head mistyped", Xdr.List [ Xdr.Bool true; port; ok_args ]);
-    ("port mistyped", Xdr.List [ i 0; i 5; ok_args ]);
-    ("cid mistyped", Xdr.List [ i 0x08; port; ok_args; Xdr.Str "2" ]);
-    ("trace mistyped", Xdr.List [ i 0x20; port; ok_args; Xdr.Unit ]);
-    ("handoff mistyped", Xdr.List [ i 0x10; port; ok_args; i 3 ]);
-    ("handoff list empty", Xdr.List [ i 0x10; port; ok_args; Xdr.List [] ]);
-    ("handoff entry malformed", Xdr.List [ i 0x10; port; ok_args; Xdr.List [ i 3 ] ]);
-    ("unknown head bit", Xdr.List [ i 0x40; port; ok_args ]);
+    ("port mistyped", Xdr.List [ i d; i 5; ok_args ]);
+    ("cid mistyped", Xdr.List [ i (d lor 0x08); port; ok_args; Xdr.Str "2" ]);
+    ("cid mistyped, port ref", Xdr.List [ i 0x88; ok_args; Xdr.Str "2" ]);
+    ("trace mistyped", Xdr.List [ i (d lor 0x20); port; ok_args; Xdr.Unit ]);
+    ("handoff mistyped", Xdr.List [ i (d lor 0x10); port; ok_args; i 3 ]);
+    ("handoff list empty", Xdr.List [ i (d lor 0x10); port; ok_args; Xdr.List [] ]);
+    ("handoff entry malformed", Xdr.List [ i (d lor 0x10); port; ok_args; Xdr.List [ i 3 ] ]);
+    ("define with an index", Xdr.List [ i (0x80 lor d); port; ok_args ]);
     ("negative head", Xdr.List [ i (-1); port; ok_args ]);
-    ("cid bit, no cid", Xdr.List [ i 0x08; port; ok_args ]);
-    ("trace bit, no trace", Xdr.List [ i 0x20; port; ok_args ]);
-    ("cid and trace bits, one element", Xdr.List [ i 0x28; port; ok_args; i 2 ]);
-    ("trailing element", Xdr.List [ i 0; port; ok_args; i 2 ]);
-    ("trailing after trace", Xdr.List [ i 0x20; port; ok_args; i 9; i 2 ]);
+    ("negative head, port ref form", Xdr.List [ i min_int; ok_args ]);
+    ("cid bit, no cid", Xdr.List [ i (d lor 0x08); port; ok_args ]);
+    ("trace bit, no trace", Xdr.List [ i (d lor 0x20); port; ok_args ]);
+    ("trace bit, no trace, port ref", Xdr.List [ i 0x20; ok_args ]);
+    ("cid and trace bits, one element", Xdr.List [ i (d lor 0x28); port; ok_args; i 2 ]);
+    ("trailing element", Xdr.List [ i d; port; ok_args; i 2 ]);
+    ("trailing element, port ref", Xdr.List [ i 0x180; ok_args; i 2 ]);
+    ("trailing after trace", Xdr.List [ i (d lor 0x20); port; ok_args; i 9; i 2 ]);
     ( "optional elements out of order",
-      Xdr.List [ i 0x18; port; ok_args; Xdr.List [ W.handoff_value sample_handoff ]; i 2 ] );
+      Xdr.List
+        [ i (d lor 0x18); port; ok_args; Xdr.List [ W.handoff_value sample_handoff ]; i 2 ] );
   ]
 
 let hostile_replies =
@@ -1382,24 +1392,32 @@ let test_hostile_envelopes_rejected () =
       | exception e -> Alcotest.failf "hostile reply %s raised %s" what (Printexc.to_string e))
     hostile_replies
 
-(* Elements are read by position: the order is fixed, and a call
-   without its argument is rejected. *)
+(* Elements are read by position: the order is fixed, a port ref has no
+   port element, and a call without its argument is rejected. *)
 let test_call_elements_positional () =
-  let item =
-    W.call_item ~cid:9 ~trace:None ~port:"work" ~kind:W.Call ~args:(Xdr.Str "payload") ()
+  let item port =
+    W.call_item ~cid:9 ~trace:None ~port ~kind:W.Call ~args:(Xdr.Str "payload") ()
   in
-  (match item with
-  | Xdr.List [ Xdr.Int 0x08; Xdr.Str "work"; Xdr.Str "payload"; Xdr.Int 9 ] -> ()
-  | v -> Alcotest.failf "unexpected call layout %a" Xdr.pp_value v);
+  (match item (W.Define "work") with
+  | Xdr.List [ Xdr.Int 0x48; Xdr.Str "work"; Xdr.Str "payload"; Xdr.Int 9 ] -> ()
+  | v -> Alcotest.failf "unexpected define layout %a" Xdr.pp_value v);
+  (match item (W.Ref 5) with
+  | Xdr.List [ Xdr.Int 0x288; Xdr.Str "payload"; Xdr.Int 9 ] -> ()
+  | v -> Alcotest.failf "unexpected ref layout %a" Xdr.pp_value v);
   let reordered = Xdr.List [ Xdr.Str "work"; Xdr.Int 0; Xdr.Str "payload" ] in
   match W.parse_call_view (view_of reordered) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "reordered call accepted"
 
+(* [[Int 0; Str "x"]] is a complete ref-form call (port entry 0, args
+   "x"); the shortest incomplete calls are a lone head of either form. *)
 let test_call_missing_elements_rejected () =
-  match W.parse_call_view (view_of (Xdr.List [ Xdr.Int 0; Xdr.Str "x" ])) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "incomplete call accepted"
+  List.iter
+    (fun v ->
+      match W.parse_call_view (view_of v) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "incomplete call accepted: %a" Xdr.pp_value v)
+    [ Xdr.List [ Xdr.Int 0x40 ]; Xdr.List [ Xdr.Int 0 ]; Xdr.List [ Xdr.Int 0x40; Xdr.Str "x" ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Ack hold: every ack parks for the next Data packet to its peer until
@@ -1604,6 +1622,89 @@ let test_peer_down_drops_parked_acks () =
 (* ------------------------------------------------------------------ *)
 (* Satellite regressions: NaN equality *)
 
+(* ------------------------------------------------------------------ *)
+(* Port tables (docs/WIRE.md §1.2): both ends of a call channel append
+   defined ports in channel order, up to the cap. *)
+
+let test_port_table_cap () =
+  let cap = W.port_table_cap in
+  let names = W.port_names () and table = W.port_table () in
+  let port i = Printf.sprintf "p%d" i in
+  for i = 0 to cap - 1 do
+    match W.intern_port names (port i) with
+    | W.Define n as form ->
+        check Alcotest.string "first use defines" (port i) n;
+        check Alcotest.(option string) "receiver applies the define" (Some n)
+          (W.resolve_port table form)
+    | W.Ref _ -> Alcotest.failf "port %d referenced before its define" i
+  done;
+  check Alcotest.bool "later uses refer" true (W.intern_port names (port 7) = W.Ref 7);
+  check Alcotest.(option string) "refs resolve" (Some (port 7)) (W.resolve_port table (W.Ref 7));
+  (* Past the cap: a define every time, appended on neither end. *)
+  let late = port cap in
+  for _ = 1 to 3 do
+    check Alcotest.bool "past the cap, still a define" true
+      (W.intern_port names late = W.Define late);
+    check Alcotest.(option string) "past the cap, resolved in place" (Some late)
+      (W.resolve_port table (W.Define late))
+  done;
+  check Alcotest.bool "the sender's table did not grow" true
+    (W.port_form names late = W.Define late);
+  check Alcotest.(option string) "the receiver's table did not grow" None
+    (W.resolve_port table (W.Ref cap))
+
+(* A call naming a port entry its channel never defined is a protocol
+   error of that channel alone: it is counted, the channel is Reset and
+   none of its calls runs, while a well-behaved stream to the same group
+   carries on. *)
+let test_bad_port_ref_breaks_only_its_channel () =
+  let w = make_world () in
+  let executed = ref [] in
+  ignore
+    (T.create w.hub_b ~gid:"echo" (fun _conn ~seq:_ ~port ~kind:_ ~args:_ ~reply ->
+         executed := port :: !executed;
+         reply (W.W_normal (Xdr.Str port)))
+      : T.t);
+  let forger = Net.add_node w.net ~name:"forger" in
+  let forged =
+    CH.Data
+      {
+        src = Net.address forger;
+        idx = 0;
+        first_seq = 0;
+        opening = Some { CH.open_label = "echo"; open_meta = "~r/f/echo/1/0" };
+        acks = [];
+        items =
+          [
+            W.call_item ~trace:None ~port:(W.Define "ok") ~kind:W.Call ~args:Xdr.Unit ();
+            W.call_item ~trace:None ~port:(W.Ref 1) ~kind:W.Call ~args:Xdr.Unit ();
+          ];
+      }
+  in
+  let se = SE.create w.hub_a ~agent:"t" ~dst:(Net.address w.node_b) ~gid:"echo" () in
+  let replies = ref [] in
+  ignore
+    (S.spawn w.sched (fun () ->
+         inject w ~src:forger ~dst:w.node_b forged;
+         List.iter
+           (fun port ->
+             match
+               SE.call se ~port ~kind:W.Call ~args:Xdr.Unit ~on_reply:(fun o ->
+                   replies := o :: !replies)
+             with
+             | Ok _ -> ()
+             | Error e -> Alcotest.failf "call failed: %s" e)
+           [ "x"; "y"; "x" ];
+         match SE.synch se with Ok () -> () | Error _ -> Alcotest.fail "good stream broke"));
+  run_ok w;
+  check Alcotest.int "bad ref counted" 1 (peek w "target_bad_port_refs");
+  check Alcotest.bool "the forged channel was Reset" true (peek w "chan_reset_packets" >= 1);
+  check Alcotest.(list string) "the break dropped the forged channel's queued call"
+    [ "x"; "y"; "x" ] (List.rev !executed);
+  check Alcotest.bool "the good stream's replies echo its ports" true
+    (List.rev !replies
+    = List.map (fun p -> W.W_normal (Xdr.Str p)) [ "x"; "y"; "x" ])
+
 let test_equal_value_nan () =
   check Alcotest.bool "NaN = NaN" true (Xdr.equal_value (Xdr.Real nan) (Xdr.Real nan));
   check Alcotest.bool "nested NaN" true
@@ -1738,5 +1839,12 @@ let () =
           Alcotest.test_case "parse_call_view rejects missing elements" `Quick
             test_call_missing_elements_rejected;
           Alcotest.test_case "equal_value handles NaN" `Quick test_equal_value_nan;
+        ] );
+      ( "port tables",
+        [
+          Alcotest.test_case "past the cap a define appends on neither end" `Quick
+            test_port_table_cap;
+          Alcotest.test_case "a bad port ref breaks only its channel" `Quick
+            test_bad_port_ref_breaks_only_its_channel;
         ] );
     ]
