@@ -205,6 +205,24 @@ let wire_view_tests =
            | _ -> failwith "decode failed"));
   ]
 
+(* The scalar-width rung of the cost ledger: the [sheet] payload is
+   shaped like loadbench's stream_large argument, whose bytes are mostly
+   grades and means (docs/WIRE.md §1). Encode and decode are timed with
+   the other payloads above; this adds the counting pass every window
+   and budget check runs, and the receive path's structural scan. *)
+let wire_sheet_tests =
+  let sheet = List.assoc "sheet" wire_payloads in
+  let encoded = Xdr.Bin.to_string sheet in
+  let sz = String.length encoded in
+  [
+    Test.make
+      ~name:(Printf.sprintf "size sheet (%dB)" sz)
+      (Staged.stage (fun () -> Xdr.Bin.size sheet));
+    Test.make
+      ~name:(Printf.sprintf "view scan sheet (%dB)" sz)
+      (Staged.stage (fun () -> exn (Xdr.View.of_string encoded)));
+  ]
+
 (* The envelope rung of the cost ledger: building and encoding the
    rpc-shaped call item (the "small" payload) as a channel's first call
    to its port spells it (define) and as every later call names it
@@ -272,7 +290,7 @@ let wire_tests =
              (Staged.stage (fun () -> Xdr.Bin.of_string encoded));
          ])
        wire_payloads
-    @ wire_view_tests @ wire_envelope_tests)
+    @ wire_view_tests @ wire_sheet_tests @ wire_envelope_tests)
 
 let json_escape s =
   let b = Buffer.create (String.length s) in

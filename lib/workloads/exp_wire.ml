@@ -107,17 +107,19 @@ let ack_hold_name d = if d = 0.0 then "turn" else Printf.sprintf "%g ms" (d *. 1
    the receive overhead [Target] charges as lane time, a turn later.
    Each stream names its port once: the first call defines it in the
    channel's port table and the other 399 carry table entry 0 in the
-   head: 9 B less per RPC call item, at least 4 B less per batched one. *)
+   head: 9 B less per RPC call item, at least 4 B less per batched one.
+   An [Int n >= 0] is plain LEB128 (docs/WIRE.md §1), so the arguments
+   and results in 64–127 and the define head take one byte each. *)
 let goldens =
   [
-    ("RPC", 0.0, 1201, 13949);
-    ("RPC", 1e-3, 801, 12749);
-    ("stream B=16", 0.0, 76, 4092);
-    ("stream B=16", 1e-3, 52, 3932);
-    ("send B=16", 0.0, 76, 3355);
-    ("send B=16", 1e-3, 52, 3195);
-    ("stream adaptive", 0.0, 28, 3734);
-    ("stream adaptive", 1e-3, 18, 3677);
+    ("RPC", 0.0, 1201, 13820);
+    ("RPC", 1e-3, 801, 12620);
+    ("stream B=16", 0.0, 76, 3963);
+    ("stream B=16", 1e-3, 52, 3803);
+    ("send B=16", 0.0, 76, 3290);
+    ("send B=16", 1e-3, 52, 3130);
+    ("stream adaptive", 0.0, 28, 3605);
+    ("stream adaptive", 1e-3, 18, 3548);
   ]
 
 let golden_mismatches rows =
@@ -142,21 +144,21 @@ let envelope_goldens =
   [
     ( "call item (port define)",
       W.call_item ~trace:None ~port:(W.Define "work") ~kind:W.Call ~args:(Xdr.Int 42) (),
-      (* list of 3: head 0x40 (define; a two-byte varint), "work"
-         (interned), 42; no seq, and the cid equals the position *)
-      "\x08\x03\x03\x80\x01\x05\x00\x04work\x03\x54" );
+      (* list of 3: head 0x40 (define), "work" (interned), 42; no seq,
+         and the cid equals the position *)
+      "\x08\x03\x03\x40\x05\x00\x04work\x03\x2a" );
     ( "call item (port ref)",
       W.call_item ~trace:None ~port:(W.Ref 0) ~kind:W.Call ~args:(Xdr.Int 42) (),
       (* packed int list of 2: head 0 (port table entry 0), 42 *)
-      "\x0c\x02\x00\x54" );
+      "\x0c\x02\x00\x2a" );
     ( "call item (port ref 3)",
       W.call_item ~trace:None ~port:(W.Ref 3) ~kind:W.Send ~args:(Xdr.Int 42) (),
       (* packed int list of 2: head 3 lsl 7 lor 0x01 (Send), 42 *)
-      "\x0c\x02\x82\x06\x54" );
+      "\x0c\x02\x81\x03\x2a" );
     ( "reply item",
       W.reply_item ~trace:None (W.W_normal (Xdr.Int 7)),
       (* packed int list of 1: value 7 *)
-      "\x0c\x01\x0e" );
+      "\x0c\x01\x07" );
     ( "send-ok item",
       W.send_ok_item ~trace:None,
       (* the empty list *)
@@ -173,11 +175,25 @@ let envelope_mismatches () =
           (Printf.sprintf "%s: %s (golden %s)" label (String.escaped got) (String.escaped bytes)))
     envelope_goldens
 
-(* The codec bench's reference payloads, shaped like real traffic at
-   three sizes: one call item, a 16-call batch (the string table pays
-   off: the port name repeats), and a 64-record grade sheet whose 16
-   grades per record take the packed int-list encoding. The sizes are
-   pinned like the E12 cells: (label, value, bytes). *)
+(* The codec bench's reference payloads, shaped like real traffic:
+   one call item, a 16-call batch (the string table pays off: the port
+   name repeats), a 64-record grade sheet whose 16 grades per record
+   take the packed int-list encoding, and [sheet], shaped like
+   loadbench's [stream_large] argument — a key and 32 [student]
+   records, grades 0–100 and each mean their sum over 16, so every
+   grade is a 1-byte varint and every mean a binary16 (docs/WIRE.md
+   §1). The sizes are pinned like the E12 cells: (label, value,
+   bytes). *)
+let sheet_record i =
+  let grades = List.init 16 (fun g -> ((i * 37) + (g * 59) + (i * g * 11)) mod 101) in
+  let letter j = Char.chr (Char.code 'a' + (((i * 7) + (j * 11)) mod 26)) in
+  Xdr.Record
+    [
+      ("name", Xdr.Str (String.init (6 + (i * 5 mod 8)) letter));
+      ("grades", Xdr.List (List.map (fun g -> Xdr.Int g) grades));
+      ("mean", Xdr.Real (float_of_int (List.fold_left ( + ) 0 grades) /. 16.0));
+    ]
+
 let reference_payloads =
   let module W = Cstream.Wire in
   let small =
@@ -200,7 +216,13 @@ let reference_payloads =
                ("active", Xdr.Bool (i mod 2 = 0));
              ]))
   in
-  [ ("small", small, 14); ("medium", medium, 353); ("large", large, 3701) ]
+  let sheet = Xdr.Pair (Xdr.Str "key-07-qhrzmtwe", Xdr.List (List.init 32 sheet_record)) in
+  [
+    ("small", small, 13);
+    ("medium", medium, 335);
+    ("large", large, 3102);
+    ("sheet", sheet, 1270);
+  ]
 
 let payload_mismatches () =
   List.filter_map

@@ -43,11 +43,18 @@ val envelope_mismatches : unit -> string list
 (** One line per {!envelope_goldens} entry whose encoding differs from
     its pinned bytes; [[]] when all match. *)
 
+val sheet_record : int -> Xdr.value
+(** Record [i] of the [sheet] reference payload: a [student] record
+    (name, 16 grades in 0–100, their mean) as loadbench's
+    [stream_large] sends it. *)
+
 val reference_payloads : (string * Xdr.value * int) list
-(** The codec bench's payloads — one call item, a 16-call batch and a
-    64-record grade sheet — with their pinned {!Xdr.Bin} sizes:
-    [(label, value, bytes)]. The bench times them; the wire tests and
-    the bench runner gate on the sizes. *)
+(** The codec bench's payloads — one call item, a 16-call batch, a
+    64-record grade sheet and [sheet], shaped like loadbench's
+    [stream_large] argument (a key and 32 {!sheet_record}s) — with
+    their pinned {!Xdr.Bin} sizes: [(label, value, bytes)]. The bench
+    times them; the wire tests and the bench runner gate on the
+    sizes. *)
 
 val payload_mismatches : unit -> string list
 (** One line per {!reference_payloads} entry whose encoding is not its

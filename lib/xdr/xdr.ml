@@ -335,15 +335,33 @@ module Bin = struct
   and t_tagged = 0x0A
   and t_pref = 0x0B
   and t_packed = 0x0C
+  and t_nint = 0x0D
+  and t_zpacked = 0x0E
+  and t_real16 = 0x10
 
-  (* A non-empty list of [Int]s only ships as [t_packed]: one tag, one
-     count, then bare zigzag varints. Every other list — empty, or with
-     any non-[Int] element — stays [t_list], so each value has exactly
-     one encoding. [packed_count] is that rule: the element count of a
-     packable list, 0 for any other. It stops at the first non-[Int]. *)
+  (* Every scalar travels at its shortest exact width (CBOR's preferred
+     serialisation). An [Int n >= 0] is [t_int] + plain LEB128; only a
+     negative one pays for a sign, as [t_nint] + zigzag. A [Real] is
+     binary16 ([t_real16]) when widening that form gives back the same
+     64 bits, else binary64 ([t_real]). The decoders accept either
+     width; only the encoder is canonical. *)
+
+  (* A non-empty list of [Int]s only ships packed: one tag, one count,
+     then bare varints — plain LEB128 under [t_packed] when no element
+     is negative, zigzag under [t_zpacked] otherwise. Every other list —
+     empty, or with any non-[Int] element — stays [t_list], so each value
+     has exactly one encoding. [packed_count] is that rule in one walk:
+     [n] for a packable list of [n] non-negative ints, [-n] for one with
+     a negative element, 0 for any other. It stops at the first
+     non-[Int]. The sign test ORs the elements together (the result is
+     negative iff one of them is), so the walk gains no branch. *)
   let packed_count vs =
-    let rec go n = function [] -> n | Int _ :: rest -> go (n + 1) rest | _ :: _ -> 0 in
-    go 0 vs
+    let rec go n ors = function
+      | [] -> if ors < 0 then -n else n
+      | Int i :: rest -> go (n + 1) (ors lor i) rest
+      | _ :: _ -> 0
+    in
+    go 0 0 vs
 
   (* Decode refuses nesting deeper than this rather than risking a
      stack overflow on adversarial input. *)
@@ -441,6 +459,69 @@ module Bin = struct
 
   let add_varint e n = add_uvarint e (zigzag n)
 
+  (* binary16 -> binary64, exactly: [float_of_half] is the decoder's
+     widening. *)
+  let float_of_half h =
+    let e = (h lsr 10) land 0x1f and m = h land 0x3ff in
+    if e = 0 then
+      let f = Float.ldexp (float_of_int m) (-24) in
+      if h land 0x8000 <> 0 then Float.neg f else f
+    else
+      let e = if e = 0x1f then 0x7ff else e + (1023 - 15) in
+      Int64.float_of_bits
+        (Int64.logor
+           (Int64.shift_left (Int64.of_int (((h lsr 15) lsl 11) lor e)) 52)
+           (Int64.of_int (m lsl 42)))
+
+  (* [real_half r] is [r]'s binary16 pattern when [float_of_half]
+     widens that back to the same 64 bits, else -1: the mantissa bits
+     binary16 drops must be zero and the exponent in its range (normal,
+     subnormal, or the infinity/NaN exponent, payload included). Bits
+     are compared, not floats, so -0.0 keeps its sign and a NaN its
+     payload. It stays in unboxed int arithmetic. *)
+  let real_half r =
+    let bits = Int64.bits_of_float r in
+    let s = Int64.to_int (Int64.shift_right_logical bits 63) lsl 15
+    and e = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff
+    and m = Int64.to_int bits land 0xF_FFFF_FFFF_FFFF in
+    let x = e - 1023 in
+    if e = 0x7ff || (x >= -14 && x <= 15) then
+      if m land 0x3FF_FFFF_FFFF <> 0 then -1
+      else s lor ((if e = 0x7ff then 0x1f else x + 15) lsl 10) lor (m lsr 42)
+    else if x >= -24 && x < -14 then
+      if m land ((1 lsl (28 - x)) - 1) <> 0 then -1 else s lor ((m lor (1 lsl 52)) lsr (28 - x))
+    else if e = 0 && m = 0 then s
+    else -1
+
+  let add_int e i =
+    if i >= 0 then begin
+      add_byte e t_int;
+      add_uvarint e i
+    end
+    else begin
+      add_byte e t_nint;
+      add_varint e i
+    end
+
+  let add_real e r =
+    let h = real_half r in
+    if h >= 0 then begin
+      add_byte e t_real16;
+      Buffer.add_uint16_le e.e_buf h
+    end
+    else begin
+      add_byte e t_real;
+      Buffer.add_int64_le e.e_buf (Int64.bits_of_float r)
+    end
+
+  (* The elements of a packed list as bare varints, zigzag when [zz]. A
+     direct loop: no closure per list. *)
+  let rec add_packed e zz = function
+    | Int i :: rest ->
+        add_uvarint e (if zz then zigzag i else i);
+        add_packed e zz rest
+    | _ -> ()
+
   let add_raw_string e s =
     add_uvarint e (String.length s);
     Buffer.add_string e.e_buf s
@@ -503,12 +584,8 @@ module Bin = struct
     | Unit -> add_byte e t_unit
     | Bool false -> add_byte e t_false
     | Bool true -> add_byte e t_true
-    | Int i ->
-        add_byte e t_int;
-        add_varint e i
-    | Real r ->
-        add_byte e t_real;
-        Buffer.add_int64_le e.e_buf (Int64.bits_of_float r)
+    | Int i -> add_int e i
+    | Real r -> add_real e r
     | Str s when String.length s <= intern_max ->
         add_byte e t_str_ref;
         add_string e s
@@ -526,9 +603,9 @@ module Bin = struct
             add_uvarint e (List.length vs);
             List.iter (add_value e) vs
         | n ->
-            add_byte e t_packed;
-            add_uvarint e n;
-            List.iter (function Int i -> add_varint e i | _ -> ()) vs)
+            add_byte e (if n > 0 then t_packed else t_zpacked);
+            add_uvarint e (abs n);
+            add_packed e (n < 0) vs)
     | Record fields ->
         add_byte e t_record;
         add_uvarint e (List.length fields);
@@ -595,6 +672,11 @@ module Bin = struct
     let rec go n k = if n land lnot 0x7f = 0 then k + 1 else go (n lsr 7) (k + 1) in
     go n 0
 
+  (* The bytes of a packed list's elements, as [add_packed] writes them. *)
+  let rec packed_len zz acc = function
+    | Int i :: rest -> packed_len zz (acc + uvarint_len (if zz then zigzag i else i)) rest
+    | _ -> acc
+
   let size_string z s =
     match Hashtbl.find_opt z.s_strings s with
     | Some slot -> z.s_len <- z.s_len + uvarint_len (slot + 1)
@@ -606,8 +688,9 @@ module Bin = struct
   let rec size_value z v =
     match v with
     | Unit | Bool _ -> z.s_len <- z.s_len + 1
-    | Int i -> z.s_len <- z.s_len + 1 + uvarint_len (zigzag i)
-    | Real _ -> z.s_len <- z.s_len + 9
+    | Int i -> z.s_len <- z.s_len + 1 + uvarint_len (if i >= 0 then i else zigzag i)
+    | Real r ->
+        z.s_len <- z.s_len + (if real_half r >= 0 then 3 else 9)
     | Str s when String.length s <= intern_max ->
         z.s_len <- z.s_len + 1;
         size_string z s
@@ -621,11 +704,7 @@ module Bin = struct
         | 0 ->
             z.s_len <- z.s_len + 1 + uvarint_len (List.length vs);
             List.iter (size_value z) vs
-        | n ->
-            z.s_len <- z.s_len + 1 + uvarint_len n;
-            List.iter
-              (function Int i -> z.s_len <- z.s_len + uvarint_len (zigzag i) | _ -> ())
-              vs)
+        | n -> z.s_len <- z.s_len + 1 + uvarint_len (abs n) + packed_len (n < 0) 0 vs)
     | Record fields ->
         z.s_len <- z.s_len + 1 + uvarint_len (List.length fields);
         List.iter
@@ -790,15 +869,17 @@ module Bin = struct
         else if m > 0 && m - 3 < d.d_count then d.d_table.(m - 3)
         else bad "string ref %d out of table range (%d entries)" (m - 3) d.d_count
 
-  let real_exn d =
-    if remaining d < 8 then bad "truncated real at byte %d" d.d_pos;
-    let bits = String.get_int64_le d.d_src d.d_pos in
-    d.d_pos <- d.d_pos + 8;
-    Int64.float_of_bits bits
+  (* A real of [width] bytes: 8 (binary64) or 2 (binary16). *)
+  let real_exn d width =
+    let pos = d.d_pos in
+    if String.length d.d_src - pos < width then bad "truncated real at byte %d" pos;
+    d.d_pos <- pos + width;
+    if width = 8 then Int64.float_of_bits (String.get_int64_le d.d_src pos)
+    else float_of_half (String.get_uint16_le d.d_src pos)
 
-  (* The count after a [t_packed] tag: at least one element (an empty
-     list is [t_list]), and no more than the bytes left, since every
-     element takes at least one. *)
+  (* The count after a [t_packed] or [t_zpacked] tag: at least one
+     element (an empty list is [t_list]), and no more than the bytes
+     left, since every element takes at least one. *)
   let packed_count_exn d =
     let n = uvarint_exn d in
     if n < 1 || n > remaining d then bad "packed list of %d ints overruns input" n;
@@ -810,8 +891,10 @@ module Bin = struct
     if tag = t_unit then Unit
     else if tag = t_false then Bool false
     else if tag = t_true then Bool true
-    else if tag = t_int then Int (unzigzag (uvarint_exn d))
-    else if tag = t_real then Real (real_exn d)
+    else if tag = t_int then Int (uvarint_exn d)
+    else if tag = t_nint then Int (unzigzag (uvarint_exn d))
+    else if tag = t_real16 then Real (real_exn d 2)
+    else if tag = t_real then Real (real_exn d 8)
     else if tag = t_str_ref then Str (string_exn d)
     else if tag = t_str_inline then Str (raw_string_exn d)
     else if tag = t_pair then begin
@@ -828,6 +911,13 @@ module Bin = struct
       List (go n [])
     end
     else if tag = t_packed then begin
+      let n = packed_count_exn d in
+      let rec go k acc =
+        if k = 0 then List.rev acc else go (k - 1) (Int (uvarint_exn d) :: acc)
+      in
+      List (go n [])
+    end
+    else if tag = t_zpacked then begin
       let n = packed_count_exn d in
       let rec go k acc =
         if k = 0 then List.rev acc else go (k - 1) (Int (unzigzag (uvarint_exn d)) :: acc)
@@ -887,6 +977,11 @@ module Bin = struct
   let rec skip_varints src slen n pos =
     if n = 0 then pos else skip_varints src slen (n - 1) (skip_varint src slen pos)
 
+  (* A real's [width] payload bytes. *)
+  let skip_fixed slen pos width =
+    if slen - pos < width then bad "truncated real at byte %d" pos;
+    pos + width
+
   (* Structural scan without materialisation: validates exactly what
      [value_exn] would and leaves the cursor after the value, but
      allocates nothing except intern-table entries (the per-frame and
@@ -903,11 +998,9 @@ module Bin = struct
     let tag = Char.code (String.unsafe_get src pos) in
     let pos = pos + 1 in
     if tag = t_unit || tag = t_false || tag = t_true then pos
-    else if tag = t_int then skip_varint src slen pos
-    else if tag = t_real then begin
-      if slen - pos < 8 then bad "truncated real at byte %d" pos;
-      pos + 8
-    end
+    else if tag = t_int || tag = t_nint then skip_varint src slen pos
+    else if tag = t_real16 then skip_fixed slen pos 2
+    else if tag = t_real then skip_fixed slen pos 8
     else if tag = t_str_ref then skip_istring d src slen pos
     else if tag = t_str_inline then begin
       d.d_pos <- pos;
@@ -926,7 +1019,7 @@ module Bin = struct
       if n < 0 || n > remaining d then bad "list of %d elements overruns input" n;
       skip_items d src slen stop_at_pref (depth + 1) n d.d_pos
     end
-    else if tag = t_packed then begin
+    else if tag = t_packed || tag = t_zpacked then begin
       d.d_pos <- pos;
       let n = packed_count_exn d in
       skip_varints src slen n d.d_pos
@@ -1114,11 +1207,11 @@ module View = struct
     let t = Char.code (String.unsafe_get v.v_src v.v_start) in
     if t = Bin.t_unit then Vunit
     else if t = Bin.t_false || t = Bin.t_true then Vbool
-    else if t = Bin.t_int then Vint
-    else if t = Bin.t_real then Vreal
+    else if t = Bin.t_int || t = Bin.t_nint then Vint
+    else if t = Bin.t_real || t = Bin.t_real16 then Vreal
     else if t = Bin.t_str_ref || t = Bin.t_str_inline then Vstr
     else if t = Bin.t_pair then Vpair
-    else if t = Bin.t_list || t = Bin.t_packed then Vlist
+    else if t = Bin.t_list || t = Bin.t_packed || t = Bin.t_zpacked then Vlist
     else if t = Bin.t_record then Vrecord
     else if t = Bin.t_tagged then Vtagged
     else Vpref
@@ -1156,13 +1249,14 @@ module View = struct
 
   (* An element of a packed int list has no tag byte of its own, so its
      view is a fresh standalone [Int] encoding rather than a slice of
-     the frame. *)
-  let packed_item_exn (d : Bin.decoder) =
+     the frame: the element's bytes behind [int_tag], the scalar tag of
+     the list's varint form. *)
+  let packed_item_exn int_tag (d : Bin.decoder) =
     let start = d.Bin.d_pos in
     ignore (Bin.uvarint_exn d : int);
     let len = d.Bin.d_pos - start in
     let b = Bytes.create (1 + len) in
-    Bytes.set b 0 (Char.chr Bin.t_int);
+    Bytes.set b 0 (Char.chr int_tag);
     Bytes.blit_string d.Bin.d_src start b 1 len;
     {
       v_src = Bytes.unsafe_to_string b;
@@ -1173,24 +1267,29 @@ module View = struct
       v_dict = None;
     }
 
-  (* Read a list head: the element count, and whether the elements are
-     packed ints (bare varints) rather than tagged values. *)
+  (* Read a list head: the element count, and for packed ints (bare
+     varints rather than tagged values) the scalar tag of their form —
+     [t_int] for plain LEB128, [t_nint] for zigzag; 0 for a tagged
+     list. *)
   let list_head_exn (d : Bin.decoder) =
     let t = Bin.u8 d in
     if t = Bin.t_list then begin
       let n = Bin.uvarint_exn d in
       if n < 0 || n > Bin.remaining d then Bin.bad "list of %d elements overruns input" n;
-      (n, false)
+      (n, 0)
     end
-    else if t = Bin.t_packed then (Bin.packed_count_exn d, true)
+    else if t = Bin.t_packed then (Bin.packed_count_exn d, Bin.t_int)
+    else if t = Bin.t_zpacked then (Bin.packed_count_exn d, Bin.t_nint)
     else Bin.bad "expected list, got tag 0x%02x" t
 
   let list_items v =
     Bin.wrap
       (fun d ->
-        let n, packed = list_head_exn d in
-        let item = if packed then packed_item_exn else sub_exn in
-        let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (item d :: acc) in
+        let n, int_tag = list_head_exn d in
+        let rec go k acc =
+          if k = 0 then List.rev acc
+          else go (k - 1) ((if int_tag <> 0 then packed_item_exn int_tag d else sub_exn d) :: acc)
+        in
         go n [])
       (replay v)
 
@@ -1203,13 +1302,13 @@ module View = struct
     else
       Bin.wrap
         (fun d ->
-          let n, packed = list_head_exn d in
+          let n, int_tag = list_head_exn d in
           if i >= n then None
-          else if packed then begin
+          else if int_tag <> 0 then begin
             for _ = 1 to i do
               ignore (Bin.uvarint_exn d : int)
             done;
-            Some (packed_item_exn d)
+            Some (packed_item_exn int_tag d)
           end
           else begin
             for _ = 1 to i do

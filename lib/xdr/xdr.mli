@@ -117,11 +117,15 @@ val failing_decode : ?reason:string -> every:int -> 'a codec -> 'a codec
 
 (** {1 Binary wire codec}
 
-    Compact binary serialization of {!value}: single-byte tags,
-    varint-encoded ints and lengths, and a per-encoder interned string
-    table so repeated record-field names and port names cost a one-byte
-    reference after first use. See docs/WIRE.md for the format.
-    [Bin.size] is the byte count actually shipped. *)
+    Compact binary serialization of {!value}: single-byte tags, every
+    scalar at its shortest exact width (a non-negative [Int] as plain
+    LEB128, a negative one zigzag; a [Real] as binary16 when that
+    keeps all 64 bits, else binary64), varint lengths, and a
+    per-encoder interned string table so repeated record-field names
+    and port names cost a one-byte reference after first use. Decoders
+    accept any well-formed width; only the encoder is canonical. See
+    docs/WIRE.md for the format. [Bin.size] is the byte count actually
+    shipped. *)
 module Bin : sig
   val version : int
   (** Format version stamped as the first byte of every packet frame. *)
@@ -147,7 +151,9 @@ module Bin : sig
       their 63-bit two's-complement pattern in at most 9 bytes. *)
 
   val add_varint : encoder -> int -> unit
-  (** Zigzag-mapped signed varint. *)
+  (** Zigzag-mapped signed varint, for fields that may be negative
+      (an [Int] value goes through {!add_value}, which picks its
+      form). *)
 
   val add_string : encoder -> string -> unit
   (** Interned string reference: first occurrence is emitted inline and

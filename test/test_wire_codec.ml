@@ -16,6 +16,45 @@ let check = Alcotest.check
 (* ------------------------------------------------------------------ *)
 (* Random value trees *)
 
+(* Ints at the edges of each varint width, in both forms: plain LEB128
+   for n >= 0 (1 byte up to 127, 9 bytes past 2^56 - 1), zigzag for
+   n < 0 (1 byte down to -64). *)
+let width_edge_ints =
+  [ 0; 1; 63; 64; 127; 128; (1 lsl 56) - 1; 1 lsl 56; max_int; -1; -64; -65; min_int ]
+
+(* Reals of every width the encoder picks (docs/WIRE.md §1): means of
+   16 grades and binary16's edges — its largest finite value, smallest
+   normal and subnormal — then values one step past binary16 (65520
+   overflows it, 2049 needs 12 significant bits, 2^-25 underflows),
+   binary32 patterns, other binary64-only values such as 0.1, signed zeros,
+   infinities and NaNs with payloads, quiet and signalling. *)
+let gen_real : float QCheck.Gen.t =
+  let open QCheck.Gen in
+  oneof
+    [
+      float;
+      map (fun k -> float_of_int k /. 16.0) (int_range (-1600) 1600);
+      oneofl
+        [
+          65504.0; -65504.0; Float.ldexp 1.0 (-14); Float.ldexp 1.0 (-24); 2048.0;
+          65520.0; 2049.0; Float.ldexp 1.0 (-25); Float.ldexp 3.0 (-25);
+        ];
+      map Int32.float_of_bits int32;
+      oneofl
+        [
+          0.1; 0.0; -0.0; infinity; neg_infinity; nan; Float.min_float; Float.max_float;
+          Float.ldexp 1.0 (-1074);
+        ];
+      map Int64.float_of_bits
+        (oneofl
+           [
+             0x7FF0_0000_0000_0001L; 0x7FF4_0000_0000_0000L; 0x7FF8_0000_0000_0001L;
+             0xFFF8_0000_0000_0000L; 0x7FFC_0000_0000_0000L; 0x7FF0_0000_2000_0000L;
+             0xFFFF_FFFF_FFFF_FFFFL;
+           ]);
+      map Int64.float_of_bits int64;
+    ]
+
 let gen_value : Xdr.value QCheck.Gen.t =
   let open QCheck.Gen in
   let gen_string =
@@ -28,16 +67,7 @@ let gen_value : Xdr.value QCheck.Gen.t =
         string_size ~gen:printable (int_range 65 120);  (* beyond intern threshold *)
       ]
   in
-  let gen_int =
-    oneof [ small_signed_int; int; oneofl [ 0; -1; 1; max_int; min_int; 1 lsl 62 ] ]
-  in
-  let gen_real =
-    oneof
-      [
-        float;
-        oneofl [ 0.0; -0.0; nan; infinity; neg_infinity; Float.min_float; Float.max_float ];
-      ]
-  in
+  let gen_int = oneof [ small_signed_int; int; oneofl width_edge_ints ] in
   sized @@ fix (fun self n ->
       let gen_pref =
         map3
@@ -87,6 +117,30 @@ let prop_roundtrip =
 let prop_size_matches =
   QCheck.Test.make ~name:"Bin.size v = length of encoding" ~count:200 arb_value (fun v ->
       B.size v = String.length (B.to_string v))
+
+(* [Xdr.equal_value] with reals compared by their bits, so -0.0 differs
+   from 0.0 and one NaN payload from another: a width picker that drops
+   a sign or a payload fails it. *)
+let rec equal_bits (a : Xdr.value) (b : Xdr.value) =
+  match (a, b) with
+  | Xdr.Real x, Xdr.Real y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Xdr.Pair (a1, a2), Xdr.Pair (b1, b2) -> equal_bits a1 b1 && equal_bits a2 b2
+  | Xdr.List xs, Xdr.List ys -> List.equal equal_bits xs ys
+  | Xdr.Record xs, Xdr.Record ys ->
+      List.equal (fun (n, x) (m, y) -> String.equal n m && equal_bits x y) xs ys
+  | Xdr.Tagged (s, x), Xdr.Tagged (t, y) -> String.equal s t && equal_bits x y
+  | _ -> Xdr.equal_value a b
+
+let prop_bit_exact =
+  QCheck.Test.make ~name:"bits survive decode and views, size exact, re-encode identical"
+    ~count:1000 arb_value (fun v ->
+      let enc = B.to_string v in
+      match (B.of_string enc, Result.bind (Xdr.View.of_string enc) Xdr.View.materialize) with
+      | Ok tree, Ok viewed ->
+          equal_bits v tree && equal_bits v viewed
+          && B.size v = String.length enc
+          && String.equal (B.to_string tree) enc
+      | Error e, _ | _, Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
 
 (* ------------------------------------------------------------------ *)
 (* Explicit edge cases *)
@@ -1076,19 +1130,25 @@ let hex s =
 
 let test_packed_pinned_bytes () =
   let bytes what expect v = check Alcotest.string what expect (hex (B.to_string v)) in
-  (* tag 0x0C, count, then zigzag varints with no per-element tags *)
-  bytes "all-Int list is packed" "0c 03 02 01 d8 04" (ints [ 1; -1; 300 ]);
+  (* tag 0x0C, count, then plain LEB128 varints with no per-element
+     tags; one negative element switches the whole list to 0x0E and
+     zigzag *)
+  bytes "non-negative list packs plain" "0c 03 01 00 ac 02" (ints [ 1; 0; 300 ]);
+  bytes "a negative element packs zigzag" "0e 03 02 01 d8 04" (ints [ 1; -1; 300 ]);
   bytes "singleton is packed" "0c 01 00" (ints [ 0 ]);
+  bytes "max_int packs in 9 plain bytes" "0c 01 ff ff ff ff ff ff ff ff 3f" (ints [ max_int ]);
   bytes "extreme ints are packed"
-    "0c 02 ff ff ff ff ff ff ff ff 7f fe ff ff ff ff ff ff ff 7f"
+    "0e 02 ff ff ff ff ff ff ff ff 7f fe ff ff ff ff ff ff ff 7f"
     (ints [ min_int; max_int ]);
   bytes "empty list keeps 0x08" "08 00" (Xdr.List []);
-  bytes "mixed list keeps 0x08" "08 02 03 02 00" (Xdr.List [ Xdr.Int 1; Xdr.Unit ]);
-  bytes "list of int lists: outer 0x08, inner 0x0C" "08 02 0c 01 02 08 00"
+  bytes "mixed list keeps 0x08" "08 02 03 01 00" (Xdr.List [ Xdr.Int 1; Xdr.Unit ]);
+  bytes "list of int lists: outer 0x08, inner 0x0C" "08 02 0c 01 01 08 00"
     (Xdr.List [ ints [ 1 ]; Xdr.List [] ]);
   (* 16 grades: one tag and one count instead of 16 tags *)
   let grades = ints (List.init 16 (fun g -> 40 + g)) in
-  check Alcotest.int "16 one-byte grades" 18 (B.size grades)
+  check Alcotest.int "16 one-byte grades" 18 (B.size grades);
+  (* grades 64-100 need no sign bit either *)
+  check Alcotest.int "16 grades in 85-100" 18 (B.size (ints (List.init 16 (fun g -> 85 + g))))
 
 let expect_rejected what frame =
   (match B.of_string frame with
@@ -1177,6 +1237,173 @@ let test_packed_dict_frames () =
           | _ -> Alcotest.fail "grades missing")
       | Error e -> Alcotest.failf "frame %d scan failed: %s" i e)
     frames
+
+(* ------------------------------------------------------------------ *)
+(* Scalar widths (docs/WIRE.md §1): every Int and Real at its shortest
+   exact width. *)
+
+let test_scalar_widths_pinned () =
+  let bytes what expect v = check Alcotest.string what expect (hex (B.to_string v)) in
+  let int n = Xdr.Int n and real r = Xdr.Real r in
+  (* 0x03: plain LEB128 for n >= 0; 0x0D: zigzag, only for n < 0 *)
+  bytes "0" "03 00" (int 0);
+  bytes "63" "03 3f" (int 63);
+  bytes "64" "03 40" (int 64);
+  bytes "127" "03 7f" (int 127);
+  bytes "128" "03 80 01" (int 128);
+  bytes "max_int" "03 ff ff ff ff ff ff ff ff 3f" (int max_int);
+  bytes "-1" "0d 01" (int (-1));
+  bytes "-64" "0d 7f" (int (-64));
+  bytes "-65" "0d 81 01" (int (-65));
+  bytes "min_int" "0d ff ff ff ff ff ff ff ff 7f" (int min_int);
+  (* 0x10: binary16; 0x04: binary64 — both little-endian *)
+  bytes "1.5" "10 00 3e" (real 1.5);
+  bytes "a mean of 16 grades" "10 9a 51" (real (717.0 /. 16.0));
+  bytes "0.0" "10 00 00" (real 0.0);
+  bytes "-0.0 keeps its sign" "10 00 80" (real (-0.0));
+  bytes "infinity" "10 00 7c" (real infinity);
+  bytes "neg_infinity" "10 00 fc" (real neg_infinity);
+  bytes "65504, binary16's largest" "10 ff 7b" (real 65504.0);
+  bytes "2^-14, binary16's smallest normal" "10 00 04" (real (Float.ldexp 1.0 (-14)));
+  bytes "2^-24, binary16's smallest subnormal" "10 01 00" (real (Float.ldexp 1.0 (-24)));
+  bytes "65520 overflows binary16" "04 00 00 00 00 00 fe ef 40" (real 65520.0);
+  bytes "2049 needs 12 bits" "04 00 00 00 00 00 02 a0 40" (real 2049.0);
+  bytes "2^-25 underflows binary16" "04 00 00 00 00 00 00 60 3e" (real (Float.ldexp 1.0 (-25)));
+  bytes "0.1f" "04 00 00 00 a0 99 99 b9 3f" (real (Int32.float_of_bits 0x3dcccccdl));
+  bytes "0.1" "04 9a 99 99 99 99 99 b9 3f" (real 0.1);
+  (* a NaN payload binary16 would drop stays binary64 *)
+  bytes "NaN, low payload" "04 01 00 00 00 00 00 f8 7f"
+    (real (Int64.float_of_bits 0x7FF8_0000_0000_0001L));
+  bytes "NaN, binary16 payload" "10 00 7f" (real (Int64.float_of_bits 0x7FFC_0000_0000_0000L))
+
+let test_scalar_hostile_rejected () =
+  let ten = String.make 9 '\xff' ^ "\x01" in
+  expect_rejected "10-byte varint under 0x03" ("\x03" ^ ten);
+  expect_rejected "10-byte varint under 0x0D" ("\x0d" ^ ten);
+  expect_rejected "10-byte varint under 0x0E" ("\x0e\x01" ^ ten);
+  expect_rejected "truncated varint under 0x0D" "\x0d\x80";
+  expect_rejected "count 0 under 0x0E" "\x0e\x00";
+  expect_rejected "truncated binary16" "\x10\x00";
+  expect_rejected "unassigned tag 0x0F" "\x0f\x00\x00\x00\x00";
+  expect_rejected "truncated binary64" ("\x04" ^ String.make 7 '\x00');
+  expect_rejected "first unknown tag" "\x11"
+
+(* CI guard for loadbench's stream_large shape, kept in [@wire] so a
+   regression to zigzag grades or 9-byte means fails without running the
+   benchmark: the [sheet] payload's size and one record's bytes. *)
+let test_sheet_pinned () =
+  let _, sheet, _ =
+    List.find (fun (l, _, _) -> l = "sheet") Workloads.Exp_wire.reference_payloads
+  in
+  check Alcotest.int "sheet bytes" 1270 (String.length (B.to_string sheet));
+  check Alcotest.int "sheet size" 1270 (B.size sheet);
+  check Alcotest.string "record 0"
+    (String.concat " "
+       [
+         "09 03";
+         (* "name" and its value, both defined inline *)
+         "00 04 6e 61 6d 65 05 00 06 61 6c 77 68 73 64";
+         "00 06 67 72 61 64 65 73";
+         (* 16 grades, 5 of them in 64-100: one byte each *)
+         "0c 10 00 3b 11 4c 22 5d 33 09 44 1a 55 2b 01 3c 12 4d";
+         (* "mean": 717/16 as binary16 *)
+         "00 04 6d 65 61 6e 10 9a 51";
+       ])
+    (hex (B.to_string (Workloads.Exp_wire.sheet_record 0)))
+
+(* ------------------------------------------------------------------ *)
+(* Differential decoder fuzz: the tree decoder and the structural scan
+   must accept exactly the same byte strings, never raise, and agree on
+   what an accepted string means. *)
+
+let decoders_agree s =
+  match (B.of_string s, Xdr.View.of_string s) with
+  | Ok tree, Ok vw -> (
+      match Xdr.View.materialize vw with Ok v -> equal_bits tree v | Error _ -> false)
+  | Error _, Error _ -> true
+  | Ok _, Error _ | Error _, Ok _ -> false
+  | exception _ -> false
+
+(* One value holding every tag: both int forms, each with a 9-byte
+   varint (so one byte set makes a 10-byte run), under 0x03/0x0D and
+   0x0C/0x0E, both real widths, both string forms and refs, and a
+   promise ref. *)
+let tag_tour =
+  Xdr.Record
+    [
+      ("u", Xdr.Unit);
+      ("b", Xdr.Pair (Xdr.Bool false, Xdr.Bool true));
+      ("i", Xdr.List [ Xdr.Int max_int; Xdr.Int min_int; Xdr.Int (-65); Xdr.Str "b" ]);
+      ("r", Xdr.List [ Xdr.Real 0.1; Xdr.Real 1.5 ]);
+      ("s", Xdr.Str (String.make 70 's'));
+      ("p", ints [ max_int; 300 ]);
+      ("z", ints [ min_int; 5 ]);
+      ("t", Xdr.Tagged ("b", Xdr.Unit));
+      ("f", Xdr.Pref { Xdr.ps_stream = "1|s"; ps_call = 3; ps_field = Some "u" });
+    ]
+
+(* Every prefix, and every byte of the encoding set to each of the 256
+   values (a superset of single bit flips). *)
+let test_tag_tour_mutations () =
+  let enc = B.to_string tag_tour in
+  let disagree = ref [] in
+  let probe s = if not (decoders_agree s) then disagree := hex s :: !disagree in
+  let n = String.length enc in
+  for len = 0 to n do
+    probe (String.sub enc 0 len)
+  done;
+  for pos = 0 to n - 1 do
+    let b = Bytes.of_string enc in
+    for byte = 0 to 255 do
+      Bytes.set b pos (Char.chr byte);
+      probe (Bytes.to_string b)
+    done
+  done;
+  check Alcotest.(list string) "tree and view agree on every mutation" [] !disagree
+
+type mutation = Set of int * int | Flip of int * int | Cut of int
+
+let mutate s = function
+  | Cut n -> String.sub s 0 (n mod (String.length s + 1))
+  | (Set _ | Flip _) when s = "" -> s
+  | Set (pos, byte) ->
+      let b = Bytes.of_string s in
+      Bytes.set b (pos mod Bytes.length b) (Char.chr byte);
+      Bytes.to_string b
+  | Flip (pos, bit) ->
+      let b = Bytes.of_string s in
+      let pos = pos mod Bytes.length b in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
+      Bytes.to_string b
+
+(* Encodings of random values, of the pinned envelopes and reference
+   payloads and of the tag tour, each hit by one to three byte sets, bit
+   flips or truncations. Set bytes lean towards tags (0x00-0x10, where
+   0x0F is unassigned, and the first unknown, 0x11) and varint
+   continuation patterns. *)
+let gen_mutated_frame : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let pinned =
+    List.map (fun (_, _, bytes) -> bytes) Workloads.Exp_wire.envelope_goldens
+    @ List.map (fun (_, v, _) -> B.to_string v) Workloads.Exp_wire.reference_payloads
+    @ [ B.to_string tag_tour ]
+  in
+  let gen_byte = frequency [ (2, int_bound 255); (2, int_bound 0x11); (1, oneofl [ 0x7f; 0x80; 0xff ]) ] in
+  let gen_mutation =
+    oneof
+      [
+        map2 (fun pos byte -> Set (pos, byte)) nat gen_byte;
+        map2 (fun pos bit -> Flip (pos, bit)) nat (int_bound 7);
+        map (fun n -> Cut n) nat;
+      ]
+  in
+  map2 (List.fold_left mutate)
+    (oneof [ map B.to_string gen_value; oneofl pinned ])
+    (list_size (int_range 1 3) gen_mutation)
+
+let prop_decoders_agree =
+  QCheck.Test.make ~name:"tree and view decoders accept the same mutated frames" ~count:3000
+    (QCheck.make ~print:hex gen_mutated_frame) decoders_agree
 
 (* ------------------------------------------------------------------ *)
 (* Golden wire bytes: with the dictionary off, every E12 cell must stay
@@ -1307,7 +1534,7 @@ let test_reply_envelope_roundtrips () =
     [ None; Some 9; Some max_int ];
   (* The untraced forms: a one-element list is a normal reply whatever
      its value, and an int result packs. *)
-  check Alcotest.string "int reply packs" "\x0c\x01\x0e"
+  check Alcotest.string "int reply packs" "\x0c\x01\x07"
     (B.to_string (W.reply_item ~trace:None (W.W_normal (Xdr.Int 7))));
   check Alcotest.bool "a lone int reads as a value, not a head" true
     (parse_reply (Xdr.List [ Xdr.Int 0x24 ]) = Ok (W.W_normal (Xdr.Int 0x24)));
@@ -1724,6 +1951,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_size_matches;
+          QCheck_alcotest.to_alcotest prop_bit_exact;
           Alcotest.test_case "edge values" `Quick test_edge_values;
           Alcotest.test_case "deep nesting roundtrips" `Quick test_deep_nesting_roundtrips;
           Alcotest.test_case "excessive nesting rejected" `Quick test_excessive_nesting_rejected;
@@ -1817,6 +2045,17 @@ let () =
             test_packed_hostile_rejected;
           Alcotest.test_case "views" `Quick test_packed_views;
           Alcotest.test_case "v2 dictionary frames" `Quick test_packed_dict_frames;
+        ] );
+      ( "scalar widths",
+        [
+          Alcotest.test_case "pinned bytes" `Quick test_scalar_widths_pinned;
+          Alcotest.test_case "hostile scalars rejected" `Quick test_scalar_hostile_rejected;
+          Alcotest.test_case "sheet size and record bytes" `Quick test_sheet_pinned;
+        ] );
+      ( "differential decoding",
+        [
+          Alcotest.test_case "every mutation of the tag tour" `Quick test_tag_tour_mutations;
+          QCheck_alcotest.to_alcotest prop_decoders_agree;
         ] );
       ( "golden wire",
         [
