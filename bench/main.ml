@@ -355,14 +355,13 @@ let e12_json (r : Workloads.Exp_wire.row) =
     (Workloads.Exp_wire.calls_per_data_pkt r)
     r.r_ack_pkts r.r_piggybacked (r.r_time *. 1e3)
 
-let e18_json (r : Workloads.Exp_dict.row) =
+let e18_json (r : Workloads.Exp_views.row) =
   Printf.sprintf
-    "\"mode\": \"%s\", \"dict\": %b, \"calls\": %d, \"msgs\": %d, \"bytes\": %d, \
-     \"bytes_per_call\": %.2f, \"dict_defines\": %d, \"dict_refs\": %d, \"lazy_args\": %d, \
-     \"args_decoded\": %d, \"sheds\": %d, \"completion_ms\": %.3f"
-    (json_escape r.r_mode) r.r_dict r.r_calls r.r_msgs r.r_bytes
+    "\"mode\": \"%s\", \"calls\": %d, \"msgs\": %d, \"bytes\": %d, \"bytes_per_call\": %.2f, \
+     \"lazy_args\": %d, \"args_decoded\": %d, \"sheds\": %d, \"completion_ms\": %.3f"
+    (json_escape r.r_mode) r.r_calls r.r_msgs r.r_bytes
     (float_of_int r.r_bytes /. float_of_int r.r_calls)
-    r.r_defines r.r_refs r.r_lazy r.r_forced r.r_sheds (r.r_time *. 1e3)
+    r.r_lazy r.r_forced r.r_sheds (r.r_time *. 1e3)
 
 (* With tracing disabled, wire items must be byte-for-byte the pinned
    envelopes (docs/TRACING.md, docs/WIRE.md §1.2) — otherwise the E12
@@ -372,13 +371,12 @@ let assert_untraced_bytes_unchanged () =
   | [] -> ()
   | ms -> failwith ("tracing-off wire regression: " ^ String.concat "; " ms)
 
-(* E12 golden gate: the experiments never enable the connection
-   dictionary, so their wire must be digit-for-digit the pinned table —
-   any drift means the dictionary-off path changed bytes. *)
+(* E12 golden gate: the wire must be digit-for-digit the pinned table —
+   any drift means the frame encoding changed bytes. *)
 let assert_e12_goldens rows =
   match Workloads.Exp_wire.golden_mismatches rows with
   | [] -> ()
-  | ms -> failwith ("dictionary-off wire regression: " ^ String.concat "; " ms)
+  | ms -> failwith ("wire regression: " ^ String.concat "; " ms)
 
 let run_wire () =
   assert_untraced_bytes_unchanged ();
@@ -388,7 +386,7 @@ let run_wire () =
   let codec_rows = measure_ns wire_tests in
   let e12_rows = Workloads.Exp_wire.e12_rows () in
   assert_e12_goldens e12_rows;
-  let e18_rows = Workloads.Exp_dict.e18_rows () in
+  let e18_rows = Workloads.Exp_views.e18_rows () in
   write_bench_json ~bench:"wire"
     [
       ("codec", "ns/op", subject_json codec_rows);

@@ -82,32 +82,6 @@ let encode_packet p =
       encode_packet_body e p;
       B.contents e)
 
-(* v2 frames: same packet grammar, but the header carries the
-   dictionary epoch and every interned string uses the shifted marker
-   scheme (docs/WIRE.md §Connection dictionary). Only emitted to a
-   peer that answered our dict-hello. *)
-let dict_version = 2
-
-let encode_packet_dict dc p =
-  B.with_encoder (fun e ->
-      B.use_dict e dc;
-      B.add_byte e dict_version;
-      B.add_uvarint e (B.dict_epoch dc);
-      encode_packet_body e p;
-      B.contents e)
-
-(* Dictionary negotiation control frames, always v1-encoded: tag 4 is
-   hello (sender offers epoch), tag 5 welcome (receiver accepts). A
-   peer without dictionary support answers a hello with a decode error
-   on its own side and never welcomes, so the sender keeps speaking
-   v1 — such peers see byte-identical Data frames. *)
-let encode_dict_ctrl ~tag ~epoch =
-  B.with_encoder (fun e ->
-      B.add_byte e B.version;
-      B.add_byte e tag;
-      B.add_uvarint e epoch;
-      B.contents e)
-
 let ( let* ) = Result.bind
 
 (* [n] elements of [read], the count bounded by the input left. *)
@@ -131,18 +105,12 @@ let decode_acks =
       Ok { a_idx; a_upto; a_pressure })
 
 (* The one frame decoder. [read] decodes a Data item (a tree or a
-   view). [dict] maps a v2 frame's epoch to the peer's dictionary
-   table; without it v2 frames are refused. Dictionary control frames
-   come back as [`Hello] / [`Welcome], packets as [`Packet]. *)
-let decode_frame ~read ?dict frame =
+   view). A frame needs no state from earlier frames to decode. *)
+let decode_frame ~read frame =
   let d = B.decoder frame in
   let* v = B.read_byte d in
   let* () =
-    match dict with
-    | Some table when v = dict_version ->
-        let* epoch = B.read_uvarint d in
-        Ok (B.use_dict_table d (table epoch))
-    | _ -> if v = B.version then Ok () else Error (Printf.sprintf "unsupported wire version %d" v)
+    if v = B.version then Ok () else Error (Printf.sprintf "unsupported wire version %d" v)
   in
   let* tag = B.read_byte d in
   let* p =
@@ -160,34 +128,23 @@ let decode_frame ~read ?dict frame =
         in
         let* acks = decode_acks d in
         let* items = decode_list "item" read d in
-        Ok (`Packet (Data { src; idx; first_seq; opening; acks; items }))
+        Ok (Data { src; idx; first_seq; opening; acks; items })
     | 2 ->
         let* acks = decode_acks d in
-        Ok (`Packet (Ack { acks }))
+        Ok (Ack { acks })
     | 3 ->
         let* src = B.read_uvarint d in
         let* idx = B.read_uvarint d in
         let* reason = B.read_raw_string d in
-        Ok (`Packet (Reset { src; idx; reason }))
-    | 4 ->
-        let* epoch = B.read_uvarint d in
-        Ok (`Hello epoch)
-    | 5 ->
-        let* epoch = B.read_uvarint d in
-        Ok (`Welcome epoch)
+        Ok (Reset { src; idx; reason })
     | t -> Error (Printf.sprintf "unknown packet tag %d" t)
   in
   let* () = B.expect_end d in
   Ok p
 
-let packet_of = function
-  | Ok (`Packet p) -> Ok p
-  | Ok (`Hello _ | `Welcome _) -> Error "dictionary control frame, not a packet"
-  | Error _ as e -> e
+let decode_packet frame = decode_frame ~read:B.read_value frame
 
-let decode_packet frame = packet_of (decode_frame ~read:B.read_value frame)
-
-let decode_packet_view frame = packet_of (decode_frame ~read:Xdr.View.read frame)
+let decode_packet_view frame = decode_frame ~read:Xdr.View.read frame
 
 (* ------------------------------------------------------------------ *)
 
@@ -294,12 +251,6 @@ and pending_acks = {
   mutable p_armed : bool;  (* delayed standalone-Ack timer pending *)
 }
 
-and out_dict = {
-  od_dict : B.dict;
-  mutable od_on : bool;  (* peer welcomed the current epoch: emit v2 *)
-  mutable od_helloed : bool;  (* hello sent for the current epoch *)
-}
-
 (* Per-packet counters, resolved once per hub: a by-name lookup costs a
    mutex and a string hash on every packet. *)
 and hub_counters = {
@@ -310,8 +261,6 @@ and hub_counters = {
   hc_reset_packets : Sim.Stats.counter;
   hc_piggybacked_acks : Sim.Stats.counter;
   hc_standalone_acks : Sim.Stats.counter;
-  hc_dict_defines : Sim.Stats.counter;
-  hc_dict_refs : Sim.Stats.counter;
 }
 
 and hub = {
@@ -319,14 +268,11 @@ and hub = {
   h_sched : S.t;
   h_ctr : hub_counters;
   h_ack_delay : float;
-  h_dict : bool;  (* offer the connection dictionary to peers *)
   h_outs : (int, out_chan) Hashtbl.t;  (* by idx *)
   h_ins : (Net.address * int, in_chan) Hashtbl.t;  (* by (src, idx) *)
   h_acceptors : (string, in_chan -> unit) Hashtbl.t;
   h_dead : (Net.address * int, string) Hashtbl.t;
   h_pending : (Net.address, pending_acks) Hashtbl.t;
-  h_dict_out : (Net.address, out_dict) Hashtbl.t;  (* sender state per peer *)
-  h_dict_in : (Net.address, int * B.dict_table) Hashtbl.t;  (* (epoch, table) per peer *)
   mutable h_next_idx : int;
   (* Third-party handoff state (docs/HANDOFF.md): outcome pushes travel
      on dedicated "~handoff"-labelled channels, one per destination
@@ -422,43 +368,8 @@ let span_views hub kind ?note items =
         | None -> ())
       items
 
-(* Sender dictionary state for [dst]; created lazily on first use.
-   Dictionaries need cross-frame agreement, so hubs only offer them on
-   a reliable transport (see {!Transport.t.reliable}) — [h_dict]
-   already folds that in. *)
-let dict_out hub dst =
-  if not hub.h_dict then None
-  else
-    match Hashtbl.find_opt hub.h_dict_out dst with
-    | Some od -> Some od
-    | None ->
-        let od = { od_dict = B.create_dict (); od_on = false; od_helloed = false } in
-        Hashtbl.replace hub.h_dict_out dst od;
-        Some od
-
 let transmit hub ~dst packet =
-  let frame =
-    match dict_out hub dst with
-    | None -> encode_packet packet
-    | Some od ->
-        if not od.od_helloed then begin
-          (* Offer once per epoch, ahead of the first frame so the
-             welcome can only refer to state the peer has seen. *)
-          od.od_helloed <- true;
-          Sim.Stats.incr (hub_counter hub "chan_dict_hellos");
-          let hf = encode_dict_ctrl ~tag:4 ~epoch:(B.dict_epoch od.od_dict) in
-          Sim.Stats.add hub.h_ctr.hc_wire_bytes (String.length hf);
-          hub.h_tr.Transport.send ~dst hf
-        end;
-        if od.od_on then begin
-          let d0 = B.dict_defines od.od_dict and r0 = B.dict_refs od.od_dict in
-          let f = encode_packet_dict od.od_dict packet in
-          Sim.Stats.add hub.h_ctr.hc_dict_defines (B.dict_defines od.od_dict - d0);
-          Sim.Stats.add hub.h_ctr.hc_dict_refs (B.dict_refs od.od_dict - r0);
-          f
-        end
-        else encode_packet packet
-  in
+  let frame = encode_packet packet in
   let ctr = hub.h_ctr in
   Sim.Stats.add ctr.hc_wire_bytes (String.length frame);
   (match packet with
@@ -854,44 +765,20 @@ let handle_acks hub ~from acks =
       | _ -> ())
     acks
 
-(* Receiver dictionary table for [(src, epoch)]; an epoch change swaps
-   in a fresh table (views over old frames keep the old one alive). *)
-let dict_in hub src epoch =
-  match Hashtbl.find_opt hub.h_dict_in src with
-  | Some (e, dt) when e = epoch -> dt
-  | _ ->
-      let dt = B.create_dict_table () in
-      Hashtbl.replace hub.h_dict_in src (epoch, dt);
-      dt
-
 (* Inbound frames decode lazily: Data items become views, not trees. *)
 let receive hub ~src frame =
-  match decode_frame ~read:Xdr.View.read ~dict:(dict_in hub src) frame with
+  match decode_packet_view frame with
   | Error _ ->
       (* Corrupt frame: drop it; go-back-n retransmission recovers. *)
       Sim.Stats.incr (hub_counter hub "chan_decode_errors")
-  | Ok (`Packet (Data { src = chan_src; _ })) when chan_src <> src -> spoofed hub
-  | Ok (`Packet (Data { idx; first_seq; opening; acks; items; _ })) ->
+  | Ok (Data { src = chan_src; _ }) when chan_src <> src -> spoofed hub
+  | Ok (Data { idx; first_seq; opening; acks; items; _ }) ->
       (* Acks ride in front of the data they share a packet with. *)
       handle_acks hub ~from:src acks;
       handle_data hub ~src ~idx ~first_seq ~opening ~items
-  | Ok (`Packet (Ack { acks })) -> handle_acks hub ~from:src acks
-  | Ok (`Packet (Reset { src = chan_src; idx; reason })) ->
+  | Ok (Ack { acks }) -> handle_acks hub ~from:src acks
+  | Ok (Reset { src = chan_src; idx; reason }) ->
       handle_reset hub ~from:src ~src:chan_src ~idx ~reason
-  | Ok (`Hello epoch) ->
-      (* Any hub can decode v2 frames; accepting costs one table. *)
-      ignore (dict_in hub src epoch : B.dict_table);
-      let f = encode_dict_ctrl ~tag:5 ~epoch in
-      Sim.Stats.add hub.h_ctr.hc_wire_bytes (String.length f);
-      hub.h_tr.Transport.send ~dst:src f
-  | Ok (`Welcome epoch) -> (
-      match Hashtbl.find_opt hub.h_dict_out src with
-      | Some od when od.od_helloed && B.dict_epoch od.od_dict = epoch ->
-          if not od.od_on then begin
-            od.od_on <- true;
-            Sim.Stats.incr (hub_counter hub "chan_dict_negotiated")
-          end
-      | _ -> ())
 
 (* The transport told us every connection to [peer] is gone: break each
    channel touching it so supervision (stream restart + resubmit) takes
@@ -903,17 +790,6 @@ let receive hub ~src frame =
    fire this; the simulated net has no connections. *)
 let peer_down hub ~peer ~reason =
   let reason = Printf.sprintf "connection to n%d lost: %s" peer reason in
-  (* Dictionary state is connection-scoped: the next incarnation must
-     start from an empty table on both ends, so reset (epoch bump) on
-     our sending side and drop the peer's receive table — resubmitted
-     calls then decode against a fresh dictionary. *)
-  (match Hashtbl.find_opt hub.h_dict_out peer with
-  | Some od ->
-      B.reset_dict od.od_dict;
-      od.od_on <- false;
-      od.od_helloed <- false
-  | None -> ());
-  Hashtbl.remove hub.h_dict_in peer;
   (* Parked acks name the old incarnation's channel indexes, which a
      restarted peer reuses from 0: drop them (the armed timer then finds
      nothing to send). *)
@@ -938,7 +814,7 @@ let peer_down hub ~peer ~reason =
       mark_in_broken i reason)
     ins
 
-let create_hub_on ?(ack_delay = 0.0) ?(dict = false) tr =
+let create_hub_on ?(ack_delay = 0.0) tr =
   let counter = Sim.Stats.counter (S.stats tr.Transport.sched) in
   let hub =
     {
@@ -953,21 +829,13 @@ let create_hub_on ?(ack_delay = 0.0) ?(dict = false) tr =
           hc_reset_packets = counter "chan_reset_packets";
           hc_piggybacked_acks = counter "chan_piggybacked_acks";
           hc_standalone_acks = counter "chan_standalone_acks";
-          hc_dict_defines = counter "chan_dict_defines";
-          hc_dict_refs = counter "chan_dict_refs";
         };
       h_ack_delay = ack_delay;
-      (* Dictionary frames need every frame delivered exactly once and
-         in order; on an unreliable endpoint the request is dropped
-         rather than negotiated. *)
-      h_dict = dict && tr.Transport.reliable;
       h_outs = Hashtbl.create 16;
       h_ins = Hashtbl.create 16;
       h_acceptors = Hashtbl.create 16;
       h_dead = Hashtbl.create 16;
       h_pending = Hashtbl.create 4;
-      h_dict_out = Hashtbl.create 4;
-      h_dict_in = Hashtbl.create 4;
       h_next_idx = 0;
       h_ho_epoch = 0;
       h_ho_pushes = Hashtbl.create 4;
@@ -981,10 +849,10 @@ let create_hub_on ?(ack_delay = 0.0) ?(dict = false) tr =
   tr.Transport.set_peer_watch (fun ~peer ~reason -> peer_down hub ~peer ~reason);
   hub
 
-let create_hub ?ack_delay ?dict ?transport ?net () =
+let create_hub ?ack_delay ?transport ?net () =
   match (transport, net) with
-  | Some tr, None -> create_hub_on ?ack_delay ?dict tr
-  | None, Some (n, node) -> create_hub_on ?ack_delay ?dict (Transport_sim.endpoint n node)
+  | Some tr, None -> create_hub_on ?ack_delay tr
+  | None, Some (n, node) -> create_hub_on ?ack_delay (Transport_sim.endpoint n node)
   | Some _, Some _ | None, None ->
       invalid_arg "Chanhub.create_hub: pass exactly one of ~transport / ~net"
 

@@ -93,13 +93,13 @@ type frame = string
     {!Net}. *)
 
 val encode_packet : Xdr.value packet -> frame
-(** A version-1 frame: no connection dictionary. *)
+(** A version-1 frame. It decodes on its own: no state carries over
+    from earlier frames to the same peer. *)
 
 val decode_packet : frame -> (Xdr.value packet, string) result
-(** Decode a version-1 packet frame. Total: malformed frames yield
-    [Error], never an exception; so do version-2 (dictionary) frames
-    and the dictionary's hello/welcome control frames, which only a
-    hub's receive path reads. *)
+(** Decode a version-1 packet frame. Total: malformed frames, other
+    versions and unknown packet tags yield [Error], never an
+    exception. *)
 
 val decode_packet_view : frame -> (Xdr.View.t packet, string) result
 (** {!decode_packet} with every Data item left an encoded slice, as a
@@ -162,7 +162,6 @@ val aimd_config : config
 
 val create_hub :
   ?ack_delay:float ->
-  ?dict:bool ->
   ?transport:Transport.t ->
   ?net:frame Net.t * Net.node ->
   unit ->
@@ -186,19 +185,7 @@ val create_hub :
     drops the acks parked for it, with the incoming ends tombstoned
     exactly as a [Reset] would be — so a retransmit arriving over a
     fresh connection is refused rather than resurrecting the old
-    incarnation.
-
-    [dict] (default [false]) opts this hub's {e sending} side into the
-    per-connection interning dictionary (docs/WIRE.md §Connection
-    dictionary): strings recurring across frames to one peer are
-    promoted into a shared table and thereafter cost a short
-    reference. The feature is negotiated — a hello/welcome exchange
-    per peer — so a peer that predates it keeps receiving
-    byte-identical v1 frames; receiving v2 frames needs no opt-in.
-    Requires a {!Transport.t.reliable} endpoint (exactly-once, FIFO);
-    on an unreliable one the flag is ignored. A transport peer-down
-    resets the dictionary (epoch bump), so calls resubmitted after an
-    incarnation change decode against a fresh table. *)
+    incarnation. *)
 
 val hub_addr : hub -> Net.address
 (** This hub's transport address (the node address in sim mode). *)
@@ -213,9 +200,8 @@ val hub_sched : hub -> Sched.Scheduler.t
     [chan_unopened_drops] (compact Data for a channel never opened
     here, dropped without a Reset), [chan_spoofed_drops] (a Data or
     Reset frame not sent by the named channel's peer, dropped),
-    [chan_window_cuts], [chan_dict_hellos], [chan_dict_negotiated],
-    [chan_dict_defines], [chan_dict_refs] — plus the [chan_rtt]
-    summary of clean ack RTT samples.
+    [chan_window_cuts] — plus the [chan_rtt] summary of clean ack RTT
+    samples.
 
     A hub accepts a channel's traffic only from that channel's peer,
     the transport sender of the frame: an ack only from the acked

@@ -13,5 +13,4 @@ type t = {
   set_peer_watch : (peer:address -> reason:string -> unit) -> unit;
   recv_overhead : unit -> float;
   realtime : bool;
-  reliable : bool;
 }

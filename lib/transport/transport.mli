@@ -59,15 +59,4 @@ type t = {
   realtime : bool;
       (** Whether this endpoint's scheduler runs on the wall clock
           ({!Sched.Scheduler.set_realtime_driver}). *)
-  reliable : bool;
-      (** Whether every sent frame is delivered exactly once, in
-          per-(src, dst) FIFO order — no loss, duplication or
-          reordering. Decided once at endpoint creation; stateful wire
-          optimisations that need cross-frame agreement (the
-          {!Chanhub} connection dictionary) are only negotiated on a
-          reliable endpoint. TCP is reliable by construction; the sim
-          backend is reliable iff its {!Net.config} injects no
-          loss/duplication/jitter at creation time (a config later
-          mutated into lossiness — the {!Fault} layer — must not be
-          combined with dictionary-enabled hubs). *)
 }

@@ -14,7 +14,4 @@ let endpoint net node =
     set_peer_watch = (fun _ -> ());
     recv_overhead = (fun () -> (Net.config net).Net.kernel_overhead);
     realtime = false;
-    reliable =
-      (let c = Net.config net in
-       c.Net.loss_rate = 0.0 && c.Net.duplicate_rate = 0.0 && c.Net.jitter = 0.0);
   }

@@ -313,7 +313,6 @@ let endpoint fab ~addr ?name () =
     set_peer_watch = (fun f -> ep.e_watch <- f);
     recv_overhead = (fun () -> 0.0);
     realtime = true;
-    reliable = true;
   }
 
 let set_peer fab ~addr sa = Hashtbl.replace fab.f_book addr sa

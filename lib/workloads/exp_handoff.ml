@@ -192,8 +192,8 @@ let delegate_handoff ~hB ~hC i =
   R.flush hC;
   expect_len ~what:(Printf.sprintf "handoff %d" i) (P.claim pg)
 
-(* The measured loop: one warmup delegation (stream setup, dictionary
-   negotiation, handoff push-channel dial), then [n] timed ones. *)
+(* The measured loop: one warmup delegation (stream setup, handoff
+   push-channel dial), then [n] timed ones. *)
 let measured world ~mode ~n =
   let ag_b = Core.Agent.create world.w_hub ~name:"e19-b" ~config:chan_cfg () in
   let ag_c = Core.Agent.create world.w_hub ~name:"e19-c" ~config:chan_cfg () in

@@ -1,15 +1,8 @@
-(* Experiment E18: the zero-copy wire path (docs/WIRE.md). Two
-   mechanisms, one table. The per-connection interning dictionary
-   promotes strings that recur across frames into shared slots, so a
-   repeated-key workload pays for each hot string once per connection
-   instead of once per frame — visible as bytes/call dropping when the
-   dictionary is negotiated, with the define/ref counters showing how
-   much of the stream rode slot references. Lazy frame views defer
-   argument decoding until a handler actually consumes the value —
-   visible in the serve row as decoded == lazy (every call executes)
-   and in the shed row as decoded << lazy (shed calls are rejected
-   from the envelope scan alone, their argument bytes never built into
-   a tree). *)
+(* Experiment E18: lazy frame views (docs/WIRE.md). Arguments stay
+   encoded until a handler actually consumes them — visible in the
+   serve row as decoded == lazy (every call executes) and in the shed
+   row as decoded << lazy (shed calls are rejected from the envelope
+   scan alone, their argument bytes never built into a tree). *)
 
 module S = Sched.Scheduler
 module CH = Cstream.Chanhub
@@ -19,13 +12,10 @@ module P = Core.Promise
 
 type row = {
   r_mode : string;  (** "serve" or "shed" *)
-  r_dict : bool;  (** connection dictionary negotiated *)
   r_calls : int;
   r_time : float;  (** completion, simulated seconds *)
   r_msgs : int;  (** network messages of any kind *)
   r_bytes : int;  (** actual encoded bytes on the wire *)
-  r_defines : int;  (** strings promoted into dictionary slots *)
-  r_refs : int;  (** dictionary slot references emitted *)
   r_lazy : int;  (** calls whose args arrived as an encoded view *)
   r_forced : int;  (** argument views materialized into trees *)
   r_sheds : int;  (** calls rejected [unavailable] by the receiver *)
@@ -33,25 +23,22 @@ type row = {
   r_decode_errors : int;  (** frames a receiver could not decode *)
 }
 
-(* String-keyed calls with a string reply: both directions carry
-   strings that recur across frames, which is exactly the shape the
-   dictionary compresses. *)
-let dict_sig =
+(* String-keyed calls with a string reply. The port and group names
+   are part of the pinned E18 bytes. *)
+let work_sig =
   Core.Sigs.hsig0 "dict_work" ~arg:(Xdr.pair Xdr.string Xdr.int) ~res:Xdr.string
 
 let key_pool = 16
 
 let key i = Printf.sprintf "shard-host-%02d.internal" (i mod key_pool)
 
-let run_one ?(n = 400) ~mode ~dict () =
+let run_one ?(n = 400) ~mode () =
   let sched = S.create ~seed:42 () in
-  (* No loss/duplication/jitter: the sim endpoint reports itself
-     reliable, which is the precondition for dictionary negotiation. *)
   let net = Net.create sched { Net.default_config with Net.wire_latency = 1e-3 } in
   let client_node = Net.add_node net ~name:"client" in
   let server_node = Net.add_node net ~name:"server" in
-  let client_hub = CH.create_hub ~dict ~net:(net, client_node) () in
-  let server_hub = CH.create_hub ~dict ~net:(net, server_node) () in
+  let client_hub = CH.create_hub ~net:(net, client_node) () in
+  let server_hub = CH.create_hub ~net:(net, server_node) () in
   let server = G.create server_hub ~name:"server" in
   let service, gcfg =
     match mode with
@@ -64,7 +51,7 @@ let run_one ?(n = 400) ~mode ~dict () =
         (1e-3, Cstream.Group_config.(default |> with_dedup ~cache:1024 |> with_shed 4))
   in
   G.register_group server ~group:"dict" ~config:gcfg ();
-  G.register server ~group:"dict" dict_sig (fun ctx (k, _i) ->
+  G.register server ~group:"dict" work_sig (fun ctx (k, _i) ->
       if service > 0.0 then S.sleep ctx.G.sched service;
       Ok k);
   let ccfg = { CH.default_config with CH.max_batch = 16; flush_interval = 1e-3 } in
@@ -78,13 +65,11 @@ let run_one ?(n = 400) ~mode ~dict () =
   let time =
     Fixtures.timed_run sched (fun () ->
         let ag = Core.Agent.create client_hub ~name:"bench" ~config:ccfg () in
-        let h = R.bind ag ~dst:(Net.address server_node) ~gid:"dict" dict_sig in
+        let h = R.bind ag ~dst:(Net.address server_node) ~gid:"dict" work_sig in
         match mode with
         | `Serve ->
             (* Rounds of one full batch, claimed before the next round
-               goes out: a steady bidirectional stream, so after the
-               first round-trip's hello/welcome every frame runs under
-               the negotiated dictionary. *)
+               goes out: a steady bidirectional stream. *)
             let rounds = (n + 15) / 16 in
             for r = 0 to rounds - 1 do
               let m = min 16 (n - (r * 16)) in
@@ -103,17 +88,12 @@ let run_one ?(n = 400) ~mode ~dict () =
   let stats = S.stats sched in
   if Sim.Stats.peek stats "chan_decode_errors" > 0 then
     failwith "E18: receiver hit decode errors";
-  if dict && Sim.Stats.peek stats "chan_dict_negotiated" = 0 then
-    failwith "E18: dictionary enabled but never negotiated";
   {
     r_mode = (match mode with `Serve -> "serve" | `Shed -> "shed");
-    r_dict = dict;
     r_calls = n;
     r_time = time;
     r_msgs = Sim.Stats.peek net_stats "msgs_sent";
     r_bytes = Sim.Stats.peek net_stats "bytes_sent";
-    r_defines = Sim.Stats.peek stats "chan_dict_defines";
-    r_refs = Sim.Stats.peek stats "chan_dict_refs";
     r_lazy = Sim.Stats.peek stats "target_lazy_args";
     r_forced = Sim.Stats.peek stats "target_args_materialized";
     r_sheds = Sim.Stats.peek stats "target_sheds";
@@ -121,23 +101,17 @@ let run_one ?(n = 400) ~mode ~dict () =
     r_decode_errors = Sim.Stats.peek stats "chan_decode_errors";
   }
 
-let e18_rows ?(n = 400) () =
-  List.concat_map
-    (fun mode -> List.map (fun dict -> run_one ~n ~mode ~dict ()) [ false; true ])
-    [ `Serve; `Shed ]
+let e18_rows ?(n = 400) () = List.map (fun mode -> run_one ~n ~mode ()) [ `Serve; `Shed ]
 
 let e18 ?(n = 400) () =
   let rows = e18_rows ~n () in
   let render r =
     [
       r.r_mode;
-      (if r.r_dict then "on" else "off");
       Table.cell_i r.r_calls;
       Table.cell_i r.r_msgs;
       Table.cell_i r.r_bytes;
       Table.cell_f (float_of_int r.r_bytes /. float_of_int r.r_calls);
-      Table.cell_i r.r_defines;
-      Table.cell_i r.r_refs;
       Table.cell_i r.r_lazy;
       Table.cell_i r.r_forced;
       Table.cell_i r.r_sheds;
@@ -149,25 +123,20 @@ let e18 ?(n = 400) () =
   Table.make ~id:"E18"
     ~title:
       (Printf.sprintf
-         "zero-copy wire path: connection dictionary and lazy views for %d string-keyed \
-          calls (%d distinct keys)"
+         "zero-copy wire path: lazy views for %d string-keyed calls (%d distinct keys)"
          n key_pool)
     ~header:
       [
-        "mode"; "dict"; "calls"; "msgs"; "bytes"; "bytes/call"; "defines"; "refs";
-        "lazy args"; "args decoded"; "sheds"; "unavail"; "decode errs"; "completion";
+        "mode"; "calls"; "msgs"; "bytes"; "bytes/call"; "lazy args"; "args decoded"; "sheds";
+        "unavail"; "decode errs"; "completion";
       ]
     ~notes:
       [
-        "the dictionary is negotiated per connection (hello/welcome, docs/WIRE.md) and only \
-         on a reliable transport; 'defines' counts strings promoted into shared slots on \
-         their second cross-frame occurrence, 'refs' the slot references that replaced \
-         re-sending the bytes — bytes/call drops exactly where keys recur";
         "arguments arrive as lazy views over the frame: 'lazy args' counts calls delivered \
          still-encoded, 'args decoded' the views forced into trees for a handler. Serving \
          decodes every call; shedding rejects from the envelope scan alone, so shed calls \
          never pay the argument decode";
-        "with the dictionary off, frames are byte-identical to a dictionary-off hub's \
-         (the E12 golden table is the gate); 'decode errs' must be 0 on every run";
+        "every frame decodes on its own (the E12 golden table pins its bytes); 'decode \
+         errs' must be 0 on every run";
       ]
     (List.map render rows)

@@ -15,7 +15,7 @@ let registry : (string * (unit -> Table.t)) list =
     ("E15", fun () -> Exp_overload.e15 ());
     ("E16", fun () -> Exp_domains.e16 ());
     ("E17", fun () -> Exp_transport.e17 ());
-    ("E18", fun () -> Exp_dict.e18 ());
+    ("E18", fun () -> Exp_views.e18 ());
     ("E19", fun () -> Exp_handoff.e19 ());
     ("A1", fun () -> Exp_ablation.a1 ());
     ("A2", fun () -> Exp_ablation.a2 ());

@@ -367,72 +367,20 @@ module Bin = struct
      stack overflow on adversarial input. *)
   let max_depth = 1024
 
-  (* --- connection dictionary -------------------------------------- *)
-
-  (* A sender-owned string table that persists across the frames of one
-     connection (docs/WIRE.md §Connection dictionary). A string is
-     promoted the second frame it appears in: that frame carries a
-     dict-define, and every later frame references the shared slot with
-     a couple of bytes instead of re-shipping the bytes. The per-frame
-     intern table stays authoritative inside a frame — the dictionary
-     only replaces the *first* per-frame occurrence of a string.
-     [reset_dict] bumps the epoch; the epoch travels in the frame
-     header so a receiver discards stale state after an incarnation
-     change without any extra handshake. *)
-  type dict = {
-    dc_slots : (string, int) Hashtbl.t;  (* promoted string -> shared slot *)
-    dc_seen : (string, int) Hashtbl.t;  (* candidate -> frames seen so far *)
-    mutable dc_next : int;  (* next shared slot *)
-    mutable dc_epoch : int;
-    dc_cap : int;  (* max promoted entries *)
-    mutable dc_defines : int;  (* lifetime promotion count *)
-    mutable dc_refs : int;  (* lifetime shared-slot reference count *)
-  }
-
-  let create_dict ?(cap = 1024) () =
-    {
-      dc_slots = Hashtbl.create 64;
-      dc_seen = Hashtbl.create 64;
-      dc_next = 0;
-      dc_epoch = 0;
-      dc_cap = max 1 cap;
-      dc_defines = 0;
-      dc_refs = 0;
-    }
-
-  let reset_dict dc =
-    Hashtbl.reset dc.dc_slots;
-    Hashtbl.reset dc.dc_seen;
-    dc.dc_next <- 0;
-    dc.dc_epoch <- dc.dc_epoch + 1
-
-  let dict_epoch dc = dc.dc_epoch
-
-  let dict_size dc = dc.dc_next
-
-  let dict_defines dc = dc.dc_defines
-
-  let dict_refs dc = dc.dc_refs
-
   (* --- encoder ---------------------------------------------------- *)
 
   type encoder = {
     e_buf : Buffer.t;
     e_strings : (string, int) Hashtbl.t;  (* interned string -> slot *)
     mutable e_next : int;  (* next intern slot *)
-    mutable e_dict : dict option;  (* v2 frames only; cleared by [reset] *)
   }
 
-  let create_encoder () =
-    { e_buf = Buffer.create 256; e_strings = Hashtbl.create 16; e_next = 0; e_dict = None }
+  let create_encoder () = { e_buf = Buffer.create 256; e_strings = Hashtbl.create 16; e_next = 0 }
 
   let reset e =
     Buffer.clear e.e_buf;
     Hashtbl.reset e.e_strings;
-    e.e_next <- 0;
-    e.e_dict <- None
-
-  let use_dict e dc = e.e_dict <- Some dc
+    e.e_next <- 0
 
   let length e = Buffer.length e.e_buf
 
@@ -526,58 +474,16 @@ module Bin = struct
     add_uvarint e (String.length s);
     Buffer.add_string e.e_buf s
 
-  let frame_intern e s =
-    Hashtbl.add e.e_strings s e.e_next;
-    e.e_next <- e.e_next + 1
-
-  (* String reference. v1 (no dictionary): [0] introduces a new
-     intern-table entry inline, [k > 0] references entry [k-1] —
-     single-pass for both sides. With a connection dictionary attached
-     (v2 frames) the marker space shifts: [0] inline define, [1]
-     dict-define (both sides append to the shared dictionary AND the
-     per-frame table), [2] dict-ref (slot follows; the string is also
-     appended to the per-frame table so later same-frame uses pay one
-     byte), [m >= 3] references per-frame entry [m-3]. *)
+  (* String reference: [0] introduces a new intern-table entry inline,
+     [k > 0] references entry [k-1] — single-pass for both sides. *)
   let add_string e s =
     match Hashtbl.find_opt e.e_strings s with
-    | Some slot ->
-        add_uvarint e (slot + (match e.e_dict with None -> 1 | Some _ -> 3))
-    | None -> (
-        match e.e_dict with
-        | None ->
-            frame_intern e s;
-            add_byte e 0;
-            add_raw_string e s
-        | Some dc -> (
-            match Hashtbl.find_opt dc.dc_slots s with
-            | Some slot ->
-                frame_intern e s;
-                dc.dc_refs <- dc.dc_refs + 1;
-                add_byte e 2;
-                add_uvarint e slot
-            | None ->
-                (* Not promoted yet. The cross-frame count bumps at most
-                   once per frame: a repeat inside this frame would have
-                   hit the per-frame table above. *)
-                let n = 1 + Option.value ~default:0 (Hashtbl.find_opt dc.dc_seen s) in
-                if n >= 2 && dc.dc_next < dc.dc_cap then begin
-                  Hashtbl.remove dc.dc_seen s;
-                  Hashtbl.add dc.dc_slots s dc.dc_next;
-                  dc.dc_next <- dc.dc_next + 1;
-                  dc.dc_defines <- dc.dc_defines + 1;
-                  frame_intern e s;
-                  add_byte e 1;
-                  add_raw_string e s
-                end
-                else begin
-                  (* Bound the candidate table; losing counts only
-                     delays promotion, it never corrupts the wire. *)
-                  if Hashtbl.length dc.dc_seen > 4 * dc.dc_cap then Hashtbl.reset dc.dc_seen;
-                  Hashtbl.replace dc.dc_seen s n;
-                  frame_intern e s;
-                  add_byte e 0;
-                  add_raw_string e s
-                end))
+    | Some slot -> add_uvarint e (slot + 1)
+    | None ->
+        Hashtbl.add e.e_strings s e.e_next;
+        e.e_next <- e.e_next + 1;
+        add_byte e 0;
+        add_raw_string e s
 
   let rec add_value e v =
     match v with
@@ -658,9 +564,7 @@ module Bin = struct
   (* Counting-only mirror of [add_value]: computes the exact v1 encoded
      length without touching a buffer. Window accounting and registry
      byte budgets call this on every item, so avoiding the redundant
-     encode matters. Sizes are always v1 (dictionary-off) semantics —
-     for senders with a dictionary attached this over-estimates, which
-     is the conservative direction for flow-control accounting. *)
+     encode matters. *)
 
   type sizer = {
     s_strings : (string, int) Hashtbl.t;
@@ -747,29 +651,14 @@ module Bin = struct
   exception Bad of string
   (* internal only: every public read catches it and returns [Error] *)
 
-  (* Receiver half of the connection dictionary: an append-only string
-     table shared by every frame of one (peer, epoch). Slots are never
-     removed within an epoch; an epoch change swaps in a *new* table
-     object, so views captured against the old epoch stay valid. *)
-  type dict_table = { mutable dt_arr : string array; mutable dt_count : int }
-
-  let create_dict_table () = { dt_arr = [||]; dt_count = 0 }
-
-  let dict_table_size dt = dt.dt_count
-
   type decoder = {
     d_src : string;
     mutable d_pos : int;
     mutable d_table : string array;
     mutable d_count : int;
-    mutable d_dict : dict_table option;  (* v2 frames only *)
-    mutable d_replay : bool;  (* re-reading an already-scanned slice *)
   }
 
-  let decoder s =
-    { d_src = s; d_pos = 0; d_table = [||]; d_count = 0; d_dict = None; d_replay = false }
-
-  let use_dict_table d dt = d.d_dict <- Some dt
+  let decoder s = { d_src = s; d_pos = 0; d_table = [||]; d_count = 0 }
 
   let pos d = d.d_pos
 
@@ -820,54 +709,16 @@ module Bin = struct
     d.d_table.(d.d_count) <- s;
     d.d_count <- d.d_count + 1
 
-  let push_dict dt s =
-    if dt.dt_count >= Array.length dt.dt_arr then begin
-      let cap = max 16 (2 * Array.length dt.dt_arr) in
-      let bigger = Array.make cap "" in
-      Array.blit dt.dt_arr 0 bigger 0 dt.dt_count;
-      dt.dt_arr <- bigger
-    end;
-    dt.dt_arr.(dt.dt_count) <- s;
-    dt.dt_count <- dt.dt_count + 1
-
   let string_exn d =
-    match d.d_dict with
-    | None -> (
-        let n = uvarint_exn d in
-        if n = 0 then begin
-          let s = raw_string_exn d in
-          push_interned d s;
-          s
-        end
-        (* a 9-byte marker can wrap negative: refs are bounded on both sides *)
-        else if n > 0 && n - 1 < d.d_count then d.d_table.(n - 1)
-        else bad "string ref %d out of table range (%d entries)" n d.d_count)
-    | Some dt ->
-        let m = uvarint_exn d in
-        if m = 0 then begin
-          let s = raw_string_exn d in
-          push_interned d s;
-          s
-        end
-        else if m = 1 then begin
-          (* Dict-define: appended to the shared table exactly once —
-             replays of an already-scanned slice must not re-append. *)
-          let s = raw_string_exn d in
-          if not d.d_replay then push_dict dt s;
-          push_interned d s;
-          s
-        end
-        else if m = 2 then begin
-          let k = uvarint_exn d in
-          if k >= 0 && k < dt.dt_count then begin
-            let s = dt.dt_arr.(k) in
-            push_interned d s;
-            s
-          end
-          else bad "dict ref %d out of range (%d entries)" k dt.dt_count
-        end
-        else if m > 0 && m - 3 < d.d_count then d.d_table.(m - 3)
-        else bad "string ref %d out of table range (%d entries)" (m - 3) d.d_count
+    let n = uvarint_exn d in
+    if n = 0 then begin
+      let s = raw_string_exn d in
+      push_interned d s;
+      s
+    end
+    (* a 9-byte marker can wrap negative: refs are bounded on both sides *)
+    else if n > 0 && n - 1 < d.d_count then d.d_table.(n - 1)
+    else bad "string ref %d out of table range (%d entries)" n d.d_count
 
   (* A real of [width] bytes: 8 (binary64) or 2 (binary16). *)
   let real_exn d width =
@@ -984,9 +835,9 @@ module Bin = struct
 
   (* Structural scan without materialisation: validates exactly what
      [value_exn] would and leaves the cursor after the value, but
-     allocates nothing except intern-table entries (the per-frame and
-     dictionary tables must see the same side effects either way, so a
-     later slice of the same frame decodes identically). The scan runs
+     allocates nothing except intern-table entries (the per-frame table
+     must see the same side effects either way, so a later slice of the
+     same frame decodes identically). The scan runs
      on a local cursor — [pos] threads through as an immediate, and
      [d.d_pos] is synced only around the interned-string and varint
      reads, so the scalar-heavy common case never touches the mutable
@@ -1064,18 +915,13 @@ module Bin = struct
   (* Skip an interned string. The common steady-state shape — a
      one-byte back-reference into a table the scan has already built —
      resolves positionally with no side effects; everything else
-     (defines, dict traffic, multi-byte markers, bad refs) falls back
-     to [string_exn] for identical table updates and errors. *)
+     (defines, multi-byte markers, bad refs) falls back to [string_exn]
+     for identical table updates and errors. *)
   and skip_istring d src slen pos =
     if pos >= slen then truncated_at pos;
     let m = Char.code (String.unsafe_get src pos) in
-    let slot =
-      if m >= 0x80 then -1
-      else
-        match d.d_dict with
-        | None -> m - 1 (* v1: marker 0 is a define; k>0 is frame slot k-1 *)
-        | Some _ -> m - 3 (* v2: markers 0/1/2 have side effects; m>=3 is frame slot m-3 *)
-    in
+    (* marker 0 is a define; k>0 is frame slot k-1 *)
+    let slot = if m >= 0x80 then -1 else m - 1 in
     if slot >= 0 && slot < d.d_count then pos + 1
     else begin
       d.d_pos <- pos;
@@ -1122,10 +968,8 @@ module View = struct
      validation, no tree allocation — and captures everything a later
      re-read needs: the buffer, the slice bounds, the per-frame intern
      table (as it stands after the scan; replays only touch entries the
-     scan itself wrote, so sharing the array is safe) and the
-     connection-dictionary table, if any. Navigation and
-     materialisation replay the slice through a fresh cursor with
-     [d_replay] set so dictionary defines are not appended twice.
+     scan itself wrote, so sharing the array is safe). Navigation and
+     materialisation replay the slice through a fresh cursor.
 
      Views share mutable intern tables with their frame and are NOT
      safe to hand to another domain: materialise first. *)
@@ -1136,7 +980,6 @@ module View = struct
     v_stop : int;
     v_table : string array;  (* frame intern table, post-scan *)
     v_tcount : int;  (* intern count at [v_start] *)
-    v_dict : Bin.dict_table option;
   }
 
   type shape =
@@ -1158,7 +1001,6 @@ module View = struct
       v_stop = d.Bin.d_pos;
       v_table = d.Bin.d_table;
       v_tcount = tcount;
-      v_dict = d.Bin.d_dict;
     }
 
   let read (d : Bin.decoder) =
@@ -1176,30 +1018,14 @@ module View = struct
   let byte_length v = v.v_stop - v.v_start
 
   (* An immutable copy of the view's mutable surroundings: the intern
-     and dictionary tables are snapshotted (their strings are immutable
-     and safely shared), so the result can cross to a pool worker
-     domain while the connection keeps appending to the originals.
-     O(table size) pointer copies, no byte copying. *)
-  let snapshot v =
-    {
-      v with
-      v_table = Array.copy v.v_table;
-      v_dict =
-        Option.map
-          (fun dt ->
-            { Bin.dt_arr = Array.copy dt.Bin.dt_arr; dt_count = dt.Bin.dt_count })
-          v.v_dict;
-    }
+     table is snapshotted (its strings are immutable and safely shared),
+     so the result can cross to a pool worker domain while the frame's
+     decoder keeps appending to the original. O(table size) pointer
+     copies, no byte copying. *)
+  let snapshot v = { v with v_table = Array.copy v.v_table }
 
   let replay v =
-    {
-      Bin.d_src = v.v_src;
-      d_pos = v.v_start;
-      d_table = v.v_table;
-      d_count = v.v_tcount;
-      d_dict = v.v_dict;
-      d_replay = true;
-    }
+    { Bin.d_src = v.v_src; d_pos = v.v_start; d_table = v.v_table; d_count = v.v_tcount }
 
   (* The scan in [read] rejected unknown tags, so the head byte is
      total here. *)
@@ -1264,7 +1090,6 @@ module View = struct
       v_stop = 1 + len;
       v_table = [||];
       v_tcount = 0;
-      v_dict = None;
     }
 
   (* Read a list head: the element count, and for packed ints (bare

@@ -172,54 +172,10 @@ module Bin : sig
   (** One-shot encode using the pool. *)
 
   val size : value -> int
-  (** Actual encoded byte count (dictionary-off / v1 semantics),
-      computed by a counting-only mirror of the encoder — no buffer is
-      filled and nothing is allocated beyond a pooled intern table.
-      Always equals [String.length (to_string v)]. *)
-
-  (** {2 Connection dictionary}
-
-      A sender-owned string table that persists across the frames of
-      one connection. Strings recurring across frames are promoted
-      (dict-define on second sighting) and thereafter cost a 2–3 byte
-      shared-slot reference. Attaching a dictionary switches the
-      encoder to the v2 string-marker scheme — both ends must agree,
-      which {!Cstream.Chanhub} negotiates per connection. [reset_dict]
-      bumps the epoch (sent in every v2 frame header) so receivers
-      discard stale state after an incarnation change. *)
-
-  type dict
-
-  val create_dict : ?cap:int -> unit -> dict
-  (** [cap] bounds the number of promoted entries (default 1024). *)
-
-  val reset_dict : dict -> unit
-  (** Forget all promotions and bump the epoch. *)
-
-  val dict_epoch : dict -> int
-
-  val dict_size : dict -> int
-  (** Currently promoted entry count. *)
-
-  val dict_defines : dict -> int
-  (** Lifetime promotion count (across resets). *)
-
-  val dict_refs : dict -> int
-  (** Lifetime shared-slot reference count (across resets). *)
-
-  val use_dict : encoder -> dict -> unit
-  (** Attach for the current frame. [reset] (and hence
-      {!with_encoder}) detaches, so a pooled encoder never leaks a
-      dictionary into an unrelated frame. *)
-
-  type dict_table
-  (** Receiver half: an append-only table fed by dict-defines. Keep one
-      per (peer, epoch); on an epoch change, swap in a fresh table —
-      never clear in place, so views over old frames stay valid. *)
-
-  val create_dict_table : unit -> dict_table
-
-  val dict_table_size : dict_table -> int
+  (** Actual encoded byte count, computed by a counting-only mirror of
+      the encoder — no buffer is filled and nothing is allocated beyond
+      a pooled intern table. Always equals
+      [String.length (to_string v)]. *)
 
   (** {2 Decoding}
 
@@ -240,11 +196,6 @@ module Bin : sig
   val read_uvarint : decoder -> (int, string) result
 
   val read_varint : decoder -> (int, string) result
-
-  val use_dict_table : decoder -> dict_table -> unit
-  (** Switch this decoder to the v2 string-marker scheme, resolving and
-      feeding the given connection table. Must mirror the sender's
-      {!use_dict} decision frame-for-frame. *)
 
   val read_string : decoder -> (string, string) result
   (** Interned reference (shares the decoder's growing table). *)
@@ -270,7 +221,7 @@ end
     [pipe_field] projection touch a few bytes of a large frame instead
     of decoding all of it.
 
-    Views borrow their frame's buffer and mutable intern tables: they
+    Views borrow their frame's buffer and mutable intern table: they
     are cheap, but not safe to share across domains — call
     {!View.materialize} before handing data to a worker pool. *)
 module View : sig
@@ -290,8 +241,7 @@ module View : sig
 
   val read : Bin.decoder -> (t, string) result
   (** Scan and validate one value where the cursor stands; on success
-      the cursor is past it and the slice is captured. Works with or
-      without a connection dictionary attached to the decoder. *)
+      the cursor is past it and the slice is captured. *)
 
   val of_string : string -> (t, string) result
   (** View over a standalone encoding (trailing bytes are an error). *)
@@ -301,10 +251,10 @@ module View : sig
 
   val snapshot : t -> t
   (** A view safe to hand to another domain (docs/DOMAINS.md): the
-      mutable intern and dictionary tables are copied as they stand, so
-      later traffic on the connection cannot race a worker's
-      projections. The frame bytes and table strings are shared —
-      both are immutable — so the cost is two array copies. *)
+      frame's mutable intern table is copied as it stands, so later
+      reads of the same frame cannot race a worker's projections. The
+      frame bytes and table strings are shared — both are immutable —
+      so the cost is one array copy. *)
 
   val shape : t -> shape
   (** Top-level constructor, from the head tag byte alone. *)

@@ -271,38 +271,27 @@ let span_diff () =
 
 (* ------------------------------------------------------------------ *)
 (* Xdr.View.snapshot: a frame view handed to a worker domain stays
-   valid while the connection's mutable intern and dictionary tables
-   keep growing under later frames (docs/DOMAINS.md). *)
+   valid while the frame's mutable intern table keeps growing under
+   later reads of the same frame (docs/DOMAINS.md). *)
 
 let view_snapshot_cross_domain () =
   let open Xdr in
   let record =
     Record [ ("grade", Str "alpha"); ("score", Int 17); ("again", Str "alpha") ]
   in
-  let dict = Bin.create_dict () in
-  let frame v =
+  (* Two values in one frame, as a batch of items shares one intern
+     table: the second defines strings the first never saw. *)
+  let frame =
     let enc = Bin.create_encoder () in
-    Bin.use_dict enc dict;
-    Bin.add_value enc v;
+    Bin.add_value enc record;
+    Bin.add_value enc (Record [ ("grade", Str "beta"); ("later", Str "later") ]);
     Bin.contents enc
   in
-  let f1 = frame record in
-  (* second sighting promotes the repeated strings into the dict *)
-  let f2 = frame record in
-  let f3 = frame (Record [ ("grade", Str "beta"); ("later", Str "later") ]) in
-  let table = Bin.create_dict_table () in
-  let read_frame f =
-    let d = Bin.decoder f in
-    Bin.use_dict_table d table;
-    match View.read d with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "view read: %s" e
-  in
-  ignore (read_frame f1 : View.t);
-  let v2 = read_frame f2 in
-  let snap = View.snapshot v2 in
-  (* keep the connection busy: more defines land in the shared table *)
-  ignore (read_frame f3 : View.t);
+  let d = Bin.decoder frame in
+  let read () = match View.read d with Ok v -> v | Error e -> Alcotest.failf "view read: %s" e in
+  let snap = View.snapshot (read ()) in
+  (* keep the frame's decoder busy: more defines land in its table *)
+  ignore (read () : View.t);
   let sched = S.create () in
   let pool = Sched.Pool.create sched ~domains:2 in
   let got = ref None in

@@ -849,6 +849,63 @@ let test_stale_compact_after_reset_answered () =
     (peek w "chan_reset_packets");
   check Alcotest.int "not mistaken for an unopened channel" 0 (peek w "chan_unopened_drops")
 
+(* A raw peer speaking a stateful frame dialect: a tag-4 control frame
+   (as a connection handshake would open with) and a version-2 Data
+   frame whose item defines strings under marker 1. A hub keeps no
+   string state across frames, so each is refused as one decode error
+   and left unanswered, and the peer's opened channel carries on. *)
+let test_stateful_dialect_refused () =
+  let w = make_world () in
+  let got, _ = sink w in
+  let peer = Net.add_node w.net ~name:"peer" in
+  let raw = Transport_sim.endpoint w.net peer in
+  let answers = ref 0 in
+  raw.Transport.set_receiver (fun ~src:_ _ -> incr answers);
+  let src = Net.address peer and dst = Net.address w.node_b in
+  let v1_data ~first_seq v =
+    let opening = if first_seq = 0 then Some { CH.open_label = "sink"; open_meta = "" } else None in
+    CH.encode_packet (CH.Data { src; idx = 0; first_seq; opening; acks = []; items = [ v ] })
+  in
+  (* A list of two strings, each introduced under [marker]: marker 0 is
+     the v1 define. *)
+  let item marker =
+    let str s = Printf.sprintf "\x05%c%c%s" (Char.chr marker) (Char.chr (String.length s)) s in
+    "\x08\x02" ^ str "shard-a" ^ str "shard-b"
+  in
+  check Alcotest.string "marker 0 is the v1 encoding"
+    (B.to_string (Xdr.List [ Xdr.Str "shard-a"; Xdr.Str "shard-b" ]))
+    (item 0);
+  let v2_data =
+    (* version 2, epoch 0, Data; src, idx 0, first_seq 1, no acks, one item *)
+    B.with_encoder (fun e ->
+        List.iter (B.add_byte e) [ 2; 0; 1 ];
+        List.iter (B.add_uvarint e) [ src; 0; 1; 0; 1 ];
+        B.contents e)
+    ^ item 1
+  in
+  let errors_at = ref [] and answers_at = ref [] in
+  let note () =
+    errors_at := peek w "chan_decode_errors" :: !errors_at;
+    answers_at := !answers :: !answers_at
+  in
+  let send_at time frame = S.after w.sched time (fun () -> raw.Transport.send ~dst frame) in
+  send_at 0.0 (v1_data ~first_seq:0 (Xdr.Int 1));
+  S.after w.sched 0.1 note;
+  send_at 0.1 "\x01\x04\x00";
+  S.after w.sched 0.2 note;
+  send_at 0.2 v2_data;
+  S.after w.sched 0.3 note;
+  send_at 0.3 (v1_data ~first_seq:1 (Xdr.Int 2));
+  run_ok w;
+  check Alcotest.(list int) "each frame one decode error" [ 0; 1; 2 ] (List.rev !errors_at);
+  (match List.rev !answers_at with
+  | [ a0; a1; a2 ] ->
+      check Alcotest.int "no answer to the control frame" a0 a1;
+      check Alcotest.int "no answer to the v2 frame" a0 a2
+  | _ -> Alcotest.fail "expected three notes");
+  check Alcotest.bool "the opened channel carries on" true
+    (List.equal Xdr.equal_value [ Xdr.Int 1; Xdr.Int 2 ] !got)
+
 (* ------------------------------------------------------------------ *)
 (* Lazy views (docs/WIRE.md §Lazy views): a scan-validated slice must
    be interchangeable with the tree it covers. *)
@@ -953,122 +1010,6 @@ let test_view_projection_units () =
   match Xdr.View.record_field rw "zz" with
   | Ok None -> ()
   | _ -> Alcotest.fail "absent field must be Ok None"
-
-(* ------------------------------------------------------------------ *)
-(* Connection dictionary (docs/WIRE.md §Connection dictionary) *)
-
-let dict_frame dict v =
-  B.with_encoder (fun e ->
-      B.use_dict e dict;
-      B.add_value e v;
-      B.contents e)
-
-let dict_decode dt s =
-  let d = B.decoder s in
-  B.use_dict_table d dt;
-  match B.read_value d with
-  | Error _ as e -> e
-  | Ok v -> ( match B.expect_end d with Ok () -> Ok v | Error _ as e -> e)
-
-let prop_dict_cross_frame_roundtrip =
-  (* One dictionary, one table, a sequence of frames: every frame must
-     decode back to its value, in order — defines land in the shared
-     table exactly once and later refs resolve against it. *)
-  QCheck.Test.make ~name:"dict frames roundtrip in sequence" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 5) arb_value)
-    (fun vs ->
-      let dict = B.create_dict () in
-      let frames = List.map (dict_frame dict) vs in
-      let dt = B.create_dict_table () in
-      List.for_all2
-        (fun v s ->
-          match dict_decode dt s with
-          | Ok v' -> Xdr.equal_value v v'
-          | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
-        vs frames)
-
-let prop_dict_view_cross_frame =
-  (* Same, through views: scan every frame first (defines feed the
-     shared table during the scan), materialize afterwards — and twice,
-     because replays of an already-scanned slice must not re-append to
-     the connection table. *)
-  QCheck.Test.make ~name:"dict frames: scan all, then materialize = originals" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 5) arb_value)
-    (fun vs ->
-      let dict = B.create_dict () in
-      let frames = List.map (dict_frame dict) vs in
-      let dt = B.create_dict_table () in
-      let views =
-        List.map
-          (fun s ->
-            let d = B.decoder s in
-            B.use_dict_table d dt;
-            match Xdr.View.read d with
-            | Ok vw -> vw
-            | Error e -> QCheck.Test.fail_reportf "scan failed: %s" e)
-          frames
-      in
-      List.for_all2
-        (fun v vw ->
-          match (Xdr.View.materialize vw, Xdr.View.materialize vw) with
-          | Ok a, Ok b -> Xdr.equal_value v a && Xdr.equal_value v b
-          | _ -> false)
-        vs views)
-
-let test_dict_compresses_across_frames () =
-  let frame i = Xdr.Record [ ("host", Xdr.Str "shard-host-03.internal"); ("seq", Xdr.Int i) ] in
-  let frames = List.init 10 frame in
-  let plain = List.map B.to_string frames in
-  let dict = B.create_dict () in
-  let promoted = List.map (dict_frame dict) frames in
-  (* First sighting stays an inline define: frame 1 is byte-identical
-     to the dictionary-less encoding. *)
-  check Alcotest.string "first frame unchanged" (List.nth plain 0) (List.nth promoted 0);
-  let total l = List.fold_left (fun a s -> a + String.length s) 0 l in
-  check Alcotest.bool
-    (Printf.sprintf "promoted %dB < plain %dB" (total promoted) (total plain))
-    true
-    (total promoted < total plain);
-  check Alcotest.bool "strings were promoted" true (B.dict_defines dict > 0);
-  check Alcotest.bool "refs replaced re-sends" true (B.dict_refs dict > 0);
-  let dt = B.create_dict_table () in
-  List.iteri
-    (fun i s ->
-      match dict_decode dt s with
-      | Ok v -> check Alcotest.bool "frame decodes" true (Xdr.equal_value (frame i) v)
-      | Error e -> Alcotest.failf "frame %d failed: %s" i e)
-    promoted
-
-let test_dict_reset_bumps_epoch_and_redefines () =
-  let dict = B.create_dict () in
-  let v = Xdr.Str "shard-host-01.internal" in
-  let f1 = dict_frame dict v in
-  let _f2 = dict_frame dict v in
-  let f3 = dict_frame dict v in
-  check Alcotest.bool "steady state is a short slot ref" true
-    (String.length f3 < String.length f1);
-  let e0 = B.dict_epoch dict in
-  B.reset_dict dict;
-  check Alcotest.bool "epoch bumped" true (B.dict_epoch dict > e0);
-  check Alcotest.int "promotions forgotten" 0 (B.dict_size dict);
-  (* The incarnation's first frame looks exactly like a fresh
-     connection's, and decodes against a fresh table. *)
-  let g1 = dict_frame dict v in
-  check Alcotest.string "first frame after reset re-defines" f1 g1;
-  let _g2 = dict_frame dict v in
-  let g3 = dict_frame dict v in
-  let dt = B.create_dict_table () in
-  List.iter
-    (fun s ->
-      match dict_decode dt s with
-      | Ok v' -> check Alcotest.bool "new-epoch frame decodes" true (Xdr.equal_value v v')
-      | Error e -> Alcotest.failf "new-epoch frame failed: %s" e)
-    [ g1; _g2; g3 ];
-  (* A stale ref frame against a fresh table must be refused, not
-     crash — this is why receivers swap tables on an epoch change. *)
-  match dict_decode (B.create_dict_table ()) f3 with
-  | Error _ -> ()
-  | Ok got -> Alcotest.failf "stale dict ref decoded as %a" Xdr.pp_value got
 
 (* ------------------------------------------------------------------ *)
 (* Packed int lists (docs/WIRE.md §1, tag 0x0C) *)
@@ -1202,42 +1143,6 @@ let test_packed_views () =
                      (Xdr.equal_value (Xdr.Real 1.5) (materialize_ok f))
   | _ -> Alcotest.fail "record_field mean missing"
 
-let test_packed_dict_frames () =
-  (* v2 frames: strings shift to the dictionary marker scheme, packed
-     lists are unchanged and decode the same through tree and view. *)
-  let frame i =
-    Xdr.Record
-      [
-        ("host", Xdr.Str "shard-host-03.internal");
-        ("grades", ints (List.init 8 (fun g -> (i * g) - 20)));
-        ("mixed", Xdr.List [ Xdr.Int i; Xdr.Str "shard-host-03.internal" ]);
-      ]
-  in
-  let dict = B.create_dict () in
-  let frames = List.init 4 (fun i -> dict_frame dict (frame i)) in
-  check Alcotest.bool "strings were promoted" true (B.dict_defines dict > 0);
-  let dt = B.create_dict_table () in
-  List.iteri
-    (fun i s ->
-      match dict_decode dt s with
-      | Ok v -> check Alcotest.bool "frame decodes" true (Xdr.equal_value (frame i) v)
-      | Error e -> Alcotest.failf "frame %d failed: %s" i e)
-    frames;
-  let dt = B.create_dict_table () in
-  List.iteri
-    (fun i s ->
-      let d = B.decoder s in
-      B.use_dict_table d dt;
-      match Xdr.View.read d with
-      | Ok vw -> (
-          match Xdr.View.record_field vw "grades" with
-          | Ok (Some g) ->
-              check Alcotest.bool "grades via view" true
-                (Xdr.equal_value (ints (List.init 8 (fun g -> (i * g) - 20))) (materialize_ok g))
-          | _ -> Alcotest.fail "grades missing")
-      | Error e -> Alcotest.failf "frame %d scan failed: %s" i e)
-    frames
-
 (* ------------------------------------------------------------------ *)
 (* Scalar widths (docs/WIRE.md §1): every Int and Real at its shortest
    exact width. *)
@@ -1342,23 +1247,25 @@ let tag_tour =
       ("f", Xdr.Pref { Xdr.ps_stream = "1|s"; ps_call = 3; ps_field = Some "u" });
     ]
 
-(* Every prefix, and every byte of the encoding set to each of the 256
-   values (a superset of single bit flips). *)
-let test_tag_tour_mutations () =
-  let enc = B.to_string tag_tour in
-  let disagree = ref [] in
-  let probe s = if not (decoders_agree s) then disagree := hex s :: !disagree in
-  let n = String.length enc in
+(* [probe] every prefix of [s], and [s] with each byte set to each of
+   the 256 values (a superset of single bit flips). *)
+let probe_one_byte_mutations probe s =
+  let n = String.length s in
   for len = 0 to n do
-    probe (String.sub enc 0 len)
+    probe (String.sub s 0 len)
   done;
   for pos = 0 to n - 1 do
-    let b = Bytes.of_string enc in
+    let b = Bytes.of_string s in
     for byte = 0 to 255 do
       Bytes.set b pos (Char.chr byte);
       probe (Bytes.to_string b)
     done
-  done;
+  done
+
+let test_tag_tour_mutations () =
+  let disagree = ref [] in
+  let probe s = if not (decoders_agree s) then disagree := hex s :: !disagree in
+  probe_one_byte_mutations probe (B.to_string tag_tour);
   check Alcotest.(list string) "tree and view agree on every mutation" [] !disagree
 
 type mutation = Set of int * int | Flip of int * int | Cut of int
@@ -1376,11 +1283,22 @@ let mutate s = function
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
       Bytes.to_string b
 
+(* One to three byte sets, bit flips or truncations. Set bytes lean
+   towards tags (0x00-0x10, where 0x0F is unassigned, and the first
+   unknown, 0x11) and varint continuation patterns. *)
+let gen_mutations : mutation list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let gen_byte = frequency [ (2, int_bound 255); (2, int_bound 0x11); (1, oneofl [ 0x7f; 0x80; 0xff ]) ] in
+  list_size (int_range 1 3)
+    (oneof
+       [
+         map2 (fun pos byte -> Set (pos, byte)) nat gen_byte;
+         map2 (fun pos bit -> Flip (pos, bit)) nat (int_bound 7);
+         map (fun n -> Cut n) nat;
+       ])
+
 (* Encodings of random values, of the pinned envelopes and reference
-   payloads and of the tag tour, each hit by one to three byte sets, bit
-   flips or truncations. Set bytes lean towards tags (0x00-0x10, where
-   0x0F is unassigned, and the first unknown, 0x11) and varint
-   continuation patterns. *)
+   payloads and of the tag tour, each mutated. *)
 let gen_mutated_frame : string QCheck.Gen.t =
   let open QCheck.Gen in
   let pinned =
@@ -1388,26 +1306,130 @@ let gen_mutated_frame : string QCheck.Gen.t =
     @ List.map (fun (_, v, _) -> B.to_string v) Workloads.Exp_wire.reference_payloads
     @ [ B.to_string tag_tour ]
   in
-  let gen_byte = frequency [ (2, int_bound 255); (2, int_bound 0x11); (1, oneofl [ 0x7f; 0x80; 0xff ]) ] in
-  let gen_mutation =
-    oneof
-      [
-        map2 (fun pos byte -> Set (pos, byte)) nat gen_byte;
-        map2 (fun pos bit -> Flip (pos, bit)) nat (int_bound 7);
-        map (fun n -> Cut n) nat;
-      ]
-  in
-  map2 (List.fold_left mutate)
-    (oneof [ map B.to_string gen_value; oneofl pinned ])
-    (list_size (int_range 1 3) gen_mutation)
+  map2 (List.fold_left mutate) (oneof [ map B.to_string gen_value; oneofl pinned ]) gen_mutations
 
 let prop_decoders_agree =
   QCheck.Test.make ~name:"tree and view decoders accept the same mutated frames" ~count:3000
     (QCheck.make ~print:hex gen_mutated_frame) decoders_agree
 
+(* The same property one layer up: [decode_packet] and
+   [decode_packet_view] read one frame grammar (version 1; Data, Ack,
+   Reset) and must accept exactly the same frames, never raise, and
+   agree on what an accepted frame holds. *)
+
+let tree_of_view_packet : Xdr.View.t CH.packet -> Xdr.value CH.packet = function
+  | CH.Data { src; idx; first_seq; opening; acks; items } ->
+      CH.Data { src; idx; first_seq; opening; acks; items = List.map materialize_ok items }
+  | CH.Ack { acks } -> CH.Ack { acks }
+  | CH.Reset { src; idx; reason } -> CH.Reset { src; idx; reason }
+
+let frame_decoders_agree f =
+  match (CH.decode_packet f, CH.decode_packet_view f) with
+  | Ok p, Ok pv -> ( try equal_packet p (tree_of_view_packet pv) with _ -> false)
+  | Error _, Error _ -> true
+  | Ok _, Error _ | Error _, Ok _ -> false
+  | exception _ -> false
+
+(* Golden frames of every packet form, each with the offsets and values
+   of its count prefixes (ack count, item count, reason length), all
+   one byte long here. *)
+let golden_frames =
+  let data_frame ~first_seq acks items =
+    let enc acks items = CH.encode_packet (data ~first_seq ~acks ~items ()) in
+    ( enc acks items,
+      [
+        (String.length (enc [] []) - 2, List.length acks);
+        (String.length (enc acks []) - 1, List.length items);
+      ] )
+  in
+  let call i port =
+    W.call_item ~cid:i ~trace:None ~port ~kind:W.Call
+      ~args:(Xdr.Pair (Xdr.Str "stu00001", Xdr.Int 85)) ()
+  in
+  let reset reason = CH.encode_packet (CH.Reset { src = 3; idx = 7; reason }) in
+  [
+    data_frame ~first_seq:0
+      [ ack 2 (-1); ack ~pressure:2 5 17 ]
+      [ call 0 (W.Define "record_grade"); call 1 (W.Ref 0) ];
+    data_frame ~first_seq:300 [ ack 7 12 ] [ tag_tour; Xdr.Int 5 ];
+    (CH.encode_packet (CH.Ack { acks = [ ack 7 (-1); ack ~pressure:1 8 300 ] }), [ (2, 2) ]);
+    (reset "no such port group", [ (String.length (reset "") - 1, 18) ]);
+  ]
+
+(* [frame] with its count prefix at [pos] replaced by [n]. *)
+let lie frame pos n =
+  String.sub frame 0 pos
+  ^ B.with_encoder (fun e ->
+        B.add_uvarint e n;
+        B.contents e)
+  ^ String.sub frame (pos + 1) (String.length frame - pos - 1)
+
+(* Every golden frame: each count prefix rewritten to a spread of lies,
+   and every one-byte mutation. *)
+let test_golden_frame_mutations () =
+  let disagree = ref [] in
+  let probe f = if not (frame_decoders_agree f) then disagree := hex f :: !disagree in
+  List.iter
+    (fun (frame, counts) ->
+      (match CH.decode_packet frame with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "golden frame refused: %s" e);
+      List.iter
+        (fun (pos, n) ->
+          check Alcotest.int "count prefix where expected" n (Char.code frame.[pos]);
+          List.iter
+            (fun lie_n -> probe (lie frame pos lie_n))
+            (List.init (n + 4) Fun.id @ [ 127; 128; 16383; 16384; max_int; -1 ]))
+        counts;
+      probe_one_byte_mutations probe frame)
+    golden_frames;
+  check Alcotest.(list string) "frame decoders agree on every mutation" [] !disagree
+
+(* Golden frames, maybe with one count prefix lying, then mutated. *)
+let gen_mutated_packet_frame : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let gen_lie (frame, counts) =
+    let* k = int_bound (List.length counts - 1) in
+    let pos, n = List.nth counts k in
+    let* lie_n =
+      oneof [ map (fun d -> max 0 (n + d)) (int_range (-2) 3); oneofl [ 128; max_int; -1 ]; nat ]
+    in
+    return (lie frame pos lie_n)
+  in
+  let* golden = oneofl golden_frames in
+  let* frame = oneof [ return (fst golden); gen_lie golden ] in
+  map (List.fold_left mutate frame) gen_mutations
+
+let prop_frame_decoders_agree =
+  QCheck.Test.make ~name:"tree and view frame decoders accept the same mutated frames"
+    ~count:3000
+    (QCheck.make ~print:hex gen_mutated_packet_frame)
+    frame_decoders_agree
+
+(* One wire version and three packet tags: every other version byte and
+   every other tag (the retired handshake tags 4 and 5 among them) is
+   refused by both frame decoders, whatever body follows. *)
+let test_other_versions_and_tags_refused () =
+  let accepted = ref [] in
+  let probe what f =
+    match (CH.decode_packet f, CH.decode_packet_view f) with
+    | Error _, Error _ -> ()
+    | _ -> accepted := Printf.sprintf "%s %s" what (hex f) :: !accepted
+  in
+  let set pos byte f = String.mapi (fun i c -> if i = pos then Char.chr byte else c) f in
+  List.iter
+    (fun (frame, _) ->
+      check Alcotest.int "golden frame is version 1" B.version (Char.code frame.[0]);
+      for byte = 0 to 255 do
+        if byte <> B.version then probe "version" (set 0 byte frame);
+        if byte < 1 || byte > 3 then probe "tag" (set 1 byte frame)
+      done)
+    golden_frames;
+  check Alcotest.(list string) "nothing accepted" [] !accepted
+
 (* ------------------------------------------------------------------ *)
-(* Golden wire bytes: with the dictionary off, every E12 cell must stay
-   digit-for-digit on the pinned table (the same one the bench runner
+(* Golden wire bytes: every E12 cell must stay digit-for-digit on the
+   pinned table (the same one the bench runner
    gates on before writing BENCH_wire.json). *)
 
 let test_e12_golden_bytes () =
@@ -1801,6 +1823,56 @@ let test_two_channels_one_ack_frame () =
   | frames -> Alcotest.failf "%d Ack frames" (List.length frames));
   List.iter (fun o -> check Alcotest.int "fully acked" 0 (CH.unacked_count o)) outs
 
+(* A frame carries no state across frames: a hub sending the same
+   string-heavy item in frame after frame spends the same bytes on it
+   each time, and every frame it sent decodes alone, in any order, to
+   exactly its own bytes again. *)
+let test_hub_frames_decode_alone () =
+  let sched = S.create ~seed:42 () in
+  let net = Net.create sched Net.default_config in
+  let node_a = Net.add_node net ~name:"a" and node_b = Net.add_node net ~name:"b" in
+  let raw = ref [] in
+  let tr = Transport_sim.endpoint net node_a in
+  let tr = { tr with Transport.send = (fun ~dst f -> raw := f :: !raw; tr.Transport.send ~dst f) } in
+  let w =
+    {
+      sched;
+      net;
+      node_a;
+      node_b;
+      hub_a = CH.create_hub ~transport:tr ();
+      hub_b = CH.create_hub ~net:(net, node_b) ();
+    }
+  in
+  let got, _ = sink w in
+  let item i =
+    Xdr.Record
+      [ ("host", Xdr.Str "shard-host-03.internal"); ("zone", Xdr.Str "eu-west"); ("seq", Xdr.Int i) ]
+  in
+  let n = 10 in
+  let out = CH.connect w.hub_a ~dst:(Net.address node_b) ~label:"sink" ~meta:"" CH.rpc_config in
+  ignore
+    (S.spawn sched (fun () ->
+         for i = 1 to n do
+           ignore (CH.send out (item i) : (unit, string) result);
+           S.sleep sched 0.05
+         done));
+  run_ok w;
+  check Alcotest.bool "all delivered in order" true
+    (List.equal Xdr.equal_value (List.init n (fun i -> item (i + 1))) !got);
+  let frames = List.rev !raw in
+  check Alcotest.int "one frame per item" n (List.length frames);
+  List.iter
+    (fun f ->
+      match CH.decode_packet f with
+      | Ok p -> check Alcotest.string "re-encodes to its own bytes" (hex f) (hex (CH.encode_packet p))
+      | Error e -> Alcotest.failf "frame does not decode alone: %s" e)
+    (List.rev frames);
+  match List.map String.length frames with
+  | _opening :: (len :: _ as rest) ->
+      List.iter (check Alcotest.int "a repeated item costs the same every frame" len) rest
+  | _ -> Alcotest.fail "expected several frames"
+
 (* A connection loss drops the acks parked for that peer: they name the
    old incarnation's channel indexes, which a restarted peer reuses.
    The simulated net never fires the peer watch, so the hub runs on a
@@ -1822,7 +1894,6 @@ let test_peer_down_drops_parked_acks () =
       set_peer_watch = (fun f -> watch := f);
       recv_overhead = (fun () -> 0.0);
       realtime = false;
-      reliable = true;
     }
   in
   let hub = CH.create_hub ~transport:tr () in
@@ -1974,6 +2045,9 @@ let () =
           Alcotest.test_case "opening fields only at seq 0" `Quick
             test_opening_fields_only_at_seq_zero;
           Alcotest.test_case "garbage frames rejected" `Quick test_packet_garbage_rejected;
+          Alcotest.test_case "other versions and tags refused" `Quick
+            test_other_versions_and_tags_refused;
+          Alcotest.test_case "hub frames decode alone" `Quick test_hub_frames_decode_alone;
         ] );
       ( "adaptive wire",
         [
@@ -2021,6 +2095,8 @@ let () =
             test_truncated_opening_counted;
           Alcotest.test_case "stale compact data after reset answered" `Quick
             test_stale_compact_after_reset_answered;
+          Alcotest.test_case "stateful frame dialect refused, unanswered" `Quick
+            test_stateful_dialect_refused;
         ] );
       ( "lazy views",
         [
@@ -2029,14 +2105,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_has_prefs_matches_tree;
           Alcotest.test_case "projection units" `Quick test_view_projection_units;
         ] );
-      ( "connection dictionary",
-        [
-          QCheck_alcotest.to_alcotest prop_dict_cross_frame_roundtrip;
-          QCheck_alcotest.to_alcotest prop_dict_view_cross_frame;
-          Alcotest.test_case "compresses across frames" `Quick test_dict_compresses_across_frames;
-          Alcotest.test_case "reset bumps epoch and redefines" `Quick
-            test_dict_reset_bumps_epoch_and_redefines;
-        ] );
       ( "packed int lists",
         [
           QCheck_alcotest.to_alcotest prop_packed_roundtrip;
@@ -2044,7 +2112,6 @@ let () =
           Alcotest.test_case "hostile counts and varints rejected" `Quick
             test_packed_hostile_rejected;
           Alcotest.test_case "views" `Quick test_packed_views;
-          Alcotest.test_case "v2 dictionary frames" `Quick test_packed_dict_frames;
         ] );
       ( "scalar widths",
         [
@@ -2056,10 +2123,13 @@ let () =
         [
           Alcotest.test_case "every mutation of the tag tour" `Quick test_tag_tour_mutations;
           QCheck_alcotest.to_alcotest prop_decoders_agree;
+          Alcotest.test_case "every mutation of the golden frames" `Quick
+            test_golden_frame_mutations;
+          QCheck_alcotest.to_alcotest prop_frame_decoders_agree;
         ] );
       ( "golden wire",
         [
-          Alcotest.test_case "E12 dictionary-off bytes" `Quick test_e12_golden_bytes;
+          Alcotest.test_case "E12 bytes" `Quick test_e12_golden_bytes;
           Alcotest.test_case "codec reference payload sizes" `Quick
             test_reference_payload_sizes;
         ] );
