@@ -78,14 +78,12 @@ let run_child ~listen_fd ~parent_sockaddr =
   G.register_group pong ~group:"main" ~config:group_cfg ();
   G.register pong ~group:"main" work_sig (fun ctx v ->
       Hashtbl.replace execs v (1 + Option.value ~default:0 (Hashtbl.find_opt execs v));
-      if Sys.getenv_opt "PP_DEBUG" <> None then Printf.printf "pong: work %d\n%!" v;
       (* ~1 ms of wall-clock work per call keeps the server busy long
          enough that the parent's mid-claim socket cut lands while
          calls are genuinely in flight *)
       S.sleep ctx.G.sched 1e-3;
       Ok (v + 1));
   G.register pong ~group:"main" report_sig (fun _ctx expected ->
-      if Sys.getenv_opt "PP_DEBUG" <> None then Printf.printf "pong: report %d\n%!" expected;
       let violations = ref (max 0 (expected - Hashtbl.length execs)) in
       Hashtbl.iter (fun _ count -> if count <> 1 then incr violations) execs;
       (* reply first; the waiting finisher fiber makes the done call *)
@@ -145,7 +143,6 @@ let run_parent ~listen_fd ~pong_sockaddr ~child_pid =
                R.Call.(submit (piped h (R.pipe first))))
          in
          R.flush h;
-         if Sys.getenv_opt "PP_DEBUG" <> None then print_endline "ping: flushed";
          List.iteri
            (fun i p ->
              if i = n_chains / 2 then begin
@@ -165,7 +162,6 @@ let run_parent ~listen_fd ~pong_sockaddr ~child_pid =
            chains;
          Printf.printf "ping: all %d pipelined chains claimed across the break\n%!" n_chains;
          let rep = R.bind ag ~dst:pong_addr ~gid:"main" report_sig in
-         if Sys.getenv_opt "PP_DEBUG" <> None then print_endline "ping: sending report";
          (match R.Call.(sync (make rep (2 * n_chains))) with
          | P.Normal 0 -> print_endline "pong reports: every call executed exactly once"
          | P.Normal v ->

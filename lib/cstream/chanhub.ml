@@ -645,7 +645,6 @@ let handle_ack o ~upto ~pressure =
       if pressure >= 2 || congested then cut_window o
       else if pressure = 0 && not !freed_retx then grow_window o;
       if Float.is_nan !rtt_sample = false then begin
-        Sim.Stats.observe (Sim.Stats.summary (S.stats o.o_hub.h_sched) "chan_rtt") !rtt_sample;
         o.o_rtt_ewma <-
           (if o.o_rtt_ewma <= 0.0 then !rtt_sample
            else (0.875 *. o.o_rtt_ewma) +. (0.125 *. !rtt_sample))

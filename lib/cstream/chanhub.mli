@@ -181,11 +181,12 @@ val create_hub :
     is empty, before time advances or the transport blocks), so an ack
     rides a reply sent in the same turn and otherwise adds no latency.
     Keep a positive delay well under the senders' [retransmit_timeout].
-    A transport peer-down breaks every channel to or from that peer and
-    drops the acks parked for it, with the incoming ends tombstoned
-    exactly as a [Reset] would be — so a retransmit arriving over a
-    fresh connection is refused rather than resurrecting the old
-    incarnation. *)
+    A transport peer-down breaks every channel to or from that peer,
+    drops the acks parked for it and clears that peer's tombstones: the
+    peer broke every channel it sent on when it lost the same
+    connection, so nothing of the old incarnation can arrive later, and
+    a restarted peer that numbers its channels from 0 again opens them
+    afresh instead of meeting its predecessor's [Reset]s. *)
 
 val hub_addr : hub -> Net.address
 (** This hub's transport address (the node address in sim mode). *)
@@ -200,8 +201,7 @@ val hub_sched : hub -> Sched.Scheduler.t
     [chan_unopened_drops] (compact Data for a channel never opened
     here, dropped without a Reset), [chan_spoofed_drops] (a Data or
     Reset frame not sent by the named channel's peer, dropped),
-    [chan_window_cuts] — plus the [chan_rtt] summary of clean ack RTT
-    samples.
+    [chan_window_cuts].
 
     A hub accepts a channel's traffic only from that channel's peer,
     the transport sender of the frame: an ack only from the acked

@@ -75,7 +75,12 @@ and conn = {
   mutable c_broken : bool;
   mutable c_inflight : int;  (* calls being executed right now, across all lanes *)
   mutable c_breaking : string option;  (* break requested mid-call *)
-  mutable c_on_close : (unit -> unit) list;
+  c_execs : S.group;
+      (* orphanable handler executions, killed as a group when the
+         connection goes away (docs/FAULTS.md) *)
+  c_parked : (int, Pipeline.Registry.waiter list) Hashtbl.t;
+      (* cid -> registry waiters of a parked call, without dedup only:
+         such a call dies with its connection *)
   (* outcomes parked until all earlier replies went out *)
   c_done : (int, Wire.kind * int option * bool * Wire.routcome) Hashtbl.t;
       (* (kind, trace, elide, outcome) *)
@@ -168,12 +173,13 @@ let remove_conn c =
         | None -> ());
         Sched.Bqueue.close sh.sh_work)
       c.c_shards;
-    let hooks = c.c_on_close in
-    c.c_on_close <- [];
-    List.iter (fun f -> f ()) hooks
+    S.Group.terminate c.c_target.sched c.c_execs;
+    Option.iter
+      (fun reg -> Hashtbl.iter (fun _ ws -> List.iter (Pipeline.Registry.cancel reg) ws) c.c_parked)
+      c.c_target.t_registry
   end
 
-let on_conn_close c f = if c.c_broken then f () else c.c_on_close <- f :: c.c_on_close
+let conn_group c = c.c_execs
 
 (* Receiver-initiated break proper: flush replies already produced
    (calls answered before the break are unaffected — the paper's
@@ -390,11 +396,15 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
                  the cross-incarnation cache, where the In_progress
                  entry inserted before parking is resolved and a
                  resubmitted duplicate finds the reply it joined for.
-                 Without dedup the parked call dies with its conn (its
-                 waiters are cancelled on close, below). *)
+                 Without dedup the parked call dies with its conn: its
+                 waiters sit in [c_parked], which [remove_conn]
+                 cancels. *)
               if (not !aborted) && (t.t_dedup || not c.c_broken) then begin
                 decr remaining;
-                if !remaining = 0 then proceed ()
+                if !remaining = 0 then begin
+                  Hashtbl.remove c.c_parked cid;
+                  proceed ()
+                end
               end
             in
             let rec register acc = function
@@ -421,9 +431,7 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
                   span t ~kind:Sim.Span.Park ~trace ~stream:c.c_stable ~call:cid
                     ~note:(Printf.sprintf "%d outcome(s) missing" (List.length missing))
                     ();
-                if not t.t_dedup then
-                  on_conn_close c (fun () ->
-                      List.iter (Pipeline.Registry.cancel reg) registered)
+                if not t.t_dedup then Hashtbl.replace c.c_parked cid registered
           end
         end
   end
@@ -599,9 +607,11 @@ let driver_loop c sh =
     | Overhead ->
         if overhead > 0.0 then S.sleep t.sched overhead;
         loop ()
-    | Exec _ when c.c_breaking <> None ->
+    | Exec _ when c.c_breaking <> None || (c.c_broken && not t.t_dedup) ->
         (* A break is pending: work queued behind the in-flight calls
-           is discarded, as it would be by the break itself. *)
+           is discarded, as it would be by the break itself. A lane that
+           broke its own conn mid-loop still drains its queue; without
+           dedup those calls are orphans before they start. *)
         loop ()
     | Exec { seq; cid; trace; port; kind; args; handoff; elide } when not t.t_ordered ->
         exec_call c ~seq ~cid ~trace ~port ~kind ~args ~handoff
@@ -643,7 +653,8 @@ let accept t in_chan =
       c_broken = false;
       c_inflight = 0;
       c_breaking = None;
-      c_on_close = [];
+      c_execs = S.Group.create t.sched;
+      c_parked = Hashtbl.create 8;
       c_done = Hashtbl.create 8;
       c_next_reply = 0;
       c_seq2cid = Hashtbl.create 8;

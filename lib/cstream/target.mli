@@ -133,11 +133,13 @@ val break_conn : conn -> reason:string -> unit
     discarded. This is the paper's {e synchronous} break: calls already
     replied to are unaffected. *)
 
-val on_conn_close : conn -> (unit -> unit) -> unit
-(** Run a hook when this connection goes away for any reason (break
-    from either side, group close). The guardian layer uses this to
-    destroy orphaned handler executions. Fires immediately if the
-    connection is already gone. *)
+val conn_group : conn -> Sched.Scheduler.group
+(** The fiber group of this connection's orphanable executions: when
+    the connection goes away for any reason (break from either side,
+    group close) every live member is killed, newest first. A finished
+    fiber leaves the group by itself. The guardian layer spawns each
+    handler fiber of a group without dedup into it; a dedup group's
+    handlers must run to completion instead (see {!dedup}). *)
 
 val close : t -> unit
 (** Unregister the group and break every live connection. *)

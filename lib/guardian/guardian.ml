@@ -55,10 +55,18 @@ let run_handler t conn ~dedup ~offload ~reply (Reg (hs, impl)) ~args ~caller =
       reply (W.W_failure ("could not decode: " ^ reason));
       T.break_conn conn ~reason:"argument decode failure at receiver"
   | Ok arg ->
-      let fiber =
-        S.spawn t.g_sched
+      (* Orphan destruction: if the stream goes away while the handler
+         is still running, the connection's group kill destroys the
+         execution. With dedup on, the opposite is required: the
+         execution must run to completion so its outcome lands in the
+         target's cache, where the supervisor's resubmission of the
+         same call-id finds it instead of executing the handler a
+         second time. *)
+      let group = if dedup then None else Some (T.conn_group conn) in
+      ignore
+        (S.spawn t.g_sched
           ~name:(Printf.sprintf "%s#%s" t.g_name hs.Core.Sigs.hname)
-          ~daemon:true
+          ~daemon:true ?group
           (fun () ->
             let ctx = { caller; sched = t.g_sched; guardian = t } in
             let invoke () =
@@ -84,15 +92,7 @@ let run_handler t conn ~dedup ~offload ~reply (Reg (hs, impl)) ~args ~caller =
                 (* A crashed handler body is the call's error, not the
                    stream's: reply failure and keep the stream alive. *)
                 reply (W.W_failure ("handler crashed: " ^ Printexc.to_string e)))
-      in
-      (* Orphan destruction: if the stream goes away while the handler
-         is still running, destroy the execution. With dedup on, the
-         opposite is required: the execution must run to completion so
-         its outcome lands in the target's cache, where the supervisor's
-         resubmission of the same call-id finds it instead of executing
-         the handler a second time. *)
-      if not dedup then
-        T.on_conn_close conn (fun () -> if S.alive fiber then S.kill t.g_sched fiber)
+          : S.fiber)
 
 let dispatch t ports ~dedup ~offload conn ~seq:_ ~port ~kind:_ ~args ~reply =
   match Hashtbl.find_opt ports port with

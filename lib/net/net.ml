@@ -99,7 +99,7 @@ let send_cost cfg ~bytes_ = cfg.kernel_overhead +. (cfg.per_byte *. float_of_int
 
 let counter t name = Sim.Stats.counter t.net_stats name
 
-let deliver t ~src ~dst ~bytes_ msg sent_at =
+let deliver t ~src ~dst ~bytes_ msg =
   match find_node t dst with
   | Some n when n.is_crashed -> Sim.Stats.incr (counter t "msgs_dropped_crash")
   | None -> Sim.Stats.incr (counter t "msgs_dropped_no_receiver")
@@ -109,15 +109,11 @@ let deliver t ~src ~dst ~bytes_ msg sent_at =
       | Some f ->
           Sim.Stats.incr (counter t "msgs_delivered");
           Sim.Stats.add (counter t "bytes_delivered") bytes_;
-          Sim.Stats.observe
-            (Sim.Stats.summary t.net_stats "delivery_delay")
-            (S.now t.net_sched -. sent_at);
           f ~src msg)
 
 let send t ~src ~dst ~bytes_ msg =
   Sim.Stats.incr (counter t "msgs_sent");
   Sim.Stats.add (counter t "bytes_sent") bytes_;
-  Sim.Stats.observe (Sim.Stats.summary t.net_stats "msg_bytes") (float_of_int bytes_);
   if src.is_crashed then Sim.Stats.incr (counter t "msgs_dropped_crash")
   else if partitioned t src.addr dst then Sim.Stats.incr (counter t "msgs_dropped_partition")
   else if Sim.Rng.chance t.net_rng t.cfg.loss_rate then Sim.Stats.incr (counter t "msgs_lost")
@@ -144,7 +140,7 @@ let send t ~src ~dst ~bytes_ msg =
              loses it. *)
           if partitioned t src.addr dst then
             Sim.Stats.incr (counter t "msgs_dropped_partition")
-          else deliver t ~src:src.addr ~dst ~bytes_ msg sent_at)
+          else deliver t ~src:src.addr ~dst ~bytes_ msg)
     in
     schedule_delivery ();
     if Sim.Rng.chance t.net_rng t.cfg.duplicate_rate then begin

@@ -51,9 +51,7 @@ val sched : 'msg t -> Sched.Scheduler.t
 val stats : 'msg t -> Sim.Stats.t
 (** Counters maintained per network: [msgs_sent], [msgs_delivered],
     [msgs_lost], [msgs_duplicated], [msgs_dropped_crash],
-    [msgs_dropped_partition], [bytes_sent], [bytes_delivered];
-    summaries [delivery_delay] and [msg_bytes] (per-message wire
-    size, for packets-per-call style analyses). *)
+    [msgs_dropped_partition], [bytes_sent], [bytes_delivered]. *)
 
 val config : 'msg t -> config
 (** The network's current cost/fault knobs. The config is {e live}: the

@@ -88,7 +88,8 @@ module Registry = struct
        was cumulatively acked — no live stream can retransmit a
        reference to them — queued as preferred eviction victims, with
        [released] deduplicating marks. Lazy deletion: either queue may
-       hold keys that already left [done_] through the other. *)
+       hold keys that already left [done_] through the other; [record]
+       compacts [done_order] whenever it passes 2 x [cap]. *)
     releasable : (string * int) Queue.t;
     released : (string * int, unit) Hashtbl.t;
     mutable acked_evictions : int;
@@ -199,7 +200,17 @@ module Registry = struct
          only later dependents see it as evicted and fail fast. *)
       while t.done_count > t.cap || (t.byte_count > t.max_bytes && t.done_count > 0) do
         evict_one t
-      done
+      done;
+      (* Outcomes evicted through [releasable] leave their key behind in
+         [done_order]. Dropping every key no longer in [done_] keeps the
+         queue within 2 x [cap] at amortised O(1) per record, and leaves
+         the order of the live keys, hence eviction order, unchanged. *)
+      if Queue.length t.done_order - t.cap > t.cap then begin
+        let live = Queue.create () in
+        Queue.iter (fun k -> if Hashtbl.mem t.done_ k then Queue.push k live) t.done_order;
+        Queue.clear t.done_order;
+        Queue.transfer live t.done_order
+      end
     end;
     match Hashtbl.find_opt t.waiters key with
     | None -> ()

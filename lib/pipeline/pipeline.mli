@@ -52,7 +52,13 @@ val substitute :
     slot until it fires or is {!cancel}led — callers that abandon a
     parked call (a dead connection, a partially registered dependency
     set) must cancel, or abandoned entries leak slots until the table
-    refuses all comers. *)
+    refuses all comers.
+
+    The bookkeeping behind the eviction order is bounded too: the FIFO
+    of recorded keys drops the keys of evicted outcomes whenever it
+    grows past 2 x [cap], so its length follows the remembered
+    outcomes, not the number of records ever made (amortised O(1) per
+    record; eviction order unchanged). *)
 module Registry : sig
   type 'o t
 

@@ -1,28 +1,13 @@
 (* Counters are [Atomic.t] so offloaded handler bodies running on pool
    worker domains (docs/DOMAINS.md) can bump them concurrently with the
    simulator domain; on a single domain the atomic ops are equivalent
-   to the old plain mutations, so deterministic runs are unchanged.
-   Registration tables and summaries (which mutate several fields per
-   observation) are guarded by a per-registry / per-summary mutex —
-   uncontended in the pool-off case. *)
+   to plain mutations, so deterministic runs are unchanged. The
+   registration table is guarded by a per-registry mutex — uncontended
+   in the pool-off case. *)
 
 type counter = int Atomic.t
 
-type summary = {
-  s_m : Mutex.t;
-  mutable samples : float list;
-  mutable count : int;
-  mutable total : float;
-  mutable min_v : float;
-  mutable max_v : float;
-  mutable sorted_cache : float array option;
-}
-
-type t = {
-  t_m : Mutex.t;
-  counters_tbl : (string, counter) Hashtbl.t;
-  summaries_tbl : (string, summary) Hashtbl.t;
-}
+type t = { t_m : Mutex.t; counters_tbl : (string, counter) Hashtbl.t }
 
 let locked m f =
   Mutex.lock m;
@@ -34,12 +19,7 @@ let locked m f =
       Mutex.unlock m;
       raise e
 
-let create () =
-  {
-    t_m = Mutex.create ();
-    counters_tbl = Hashtbl.create 16;
-    summaries_tbl = Hashtbl.create 16;
-  }
+let create () = { t_m = Mutex.create (); counters_tbl = Hashtbl.create 16 }
 
 let counter t name =
   locked t.t_m (fun () ->
@@ -62,91 +42,18 @@ let peek t name =
       | Some c -> Atomic.get c
       | None -> 0)
 
-let fresh_summary () =
-  {
-    s_m = Mutex.create ();
-    samples = [];
-    count = 0;
-    total = 0.0;
-    min_v = infinity;
-    max_v = neg_infinity;
-    sorted_cache = None;
-  }
-
-let summary t name =
-  locked t.t_m (fun () ->
-      match Hashtbl.find_opt t.summaries_tbl name with
-      | Some s -> s
-      | None ->
-          let s = fresh_summary () in
-          Hashtbl.add t.summaries_tbl name s;
-          s)
-
-let observe s x =
-  locked s.s_m (fun () ->
-      s.samples <- x :: s.samples;
-      s.count <- s.count + 1;
-      s.total <- s.total +. x;
-      if x < s.min_v then s.min_v <- x;
-      if x > s.max_v then s.max_v <- x;
-      s.sorted_cache <- None)
-
-let n s = s.count
-
-let mean s = if s.count = 0 then nan else s.total /. float_of_int s.count
-
-let min_value s = if s.count = 0 then nan else s.min_v
-
-let max_value s = if s.count = 0 then nan else s.max_v
-
-let sorted s =
-  locked s.s_m (fun () ->
-      match s.sorted_cache with
-      | Some a -> a
-      | None ->
-          let a = Array.of_list s.samples in
-          Array.sort compare a;
-          s.sorted_cache <- Some a;
-          a)
-
-let quantile s q =
-  if s.count = 0 then nan
-  else begin
-    let a = sorted s in
-    let q = if q < 0.0 then 0.0 else if q > 1.0 then 1.0 else q in
-    let idx = int_of_float (ceil (q *. float_of_int (Array.length a))) - 1 in
-    let idx = if idx < 0 then 0 else idx in
-    a.(idx)
-  end
-
 let counters t =
   locked t.t_m (fun () ->
       Hashtbl.fold (fun name c acc -> (name, Atomic.get c) :: acc) t.counters_tbl [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let summaries t =
-  locked t.t_m (fun () ->
-      Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.summaries_tbl [])
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset t =
-  locked t.t_m (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c 0) t.counters_tbl;
-      Hashtbl.iter
-        (fun _ s ->
-          locked s.s_m (fun () ->
-              s.samples <- [];
-              s.count <- 0;
-              s.total <- 0.0;
-              s.min_v <- infinity;
-              s.max_v <- neg_infinity;
-              s.sorted_cache <- None))
-        t.summaries_tbl)
-
-let pp ppf t =
-  List.iter (fun (name, v) -> Format.fprintf ppf "%s = %d@." name v) (counters t);
-  List.iter
-    (fun (name, s) ->
-      Format.fprintf ppf "%s: n=%d mean=%.6g min=%.6g p50=%.6g p99=%.6g max=%.6g@." name
-        (n s) (mean s) (min_value s) (quantile s 0.5) (quantile s 0.99) (max_value s))
-    (summaries t)
+let quantile samples q =
+  let n = Array.length samples in
+  if n = 0 then nan
+  else begin
+    let a = Array.copy samples in
+    Array.sort compare a;
+    let q = if q < 0.0 then 0.0 else if q > 1.0 then 1.0 else q in
+    let idx = int_of_float (ceil (q *. float_of_int n)) - 1 in
+    a.(if idx < 0 then 0 else idx)
+  end

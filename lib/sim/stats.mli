@@ -1,24 +1,20 @@
-(** Counters and summary statistics collected during a simulation run.
+(** Counters collected during a simulation run.
 
-    Experiments report message counts, bytes on wire and latency
-    distributions; this module is the common sink for all of them.
+    Experiments report message counts and bytes on wire; this module is
+    the common sink for all of them. Nothing here retains per-event
+    data, so a registry's size does not grow with the length of a run.
 
-    Domain-safe (docs/DOMAINS.md): counters are atomic, registration
-    and summaries are mutex-guarded, so offloaded handler bodies on
-    pool worker domains may record concurrently with the simulator
-    domain. Single-domain runs behave exactly as before. *)
+    Domain-safe (docs/DOMAINS.md): counters are atomic and registration
+    is mutex-guarded, so offloaded handler bodies on pool worker domains
+    may record concurrently with the simulator domain. Single-domain
+    runs behave exactly as before. *)
 
 type counter
 (** Monotonic integer counter ([Atomic.t] underneath — safe to bump
     from any domain). *)
 
-type summary
-(** Streaming summary of float samples (count/mean/min/max plus the raw
-    samples for exact quantiles — simulations are small enough that
-    retaining samples is fine). *)
-
 type t
-(** A registry of named counters and summaries. *)
+(** A registry of named counters. *)
 
 val create : unit -> t
 
@@ -35,32 +31,10 @@ val peek : t -> string -> int
 (** [peek t name] reads the counter called [name] without creating it;
     0 when it was never registered. *)
 
-val summary : t -> string -> summary
-(** [summary t name] finds or creates the summary called [name]. *)
-
-val observe : summary -> float -> unit
-
-val n : summary -> int
-
-val mean : summary -> float
-(** Mean of the observed samples; [nan] when empty. *)
-
-val min_value : summary -> float
-
-val max_value : summary -> float
-
-val quantile : summary -> float -> float
-(** [quantile s q] with [q] in [\[0,1\]]; nearest-rank on the sorted
-    samples; [nan] when empty. *)
-
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
-val summaries : t -> (string * summary) list
-(** All summaries, sorted by name. *)
-
-val reset : t -> unit
-(** Zero every counter and drop every sample, keeping registrations. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable dump of the whole registry. *)
+val quantile : float array -> float -> float
+(** [quantile samples q] with [q] clamped to [\[0,1\]]: nearest rank on
+    the sorted samples; [nan] when [samples] is empty. [samples] is not
+    modified. *)

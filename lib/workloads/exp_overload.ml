@@ -254,19 +254,8 @@ let run_one ~mode ~(p : params) () =
           | None -> ())
       | _ -> ())
     (Sim.Span.events spans);
-  (if Sys.getenv_opt "E15_DEBUG" <> None then
-     let by_kind = Hashtbl.create 8 in
-     List.iter
-       (fun (e : Sim.Span.event) ->
-         let k = Sim.Span.kind_label e.Sim.Span.ev_kind in
-         Hashtbl.replace by_kind k (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind k)))
-       (Sim.Span.events spans);
-     Hashtbl.iter (Printf.eprintf "E15 debug: %s = %d\n%!") by_kind;
-     Printf.eprintf "E15 debug: pairs = %d, events = %d\n%!" (List.length !samples)
-       (List.length (Sim.Span.events spans)));
-  let lat = Sim.Stats.summary (S.stats sched) "e15_latency" in
-  List.iter (Sim.Stats.observe lat) !samples;
-  let q x = Sim.Stats.quantile lat x in
+  let samples = Array.of_list !samples in
+  let q x = Sim.Stats.quantile samples x in
   let stats = S.stats sched in
   {
     r_mode = (match mode with `Static -> "static" | `Adaptive -> "adaptive");

@@ -496,6 +496,37 @@ let test_unordered_group_via_guardian () =
   (* sequential would be >= 30 ms; concurrent is ~5 ms + transport *)
   check Alcotest.bool "six 5ms calls overlapped" true (!finished_at < 15e-3)
 
+let test_unordered_decode_failure_orphans_queue () =
+  (* An unordered lane dispatches without parking, so an argument that
+     fails to decode breaks the stream while later calls of the same
+     packet are still queued behind it. Those calls are orphans before
+     they start: none of them may run. *)
+  let w = make_world () in
+  G.register_group w.db ~group:"par" ~config:GC.(default |> with_ordered false) ();
+  let picky =
+    {
+      Xdr.int with
+      Xdr.decode =
+        (fun v ->
+          match Xdr.int.Xdr.decode v with Ok n when n < 0 -> Error "negative" | r -> r);
+    }
+  in
+  let job_sig = Core.Sigs.hsig0 "job" ~arg:picky ~res:Xdr.int in
+  let ran = ref [] in
+  G.register w.db ~group:"par" job_sig (fun _ n ->
+      ran := n :: !ran;
+      Ok n);
+  ignore
+    (S.spawn w.sched (fun () ->
+         let ag = agent w "c" in
+         let h = R.bind ag ~dst:(Net.address w.db_node) ~gid:"par" job_sig in
+         let ps = List.map (R.stream_call h) [ 1; -1; 2; 3 ] in
+         R.flush h;
+         List.iter (fun p -> ignore (P.claim p : (int, _) P.outcome)) ps));
+  run_ok w.sched;
+  check Alcotest.(list int) "no call behind the break ran" []
+    (List.filter (fun n -> n > 1) !ran)
+
 let test_agent_reuses_stream_and_restart_to () =
   let w = make_world () in
   let ag = agent w "c" in
@@ -793,6 +824,8 @@ let suite =
         Alcotest.test_case "guardian destroy breaks clients" `Quick
           test_guardian_destroy_breaks_clients;
         Alcotest.test_case "unordered group overlaps" `Quick test_unordered_group_via_guardian;
+        Alcotest.test_case "unordered decode failure orphans the queue" `Quick
+          test_unordered_decode_failure_orphans_queue;
         Alcotest.test_case "agent reuses stream; restart_to" `Quick
           test_agent_reuses_stream_and_restart_to;
         Alcotest.test_case "stream call statement form" `Quick test_stream_call_statement_form;

@@ -600,6 +600,34 @@ let test_registry_waiter_accounting () =
   check Alcotest.bool "other streams unaffected" false
     (Pipeline.Registry.evicted reg ~stream:"t" ~call:0)
 
+(* The registry's memory follows its budget, not its history: in
+   steady state every outcome is recorded, marked releasable when its
+   reply is acked (the ack path's order) and later evicted through the
+   releasable queue. Between 10 x cap and 20 x cap records the
+   registry may differ by at most one compaction cycle of its key FIFO:
+   cap + 1 stale keys of at most 8 words each (queue cell, key tuple).
+   Without compaction it would grow by 10 x cap such keys. *)
+let test_registry_memory_bounded () =
+  let cap = 64 in
+  let reg : int Pipeline.Registry.t = Pipeline.Registry.create ~cap () in
+  let next = ref 0 in
+  let record_upto n =
+    while !next < n do
+      Pipeline.Registry.record reg ~stream:"s" ~call:!next !next;
+      Pipeline.Registry.mark_releasable reg ~stream:"s" ~call:!next;
+      incr next
+    done
+  in
+  record_upto (10 * cap);
+  let words_10 = Obj.reachable_words (Obj.repr reg) in
+  record_upto (20 * cap);
+  let words_20 = Obj.reachable_words (Obj.repr reg) in
+  check Alcotest.int "outcomes stay at cap" cap (Pipeline.Registry.known reg);
+  let bound = 8 * (cap + 1) in
+  if words_20 - words_10 > bound then
+    Alcotest.failf "registry grew by %d words between %d and %d records (bound %d)"
+      (words_20 - words_10) (10 * cap) (20 * cap) bound
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -640,6 +668,8 @@ let () =
             test_parked_waiters_reclaimed_on_conn_break;
           Alcotest.test_case "registry waiter accounting" `Quick
             test_registry_waiter_accounting;
+          Alcotest.test_case "registry memory bounded by its cap" `Quick
+            test_registry_memory_bounded;
         ] );
       ( "supervision",
         [

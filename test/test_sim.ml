@@ -157,33 +157,16 @@ let test_stats_counters () =
   Sim.Stats.incr c';
   check Alcotest.int "same counter by name" 8 (Sim.Stats.count c)
 
-let test_stats_summary () =
-  let t = Sim.Stats.create () in
-  let s = Sim.Stats.summary t "lat" in
-  List.iter (Sim.Stats.observe s) [ 1.0; 2.0; 3.0; 4.0 ];
-  check Alcotest.int "n" 4 (Sim.Stats.n s);
-  check (Alcotest.float 1e-9) "mean" 2.5 (Sim.Stats.mean s);
-  check (Alcotest.float 1e-9) "min" 1.0 (Sim.Stats.min_value s);
-  check (Alcotest.float 1e-9) "max" 4.0 (Sim.Stats.max_value s);
-  check (Alcotest.float 1e-9) "median" 2.0 (Sim.Stats.quantile s 0.5);
-  check (Alcotest.float 1e-9) "q1.0" 4.0 (Sim.Stats.quantile s 1.0);
-  check (Alcotest.float 1e-9) "q0.0" 1.0 (Sim.Stats.quantile s 0.0)
+let test_stats_quantile () =
+  let samples = [| 3.0; 1.0; 4.0; 2.0 |] in
+  let q = Sim.Stats.quantile samples in
+  check (Alcotest.float 1e-9) "median" 2.0 (q 0.5);
+  check (Alcotest.float 1e-9) "q1.0" 4.0 (q 1.0);
+  check (Alcotest.float 1e-9) "q0.0" 1.0 (q 0.0);
+  check Alcotest.(array (float 0.0)) "samples untouched" [| 3.0; 1.0; 4.0; 2.0 |] samples
 
-let test_stats_empty_summary () =
-  let t = Sim.Stats.create () in
-  let s = Sim.Stats.summary t "nothing" in
-  check Alcotest.bool "mean nan" true (Float.is_nan (Sim.Stats.mean s));
-  check Alcotest.bool "quantile nan" true (Float.is_nan (Sim.Stats.quantile s 0.5))
-
-let test_stats_reset () =
-  let t = Sim.Stats.create () in
-  let c = Sim.Stats.counter t "c" in
-  let s = Sim.Stats.summary t "s" in
-  Sim.Stats.incr c;
-  Sim.Stats.observe s 1.0;
-  Sim.Stats.reset t;
-  check Alcotest.int "counter zeroed" 0 (Sim.Stats.count c);
-  check Alcotest.int "summary emptied" 0 (Sim.Stats.n s)
+let test_stats_empty_quantile () =
+  check Alcotest.bool "quantile nan" true (Float.is_nan (Sim.Stats.quantile [||] 0.5))
 
 let test_stats_listing () =
   let t = Sim.Stats.create () in
@@ -199,11 +182,8 @@ let prop_quantile_monotone =
   QCheck.Test.make ~name:"quantiles are monotone in q" ~count:200
     QCheck.(list_of_size (Gen.int_range 1 50) (float_bound_exclusive 100.0))
     (fun samples ->
-      let t = Sim.Stats.create () in
-      let s = Sim.Stats.summary t "x" in
-      List.iter (Sim.Stats.observe s) samples;
-      Sim.Stats.quantile s 0.25 <= Sim.Stats.quantile s 0.5
-      && Sim.Stats.quantile s 0.5 <= Sim.Stats.quantile s 0.9)
+      let q = Sim.Stats.quantile (Array.of_list samples) in
+      q 0.25 <= q 0.5 && q 0.5 <= q 0.9)
 
 let suite =
   [
@@ -232,9 +212,8 @@ let suite =
     ( "stats",
       [
         Alcotest.test_case "counters" `Quick test_stats_counters;
-        Alcotest.test_case "summary" `Quick test_stats_summary;
-        Alcotest.test_case "empty summary" `Quick test_stats_empty_summary;
-        Alcotest.test_case "reset" `Quick test_stats_reset;
+        Alcotest.test_case "quantile" `Quick test_stats_quantile;
+        Alcotest.test_case "empty quantile" `Quick test_stats_empty_quantile;
         Alcotest.test_case "listing sorted" `Quick test_stats_listing;
         QCheck_alcotest.to_alcotest prop_quantile_monotone;
       ] );
