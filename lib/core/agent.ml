@@ -26,6 +26,4 @@ let stream_to t ~dst ~gid =
       Hashtbl.replace t.streams (dst, gid) stream;
       stream
 
-let restart_to t ~dst ~gid = SE.restart (stream_to t ~dst ~gid)
-
 let flush_all t = Hashtbl.iter (fun _ stream -> SE.flush stream) t.streams

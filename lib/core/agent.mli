@@ -25,10 +25,8 @@ val hub : t -> Cstream.Chanhub.hub
 val stream_to : t -> dst:Net.address -> gid:string -> Cstream.Stream_end.t
 (** The agent's stream to that port group (opened on first use). If the
     previous incarnation broke it is {e not} restarted automatically
-    here; see {!restart_to}. *)
-
-val restart_to : t -> dst:Net.address -> gid:string -> unit
-(** Restart the agent's stream to that group (§2's restart). *)
+    here; restart it with {!Cstream.Stream_end.restart} (§2's
+    restart). *)
 
 val flush_all : t -> unit
 (** Flush every stream this agent has open. *)

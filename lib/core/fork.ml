@@ -18,8 +18,3 @@ let fork sched ?(name = "fork") ?group body =
          | Error e -> Promise.resolve p (Promise.Signal e))
       : S.fiber);
   p
-
-let fork_unit sched ?name ?group body =
-  fork sched ?name ?group (fun () ->
-      body ();
-      Ok ())

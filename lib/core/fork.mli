@@ -20,11 +20,3 @@ val fork :
 (** [fork sched body] starts [body] in a fresh fiber and returns the
     promise for its outcome. [group] attaches the new process to a
     termination group (used by coenter-style structures). *)
-
-val fork_unit :
-  Sched.Scheduler.t ->
-  ?name:string ->
-  ?group:Sched.Scheduler.group ->
-  (unit -> unit) ->
-  (unit, Sigs.nothing) Promise.t
-(** Convenience for bodies with no result and no declared signals. *)

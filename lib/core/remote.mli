@@ -64,10 +64,6 @@ type retry_policy = {
   retry_jitter : float;  (** +- fractional spread on each delay *)
 }
 
-val default_retry_policy : retry_policy
-(** 4 attempts, 5 ms base, doubling, 500 ms cap, 20% jitter. Used by
-    {!Call.with_retry}. *)
-
 (** {1 Promise pipelining}
 
     Calling on a not-yet-ready result (docs/PIPELINE.md): {!pipe}
@@ -161,8 +157,9 @@ module Call : sig
   val with_retry :
     ?policy:retry_policy -> ?deadline:float -> ('a, 'r, 'e) plan -> ('a, 'r, 'e) plan
   (** Retry [unavailable] outcomes — load sheds, broken streams — with
-      jittered exponential backoff ([policy], default
-      {!default_retry_policy}), up to [retry_attempts] total attempts.
+      jittered exponential backoff ([policy], default 4 attempts, 5 ms
+      base, doubling, 500 ms cap, 20% jitter), up to [retry_attempts]
+      total attempts.
       Each attempt is a {e fresh} call (fresh stable call-id): a shed
       call never executed, so this is retry, not crash-driven
       resubmission, and receiver-side at-most-once holds per attempt.

@@ -24,8 +24,6 @@ type 'e signal_codec = {
 type nothing = |
 (** Uninhabited: the ['e] of a handler with no [signals] clause. *)
 
-val no_signals : nothing signal_codec
-
 val signals :
   ('e -> (string * Xdr.value, string) result) ->
   (string * Xdr.value -> ('e, string) result) ->

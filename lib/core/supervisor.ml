@@ -3,10 +3,6 @@ module SE = Cstream.Stream_end
 
 type breaker_state = Closed | Open | Half_open
 
-let pp_breaker_state ppf s =
-  Format.pp_print_string ppf
-    (match s with Closed -> "closed" | Open -> "open" | Half_open -> "half-open")
-
 type config = {
   backoff_base : float;
   backoff_factor : float;
@@ -35,7 +31,6 @@ type t = {
   mutable attempts : int;  (* consecutive reincarnations with no reply seen *)
   mutable restarts_total : int;
   mutable stopped : bool;
-  mutable on_state : (breaker_state -> unit) option;
 }
 
 let stream t = t.sup_stream
@@ -44,15 +39,7 @@ let state t = t.state
 
 let restarts t = t.restarts_total
 
-let on_state_change t f = t.on_state <- Some f
-
 let counter t name = Sim.Stats.counter (S.stats t.sup_sched) name
-
-let set_state t s =
-  if t.state <> s then begin
-    t.state <- s;
-    match t.on_state with Some f -> f s | None -> ()
-  end
 
 let backoff_delay t =
   let raw = t.cfg.backoff_base *. (t.cfg.backoff_factor ** float_of_int (t.attempts - 1)) in
@@ -81,12 +68,12 @@ and handle_break t reason =
        have executed at most once at the receiver — and new calls fail
        fast until the next probe. *)
     Sim.Stats.incr (counter t "sup_opens");
-    set_state t Open;
+    t.state <- Open;
     SE.fail_pending t.sup_stream ~reason:("circuit open: " ^ reason);
     S.after t.sup_sched t.cfg.open_timeout (fun () ->
         if (not t.stopped) && t.state = Open then begin
           Sim.Stats.incr (counter t "sup_probes");
-          set_state t Half_open;
+          t.state <- Half_open;
           t.attempts <- t.cfg.retry_budget;  (* one strike on the probe re-opens *)
           do_restart t;
           arm t
@@ -114,7 +101,6 @@ let supervise ?(config = default_config) stream_ =
       attempts = 0;
       restarts_total = 0;
       stopped = false;
-      on_state = None;
     }
   in
   SE.set_preserve_on_break stream_ true;
@@ -124,7 +110,7 @@ let supervise ?(config = default_config) stream_ =
       t.attempts <- 0;
       if t.state <> Closed then begin
         Sim.Stats.incr (counter t "sup_closes");
-        set_state t Closed
+        t.state <- Closed
       end);
   arm t;
   t
@@ -139,5 +125,5 @@ let stop t =
     (match SE.broken t.sup_stream with
     | Some reason -> SE.fail_pending t.sup_stream ~reason:("stream broken: " ^ reason)
     | None -> ());
-    set_state t Closed
+    t.state <- Closed
   end

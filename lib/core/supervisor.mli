@@ -30,8 +30,6 @@ type t
 
 type breaker_state = Closed | Open | Half_open
 
-val pp_breaker_state : Format.formatter -> breaker_state -> unit
-
 type config = {
   backoff_base : float;  (** first retry delay, seconds *)
   backoff_factor : float;  (** multiplier per consecutive failure *)
@@ -49,17 +47,14 @@ val default_config : config
 (** [backoff_base = 10 ms], [factor = 2], [max = 2 s], [jitter = 0.2],
     [retry_budget = 8], [open_timeout = 5 s]. *)
 
-val supervise : ?config:config -> Cstream.Stream_end.t -> t
-(** Take over recovery for [stream]: puts it in preserve-on-break mode
-    and installs the break/progress hooks. At most one supervisor per
-    stream. While the supervisor is backing off (or open) the stream is
-    broken, so new calls fail immediately with [unavailable] — use
-    {!Promise.claim_timeout} on outstanding promises if claimants must
-    not wait out a long outage. *)
-
 val supervise_agent : ?config:config -> Agent.t -> dst:Net.address -> gid:string -> t
 (** Supervise the agent's stream to that port group (opening it if
-    needed). *)
+    needed): puts the stream in preserve-on-break mode and installs the
+    break/progress hooks. At most one supervisor per stream. While the
+    supervisor is backing off (or open) the stream is broken, so new
+    calls fail immediately with [unavailable] — use
+    {!Promise.claim_timeout} on outstanding promises if claimants must
+    not wait out a long outage. *)
 
 val stream : t -> Cstream.Stream_end.t
 
@@ -67,10 +62,6 @@ val state : t -> breaker_state
 
 val restarts : t -> int
 (** Reincarnations performed so far (backoff retries plus probes). *)
-
-val on_state_change : t -> (breaker_state -> unit) -> unit
-(** At most one hook (last registration wins); called on every breaker
-    transition. *)
 
 val stop : t -> unit
 (** Stop supervising: the stream returns to the paper's manual

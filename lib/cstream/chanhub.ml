@@ -341,27 +341,15 @@ let spans_on hub = Sim.Span.enabled (S.spans hub.h_sched)
 (* Causal tracing (docs/TRACING.md): every item that carries a trace id
    gets a span at each transport edge. Items without one — all of them,
    when tracing is off — cost a single branch here; call sites that
-   format a [note] test [spans_on] first, so they format nothing then. *)
-let span_items hub kind ?note items =
+   format a [note] test [spans_on] first, so they format nothing then.
+   [trace_of] projects the trace id: out of the item on the send path,
+   out of the slice (nothing materialised) on the receive path. *)
+let span_items hub kind ?note trace_of items =
   let spans = S.spans hub.h_sched in
   if Sim.Span.enabled spans then
     List.iter
       (fun item ->
-        match Wire.item_trace item with
-        | Some tid ->
-            Sim.Span.record spans ~time:(S.now hub.h_sched) ~kind ~trace:tid
-              ~node:hub.h_tr.Transport.addr ?note ()
-        | None -> ())
-      items
-
-(* Receive-path twin of [span_items]: the trace id is projected out of
-   the slice without materialising the item. *)
-let span_views hub kind ?note items =
-  let spans = S.spans hub.h_sched in
-  if Sim.Span.enabled spans then
-    List.iter
-      (fun vw ->
-        match Wire.item_trace_view vw with
+        match trace_of item with
         | Some tid ->
             Sim.Span.record spans ~time:(S.now hub.h_sched) ~kind ~trace:tid
               ~node:hub.h_tr.Transport.addr ?note ()
@@ -539,7 +527,7 @@ let rec arm_retransmit o =
                if spans_on o.o_hub then
                  span_items o.o_hub Sim.Span.Retransmit
                    ~note:(Printf.sprintf "try %d -> n%d" o.o_retries o.o_dst)
-                   items;
+                   Wire.item_trace items;
                arm_retransmit o
              end))
 
@@ -553,7 +541,8 @@ let flush_out o =
     let acks = take_piggyback o.o_hub ~dst:o.o_dst in
     transmit o.o_hub ~dst:o.o_dst (data_packet o ~first_seq ~acks ~items);
     if spans_on o.o_hub then
-      span_items o.o_hub Sim.Span.Transmit ~note:(Printf.sprintf "-> n%d" o.o_dst) items;
+      span_items o.o_hub Sim.Span.Transmit ~note:(Printf.sprintf "-> n%d" o.o_dst) Wire.item_trace
+        items;
     arm_retransmit o
   end
 
@@ -628,7 +617,7 @@ let handle_ack o ~upto ~pressure =
       if spans then freed_items := e.e_item :: !freed_items;
       if e.e_retx then freed_retx := true else rtt_sample := now -. e.e_sent_at
     done;
-    if spans then span_items o.o_hub Sim.Span.Ack (List.rev !freed_items);
+    if spans then span_items o.o_hub Sim.Span.Ack Wire.item_trace (List.rev !freed_items);
     o.o_inflight_bytes <- o.o_inflight_bytes - !freed;
     o.o_retries <- 0;
     (* AIMD step. The RTT sample comes from the newest freed item that
@@ -724,7 +713,8 @@ let handle_data hub ~src ~idx ~first_seq ~opening ~items =
             if fresh <> [] then begin
               i.i_expected <- i.i_expected + List.length fresh;
               if spans_on hub then
-                span_views hub Sim.Span.Deliver ~note:(Printf.sprintf "from n%d" src) fresh;
+                span_items hub Sim.Span.Deliver ~note:(Printf.sprintf "from n%d" src)
+                  Wire.item_trace_view fresh;
               (match i.i_deliver with Some f -> f (first_seq + skip) fresh | None -> ())
             end;
             post_ack hub ~dst:src ~idx ~upto:(i.i_expected - 1) ~pressure:(probe_pressure i)
@@ -951,11 +941,20 @@ let handoff_listen hub =
 
 let handoff_expect hub ~stream ~call k =
   match Hashtbl.find_opt hub.h_ho_early (stream, call) with
-  | Some ov -> k ov
+  | Some ov ->
+      k ov;
+      ignore
   | None ->
       let key = (stream, call) in
       let existing = Option.value ~default:[] (Hashtbl.find_opt hub.h_ho_expect key) in
-      Hashtbl.replace hub.h_ho_expect key (k :: existing)
+      Hashtbl.replace hub.h_ho_expect key (k :: existing);
+      fun () ->
+        match Hashtbl.find_opt hub.h_ho_expect key with
+        | None -> ()
+        | Some ks -> (
+            match List.filter (fun k' -> k' != k) ks with
+            | [] -> Hashtbl.remove hub.h_ho_expect key
+            | ks' -> Hashtbl.replace hub.h_ho_expect key ks')
 
 let handoff_push hub ~dst ~stream ~call ov =
   Sim.Stats.incr (hub_counter hub "handoff_forwards");

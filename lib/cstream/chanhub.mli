@@ -352,10 +352,12 @@ val handoff_push : hub -> dst:Net.address -> stream:string -> call:int -> Xdr.va
     call)] to the hub at [dst], dialling the push channel if needed. A
     push to this hub's own address is delivered locally. *)
 
-val handoff_expect : hub -> stream:string -> call:int -> (Xdr.value -> unit) -> unit
+val handoff_expect : hub -> stream:string -> call:int -> (Xdr.value -> unit) -> unit -> unit
 (** Register interest in a pushed outcome: the callback fires with the
     encoded outcome as soon as it is available — immediately, when a
-    push already arrived. *)
+    push already arrived. The result withdraws the interest (a no-op
+    once the callback fired); a push that arrives after that is
+    buffered like any early push. *)
 
 (** {1 Transport access} *)
 

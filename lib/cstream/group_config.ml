@@ -27,8 +27,6 @@ let with_ordered ordered t = { t with ordered }
 
 let with_dedup ?(cache = 1024) t = { t with dedup = true; dedup_cache = cache }
 
-let without_dedup t = { t with dedup = false }
-
 let with_shards shards t =
   if shards <= 0 then invalid_arg "Group_config.with_shards: shards must be positive";
   { t with shards }

@@ -64,8 +64,6 @@ val with_dedup : ?cache:int -> t -> t
 (** Enable the cross-incarnation outcome cache ([cache] defaults to
     1024 retained outcomes). *)
 
-val without_dedup : t -> t
-
 val with_shards : int -> t -> t
 (** Set the lane count (raises [Invalid_argument] on [<= 0]). Calls are
     partitioned by the hash of their first argument. *)

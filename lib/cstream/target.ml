@@ -252,18 +252,14 @@ let remember t id outcome =
    with the corresponding abnormal outcome and [k] never runs. *)
 let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
   let t = c.c_target in
-  if not (args_have_refs args) then (
-    (* The hot path: nothing before the handler needed the decoded
-       structure, so it is forced only now, immediately before
-       dispatch — and on this (scheduler) domain, never a worker's. *)
-    match force_args t args with
-    | Ok v -> k v
-    | Error reason -> reply (Wire.W_failure ("malformed call arguments: " ^ reason)))
-  else
-    (* Enumerating and substituting refs needs the full value. *)
-    match force_args t args with
-    | Error reason -> reply (Wire.W_failure ("malformed call arguments: " ^ reason))
-    | Ok args ->
+  (* Nothing before the handler needed the decoded structure, so it is
+     forced only now, immediately before dispatch — and on this
+     (scheduler) domain, never a worker's. Whether refs are present is
+     asked of the lazy args, so the hot path walks no tree. *)
+  match force_args t args with
+  | Error reason -> reply (Wire.W_failure ("malformed call arguments: " ^ reason))
+  | Ok v when not (args_have_refs args) -> k v
+  | Ok args ->
     begin
     let fail reason =
       Sim.Stats.incr (counter t "ref_failures");
@@ -277,20 +273,25 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
            a handoff annotation names an outcome another node owns and
            will push to this hub. Mark such keys foreign — waiters may
            park on them — and arrange for the pushed outcome to land in
-           the registry, firing those waiters. Re-registration after a
-           resubmit is harmless: [record] is idempotent. *)
+           the registry, firing those waiters. A push that already
+           arrived lands at once. A key already marked keeps its one
+           expectation: [record] is idempotent, so a resubmit needs no
+           second. *)
         List.iter
           (fun (h : Wire.handoff) ->
-            if Pipeline.Registry.find reg ~stream:h.Wire.ho_stream ~call:h.Wire.ho_call = None
+            let stream = h.Wire.ho_stream and call = h.Wire.ho_call in
+            if
+              Pipeline.Registry.find reg ~stream ~call = None
+              && not (Pipeline.Registry.is_foreign reg ~stream ~call)
             then begin
-              Pipeline.Registry.mark_foreign reg ~stream:h.Wire.ho_stream ~call:h.Wire.ho_call;
-              Chanhub.handoff_expect t.hub ~stream:h.Wire.ho_stream ~call:h.Wire.ho_call
-                (fun ov ->
-                  match Wire.outcome_of_value ov with
-                  | Ok o ->
-                      Pipeline.Registry.record reg ~stream:h.Wire.ho_stream
-                        ~call:h.Wire.ho_call o
-                  | Error _ -> ())
+              let release =
+                Chanhub.handoff_expect t.hub ~stream ~call (fun ov ->
+                    match Wire.outcome_of_value ov with
+                    | Ok o -> Pipeline.Registry.record reg ~stream ~call o
+                    | Error _ -> ())
+              in
+              if Pipeline.Registry.find reg ~stream ~call = None then
+                Pipeline.Registry.mark_foreign reg ~stream ~call ~release
             end)
           handoffs;
         if handoffs <> [] && traced t trace then
@@ -310,7 +311,7 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
           Pipeline.Registry.is_foreign reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call
           || Pipeline.Registry.find reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call <> None
         in
-        if
+        (if
           List.exists
             (fun (r : Xdr.promise_ref) ->
               (not (foreign r))
@@ -433,7 +434,16 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
                     ();
                 if not t.t_dedup then Hashtbl.replace c.c_parked cid registered
           end
-        end
+        end);
+        (* A foreign mark and its hub expectation live only while a call
+           is parked on the key; the parked call's cancellation drops
+           them too. Otherwise a peer's annotations on calls that never
+           park, or whose connection dies, would grow both tables
+           without limit. *)
+        List.iter
+          (fun (h : Wire.handoff) ->
+            Pipeline.Registry.release_idle reg ~stream:h.Wire.ho_stream ~call:h.Wire.ho_call)
+          handoffs
   end
 
 (* Reserved ports of the third-party handoff protocol

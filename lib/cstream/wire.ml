@@ -6,12 +6,6 @@ type routcome =
   | W_unavailable of string
   | W_failure of string
 
-let pp_routcome ppf = function
-  | W_normal v -> Format.fprintf ppf "normal(%a)" Xdr.pp_value v
-  | W_signal (name, v) -> Format.fprintf ppf "signal %s(%a)" name Xdr.pp_value v
-  | W_unavailable reason -> Format.fprintf ppf "unavailable(%s)" reason
-  | W_failure reason -> Format.fprintf ppf "failure(%s)" reason
-
 (* The incarnation-independent identity of a sending stream, as both
    ends compute it: the reply-channel label minus its trailing
    incarnation number, qualified by the sender's address. Promise

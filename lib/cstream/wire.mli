@@ -21,8 +21,6 @@ type routcome =
   | W_unavailable of string
   | W_failure of string
 
-val pp_routcome : Format.formatter -> routcome -> unit
-
 val stable_stream_id : src:Net.address -> reply_label:string -> string
 (** The incarnation-independent identity of a sending stream, derived
     from the sender's address and the reply-channel label (with its

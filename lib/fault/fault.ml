@@ -12,20 +12,6 @@ type step = { at : float; action : action }
 
 type scenario = step list
 
-let pp_action ppf = function
-  | Crash n -> Format.fprintf ppf "crash %s" n
-  | Recover n -> Format.fprintf ppf "recover %s" n
-  | Partition (a, b) -> Format.fprintf ppf "partition %s|%s" a b
-  | Heal (a, b) -> Format.fprintf ppf "heal %s|%s" a b
-  | Loss_burst { rate; duration } -> Format.fprintf ppf "loss-burst %.2f for %.3fs" rate duration
-  | Jitter_burst { jitter; duration } ->
-      Format.fprintf ppf "jitter-burst %.4fs for %.3fs" jitter duration
-
-let pp_step ppf { at; action } = Format.fprintf ppf "@[t=%.4f %a@]" at pp_action action
-
-let pp_scenario ppf steps =
-  Format.fprintf ppf "@[<v>%a@]" (Format.pp_print_list pp_step) steps
-
 (* The injector is monomorphic in the network's message type: it closes
    over the handful of Net operations it drives, so one [t] works for
    any ['msg Net.t]. *)

@@ -30,12 +30,6 @@ type step = { at : float; action : action }
 
 type scenario = step list
 
-val pp_action : Format.formatter -> action -> unit
-
-val pp_step : Format.formatter -> step -> unit
-
-val pp_scenario : Format.formatter -> scenario -> unit
-
 type t
 (** An injector bound to one network and its named nodes. *)
 

@@ -59,8 +59,6 @@ let rec touch v =
           touch inner)
   | Int _ | Real _ | Str _ | Bool _ | Nil | Cons _ | Err _ -> v
 
-let is_future = function Fut _ -> true | _ -> false
-
 (* Error values propagate through strict operations, discarding any
    information about which operand failed — the §3.3 criticism. *)
 let strict2 name f a b =
@@ -89,32 +87,7 @@ let sub a b = num_op "-" ( - ) ( -. ) a b
 
 let mul a b = num_op "*" ( * ) ( *. ) a b
 
-let lt a b =
-  strict2 "<"
-    (fun a b ->
-      match (a, b) with
-      | Int x, Int y -> Some (Bool (x < y))
-      | Real x, Real y -> Some (Bool (x < y))
-      | Int x, Real y -> Some (Bool (float_of_int x < y))
-      | Real x, Int y -> Some (Bool (x < float_of_int y))
-      | _ -> None)
-    a b
-
 let eq a b = strict2 "=" (fun a b -> Some (Bool (a = b))) a b
-
-let car v =
-  match touch v with
-  | Err _ as e -> e
-  | Cons (h, _) -> h
-  | _ -> Err "wrong type of argument to car"
-
-let cdr v =
-  match touch v with
-  | Err _ as e -> e
-  | Cons (_, t) -> t
-  | _ -> Err "wrong type of argument to cdr"
-
-let cons a b = Cons (a, b)
 
 let rec pp ppf = function
   | Int i -> Format.pp_print_int ppf i
@@ -126,8 +99,6 @@ let rec pp ppf = function
   | Fut { f_state = Resolved v; _ } -> Format.fprintf ppf "#<future %a>" pp v
   | Fut { f_state = Pending _; _ } -> Format.pp_print_string ppf "#<future pending>"
   | Err m -> Format.fprintf ppf "#<error %s>" m
-
-let dyn_of_int_list xs = List.fold_right (fun x acc -> Cons (Int x, acc)) xs Nil
 
 let rec sum_list v =
   match touch v with

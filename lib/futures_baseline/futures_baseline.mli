@@ -48,8 +48,6 @@ val touch : dyn -> dyn
     below touches its operands first — that is the per-access dynamic
     check promises eliminate. *)
 
-val is_future : dyn -> bool
-
 (** {1 Strict primitives (dynamic checks + error-value propagation)} *)
 
 val add : dyn -> dyn -> dyn
@@ -58,20 +56,9 @@ val sub : dyn -> dyn -> dyn
 
 val mul : dyn -> dyn -> dyn
 
-val lt : dyn -> dyn -> dyn
-
 val eq : dyn -> dyn -> dyn
 
-val car : dyn -> dyn
-
-val cdr : dyn -> dyn
-
-val cons : dyn -> dyn -> dyn
-(** Non-strict, like MultiLisp: does not touch its arguments. *)
-
 val pp : Format.formatter -> dyn -> unit
-
-val dyn_of_int_list : int list -> dyn
 
 val sum_list : dyn -> dyn
 (** Fold {!add} over a list value — the E7 workload. *)

@@ -9,8 +9,6 @@ let on_abort t f =
   | Running -> t.undo <- f :: t.undo
   | Committed | Aborted -> invalid_arg "Action.on_abort: action already finished"
 
-let committed t = t.state = Committed
-
 let abort t =
   t.state <- Aborted;
   let undo = t.undo in

@@ -24,6 +24,3 @@ val run : Sched.Scheduler.t -> (t -> 'r) -> 'r
 
 val on_abort : t -> (unit -> unit) -> unit
 (** Register a compensation to perform if this action aborts. *)
-
-val committed : t -> bool
-(** True once the action has committed (useful in tests). *)

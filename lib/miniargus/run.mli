@@ -8,8 +8,6 @@
 
 type error = { phase : [ `Lex | `Parse | `Type ]; message : string; line : int }
 
-val pp_error : Format.formatter -> error -> unit
-
 val error_to_string : error -> string
 
 val parse : string -> (Ast.program, error) result

@@ -25,8 +25,6 @@ and vec = { mutable items : t array; mutable len : int }
 
 (* --- growable arrays ------------------------------------------------ *)
 
-let vec_create () = { items = [||]; len = 0 }
-
 let vec_of_list l =
   let items = Array.of_list l in
   { items; len = Array.length items }

@@ -26,8 +26,6 @@ and vec = { mutable items : t array; mutable len : int }
 
 (** {1 Growable arrays (CLU array essentials)} *)
 
-val vec_create : unit -> vec
-
 val vec_of_list : t list -> vec
 
 val vec_get : vec -> int -> t option
@@ -36,8 +34,6 @@ val vec_set : vec -> int -> t -> bool
 (** [false] when the index is out of bounds. *)
 
 val vec_addh : vec -> t -> unit
-
-val vec_to_list : vec -> t list
 
 (** {1 Printing and equality} *)
 

@@ -60,8 +60,6 @@ let stats t = t.net_stats
 
 let config t = t.cfg
 
-let set_config t cfg = t.cfg <- cfg
-
 let update_config t f = t.cfg <- f t.cfg
 
 let add_node t ~name =
@@ -94,8 +92,6 @@ let crash _t node = node.is_crashed <- true
 let recover _t node = node.is_crashed <- false
 
 let crashed node = node.is_crashed
-
-let send_cost cfg ~bytes_ = cfg.kernel_overhead +. (cfg.per_byte *. float_of_int bytes_)
 
 let counter t name = Sim.Stats.counter t.net_stats name
 

@@ -58,8 +58,6 @@ val config : 'msg t -> config
     fault layer mutates it mid-run (loss and jitter bursts), and every
     send reads the values in force at send time. *)
 
-val set_config : 'msg t -> config -> unit
-
 val update_config : 'msg t -> (config -> config) -> unit
 (** [update_config t f] replaces the config with [f (config t)] —
     used by {!Fault} for loss/jitter bursts that later restore the
@@ -87,15 +85,7 @@ val send : 'msg t -> src:node -> dst:address -> bytes_:int -> 'msg -> unit
     destination's receiver after [2 * kernel_overhead + wire_latency +
     per_byte * bytes_ (+ jitter)], unless it is lost, a crash or
     partition intervenes, or either node is crashed now. [send] never
-    blocks; CPU costs are charged by the caller if desired (see
-    {!send_cost}). *)
-
-val send_cost : config -> bytes_:int -> float
-(** The sender-side cost of one message: [kernel_overhead + per_byte *
-    bytes_]. The stream layer charges this to whoever triggers the
-    transmission (the calling fiber for an RPC, the background flusher
-    for buffered stream calls) — that asymmetry is the amortisation
-    the paper describes. *)
+    blocks; CPU costs are charged by the caller if desired. *)
 
 (** {1 Failures} *)
 
@@ -111,5 +101,3 @@ val partition : 'msg t -> address -> address -> unit
 (** Block traffic in both directions between two nodes. *)
 
 val heal : 'msg t -> address -> address -> unit
-
-val partitioned : 'msg t -> address -> address -> bool

@@ -92,13 +92,13 @@ module Registry = struct
        compacts [done_order] whenever it passes 2 x [cap]. *)
     releasable : (string * int) Queue.t;
     released : (string * int, unit) Hashtbl.t;
-    mutable acked_evictions : int;
     (* Foreign-owned entries (docs/HANDOFF.md): the outcome will be
        produced on another node and pushed here over a third-party
        stream. Waiters may park on such keys even though no local
-       producer stream feeds them; the mark is cleared when the pushed
-       outcome is recorded. *)
-    foreign : (string * int, unit) Hashtbl.t;
+       producer stream feeds them. The mark is cleared when the pushed
+       outcome is recorded, or when no waiter is left on the key; its
+       value undoes whatever else the marker set up for the push. *)
+    foreign : (string * int, unit -> unit) Hashtbl.t;
   }
 
   let create ?(cap = 1024) ?(max_waiters = 4096) ?(max_bytes = max_int)
@@ -120,7 +120,6 @@ module Registry = struct
       scopes = Hashtbl.create 8;
       releasable = Queue.create ();
       released = Hashtbl.create 64;
-      acked_evictions = 0;
       foreign = Hashtbl.create 8;
     }
 
@@ -136,7 +135,7 @@ module Registry = struct
 
   let in_scope t name = Hashtbl.mem t.scopes name
 
-  let mark_foreign t ~stream ~call = Hashtbl.replace t.foreign (stream, call) ()
+  let mark_foreign t ~stream ~call ~release = Hashtbl.replace t.foreign (stream, call) release
 
   let is_foreign t ~stream ~call = Hashtbl.mem t.foreign (stream, call)
 
@@ -146,8 +145,6 @@ module Registry = struct
     match Hashtbl.find_opt t.evicted_hwm stream with
     | Some hwm -> call <= hwm
     | None -> false
-
-  let acked_evictions t = t.acked_evictions
 
   let mark_releasable t ~stream ~call =
     let key = (stream, call) in
@@ -165,11 +162,7 @@ module Registry = struct
     match Queue.take_opt t.releasable with
     | Some key ->
         Hashtbl.remove t.released key;
-        if Hashtbl.mem t.done_ key then begin
-          t.acked_evictions <- t.acked_evictions + 1;
-          key
-        end
-        else pop_victim t
+        if Hashtbl.mem t.done_ key then key else pop_victim t
     | None ->
         let key = Queue.pop t.done_order in
         if Hashtbl.mem t.done_ key then key else pop_victim t
@@ -236,6 +229,15 @@ module Registry = struct
           `Parked { w_key = key; w_id = id }
         end
 
+  let release_idle t ~stream ~call =
+    let key = (stream, call) in
+    if not (Hashtbl.mem t.waiters key) then
+      match Hashtbl.find_opt t.foreign key with
+      | Some release ->
+          Hashtbl.remove t.foreign key;
+          release ()
+      | None -> ()
+
   let cancel t w =
     match Hashtbl.find_opt t.waiters w.w_key with
     | None -> ()
@@ -243,7 +245,11 @@ module Registry = struct
         let ks' = List.filter (fun (id, _) -> id <> w.w_id) ks in
         if List.length ks' < List.length ks then begin
           t.waiter_count <- t.waiter_count - 1;
-          if ks' = [] then Hashtbl.remove t.waiters w.w_key
+          if ks' = [] then begin
+            Hashtbl.remove t.waiters w.w_key;
+            let stream, call = w.w_key in
+            release_idle t ~stream ~call
+          end
           else Hashtbl.replace t.waiters w.w_key ks'
         end
 end

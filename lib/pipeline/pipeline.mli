@@ -103,7 +103,8 @@ module Registry : sig
 
   val cancel : 'o t -> waiter -> unit
   (** Release a parked waiter's slot without firing it. A no-op if the
-      waiter already fired (or was cancelled before). *)
+      waiter already fired (or was cancelled before). Cancelling the
+      last waiter on a foreign key drops its mark ({!release_idle}). *)
 
   val mark_releasable : 'o t -> stream:string -> call:int -> unit
   (** Declare that no live stream can still reference (stream, call) —
@@ -112,10 +113,6 @@ module Registry : sig
       only runs when a budget ([cap] / [max_bytes]) is exceeded; acked
       outcomes are simply chosen before un-acked FIFO victims. A no-op
       for unknown keys. *)
-
-  val acked_evictions : 'o t -> int
-  (** How many evictions chose an acked ({!mark_releasable}) victim
-      rather than falling back to FIFO age. *)
 
   val evicted : 'o t -> stream:string -> call:int -> bool
   (** Whether (stream, call) is absent {e and} at or below the highest
@@ -136,12 +133,20 @@ module Registry : sig
       producers outside every declared scope can never resolve here and
       should be failed rather than parked. *)
 
-  val mark_foreign : 'o t -> stream:string -> call:int -> unit
+  val mark_foreign : 'o t -> stream:string -> call:int -> release:(unit -> unit) -> unit
   (** Declare (stream, call) {e foreign-owned} (docs/HANDOFF.md): its
       outcome will be produced on another node and pushed into this
       registry over a third-party stream, so waiters may park on it
       even though no local producer feeds the key. The mark is cleared
-      when the outcome is {!record}ed. *)
+      when the outcome is {!record}ed, or by {!release_idle}, which
+      also runs [release] (the caller's undo, e.g. withdrawing its
+      interest in the push). *)
+
+  val release_idle : 'o t -> stream:string -> call:int -> unit
+  (** Drop the foreign mark on (stream, call) and run its [release],
+      unless a waiter is parked on the key. A mark thus lives only as
+      long as some waiter needs it, so the marks are bounded by the
+      waiter table ([max_waiters]) whatever keys a peer names. *)
 
   val is_foreign : 'o t -> stream:string -> call:int -> bool
 

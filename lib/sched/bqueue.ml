@@ -51,13 +51,6 @@ let rec deq q =
       Scheduler.suspend q.sched (fun w -> Queue.push w q.takers);
       deq q
 
-let try_deq q =
-  match Queue.take_opt q.items with
-  | Some v ->
-      wake_next q.putters;
-      Some v
-  | None -> None
-
 let close q =
   if not q.closed then begin
     q.closed <- true;
@@ -72,7 +65,5 @@ let close q =
     drain q.takers;
     drain q.putters
   end
-
-let is_closed q = q.closed
 
 let length q = Queue.length q.items

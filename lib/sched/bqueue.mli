@@ -24,13 +24,8 @@ val deq : 'a t -> 'a
 (** Remove the oldest element; parks while the queue is empty. Raises
     {!Closed} when the queue is empty and closed. *)
 
-val try_deq : 'a t -> 'a option
-(** Non-blocking variant; [None] when empty. *)
-
 val close : 'a t -> unit
 (** No further [enq]; parked consumers beyond the remaining elements
     observe {!Closed}. Idempotent. *)
-
-val is_closed : 'a t -> bool
 
 val length : 'a t -> int

@@ -16,14 +16,6 @@ let rec lock m =
     lock m
   end
 
-let try_lock m =
-  if m.held then false
-  else begin
-    m.held <- true;
-    Scheduler.enter_critical m.sched;
-    true
-  end
-
 (* Wake parked fibers until one accepts delivery; each retries [lock]. *)
 let rec wake_next waiters =
   match Queue.take_opt waiters with
@@ -35,15 +27,5 @@ let unlock m =
   m.held <- false;
   wake_next m.waiters;
   Scheduler.exit_critical m.sched
-
-let with_lock m f =
-  lock m;
-  match f () with
-  | v ->
-      unlock m;
-      v
-  | exception e ->
-      unlock m;
-      raise e
 
 let locked m = m.held

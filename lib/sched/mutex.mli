@@ -18,9 +18,4 @@ val unlock : t -> unit
     the critical section raises {!Scheduler.Terminated} after the lock
     has been handed over. *)
 
-val try_lock : t -> bool
-
-val with_lock : t -> (unit -> 'a) -> 'a
-(** [with_lock m f] runs [f] under the lock, releasing on any exit. *)
-
 val locked : t -> bool

@@ -117,8 +117,6 @@ let spans t = t.sched_spans
 
 let current t = t.cur
 
-let fiber_id f = f.fid
-
 let fiber_name f = f.fname
 
 let fiber_result f = f.fresult
@@ -267,8 +265,6 @@ let wake_exn w e =
         t.run_q;
       true
 
-let waker_alive w = w.wcont <> None
-
 let kill _t fiber =
   match fiber.fstate with
   | Done -> ()
@@ -296,8 +292,6 @@ let after t dt f = at t (t.time +. dt) f
 let after_cancellable t dt f = at_cancellable t (t.time +. dt) f
 
 let cancel_timer tm = tm.ev_alive <- false
-
-let timer_alive tm = tm.ev_alive
 
 (* Pop any leading cancelled events so peek-based decisions (horizon
    waits, deadlock detection, completion) never key off a dead timer. *)
@@ -337,8 +331,6 @@ let critical t f =
 
 let wounded t = match t.cur with None -> false | Some f -> f.fkilled
 
-let in_critical t = match t.cur with None -> false | Some f -> f.fcritical > 0
-
 let live_fibers t =
   Hashtbl.fold (fun _ f acc -> if f.fdaemon then acc else f :: acc) t.live_tbl []
 
@@ -365,8 +357,6 @@ let hold_external t = t.external_held <- t.external_held + 1
 let release_external t =
   assert (t.external_held > 0);
   t.external_held <- t.external_held - 1
-
-let external_held t = t.external_held
 
 (* Pop every pending injected thunk (under the mutex), run them outside
    it. Returns whether anything ran. *)
@@ -522,8 +512,6 @@ module Group = struct
     g
 
   let add_spawn t g ?name ?on_exit body = spawn t ?name ~group:g ?on_exit body
-
-  let members g = g.gmembers
 
   let live_count g = List.length g.gmembers
 

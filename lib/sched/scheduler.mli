@@ -91,8 +91,6 @@ val kill : t -> fiber -> unit
     suspension point); otherwise the fiber is wounded and dies at its
     next termination point. Killing a finished fiber is a no-op. *)
 
-val fiber_id : fiber -> int
-
 val fiber_name : fiber -> string
 
 val fiber_result : fiber -> fiber_result option
@@ -118,8 +116,6 @@ val wake : 'a waker -> 'a -> bool
 val wake_exn : 'a waker -> exn -> bool
 (** Like {!wake} but the suspension point raises. *)
 
-val waker_alive : 'a waker -> bool
-
 val yield : t -> unit
 (** Reschedule the current fiber behind the rest of the run queue. *)
 
@@ -138,9 +134,6 @@ val after : t -> float -> (unit -> unit) -> unit
 type timer
 (** A handle to a scheduled event that can be cancelled. *)
 
-val at_cancellable : t -> float -> (unit -> unit) -> timer
-(** Like {!at}, returning a handle. *)
-
 val after_cancellable : t -> float -> (unit -> unit) -> timer
 (** Like {!after}, returning a handle. *)
 
@@ -151,9 +144,6 @@ val cancel_timer : timer -> unit
     longer holds the horizon — without this, an acked retransmit timer
     would make the scheduler wait out its full wall-clock delay before
     quiescing. *)
-
-val timer_alive : timer -> bool
-(** [false] once cancelled or fired. *)
 
 (** {1 External wakeups (worker domains)}
 
@@ -180,10 +170,6 @@ val hold_external : t -> unit
 val release_external : t -> unit
 (** Drop one hold; call from the injected completion thunk (hence on
     the scheduler domain). *)
-
-val external_held : t -> int
-(** Outstanding external holds; 0 whenever no pool is in use — and then
-    the run loop is exactly the deterministic single-domain loop. *)
 
 (** {1 Real-time driver (real transports)}
 
@@ -236,8 +222,6 @@ val wounded : t -> bool
     fiber is "greatly restricted" (§4.2): the stream layer refuses to
     start remote calls from it. *)
 
-val in_critical : t -> bool
-
 (** {1 Groups} *)
 
 module Group : sig
@@ -246,9 +230,6 @@ module Group : sig
   val add_spawn :
     t -> group -> ?name:string -> ?on_exit:(fiber_result -> unit) -> (unit -> unit) -> fiber
   (** Spawn a fiber as a member of the group. *)
-
-  val members : group -> fiber list
-  (** Live members. *)
 
   val live_count : group -> int
 

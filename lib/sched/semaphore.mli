@@ -9,9 +9,6 @@ type t
 val create : Scheduler.t -> int -> t
 (** [create sched permits] with [permits >= 0]. *)
 
-val acquire : t -> unit
-(** Take one permit, parking while none are available. FIFO. *)
-
 val release : t -> unit
 (** Return one permit. *)
 

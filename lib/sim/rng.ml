@@ -31,21 +31,6 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
 let chance t p =
   if p <= 0.0 then false else if p >= 1.0 then true else float t 1.0 < p
 
-let exponential t ~mean =
-  let u = float t 1.0 in
-  (* Guard against log 0. *)
-  let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u
-
-let shuffle t arr =
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
 let pick t arr =
   assert (Array.length arr > 0);
   arr.(int t (Array.length arr))

@@ -15,9 +15,6 @@ val split : t -> t
     advance deterministically. Used to give each subsystem its own
     stream so adding draws in one place does not perturb another. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
@@ -29,13 +26,6 @@ val bool : t -> bool
 
 val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p] (clamped to [\[0,1\]]). *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed draw with the given mean; used for
-    service-time and inter-arrival models. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

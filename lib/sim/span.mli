@@ -117,11 +117,6 @@ val clear : t -> unit
 
 val kind_label : kind -> string
 
-val kind_letter : kind -> char
-(** The one-character Gantt mark for this kind. *)
-
-val pp_event : Format.formatter -> event -> unit
-
 val timeline : t -> trace:int -> string
 (** The per-promise causal story: every event of one trace, oldest
     first, with inter-event deltas. *)

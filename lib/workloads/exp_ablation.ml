@@ -4,7 +4,7 @@ module R = Core.Remote
 module P = Core.Promise
 module G = Argus.Guardian
 
-let stream_cfg = { CH.default_config with CH.max_batch = 16; flush_interval = 1e-3 }
+let stream_cfg = Fixtures.chan_config (Stream 16)
 
 (* --- A1: receiver execution discipline ----------------------------- *)
 
@@ -92,7 +92,7 @@ let a2 ?(n = 200) () =
       ("size only (B=16)", { CH.default_config with CH.max_batch = 16; flush_interval = infinity });
       ("timer only (1 ms)", { CH.default_config with CH.max_batch = 100000; flush_interval = 1e-3 });
       ("timer only (5 ms)", { CH.default_config with CH.max_batch = 100000; flush_interval = 5e-3 });
-      ("size + timer (default)", { CH.default_config with CH.max_batch = 16; flush_interval = 1e-3 });
+      ("size + timer (default)", stream_cfg);
     ]
   in
   let rows =

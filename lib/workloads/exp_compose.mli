@@ -1,12 +1,5 @@
 (** Experiments E3 and E4: stream composition (§4 of the paper). *)
 
-val grades_fig31 : n:int -> svc:float -> produce_cost:float -> float * int
-(** The Figure 3-1 program (two sequential loops) on [n] students;
-    returns (completion time, lines printed). *)
-
-val grades_fig42 : n:int -> svc:float -> produce_cost:float -> float * int
-(** The Figure 4-2 program (coenter + promise queue). *)
-
 val e3 : ?svc:float -> ?produce_cost:float -> unit -> Table.t
 
 (** A client and three servers (reader / computer / writer) for the

@@ -178,11 +178,3 @@ let e16 ?n ?keys ?lanes ?service ?pool_sizes () =
          dups = 0) are asserted on every row: the offload moves only the handler body";
       ]
     (List.map render rows)
-
-(* The acceptance gate: domains at 4 vs domains at 1 on the same
-   workload. >= 2 on a >= 4-core machine; ~1 on fewer cores. *)
-let speedup_4v1 ?(n = 64) ?(service = 1e-3) () =
-  let rows = e16_rows ~n ~service ~pool_sizes:[ 1; 4 ] () in
-  match List.filter (fun r -> r.r_mode = "domains") rows with
-  | [ _; r4 ] -> r4.r_speedup
-  | _ -> assert false

@@ -44,7 +44,3 @@ val e16 :
   ?pool_sizes:int list ->
   unit ->
   Table.t
-
-val speedup_4v1 : ?n:int -> ?service:float -> unit -> float
-(** Domains-at-4 over domains-at-1 wall-clock — the acceptance gate
-    (>= 2 on a machine with >= 4 cores; ~1 below that). *)

@@ -21,10 +21,6 @@ type row = {
   r_dup_execs : int;  (** handler executions beyond the first, per key *)
 }
 
-val blob_bytes : int
-(** Payload size of the delegated blob (the quantity that crosses the
-    wire once under handoff and twice under proxying). *)
-
 val e19_rows : ?n:int -> ?n_break:int -> unit -> row list
 (** Raw rows, for tests and the benchmark harness. [n] timed
     delegations per clean leg (default 8, after one untimed warmup),

@@ -32,7 +32,7 @@ type row = {
 
 (* Batching stream config: calls issued back-to-back coalesce into one
    message, which is what lets a pipelined chain travel as one packet. *)
-let chain_config = { CH.default_config with CH.max_batch = 16; flush_interval = 1e-3 }
+let chain_config = Fixtures.chan_config (Stream 16)
 
 let run_mode ~depth ~mode () =
   let pair =

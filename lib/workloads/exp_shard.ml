@@ -143,10 +143,3 @@ let e14 ?n ?service ?cores ?shard_counts () =
          of the spread between most- and least-loaded lane";
       ]
     (List.map render rows)
-
-(* The acceptance gate: independent keys, 8 lanes vs 1 lane. *)
-let speedup_8v1 () =
-  let rows = series ~name:"independent keys" ~keys:240 ~shard_counts:[ 1; 8 ] ~cores:8 ~n:240 ~service:1e-3 () in
-  match rows with
-  | [ _; r8 ] -> r8.r_speedup
-  | _ -> assert false

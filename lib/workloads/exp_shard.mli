@@ -28,7 +28,3 @@ val e14_rows :
     1-shard row. *)
 
 val e14 : ?n:int -> ?service:float -> ?cores:int -> ?shard_counts:int list -> unit -> Table.t
-
-val speedup_8v1 : unit -> float
-(** Independent-key throughput at 8 shards over 1 shard — the
-    acceptance gate (must be >= 3). *)

@@ -14,16 +14,7 @@ module CH = Cstream.Chanhub
 module R = Core.Remote
 module P = Core.Promise
 
-type mode = Rpc | Stream of int | Send_mode of int
-
-let mode_name = function
-  | Rpc -> "RPC"
-  | Stream b -> Printf.sprintf "stream B=%d" b
-  | Send_mode b -> Printf.sprintf "send B=%d" b
-
-let chan_config = function
-  | Rpc -> CH.rpc_config
-  | Stream b | Send_mode b -> { CH.default_config with CH.max_batch = b; flush_interval = 1e-3 }
+open Fixtures
 
 (* One run: N calls of the given mode; returns (completion time, msgs,
    bytes). *)
@@ -45,7 +36,7 @@ let run_calls ~latency ~mode ~n ~service =
               | P.Normal _ -> ()
               | P.Signal _ | P.Unavailable _ | P.Failure _ -> failwith "rpc failed"
             done
-        | Stream _ ->
+        | Stream _ | Adaptive ->
             for i = 1 to n do
               ignore (R.stream_call h i : (int, Core.Sigs.nothing) P.t)
             done;

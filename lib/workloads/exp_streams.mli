@@ -1,16 +1,6 @@
 (** Experiments E1, E2, E9: the call-stream performance claims of §2
     (see DESIGN.md §4 and EXPERIMENTS.md). *)
 
-type mode = Rpc | Stream of int | Send_mode of int  (** batch size *)
-
-val mode_name : mode -> string
-
-val run_calls :
-  latency:float -> mode:mode -> n:int -> service:float -> float * int * int
-(** One measurement: [n] calls in the given mode over a network with
-    the given wire latency; returns (completion time, messages sent,
-    bytes sent). *)
-
 val e1 : ?n:int -> ?service:float -> unit -> Table.t
 (** Throughput of N calls: RPC vs stream calls across batch sizes and
     latencies. *)

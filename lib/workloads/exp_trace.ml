@@ -13,7 +13,7 @@ module G = Argus.Guardian
 (* Batching config matching E13: a pipelined chain coalesces into one
    message, so the timelines show one Transmit per packet, not per
    call. *)
-let chain_config = { CH.default_config with CH.max_batch = 16; flush_interval = 1e-3 }
+let chain_config = Fixtures.chan_config (Stream 16)
 
 (* E13's pipelined chain, traced: a root call plus [depth - 1]
    dependent calls, each referencing the previous not-yet-ready result

@@ -3,18 +3,13 @@
     per-promise timelines plus a per-stream gantt. Backing for the
     [experiments --trace] flag and the CI trace artifact. *)
 
-val render_pipelined : ?depth:int -> unit -> string
-(** A pipelined dependent-call chain (default depth 4, as E13): one
-    trace per link; the dump asserts the last link traversed every
-    pipelined edge (issue → … → park → substitute → execute → reply →
-    claim) and says so in the output. *)
-
-val render_resubmit : ?seed:int -> ?n:int -> ?horizon:float -> unit -> string
-(** A small chaos run ({!Exp_chaos.trace_story}): the timelines of the
-    calls that crossed a stream incarnation. *)
-
 val dump : ?depth:int -> ?seed:int -> ?n:int -> ?horizon:float -> unit -> string
-(** Both scenarios, concatenated. *)
+(** Two scenarios, concatenated. First a pipelined dependent-call chain
+    ([depth], default 4, as E13): one trace per link; the dump asserts
+    the last link traversed every pipelined edge (issue → … → park →
+    substitute → execute → reply → claim) and says so in the output.
+    Then a small chaos run ({!Exp_chaos.trace_story}): the timelines of
+    the calls that crossed a stream incarnation. *)
 
 val render_diff : ?depth:int -> unit -> string
 (** The {!Sim.Span.diff} tool demonstrated twice, backing

@@ -32,7 +32,7 @@ type row = {
 }
 
 (* Same shapes as E12 "stream B=16" / E13 "pipelined". *)
-let batch_config = { CH.default_config with CH.max_batch = 16; flush_interval = 1e-3 }
+let batch_config = Fixtures.chan_config (Stream 16)
 
 let group_config = Cstream.Group_config.(default |> with_reply_config batch_config)
 

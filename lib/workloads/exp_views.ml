@@ -54,7 +54,7 @@ let run_one ?(n = 400) ~mode () =
   G.register server ~group:"dict" work_sig (fun ctx (k, _i) ->
       if service > 0.0 then S.sleep ctx.G.sched service;
       Ok k);
-  let ccfg = { CH.default_config with CH.max_batch = 16; flush_interval = 1e-3 } in
+  let ccfg = Fixtures.chan_config (Stream 16) in
   let ok = ref 0 and unavail = ref 0 in
   let claim p =
     match P.claim p with

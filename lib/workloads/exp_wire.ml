@@ -11,18 +11,7 @@ module CH = Cstream.Chanhub
 module R = Core.Remote
 module P = Core.Promise
 
-type mode = Rpc | Stream of int | Send_mode of int | Adaptive
-
-let mode_name = function
-  | Rpc -> "RPC"
-  | Stream b -> Printf.sprintf "stream B=%d" b
-  | Send_mode b -> Printf.sprintf "send B=%d" b
-  | Adaptive -> "stream adaptive"
-
-let chan_config = function
-  | Rpc -> CH.rpc_config
-  | Stream b | Send_mode b -> { CH.default_config with CH.max_batch = b; flush_interval = 1e-3 }
-  | Adaptive -> CH.adaptive_config
+open Fixtures
 
 type row = {
   r_mode : string;

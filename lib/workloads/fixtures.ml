@@ -12,6 +12,19 @@ type pair = {
   server : G.t;
 }
 
+type mode = Rpc | Stream of int | Send_mode of int | Adaptive
+
+let mode_name = function
+  | Rpc -> "RPC"
+  | Stream b -> Printf.sprintf "stream B=%d" b
+  | Send_mode b -> Printf.sprintf "send B=%d" b
+  | Adaptive -> "stream adaptive"
+
+let chan_config = function
+  | Rpc -> CH.rpc_config
+  | Stream b | Send_mode b -> { CH.default_config with CH.max_batch = b; flush_interval = 1e-3 }
+  | Adaptive -> CH.adaptive_config
+
 let work_sig = Core.Sigs.hsig0 "work" ~arg:Xdr.int ~res:Xdr.int
 
 let make_pair ?(cfg = Net.default_config) ?(seed = 42) ?(service = 0.0) ?group_config

@@ -11,6 +11,20 @@ type pair = {
   server : Argus.Guardian.t;
 }
 
+(** How an experiment's client issues its calls: one RPC at a time,
+    stream calls or sends batched [b] to a packet, or stream calls
+    under Nagle-style adaptive flushing. *)
+type mode = Rpc | Stream of int | Send_mode of int | Adaptive
+
+val mode_name : mode -> string
+(** The mode's row label in the E-tables. *)
+
+val chan_config : mode -> Cstream.Chanhub.config
+(** The mode's stream config: {!Cstream.Chanhub.rpc_config}; a flush at
+    [b] items or after 1 ms; or {!Cstream.Chanhub.adaptive_config}.
+    [chan_config (Stream 16)] is the batching config every experiment's
+    stream calls use unless it measures batching itself. *)
+
 val work_sig : (int, int, Core.Sigs.nothing) Core.Sigs.hsig
 (** [work: port (int) returns (int)] — replies with its argument. *)
 
@@ -50,10 +64,6 @@ type grades_world = {
       (** busy intervals of the database handler (for timelines) *)
   g_print_busy : (float * float) list ref;
 }
-
-val record_grade_sig : (string * int, float, Core.Sigs.nothing) Core.Sigs.hsig
-
-val print_sig : (string, unit, Core.Sigs.nothing) Core.Sigs.hsig
 
 val make_grades_world :
   ?cfg:Net.config ->

@@ -215,24 +215,6 @@ let result ca cb =
         | v -> type_error "result" v);
   }
 
-let record2 name (f1, c1) (f2, c2) =
-  {
-    type_name = name;
-    encode =
-      (fun (a, b) ->
-        let* va = c1.encode a in
-        let* vb = c2.encode b in
-        Ok (Record [ (f1, va); (f2, vb) ]));
-    decode =
-      (fun v ->
-        match v with
-        | Record [ (g1, va); (g2, vb) ] when g1 = f1 && g2 = f2 ->
-            let* a = c1.decode va in
-            let* b = c2.decode vb in
-            Ok (a, b)
-        | v -> type_error (Printf.sprintf "record %s" name) v);
-  }
-
 let record3 name (f1, c1) (f2, c2) (f3, c3) =
   {
     type_name = name;
@@ -251,18 +233,6 @@ let record3 name (f1, c1) (f2, c2) (f3, c3) =
             let* c = c3.decode vc in
             Ok (a, b, c)
         | v -> type_error (Printf.sprintf "record %s" name) v);
-  }
-
-let tagged name to_tag of_tag =
-  {
-    type_name = name;
-    encode =
-      (fun x ->
-        let tag, payload = to_tag x in
-        Ok (Tagged (tag, payload)));
-    decode =
-      (fun v ->
-        match v with Tagged (tag, payload) -> of_tag (tag, payload) | v -> type_error name v);
   }
 
 let conv name f g c =
@@ -1015,8 +985,6 @@ module View = struct
     | Error _ as e -> e
     | Ok v -> ( match Bin.expect_end d with Ok () -> Ok v | Error m -> Error m)
 
-  let byte_length v = v.v_stop - v.v_start
-
   (* An immutable copy of the view's mutable surroundings: the intern
      table is snapshotted (its strings are immutable and safely shared),
      so the result can cross to a pool worker domain while the frame's
@@ -1062,16 +1030,6 @@ module View = struct
     let start = d.Bin.d_pos and tcount = d.Bin.d_count in
     Bin.skip_value_exn d 0;
     capture d start tcount
-
-  let pair_parts v =
-    Bin.wrap
-      (fun d ->
-        let t = Bin.u8 d in
-        if t <> Bin.t_pair then Bin.bad "expected pair, got tag 0x%02x" t;
-        let a = sub_exn d in
-        let b = sub_exn d in
-        (a, b))
-      (replay v)
 
   (* An element of a packed int list has no tag byte of its own, so its
      view is a fresh standalone [Int] encoding rather than a slice of
@@ -1143,24 +1101,6 @@ module View = struct
           end)
         (replay v)
 
-  let record_fields v =
-    Bin.wrap
-      (fun d ->
-        let t = Bin.u8 d in
-        if t <> Bin.t_record then Bin.bad "expected record, got tag 0x%02x" t;
-        let n = Bin.uvarint_exn d in
-        if n < 0 || n > Bin.remaining d then Bin.bad "record of %d fields overruns input" n;
-        let rec go k acc =
-          if k = 0 then List.rev acc
-          else begin
-            let name = Bin.string_exn d in
-            let fv = sub_exn d in
-            go (k - 1) ((name, fv) :: acc)
-          end
-        in
-        go n [])
-      (replay v)
-
   (* One-field projection: earlier fields are skipped, later fields
      never scanned. *)
   let record_field v name =
@@ -1182,16 +1122,6 @@ module View = struct
           end
         in
         go n)
-      (replay v)
-
-  let tagged_parts v =
-    Bin.wrap
-      (fun d ->
-        let t = Bin.u8 d in
-        if t <> Bin.t_tagged then Bin.bad "expected tagged, got tag 0x%02x" t;
-        let tag = Bin.string_exn d in
-        let inner = sub_exn d in
-        (tag, inner))
       (replay v)
 
   (* Cheap pre-filter: a promise reference can only exist where its tag

@@ -85,16 +85,9 @@ val option : 'a codec -> 'a option codec
 
 val result : 'a codec -> 'b codec -> ('a, 'b) Result.t codec
 
-val record2 : string -> (string * 'a codec) -> (string * 'b codec) -> ('a * 'b) codec
-(** [record2 name (f1, c1) (f2, c2)] encodes a two-field record with
-    named fields; decoding checks field names. *)
-
 val record3 :
   string -> (string * 'a codec) -> (string * 'b codec) -> (string * 'c codec) ->
   ('a * 'b * 'c) codec
-
-val tagged : string -> ('a -> string * value) -> (string * value -> ('a, string) result) -> 'a codec
-(** Build a codec for a variant type from explicit tag functions. *)
 
 val conv : string -> ('a -> 'b) -> ('b -> 'a) -> 'b codec -> 'a codec
 (** [conv name f g c] maps a codec through a bijection (total). *)
@@ -134,8 +127,6 @@ module Bin : sig
 
   type encoder
   (** A reusable encode buffer plus string-intern table. *)
-
-  val create_encoder : unit -> encoder
 
   val reset : encoder -> unit
   (** Clear buffer and intern table for reuse. *)
@@ -246,9 +237,6 @@ module View : sig
   val of_string : string -> (t, string) result
   (** View over a standalone encoding (trailing bytes are an error). *)
 
-  val byte_length : t -> int
-  (** Encoded size of the slice in bytes. *)
-
   val snapshot : t -> t
   (** A view safe to hand to another domain (docs/DOMAINS.md): the
       frame's mutable intern table is copied as it stands, so later
@@ -268,8 +256,6 @@ module View : sig
 
   val as_string : t -> (string, string) result
 
-  val pair_parts : t -> (t * t, string) result
-
   val list_items : t -> (t list, string) result
 
   val list_length : t -> (int, string) result
@@ -280,13 +266,9 @@ module View : sig
       structure, items after it never scanned. [Ok None] when the list
       is shorter than [i + 1]. *)
 
-  val record_fields : t -> ((string * t) list, string) result
-
   val record_field : t -> string -> (t option, string) result
   (** One-field projection: earlier fields are skipped by structure,
       later fields never scanned. [Ok None] when the field is absent. *)
-
-  val tagged_parts : t -> (string * t, string) result
 
   val has_prefs : t -> bool
   (** Whether the slice contains any {!Pref}. A byte-level pre-filter

@@ -433,10 +433,11 @@ let test_coenter_termination_respects_critical_sections () =
            Core.Coenter.coenter sched
              [
                (fun () ->
-                 Sched.Mutex.with_lock mutex (fun () ->
-                     S.sleep sched 5.0;
-                     (* kill arrives at t=1 but we hold the lock *)
-                     protected_completed := true));
+                 Sched.Mutex.lock mutex;
+                 S.sleep sched 5.0;
+                 (* kill arrives at t=1 but we hold the lock *)
+                 protected_completed := true;
+                 Sched.Mutex.unlock mutex);
                (fun () ->
                  S.sleep sched 1.0;
                  failwith "die");

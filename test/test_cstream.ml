@@ -10,6 +10,12 @@ module GC = Cstream.Group_config
 
 let check = Alcotest.check
 
+let pp_routcome ppf = function
+  | W.W_normal v -> Format.fprintf ppf "normal(%a)" Xdr.pp_value v
+  | W.W_signal (name, v) -> Format.fprintf ppf "signal %s(%a)" name Xdr.pp_value v
+  | W.W_unavailable reason -> Format.fprintf ppf "unavailable(%s)" reason
+  | W.W_failure reason -> Format.fprintf ppf "failure(%s)" reason
+
 type world = {
   sched : S.t;
   net : CH.frame Net.t;
@@ -432,7 +438,7 @@ let test_stream_call_reply () =
   run_ok w;
   match !got with
   | Some (W.W_normal (Xdr.Int 42)) -> ()
-  | Some o -> Alcotest.failf "unexpected outcome %a" W.pp_routcome o
+  | Some o -> Alcotest.failf "unexpected outcome %a" pp_routcome o
   | None -> Alcotest.fail "no reply"
 
 let test_stream_replies_in_call_order () =
@@ -515,7 +521,7 @@ let test_stream_signal_propagates () =
   run_ok w;
   match !got with
   | Some (W.W_signal ("e1", Xdr.Str "declared")) -> ()
-  | Some o -> Alcotest.failf "unexpected %a" W.pp_routcome o
+  | Some o -> Alcotest.failf "unexpected %a" pp_routcome o
   | None -> Alcotest.fail "no reply"
 
 let test_send_kind_gets_compact_ok () =
@@ -533,7 +539,7 @@ let test_send_kind_gets_compact_ok () =
   run_ok w;
   match !got with
   | Some (W.W_normal Xdr.Unit) -> () (* result value dropped for sends *)
-  | Some o -> Alcotest.failf "unexpected %a" W.pp_routcome o
+  | Some o -> Alcotest.failf "unexpected %a" pp_routcome o
   | None -> Alcotest.fail "no reply"
 
 let test_synch_ok_and_exception_reply () =
@@ -603,7 +609,7 @@ let test_crash_breaks_stream_unavailable () =
     (fun o ->
       match o with
       | W.W_unavailable _ -> ()
-      | o -> Alcotest.failf "expected unavailable, got %a" W.pp_routcome o)
+      | o -> Alcotest.failf "expected unavailable, got %a" pp_routcome o)
     !outcomes;
   check Alcotest.bool "stream broken" true (SE.broken stream <> None)
 
@@ -656,7 +662,7 @@ let test_restart_reincarnates () =
   run_ok w;
   match !got with
   | Some (W.W_normal (Xdr.Int 42)) -> ()
-  | Some o -> Alcotest.failf "unexpected %a" W.pp_routcome o
+  | Some o -> Alcotest.failf "unexpected %a" pp_routcome o
   | None -> Alcotest.fail "no reply after restart"
 
 let test_receiver_initiated_break () =
@@ -690,13 +696,13 @@ let test_receiver_initiated_break () =
   let find tag = List.assoc tag !outcomes in
   (match find "ok1" with
   | W.W_normal _ -> ()
-  | o -> Alcotest.failf "first call should succeed, got %a" W.pp_routcome o);
+  | o -> Alcotest.failf "first call should succeed, got %a" pp_routcome o);
   (match find "bad" with
   | W.W_failure reason -> check Alcotest.string "failure reason" "could not decode" reason
-  | o -> Alcotest.failf "poison should fail, got %a" W.pp_routcome o);
+  | o -> Alcotest.failf "poison should fail, got %a" pp_routcome o);
   (match find "after" with
   | W.W_unavailable _ -> ()
-  | o -> Alcotest.failf "call after break should be unavailable, got %a" W.pp_routcome o);
+  | o -> Alcotest.failf "call after break should be unavailable, got %a" pp_routcome o);
   check Alcotest.bool "stream broken at sender" true (SE.broken stream <> None)
 
 let test_stream_reliable_under_loss () =
@@ -766,7 +772,7 @@ let test_partition_breaks_then_restart_works () =
   run_ok w;
   match !got with
   | Some (W.W_normal (Xdr.Int 42)) -> ()
-  | Some o -> Alcotest.failf "unexpected %a" W.pp_routcome o
+  | Some o -> Alcotest.failf "unexpected %a" pp_routcome o
   | None -> Alcotest.fail "no reply after heal+restart"
 
 (* ------------------------------------------------------------------ *)
@@ -831,7 +837,7 @@ let test_restart_inflight_resolves_each_exactly_once () =
   Array.iter
     (function
       | Some (W.W_unavailable _) -> ()
-      | Some o -> Alcotest.failf "expected unavailable, got %a" W.pp_routcome o
+      | Some o -> Alcotest.failf "expected unavailable, got %a" pp_routcome o
       | None -> Alcotest.fail "call never resolved")
     outcomes
 

@@ -260,7 +260,7 @@ let test_malformed_push_counted () =
   let w = make_world () in
   let ov = Cstream.Wire.outcome_value (Cstream.Wire.W_normal (Xdr.Int 42)) in
   let got = ref None in
-  CH.handoff_expect w.c_hub ~stream:"s" ~call:7 (fun v -> got := Some v);
+  ignore (CH.handoff_expect w.c_hub ~stream:"s" ~call:7 (fun v -> got := Some v) : unit -> unit);
   let o = CH.connect w.a_hub ~dst:(Net.address w.c_node) ~label:"~handoff" ~meta:"" chan_cfg in
   List.iter
     (fun item -> ignore (CH.send o item : (unit, string) result))
@@ -278,7 +278,7 @@ let test_misshapen_record_push_counted () =
   let w = make_world () in
   let ov = Cstream.Wire.outcome_value (Cstream.Wire.W_normal (Xdr.Int 42)) in
   let got = ref None in
-  CH.handoff_expect w.c_hub ~stream:"s" ~call:7 (fun v -> got := Some v);
+  ignore (CH.handoff_expect w.c_hub ~stream:"s" ~call:7 (fun v -> got := Some v) : unit -> unit);
   let o = CH.connect w.a_hub ~dst:(Net.address w.c_node) ~label:"~handoff" ~meta:"" chan_cfg in
   List.iter
     (fun item -> ignore (CH.send o item : (unit, string) result))
@@ -292,6 +292,95 @@ let test_misshapen_record_push_counted () =
   check Alcotest.int "both misshapen pushes counted" 2 (peek w.sched "handoff_malformed_pushes");
   check Alcotest.bool "valid push delivered and claimed" true
     (Option.equal Xdr.equal_value !got (Some ov))
+
+(* ------------------------------------------------------------------ *)
+(* Handoff annotations are peer input: each marks its key foreign in the
+   receiver's registry and registers an expectation at its hub. Neither
+   may outlive the calls parked on the key, whatever keys a peer names
+   and whether or not anything is ever pushed for them. *)
+
+let ghost_ref i =
+  let stream = Printf.sprintf "n9/main/ghost.%d" i in
+  ( { Xdr.ps_stream = stream; ps_call = 0; ps_field = None },
+    { Cstream.Wire.ho_owner = 9; ho_stream = stream; ho_call = 0; ho_epoch = 0 } )
+
+let ghost_marks reg n =
+  List.length
+    (List.filter
+       (fun i ->
+         let r, _ = ghost_ref i in
+         Pipeline.Registry.is_foreign reg ~stream:r.Xdr.ps_stream ~call:0)
+       (List.init n (fun i -> i + 1)))
+
+(* Push an outcome for ghosts 1..n to the server, as their owner would;
+   returns how many outcomes the server's registry gained. *)
+let push_ghosts (p : Workloads.Fixtures.pair) n =
+  let reg = G.pipeline_registry p.server in
+  let before = Pipeline.Registry.known reg in
+  let ov = Cstream.Wire.outcome_value (Cstream.Wire.W_normal (Xdr.Int 7)) in
+  let o =
+    CH.connect p.client_hub ~dst:(Net.address p.server_node) ~label:"~handoff" ~meta:"" chan_cfg
+  in
+  for i = 1 to n do
+    let r, _ = ghost_ref i in
+    ignore
+      (CH.send o (Cstream.Wire.handoff_push_item ~stream:r.Xdr.ps_stream ~call:0 ov)
+        : (unit, string) result)
+  done;
+  CH.flush_out o;
+  run_ok p.sched;
+  Pipeline.Registry.known reg - before
+
+let test_restarts_release_expectations () =
+  let p = Workloads.Fixtures.make_pair () in
+  let reg = G.pipeline_registry p.server in
+  let n = 20 in
+  let ag = Core.Agent.create p.client_hub ~name:"ghosts" () in
+  let se = Core.Agent.stream_to ag ~dst:(Net.address p.server_node) ~gid:"main" in
+  ignore
+    (S.spawn p.sched (fun () ->
+         for i = 1 to n do
+           let r, ho = ghost_ref i in
+           ignore
+             (SE.call ~handoff:[ ho ] se ~port:"work" ~kind:Cstream.Wire.Call ~args:(Xdr.Pref r)
+                ~on_reply:ignore
+               : (int * int, string) result);
+           SE.flush se;
+           S.sleep p.sched 0.05;
+           SE.restart se
+         done)
+      : S.fiber);
+  run_ok p.sched;
+  check Alcotest.int "every parked ghost cancelled with its connection" 0
+    (Pipeline.Registry.waiting reg);
+  check Alcotest.int "no foreign mark left" 0 (ghost_marks reg n);
+  check Alcotest.int "late pushes find no expectation" 0 (push_ghosts p n)
+
+let test_unparked_annotation_released () =
+  let p = Workloads.Fixtures.make_pair () in
+  let reg = G.pipeline_registry p.server in
+  let ag = Core.Agent.create p.client_hub ~name:"ghosts" () in
+  let se = Core.Agent.stream_to ag ~dst:(Net.address p.server_node) ~gid:"main" in
+  let got = ref None in
+  ignore
+    (S.spawn p.sched (fun () ->
+         (* The call's own reference names a later call on its own
+            stream, so it fails at once and never parks; its annotation
+            names a ghost. *)
+         let own = { Xdr.ps_stream = SE.stable_id se; ps_call = 1000; ps_field = None } in
+         let _, ho = ghost_ref 1 in
+         ignore
+           (SE.call ~handoff:[ ho ] se ~port:"work" ~kind:Cstream.Wire.Call ~args:(Xdr.Pref own)
+              ~on_reply:(fun o -> got := Some o)
+             : (int * int, string) result);
+         SE.flush se)
+      : S.fiber);
+  run_ok p.sched;
+  (match !got with
+  | Some (Cstream.Wire.W_failure _) -> ()
+  | _ -> Alcotest.fail "the self-reference should fail the call");
+  check Alcotest.int "no foreign mark left" 0 (ghost_marks reg 1);
+  check Alcotest.int "a late push finds no expectation" 0 (push_ghosts p 1)
 
 (* ------------------------------------------------------------------ *)
 (* E19 invariants: the acceptance numbers behind the experiment table.
@@ -351,6 +440,10 @@ let () =
             test_malformed_push_counted;
           Alcotest.test_case "misshapen record pushes counted" `Quick
             test_misshapen_record_push_counted;
+          Alcotest.test_case "restarts release handoff expectations" `Quick
+            test_restarts_release_expectations;
+          Alcotest.test_case "unparked annotation leaves nothing" `Quick
+            test_unparked_annotation_released;
         ] );
       ( "experiment",
         [ Alcotest.test_case "E19 acceptance invariants" `Quick test_e19_invariants ] );

@@ -212,7 +212,13 @@ let test_shed_retry_success_exactly_once () =
   let total = 24 in
   let normals = ref 0 and unavails = ref 0 in
   let policy =
-    { R.default_retry_policy with R.retry_attempts = 8; retry_base = 8e-3 }
+    {
+      R.retry_attempts = 8;
+      retry_base = 8e-3;
+      retry_factor = 2.0;
+      retry_max_delay = 0.5;
+      retry_jitter = 0.2;
+    }
   in
   let burst_cfg = { CH.default_config with CH.max_batch = 32; flush_interval = 1e-3 } in
   ignore
@@ -256,7 +262,15 @@ let test_retransmit_racing_shed_accounting () =
   let cfg =
     { CH.aimd_config with CH.retransmit_timeout = 8e-3; max_retries = 50; max_batch = 32 }
   in
-  let policy = { R.default_retry_policy with R.retry_attempts = 10; retry_base = 10e-3 } in
+  let policy =
+    {
+      R.retry_attempts = 10;
+      retry_base = 10e-3;
+      retry_factor = 2.0;
+      retry_max_delay = 0.5;
+      retry_jitter = 0.2;
+    }
+  in
   let total = 24 in
   let normals = ref 0 and unavails = ref 0 and leftover = ref (-1) in
   ignore
@@ -352,12 +366,10 @@ let test_registry_prefers_acked_victims () =
     (Registry.find r ~stream:"s" ~call:2 = None);
   check Alcotest.bool "older un-acked outcome survives" true
     (Registry.find r ~stream:"s" ~call:0 <> None);
-  check Alcotest.int "eviction recorded as acked" 1 (Registry.acked_evictions r);
   (* No marked victims left: the next eviction falls back to FIFO age. *)
   Registry.record r ~stream:"s" ~call:5 5;
   check Alcotest.bool "fifo fallback evicts the oldest" true
     (Registry.find r ~stream:"s" ~call:0 = None);
-  check Alcotest.int "fallback not counted as acked" 1 (Registry.acked_evictions r);
   (* Marking an unknown or already-evicted key is a harmless no-op. *)
   Registry.mark_releasable r ~stream:"s" ~call:99;
   Registry.mark_releasable r ~stream:"s" ~call:2;

@@ -94,6 +94,30 @@ let test_chain_single_round_trip () =
   check Alcotest.int "nothing parked (ordered stream)" 0 (peek w.sched "parked_calls");
   check Alcotest.int "no ref failures" 0 (peek w.sched "ref_failures")
 
+(* Arguments are decoded once per call at the receiver, whether or not
+   they carry references: the ref test reads the lazy bytes, not a
+   decoded tree. *)
+
+let test_args_materialized_once () =
+  let w = make_world () in
+  G.register w.server ~group:"main" step_sig (fun _ n -> Ok (n + 1));
+  let got = ref None in
+  ignore
+    (S.spawn w.sched (fun () ->
+         let h = handle w ~agent:"c" ~gid:"main" step_sig in
+         let plain = List.init 3 (fun i -> R.stream_call h i) in
+         let p = ref (R.stream_call h 0) in
+         for _ = 1 to 3 do
+           p := R.Call.(submit (piped h (R.pipe !p)))
+         done;
+         R.flush h;
+         List.iter (fun q -> ignore (P.claim q : (int, _) P.outcome)) plain;
+         got := Some (P.claim !p)));
+  run_ok w.sched;
+  check Alcotest.bool "chain value" true (!got = Some (P.Normal 4));
+  check Alcotest.int "three calls carried refs" 3 (peek w.sched "ref_substitutions");
+  check Alcotest.int "one decode per call" 7 (peek w.sched "target_args_materialized")
+
 (* ------------------------------------------------------------------ *)
 (* Cross-stream, cross-group: the dependent call arrives (on its own
    stream, to another group of the same guardian) while the producer is
@@ -207,11 +231,11 @@ let test_dead_producer_short_circuits () =
 
 let make_sig =
   Core.Sigs.hsig0 "make" ~arg:Xdr.int
-    ~res:(Xdr.record2 "bounds" ("lo", Xdr.int) ("hi", Xdr.int))
+    ~res:(Xdr.record3 "bounds" ("lo", Xdr.int) ("hi", Xdr.int) ("step", Xdr.int))
 
 let test_field_selection () =
   let w = make_world () in
-  G.register w.server ~group:"main" make_sig (fun _ n -> Ok (n, n * 10));
+  G.register w.server ~group:"main" make_sig (fun _ n -> Ok (n, n * 10, 1));
   let step_saw = ref [] in
   G.register w.server ~group:"aux" step_sig (fun _ n ->
       step_saw := n :: !step_saw;
@@ -636,6 +660,7 @@ let () =
       ( "pipelining",
         [
           Alcotest.test_case "4-deep chain in ~1 RTT" `Quick test_chain_single_round_trip;
+          Alcotest.test_case "call arguments decoded once" `Quick test_args_materialized_once;
           Alcotest.test_case "cross-stream dependent parks then runs" `Quick
             test_cross_stream_parking;
           Alcotest.test_case "producer signal/failure propagate, dependent never runs" `Quick

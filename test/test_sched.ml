@@ -368,11 +368,12 @@ let test_mutex_exclusion () =
   let m = Sched.Mutex.create t in
   let inside = ref 0 and max_inside = ref 0 in
   let worker () =
-    Sched.Mutex.with_lock m (fun () ->
-        incr inside;
-        if !inside > !max_inside then max_inside := !inside;
-        S.sleep t 1.0;
-        decr inside)
+    Sched.Mutex.lock m;
+    incr inside;
+    if !inside > !max_inside then max_inside := !inside;
+    S.sleep t 1.0;
+    decr inside;
+    Sched.Mutex.unlock m
   in
   for _ = 1 to 4 do
     ignore (S.spawn t worker)
@@ -385,9 +386,10 @@ let test_mutex_fifo () =
   let m = Sched.Mutex.create t in
   let order = ref [] in
   let worker name =
-    Sched.Mutex.with_lock m (fun () ->
-        order := name :: !order;
-        S.sleep t 1.0)
+    Sched.Mutex.lock m;
+    order := name :: !order;
+    S.sleep t 1.0;
+    Sched.Mutex.unlock m
   in
   List.iter (fun n -> ignore (S.spawn t (fun () -> worker n))) [ "a"; "b"; "c" ];
   run_ok t;
@@ -435,15 +437,18 @@ let test_condition_signal () =
   let ready = ref false and seen = ref false in
   ignore
     (S.spawn t (fun () ->
-         Sched.Mutex.with_lock m (fun () ->
-             while not !ready do
-               Sched.Condition.wait c m
-             done;
-             seen := true)));
+         Sched.Mutex.lock m;
+         while not !ready do
+           Sched.Condition.wait c m
+         done;
+         seen := true;
+         Sched.Mutex.unlock m));
   ignore
     (S.spawn t (fun () ->
          S.sleep t 1.0;
-         Sched.Mutex.with_lock m (fun () -> ready := true);
+         Sched.Mutex.lock m;
+         ready := true;
+         Sched.Mutex.unlock m;
          Sched.Condition.signal c));
   run_ok t;
   check Alcotest.bool "woken after signal" true !seen
@@ -456,16 +461,19 @@ let test_condition_broadcast () =
   for _ = 1 to 3 do
     ignore
       (S.spawn t (fun () ->
-           Sched.Mutex.with_lock m (fun () ->
-               while not !ready do
-                 Sched.Condition.wait c m
-               done;
-               incr woken)))
+           Sched.Mutex.lock m;
+           while not !ready do
+             Sched.Condition.wait c m
+           done;
+           incr woken;
+           Sched.Mutex.unlock m))
   done;
   ignore
     (S.spawn t (fun () ->
          S.sleep t 1.0;
-         Sched.Mutex.with_lock m (fun () -> ready := true);
+         Sched.Mutex.lock m;
+         ready := true;
+         Sched.Mutex.unlock m;
          Sched.Condition.broadcast c));
   run_ok t;
   check Alcotest.int "all woken" 3 !woken

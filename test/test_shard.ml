@@ -302,7 +302,9 @@ let test_group_reregistration_conflicts () =
   expect_invalid "conflicting shards" (fun () ->
       G.register_group w.server ~group:"g" ~config:GC.(cfg |> with_shards 2) ());
   expect_invalid "conflicting dedup" (fun () ->
-      G.register_group w.server ~group:"g" ~config:GC.(cfg |> without_dedup) ());
+      G.register_group w.server ~group:"g"
+        ~config:GC.(default |> with_reply_config fast_chan_cfg |> with_shards 4)
+        ());
   expect_invalid "conflicting ordered" (fun () ->
       G.register_group w.server ~group:"g" ~config:GC.(cfg |> with_ordered false) ());
   expect_invalid "conflicting dedup_cache" (fun () ->

@@ -125,24 +125,6 @@ let test_rng_chance_rate () =
   let rate = float_of_int !hits /. float_of_int n in
   check Alcotest.bool "rate near 0.3" true (rate > 0.27 && rate < 0.33)
 
-let test_rng_exponential_mean () =
-  let r = Sim.Rng.create ~seed:13 in
-  let n = 20_000 in
-  let total = ref 0.0 in
-  for _ = 1 to n do
-    total := !total +. Sim.Rng.exponential r ~mean:2.0
-  done;
-  let mean = !total /. float_of_int n in
-  check Alcotest.bool "mean near 2.0" true (mean > 1.9 && mean < 2.1)
-
-let test_rng_shuffle_permutation () =
-  let r = Sim.Rng.create ~seed:14 in
-  let arr = Array.init 100 Fun.id in
-  Sim.Rng.shuffle r arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  check Alcotest.(array int) "still a permutation" (Array.init 100 Fun.id) sorted
-
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -204,8 +186,6 @@ let suite =
         Alcotest.test_case "split independence" `Quick test_rng_split_independence;
         Alcotest.test_case "chance extremes" `Quick test_rng_chance_extremes;
         Alcotest.test_case "chance rate" `Quick test_rng_chance_rate;
-        Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
-        Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
         QCheck_alcotest.to_alcotest prop_rng_int_bounds;
         QCheck_alcotest.to_alcotest prop_rng_float_bounds;
       ] );

@@ -254,7 +254,7 @@ let test_parked_pipelined_call_spans () =
    is what `experiments --trace` prints. *)
 
 let test_trace_dump_covers_every_edge () =
-  let out = Workloads.Exp_trace.render_pipelined () in
+  let out = Workloads.Exp_trace.dump () in
   check Alcotest.bool "dump confirms every pipelined edge" true
     (contains ~affix:"traversed every pipelined edge" out);
   check Alcotest.bool "no missing-edge warning" false
