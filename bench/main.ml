@@ -531,9 +531,8 @@ let run_pipeline () =
 
 (* --- shard bench + BENCH_shard.json --------------------------------- *)
 
-(* The receiver-side costs of sharded dispatch (docs/SHARDING.md): the
-   partition hash every arriving call pays, and the byte-sized registry
-   record path that sharded groups share. The scaling story itself is
+(* The receiver-side cost of sharded dispatch (docs/SHARDING.md): the
+   partition hash every arriving call pays. The scaling story itself is
    E14 (simulated time, deterministic); its rows ride along in the JSON
    so the perf trajectory of the tentpole is machine-readable. *)
 
@@ -554,26 +553,12 @@ let large_call_args =
 let bench_shard_key v =
   Staged.stage (fun () -> T.default_shard_key v)
 
-let bench_registry_record_sized () =
-  let reg : W.routcome Pipeline.Registry.t =
-    Pipeline.Registry.create ~cap:1024 ~max_bytes:(1 lsl 20)
-      ~bytes_of:(fun o -> Xdr.Bin.size (W.outcome_value o))
-      ()
-  in
-  let outcome = W.W_normal large_call_args in
-  let next = ref 0 in
-  Staged.stage (fun () ->
-      incr next;
-      Pipeline.Registry.record reg ~stream:"bench" ~call:!next outcome;
-      Pipeline.Registry.find reg ~stream:"bench" ~call:!next)
-
 let shard_tests =
   Test.make_grouped ~name:"shard"
     [
       Test.make ~name:"shard key (int pair)" (bench_shard_key small_call_args);
       Test.make ~name:"shard key (string key, record payload)"
         (bench_shard_key large_call_args);
-      Test.make ~name:"registry record+find (byte-sized)" (bench_registry_record_sized ());
     ]
 
 let e14_json (r : Workloads.Exp_shard.row) =
@@ -600,8 +585,8 @@ let run_shard () =
     ~header:[ "subject"; "time/op" ]
     ~notes:
       [
-        "per-call cost of the partition hash plus the byte-sized registry record path \
-         (docs/SHARDING.md); results + E14 scaling figures written to BENCH_shard.json";
+        "per-call cost of the partition hash (docs/SHARDING.md); results + E14 scaling \
+         figures written to BENCH_shard.json";
       ]
     table_rows
 

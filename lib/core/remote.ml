@@ -305,7 +305,7 @@ module Call = struct
     let push w =
       if not !pushed then begin
         pushed := true;
-        CH.handoff_push hub ~dst:owner ~stream ~call (W.outcome_value w)
+        CH.handoff_push hub ~dst:owner ~stream ~call w
       end
     in
     (* If the producer's stream dies, nobody else can tell the owner —

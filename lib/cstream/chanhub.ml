@@ -274,22 +274,23 @@ and hub = {
   h_dead : (Net.address * int, string) Hashtbl.t;
   h_pending : (Net.address, pending_acks) Hashtbl.t;
   mutable h_next_idx : int;
+  h_outcomes : Wire.routcome Pipeline.Registry.t;
+      (* the node's outcome registry (docs/PIPELINE.md): every port
+         group on the node records into it and parks on it, and pushed
+         outcomes land in it *)
   (* Third-party handoff state (docs/HANDOFF.md): outcome pushes travel
      on dedicated "~handoff"-labelled channels, one per destination
-     peer, opened lazily. Pushes that arrive before anyone expects them
-     wait in a bounded early buffer (they double as the dedup record
-     for replayed pushes). *)
+     peer, opened lazily. *)
   mutable h_ho_epoch : int;
   h_ho_pushes : (Net.address, out_chan) Hashtbl.t;
-  h_ho_expect : (string * int, (Xdr.value -> unit) list) Hashtbl.t;
-  h_ho_early : (string * int, Xdr.value) Hashtbl.t;
-  h_ho_order : (string * int) Queue.t;
   mutable h_ho_listening : bool;
 }
 
 let hub_addr h = h.h_tr.Transport.addr
 
 let hub_sched h = h.h_sched
+
+let outcomes h = h.h_outcomes
 
 let out_key o = o.o_key
 
@@ -826,11 +827,9 @@ let create_hub_on ?(ack_delay = 0.0) tr =
       h_dead = Hashtbl.create 16;
       h_pending = Hashtbl.create 4;
       h_next_idx = 0;
+      h_outcomes = Pipeline.Registry.create ();
       h_ho_epoch = 0;
       h_ho_pushes = Hashtbl.create 4;
-      h_ho_expect = Hashtbl.create 16;
-      h_ho_early = Hashtbl.create 16;
-      h_ho_order = Queue.create ();
       h_ho_listening = false;
     }
   in
@@ -894,11 +893,6 @@ let hub_recv_overhead h = h.h_tr.Transport.recv_overhead ()
 
 (* --- third-party handoff (docs/HANDOFF.md) ------------------------ *)
 
-(* How many unclaimed early pushes a hub keeps. Entries also serve as
-   the push dedup record, so the cap bounds both memory and the window
-   in which a replayed push is recognised as a duplicate. *)
-let handoff_early_cap = 4096
-
 let handoff_label = "~handoff"
 
 let handoff_epoch hub = hub.h_ho_epoch
@@ -906,25 +900,22 @@ let handoff_epoch hub = hub.h_ho_epoch
 let set_handoff_epoch hub e = hub.h_ho_epoch <- e
 
 (* One pushed outcome landed (or was replayed). First sighting is
-   buffered and wakes whoever already expects the key; a repeat is the
+   recorded in the node's registry, waking whoever parked on the key,
+   and is marked releasable: under cap pressure a push is evicted
+   before any outcome a local caller has not acked yet. A repeat is the
    exactly-once machinery absorbing a replay. *)
-let handle_push hub (stream, call, ov) =
-  let key = (stream, call) in
-  if Hashtbl.mem hub.h_ho_early key then
+let handle_push hub ~stream ~call o =
+  if Pipeline.Registry.find hub.h_outcomes ~stream ~call <> None then
     Sim.Stats.incr (hub_counter hub "handoff_dedup_joins")
   else begin
-    if Queue.length hub.h_ho_order >= handoff_early_cap then begin
-      let victim = Queue.pop hub.h_ho_order in
-      Hashtbl.remove hub.h_ho_early victim
-    end;
-    Hashtbl.replace hub.h_ho_early key ov;
-    Queue.push key hub.h_ho_order;
-    match Hashtbl.find_opt hub.h_ho_expect key with
-    | None -> ()
-    | Some ks ->
-        Hashtbl.remove hub.h_ho_expect key;
-        List.iter (fun k -> k ov) (List.rev ks)
+    Pipeline.Registry.record hub.h_outcomes ~stream ~call o;
+    Pipeline.Registry.mark_releasable hub.h_outcomes ~stream ~call
   end
+
+let parse_push item =
+  let* stream, call, ov = Result.bind (Xdr.View.materialize item) Wire.parse_handoff_push in
+  let* o = Wire.outcome_of_value ov in
+  Ok (stream, call, o)
 
 let handoff_listen hub =
   if not hub.h_ho_listening then begin
@@ -933,34 +924,17 @@ let handoff_listen hub =
         set_deliver i (fun _seq items ->
             List.iter
               (fun item ->
-                match Result.bind (Xdr.View.materialize item) Wire.parse_handoff_push with
-                | Ok push -> handle_push hub push
+                match parse_push item with
+                | Ok (stream, call, o) -> handle_push hub ~stream ~call o
                 | Error _ -> Sim.Stats.incr (hub_counter hub "handoff_malformed_pushes"))
               items))
   end
 
-let handoff_expect hub ~stream ~call k =
-  match Hashtbl.find_opt hub.h_ho_early (stream, call) with
-  | Some ov ->
-      k ov;
-      ignore
-  | None ->
-      let key = (stream, call) in
-      let existing = Option.value ~default:[] (Hashtbl.find_opt hub.h_ho_expect key) in
-      Hashtbl.replace hub.h_ho_expect key (k :: existing);
-      fun () ->
-        match Hashtbl.find_opt hub.h_ho_expect key with
-        | None -> ()
-        | Some ks -> (
-            match List.filter (fun k' -> k' != k) ks with
-            | [] -> Hashtbl.remove hub.h_ho_expect key
-            | ks' -> Hashtbl.replace hub.h_ho_expect key ks')
-
-let handoff_push hub ~dst ~stream ~call ov =
+let handoff_push hub ~dst ~stream ~call outcome =
   Sim.Stats.incr (hub_counter hub "handoff_forwards");
   if dst = hub_addr hub then
     (* Producer and forwarded call share a node: no wire leg. *)
-    handle_push hub (stream, call, ov)
+    handle_push hub ~stream ~call outcome
   else begin
     let o =
       match Hashtbl.find_opt hub.h_ho_pushes dst with
@@ -978,7 +952,7 @@ let handoff_push hub ~dst ~stream ~call ov =
     (* A send on a just-broken channel is lost with the peer it was for;
        exactly-once is preserved by the fallback pushes the claimant's
        side makes on abnormal outcomes. *)
-    (match send o (Wire.handoff_push_item ~stream ~call ov) with
+    (match send o (Wire.handoff_push_item ~stream ~call (Wire.outcome_value outcome)) with
     | Ok () -> ()
     | Error _ -> ());
     flush_out o

@@ -210,6 +210,14 @@ val hub_sched : hub -> Sched.Scheduler.t
     names — the destination of one of our sending channels, the
     source of one of our receiving ones. *)
 
+val outcomes : hub -> Wire.routcome Pipeline.Registry.t
+(** The node's promise-pipelining outcome registry (docs/PIPELINE.md),
+    built with the hub at the default bounds. Every port group
+    ({!Target}) on the node records its Call outcomes into it and parks
+    pipelined calls on it, so a reference to any call on the node
+    resolves whichever group runs the dependent call; outcome pushes
+    (docs/HANDOFF.md) are recorded in it as they arrive. *)
+
 val on_connect : hub -> label:string -> (in_chan -> unit) -> unit
 (** Register the acceptor for inbound channels labelled [label]. It
     runs once per new inbound channel, when its opening packet arrives,
@@ -324,14 +332,16 @@ val on_in_break : in_chan -> (string -> unit) -> unit
     result, the result's producer pushes the outcome {e directly} to
     that node on a dedicated ["~handoff"]-labelled channel (one per
     destination peer, opened lazily over the transport's usual dial
-    path). The receiving hub buffers pushes that arrive before anyone
-    expects them — the buffer doubles as the dedup record, so a push
-    replayed after a crash joins the first copy instead of
-    re-resolving. Counters: [handoff_forwards] (outcomes pushed),
-    [handoff_streams_opened] (push channels dialled),
-    [handoff_dedup_joins] (replayed pushes absorbed),
-    [handoff_malformed_pushes] (pushed items that do not parse as an
-    outcome push, dropped). *)
+    path). The receiving hub records each push in its {!outcomes}
+    registry, whether or not a call waits for it yet, and marks it
+    releasable, so under cap pressure a push is evicted before any
+    outcome a local caller has not acked. A push whose outcome is
+    already recorded joins it instead of re-resolving, so a push
+    replayed after a crash is absorbed. Counters: [handoff_forwards]
+    (outcomes pushed), [handoff_streams_opened] (push channels
+    dialled), [handoff_dedup_joins] (pushes whose outcome was already
+    recorded), [handoff_malformed_pushes] (pushed items that do not
+    parse as an outcome push, dropped). *)
 
 val handoff_epoch : hub -> int
 (** This hub's handoff protocol epoch, stamped into every handoff
@@ -347,17 +357,11 @@ val handoff_listen : hub -> unit
     calls this, so any node that hosts handlers can be the target of a
     forwarded call. *)
 
-val handoff_push : hub -> dst:Net.address -> stream:string -> call:int -> Xdr.value -> unit
-(** Push the encoded outcome ({!Wire.outcome_value}) of [(stream,
-    call)] to the hub at [dst], dialling the push channel if needed. A
-    push to this hub's own address is delivered locally. *)
-
-val handoff_expect : hub -> stream:string -> call:int -> (Xdr.value -> unit) -> unit -> unit
-(** Register interest in a pushed outcome: the callback fires with the
-    encoded outcome as soon as it is available — immediately, when a
-    push already arrived. The result withdraws the interest (a no-op
-    once the callback fired); a push that arrives after that is
-    buffered like any early push. *)
+val handoff_push :
+  hub -> dst:Net.address -> stream:string -> call:int -> Wire.routcome -> unit
+(** Push the outcome of [(stream, call)] to the hub at [dst], dialling
+    the push channel if needed; it travels as {!Wire.outcome_value}. A
+    push to this hub's own address is recorded locally. *)
 
 (** {1 Transport access} *)
 

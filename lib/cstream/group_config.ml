@@ -4,7 +4,6 @@ type t = {
   dedup : bool;
   dedup_cache : int;
   shards : int;
-  pipeline : Wire.routcome Pipeline.Registry.t option;
   shed_hwm : int option;
   offload : Sched.Pool.t option;
 }
@@ -16,7 +15,6 @@ let default =
     dedup = false;
     dedup_cache = 1024;
     shards = 1;
-    pipeline = None;
     shed_hwm = None;
     offload = None;
   }
@@ -38,10 +36,9 @@ let with_shed hwm t =
 let with_offload pool t = { t with offload = Some pool }
 
 (* Whole-config equality, used by {!Guardian.get_group} to detect a
-   conflicting re-registration. The abstract fields ([pipeline],
-   [offload]) compare physically: re-passing the same value is
-   compatible, a different one conflicts — registries and pools have
-   no structural equality to offer. *)
+   conflicting re-registration. The abstract [offload] field compares
+   physically: re-passing the same pool is compatible, a different one
+   conflicts — pools have no structural equality to offer. *)
 let equal a b =
   a.reply_config = b.reply_config
   && a.ordered = b.ordered
@@ -49,10 +46,6 @@ let equal a b =
   && a.dedup_cache = b.dedup_cache
   && a.shards = b.shards
   && a.shed_hwm = b.shed_hwm
-  && (match (a.pipeline, b.pipeline) with
-     | None, None -> true
-     | Some r, Some s -> r == s
-     | None, Some _ | Some _, None -> false)
   &&
   match (a.offload, b.offload) with
   | None, None -> true
@@ -71,24 +64,9 @@ let diff a b =
       ("dedup_cache", a.dedup_cache <> b.dedup_cache);
       ("shards", a.shards <> b.shards);
       ("shed_hwm", a.shed_hwm <> b.shed_hwm);
-      ( "pipeline",
-        match (a.pipeline, b.pipeline) with
-        | None, None -> false
-        | Some r, Some s -> not (r == s)
-        | None, Some _ | Some _, None -> true );
       ( "offload",
         match (a.offload, b.offload) with
         | None, None -> false
         | Some p, Some q -> not (p == q)
         | None, Some _ | Some _, None -> true );
     ]
-
-let pp ppf t =
-  Format.fprintf ppf
-    "{ordered=%b; dedup=%b; dedup_cache=%d; shards=%d; pipeline=%s; shed_hwm=%s; offload=%s}"
-    t.ordered t.dedup t.dedup_cache t.shards
-    (match t.pipeline with Some _ -> "<registry>" | None -> "none")
-    (match t.shed_hwm with Some h -> string_of_int h | None -> "off")
-    (match t.offload with
-    | Some p -> Printf.sprintf "<pool:%d>" (Sched.Pool.size p)
-    | None -> "off")

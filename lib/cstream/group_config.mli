@@ -3,7 +3,8 @@
     Everything that used to travel as a sprawl of optional arguments
     through {!Target.create} and [Guardian.register_group] —
     reply-channel buffering, execution discipline, cross-incarnation
-    dedup, sharding, promise pipelining — lives in this record. Build
+    dedup, sharding, load-shedding, domain offload — lives in this
+    record. Build
     one by deriving from {!default} with the [with_*] functions:
 
     {[
@@ -31,10 +32,6 @@ type t = {
       (** execution lanes per connection; >1 relaxes in-order execution
           to per-key order (docs/SHARDING.md). A call's lane is always
           the hash of its first argument ({!Target.default_shard_key}). *)
-  pipeline : Wire.routcome Pipeline.Registry.t option;
-      (** promise-pipelining outcome registry (docs/PIPELINE.md). The
-          guardian layer always substitutes its own per-guardian
-          registry; set this only when driving {!Target} directly. *)
   shed_hwm : int option;
       (** load-shedding high-water mark (docs/OVERLOAD.md): when a
           lane's queue reaches this depth, new non-resubmit calls are
@@ -53,8 +50,10 @@ type t = {
 }
 
 val default : t
-(** Paper semantics: ordered, unsharded, no dedup, no pipelining,
-    {!Chanhub.default_config} replies. *)
+(** Paper semantics: ordered, unsharded, no dedup, no shedding, no
+    offload, {!Chanhub.default_config} replies. Pipelining is not a
+    field: every group records into and resolves against its node's
+    registry ({!Chanhub.outcomes}). *)
 
 val with_reply_config : Chanhub.config -> t -> t
 
@@ -80,12 +79,10 @@ val with_offload : Sched.Pool.t -> t -> t
     its current call and lanes overlap on real cores. *)
 
 val equal : t -> t -> bool
-(** Structural on the plain fields; {e physical} on [pipeline] and
-    [offload] (registries and pools have no structural equality) — so
-    re-passing the very same config value is always compatible. *)
+(** Structural on the plain fields; {e physical} on [offload] (pools
+    have no structural equality) — so re-passing the very same config
+    value is always compatible. *)
 
 val diff : t -> t -> string list
 (** Names of the fields on which the two configs disagree (empty iff
     {!equal}). *)
-
-val pp : Format.formatter -> t -> unit

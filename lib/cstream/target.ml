@@ -57,9 +57,9 @@ type t = {
   t_cache_cap : int;
   t_cache : (string * int, entry) Hashtbl.t;
   t_done_order : (string * int) Queue.t;
-  t_registry : Wire.routcome Pipeline.Registry.t option;
-      (* promise-pipelining outcome registry, possibly shared with
-         other targets of the same guardian (docs/PIPELINE.md) *)
+  t_registry : Wire.routcome Pipeline.Registry.t;
+      (* the node's promise-pipelining outcome registry
+         ({!Chanhub.outcomes}), shared with every target on the hub *)
   dispatch : dispatch;
   conns : (Chanhub.key, conn) Hashtbl.t;
   mutable closed : bool;
@@ -174,9 +174,8 @@ let remove_conn c =
         Sched.Bqueue.close sh.sh_work)
       c.c_shards;
     S.Group.terminate c.c_target.sched c.c_execs;
-    Option.iter
-      (fun reg -> Hashtbl.iter (fun _ ws -> List.iter (Pipeline.Registry.cancel reg) ws) c.c_parked)
-      c.c_target.t_registry
+    let reg = c.c_target.t_registry in
+    Hashtbl.iter (fun _ ws -> List.iter (Pipeline.Registry.cancel reg) ws) c.c_parked
   end
 
 let conn_group c = c.c_execs
@@ -260,191 +259,138 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
   | Error reason -> reply (Wire.W_failure ("malformed call arguments: " ^ reason))
   | Ok v when not (args_have_refs args) -> k v
   | Ok args ->
-    begin
+    let reg = t.t_registry in
     let fail reason =
       Sim.Stats.incr (counter t "ref_failures");
       reply (Wire.W_failure reason)
     in
-    match t.t_registry with
-    | None -> fail "promise pipelining is not enabled at this port group"
-    | Some reg ->
-        let refs = Pipeline.refs args in
-        (* Third-party handoff (docs/HANDOFF.md): a reference covered by
-           a handoff annotation names an outcome another node owns and
-           will push to this hub. Mark such keys foreign — waiters may
-           park on them — and arrange for the pushed outcome to land in
-           the registry, firing those waiters. A push that already
-           arrived lands at once. A key already marked keeps its one
-           expectation: [record] is idempotent, so a resubmit needs no
-           second. *)
+    let find (r : Xdr.promise_ref) =
+      Pipeline.Registry.find reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call
+    in
+    let refs = Pipeline.refs args in
+    if handoffs <> [] && traced t trace then
+      span t ~kind:Sim.Span.Handoff ~trace ~stream:c.c_stable ~call:cid
+        ~note:(Printf.sprintf "%d foreign ref(s) accepted" (List.length handoffs))
+        ();
+    (* The registry is the node's: a reference resolves here only if
+       some port group on this node produces it (the producing group is
+       embedded in the stable stream id), or if another node pushes it
+       (docs/HANDOFF.md) — which this call's own handoff annotations
+       say. Anything else could park forever; reject it. *)
+    let reachable (r : Xdr.promise_ref) =
+      find r <> None
+      || List.exists
+           (fun (h : Wire.handoff) ->
+             String.equal h.Wire.ho_stream r.Xdr.ps_stream && h.Wire.ho_call = r.Xdr.ps_call)
+           handoffs
+      ||
+      match Wire.stream_id_group r.Xdr.ps_stream with
+      | Some g -> Pipeline.Registry.in_scope reg g
+      | None -> false
+    in
+    if not (List.for_all reachable refs) then
+      fail "pipelined reference to a call no group on this node runs; claim it instead"
+    else if
+      (* A reference to a call on this same stream at our cid or later
+         can never resolve (calls execute in stream order), so parking
+         would deadlock the stream on itself. *)
+      List.exists (fun r -> String.equal r.Xdr.ps_stream c.c_stable && r.Xdr.ps_call >= cid) refs
+    then fail "pipelined reference to a not-earlier call on the same stream"
+    else begin
+      let proceed () =
+        (* All referenced outcomes are in the registry now. The first
+           abnormal producer (in argument order) decides the call's
+           fate; otherwise every reference is replaced by its produced
+           (possibly field-projected) value. *)
+        let abnormal = ref None in
         List.iter
-          (fun (h : Wire.handoff) ->
-            let stream = h.Wire.ho_stream and call = h.Wire.ho_call in
-            if
-              Pipeline.Registry.find reg ~stream ~call = None
-              && not (Pipeline.Registry.is_foreign reg ~stream ~call)
-            then begin
-              let release =
-                Chanhub.handoff_expect t.hub ~stream ~call (fun ov ->
-                    match Wire.outcome_of_value ov with
-                    | Ok o -> Pipeline.Registry.record reg ~stream ~call o
-                    | Error _ -> ())
-              in
-              if Pipeline.Registry.find reg ~stream ~call = None then
-                Pipeline.Registry.mark_foreign reg ~stream ~call ~release
-            end)
-          handoffs;
-        if handoffs <> [] && traced t trace then
-          span t ~kind:Sim.Span.Handoff ~trace ~stream:c.c_stable ~call:cid
-            ~note:(Printf.sprintf "%d foreign ref(s) accepted" (List.length handoffs))
-            ();
-        (* Outcomes are only observable within one guardian's registry.
-           A reference to a stream that feeds a different guardian on
-           this node (its group is outside our registry's scope) could
-           park forever — the producing call's outcome lands in a
-           disjoint table. The producing group is embedded in the
-           stable stream id; reject anything out of scope — unless the
-           key is foreign-owned (or its pushed outcome already landed):
-           then another node feeds it and the scope argument does not
-           apply. *)
-        let foreign (r : Xdr.promise_ref) =
-          Pipeline.Registry.is_foreign reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call
-          || Pipeline.Registry.find reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call <> None
-        in
-        (if
-          List.exists
-            (fun (r : Xdr.promise_ref) ->
-              (not (foreign r))
-              &&
-              match Wire.stream_id_group r.Xdr.ps_stream with
-              | Some g -> not (Pipeline.Registry.in_scope reg g)
-              | None -> true)
-            refs
-        then
-          fail
-            "pipelined reference to a call through a different guardian; claim it instead"
-        else if
-          (* A reference to a call on this same stream at our cid or
-             later can never resolve (calls execute in stream order), so
-             parking would deadlock the stream on itself. *)
-          List.exists
-            (fun r -> String.equal r.Xdr.ps_stream c.c_stable && r.Xdr.ps_call >= cid)
-            refs
-        then fail "pipelined reference to a not-earlier call on the same stream"
-        else begin
-          let proceed () =
-            (* All referenced outcomes are in the registry now. The
-               first abnormal producer (in argument order) decides the
-               call's fate; otherwise every reference is replaced by
-               its produced (possibly field-projected) value. *)
-            let abnormal = ref None in
-            List.iter
-              (fun (r : Xdr.promise_ref) ->
-                if !abnormal = None then
-                  match Pipeline.Registry.find reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call with
-                  | Some (Wire.W_normal _) | None -> ()
-                  | Some ((Wire.W_signal _ | Wire.W_unavailable _ | Wire.W_failure _) as o) ->
-                      abnormal := Some o)
-              refs;
-            match !abnormal with
-            | Some o ->
-                Sim.Stats.incr (counter t "ref_failures");
-                reply o
-            | None -> (
-                let lookup (r : Xdr.promise_ref) =
-                  match Pipeline.Registry.find reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call with
-                  | Some (Wire.W_normal v) -> Pipeline.project ~field:r.Xdr.ps_field v
-                  | Some _ | None -> Error "referenced outcome disappeared" (* unreachable *)
-                in
-                match Pipeline.substitute ~lookup args with
-                | Ok args' ->
-                    Sim.Stats.add (counter t "ref_substitutions") (List.length refs);
-                    if traced t trace then
-                      span t ~kind:Sim.Span.Substitute ~trace ~stream:c.c_stable ~call:cid
-                        ~note:(Printf.sprintf "%d ref(s)" (List.length refs))
-                        ();
-                    k args'
-                | Error reason -> fail reason)
-          in
-          let missing =
-            List.filter
-              (fun (r : Xdr.promise_ref) ->
-                Pipeline.Registry.find reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call = None)
-              refs
-          in
-          if
-            (* A missing outcome at or below its stream's eviction mark
-               was already produced and forgotten: it will never be
-               re-recorded (only a dedup replay of the producer could,
-               and that replays the cache, not the registry's past),
-               so parking would hang the dependent call forever. *)
-            List.exists
-              (fun (r : Xdr.promise_ref) ->
-                Pipeline.Registry.evicted reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call)
-              missing
-          then
-            fail
-              "referenced outcome already evicted from the pipeline registry; claim it instead"
-          else if missing = [] then proceed ()
-          else begin
-            let remaining = ref (List.length missing) in
-            let aborted = ref false in
-            let deliver _o =
-              (* Fires when a producer's outcome lands. The conn may
-                 have died while we were parked: with dedup on, the
-                 call still runs to completion — mirroring the orphan
-                 rule for executing handlers — so its outcome lands in
-                 the cross-incarnation cache, where the In_progress
-                 entry inserted before parking is resolved and a
-                 resubmitted duplicate finds the reply it joined for.
-                 Without dedup the parked call dies with its conn: its
-                 waiters sit in [c_parked], which [remove_conn]
-                 cancels. *)
-              if (not !aborted) && (t.t_dedup || not c.c_broken) then begin
-                decr remaining;
-                if !remaining = 0 then begin
-                  Hashtbl.remove c.c_parked cid;
-                  proceed ()
-                end
-              end
+          (fun r ->
+            if !abnormal = None then
+              match find r with
+              | Some (Wire.W_normal _) | None -> ()
+              | Some ((Wire.W_signal _ | Wire.W_unavailable _ | Wire.W_failure _) as o) ->
+                  abnormal := Some o)
+          refs;
+        match !abnormal with
+        | Some o ->
+            Sim.Stats.incr (counter t "ref_failures");
+            reply o
+        | None -> (
+            let lookup (r : Xdr.promise_ref) =
+              match find r with
+              | Some (Wire.W_normal v) -> Pipeline.project ~field:r.Xdr.ps_field v
+              | Some _ | None -> Error "referenced outcome disappeared" (* unreachable *)
             in
-            let rec register acc = function
-              | [] -> Ok acc
-              | (r : Xdr.promise_ref) :: rest -> (
-                  match
-                    Pipeline.Registry.await reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call
-                      deliver
-                  with
-                  | `Fired -> register acc rest
-                  | `Parked w -> register (w :: acc) rest
-                  | `Refused -> Error acc)
-            in
-            match register [] missing with
-            | Error registered ->
-                (* Nothing parked after all: release the waiter slots
-                   already taken, and don't count an aborted park. *)
-                aborted := true;
-                List.iter (Pipeline.Registry.cancel reg) registered;
-                fail "pipeline dependency table full"
-            | Ok registered ->
-                Sim.Stats.incr (counter t "parked_calls");
+            match Pipeline.substitute ~lookup args with
+            | Ok args' ->
+                Sim.Stats.add (counter t "ref_substitutions") (List.length refs);
                 if traced t trace then
-                  span t ~kind:Sim.Span.Park ~trace ~stream:c.c_stable ~call:cid
-                    ~note:(Printf.sprintf "%d outcome(s) missing" (List.length missing))
+                  span t ~kind:Sim.Span.Substitute ~trace ~stream:c.c_stable ~call:cid
+                    ~note:(Printf.sprintf "%d ref(s)" (List.length refs))
                     ();
-                if not t.t_dedup then Hashtbl.replace c.c_parked cid registered
+                k args'
+            | Error reason -> fail reason)
+      in
+      let missing = List.filter (fun r -> find r = None) refs in
+      if
+        (* A missing outcome at or below its stream's eviction mark was
+           already produced and forgotten: it will never be re-recorded
+           (only a dedup replay of the producer could, and that replays
+           the cache, not the registry's past), so parking would hang
+           the dependent call forever. *)
+        List.exists
+          (fun (r : Xdr.promise_ref) ->
+            Pipeline.Registry.evicted reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call)
+          missing
+      then fail "referenced outcome already evicted from the pipeline registry; claim it instead"
+      else if missing = [] then proceed ()
+      else begin
+        let remaining = ref (List.length missing) in
+        let aborted = ref false in
+        let deliver _o =
+          (* Fires when a producer's outcome lands. The conn may have
+             died while we were parked: with dedup on, the call still
+             runs to completion — mirroring the orphan rule for
+             executing handlers — so its outcome lands in the
+             cross-incarnation cache, where the In_progress entry
+             inserted before parking is resolved and a resubmitted
+             duplicate finds the reply it joined for. Without dedup the
+             parked call dies with its conn: its waiters sit in
+             [c_parked], which [remove_conn] cancels. *)
+          if (not !aborted) && (t.t_dedup || not c.c_broken) then begin
+            decr remaining;
+            if !remaining = 0 then begin
+              Hashtbl.remove c.c_parked cid;
+              proceed ()
+            end
           end
-        end);
-        (* A foreign mark and its hub expectation live only while a call
-           is parked on the key; the parked call's cancellation drops
-           them too. Otherwise a peer's annotations on calls that never
-           park, or whose connection dies, would grow both tables
-           without limit. *)
-        List.iter
-          (fun (h : Wire.handoff) ->
-            Pipeline.Registry.release_idle reg ~stream:h.Wire.ho_stream ~call:h.Wire.ho_call)
-          handoffs
-  end
+        in
+        let rec register acc = function
+          | [] -> Ok acc
+          | (r : Xdr.promise_ref) :: rest -> (
+              match
+                Pipeline.Registry.await reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call deliver
+              with
+              | `Fired -> register acc rest
+              | `Parked w -> register (w :: acc) rest
+              | `Refused -> Error acc)
+        in
+        match register [] missing with
+        | Error registered ->
+            (* Nothing parked after all: release the waiter slots
+               already taken, and don't count an aborted park. *)
+            aborted := true;
+            List.iter (Pipeline.Registry.cancel reg) registered;
+            fail "pipeline dependency table full"
+        | Ok registered ->
+            Sim.Stats.incr (counter t "parked_calls");
+            if traced t trace then
+              span t ~kind:Sim.Span.Park ~trace ~stream:c.c_stable ~call:cid
+                ~note:(Printf.sprintf "%d outcome(s) missing" (List.length missing))
+                ();
+            if not t.t_dedup then Hashtbl.replace c.c_parked cid registered
+      end
+    end
 
 (* Reserved ports of the third-party handoff protocol
    (docs/HANDOFF.md). Both are handled here, inside the normal work
@@ -455,9 +401,9 @@ let handoff_notice_port = Wire.handoff_notice_port
 
 let handoff_redeem_port = Wire.handoff_redeem_port
 
-(* Validate a notice/redeem item and hand the producer's registry to
-   [k]. The registry checks mirror resolve_refs: an absent registry, an
-   out-of-scope stream or an evicted outcome can never be served. *)
+(* Validate a notice/redeem item and hand the node's registry to [k].
+   The registry checks mirror resolve_refs: a stream no group on this
+   node serves, or an evicted outcome, can never be served. *)
 let with_handoff_target c ~what ~check_epoch ~args ~reply k =
   let t = c.c_target in
   match force_args t args with
@@ -475,19 +421,15 @@ let with_handoff_target c ~what ~check_epoch ~args ~reply k =
               (Printf.sprintf "epoch mismatch (theirs %d, ours %d)" ho.Wire.ho_epoch
                  (Chanhub.handoff_epoch t.hub))
           else
-            match t.t_registry with
-            | None -> refuse "pipelining is not enabled at this port group"
-            | Some reg ->
-                if
-                  match Wire.stream_id_group ho.Wire.ho_stream with
-                  | Some g -> not (Pipeline.Registry.in_scope reg g)
-                  | None -> true
-                then refuse "stream feeds a different guardian"
-                else if
-                  Pipeline.Registry.evicted reg ~stream:ho.Wire.ho_stream
-                    ~call:ho.Wire.ho_call
-                then refuse "outcome already evicted"
-                else k reg ho)
+            let reg = t.t_registry in
+            if
+              match Wire.stream_id_group ho.Wire.ho_stream with
+              | Some g -> not (Pipeline.Registry.in_scope reg g)
+              | None -> true
+            then refuse "stream feeds no group on this node"
+            else if Pipeline.Registry.evicted reg ~stream:ho.Wire.ho_stream ~call:ho.Wire.ho_call
+            then refuse "outcome already evicted"
+            else k reg ho)
 
 (* "The call at (stream, call) on your node was forwarded to [owner]:
    push its outcome there." Accepting replies normally (a [Send]'s ok
@@ -501,7 +443,7 @@ let handle_handoff_notice c ~trace ~args ~reply =
             ~note:(Printf.sprintf "push -> n%d" ho.Wire.ho_owner)
             ();
         Chanhub.handoff_push t.hub ~dst:ho.Wire.ho_owner ~stream:ho.Wire.ho_stream
-          ~call:ho.Wire.ho_call (Wire.outcome_value o)
+          ~call:ho.Wire.ho_call o
       in
       match
         Pipeline.Registry.await reg ~stream:ho.Wire.ho_stream ~call:ho.Wire.ho_call push
@@ -538,12 +480,12 @@ let exec_call c ~seq ~cid ~trace ~port ~kind ~args ~handoff ~reply =
     handle_handoff_redeem c ~trace ~args ~reply
   else begin
   let reply =
-    match t.t_registry with
-    | Some reg when kind = Wire.Call ->
+    match kind with
+    | Wire.Call ->
         fun outcome ->
-          Pipeline.Registry.record reg ~stream:c.c_stable ~call:cid outcome;
+          Pipeline.Registry.record t.t_registry ~stream:c.c_stable ~call:cid outcome;
           reply outcome
-    | Some _ | None -> reply
+    | Wire.Send -> reply
   in
   let run ~reply =
     resolve_refs c ~cid ~trace ~args ~handoffs:handoff ~reply (fun args ->
@@ -691,17 +633,14 @@ let accept t in_chan =
      channel's cumulative ack covers a Call's reply item, no live
      stream can still claim or reference that outcome through this
      connection — mark it preferentially evictable. *)
-  (match t.t_registry with
-  | None -> ()
-  | Some reg ->
-      Chanhub.on_ack reply (fun first last ->
-          for seq = first to last do
-            match Hashtbl.find_opt c.c_seq2cid seq with
-            | Some cid ->
-                Hashtbl.remove c.c_seq2cid seq;
-                Pipeline.Registry.mark_releasable reg ~stream:c.c_stable ~call:cid
-            | None -> ()
-          done));
+  Chanhub.on_ack reply (fun first last ->
+      for seq = first to last do
+        match Hashtbl.find_opt c.c_seq2cid seq with
+        | Some cid ->
+            Hashtbl.remove c.c_seq2cid seq;
+            Pipeline.Registry.mark_releasable t.t_registry ~stream:c.c_stable ~call:cid
+        | None -> ()
+      done);
   Chanhub.set_deliver in_chan (fun first items ->
       if not c.c_broken then begin
         (* The cost model charges kernel overhead once per arriving
@@ -786,7 +725,7 @@ let accept t in_chan =
                   (* Elided calls skip the ack-tied release map: the
                      reply carries no outcome, so its ack proves
                      nothing about who may still redeem the result. *)
-                  if kind = Wire.Call && t.t_registry <> None && not cv.Wire.cv_elide then
+                  if kind = Wire.Call && not cv.Wire.cv_elide then
                     Hashtbl.replace c.c_seq2cid seq cid;
                   Sched.Bqueue.enq lane.sh_work
                     (Exec
@@ -849,12 +788,14 @@ let create hub ~gid ?(config = Group_config.default) dispatch =
       t_cache_cap = config.Group_config.dedup_cache;
       t_cache = Hashtbl.create (if config.Group_config.dedup then 64 else 1);
       t_done_order = Queue.create ();
-      t_registry = config.Group_config.pipeline;
+      t_registry = Chanhub.outcomes hub;
       dispatch;
       conns = Hashtbl.create 8;
       closed = false;
     }
   in
+  (* References to this group's calls resolve anywhere on the node. *)
+  Pipeline.Registry.add_scope t.t_registry gid;
   (* Receiving a handoff push needs no per-group state, but the hub
      only listens once someone on this node can be an owner — any port
      group (or guardian) being created is that signal. *)

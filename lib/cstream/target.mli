@@ -23,17 +23,16 @@
     again, giving exactly-once {e execution} across stream
     incarnations.
 
-    {b Third-party handoff} (docs/HANDOFF.md): a group with pipelining
-    enabled also serves two reserved ports. ["~handoff"] (a [Send])
+    {b Third-party handoff} (docs/HANDOFF.md): every group also serves
+    two reserved ports. ["~handoff"] (a [Send])
     asks it to push the outcome of one of its recorded calls to a
     foreign owner node; ["~redeem"] (a [Call]) replies with that
     outcome directly — the claim-by-reference fallback. Both run in the
     stream's normal work order and {e ahead} of the dedup cache, so a
     resubmitted notice re-forwards to the same owner. On the owner
-    side, an arriving call whose [Pref] arguments carry handoff
-    annotations registers those foreign outcomes with the group's
-    registry (bypassing the single-guardian scope check) and parks
-    until the pushes arrive. *)
+    side, a [Pref] argument named by the call's own handoff annotations
+    passes the node scope check and the call parks on the node's
+    registry until the push is recorded there. *)
 
 type t
 
@@ -90,16 +89,16 @@ val create : Chanhub.hub -> gid:string -> ?config:Group_config.t -> dispatch -> 
     (outcome replayed from cache) and [target_dedup_joins] (duplicate
     arrived while the first execution was still running).
 
-    [pipeline] enables promise pipelining (docs/PIPELINE.md): every
-    [Call] outcome is recorded in the given registry keyed by the
-    sender's (stable stream id, stable call-id), and arguments
-    containing {!Xdr.Pref} references are resolved against it before
-    dispatch — parking the call until every referenced outcome has
-    landed, propagating the first abnormal producer outcome without
-    executing the handler. Pass the {e same} registry to every group of
-    one guardian so calls can reference results produced through other
-    groups on the same node. Events are counted in {!Sim.Stats} as
-    [parked_calls], [ref_substitutions] and [ref_failures].
+    Promise pipelining (docs/PIPELINE.md) needs no field: every [Call]
+    outcome is recorded in the node's registry ({!Chanhub.outcomes})
+    keyed by the sender's (stable stream id, stable call-id), and
+    arguments containing {!Xdr.Pref} references are resolved against it
+    before dispatch — parking the call until every referenced outcome
+    has landed, propagating the first abnormal producer outcome without
+    executing the handler. [gid] joins the registry's scope, so a call
+    can reference a result produced through any group on the node.
+    Events are counted in {!Sim.Stats} as [parked_calls],
+    [ref_substitutions] and [ref_failures].
 
     While the scheduler's {!Sim.Span} store is enabled, the target also
     records the receiver half of each traced call's causal timeline —

@@ -193,8 +193,7 @@ let reply_item ~trace = function
 
 let send_ok_item ~trace = if trace = None then Xdr.List [] else coded_reply ~trace 4 []
 
-(* A bare outcome outside any reply envelope: handoff pushes carry it
-   and dedup byte budgets size it. *)
+(* A bare outcome outside any reply envelope: handoff pushes carry it. *)
 let outcome_value = function
   | W_normal v -> Xdr.Tagged ("n", v)
   | W_signal (name, v) -> Xdr.Tagged ("g", Xdr.Pair (Xdr.Str name, v))

@@ -33,8 +33,9 @@ val stream_id_group : string -> string option
 (** The port-group name embedded in a stable stream id — the group the
     identified stream sends its calls to. [None] if the id does not
     have the generated shape. The receiver uses this to reject a
-    promise reference naming a stream that feeds a different guardian
-    (whose registry is disjoint; docs/PIPELINE.md). *)
+    promise reference naming a stream that feeds no group on its node
+    (its outcome can never land in the node's registry;
+    docs/PIPELINE.md). *)
 
 (** {1 Third-party handoff (docs/HANDOFF.md)} *)
 
@@ -141,9 +142,8 @@ val resolve_port : port_table -> port -> string option
 (** {1 Reply items} *)
 
 val outcome_value : routcome -> Xdr.value
-(** The encodable form of one bare outcome, outside any reply envelope.
-    Exposed so byte budgets can size a stored outcome
-    ([Xdr.Bin.size (outcome_value o)]); handoff pushes carry it. *)
+(** The encodable form of one bare outcome, outside any reply envelope;
+    handoff pushes carry it. *)
 
 val outcome_of_value : Xdr.value -> (routcome, string) result
 (** Inverse of {!outcome_value} — a handoff push carries a bare

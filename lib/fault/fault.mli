@@ -38,9 +38,6 @@ val create : 'msg Net.t -> nodes:Net.node list -> t
     other node name in a step raises [Invalid_argument] when the step
     fires. *)
 
-val apply : t -> action -> unit
-(** Apply one action now. *)
-
 val schedule : t -> scenario -> unit
 (** Register every step with the scheduler ({!Sched.Scheduler.at}).
     Call before (or during) [run]; steps in the past fire immediately

@@ -9,18 +9,13 @@ type t = {
   g_name : string;
   g_sched : S.t;
   groups : (string, group_state) Hashtbl.t;
-  g_pipeline : W.routcome Pipeline.Registry.t;
-      (* one outcome registry per guardian, shared by all its groups, so
-         a pipelined call can reference a result produced through any
-         port group of the same guardian (docs/PIPELINE.md) *)
   mutable destroyed : bool;
 }
 
 and group_state = { target : T.t; ports : (string, reg) Hashtbl.t; config : GC.t }
-(* [config] is the configuration the group was {e registered} with (as
-   the caller supplied it, before the guardian substitutes its own
-   pipelining registry), kept so a later [get_group] with a conflicting
-   config fails loudly instead of silently ignoring it. *)
+(* [config] is the configuration the group was {e registered} with,
+   kept so a later [get_group] with a conflicting config fails loudly
+   instead of silently ignoring it. *)
 
 and reg = Reg : ('a, 'r, 'e) Core.Sigs.hsig * (ctx -> 'a -> ('r, 'e) result) -> reg
 
@@ -33,8 +28,6 @@ let address t = CH.hub_addr t.g_hub
 let sched t = t.g_sched
 
 let hub t = t.g_hub
-
-let pipeline_registry t = t.g_pipeline
 
 let group_names t = Hashtbl.fold (fun g _ acc -> g :: acc) t.groups [] |> List.sort compare
 
@@ -122,17 +115,8 @@ let get_group t ~group ?config () =
   | None ->
       let gc = Option.value ~default:GC.default config in
       let ports = Hashtbl.create 8 in
-      (* Scope the shared registry to this guardian's groups: the
-         receiver uses it to fail (not park) references to streams that
-         feed another guardian's disjoint registry. *)
-      Pipeline.Registry.add_scope t.g_pipeline group;
       let target =
-        (* The guardian always substitutes its own per-guardian
-           registry for the config's [pipeline] field — outcomes must be
-           visible across all of this guardian's groups. *)
-        T.create t.g_hub ~gid:group
-          ~config:{ gc with GC.pipeline = Some t.g_pipeline }
-          (fun conn ~seq ~port ~kind ~args ~reply ->
+        T.create t.g_hub ~gid:group ~config:gc (fun conn ~seq ~port ~kind ~args ~reply ->
             dispatch t ports ~dedup:gc.GC.dedup ~offload:gc.GC.offload conn ~seq ~port
               ~kind ~args ~reply)
       in
@@ -146,9 +130,7 @@ let register t ~group hs impl =
   let state = get_group t ~group () in
   Hashtbl.replace state.ports hs.Core.Sigs.hname (Reg (hs, impl))
 
-let create ?(pipeline_cache = 1024) ?(pipeline_bytes = max_int) hub ~name =
-  let g_sched = CH.hub_sched hub in
-  let bytes_evicted = Sim.Stats.counter (S.stats g_sched) "registry_bytes_evicted" in
+let create hub ~name =
   (* A guardian's node can own forwarded calls (docs/HANDOFF.md):
      start accepting outcome pushes as soon as the guardian exists,
      not only once its first port group is registered. *)
@@ -156,15 +138,8 @@ let create ?(pipeline_cache = 1024) ?(pipeline_bytes = max_int) hub ~name =
   {
     g_hub = hub;
     g_name = name;
-    g_sched;
+    g_sched = CH.hub_sched hub;
     groups = Hashtbl.create 8;
-    g_pipeline =
-      Pipeline.Registry.create ~cap:pipeline_cache ~max_bytes:pipeline_bytes
-        (* Xdr.Bin.size is a counting pass — no encode buffer is built
-           to price an outcome for the byte budget. *)
-        ~bytes_of:(fun o -> Xdr.Bin.size (W.outcome_value o))
-        ~on_evict:(fun ~bytes -> Sim.Stats.add bytes_evicted bytes)
-        ();
     destroyed = false;
   }
 

@@ -33,23 +33,14 @@ type ctx = {
   guardian : t;
 }
 
-val create :
-  ?pipeline_cache:int -> ?pipeline_bytes:int -> Cstream.Chanhub.hub -> name:string -> t
+val create : Cstream.Chanhub.hub -> name:string -> t
 (** Create a guardian on the node owning [hub]. Several guardians can
     share one node (and hub) as long as their group names differ.
 
-    Every guardian owns one promise-pipelining outcome registry
-    (docs/PIPELINE.md), shared by all its port groups: a pipelined call
-    arriving at any group can reference a result produced through any
-    other group of the {e same} guardian. [pipeline_cache] (default
-    1024) bounds the retained outcomes, evicted oldest-first — size it
-    above the maximum pipelining window (calls between a producer and
-    its last dependent). [pipeline_bytes] (default unbounded) is a byte
-    budget on the same store, measured in encoded wire bytes
-    ({!Xdr.Bin}) of the retained outcomes: the FIFO eviction also runs
-    while the byte total exceeds it, so a few bulky results cannot pin
-    memory that the count cap alone would allow. Evicted bytes are
-    counted in {!Sim.Stats} as [registry_bytes_evicted]. *)
+    Promise pipelining (docs/PIPELINE.md) resolves against the node's
+    one outcome registry ({!Cstream.Chanhub.outcomes}): a pipelined
+    call arriving at any group can reference a result produced through
+    any group on the node, of this guardian or another. *)
 
 val name : t -> string
 
@@ -58,10 +49,6 @@ val address : t -> Net.address
 val sched : t -> Sched.Scheduler.t
 
 val hub : t -> Cstream.Chanhub.hub
-
-val pipeline_registry : t -> Cstream.Wire.routcome Pipeline.Registry.t
-(** The guardian's promise-pipelining outcome registry (observability:
-    {!Pipeline.Registry.known}/{!Pipeline.Registry.waiting}). *)
 
 val register :
   t ->
@@ -84,10 +71,7 @@ val register_group :
     cross-incarnation dedup cache (required on the receiving side for
     {!Core.Supervisor} exactly-once semantics), and sharding
     (docs/SHARDING.md — per-key call order and per-stream reply order
-    are preserved; independent keys execute in parallel). The config's
-    [pipeline] field is ignored: the guardian always installs its own
-    per-guardian registry so pipelined calls can reference outcomes
-    produced through any of its groups (docs/PIPELINE.md).
+    are preserved; independent keys execute in parallel).
 
     If the group already exists (created by an earlier [register_group]
     or first [register]), a [config] passed here must equal the one the

@@ -69,13 +69,9 @@ module Registry = struct
   type 'o t = {
     cap : int;
     max_waiters : int;
-    max_bytes : int;
-    bytes_of : 'o -> int;
-    on_evict : bytes:int -> unit;
-    done_ : (string * int, 'o * int) Hashtbl.t;  (* outcome, encoded size *)
+    done_ : (string * int, 'o) Hashtbl.t;
     done_order : (string * int) Queue.t;
     mutable done_count : int;
-    mutable byte_count : int;
     waiters : (string * int, (int * ('o -> unit)) list) Hashtbl.t;
     mutable waiter_count : int;
     mutable next_waiter : int;
@@ -92,27 +88,15 @@ module Registry = struct
        compacts [done_order] whenever it passes 2 x [cap]. *)
     releasable : (string * int) Queue.t;
     released : (string * int, unit) Hashtbl.t;
-    (* Foreign-owned entries (docs/HANDOFF.md): the outcome will be
-       produced on another node and pushed here over a third-party
-       stream. Waiters may park on such keys even though no local
-       producer stream feeds them. The mark is cleared when the pushed
-       outcome is recorded, or when no waiter is left on the key; its
-       value undoes whatever else the marker set up for the push. *)
-    foreign : (string * int, unit -> unit) Hashtbl.t;
   }
 
-  let create ?(cap = 1024) ?(max_waiters = 4096) ?(max_bytes = max_int)
-      ?(bytes_of = fun _ -> 0) ?(on_evict = fun ~bytes:_ -> ()) () =
+  let create ?(cap = 1024) ?(max_waiters = 4096) () =
     {
       cap;
       max_waiters;
-      max_bytes;
-      bytes_of;
-      on_evict;
       done_ = Hashtbl.create 64;
       done_order = Queue.create ();
       done_count = 0;
-      byte_count = 0;
       waiters = Hashtbl.create 16;
       waiter_count = 0;
       next_waiter = 0;
@@ -120,24 +104,17 @@ module Registry = struct
       scopes = Hashtbl.create 8;
       releasable = Queue.create ();
       released = Hashtbl.create 64;
-      foreign = Hashtbl.create 8;
     }
 
   let known t = t.done_count
 
-  let bytes t = t.byte_count
-
   let waiting t = t.waiter_count
 
-  let find t ~stream ~call = Option.map fst (Hashtbl.find_opt t.done_ (stream, call))
+  let find t ~stream ~call = Hashtbl.find_opt t.done_ (stream, call)
 
   let add_scope t name = Hashtbl.replace t.scopes name ()
 
   let in_scope t name = Hashtbl.mem t.scopes name
-
-  let mark_foreign t ~stream ~call ~release = Hashtbl.replace t.foreign (stream, call) release
-
-  let is_foreign t ~stream ~call = Hashtbl.mem t.foreign (stream, call)
 
   let evicted t ~stream ~call =
     (not (Hashtbl.mem t.done_ (stream, call)))
@@ -157,7 +134,8 @@ module Registry = struct
      no live stream can still reference it ({!mark_releasable}) over
      pure FIFO age. Stale keys — already gone from [done_] via the
      other queue — are skipped. Termination: the caller only evicts
-     while [done_count > 0], and every live key sits in [done_order]. *)
+     while [done_count > cap >= 0], and every live key sits in
+     [done_order]. *)
   let rec pop_victim t =
     match Queue.take_opt t.releasable with
     | Some key ->
@@ -169,29 +147,19 @@ module Registry = struct
 
   let evict_one t =
     let (vstream, vcall) as victim = pop_victim t in
-    let vbytes = match Hashtbl.find_opt t.done_ victim with Some (_, b) -> b | None -> 0 in
     Hashtbl.remove t.done_ victim;
     (match Hashtbl.find_opt t.evicted_hwm vstream with
     | Some hwm when hwm >= vcall -> ()
     | Some _ | None -> Hashtbl.replace t.evicted_hwm vstream vcall);
-    t.done_count <- t.done_count - 1;
-    t.byte_count <- t.byte_count - vbytes;
-    t.on_evict ~bytes:vbytes
+    t.done_count <- t.done_count - 1
 
   let record t ~stream ~call outcome =
     let key = (stream, call) in
-    Hashtbl.remove t.foreign key;
     if not (Hashtbl.mem t.done_ key) then begin
-      let size = t.bytes_of outcome in
-      Hashtbl.replace t.done_ key (outcome, size);
+      Hashtbl.replace t.done_ key outcome;
       Queue.push key t.done_order;
       t.done_count <- t.done_count + 1;
-      t.byte_count <- t.byte_count + size;
-      (* Two budgets, one FIFO: whichever is exhausted first drives
-         eviction. An oversized outcome can evict everything including
-         itself — its waiters below still fire with the value in hand;
-         only later dependents see it as evicted and fail fast. *)
-      while t.done_count > t.cap || (t.byte_count > t.max_bytes && t.done_count > 0) do
+      while t.done_count > t.cap do
         evict_one t
       done;
       (* Outcomes evicted through [releasable] leave their key behind in
@@ -215,7 +183,7 @@ module Registry = struct
   let await t ~stream ~call k =
     let key = (stream, call) in
     match Hashtbl.find_opt t.done_ key with
-    | Some (o, _) ->
+    | Some o ->
         k o;
         `Fired
     | None ->
@@ -229,15 +197,6 @@ module Registry = struct
           `Parked { w_key = key; w_id = id }
         end
 
-  let release_idle t ~stream ~call =
-    let key = (stream, call) in
-    if not (Hashtbl.mem t.waiters key) then
-      match Hashtbl.find_opt t.foreign key with
-      | Some release ->
-          Hashtbl.remove t.foreign key;
-          release ()
-      | None -> ()
-
   let cancel t w =
     match Hashtbl.find_opt t.waiters w.w_key with
     | None -> ()
@@ -245,11 +204,7 @@ module Registry = struct
         let ks' = List.filter (fun (id, _) -> id <> w.w_id) ks in
         if List.length ks' < List.length ks then begin
           t.waiter_count <- t.waiter_count - 1;
-          if ks' = [] then begin
-            Hashtbl.remove t.waiters w.w_key;
-            let stream, call = w.w_key in
-            release_idle t ~stream ~call
-          end
+          if ks' = [] then Hashtbl.remove t.waiters w.w_key
           else Hashtbl.replace t.waiters w.w_key ks'
         end
 end

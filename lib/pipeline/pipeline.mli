@@ -15,8 +15,8 @@
       that parked dependent calls wait on.
 
     The registry is polymorphic in the outcome type so this library
-    sits below the stream layer: [Cstream.Target] instantiates it at
-    [Wire.routcome]. *)
+    sits below the stream layer: [Cstream.Chanhub] builds one per node
+    at [Wire.routcome], shared by every port group on the node. *)
 
 val refs : Xdr.value -> Xdr.promise_ref list
 (** All promise references in the tree, first-occurrence order,
@@ -40,7 +40,8 @@ val substitute :
 
 (** Bounded outcome registry with parked waiters.
 
-    [record] is called for every completed call; [await] is how a
+    [record] is called for every completed call and for every outcome
+    another node pushes here (docs/HANDOFF.md); [await] is how a
     dependent call parks until the outcome it references lands. Both
     sides are bounded: completed outcomes are evicted beyond [cap] —
     preferring outcomes whose reply was acknowledged back to the
@@ -65,26 +66,9 @@ module Registry : sig
   type waiter
   (** Handle on one parked callback, for {!cancel}. *)
 
-  val create :
-    ?cap:int ->
-    ?max_waiters:int ->
-    ?max_bytes:int ->
-    ?bytes_of:('o -> int) ->
-    ?on_evict:(bytes:int -> unit) ->
-    unit ->
-    'o t
+  val create : ?cap:int -> ?max_waiters:int -> unit -> 'o t
   (** [cap] (default 1024) bounds remembered outcomes; [max_waiters]
-      (default 4096) bounds parked callbacks.
-
-      [max_bytes] (default unbounded) is a byte budget alongside the
-      count cap: outcomes are sized by [bytes_of] (default [fun _ -> 0],
-      i.e. budget off) when recorded, and the same FIFO eviction runs
-      while the remembered total exceeds the budget. The stream layer
-      passes the encoded wire size ({!Xdr.Bin}) so a few bulky results
-      cannot pin the registry's memory the way the count cap alone
-      would allow. [on_evict] fires once per evicted outcome with its
-      recorded size (used to feed the [registry_bytes_evicted]
-      counter). *)
+      (default 4096) bounds parked callbacks. *)
 
   val record : 'o t -> stream:string -> call:int -> 'o -> unit
   (** Store the outcome of (stream, call) and fire any waiters parked
@@ -103,14 +87,13 @@ module Registry : sig
 
   val cancel : 'o t -> waiter -> unit
   (** Release a parked waiter's slot without firing it. A no-op if the
-      waiter already fired (or was cancelled before). Cancelling the
-      last waiter on a foreign key drops its mark ({!release_idle}). *)
+      waiter already fired (or was cancelled before). *)
 
   val mark_releasable : 'o t -> stream:string -> call:int -> unit
   (** Declare that no live stream can still reference (stream, call) —
       the receiver saw the cumulative ack covering its reply item — so
       its outcome is a {e preferred} eviction victim. Eviction still
-      only runs when a budget ([cap] / [max_bytes]) is exceeded; acked
+      only runs when [cap] is exceeded; acked
       outcomes are simply chosen before un-acked FIFO victims. A no-op
       for unknown keys. *)
 
@@ -124,8 +107,8 @@ module Registry : sig
       one; the conservative answer is still to fail.) *)
 
   val add_scope : 'o t -> string -> unit
-  (** Declare a producer namespace (for the stream layer: a port-group
-      name of the owning guardian) whose outcomes land in this
+  (** Declare a producer namespace (for the stream layer: the name of a
+      port group on this registry's node) whose outcomes land in this
       registry. *)
 
   val in_scope : 'o t -> string -> bool
@@ -133,28 +116,8 @@ module Registry : sig
       producers outside every declared scope can never resolve here and
       should be failed rather than parked. *)
 
-  val mark_foreign : 'o t -> stream:string -> call:int -> release:(unit -> unit) -> unit
-  (** Declare (stream, call) {e foreign-owned} (docs/HANDOFF.md): its
-      outcome will be produced on another node and pushed into this
-      registry over a third-party stream, so waiters may park on it
-      even though no local producer feeds the key. The mark is cleared
-      when the outcome is {!record}ed, or by {!release_idle}, which
-      also runs [release] (the caller's undo, e.g. withdrawing its
-      interest in the push). *)
-
-  val release_idle : 'o t -> stream:string -> call:int -> unit
-  (** Drop the foreign mark on (stream, call) and run its [release],
-      unless a waiter is parked on the key. A mark thus lives only as
-      long as some waiter needs it, so the marks are bounded by the
-      waiter table ([max_waiters]) whatever keys a peer names. *)
-
-  val is_foreign : 'o t -> stream:string -> call:int -> bool
-
   val known : 'o t -> int
   (** Outcomes currently remembered. *)
-
-  val bytes : 'o t -> int
-  (** Total [bytes_of] size of the remembered outcomes. *)
 
   val waiting : 'o t -> int
   (** Callbacks currently parked. *)

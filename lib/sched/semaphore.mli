@@ -9,9 +9,6 @@ type t
 val create : Scheduler.t -> int -> t
 (** [create sched permits] with [permits >= 0]. *)
 
-val release : t -> unit
-(** Return one permit. *)
-
 val with_permit : t -> (unit -> 'a) -> 'a
 (** Hold a permit for the duration of the call. *)
 

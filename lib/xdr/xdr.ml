@@ -532,9 +532,8 @@ module Bin = struct
   (* --- sizer ------------------------------------------------------ *)
 
   (* Counting-only mirror of [add_value]: computes the exact v1 encoded
-     length without touching a buffer. Window accounting and registry
-     byte budgets call this on every item, so avoiding the redundant
-     encode matters. *)
+     length without touching a buffer. Window accounting calls this on
+     every item, so avoiding the redundant encode matters. *)
 
   type sizer = {
     s_strings : (string, int) Hashtbl.t;

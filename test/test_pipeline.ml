@@ -47,14 +47,14 @@ type world = {
 (* Batching stream config, so back-to-back pipelined calls coalesce. *)
 let batch_cfg = { CH.default_config with CH.max_batch = 16; flush_interval = 1e-3 }
 
-let make_world ?(cfg = Net.default_config) ?pipeline_cache () =
+let make_world ?(cfg = Net.default_config) () =
   let sched = S.create () in
   let net = Net.create sched cfg in
   let client_node = Net.add_node net ~name:"client" in
   let server_node = Net.add_node net ~name:"server" in
   let client_hub = CH.create_hub ~net:(net, client_node) () in
   let server_hub = CH.create_hub ~net:(net, server_node) () in
-  let server = G.create ?pipeline_cache server_hub ~name:"server" in
+  let server = G.create server_hub ~name:"server" in
   { sched; net; client_node; server_node; client_hub; server }
 
 let handle w ?(config = batch_cfg) ~agent ~gid hs =
@@ -487,7 +487,7 @@ let test_parked_dependent_conn_break_exactly_once () =
    registry must fail, not park forever. *)
 
 let test_evicted_reference_fails () =
-  let w = make_world ~pipeline_cache:2 () in
+  let w = make_world () in
   G.register w.server ~group:"main" step_sig (fun _ n -> Ok (n + 1));
   let ran = ref 0 in
   G.register w.server ~group:"aux" step_sig (fun _ n ->
@@ -498,9 +498,10 @@ let test_evicted_reference_fails () =
     (S.spawn w.sched (fun () ->
          let producer = handle w ~agent:"a" ~gid:"main" step_sig in
          let consumer = handle w ~agent:"b" ~gid:"aux" step_sig in
-         (* Five completed calls through a cap-2 registry push call 0
-            out; reference it only after everything settled. *)
-         let ps = List.init 5 (fun i -> R.stream_call producer i) in
+         (* 1030 completed calls through the node registry's default
+            cap of 1024 push call 0 out; reference it only after
+            everything settled. *)
+         let ps = List.init 1030 (fun i -> R.stream_call producer i) in
          R.flush producer;
          List.iter (fun p -> ignore (P.claim p : _ P.outcome)) ps;
          let args =
@@ -525,11 +526,11 @@ let test_evicted_reference_fails () =
   check Alcotest.int "counted as ref failure" 1 (peek w.sched "ref_failures")
 
 (* ------------------------------------------------------------------ *)
-(* Same node, different guardian: the registries are disjoint, so the
-   reference must be rejected with the documented failure instead of
-   parking forever at the receiver. *)
+(* Same node, different guardian: the node has one registry, so a
+   reference to a call run through another guardian's group resolves
+   like any other. *)
 
-let test_cross_guardian_ref_fails () =
+let test_cross_guardian_ref_resolves () =
   let w = make_world () in
   let other = G.create (G.hub w.server) ~name:"other" in
   G.register w.server ~group:"main" step_sig (fun _ n -> Ok (n + 1));
@@ -549,12 +550,45 @@ let test_cross_guardian_ref_fails () =
          ignore (P.claim p1 : _ P.outcome);
          out := Some (P.claim p2)));
   run_ok w.sched;
+  check Alcotest.bool "dependent got the substituted value" true (!out = Some (P.Normal 3));
+  check Alcotest.int "dependent executed once" 1 !ran;
+  check Alcotest.int "substitution performed" 1 (peek w.sched "ref_substitutions");
+  check Alcotest.int "no reference failures" 0 (peek w.sched "ref_failures")
+
+(* A reference whose stable stream id names a group this node does not
+   run, with no handoff annotation, can never resolve here: it fails at
+   once instead of parking. *)
+
+let test_out_of_scope_ref_fails () =
+  let w = make_world () in
+  let ran = ref 0 in
+  G.register w.server ~group:"main" step_sig (fun _ n ->
+      incr ran;
+      Ok (n + 1));
+  let out = ref None in
+  ignore
+    (S.spawn w.sched (fun () ->
+         let se = R.stream (handle w ~agent:"c" ~gid:"main" step_sig) in
+         let args =
+           Xdr.Pref { Xdr.ps_stream = "9|~r/ghost/elsewhere/1"; ps_call = 0; ps_field = None }
+         in
+         (match
+            SE.call se ~port:"step" ~kind:Cstream.Wire.Call ~args ~on_reply:(fun o ->
+                out := Some o)
+          with
+         | Ok _ -> ()
+         | Error e -> Alcotest.failf "call rejected: %s" e);
+         SE.flush se));
+  run_ok w.sched;
   (match !out with
-  | Some (P.Failure reason) ->
-      check Alcotest.bool "names the guardian mismatch" true (contains ~affix:"guardian" reason)
-  | _ -> Alcotest.fail "cross-guardian reference must fail, not park");
+  | Some (Cstream.Wire.W_failure reason) ->
+      check Alcotest.bool "tells the caller to claim" true
+        (contains ~affix:"claim it instead" reason)
+  | _ -> Alcotest.fail "out-of-scope reference must fail, not park");
   check Alcotest.int "dependent never executed" 0 !ran;
   check Alcotest.int "nothing parked" 0 (peek w.sched "parked_calls");
+  check Alcotest.int "no waiter left" 0
+    (Pipeline.Registry.waiting (CH.outcomes (G.hub w.server)));
   check Alcotest.int "counted as ref failure" 1 (peek w.sched "ref_failures")
 
 (* ------------------------------------------------------------------ *)
@@ -571,7 +605,7 @@ let test_parked_waiters_reclaimed_on_conn_break () =
   G.register w.server ~group:"aux" step_sig (fun _ n ->
       incr ran;
       Ok (n + 1));
-  let reg = G.pipeline_registry w.server in
+  let reg = CH.outcomes (G.hub w.server) in
   ignore
     (S.spawn w.sched (fun () ->
          let producer = handle w ~agent:"a" ~gid:"main" step_sig in
@@ -687,8 +721,10 @@ let () =
             test_refuse_send_piped;
           Alcotest.test_case "evicted reference fails, no park" `Quick
             test_evicted_reference_fails;
-          Alcotest.test_case "cross-guardian reference fails, no park" `Quick
-            test_cross_guardian_ref_fails;
+          Alcotest.test_case "cross-guardian reference resolves" `Quick
+            test_cross_guardian_ref_resolves;
+          Alcotest.test_case "out-of-scope reference fails, no park" `Quick
+            test_out_of_scope_ref_fails;
           Alcotest.test_case "parked waiters reclaimed on conn break" `Quick
             test_parked_waiters_reclaimed_on_conn_break;
           Alcotest.test_case "registry waiter accounting" `Quick

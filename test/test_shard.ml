@@ -4,7 +4,7 @@
    leave in per-stream call order no matter how lane completion is
    scrambled; the dedup cache stays exactly-once across a crash and
    [restart_resubmit]; conflicting group re-registration fails loudly;
-   and the pipelining registry's byte budget evicts by encoded size. *)
+   and a pipelined call parked on one lane resolves from another. *)
 
 module S = Sched.Scheduler
 module P = Core.Promise
@@ -313,41 +313,6 @@ let test_group_reregistration_conflicts () =
       G.register_group w.server ~group:"g" ~config:GC.(cfg |> with_reply_config batch_cfg) ())
 
 (* ------------------------------------------------------------------ *)
-(* Registry byte budget: outcomes are sized on record, FIFO-evicted
-   while over budget, eviction marks and the byte gauge track it. *)
-
-let test_registry_byte_budget () =
-  let evictions = ref 0 and evicted_bytes = ref 0 in
-  let reg : string Pipeline.Registry.t =
-    Pipeline.Registry.create ~cap:100 ~max_bytes:100 ~bytes_of:String.length
-      ~on_evict:(fun ~bytes ->
-        incr evictions;
-        evicted_bytes := !evicted_bytes + bytes)
-      ()
-  in
-  let module Reg = Pipeline.Registry in
-  for call = 1 to 3 do
-    Reg.record reg ~stream:"s" ~call (String.make 30 'x')
-  done;
-  check Alcotest.int "under budget, nothing evicted" 0 !evictions;
-  check Alcotest.int "byte gauge" 90 (Reg.bytes reg);
-  (* The fourth 30-byte outcome pushes the total to 120 > 100: the
-     oldest is evicted even though the count cap (100) is far away. *)
-  Reg.record reg ~stream:"s" ~call:4 (String.make 30 'x');
-  check Alcotest.int "one eviction" 1 !evictions;
-  check Alcotest.int "evicted bytes counted" 30 !evicted_bytes;
-  check Alcotest.int "byte gauge back under budget" 90 (Reg.bytes reg);
-  check Alcotest.bool "oldest outcome gone" true (Reg.find reg ~stream:"s" ~call:1 = None);
-  check Alcotest.bool "oldest outcome marked evicted" true (Reg.evicted reg ~stream:"s" ~call:1);
-  check Alcotest.bool "newest outcome kept" true
-    (Reg.find reg ~stream:"s" ~call:4 = Some (String.make 30 'x'));
-  (* An outcome bigger than the whole budget cannot be kept at all. *)
-  Reg.record reg ~stream:"s" ~call:5 (String.make 150 'y');
-  check Alcotest.int "everything flushed" 0 (Reg.known reg);
-  check Alcotest.int "byte gauge empty" 0 (Reg.bytes reg);
-  check Alcotest.int "evicted bytes total" (30 + 90 + 150) !evicted_bytes
-
-(* ------------------------------------------------------------------ *)
 (* Cross-lane pipelining: the producer runs on one lane while its
    dependent call — same stream, different shard key — arrives on
    another, parks on the registry, then executes with the substituted
@@ -407,5 +372,4 @@ let () =
           Alcotest.test_case "cross-shard pipelining" `Quick test_cross_shard_pipelining;
           QCheck_alcotest.to_alcotest prop_replies_in_call_order;
         ] );
-      ("registry", [ Alcotest.test_case "byte budget" `Quick test_registry_byte_budget ]);
     ]
