@@ -361,11 +361,9 @@ module Call = struct
            abnormally right here, transmitting nothing. *)
         Promise.resolved h.h_sched (decode_outcome h.h_sig w)
     | W.Call, None, Arg_ref r ->
-        (* The sender can only validate the node: which guardian a
-           group belongs to is receiver-local knowledge. A same-node
-           reference that crosses guardians (disjoint registries) is
-           rejected by the receiver's scope check instead of parking
-           forever. *)
+        (* A same-node reference resolves against that node's one
+           outcome registry, whichever guardian runs either group; a
+           reference to another node's result is handed off. *)
         if r.ar_origin.Promise.og_dst = SE.dst h.h_stream then
           issue_ref h ~origin:r.ar_origin ~field:r.ar_field
         else submit_handoff h r

@@ -901,15 +901,16 @@ let set_handoff_epoch hub e = hub.h_ho_epoch <- e
 
 (* One pushed outcome landed (or was replayed). First sighting is
    recorded in the node's registry, waking whoever parked on the key,
-   and is marked releasable: under cap pressure a push is evicted
-   before any outcome a local caller has not acked yet. A repeat is the
-   exactly-once machinery absorbing a replay. *)
+   and is marked spare: under cap pressure a push is evicted after
+   every acked local outcome but before any outcome a local caller has
+   not acked yet. A repeat is the exactly-once machinery absorbing a
+   replay. *)
 let handle_push hub ~stream ~call o =
   if Pipeline.Registry.find hub.h_outcomes ~stream ~call <> None then
     Sim.Stats.incr (hub_counter hub "handoff_dedup_joins")
   else begin
     Pipeline.Registry.record hub.h_outcomes ~stream ~call o;
-    Pipeline.Registry.mark_releasable hub.h_outcomes ~stream ~call
+    Pipeline.Registry.mark_spare hub.h_outcomes ~stream ~call
   end
 
 let parse_push item =
@@ -925,6 +926,11 @@ let handoff_listen hub =
             List.iter
               (fun item ->
                 match parse_push item with
+                | Ok (stream, _, _) when Wire.stream_id_dst stream = Some (hub_addr hub) ->
+                    (* Only this node's own groups produce outcomes of a
+                       stream sent here, and they record them
+                       themselves: a peer pushing one is forging it. *)
+                    Sim.Stats.incr (hub_counter hub "handoff_malformed_pushes")
                 | Ok (stream, call, o) -> handle_push hub ~stream ~call o
                 | Error _ -> Sim.Stats.incr (hub_counter hub "handoff_malformed_pushes"))
               items))

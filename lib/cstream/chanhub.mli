@@ -334,14 +334,18 @@ val on_in_break : in_chan -> (string -> unit) -> unit
     destination peer, opened lazily over the transport's usual dial
     path). The receiving hub records each push in its {!outcomes}
     registry, whether or not a call waits for it yet, and marks it
-    releasable, so under cap pressure a push is evicted before any
-    outcome a local caller has not acked. A push whose outcome is
+    spare ({!Pipeline.Registry.mark_spare}), so under cap pressure a
+    push is evicted after every acked local outcome and before any
+    outcome a local caller has not acked. A push naming a stream sent
+    to this node itself is dropped: only this node's groups produce
+    those outcomes. A push whose outcome is
     already recorded joins it instead of re-resolving, so a push
     replayed after a crash is absorbed. Counters: [handoff_forwards]
     (outcomes pushed), [handoff_streams_opened] (push channels
     dialled), [handoff_dedup_joins] (pushes whose outcome was already
     recorded), [handoff_malformed_pushes] (pushed items that do not
-    parse as an outcome push, dropped). *)
+    parse as an outcome push, or that name a stream sent to this node,
+    dropped). *)
 
 val handoff_epoch : hub -> int
 (** This hub's handoff protocol epoch, stamped into every handoff

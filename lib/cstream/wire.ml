@@ -21,17 +21,22 @@ let stable_stream_id ~src ~reply_label =
   Printf.sprintf "%d|%s" src prefix
 
 (* A stable stream id embeds the reply label "~r/<agent>/<gid>/<dst>"
-   (incarnation already stripped), so the port group the stream sends
-   to can be recovered: second-to-last '/'-segment, counted from the
-   end so an agent name containing '/' cannot shift it. *)
-let stream_id_group id =
+   (incarnation already stripped), so the node and the port group the
+   stream sends to can be recovered: the last two '/'-segments, counted
+   from the end so an agent name containing '/' cannot shift them. *)
+let stream_id_tail id =
   match String.index_opt id '|' with
   | None -> None
   | Some i -> (
       let label = String.sub id (i + 1) (String.length id - i - 1) in
       match String.split_on_char '/' label with
-      | "~r" :: rest when List.length rest >= 3 -> Some (List.nth rest (List.length rest - 2))
+      | "~r" :: rest when List.length rest >= 3 -> (
+          match List.rev rest with dst :: gid :: _ -> Some (gid, dst) | _ -> None)
       | _ -> None)
+
+let stream_id_group id = Option.map fst (stream_id_tail id)
+
+let stream_id_dst id = Option.bind (stream_id_tail id) (fun (_, dst) -> int_of_string_opt dst)
 
 (* --- third-party handoff (docs/HANDOFF.md) ------------------------ *)
 

@@ -37,6 +37,13 @@ val stream_id_group : string -> string option
     (its outcome can never land in the node's registry;
     docs/PIPELINE.md). *)
 
+val stream_id_dst : string -> Net.address option
+(** The node address embedded in a stable stream id — the node the
+    identified stream sends its calls to, whose groups produce its
+    outcomes. [None] if the id does not have the generated shape. A
+    node drops a handoff push naming a stream sent to itself
+    (docs/HANDOFF.md): only its own groups record those outcomes. *)
+
 (** {1 Third-party handoff (docs/HANDOFF.md)} *)
 
 (** An annotation riding on a call whose arguments contain a [Pref]

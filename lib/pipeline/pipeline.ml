@@ -77,7 +77,9 @@ module Registry = struct
     mutable next_waiter : int;
     (* highest call id evicted from [done_], per stream: a missing key
        at or below this mark was (plausibly) completed and forgotten,
-       so parking on it would never return. *)
+       so parking on it would never return. Kept within 2 x [cap]
+       entries by dropping the marks of streams with nothing left in
+       [done_] ([prune_marks]). *)
     evicted_hwm : (string, int) Hashtbl.t;
     scopes : (string, unit) Hashtbl.t;
     (* Ack-tied release (docs/PIPELINE.md): outcomes whose reply item
@@ -87,6 +89,10 @@ module Registry = struct
        hold keys that already left [done_] through the other; [record]
        compacts [done_order] whenever it passes 2 x [cap]. *)
     releasable : (string * int) Queue.t;
+    (* Outcomes pushed here by another node (docs/HANDOFF.md): evicted
+       after every releasable outcome, before any un-acked local one.
+       [released] deduplicates marks across both queues. *)
+    spare : (string * int) Queue.t;
     released : (string * int, unit) Hashtbl.t;
   }
 
@@ -103,12 +109,15 @@ module Registry = struct
       evicted_hwm = Hashtbl.create 8;
       scopes = Hashtbl.create 8;
       releasable = Queue.create ();
+      spare = Queue.create ();
       released = Hashtbl.create 64;
     }
 
   let known t = t.done_count
 
   let waiting t = t.waiter_count
+
+  let marks t = Hashtbl.length t.evicted_hwm
 
   let find t ~stream ~call = Hashtbl.find_opt t.done_ (stream, call)
 
@@ -123,35 +132,54 @@ module Registry = struct
     | Some hwm -> call <= hwm
     | None -> false
 
-  let mark_releasable t ~stream ~call =
+  let mark q t ~stream ~call =
     let key = (stream, call) in
     if Hashtbl.mem t.done_ key && not (Hashtbl.mem t.released key) then begin
       Hashtbl.replace t.released key ();
-      Queue.push key t.releasable
+      Queue.push key q
     end
 
+  let mark_releasable t = mark t.releasable t
+
+  let mark_spare t = mark t.spare t
+
   (* Pick the eviction victim: prefer an outcome whose reply ack proved
-     no live stream can still reference it ({!mark_releasable}) over
-     pure FIFO age. Stale keys — already gone from [done_] via the
-     other queue — are skipped. Termination: the caller only evicts
-     while [done_count > cap >= 0], and every live key sits in
-     [done_order]. *)
+     no live stream can still reference it ({!mark_releasable}), then a
+     pushed outcome ({!mark_spare}), over pure FIFO age. Stale keys —
+     already gone from [done_] via another queue — are skipped.
+     Termination: the caller only evicts while [done_count > cap >= 0],
+     and every live key sits in [done_order]. *)
   let rec pop_victim t =
-    match Queue.take_opt t.releasable with
-    | Some key ->
-        Hashtbl.remove t.released key;
-        if Hashtbl.mem t.done_ key then key else pop_victim t
-    | None ->
-        let key = Queue.pop t.done_order in
-        if Hashtbl.mem t.done_ key then key else pop_victim t
+    let marked q =
+      let key = Queue.take q in
+      Hashtbl.remove t.released key;
+      if Hashtbl.mem t.done_ key then key else pop_victim t
+    in
+    if not (Queue.is_empty t.releasable) then marked t.releasable
+    else if not (Queue.is_empty t.spare) then marked t.spare
+    else
+      let key = Queue.pop t.done_order in
+      if Hashtbl.mem t.done_ key then key else pop_victim t
+
+  (* Drop the marks of streams with no outcome left in [done_]: at most
+     [cap] marks survive, so pruning past 2 x [cap] is amortised O(1)
+     per eviction. A pruned stream's forgotten calls then read as never
+     recorded, so a late reference to one parks instead of failing. *)
+  let prune_marks t =
+    let live = Hashtbl.create 64 in
+    Hashtbl.iter (fun (stream, _) _ -> Hashtbl.replace live stream ()) t.done_;
+    Hashtbl.filter_map_inplace
+      (fun stream hwm -> if Hashtbl.mem live stream then Some hwm else None)
+      t.evicted_hwm
 
   let evict_one t =
     let (vstream, vcall) as victim = pop_victim t in
     Hashtbl.remove t.done_ victim;
+    t.done_count <- t.done_count - 1;
     (match Hashtbl.find_opt t.evicted_hwm vstream with
     | Some hwm when hwm >= vcall -> ()
     | Some _ | None -> Hashtbl.replace t.evicted_hwm vstream vcall);
-    t.done_count <- t.done_count - 1
+    if Hashtbl.length t.evicted_hwm > 2 * t.cap then prune_marks t
 
   let record t ~stream ~call outcome =
     let key = (stream, call) in

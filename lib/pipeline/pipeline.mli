@@ -46,7 +46,8 @@ val substitute :
     sides are bounded: completed outcomes are evicted beyond [cap] —
     preferring outcomes whose reply was acknowledged back to the
     producer stream ({!mark_releasable}: no live stream can still
-    reference them), then FIFO age — and at most [max_waiters]
+    reference them), then outcomes another node pushed here
+    ({!mark_spare}), then FIFO age — and at most [max_waiters]
     callbacks may be parked at once
     (beyond that {!await} refuses, and the caller fails the dependent
     call instead of queueing without limit). A parked waiter holds its
@@ -59,7 +60,9 @@ val substitute :
     of recorded keys drops the keys of evicted outcomes whenever it
     grows past 2 x [cap], so its length follows the remembered
     outcomes, not the number of records ever made (amortised O(1) per
-    record; eviction order unchanged). *)
+    record; eviction order unchanged), and the per-stream eviction
+    marks behind {!evicted} are kept within 2 x [cap] streams by
+    dropping the marks of streams with no outcome left ({!marks}). *)
 module Registry : sig
   type 'o t
 
@@ -97,6 +100,15 @@ module Registry : sig
       outcomes are simply chosen before un-acked FIFO victims. A no-op
       for unknown keys. *)
 
+  val mark_spare : 'o t -> stream:string -> call:int -> unit
+  (** Declare (stream, call) an outcome another node pushed here — one
+      a call may still claim, but that no local caller is owed — so it
+      is evicted after every {!mark_releasable} outcome and before any
+      unmarked one: a flood of pushes cannot evict an outcome a local
+      caller has not acked, and acked local traffic cannot evict a push
+      while acked outcomes remain. A no-op for unknown or already
+      marked keys. *)
+
   val evicted : 'o t -> stream:string -> call:int -> bool
   (** Whether (stream, call) is absent {e and} at or below the highest
       call id evicted from this stream's remembered outcomes — i.e. its
@@ -104,7 +116,10 @@ module Registry : sig
       [await] would never fire. Callers should fail such references
       instead of parking. (With out-of-order recording a still-running
       call below the eviction mark is indistinguishable from an evicted
-      one; the conservative answer is still to fail.) *)
+      one; the conservative answer is still to fail.) Marks are dropped
+      for streams with no outcome left once more than 2 x [cap] streams
+      carry one; a reference to such a stream's forgotten call then
+      reads as not evicted. *)
 
   val add_scope : 'o t -> string -> unit
   (** Declare a producer namespace (for the stream layer: the name of a
@@ -121,4 +136,7 @@ module Registry : sig
 
   val waiting : 'o t -> int
   (** Callbacks currently parked. *)
+
+  val marks : 'o t -> int
+  (** Streams currently carrying an eviction mark; at most 2 x [cap]. *)
 end

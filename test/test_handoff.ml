@@ -305,23 +305,29 @@ let ghost_ref i =
 
 let server_outcomes (p : Workloads.Fixtures.pair) = CH.outcomes (G.hub p.server)
 
-(* Push an outcome for ghosts 1..n to the server, as their owner would;
-   returns how many outcomes the server's registry gained. *)
-let push_ghosts (p : Workloads.Fixtures.pair) n =
-  let reg = server_outcomes p in
-  let before = Pipeline.Registry.known reg in
+(* Push the outcome [Int 7] for each (stream, call) key to the server
+   from the client, as an owner would, and run the world. *)
+let push_keys (p : Workloads.Fixtures.pair) keys =
   let ov = Cstream.Wire.outcome_value (Cstream.Wire.W_normal (Xdr.Int 7)) in
   let o =
     CH.connect p.client_hub ~dst:(Net.address p.server_node) ~label:"~handoff" ~meta:"" chan_cfg
   in
-  for i = 1 to n do
-    let r, _ = ghost_ref i in
-    ignore
-      (CH.send o (Cstream.Wire.handoff_push_item ~stream:r.Xdr.ps_stream ~call:0 ov)
-        : (unit, string) result)
-  done;
+  List.iter
+    (fun (stream, call) ->
+      ignore (CH.send o (Cstream.Wire.handoff_push_item ~stream ~call ov) : (unit, string) result))
+    keys;
   CH.flush_out o;
-  run_ok p.sched;
+  run_ok p.sched
+
+(* Push an outcome for ghosts [first .. first + n - 1] to the server;
+   returns how many outcomes the server's registry gained. *)
+let push_ghosts ?(first = 1) (p : Workloads.Fixtures.pair) n =
+  let reg = server_outcomes p in
+  let before = Pipeline.Registry.known reg in
+  push_keys p
+    (List.init n (fun i ->
+         let r, _ = ghost_ref (first + i) in
+         (r.Xdr.ps_stream, 0)));
   Pipeline.Registry.known reg - before
 
 let test_restarts_cancel_ghost_waiters () =
@@ -376,8 +382,10 @@ let test_unparked_annotation_parks_nothing () =
   check Alcotest.int "a late push is recorded" 1 (push_ghosts p 1)
 
 (* A flood of pushes nobody asked for cannot evict an outcome a local
-   caller has not acked: pushes are marked releasable as they land, so
-   they are the registry's first eviction victims. *)
+   caller has not acked: pushes are marked spare as they land, so they
+   are evicted before any unmarked outcome. Each evicted push leaves an
+   eviction mark for its stream; distinct-stream floods must not grow
+   that table without bound either. *)
 let test_push_flood_spares_local_outcome () =
   let p = Workloads.Fixtures.make_pair () in
   let reg = server_outcomes p in
@@ -386,7 +394,66 @@ let test_push_flood_spares_local_outcome () =
   ignore (push_ghosts p 1100 : int);
   check Alcotest.bool "un-acked local outcome kept" true
     (Pipeline.Registry.find reg ~stream:"local" ~call:0 = Some local);
-  check Alcotest.bool "registry within its cap" true (Pipeline.Registry.known reg <= 1024)
+  check Alcotest.bool "registry within its cap" true (Pipeline.Registry.known reg <= 1024);
+  ignore (push_ghosts ~first:1101 p 4000 : int);
+  check Alcotest.bool "un-acked local outcome kept after 5100 pushes" true
+    (Pipeline.Registry.find reg ~stream:"local" ~call:0 = Some local);
+  check Alcotest.bool
+    (Printf.sprintf "eviction marks bounded (%d)" (Pipeline.Registry.marks reg))
+    true
+    (Pipeline.Registry.marks reg <= 2 * 1024)
+
+(* A push naming a stream sent to the receiving node itself is forged:
+   only that node's own groups produce those outcomes. It is dropped
+   and counted, and the real call's outcome is the one recorded. *)
+let test_push_for_local_stream_refused () =
+  let p = Workloads.Fixtures.make_pair () in
+  let reg = server_outcomes p in
+  let h = Workloads.Fixtures.work_handle p ~agent:"victim" () in
+  let stream = SE.stable_id (R.stream h) in
+  push_keys p [ (stream, 0) ];
+  check Alcotest.int "forged push counted" 1 (peek p.sched "handoff_malformed_pushes");
+  check Alcotest.bool "forged push not recorded" true
+    (Pipeline.Registry.find reg ~stream ~call:0 = None);
+  let got = ref None in
+  ignore (S.spawn p.sched (fun () -> got := Some (P.claim (R.stream_call h 5))) : S.fiber);
+  run_ok p.sched;
+  check Alcotest.bool "real call ran" true (!got = Some (P.Normal 5));
+  check Alcotest.bool "real outcome recorded" true
+    (Pipeline.Registry.find reg ~stream ~call:0 = Some (Cstream.Wire.W_normal (Xdr.Int 5)))
+
+(* A push that lands before its annotated call must still be there when
+   the call arrives, even if more than a registry's worth of local
+   calls completes and is acked in between: acked local outcomes are
+   evicted before pushes. *)
+let test_push_outlives_acked_local_traffic () =
+  let p = Workloads.Fixtures.make_pair () in
+  check Alcotest.int "push recorded" 1 (push_ghosts p 1);
+  let h = Workloads.Fixtures.work_handle p ~agent:"load" () in
+  let ag = Core.Agent.create p.client_hub ~name:"ghosts" () in
+  let se = Core.Agent.stream_to ag ~dst:(Net.address p.server_node) ~gid:"main" in
+  let got = ref None in
+  ignore
+    (S.spawn p.sched (fun () ->
+         let ps = List.init 1100 (fun i -> R.stream_call h i) in
+         R.flush h;
+         List.iter (fun p -> ignore (P.claim p : _ P.outcome)) ps;
+         (* let the acks of the last replies land *)
+         S.sleep p.sched 0.1;
+         let r, ho = ghost_ref 1 in
+         ignore
+           (SE.call ~handoff:[ ho ] se ~port:"work" ~kind:Cstream.Wire.Call ~args:(Xdr.Pref r)
+              ~on_reply:(fun o -> got := Some o)
+             : (int * int, string) result);
+         SE.flush se)
+      : S.fiber);
+  run_ok p.sched;
+  (match !got with
+  | Some (Cstream.Wire.W_normal (Xdr.Int 7)) -> ()
+  | Some (Cstream.Wire.W_failure reason) -> Alcotest.failf "annotated call failed: %s" reason
+  | _ -> Alcotest.fail "annotated call did not resolve from the push");
+  check Alcotest.bool "registry within its cap" true
+    (Pipeline.Registry.known (server_outcomes p) <= 1024)
 
 (* ------------------------------------------------------------------ *)
 (* E19 invariants: the acceptance numbers behind the experiment table.
@@ -452,6 +519,10 @@ let () =
             test_unparked_annotation_parks_nothing;
           Alcotest.test_case "push flood spares un-acked local outcomes" `Quick
             test_push_flood_spares_local_outcome;
+          Alcotest.test_case "push for a local stream refused" `Quick
+            test_push_for_local_stream_refused;
+          Alcotest.test_case "push outlives acked local traffic" `Quick
+            test_push_outlives_acked_local_traffic;
         ] );
       ( "experiment",
         [ Alcotest.test_case "E19 acceptance invariants" `Quick test_e19_invariants ] );
