@@ -246,9 +246,13 @@ and in_chan = {
   mutable i_on_break : (string -> unit) list;
 }
 
+(* What waits for the end of the scheduler turn on the way to one
+   peer: parked acks and idle channels with buffered items. *)
 and pending_acks = {
   p_acks : (int, int * int) Hashtbl.t;  (* per acked channel idx: max upto, max pressure *)
-  mutable p_armed : bool;  (* delayed standalone-Ack timer pending *)
+  mutable p_idle : out_chan list;  (* idle channels to flush at turn end, newest first *)
+  mutable p_turn : bool;  (* the end-of-turn callback is armed *)
+  mutable p_armed : bool;  (* delayed standalone-Ack timer pending ([ack_delay] > 0) *)
 }
 
 (* Per-packet counters, resolved once per hub: a by-name lookup costs a
@@ -375,7 +379,7 @@ let pending_for hub dst =
   match Hashtbl.find_opt hub.h_pending dst with
   | Some p -> p
   | None ->
-      let p = { p_acks = Hashtbl.create 4; p_armed = false } in
+      let p = { p_acks = Hashtbl.create 4; p_idle = []; p_turn = false; p_armed = false } in
       Hashtbl.replace hub.h_pending dst p;
       p
 
@@ -397,27 +401,11 @@ let take_piggyback hub ~dst =
   if acks <> [] then Sim.Stats.add hub.h_ctr.hc_piggybacked_acks (List.length acks);
   acks
 
-(* Acknowledge [upto] on channel [idx] of the hub at [dst], the
-   channel's sender. The ack parks with [dst]'s other pending entries
-   and rides the next Data packet to [dst]; if none leaves first, the
-   [ack_delay] timer sends them all as one standalone Ack. At the
-   default 0 it fires at the end of the scheduler turn, once the run
-   queue is empty, so an ack never waits on a clock. *)
-let post_ack hub ~dst ~idx ~upto ~pressure =
-  let p = pending_for hub dst in
-  (match Hashtbl.find_opt p.p_acks idx with
-  | Some (prev_upto, prev_pressure) ->
-      Hashtbl.replace p.p_acks idx (max prev_upto upto, max prev_pressure pressure)
-  | None -> Hashtbl.replace p.p_acks idx (upto, pressure));
-  if not p.p_armed then begin
-    p.p_armed <- true;
-    S.after hub.h_sched hub.h_ack_delay (fun () ->
-        p.p_armed <- false;
-        let acks = drain_pending hub dst in
-        if acks <> [] then begin
-          Sim.Stats.add hub.h_ctr.hc_standalone_acks (List.length acks);
-          transmit hub ~dst (Ack { acks })
-        end)
+let send_standalone_acks hub ~dst =
+  let acks = drain_pending hub dst in
+  if acks <> [] then begin
+    Sim.Stats.add hub.h_ctr.hc_standalone_acks (List.length acks);
+    transmit hub ~dst (Ack { acks })
   end
 
 (* --- sending end -------------------------------------------------- *)
@@ -547,6 +535,44 @@ let flush_out o =
     arm_retransmit o
   end
 
+(* The peer's end-of-turn callback, run once the run queue is empty.
+   Idle channels flush first, each taking the parked acks as piggyback;
+   only then, at [ack_delay = 0], do the acks left over go as one
+   standalone Ack. The other order would put an Ack frame in front of
+   the replies that could have carried it. *)
+let end_of_turn hub ~dst p () =
+  p.p_turn <- false;
+  let idle = List.rev p.p_idle in
+  p.p_idle <- [];
+  List.iter (fun o -> if Queue.is_empty o.o_unacked then flush_out o) idle;
+  if hub.h_ack_delay <= 0.0 then send_standalone_acks hub ~dst
+
+let arm_turn hub ~dst p =
+  if not p.p_turn then begin
+    p.p_turn <- true;
+    S.after hub.h_sched 0.0 (end_of_turn hub ~dst p)
+  end
+
+(* Acknowledge [upto] on channel [idx] of the hub at [dst], the
+   channel's sender. The ack parks with [dst]'s other pending entries
+   and rides the next Data packet to [dst]; if none leaves first, the
+   [ack_delay] timer sends them all as one standalone Ack. At the
+   default 0 that is the end-of-turn callback, so an ack never waits
+   on a clock. *)
+let post_ack hub ~dst ~idx ~upto ~pressure =
+  let p = pending_for hub dst in
+  (match Hashtbl.find_opt p.p_acks idx with
+  | Some (prev_upto, prev_pressure) ->
+      Hashtbl.replace p.p_acks idx (max prev_upto upto, max prev_pressure pressure)
+  | None -> Hashtbl.replace p.p_acks idx (upto, pressure));
+  if hub.h_ack_delay <= 0.0 then arm_turn hub ~dst p
+  else if not p.p_armed then begin
+    p.p_armed <- true;
+    S.after hub.h_sched hub.h_ack_delay (fun () ->
+        p.p_armed <- false;
+        send_standalone_acks hub ~dst)
+  end
+
 (* Window has room for [bytes] more. When nothing at all is pending the
    answer is always yes, so a single item larger than the whole window
    still goes through (alone) instead of deadlocking. [o_window] is the
@@ -582,11 +608,18 @@ let send ?size o item =
       o.o_inflight_bytes <- o.o_inflight_bytes + size;
       o.o_next_seq <- o.o_next_seq + 1;
       let buffered = Queue.length o.o_buf in
-      if
-        buffered >= o.o_cfg.max_batch
-        || o.o_buf_bytes >= o.o_cfg.max_batch_bytes
-        || (o.o_cfg.flush_on_idle && Queue.is_empty o.o_unacked)
-      then flush_out o
+      if buffered >= o.o_cfg.max_batch || o.o_buf_bytes >= o.o_cfg.max_batch_bytes then
+        flush_out o
+      else if o.o_cfg.flush_on_idle && Queue.is_empty o.o_unacked then begin
+        (* Idle: the first item queues the channel for the end of the
+           turn, so the rest of the turn's sends and the peer's parked
+           acks leave with it. *)
+        if buffered = 1 then begin
+          let p = pending_for o.o_hub o.o_dst in
+          p.p_idle <- o :: p.p_idle;
+          arm_turn o.o_hub ~dst:o.o_dst p
+        end
+      end
       else if buffered = 1 && o.o_cfg.flush_interval < infinity then begin
         if o.o_cfg.flush_interval <= 0.0 then flush_out o
         else begin
@@ -781,8 +814,9 @@ let receive hub ~src frame =
 let peer_down hub ~peer ~reason =
   let reason = Printf.sprintf "connection to n%d lost: %s" peer reason in
   (* Parked acks name the old incarnation's channel indexes, which a
-     restarted peer reuses from 0: drop them (the armed timer then finds
-     nothing to send). *)
+     restarted peer reuses from 0: drop them (the armed callback then
+     finds nothing to send, and the idle channels it would flush break
+     below). *)
   Hashtbl.remove hub.h_pending peer;
   let outs =
     Hashtbl.fold (fun _ o acc -> if o.o_dst = peer then o :: acc else acc) hub.h_outs []

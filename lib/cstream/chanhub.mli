@@ -12,10 +12,11 @@
     them as one network message when any of (a) [max_batch] items or
     [max_batch_bytes] encoded bytes are waiting, (b) [flush_interval]
     has elapsed since the first waiting item, (c) [flush_on_idle] is
-    set and nothing is in flight (Nagle-style: first item goes out
-    immediately, later items coalesce while the wire is busy), or
-    (d) the user flushes explicitly — "stream calls and their replies
-    are buffered and sent when convenient".
+    set and nothing is in flight (Nagle-style: an idle channel sends
+    what it holds at the end of the current scheduler turn, and later
+    items coalesce while the wire is busy), or (d) the user flushes
+    explicitly — "stream calls and their replies are buffered and sent
+    when convenient".
 
     Packets travel as {!frame}s — compact binary strings produced by
     {!Xdr.Bin} (see docs/WIRE.md) — so every byte count the simulator
@@ -23,7 +24,8 @@
     and piggyback on the next reverse-direction Data packet; a
     standalone Ack carrying every parked entry is the fallback, sent
     once the hub's [ack_delay] expires — at the default 0, at the end
-    of the current scheduler turn. A sender-
+    of the current scheduler turn, after the turn's idle-channel
+    flushes to that peer have taken what they could. A sender-
     side sliding window ([max_inflight_bytes]) lets a slow receiver
     back-pressure callers through {!await_window}.
 
@@ -112,9 +114,11 @@ type config = {
       (** flush this long after the first buffered item (seconds);
           [infinity] disables timed flushing *)
   flush_on_idle : bool;
-      (** Nagle-style: flush immediately whenever nothing is awaiting
-          an ack; while data is in flight, buffer up to the other
-          limits *)
+      (** Nagle-style: when nothing is awaiting an ack, flush at the
+          end of the current scheduler turn — never on a clock, and
+          whatever the hub's [ack_delay] — with the acks parked for the
+          peer riding along; while data is in flight, buffer up to the
+          other limits and flush when the ack drains the wire *)
   retransmit_timeout : float;
   max_retries : int;  (** consecutive unanswered retransmits before break *)
   max_inflight_bytes : int;
@@ -146,8 +150,11 @@ val adaptive_config : config
 (** Nagle-style adaptive batching: [flush_on_idle = true] with
     [max_batch = 64], [max_batch_bytes = 1024] and an 8 KiB in-flight
     window — low latency when idle, aggressive coalescing under load.
-    Acks piggyback on reply packets sent in the turn they are parked;
-    a hub [ack_delay] lets them wait longer for one. The window is
+    An idle channel sends at the end of the turn, so a turn's calls
+    (or replies) leave as one packet and carry the acks parked for
+    that peer: a pipelined chain whose server replies in the turn the
+    calls arrive costs one packet each way and no standalone Ack. A
+    hub [ack_delay] lets acks wait longer for a ride. The window is
     still static; see {!aimd_config} for the adaptive variant. *)
 
 val aimd_config : config

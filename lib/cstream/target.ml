@@ -243,6 +243,15 @@ let remember t id outcome =
     Hashtbl.remove t.t_cache (Queue.pop t.t_done_order)
   done
 
+(* Whether [stream], a stable stream id, was sent to a group on this
+   node: only then can its outcomes ever land in the node's registry. *)
+let serves t stream =
+  Wire.stream_id_dst stream = Some (Chanhub.hub_addr t.hub)
+  &&
+  match Wire.stream_id_group stream with
+  | Some g -> Pipeline.Registry.in_scope t.t_registry g
+  | None -> false
+
 (* Promise pipelining (docs/PIPELINE.md): substitute {!Xdr.Pref}
    placeholders among [args] with the produced outcomes from the
    target's registry, parking the call until every referenced outcome
@@ -273,20 +282,17 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
         ~note:(Printf.sprintf "%d foreign ref(s) accepted" (List.length handoffs))
         ();
     (* The registry is the node's: a reference resolves here only if
-       some port group on this node produces it (the producing group is
-       embedded in the stable stream id), or if another node pushes it
-       (docs/HANDOFF.md) — which this call's own handoff annotations
-       say. Anything else could park forever; reject it. *)
+       some port group on this node produces it (the stable stream id
+       names this node and the producing group), or if another node
+       pushes it (docs/HANDOFF.md) — which this call's own handoff
+       annotations say. Anything else could park forever; reject it. *)
     let reachable (r : Xdr.promise_ref) =
       find r <> None
       || List.exists
            (fun (h : Wire.handoff) ->
              String.equal h.Wire.ho_stream r.Xdr.ps_stream && h.Wire.ho_call = r.Xdr.ps_call)
            handoffs
-      ||
-      match Wire.stream_id_group r.Xdr.ps_stream with
-      | Some g -> Pipeline.Registry.in_scope reg g
-      | None -> false
+      || serves t r.Xdr.ps_stream
     in
     if not (List.for_all reachable refs) then
       fail "pipelined reference to a call no group on this node runs; claim it instead"
@@ -422,11 +428,7 @@ let with_handoff_target c ~what ~check_epoch ~args ~reply k =
                  (Chanhub.handoff_epoch t.hub))
           else
             let reg = t.t_registry in
-            if
-              match Wire.stream_id_group ho.Wire.ho_stream with
-              | Some g -> not (Pipeline.Registry.in_scope reg g)
-              | None -> true
-            then refuse "stream feeds no group on this node"
+            if not (serves t ho.Wire.ho_stream) then refuse "stream feeds no group on this node"
             else if Pipeline.Registry.evicted reg ~stream:ho.Wire.ho_stream ~call:ho.Wire.ho_call
             then refuse "outcome already evicted"
             else k reg ho)

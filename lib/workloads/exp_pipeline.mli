@@ -15,7 +15,9 @@ type row = {
 }
 
 val e13_rows : ?depth:int -> unit -> row list
-(** The raw measurements: single-call round trip, claim-each chain and
-    pipelined chain (default depth 4). Used by the bench JSON emitter. *)
+(** The raw measurements: single-call round trip, claim-each chain,
+    pipelined chain and the same pipelined chain on adaptive channels
+    with an unordered group (default depth 4). Used by the bench JSON
+    emitter. *)
 
 val e13 : ?depth:int -> unit -> Table.t

@@ -118,6 +118,50 @@ let test_args_materialized_once () =
   check Alcotest.int "three calls carried refs" 3 (peek w.sched "ref_substitutions");
   check Alcotest.int "one decode per call" 7 (peek w.sched "target_args_materialized")
 
+(* Steady state on adaptive channels both ways, with no receive
+   overhead (so, as over TCP, the server replies in the turn the calls
+   arrived): a depth-4 chain costs one call packet and one reply
+   packet. Each idle channel flushes at the end of its turn with the
+   peer's parked acks on board — the reply packet acks the calls, the
+   next chain's call packet acks the replies — so no Ack travels
+   alone. *)
+
+let test_adaptive_chain_two_packets () =
+  let w = make_world ~cfg:{ Net.default_config with Net.kernel_overhead = 0.0 } () in
+  let cfg = CH.adaptive_config in
+  G.register_group w.server ~group:"main"
+    ~config:GC.(default |> with_reply_config cfg |> with_ordered false)
+    ();
+  G.register w.server ~group:"main" step_sig (fun _ n -> Ok (n + 1));
+  let counts () =
+    ( peek w.sched "chan_data_packets",
+      peek w.sched "chan_items_sent",
+      peek w.sched "chan_ack_packets" )
+  in
+  let marks = ref [] in
+  ignore
+    (S.spawn w.sched (fun () ->
+         let h = handle w ~config:cfg ~agent:"c" ~gid:"main" step_sig in
+         for chain = 0 to 4 do
+           marks := counts () :: !marks;
+           let p = ref (R.stream_call h (10 * chain)) in
+           for _ = 2 to 4 do
+             p := R.Call.(submit (piped h (R.pipe !p)))
+           done;
+           R.flush h;
+           check Alcotest.bool "chain value" true (P.claim !p = P.Normal ((10 * chain) + 4))
+         done));
+  run_ok w.sched;
+  (* Chains 1..3: warm (the channels are open), and each is followed
+     by a next chain whose call packet carries the replies' ack. *)
+  let marks = Array.of_list (List.rev !marks) in
+  for chain = 1 to 3 do
+    let d0, i0, a0 = marks.(chain) and d1, i1, a1 = marks.(chain + 1) in
+    check Alcotest.int (Printf.sprintf "chain %d: data packets" chain) 2 (d1 - d0);
+    check Alcotest.int (Printf.sprintf "chain %d: items (4 calls, 4 replies)" chain) 8 (i1 - i0);
+    check Alcotest.int (Printf.sprintf "chain %d: standalone acks" chain) 0 (a1 - a0)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Cross-stream, cross-group: the dependent call arrives (on its own
    stream, to another group of the same guardian) while the producer is
@@ -556,40 +600,43 @@ let test_cross_guardian_ref_resolves () =
   check Alcotest.int "no reference failures" 0 (peek w.sched "ref_failures")
 
 (* A reference whose stable stream id names a group this node does not
-   run, with no handoff annotation, can never resolve here: it fails at
-   once instead of parking. *)
+   run, or a stream sent to another node (here to a [main] group, which
+   this node runs too), with no handoff annotation, can never resolve
+   here: it fails at once instead of parking. *)
 
 let test_out_of_scope_ref_fails () =
-  let w = make_world () in
-  let ran = ref 0 in
-  G.register w.server ~group:"main" step_sig (fun _ n ->
-      incr ran;
-      Ok (n + 1));
-  let out = ref None in
-  ignore
-    (S.spawn w.sched (fun () ->
-         let se = R.stream (handle w ~agent:"c" ~gid:"main" step_sig) in
-         let args =
-           Xdr.Pref { Xdr.ps_stream = "9|~r/ghost/elsewhere/1"; ps_call = 0; ps_field = None }
-         in
-         (match
-            SE.call se ~port:"step" ~kind:Cstream.Wire.Call ~args ~on_reply:(fun o ->
-                out := Some o)
-          with
-         | Ok _ -> ()
-         | Error e -> Alcotest.failf "call rejected: %s" e);
-         SE.flush se));
-  run_ok w.sched;
-  (match !out with
-  | Some (Cstream.Wire.W_failure reason) ->
-      check Alcotest.bool "tells the caller to claim" true
-        (contains ~affix:"claim it instead" reason)
-  | _ -> Alcotest.fail "out-of-scope reference must fail, not park");
-  check Alcotest.int "dependent never executed" 0 !ran;
-  check Alcotest.int "nothing parked" 0 (peek w.sched "parked_calls");
-  check Alcotest.int "no waiter left" 0
-    (Pipeline.Registry.waiting (CH.outcomes (G.hub w.server)));
-  check Alcotest.int "counted as ref failure" 1 (peek w.sched "ref_failures")
+  List.iter
+    (fun ps_stream ->
+      let w = make_world () in
+      let ran = ref 0 in
+      G.register w.server ~group:"main" step_sig (fun _ n ->
+          incr ran;
+          Ok (n + 1));
+      let out = ref None in
+      ignore
+        (S.spawn w.sched (fun () ->
+             let se = R.stream (handle w ~agent:"c" ~gid:"main" step_sig) in
+             let args = Xdr.Pref { Xdr.ps_stream; ps_call = 0; ps_field = None } in
+             (match
+                SE.call se ~port:"step" ~kind:Cstream.Wire.Call ~args ~on_reply:(fun o ->
+                    out := Some o)
+              with
+             | Ok _ -> ()
+             | Error e -> Alcotest.failf "call rejected: %s" e);
+             SE.flush se));
+      run_ok w.sched;
+      let what = Printf.sprintf "%s: " ps_stream in
+      (match !out with
+      | Some (Cstream.Wire.W_failure reason) ->
+          check Alcotest.bool (what ^ "tells the caller to claim") true
+            (contains ~affix:"claim it instead" reason)
+      | _ -> Alcotest.failf "%sout-of-scope reference must fail, not park" what);
+      check Alcotest.int (what ^ "dependent never executed") 0 !ran;
+      check Alcotest.int (what ^ "nothing parked") 0 (peek w.sched "parked_calls");
+      check Alcotest.int (what ^ "no waiter left") 0
+        (Pipeline.Registry.waiting (CH.outcomes (G.hub w.server)));
+      check Alcotest.int (what ^ "counted as ref failure") 1 (peek w.sched "ref_failures"))
+    [ "9|~r/ghost/elsewhere/1"; "9|~r/ghost/main/77" ]
 
 (* ------------------------------------------------------------------ *)
 (* Waiter-slot hygiene: a parked call abandoned with its connection
@@ -694,6 +741,8 @@ let () =
       ( "pipelining",
         [
           Alcotest.test_case "4-deep chain in ~1 RTT" `Quick test_chain_single_round_trip;
+          Alcotest.test_case "adaptive chain: one packet each way, no lone ack" `Quick
+            test_adaptive_chain_two_packets;
           Alcotest.test_case "call arguments decoded once" `Quick test_args_materialized_once;
           Alcotest.test_case "cross-stream dependent parks then runs" `Quick
             test_cross_stream_parking;

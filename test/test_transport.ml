@@ -343,6 +343,68 @@ let test_tcp_rpc_acks_ride () =
     true
     (frames <= (2 * n) + 4)
 
+(* --- a stream's stable id names the hub that accepts it -------------- *)
+
+(* [tr] with the sender and reply label of every channel-opening Data
+   packet it receives logged. *)
+let opening_spy tr =
+  let seen = ref [] in
+  let set_receiver f =
+    tr.Transport.set_receiver (fun ~src frame ->
+        (match CH.decode_packet frame with
+        | Ok (CH.Data { src = chan_src; opening = Some o; _ }) ->
+            seen := (chan_src, o.CH.open_meta) :: !seen
+        | Ok _ | Error _ -> ());
+        f ~src frame)
+  in
+  ({ tr with Transport.set_receiver }, fun () -> List.rev !seen)
+
+(* Every stream a hub accepts names that hub's own address in its
+   stable id (the reply label's destination segment): two agents
+   calling two groups, on both backends. The pipelining scope check
+   (docs/PIPELINE.md) relies on it to refuse references to streams
+   sent to another node. *)
+let accepted_streams_name_their_hub rig =
+  let b, opened = opening_spy rig.rg_b in
+  let server = G.create (CH.create_hub ~transport:b ()) ~name:"server" in
+  let hub_a = CH.create_hub ~transport:rig.rg_a () in
+  let dst = rig.rg_b.Transport.addr in
+  List.iter
+    (fun gid ->
+      G.register_group server ~group:gid ~config:GC.(default |> with_reply_config CH.rpc_config) ();
+      G.register server ~group:gid work_sig (fun _ctx i -> Ok (i + 1)))
+    [ "main"; "aux" ];
+  ignore
+    (S.spawn rig.rg_sched ~name:"client" (fun () ->
+         List.iter
+           (fun agent ->
+             let ag = Core.Agent.create hub_a ~name:agent ~config:CH.rpc_config () in
+             List.iter
+               (fun gid ->
+                 match R.rpc (R.bind ag ~dst ~gid work_sig) 1 with
+                 | P.Normal 2 -> ()
+                 | _ -> Alcotest.failf "%s -> %s failed" agent gid)
+               [ "main"; "aux" ])
+           [ "a1"; "a2" ]));
+  run_ok rig.rg_sched;
+  let streams =
+    List.filter (fun (_, meta) -> String.starts_with ~prefix:"~r/" meta) (opened ())
+  in
+  check Alcotest.int "streams accepted" 4 (List.length streams);
+  List.iter
+    (fun (src, meta) ->
+      let id = Cstream.Wire.stable_stream_id ~src ~reply_label:meta in
+      check
+        Alcotest.(option int)
+        (Printf.sprintf "%s names the accepting hub" id)
+        (Some dst) (Cstream.Wire.stream_id_dst id))
+    streams
+
+let test_sim_streams_name_their_hub () = with_rig sim_rig accepted_streams_name_their_hub
+
+let test_tcp_streams_name_their_hub () =
+  with_tcp "streams name their hub" (fun () -> with_rig tcp_rig accepted_streams_name_their_hub)
+
 (* --- a restarted peer reopens its channels ------------------------- *)
 
 (* A hub that comes back at the same address numbers its channels from
@@ -519,6 +581,13 @@ let () =
         [
           Alcotest.test_case "break -> resubmit -> dedup over a real socket" `Quick
             test_tcp_exactly_once_across_break;
+        ] );
+      ( "stream ids",
+        [
+          Alcotest.test_case "accepted streams name their hub (sim)" `Quick
+            test_sim_streams_name_their_hub;
+          Alcotest.test_case "accepted streams name their hub (tcp)" `Quick
+            test_tcp_streams_name_their_hub;
         ] );
       ( "reconnect",
         [

@@ -505,30 +505,79 @@ let test_nagle_first_item_flushes_immediately () =
     true
     (!received_at < 10e-3)
 
+(* An idle channel flushes at the end of the turn: everything sent in
+   that turn leaves as one batch. While the batch is unacked, later
+   sends coalesce and leave together on its ack, long before the
+   100 ms flush timer. *)
 let test_nagle_coalesces_under_load () =
   let w = make_world () in
   let batches = ref [] in
   CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
-      CH.set_deliver in_chan (fun _ items -> batches := List.length items :: !batches));
+      CH.set_deliver in_chan (fun _ items ->
+          batches := (List.length items, S.now w.sched) :: !batches));
   let out =
     CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:""
       { CH.adaptive_config with CH.flush_interval = 100e-3 }
   in
   ignore
     (S.spawn w.sched (fun () ->
-         (* All 20 sends happen at t=0: the first flushes alone (idle);
-            the rest coalesce while it is in flight. *)
          for i = 1 to 20 do
+           ignore (CH.send out (Xdr.Int i) : (unit, string) result)
+         done;
+         (* The first batch is on the wire now and stays unacked for a
+            round trip. *)
+         for i = 21 to 25 do
+           S.sleep w.sched 1e-4;
            ignore (CH.send out (Xdr.Int i) : (unit, string) result)
          done));
   run_ok w;
   let batches = List.rev !batches in
-  check Alcotest.int "all items arrive" 20 (List.fold_left ( + ) 0 batches);
-  check Alcotest.bool
-    (Printf.sprintf "first batch is the lone idle flush: %s"
-       (String.concat "," (List.map string_of_int batches)))
-    true
-    (match batches with 1 :: rest -> rest <> [] && List.for_all (fun b -> b > 1) rest | _ -> false)
+  check
+    Alcotest.(list int)
+    "one batch per turn, then one per ack" [ 20; 5 ] (List.map fst batches);
+  match batches with
+  | [ _; (_, second_at) ] ->
+      check Alcotest.bool
+        (Printf.sprintf "second batch delivered at %.4fs, on the ack" second_at)
+        true (second_at < 10e-3)
+  | _ -> ()
+
+(* The idle flush does not wait on the hub's [ack_delay]: with a 1 ms
+   hold, an item sent on an idle channel still leaves at the instant it
+   was sent, carrying the ack that hold had parked. *)
+let test_idle_flush_ignores_ack_delay () =
+  let w = make_world ~ack_delay:1e-3 () in
+  let stats = S.stats w.sched in
+  let out =
+    CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:"" CH.adaptive_config
+  in
+  let sent_at = ref nan and after_turn = ref None and received_at = ref nan in
+  CH.on_connect w.hub_b ~label:"sink" (fun i ->
+      CH.set_deliver i (fun _ _ -> received_at := S.now w.sched));
+  (* b's item arrives at a, which parks the ack for it on the 1 ms
+     hold and, in the same turn, sends on its idle channel. *)
+  CH.on_connect w.hub_a ~label:"in" (fun i ->
+      CH.set_deliver i (fun _ _ ->
+          sent_at := S.now w.sched;
+          ignore (CH.send out (Xdr.Int 1) : (unit, string) result);
+          S.after w.sched 0.0 (fun () ->
+              after_turn :=
+                Some
+                  ( S.now w.sched,
+                    Sim.Stats.peek stats "chan_data_packets",
+                    Sim.Stats.peek stats "chan_piggybacked_acks",
+                    Sim.Stats.peek stats "chan_ack_packets" ))));
+  let back = CH.connect w.hub_b ~dst:(Net.address w.node_a) ~label:"in" ~meta:"" CH.rpc_config in
+  ignore (CH.send back (Xdr.Int 0) : (unit, string) result);
+  run_ok w;
+  match !after_turn with
+  | None -> Alcotest.fail "b's item never reached a"
+  | Some (at, data_pkts, piggy, ack_pkts) ->
+      check (Alcotest.float 0.0) "still the same virtual instant" !sent_at at;
+      check Alcotest.int "both data packets out by then" 2 data_pkts;
+      check Alcotest.int "the parked ack rode the flush" 1 piggy;
+      check Alcotest.int "no standalone ack" 0 ack_pkts;
+      check Alcotest.bool "the item was delivered" true (Float.is_finite !received_at)
 
 let test_window_backpressures_and_bounds_inflight () =
   let w = make_world () in
@@ -2042,6 +2091,8 @@ let () =
           Alcotest.test_case "nagle: idle flush is immediate" `Quick
             test_nagle_first_item_flushes_immediately;
           Alcotest.test_case "nagle: coalesces under load" `Quick test_nagle_coalesces_under_load;
+          Alcotest.test_case "nagle: idle flush ignores ack_delay" `Quick
+            test_idle_flush_ignores_ack_delay;
           Alcotest.test_case "window bounds inflight bytes" `Quick
             test_window_backpressures_and_bounds_inflight;
           Alcotest.test_case "window waiters released on break" `Quick
