@@ -2,7 +2,6 @@ type t = {
   reply_config : Chanhub.config;
   ordered : bool;
   dedup : bool;
-  dedup_cache : int;
   shards : int;
   shed_hwm : int option;
   offload : Sched.Pool.t option;
@@ -13,7 +12,6 @@ let default =
     reply_config = Chanhub.default_config;
     ordered = true;
     dedup = false;
-    dedup_cache = 1024;
     shards = 1;
     shed_hwm = None;
     offload = None;
@@ -23,7 +21,7 @@ let with_reply_config reply_config t = { t with reply_config }
 
 let with_ordered ordered t = { t with ordered }
 
-let with_dedup ?(cache = 1024) t = { t with dedup = true; dedup_cache = cache }
+let with_dedup t = { t with dedup = true }
 
 let with_shards shards t =
   if shards <= 0 then invalid_arg "Group_config.with_shards: shards must be positive";
@@ -43,7 +41,6 @@ let equal a b =
   a.reply_config = b.reply_config
   && a.ordered = b.ordered
   && a.dedup = b.dedup
-  && a.dedup_cache = b.dedup_cache
   && a.shards = b.shards
   && a.shed_hwm = b.shed_hwm
   &&
@@ -61,7 +58,6 @@ let diff a b =
       ("reply_config", a.reply_config <> b.reply_config);
       ("ordered", a.ordered <> b.ordered);
       ("dedup", a.dedup <> b.dedup);
-      ("dedup_cache", a.dedup_cache <> b.dedup_cache);
       ("shards", a.shards <> b.shards);
       ("shed_hwm", a.shed_hwm <> b.shed_hwm);
       ( "offload",

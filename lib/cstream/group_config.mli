@@ -8,7 +8,7 @@
     one by deriving from {!default} with the [with_*] functions:
 
     {[
-      Group_config.(default |> with_dedup ~cache:2048 |> with_shards 4)
+      Group_config.(default |> with_dedup |> with_shards 4)
     ]}
 
     Both entry points take the whole config ([?config]); the guardian
@@ -24,10 +24,10 @@ type t = {
           explicit override: calls run concurrently, replies still
           leave in call order. *)
   dedup : bool;
-      (** cross-incarnation outcome cache keyed by stable call-id —
+      (** cross-incarnation exactly-once execution keyed by stable
+          call-id, replayed from the node's outcome registry —
           required receiver-side for supervisor exactly-once
           (docs/FAULTS.md) *)
-  dedup_cache : int;  (** retained outcomes (oldest evicted first) *)
   shards : int;
       (** execution lanes per connection; >1 relaxes in-order execution
           to per-key order (docs/SHARDING.md). A call's lane is always
@@ -59,9 +59,11 @@ val with_reply_config : Chanhub.config -> t -> t
 
 val with_ordered : bool -> t -> t
 
-val with_dedup : ?cache:int -> t -> t
-(** Enable the cross-incarnation outcome cache ([cache] defaults to
-    1024 retained outcomes). *)
+val with_dedup : t -> t
+(** Enable cross-incarnation dedup. Its store is the node's outcome
+    registry ({!Chanhub.outcomes}), which evicts acked outcomes first:
+    a resubmitted call re-executes only once more than its cap (1024)
+    outcomes on the node are unacked or elided. *)
 
 val with_shards : int -> t -> t
 (** Set the lane count (raises [Invalid_argument] on [<= 0]). Calls are

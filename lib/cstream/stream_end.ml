@@ -347,7 +347,7 @@ let restart_resubmit t =
           span t ~kind:Sim.Span.Resubmit ~trace:p.p_trace ~call:p.p_cid
             ~note:(Printf.sprintf "incarnation %d" t.incarnation) ();
           (* Marked [resubmit] so a load-shedding receiver lets it
-             through to the dedup cache rather than rejecting it. *)
+             through to its dedup store rather than rejecting it. *)
           ignore
             (Chanhub.send t.chan
                (Wire.call_item ~resubmit:true ~handoff:p.p_handoff ~elide:p.p_elide

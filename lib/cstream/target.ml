@@ -23,14 +23,6 @@ type work =
       elide : bool;  (* strip a normal result from the reply (docs/HANDOFF.md) *)
     }
 
-(* Cross-incarnation dedup cache entry, keyed by (stable stream id,
-   stable call-id). [In_progress] collects the reply callbacks of
-   duplicate submissions that arrived while the first execution is
-   still running; [Done] replays the recorded outcome. *)
-type in_progress = { mutable waiters : (Wire.routcome -> unit) list }
-
-type entry = In_progress of in_progress | Done of Wire.routcome
-
 (* Per-call counters, resolved once at [create]: a by-name lookup costs
    a mutex and a string hash on every call. *)
 type counters = {
@@ -54,12 +46,11 @@ type t = {
   t_shed : int option;  (* load-shed high-water mark on lane queue depth *)
   t_dispatch_counts : int array;
       (* cumulative calls routed to each shard, for the imbalance stat *)
-  t_cache_cap : int;
-  t_cache : (string * int, entry) Hashtbl.t;
-  t_done_order : (string * int) Queue.t;
   t_registry : Wire.routcome Pipeline.Registry.t;
-      (* the node's promise-pipelining outcome registry
-         ({!Chanhub.outcomes}), shared with every target on the hub *)
+      (* the node's outcome registry ({!Chanhub.outcomes}), shared with
+         every target on the hub; also the dedup store *)
+  t_running : (string * int, unit) Hashtbl.t;
+      (* dedup only: (stable stream id, call-id) of running executions *)
   dispatch : dispatch;
   conns : (Chanhub.key, conn) Hashtbl.t;
   mutable closed : bool;
@@ -79,8 +70,8 @@ and conn = {
       (* orphanable handler executions, killed as a group when the
          connection goes away (docs/FAULTS.md) *)
   c_parked : (int, Pipeline.Registry.waiter list) Hashtbl.t;
-      (* cid -> registry waiters of a parked call, without dedup only:
-         such a call dies with its connection *)
+      (* cid -> registry waiters of a parked or joined call: such a
+         call dies with its connection *)
   (* outcomes parked until all earlier replies went out *)
   c_done : (int, Wire.kind * int option * bool * Wire.routcome) Hashtbl.t;
       (* (kind, trace, elide, outcome) *)
@@ -236,12 +227,12 @@ let emit_reply c ~kind ~trace ~elide outcome =
 let stable_stream_id (key : Chanhub.key) =
   Wire.stable_stream_id ~src:key.Chanhub.src ~reply_label:key.Chanhub.meta
 
-let remember t id outcome =
-  Hashtbl.replace t.t_cache id (Done outcome);
-  Queue.push id t.t_done_order;
-  while Queue.length t.t_done_order > t.t_cache_cap do
-    Hashtbl.remove t.t_cache (Queue.pop t.t_done_order)
-  done
+(* Hand a call's registry waiters to its connection, which cancels
+   them when it goes away. A dedup lane may still drain its queue after
+   the break; such a call is an orphan before it parks. *)
+let park c cid ws =
+  if c.c_broken then List.iter (Pipeline.Registry.cancel c.c_target.t_registry) ws
+  else Hashtbl.replace c.c_parked cid ws
 
 (* Whether [stream], a stable stream id, was sent to a group on this
    node: only then can its outcomes ever land in the node's registry. *)
@@ -254,10 +245,11 @@ let serves t stream =
 
 (* Promise pipelining (docs/PIPELINE.md): substitute {!Xdr.Pref}
    placeholders among [args] with the produced outcomes from the
-   target's registry, parking the call until every referenced outcome
-   has landed. [k] receives the fully substituted arguments; if any
-   producer terminated abnormally the call completes through [reply]
-   with the corresponding abnormal outcome and [k] never runs. *)
+   node's registry, parking the call until every referenced outcome
+   has landed; a parked call belongs to its connection, in every group,
+   and dies with it. [k] receives the fully substituted arguments; if
+   any producer terminated abnormally the call completes through
+   [reply] with the corresponding abnormal outcome and [k] never runs. *)
 let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
   let t = c.c_target in
   (* Nothing before the handler needed the decoded structure, so it is
@@ -341,9 +333,9 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
       if
         (* A missing outcome at or below its stream's eviction mark was
            already produced and forgotten: it will never be re-recorded
-           (only a dedup replay of the producer could, and that replays
-           the cache, not the registry's past), so parking would hang
-           the dependent call forever. *)
+           (a resubmitted producer re-executes under a new record, but
+           nothing tells this call to wait for it), so parking would
+           hang the dependent call forever. *)
         List.exists
           (fun (r : Xdr.promise_ref) ->
             Pipeline.Registry.evicted reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call)
@@ -354,16 +346,10 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
         let remaining = ref (List.length missing) in
         let aborted = ref false in
         let deliver _o =
-          (* Fires when a producer's outcome lands. The conn may have
-             died while we were parked: with dedup on, the call still
-             runs to completion — mirroring the orphan rule for
-             executing handlers — so its outcome lands in the
-             cross-incarnation cache, where the In_progress entry
-             inserted before parking is resolved and a resubmitted
-             duplicate finds the reply it joined for. Without dedup the
-             parked call dies with its conn: its waiters sit in
-             [c_parked], which [remove_conn] cancels. *)
-          if (not !aborted) && (t.t_dedup || not c.c_broken) then begin
+          (* Fires when a producer's outcome lands. A parked call dies
+             with its conn: its waiters sit in [c_parked], which
+             [remove_conn] cancels. *)
+          if not !aborted then begin
             decr remaining;
             if !remaining = 0 then begin
               Hashtbl.remove c.c_parked cid;
@@ -394,14 +380,14 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
               span t ~kind:Sim.Span.Park ~trace ~stream:c.c_stable ~call:cid
                 ~note:(Printf.sprintf "%d outcome(s) missing" (List.length missing))
                 ();
-            if not t.t_dedup then Hashtbl.replace c.c_parked cid registered
+            park c cid registered
       end
     end
 
 (* Reserved ports of the third-party handoff protocol
    (docs/HANDOFF.md). Both are handled here, inside the normal work
    path — so they keep their place in the stream's reply order — and
-   {e before} the dedup cache, so a resubmitted notice re-runs and
+   {e before} any dedup lookup, so a resubmitted notice re-runs and
    re-forwards (the push side absorbs the duplicate). *)
 let handoff_notice_port = Wire.handoff_notice_port
 
@@ -469,59 +455,71 @@ let handle_handoff_redeem c ~trace:_ ~args ~reply =
           reply (Wire.W_unavailable "redeem refused: dependency table full"))
 
 (* Execute one call, or don't: with dedup on, a call-id already seen is
-   never re-executed — its recorded outcome is replayed (or joined, if
-   the first execution is still in flight). This is what turns the
-   sender's resubmission protocol into cross-incarnation exactly-once
-   execution. Pipelined arguments are substituted (parking the call if
-   needed) before the handler dispatches; every Call outcome is
-   recorded in the pipelining registry for later dependents. *)
+   never re-executed — its outcome in the node's registry is replayed,
+   or joined if the first execution is still running. This is what
+   turns the sender's resubmission protocol into cross-incarnation
+   exactly-once execution. Pipelined arguments are substituted (parking
+   the call if needed) before the handler dispatches; every Call
+   outcome, and in a dedup group every Send outcome, is recorded in the
+   registry. *)
 let exec_call c ~seq ~cid ~trace ~port ~kind ~args ~handoff ~reply =
   let t = c.c_target in
   if String.equal port handoff_notice_port then handle_handoff_notice c ~trace ~args ~reply
   else if String.equal port handoff_redeem_port then
     handle_handoff_redeem c ~trace ~args ~reply
   else begin
-  let reply =
-    match kind with
-    | Wire.Call ->
-        fun outcome ->
-          Pipeline.Registry.record t.t_registry ~stream:c.c_stable ~call:cid outcome;
-          reply outcome
-    | Wire.Send -> reply
-  in
-  let run ~reply =
-    resolve_refs c ~cid ~trace ~args ~handoffs:handoff ~reply (fun args ->
-        span t ~kind:Sim.Span.Exec_begin ~trace ~stream:c.c_stable ~call:cid ~note:port ();
-        t.dispatch c ~seq ~port ~kind ~args
-          ~reply:(fun outcome ->
-            span t ~kind:Sim.Span.Exec_end ~trace ~stream:c.c_stable ~call:cid ();
-            reply outcome))
-  in
-  if not t.t_dedup then run ~reply
-  else begin
-    let id = (c.c_stable, cid) in
-    match Hashtbl.find_opt t.t_cache id with
-    | Some (Done outcome) ->
-        Sim.Stats.incr (counter t "target_dedup_replays");
-        span t ~kind:Sim.Span.Dedup_replay ~trace ~stream:c.c_stable ~call:cid ();
-        reply outcome
-    | Some (In_progress w) ->
-        Sim.Stats.incr (counter t "target_dedup_joins");
-        span t ~kind:Sim.Span.Dedup_join ~trace ~stream:c.c_stable ~call:cid ();
-        w.waiters <- reply :: w.waiters
-    | None ->
-        let w = { waiters = [] } in
-        Hashtbl.replace t.t_cache id (In_progress w);
-        run ~reply:(fun outcome ->
-            (* Record before replying: the outcome must outlive this
-               connection so a duplicate on a later incarnation replays
-               it instead of re-executing. *)
-            remember t id outcome;
-            let waiters = w.waiters in
-            w.waiters <- [];
-            List.iter (fun r -> r outcome) waiters;
-            reply outcome)
-  end
+    let reg = t.t_registry in
+    let recorded outcome =
+      Pipeline.Registry.record reg ~stream:c.c_stable ~call:cid outcome;
+      reply outcome
+    in
+    let start ~reply args =
+      span t ~kind:Sim.Span.Exec_begin ~trace ~stream:c.c_stable ~call:cid ~note:port ();
+      t.dispatch c ~seq ~port ~kind ~args ~reply:(fun outcome ->
+          span t ~kind:Sim.Span.Exec_end ~trace ~stream:c.c_stable ~call:cid ();
+          reply outcome)
+    in
+    if not t.t_dedup then begin
+      let reply = match kind with Wire.Call -> recorded | Wire.Send -> reply in
+      resolve_refs c ~cid ~trace ~args ~handoffs:handoff ~reply (start ~reply)
+    end
+    else begin
+      let id = (c.c_stable, cid) in
+      (* Replay a recorded outcome, join a running execution, or
+         [otherwise ()]. Decided before the refs are resolved, so a
+         duplicate of a running call never touches them, and again where
+         the handler would start: while this call was parked, its
+         original may have finished or begun. *)
+      let decide ~otherwise =
+        match Pipeline.Registry.find reg ~stream:c.c_stable ~call:cid with
+        | Some outcome ->
+            Sim.Stats.incr (counter t "target_dedup_replays");
+            span t ~kind:Sim.Span.Dedup_replay ~trace ~stream:c.c_stable ~call:cid ();
+            reply outcome
+        | None when Hashtbl.mem t.t_running id -> (
+            let joined outcome =
+              Hashtbl.remove c.c_parked cid;
+              reply outcome
+            in
+            match Pipeline.Registry.await reg ~stream:c.c_stable ~call:cid joined with
+            | `Parked w ->
+                Sim.Stats.incr (counter t "target_dedup_joins");
+                span t ~kind:Sim.Span.Dedup_join ~trace ~stream:c.c_stable ~call:cid ();
+                park c cid [ w ]
+            | `Fired -> ()
+            | `Refused ->
+                Sim.Stats.incr (counter t "target_dedup_join_refusals");
+                reply (Wire.W_unavailable "dedup join refused: dependency table full"))
+        | None -> otherwise ()
+      in
+      decide ~otherwise:(fun () ->
+          resolve_refs c ~cid ~trace ~args ~handoffs:handoff ~reply:recorded (fun args ->
+              decide ~otherwise:(fun () ->
+                  Hashtbl.replace t.t_running id ();
+                  start args ~reply:(fun outcome ->
+                      Hashtbl.remove t.t_running id;
+                      recorded outcome))))
+    end
   end
 
 (* The one reply route: outcomes are released strictly by call
@@ -726,8 +724,10 @@ let accept t in_chan =
                       ();
                   (* Elided calls skip the ack-tied release map: the
                      reply carries no outcome, so its ack proves
-                     nothing about who may still redeem the result. *)
-                  if kind = Wire.Call && not cv.Wire.cv_elide then
+                     nothing about who may still redeem the result. A
+                     dedup group records Send outcomes too, so their
+                     acks release them as well. *)
+                  if (kind = Wire.Call || t.t_dedup) && not cv.Wire.cv_elide then
                     Hashtbl.replace c.c_seq2cid seq cid;
                   Sched.Bqueue.enq lane.sh_work
                     (Exec
@@ -787,10 +787,8 @@ let create hub ~gid ?(config = Group_config.default) dispatch =
       t_shards = config.Group_config.shards;
       t_shed = config.Group_config.shed_hwm;
       t_dispatch_counts = Array.make config.Group_config.shards 0;
-      t_cache_cap = config.Group_config.dedup_cache;
-      t_cache = Hashtbl.create (if config.Group_config.dedup then 64 else 1);
-      t_done_order = Queue.create ();
       t_registry = Chanhub.outcomes hub;
+      t_running = Hashtbl.create (if config.Group_config.dedup then 16 else 1);
       dispatch;
       conns = Hashtbl.create 8;
       closed = false;

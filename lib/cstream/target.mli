@@ -15,20 +15,19 @@
     buffered according to [reply_config]. Normal replies to [Send]
     calls carry no result value.
 
-    With [~dedup:true] the group additionally keeps a bounded cache of
-    completed call outcomes keyed by the sender's {e stable call-id}
-    (see {!Wire.call_item} and [docs/FAULTS.md]): a call the group has
-    already executed — typically resubmitted by a supervisor after a
-    stream break — is answered from the cache instead of being run
-    again, giving exactly-once {e execution} across stream
-    incarnations.
+    With [~dedup:true] the group answers a call it has already
+    executed — typically resubmitted by a supervisor after a stream
+    break — from the node's outcome registry, keyed by the sender's
+    {e stable call-id} (see {!Wire.call_item} and [docs/FAULTS.md]),
+    instead of running it again: exactly-once {e execution} across
+    stream incarnations.
 
     {b Third-party handoff} (docs/HANDOFF.md): every group also serves
     two reserved ports. ["~handoff"] (a [Send])
     asks it to push the outcome of one of its recorded calls to a
     foreign owner node; ["~redeem"] (a [Call]) replies with that
     outcome directly — the claim-by-reference fallback. Both run in the
-    stream's normal work order and {e ahead} of the dedup cache, so a
+    stream's normal work order and are never deduplicated, so a
     resubmitted notice re-forwards to the same owner. On the owner
     side, a [Pref] argument named by the call's own handoff annotations
     passes the node scope check and the call parks on the node's
@@ -81,13 +80,14 @@ val create : Chanhub.hub -> gid:string -> ?config:Group_config.t -> dispatch -> 
     [shard_queue_hwm] (lane queue depth) and [shard_imbalance] (spread
     between the most- and least-loaded lane's cumulative dispatches).
 
-    [dedup] (default [false]) enables the cross-incarnation outcome
-    cache; [dedup_cache] (default 1024) bounds the number of retained
-    outcomes, evicted oldest-first. Choose it larger than the maximum
-    number of calls a supervisor can have in flight across a restart.
-    Dedup hits are counted in {!Sim.Stats} as [target_dedup_replays]
-    (outcome replayed from cache) and [target_dedup_joins] (duplicate
-    arrived while the first execution was still running).
+    [dedup] (default [false]) makes the group record [Send] outcomes
+    as well as [Call]s and dedup on the registry: a recorded outcome is
+    replayed, a running execution joined. The registry evicts acked
+    outcomes first, so a resubmit re-executes only once more than its
+    cap (1024) outcomes on the node are unacked or elided. Counted in
+    {!Sim.Stats} as [target_dedup_replays], [target_dedup_joins] and
+    [target_dedup_join_refusals] (the waiter table was full: the
+    duplicate is answered [unavailable]).
 
     Promise pipelining (docs/PIPELINE.md) needs no field: every [Call]
     outcome is recorded in the node's registry ({!Chanhub.outcomes})

@@ -26,8 +26,8 @@ val stable_stream_id : src:Net.address -> reply_label:string -> string
     from the sender's address and the reply-channel label (with its
     trailing incarnation number stripped). Computed identically by the
     sender ({!Stream_end.stable_id}) and the receiver ({!Target}), it
-    keys the receiver's dedup cache and the promise-pipelining outcome
-    registry (docs/PIPELINE.md). *)
+    keys the node's outcome registry, which serves both dedup and
+    promise pipelining (docs/PIPELINE.md). *)
 
 val stream_id_group : string -> string option
 (** The port-group name embedded in a stable stream id — the group the

@@ -52,7 +52,7 @@ let run_handler t conn ~dedup ~offload ~reply (Reg (hs, impl)) ~args ~caller =
          is still running, the connection's group kill destroys the
          execution. With dedup on, the opposite is required: the
          execution must run to completion so its outcome lands in the
-         target's cache, where the supervisor's resubmission of the
+         node's registry, where the supervisor's resubmission of the
          same call-id finds it instead of executing the handler a
          second time. *)
       let group = if dedup then None else Some (T.conn_group conn) in

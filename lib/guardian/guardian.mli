@@ -20,8 +20,8 @@
     orphaned execution is destroyed (killed at its next termination
     point) — the Argus orphan-destruction guarantee in miniature.
     Groups registered with [~dedup:true] invert this: orphans run to
-    completion so their outcome reaches the group's cross-incarnation
-    outcome cache, where a supervisor's resubmission of the same call
+    completion so their outcome reaches the node's outcome registry,
+    the dedup store, where a supervisor's resubmission of the same call
     finds it (exactly-once execution; see [docs/FAULTS.md]). *)
 
 type t
@@ -68,7 +68,7 @@ val register_group :
     (default {!Cstream.Group_config.default}): reply-channel buffering,
     execution discipline ([ordered = false] is the §2.1 override: calls
     on one stream run concurrently; replies stay in call order), the
-    cross-incarnation dedup cache (required on the receiving side for
+    cross-incarnation dedup (required on the receiving side for
     {!Core.Supervisor} exactly-once semantics), and sharding
     (docs/SHARDING.md — per-key call order and per-stream reply order
     are preserved; independent keys execute in parallel).

@@ -38,7 +38,7 @@ type kind =
   | Break  (** the call's stream broke while it was outstanding *)
   | Resubmit  (** call replayed on a new incarnation (same trace id) *)
   | Dedup_join  (** duplicate joined a still-running first execution *)
-  | Dedup_replay  (** duplicate answered from the outcome cache *)
+  | Dedup_replay  (** duplicate answered from the outcome registry *)
   | Shed  (** receiver rejected the call with [unavailable] under load
               (docs/OVERLOAD.md) *)
   | Handoff

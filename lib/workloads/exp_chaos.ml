@@ -10,7 +10,7 @@
    though the transport saw duplicates, retransmits and whole stream
    reincarnations. Crashes here model a stable-state guardian (§6 of
    the paper): the node is unreachable while down but its state —
-   including the dedup cache — survives recovery. *)
+   including its outcome registry — survives recovery. *)
 
 module S = Sched.Scheduler
 module CH = Cstream.Chanhub
@@ -46,7 +46,7 @@ type run_result = {
   r_lost : int;  (* acknowledged Normal but not applied exactly once: must be 0 *)
   r_breaks : int;
   r_restarts : int;
-  r_replays : int;  (* receiver-side dedup cache hits *)
+  r_replays : int;  (* receiver-side dedup replays *)
   r_restored : bool;  (* a probe call succeeded after the chaos, no manual restart *)
 }
 

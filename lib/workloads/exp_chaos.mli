@@ -41,6 +41,6 @@ val trace_story :
 (** Re-run one seed with causal tracing enabled (docs/TRACING.md) and
     render the timelines of the calls that crossed an incarnation —
     resubmitted after a break, dedup-joined onto an in-flight
-    duplicate, or replayed from the dedup cache — followed by the
+    duplicate, or replayed from the node registry — followed by the
     per-stream gantt. [max_timelines] (default 8) bounds the timelines
     shown. *)

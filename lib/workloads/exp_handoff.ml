@@ -11,7 +11,7 @@
      hop of latency disappears from every delegation.
 
    A third leg repeats the handoff run while the A<->B link is cut mid
-   flight and the stream resubmitted: the dedup cache plus push dedup
+   flight and the stream resubmitted: receiver dedup plus push dedup
    must keep every handler execution at exactly one ("dup execs" 0). *)
 
 module S = Sched.Scheduler

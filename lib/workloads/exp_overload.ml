@@ -134,7 +134,7 @@ let run_one ~mode ~(p : params) () =
     ~config:
       Cstream.Group_config.(
         default
-        |> with_dedup ~cache:8192
+        |> with_dedup
         |> with_shards p.shards
         |> with_shed p.shed_hwm)
     ();

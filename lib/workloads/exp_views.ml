@@ -48,7 +48,7 @@ let run_one ?(n = 400) ~mode () =
            batched frames land 16 calls at once, the lane queue crosses
            the mark, and most calls are rejected at delivery — before
            their arguments are ever decoded. *)
-        (1e-3, Cstream.Group_config.(default |> with_dedup ~cache:1024 |> with_shed 4))
+        (1e-3, Cstream.Group_config.(default |> with_dedup |> with_shed 4))
   in
   G.register_group server ~group:"dict" ~config:gcfg ();
   G.register server ~group:"dict" work_sig (fun ctx (k, _i) ->

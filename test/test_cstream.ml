@@ -955,7 +955,7 @@ let test_resubmit_dedups_already_executed_calls () =
   let replays =
     Sim.Stats.count (Sim.Stats.counter (S.stats w.sched) "target_dedup_replays")
   in
-  check Alcotest.bool "dedup cache replayed the executed calls" true (replays >= 3)
+  check Alcotest.bool "dedup store replayed the executed calls" true (replays >= 3)
 
 (* After a restart the surviving calls take fresh positions 0.. on the
    new channel while keeping their stable cids, so every resubmitted
@@ -1026,7 +1026,7 @@ let test_resubmit_with_cids_off_position () =
       1
       (Option.value ~default:0 (Hashtbl.find_opt applied i))
   done;
-  check Alcotest.bool "dedup cache replayed the calls executed before the break" true
+  check Alcotest.bool "dedup store replayed the calls executed before the break" true
     (Sim.Stats.count (Sim.Stats.counter (S.stats w.sched) "target_dedup_replays") >= 3)
 
 (* A peer that sends more replies than there are pending calls: the

@@ -182,7 +182,7 @@ let test_producer_crash_propagates () =
 
 (* ------------------------------------------------------------------ *)
 (* Resubmission racing the handoff: the A->B stream breaks after the
-   calls left, the whole pipeline is replayed. The dedup caches and the
+   calls left, the whole pipeline is replayed. Receiver dedup and the
    push dedup at C must keep every execution at exactly one. *)
 
 let test_resubmit_exactly_once () =
@@ -223,7 +223,7 @@ let test_resubmit_exactly_once () =
       check Alcotest.bool (Printf.sprintf "call %d normal" i) true (o = P.Normal blob_len))
     !got;
   check Alcotest.int "exactly-once at both servers" 0 (dup_execs w);
-  check Alcotest.bool "replayed pushes joined the dedup cache" true
+  check Alcotest.bool "replayed pushes joined the dedup store" true
     (peek w.sched "handoff_dedup_joins" >= 1);
   check Alcotest.int "no fallback" 0 (peek w.sched "handoff_fallbacks")
 
@@ -330,8 +330,8 @@ let push_ghosts ?(first = 1) (p : Workloads.Fixtures.pair) n =
          (r.Xdr.ps_stream, 0)));
   Pipeline.Registry.known reg - before
 
-let test_restarts_cancel_ghost_waiters () =
-  let p = Workloads.Fixtures.make_pair () in
+let test_restarts_cancel_ghost_waiters ?group_config () =
+  let p = Workloads.Fixtures.make_pair ?group_config () in
   let reg = server_outcomes p in
   let n = 20 in
   let ag = Core.Agent.create p.client_hub ~name:"ghosts" () in
@@ -515,6 +515,8 @@ let () =
             test_misshapen_record_push_counted;
           Alcotest.test_case "restarts cancel ghost waiters" `Quick
             test_restarts_cancel_ghost_waiters;
+          Alcotest.test_case "restarts cancel ghost waiters in a dedup group" `Quick
+            (test_restarts_cancel_ghost_waiters ~group_config);
           Alcotest.test_case "unparked annotation parks nothing" `Quick
             test_unparked_annotation_parks_nothing;
           Alcotest.test_case "push flood spares un-acked local outcomes" `Quick

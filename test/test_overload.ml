@@ -202,7 +202,7 @@ let test_shed_retry_success_exactly_once () =
      single lane and later arrivals are shed at delivery. Dedup is on,
      so any accidental re-execution would be visible twice over. *)
   G.register_group w.server ~group:"g"
-    ~config:GC.(default |> with_dedup ~cache:256 |> with_shed 3)
+    ~config:GC.(default |> with_dedup |> with_shed 3)
     ();
   let runs : (int, int) Hashtbl.t = Hashtbl.create 64 in
   G.register w.server ~group:"g" inc_sig (fun _ n ->
@@ -250,7 +250,7 @@ let test_shed_retry_success_exactly_once () =
 let test_retransmit_racing_shed_accounting () =
   let w = make_world ~seed:7 () in
   G.register_group w.server ~group:"g"
-    ~config:GC.(default |> with_dedup ~cache:256 |> with_shed 3)
+    ~config:GC.(default |> with_dedup |> with_shed 3)
     ();
   let runs : (int, int) Hashtbl.t = Hashtbl.create 64 in
   G.register w.server ~group:"g" inc_sig (fun _ n ->

@@ -383,7 +383,7 @@ let test_refuse_send_piped =
 (* ------------------------------------------------------------------ *)
 (* Supervision x pipelining: break the stream with the producer and the
    dependent call in flight; resubmission re-resolves the reference via
-   the dedup cache and the dependent executes exactly once. *)
+   the dedup store and the dependent executes exactly once. *)
 
 let fast_chan_cfg =
   {
@@ -449,12 +449,12 @@ let test_resubmit_dependent_exactly_once () =
 (* ------------------------------------------------------------------ *)
 (* Supervision x pipelining, the parked flavour: the dependent call is
    parked on a dedup group (waiting for a producer on another stream)
-   when its own connection dies. The parked call must still run to
-   completion once the producer lands — its outcome is what resolves
-   the In_progress dedup entry a resubmitted duplicate joins. A
-   regression here deadlocks the duplicate forever. *)
+   when its own connection dies. The parked original dies with its
+   connection, like any parked call; the resubmitted duplicate parks
+   on its new connection and runs once the producer lands. A
+   regression here either runs the dependent twice or never. *)
 
-let test_parked_dependent_conn_break_exactly_once () =
+let test_parked_dependent_dies_with_conn () =
   let w = make_world () in
   let slow_execs : (int, int) Hashtbl.t = Hashtbl.create 4 in
   let ctr_execs : (int, int) Hashtbl.t = Hashtbl.create 4 in
@@ -524,7 +524,198 @@ let test_parked_dependent_conn_break_exactly_once () =
     (Option.value ~default:0 (Hashtbl.find_opt ctr_execs 14));
   check Alcotest.int "plain ctr call executed exactly once" 1
     (Option.value ~default:0 (Hashtbl.find_opt ctr_execs 100));
-  check Alcotest.int "dependent call parked" 1 (peek w.sched "parked_calls")
+  check Alcotest.int "original and duplicate each parked" 2 (peek w.sched "parked_calls")
+
+(* ------------------------------------------------------------------ *)
+(* Supervision x the node registry as dedup store: stream A's three
+   calls execute, but a partition cuts off their replies. Meanwhile a
+   third node pushes 1,200 calls (or sends) through the same dedup
+   group — more outcomes than the registry's cap of 1024 — whose
+   replies are acked as they go. Acked outcomes are evicted first, so
+   after heal and resubmission A's calls are replayed, not run again. *)
+
+let test_unacked_outcomes_survive_flood ~sends () =
+  let w = make_world () in
+  let execs : (int, int) Hashtbl.t = Hashtbl.create 2048 in
+  G.register_group w.server ~group:"ctr"
+    ~config:GC.(default |> with_reply_config fast_chan_cfg |> with_dedup)
+    ();
+  G.register w.server ~group:"ctr" step_sig (fun ctx n ->
+      Hashtbl.replace execs n (1 + Option.value ~default:0 (Hashtbl.find_opt execs n));
+      if n < 1000 then S.sleep ctx.G.sched 2e-3;
+      Ok n);
+  let flood_node = Net.add_node w.net ~name:"flood" in
+  let flood_hub = CH.create_hub ~net:(w.net, flood_node) () in
+  let client = Net.address w.client_node and server = Net.address w.server_node in
+  S.at w.sched 1.5e-3 (fun () -> Net.partition w.net client server);
+  let flooded = ref false in
+  ignore
+    (S.spawn w.sched (fun () ->
+         let ag = Core.Agent.create flood_hub ~name:"f" ~config:fast_chan_cfg () in
+         let h = R.bind ag ~dst:server ~gid:"ctr" step_sig in
+         S.sleep w.sched 10e-3;
+         for round = 0 to 11 do
+           let args = List.init 100 (fun i -> 1000 + (100 * round) + i) in
+           if sends then begin
+             List.iter (R.send h) args;
+             match R.synch h with
+             | Ok () -> ()
+             | Error _ -> Alcotest.fail "flood sends failed"
+           end
+           else begin
+             let ps = List.map (R.stream_call h) args in
+             R.flush h;
+             List.iter2
+               (fun n p -> check Alcotest.bool "flood result" true (P.claim p = P.Normal n))
+               args ps
+           end
+         done;
+         flooded := true));
+  let outs = ref [] in
+  ignore
+    (S.spawn w.sched (fun () ->
+         let h = handle w ~config:fast_chan_cfg ~agent:"a" ~gid:"ctr" step_sig in
+         let se = R.stream h in
+         SE.set_preserve_on_break se true;
+         let ps = List.map (R.stream_call h) [ 0; 1; 2 ] in
+         R.flush h;
+         while SE.broken se = None || not !flooded do
+           S.sleep w.sched 1e-3
+         done;
+         Net.heal w.net client server;
+         ignore (SE.restart_resubmit se : int);
+         outs := List.map P.claim ps));
+  run_ok w.sched;
+  check Alcotest.bool "flood went through" true !flooded;
+  check Alcotest.bool "A's results" true (!outs = [ P.Normal 0; P.Normal 1; P.Normal 2 ]);
+  List.iter
+    (fun n ->
+      check Alcotest.int (Printf.sprintf "A's argument %d executed once" n) 1
+        (Option.value ~default:0 (Hashtbl.find_opt execs n)))
+    [ 0; 1; 2 ];
+  check Alcotest.bool "A's calls replayed" true (peek w.sched "target_dedup_replays" >= 3)
+
+(* A resubmitted dependent whose original is still running joins it
+   without resolving its references again: by then its producer's
+   acked outcome may be evicted, and a second resolution would fail
+   the call although its handler runs. Here the producer is acked, the
+   dependent sleeps, the stream breaks, and a flood from a third node
+   evicts the producer before the resubmission arrives. *)
+
+let test_running_dependent_joined_after_producer_evicted () =
+  let w = make_world () in
+  let execs : (int, int) Hashtbl.t = Hashtbl.create 2048 in
+  G.register_group w.server ~group:"ctr"
+    ~config:GC.(default |> with_reply_config fast_chan_cfg |> with_dedup)
+    ();
+  G.register w.server ~group:"ctr" step_sig (fun ctx n ->
+      Hashtbl.replace execs n (1 + Option.value ~default:0 (Hashtbl.find_opt execs n));
+      if n = 14 then S.sleep ctx.G.sched 1.0;
+      Ok (n * 2));
+  let flood_node = Net.add_node w.net ~name:"flood" in
+  let flood_hub = CH.create_hub ~net:(w.net, flood_node) () in
+  let client = Net.address w.client_node and server = Net.address w.server_node in
+  let reg = CH.outcomes (G.hub w.server) in
+  S.at w.sched 10e-3 (fun () -> Net.partition w.net client server);
+  let flooded = ref false in
+  ignore
+    (S.spawn w.sched (fun () ->
+         let ag = Core.Agent.create flood_hub ~name:"f" ~config:fast_chan_cfg () in
+         let h = R.bind ag ~dst:server ~gid:"ctr" step_sig in
+         S.sleep w.sched 20e-3;
+         for round = 0 to 10 do
+           let args = List.init 100 (fun i -> 1000 + (100 * round) + i) in
+           let ps = List.map (R.stream_call h) args in
+           R.flush h;
+           List.iter (fun p -> ignore (P.claim p : _ P.outcome)) ps
+         done;
+         flooded := true));
+  let o1 = ref None and o2 = ref None and o3 = ref None and evicted = ref false in
+  ignore
+    (S.spawn w.sched (fun () ->
+         let h = handle w ~config:fast_chan_cfg ~agent:"c" ~gid:"ctr" step_sig in
+         let se = R.stream h in
+         SE.set_preserve_on_break se true;
+         let p1 = R.stream_call h 7 in
+         let p2 = R.Call.(submit (piped h (R.pipe p1))) in
+         R.flush h;
+         o1 := Some (P.claim p1);
+         S.sleep w.sched 12e-3;
+         let p3 = R.stream_call h 1 in
+         R.flush h;
+         while SE.broken se = None || not !flooded do
+           S.sleep w.sched 1e-3
+         done;
+         evicted := Pipeline.Registry.evicted reg ~stream:(SE.stable_id se) ~call:0;
+         Net.heal w.net client server;
+         ignore (SE.restart_resubmit se : int);
+         o2 := Some (P.claim p2);
+         o3 := Some (P.claim p3)));
+  run_ok w.sched;
+  check Alcotest.bool "producer evicted before the resubmission" true !evicted;
+  check Alcotest.bool "producer result" true (!o1 = Some (P.Normal 14));
+  check Alcotest.bool "dependent result is the handler's" true (!o2 = Some (P.Normal 28));
+  check Alcotest.bool "probe result" true (!o3 = Some (P.Normal 2));
+  List.iter
+    (fun n ->
+      check Alcotest.int (Printf.sprintf "argument %d executed once" n) 1
+        (Option.value ~default:0 (Hashtbl.find_opt execs n)))
+    [ 7; 14; 1 ];
+  check Alcotest.int "duplicate joined" 1 (peek w.sched "target_dedup_joins")
+
+(* A duplicate that would join a still-running execution takes a
+   registry waiter slot. With the node's waiter table full the join is
+   refused: the duplicate is answered [unavailable] and counted, and the
+   handler still runs once. *)
+
+let test_dedup_join_refused_when_table_full () =
+  let w = make_world () in
+  let executions = ref 0 in
+  G.register_group w.server ~group:"ctr"
+    ~config:GC.(default |> with_reply_config fast_chan_cfg |> with_dedup)
+    ();
+  G.register w.server ~group:"ctr" step_sig (fun ctx n ->
+      if n = 7 then begin
+        incr executions;
+        S.sleep ctx.G.sched 60e-3
+      end;
+      Ok (n + 1));
+  S.at w.sched 2e-3 (fun () -> Net.crash w.net w.server_node);
+  S.at w.sched 40e-3 (fun () -> Net.recover w.net w.server_node);
+  let reg = CH.outcomes (G.hub w.server) in
+  let out = ref None and probe_out = ref None in
+  ignore
+    (S.spawn w.sched (fun () ->
+         let h = handle w ~config:fast_chan_cfg ~agent:"c" ~gid:"ctr" step_sig in
+         let se = R.stream h in
+         SE.set_preserve_on_break se true;
+         let p = R.stream_call h 7 in
+         R.flush h;
+         S.sleep w.sched 3e-3;
+         let probe = R.stream_call h 100 in
+         R.flush h;
+         while SE.broken se = None || S.now w.sched < 45e-3 do
+           S.sleep w.sched 1e-3
+         done;
+         let rec fill acc i =
+           match Pipeline.Registry.await reg ~stream:"filler" ~call:i ignore with
+           | `Parked wt -> fill (wt :: acc) (i + 1)
+           | `Fired | `Refused -> acc
+         in
+         let fillers = fill [] 0 in
+         ignore (SE.restart_resubmit se : int);
+         out := Some (P.claim p);
+         probe_out := Some (P.claim probe);
+         List.iter (Pipeline.Registry.cancel reg) fillers));
+  run_ok w.sched;
+  (match !out with
+  | Some (P.Unavailable _) -> ()
+  | _ -> Alcotest.fail "refused join must answer unavailable");
+  check Alcotest.bool "probe result" true (!probe_out = Some (P.Normal 101));
+  check Alcotest.int "handler ran once" 1 !executions;
+  check Alcotest.int "refusal counted" 1 (peek w.sched "target_dedup_join_refusals");
+  check Alcotest.int "no join" 0 (peek w.sched "target_dedup_joins");
+  check Alcotest.int "no waiter left" 0 (Pipeline.Registry.waiting reg)
 
 (* ------------------------------------------------------------------ *)
 (* A reference whose producer outcome was FIFO-evicted from the
@@ -785,7 +976,15 @@ let () =
         [
           Alcotest.test_case "resubmitted dependent executes exactly once" `Quick
             test_resubmit_dependent_exactly_once;
-          Alcotest.test_case "parked dependent survives its conn's death" `Quick
-            test_parked_dependent_conn_break_exactly_once;
+          Alcotest.test_case "parked dependent dies with its conn, duplicate runs once" `Quick
+            test_parked_dependent_dies_with_conn;
+          Alcotest.test_case "unacked outcomes survive a call flood" `Quick
+            (test_unacked_outcomes_survive_flood ~sends:false);
+          Alcotest.test_case "unacked outcomes survive a send flood" `Quick
+            (test_unacked_outcomes_survive_flood ~sends:true);
+          Alcotest.test_case "running dependent joined after its producer is evicted" `Quick
+            test_running_dependent_joined_after_producer_evicted;
+          Alcotest.test_case "dedup join refused when the waiter table is full" `Quick
+            test_dedup_join_refused_when_table_full;
         ] );
     ]

@@ -2,7 +2,7 @@
    across N worker lanes by a key of the arguments. Independent keys
    execute concurrently; calls on the same key keep call order; replies
    leave in per-stream call order no matter how lane completion is
-   scrambled; the dedup cache stays exactly-once across a crash and
+   scrambled; the dedup store stays exactly-once across a crash and
    [restart_resubmit]; conflicting group re-registration fails loudly;
    and a pipelined call parked on one lane resolves from another. *)
 
@@ -210,7 +210,7 @@ let prop_replies_in_call_order =
 (* ------------------------------------------------------------------ *)
 (* Exactly-once across a crash: a sharded dedup group loses the server
    mid-flight; resubmission on a fresh incarnation re-lands every call
-   on its original lane and the dedup cache makes each execute once, in
+   on its original lane and the dedup store makes each execute once, in
    per-key order. *)
 
 let fast_chan_cfg =
@@ -307,8 +307,6 @@ let test_group_reregistration_conflicts () =
         ());
   expect_invalid "conflicting ordered" (fun () ->
       G.register_group w.server ~group:"g" ~config:GC.(cfg |> with_ordered false) ());
-  expect_invalid "conflicting dedup_cache" (fun () ->
-      G.register_group w.server ~group:"g" ~config:GC.(cfg |> with_dedup ~cache:7) ());
   expect_invalid "conflicting reply_config" (fun () ->
       G.register_group w.server ~group:"g" ~config:GC.(cfg |> with_reply_config batch_cfg) ())
 

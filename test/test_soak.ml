@@ -1,6 +1,6 @@
 (* Soak gate: nothing outlives its call. Each workload runs on one
    long-lived simulated connection: a warm-up fills every bounded
-   structure (dedup cache, pipelining registry) to its cap, then the
+   structure (the node outcome registry) to its cap, then the
    live heap is read after N and after 2N more operations. The growth
    between the two reads, per operation, must stay under [bound_words]:
    a structure that keeps one small record per call costs at least 6

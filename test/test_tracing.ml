@@ -176,9 +176,9 @@ let test_resubmit_keeps_trace_and_joins () =
   check Alcotest.bool "duplicate did not re-execute" false
     (Span.has w.spans ~trace:!tid Span.Dedup_replay)
 
-(* The cache-replay flavor: the handler is fast, so the first execution
+(* The replay flavor: the handler is fast, so the first execution
    finishes during the outage and the resubmitted duplicate is answered
-   from the dedup cache — still under the original trace id. *)
+   from the node registry — still under the original trace id. *)
 
 let test_resubmit_dedup_replay () =
   let w = make_world () in
