@@ -45,26 +45,32 @@ let encode_ack e (a : ack_entry) =
   B.add_varint e a.a_upto;
   B.add_uvarint e a.a_pressure
 
+(* A Data packet up to its [count] items, which follow in the same
+   intern table. *)
+let add_data_head e ~src ~idx ~first_seq ~opening ~acks ~count =
+  B.add_byte e 1;
+  B.add_uvarint e src;
+  B.add_uvarint e idx;
+  B.add_uvarint e first_seq;
+  (match (first_seq, opening) with
+  | 0, Some o ->
+      B.add_string e o.open_label;
+      B.add_string e o.open_meta
+  | 0, None | _, Some _ ->
+      invalid_arg "Chanhub.encode_packet: opening fields go with first_seq = 0 only"
+  | _, None -> ());
+  B.add_uvarint e (List.length acks);
+  List.iter (encode_ack e) acks;
+  B.add_uvarint e count
+
 (* One pooled encoder per frame: the whole batch — envelope, acks and
-   every item — shares a buffer and intern table, so a multi-item
-   flush costs one encoder, not one per item. *)
-let encode_packet_body e p =
-  match p with
+   every item — shares a buffer and intern table. *)
+let encode_packet p =
+  let e = B.acquire () in
+  B.add_byte e B.version;
+  (match p with
   | Data { src; idx; first_seq; opening; acks; items } ->
-      B.add_byte e 1;
-      B.add_uvarint e src;
-      B.add_uvarint e idx;
-      B.add_uvarint e first_seq;
-      (match (first_seq, opening) with
-      | 0, Some o ->
-          B.add_string e o.open_label;
-          B.add_string e o.open_meta
-      | 0, None | _, Some _ ->
-          invalid_arg "Chanhub.encode_packet: opening fields go with first_seq = 0 only"
-      | _, None -> ());
-      B.add_uvarint e (List.length acks);
-      List.iter (encode_ack e) acks;
-      B.add_uvarint e (List.length items);
+      add_data_head e ~src ~idx ~first_seq ~opening ~acks ~count:(List.length items);
       List.iter (B.add_value e) items
   | Ack { acks } ->
       B.add_byte e 2;
@@ -74,13 +80,10 @@ let encode_packet_body e p =
       B.add_byte e 3;
       B.add_uvarint e src;
       B.add_uvarint e idx;
-      B.add_raw_string e reason
-
-let encode_packet p =
-  B.with_encoder (fun e ->
-      B.add_byte e B.version;
-      encode_packet_body e p;
-      B.contents e)
+      B.add_raw_string e reason);
+  let frame = B.contents e in
+  B.release e;
+  frame
 
 let ( let* ) = Result.bind
 
@@ -204,7 +207,7 @@ let rtt_congestion_ratio = 2.0
    unacked until a cumulative ack covers it. *)
 type entry = {
   e_item : Xdr.value;
-  e_size : int;  (* encoded bytes, charged to the window *)
+  e_size : int;  (* the bytes it added to its packet, charged to the window *)
   mutable e_sent_at : float;  (* time of the most recent transmission *)
   mutable e_retx : bool;  (* retransmitted at least once: no RTT sample (Karn) *)
 }
@@ -216,7 +219,9 @@ type out_chan = {
   o_cfg : config;
   mutable o_next_seq : int;  (* seq of the next item accepted by [send] *)
   o_buf : entry Queue.t;  (* accepted, not yet transmitted *)
-  mutable o_buf_bytes : int;  (* encoded bytes in [o_buf]: the batch-size trigger *)
+  mutable o_pkt : B.encoder option;
+      (* the open packet: [o_buf]'s items, already encoded; held from
+         the pool exactly while [o_buf] is not empty *)
   o_unacked : entry Queue.t;  (* transmitted; seqs [o_acked_upto + 1] onwards *)
   mutable o_inflight_bytes : int;  (* encoded bytes in both queues: the window's measure *)
   mutable o_acked_upto : int;
@@ -233,7 +238,7 @@ type out_chan = {
   mutable o_retx_timer : S.timer option;
       (* the armed retransmit timer; every disarm cancels it, so a
          timer that fires is always the live one *)
-  o_waiters : unit S.waker Queue.t;  (* fibers parked in await_window *)
+  o_waiters : unit S.waker Queue.t;  (* fibers parked by a refused [offer] *)
 }
 
 and in_chan = {
@@ -291,6 +296,11 @@ and hub = {
 }
 
 let hub_addr h = h.h_tr.Transport.addr
+
+type table_sizes = { outs : int; ins : int; dead : int }
+
+let table_sizes h =
+  { outs = Hashtbl.length h.h_outs; ins = Hashtbl.length h.h_ins; dead = Hashtbl.length h.h_dead }
 
 let hub_sched h = h.h_sched
 
@@ -361,17 +371,20 @@ let span_items hub kind ?note trace_of items =
         | None -> ())
       items
 
-let transmit hub ~dst packet =
-  let frame = encode_packet packet in
-  let ctr = hub.h_ctr in
-  Sim.Stats.add ctr.hc_wire_bytes (String.length frame);
-  (match packet with
-  | Data { items; _ } ->
-      Sim.Stats.incr ctr.hc_data_packets;
-      Sim.Stats.add ctr.hc_items_sent (List.length items)
-  | Ack _ -> Sim.Stats.incr ctr.hc_ack_packets
-  | Reset _ -> Sim.Stats.incr ctr.hc_reset_packets);
+let send_frame hub ~dst frame =
+  Sim.Stats.add hub.h_ctr.hc_wire_bytes (String.length frame);
   hub.h_tr.Transport.send ~dst frame
+
+let count_data hub items =
+  Sim.Stats.incr hub.h_ctr.hc_data_packets;
+  Sim.Stats.add hub.h_ctr.hc_items_sent items
+
+let transmit hub ~dst packet =
+  (match packet with
+  | Data { items; _ } -> count_data hub (List.length items)
+  | Ack _ -> Sim.Stats.incr hub.h_ctr.hc_ack_packets
+  | Reset _ -> Sim.Stats.incr hub.h_ctr.hc_reset_packets);
+  send_frame hub ~dst (encode_packet packet)
 
 (* --- delayed acks and piggybacking -------------------------------- *)
 
@@ -411,8 +424,8 @@ let send_standalone_acks hub ~dst =
 (* --- sending end -------------------------------------------------- *)
 
 let wake_waiters o =
-  (* Wake everyone; each re-checks the window and re-parks if it is
-     still full, preserving FIFO order through the queue. *)
+  (* Wake everyone; each offers again and re-parks if it is still
+     refused, preserving FIFO order through the queue. *)
   while not (Queue.is_empty o.o_waiters) do
     ignore (S.wake (Queue.pop o.o_waiters) ())
   done
@@ -421,12 +434,19 @@ let disarm_retransmit o =
   Option.iter S.cancel_timer o.o_retx_timer;
   o.o_retx_timer <- None
 
+let drop_packet o =
+  Option.iter B.release o.o_pkt;
+  o.o_pkt <- None
+
+(* A broken channel leaves the hub's table: acks and Resets for it do
+   nothing anyway. *)
 let mark_broken o reason =
   if o.o_broken = None then begin
     Sim.Stats.incr (hub_counter o.o_hub "chan_out_breaks");
     o.o_broken <- Some reason;
+    Hashtbl.remove o.o_hub.h_outs o.o_key.idx;
     Queue.clear o.o_buf;
-    o.o_buf_bytes <- 0;
+    drop_packet o;
     Queue.clear o.o_unacked;
     o.o_inflight_bytes <- 0;
     o.o_flush_gen <- o.o_flush_gen + 1;
@@ -472,22 +492,23 @@ let grow_window o =
 
 (* Only a packet starting at seq 0 names the channel in full, so a
    go-back-n retransmit from an unacked seq 0 re-opens it. *)
+let opening_at o ~first_seq =
+  if first_seq = 0 then Some { open_label = o.o_key.label; open_meta = o.o_key.meta } else None
+
 let data_packet o ~first_seq ~acks ~items =
-  let opening =
-    if first_seq = 0 then Some { open_label = o.o_key.label; open_meta = o.o_key.meta } else None
-  in
+  let opening = opening_at o ~first_seq in
   Data { src = o.o_key.src; idx = o.o_key.idx; first_seq; opening; acks; items }
 
-(* The items of [q], oldest first, each stamped as (re)transmitted now. *)
+(* Stamp every entry of [q] as (re)transmitted now. *)
 let stamp_sent o q ~retx =
   let now = S.now o.o_hub.h_sched in
-  List.rev
-    (Queue.fold
-       (fun acc e ->
-         e.e_sent_at <- now;
-         e.e_retx <- retx;
-         e.e_item :: acc)
-       [] q)
+  Queue.iter
+    (fun e ->
+      e.e_sent_at <- now;
+      e.e_retx <- retx)
+    q
+
+let items_of q = List.rev (Queue.fold (fun acc e -> e.e_item :: acc) [] q)
 
 (* The timer is anchored to the oldest unacked item: further sends do
    not push it back, so a dead peer is detected after at most
@@ -509,7 +530,8 @@ let rec arm_retransmit o =
                   [o_inflight_bytes] from their first transmission, so a
                   retransmit — including one racing a receiver shed —
                   must not charge the window a second time. *)
-               let items = stamp_sent o o.o_unacked ~retx:true in
+               stamp_sent o o.o_unacked ~retx:true;
+               let items = items_of o.o_unacked in
                let acks = take_piggyback o.o_hub ~dst:o.o_dst in
                transmit o.o_hub ~dst:o.o_dst
                  (data_packet o ~first_seq:(o.o_acked_upto + 1) ~acks ~items);
@@ -520,20 +542,33 @@ let rec arm_retransmit o =
                arm_retransmit o
              end))
 
+(* The open packet's items are already encoded: the frame is its head,
+   with the acks parked for the peer, and then those bytes. *)
 let flush_out o =
-  if o.o_broken = None && not (Queue.is_empty o.o_buf) then begin
-    let first_seq = o.o_next_seq - Queue.length o.o_buf in
-    let items = stamp_sent o o.o_buf ~retx:false in
-    Queue.transfer o.o_buf o.o_unacked;
-    o.o_buf_bytes <- 0;
-    o.o_flush_gen <- o.o_flush_gen + 1;
-    let acks = take_piggyback o.o_hub ~dst:o.o_dst in
-    transmit o.o_hub ~dst:o.o_dst (data_packet o ~first_seq ~acks ~items);
-    if spans_on o.o_hub then
-      span_items o.o_hub Sim.Span.Transmit ~note:(Printf.sprintf "-> n%d" o.o_dst) Wire.item_trace
-        items;
-    arm_retransmit o
-  end
+  match o.o_pkt with
+  | Some pkt when o.o_broken = None ->
+      let count = Queue.length o.o_buf in
+      let first_seq = o.o_next_seq - count in
+      stamp_sent o o.o_buf ~retx:false;
+      let items = if spans_on o.o_hub then items_of o.o_buf else [] in
+      Queue.transfer o.o_buf o.o_unacked;
+      o.o_flush_gen <- o.o_flush_gen + 1;
+      let acks = take_piggyback o.o_hub ~dst:o.o_dst in
+      let e = B.acquire () in
+      B.add_byte e B.version;
+      add_data_head e ~src:o.o_key.src ~idx:o.o_key.idx ~first_seq
+        ~opening:(opening_at o ~first_seq) ~acks ~count;
+      B.append e pkt;
+      let frame = B.contents e in
+      B.release e;
+      drop_packet o;
+      count_data o.o_hub count;
+      send_frame o.o_hub ~dst:o.o_dst frame;
+      if spans_on o.o_hub then
+        span_items o.o_hub Sim.Span.Transmit ~note:(Printf.sprintf "-> n%d" o.o_dst)
+          Wire.item_trace items;
+      arm_retransmit o
+  | Some _ | None -> ()
 
 (* The peer's end-of-turn callback, run once the run queue is empty.
    Idle channels flush first, each taking the parked acks as piggyback;
@@ -583,52 +618,73 @@ let window_admits o bytes =
   let at_floor = o.o_cfg.adaptive_window && o.o_window <= o.o_cfg.window_min_bytes in
   inflight_bytes o = 0 || ((not at_floor) && inflight_bytes o + bytes <= o.o_window)
 
-let await_window o ~bytes =
-  match o.o_broken with
-  | Some reason -> Error reason
-  | None ->
-      if window_admits o bytes || S.current o.o_hub.h_sched = None then Ok ()
-      else begin
-        let rec wait () =
-          S.suspend o.o_hub.h_sched (fun w -> Queue.add w o.o_waiters);
-          match o.o_broken with
-          | Some reason -> Error reason
-          | None -> if window_admits o bytes then Ok () else wait ()
-        in
-        wait ()
-      end
+(* Encode [item] at the tail of the open packet and return the bytes it
+   added. At seq 0 the head will spell the label and meta in front of
+   the items, so a new packet starts with them interned. *)
+let encode_item o item =
+  let e =
+    match o.o_pkt with
+    | Some e -> e
+    | None ->
+        let e = B.acquire () in
+        if o.o_next_seq = 0 then List.iter (B.seed e) [ o.o_key.label; o.o_key.meta ];
+        o.o_pkt <- Some e;
+        e
+  in
+  let before = B.length e in
+  B.mark e;
+  B.add_value e item;
+  B.length e - before
 
-let send ?size o item =
+let enqueue o item bytes =
+  Queue.add { e_item = item; e_size = bytes; e_sent_at = 0.0; e_retx = false } o.o_buf;
+  o.o_inflight_bytes <- o.o_inflight_bytes + bytes;
+  o.o_next_seq <- o.o_next_seq + 1
+
+let offer o item =
   match o.o_broken with
   | Some reason -> Error reason
   | None ->
-      let size = match size with Some n -> n | None -> B.size item in
-      Queue.add { e_item = item; e_size = size; e_sent_at = 0.0; e_retx = false } o.o_buf;
-      o.o_buf_bytes <- o.o_buf_bytes + size;
-      o.o_inflight_bytes <- o.o_inflight_bytes + size;
-      o.o_next_seq <- o.o_next_seq + 1;
-      let buffered = Queue.length o.o_buf in
-      if buffered >= o.o_cfg.max_batch || o.o_buf_bytes >= o.o_cfg.max_batch_bytes then
-        flush_out o
-      else if o.o_cfg.flush_on_idle && Queue.is_empty o.o_unacked then begin
-        (* Idle: the first item queues the channel for the end of the
-           turn, so the rest of the turn's sends and the peer's parked
-           acks leave with it. *)
-        if buffered = 1 then begin
-          let p = pending_for o.o_hub o.o_dst in
-          p.p_idle <- o :: p.p_idle;
-          arm_turn o.o_hub ~dst:o.o_dst p
-        end
-      end
-      else if buffered = 1 && o.o_cfg.flush_interval < infinity then begin
-        if o.o_cfg.flush_interval <= 0.0 then flush_out o
-        else begin
-          o.o_flush_gen <- o.o_flush_gen + 1;
-          let gen = o.o_flush_gen in
-          S.after o.o_hub.h_sched o.o_cfg.flush_interval (fun () ->
-              if gen = o.o_flush_gen then flush_out o)
-        end
+      let bytes = encode_item o item in
+      let admit = window_admits o bytes || S.current o.o_hub.h_sched = None in
+      if admit then enqueue o item bytes
+      else begin
+        if Queue.is_empty o.o_buf then drop_packet o else Option.iter B.rewind o.o_pkt;
+        (* until an ack frees bytes or the channel breaks *)
+        S.suspend o.o_hub.h_sched (fun w -> Queue.add w o.o_waiters)
       end;
+      match o.o_broken with Some reason -> Error reason | None -> Ok admit
+
+let commit o =
+  let buffered = Queue.length o.o_buf in
+  let packet_bytes = match o.o_pkt with Some e -> B.length e | None -> 0 in
+  if buffered >= o.o_cfg.max_batch || packet_bytes >= o.o_cfg.max_batch_bytes then flush_out o
+  else if o.o_cfg.flush_on_idle && Queue.is_empty o.o_unacked then begin
+    (* Idle: the first item queues the channel for the end of the turn,
+       so the rest of the turn's sends and the peer's parked acks leave
+       with it. *)
+    if buffered = 1 then begin
+      let p = pending_for o.o_hub o.o_dst in
+      p.p_idle <- o :: p.p_idle;
+      arm_turn o.o_hub ~dst:o.o_dst p
+    end
+  end
+  else if buffered = 1 && o.o_cfg.flush_interval < infinity then begin
+    if o.o_cfg.flush_interval <= 0.0 then flush_out o
+    else begin
+      o.o_flush_gen <- o.o_flush_gen + 1;
+      let gen = o.o_flush_gen in
+      S.after o.o_hub.h_sched o.o_cfg.flush_interval (fun () ->
+          if gen = o.o_flush_gen then flush_out o)
+    end
+  end
+
+let send o item =
+  match o.o_broken with
+  | Some reason -> Error reason
+  | None ->
+      enqueue o item (encode_item o item);
+      commit o;
       Ok ()
 
 let handle_ack o ~upto ~pressure =
@@ -764,9 +820,7 @@ let spoofed hub = Sim.Stats.incr (hub_counter hub "chan_spoofed_drops")
 let handle_reset hub ~from ~src ~idx ~reason =
   (if src = hub_addr hub then
      match Hashtbl.find_opt hub.h_outs idx with
-     | Some o when o.o_dst = from ->
-         Hashtbl.remove hub.h_outs idx;
-         mark_broken o reason
+     | Some o when o.o_dst = from -> mark_broken o reason
      | Some _ -> spoofed hub
      | None -> ());
   match Hashtbl.find_opt hub.h_ins (src, idx) with
@@ -821,11 +875,7 @@ let peer_down hub ~peer ~reason =
   let outs =
     Hashtbl.fold (fun _ o acc -> if o.o_dst = peer then o :: acc else acc) hub.h_outs []
   in
-  List.iter
-    (fun o ->
-      Hashtbl.remove hub.h_outs o.o_key.idx;
-      mark_broken o reason)
-    outs;
+  List.iter (fun o -> mark_broken o reason) outs;
   let ins =
     Hashtbl.fold (fun _ i acc -> if i.i_key.src = peer then i :: acc else acc) hub.h_ins []
   in
@@ -904,7 +954,7 @@ let connect hub ~dst ~label ~meta cfg =
       o_cfg = cfg;
       o_next_seq = 0;
       o_buf = Queue.create ();
-      o_buf_bytes = 0;
+      o_pkt = None;
       o_unacked = Queue.create ();
       o_inflight_bytes = 0;
       o_acked_upto = -1;

@@ -27,7 +27,11 @@
     of the current scheduler turn, after the turn's idle-channel
     flushes to that peer have taken what they could. A sender-
     side sliding window ([max_inflight_bytes]) lets a slow receiver
-    back-pressure callers through {!await_window}.
+    back-pressure callers through {!offer}. Each item is encoded once,
+    when it is sent, into its channel's open packet (a pooled encoder
+    whose intern table the packet shares); the window and
+    [max_batch_bytes] are charged the bytes it added there, and a flush
+    writes the packet head in front of them.
 
     Each node owns a {e hub} that multiplexes all channel endpoints on
     that node. On the wire a channel is named by (source address,
@@ -109,7 +113,7 @@ val decode_packet_view : frame -> (Xdr.View.t packet, string) result
 
 type config = {
   max_batch : int;  (** flush after this many buffered items *)
-  max_batch_bytes : int;  (** … or this many buffered encoded bytes *)
+  max_batch_bytes : int;  (** … or this many bytes of buffered items *)
   flush_interval : float;
       (** flush this long after the first buffered item (seconds);
           [infinity] disables timed flushing *)
@@ -122,8 +126,8 @@ type config = {
   retransmit_timeout : float;
   max_retries : int;  (** consecutive unanswered retransmits before break *)
   max_inflight_bytes : int;
-      (** sliding-window budget: {!await_window} blocks while this many
-          encoded bytes are buffered or unacked. With
+      (** sliding-window budget: {!offer} refuses an item while this
+          many encoded bytes are buffered or unacked. With
           [adaptive_window] this is the window {e ceiling}. *)
   adaptive_window : bool;
       (** AIMD flow control (docs/OVERLOAD.md): the live window starts
@@ -242,23 +246,28 @@ val connect : hub -> dst:Net.address -> label:string -> meta:string -> config ->
 (** Open a channel to the hub at [dst]. No handshake message is sent;
     the first data packet establishes the channel at the receiver. *)
 
-val send : ?size:int -> out_chan -> Xdr.value -> (unit, string) result
-(** Buffer one item for ordered delivery. [Error reason] means the
-    channel is (already) broken — a break racing a buffered send is a
-    normal condition under churn, not a programming error, so it is
-    reported as a value rather than an exception. [send] itself never
-    blocks; callers that want window back-pressure call
-    {!await_window} first. [size], when given, must be
-    [Xdr.Bin.size item]: a caller that already sized the item for
-    {!await_window} hands it on instead of paying for a second count. *)
+val send : out_chan -> Xdr.value -> (unit, string) result
+(** Buffer one item for ordered delivery, whatever the window, and run
+    the flush rules ({!commit}). [Error reason] means the channel is
+    (already) broken — a break racing a buffered send is a normal
+    condition under churn, not a programming error, so it is reported
+    as a value rather than an exception. Never blocks. *)
 
-val await_window : out_chan -> bytes:int -> (unit, string) result
-(** Block the calling fiber until the channel can admit [bytes] more
-    encoded bytes under [max_inflight_bytes] (buffered + unacked), or
-    the channel breaks ([Error reason] — whatever was in flight is
-    void anyway). Returns immediately outside fiber context. Callers
-    must invoke this {e before} claiming a sequence number: blocking
-    after would let a later call overtake on the channel. *)
+val offer : out_chan -> Xdr.value -> (bool, string) result
+(** The window-checked send, minus the flush rules: encode the item and
+    buffer it if inflight + item [<=] the live window, always when
+    nothing is in flight and always outside fiber context (timer
+    callbacks never wait) — [Ok true]; the caller then claims the
+    item's sequence number and calls {!commit}, with nothing that can
+    yield in between. Otherwise rewind the encoder, park the calling
+    fiber until an ack frees bytes and return [Ok false]: the caller
+    builds its item again (its position and port form may have changed)
+    and offers that. [Error reason] when the channel is broken, or
+    breaks while the fiber is parked. *)
+
+val commit : out_chan -> unit
+(** Run the flush rules for the item {!offer} just admitted: it leaves
+    now, at the end of the turn or on the flush timer. *)
 
 val inflight_bytes : out_chan -> int
 (** Encoded bytes currently buffered plus sent-but-unacked. *)
@@ -298,6 +307,12 @@ val break_out : out_chan -> reason:string -> unit
 
 val unacked_count : out_chan -> int
 (** Items sent but not yet acknowledged plus items still buffered. *)
+
+type table_sizes = { outs : int; ins : int; dead : int }
+(** Entries in a hub's tables of sending ends (a broken one leaves at
+    once), receiving ends and receiving-end tombstones. *)
+
+val table_sizes : hub -> table_sizes
 
 (** {1 Receiving end} *)
 

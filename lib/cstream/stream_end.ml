@@ -196,38 +196,28 @@ let create hub ~agent ~dst ~gid ?(config = Chanhub.default_config) () =
 
 let cid_element ~seq cid = if cid = seq then None else Some cid
 
-let call ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
-  match t.s_broken with
-  | Some reason -> Error reason
-  | None -> (
-      (* The trace id is allocated at issue and kept for the call's
-         whole life, across resubmissions; it rides the wire only while
-         tracing is on AND the id passes the 1-in-N sampling filter
-         (docs/TRACING.md), so the off-path encoding is unchanged and a
-         sampled-out call records nothing anywhere. *)
-      let tid = Sim.Span.next_trace (spans t) in
-      let wire_trace = if Sim.Span.sampled (spans t) tid then Some tid else None in
-      (* Reserve window space BEFORE claiming a sequence number: a fiber
-         that blocked after taking its seq would let later calls enter
-         the channel first and violate in-call-order delivery. The size
-         probe uses the current cid element and port form; the item is
-         rebuilt below only if either changed while we were parked. *)
-      let probe_cid = cid_element ~seq:t.next_seq t.next_cid in
-      let probe_port = Wire.port_form t.ports port in
-      let probe =
-        Wire.call_item ~handoff ~elide ?cid:probe_cid ~trace:wire_trace ~port:probe_port ~kind
-          ~args ()
-      in
-      let probe_size = Xdr.Bin.size probe in
-      match Chanhub.await_window t.chan ~bytes:probe_size with
-      | Error reason -> Error reason
-      | Ok () ->
+(* Offer the call until the window admits it, built for the seq and
+   port form of each offer. The seq is claimed only once admitted: a
+   fiber that blocked after taking its seq would let later calls enter
+   the channel first and violate in-call-order delivery. *)
+let rec offer_call t ~handoff ~elide ~tid ~wire_trace ~port ~kind ~args ~on_reply =
+  let seq = t.next_seq and cid = t.next_cid in
+  let item =
+    Wire.call_item ~handoff ~elide ?cid:(cid_element ~seq cid) ~trace:wire_trace
+      ~port:(Wire.port_form t.ports port) ~kind ~args ()
+  in
+  match Chanhub.offer t.chan item with
+  | Error reason -> Error reason
+  | Ok false -> (
       match t.s_broken with
       | Some reason -> Error reason
-      | None ->
-      let seq = t.next_seq and cid = t.next_cid in
+      | None -> offer_call t ~handoff ~elide ~tid ~wire_trace ~port ~kind ~args ~on_reply)
+  | Ok true ->
       t.next_seq <- seq + 1;
       t.next_cid <- cid + 1;
+      (* The port is interned with the seq, so the table fills in
+         channel order. *)
+      ignore (Wire.intern_port t.ports port : Wire.port);
       Hashtbl.replace t.pending seq
         {
           p_cid = cid;
@@ -239,28 +229,23 @@ let call ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
           p_elide = elide;
           p_on_reply = on_reply;
         };
-      (* The port is interned with the seq, so the table fills in
-         channel order. [size = None] makes [send] count the rebuilt
-         item itself. *)
-      let item, size =
-        let cid = cid_element ~seq cid and wire_port = Wire.intern_port t.ports port in
-        if cid = probe_cid && wire_port = probe_port then (probe, Some probe_size)
-        else
-          ( Wire.call_item ~handoff ~elide ?cid ~trace:wire_trace ~port:wire_port ~kind ~args (),
-            None )
-      in
       span t ~kind:Sim.Span.Issue ~trace:tid ~call:cid ~note:port ();
-      (match Chanhub.send ?size t.chan item with
-      | Ok () ->
-          span t ~kind:Sim.Span.Enqueue ~trace:tid ~call:cid ();
-          Ok (cid, tid)
-      | Error reason ->
-          (* Unreachable in practice: a channel break reports to
-             [handle_break] synchronously, so [s_broken] would be set.
-             Kept total in case break notification ever becomes lazy. *)
-          Hashtbl.remove t.pending seq;
-          t.next_seq <- seq;
-          Error reason))
+      Chanhub.commit t.chan;
+      span t ~kind:Sim.Span.Enqueue ~trace:tid ~call:cid ();
+      Ok (cid, tid)
+
+let call ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
+  match t.s_broken with
+  | Some reason -> Error reason
+  | None ->
+      (* The trace id is allocated at issue and kept for the call's
+         whole life, across resubmissions; it rides the wire only while
+         tracing is on AND the id passes the 1-in-N sampling filter
+         (docs/TRACING.md), so the off-path encoding is unchanged and a
+         sampled-out call records nothing anywhere. *)
+      let tid = Sim.Span.next_trace (spans t) in
+      let wire_trace = if Sim.Span.sampled (spans t) tid then Some tid else None in
+      offer_call t ~handoff ~elide ~tid ~wire_trace ~port ~kind ~args ~on_reply
 
 let flush t = if t.s_broken = None then Chanhub.flush_out t.chan
 

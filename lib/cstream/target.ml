@@ -190,6 +190,16 @@ let break_conn c ~reason =
   end
   else do_break c reason
 
+(* Back-pressure: a slow/unreachable caller bounds the reply channel's
+   in-flight bytes, parking the driver fiber (in ordered mode) instead
+   of growing the unacked queue without limit. Outside fiber context,
+   or with an unbounded reply window, the first offer is admitted. *)
+let rec offer_reply c item =
+  match Chanhub.offer c.c_reply item with
+  | Ok true -> Chanhub.commit c.c_reply
+  | Ok false -> if not c.c_broken then offer_reply c item
+  | Error _ -> ()
+
 (* Replies leave in call order: a reply's channel position is its
    call's seq. *)
 let emit_reply c ~kind ~trace ~elide outcome =
@@ -211,14 +221,7 @@ let emit_reply c ~kind ~trace ~elide outcome =
       | (Wire.Call | Wire.Send), _ -> Wire.reply_item ~trace:wire_trace outcome
     in
     span t ~kind:Sim.Span.Reply ~trace ~stream:c.c_stable ();
-    (* Back-pressure: a slow/unreachable caller bounds the reply
-       channel's in-flight bytes, parking the driver fiber (in ordered
-       mode) instead of growing the unacked queue without limit. A
-       no-op outside fiber context or when the reply config leaves the
-       window unbounded. *)
-    let size = Xdr.Bin.size item in
-    ignore (Chanhub.await_window c.c_reply ~bytes:size : (unit, string) result);
-    if not c.c_broken then ignore (Chanhub.send ~size c.c_reply item : (unit, string) result)
+    offer_reply c item
   end
 
 (* The sending stream's identity across restarts: its reply-channel

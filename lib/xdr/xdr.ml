@@ -343,18 +343,36 @@ module Bin = struct
     e_buf : Buffer.t;
     e_strings : (string, int) Hashtbl.t;  (* interned string -> slot *)
     mutable e_next : int;  (* next intern slot *)
+    mutable e_mark_len : int;  (* length and next slot at the last [mark] *)
+    mutable e_mark_next : int;
   }
 
-  let create_encoder () = { e_buf = Buffer.create 256; e_strings = Hashtbl.create 16; e_next = 0 }
-
-  let reset e =
-    Buffer.clear e.e_buf;
-    Hashtbl.reset e.e_strings;
-    e.e_next <- 0
+  let create_encoder () =
+    {
+      e_buf = Buffer.create 256;
+      e_strings = Hashtbl.create 16;
+      e_next = 0;
+      e_mark_len = 0;
+      e_mark_next = 0;
+    }
 
   let length e = Buffer.length e.e_buf
 
   let contents e = Buffer.contents e.e_buf
+
+  let append e src = Buffer.add_buffer e.e_buf src.e_buf
+
+  let mark e =
+    e.e_mark_len <- Buffer.length e.e_buf;
+    e.e_mark_next <- e.e_next
+
+  (* Back to the last [mark]: the strings interned since go with their
+     bytes, so no later reference names a slot the decoder never saw. *)
+  let rewind e =
+    let keep = e.e_mark_next in
+    Buffer.truncate e.e_buf e.e_mark_len;
+    Hashtbl.filter_map_inplace (fun _ slot -> if slot < keep then Some slot else None) e.e_strings;
+    e.e_next <- keep
 
   let add_byte e n = Buffer.add_char e.e_buf (Char.unsafe_chr (n land 0xff))
 
@@ -444,6 +462,12 @@ module Bin = struct
     add_uvarint e (String.length s);
     Buffer.add_string e.e_buf s
 
+  let seed e s =
+    if not (Hashtbl.mem e.e_strings s) then begin
+      Hashtbl.add e.e_strings s e.e_next;
+      e.e_next <- e.e_next + 1
+    end
+
   (* String reference: [0] introduces a new intern-table entry inline,
      [k > 0] references entry [k-1] — single-pass for both sides. *)
   let add_string e s =
@@ -504,116 +528,31 @@ module Bin = struct
             add_byte e 1;
             add_string e f)
 
-  (* Encoder pool: hot paths (one encode per packet) reuse buffers and
-     intern tables instead of reallocating. *)
+  (* Encoder pool, process-wide: hot paths (a channel's open packet, the
+     frame it is sent in) reuse buffers and intern tables instead of
+     reallocating. *)
   let pool : encoder list ref = ref []
 
   let pool_cap = 8
 
-  let with_encoder f =
-    let e =
-      match !pool with
-      | e :: rest ->
-          pool := rest;
-          reset e;
-          e
-      | [] -> create_encoder ()
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        if List.compare_length_with !pool pool_cap < 0 then pool := e :: !pool)
-      (fun () -> f e)
+  let acquire () =
+    match !pool with
+    | e :: rest ->
+        pool := rest;
+        Buffer.clear e.e_buf;
+        Hashtbl.reset e.e_strings;
+        e.e_next <- 0;
+        e
+    | [] -> create_encoder ()
+
+  let release e = if List.compare_length_with !pool pool_cap < 0 then pool := e :: !pool
 
   let to_string v =
-    with_encoder (fun e ->
-        add_value e v;
-        contents e)
-
-  (* --- sizer ------------------------------------------------------ *)
-
-  (* Counting-only mirror of [add_value]: computes the exact v1 encoded
-     length without touching a buffer. Window accounting calls this on
-     every item, so avoiding the redundant encode matters. *)
-
-  type sizer = {
-    s_strings : (string, int) Hashtbl.t;
-    mutable s_next : int;
-    mutable s_len : int;
-  }
-
-  let uvarint_len n =
-    let rec go n k = if n land lnot 0x7f = 0 then k + 1 else go (n lsr 7) (k + 1) in
-    go n 0
-
-  (* The bytes of a packed list's elements, as [add_packed] writes them. *)
-  let rec packed_len zz acc = function
-    | Int i :: rest -> packed_len zz (acc + uvarint_len (if zz then zigzag i else i)) rest
-    | _ -> acc
-
-  let size_string z s =
-    match Hashtbl.find_opt z.s_strings s with
-    | Some slot -> z.s_len <- z.s_len + uvarint_len (slot + 1)
-    | None ->
-        Hashtbl.add z.s_strings s z.s_next;
-        z.s_next <- z.s_next + 1;
-        z.s_len <- z.s_len + 1 + uvarint_len (String.length s) + String.length s
-
-  let rec size_value z v =
-    match v with
-    | Unit | Bool _ -> z.s_len <- z.s_len + 1
-    | Int i -> z.s_len <- z.s_len + 1 + uvarint_len (if i >= 0 then i else zigzag i)
-    | Real r ->
-        z.s_len <- z.s_len + (if real_half r >= 0 then 3 else 9)
-    | Str s when String.length s <= intern_max ->
-        z.s_len <- z.s_len + 1;
-        size_string z s
-    | Str s -> z.s_len <- z.s_len + 1 + uvarint_len (String.length s) + String.length s
-    | Pair (a, b) ->
-        z.s_len <- z.s_len + 1;
-        size_value z a;
-        size_value z b
-    | List vs -> (
-        match packed_count vs with
-        | 0 ->
-            z.s_len <- z.s_len + 1 + uvarint_len (List.length vs);
-            List.iter (size_value z) vs
-        | n -> z.s_len <- z.s_len + 1 + uvarint_len (abs n) + packed_len (n < 0) 0 vs)
-    | Record fields ->
-        z.s_len <- z.s_len + 1 + uvarint_len (List.length fields);
-        List.iter
-          (fun (name, v) ->
-            size_string z name;
-            size_value z v)
-          fields
-    | Tagged (tag, v) ->
-        z.s_len <- z.s_len + 1;
-        size_string z tag;
-        size_value z v
-    | Pref { ps_stream; ps_call; ps_field } ->
-        z.s_len <- z.s_len + 1;
-        size_string z ps_stream;
-        z.s_len <- z.s_len + uvarint_len (zigzag ps_call) + 1;
-        (match ps_field with None -> () | Some f -> size_string z f)
-
-  let sizer_pool : sizer list ref = ref []
-
-  let size v =
-    let z =
-      match !sizer_pool with
-      | z :: rest ->
-          sizer_pool := rest;
-          Hashtbl.reset z.s_strings;
-          z.s_next <- 0;
-          z.s_len <- 0;
-          z
-      | [] -> { s_strings = Hashtbl.create 16; s_next = 0; s_len = 0 }
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        if List.compare_length_with !sizer_pool pool_cap < 0 then sizer_pool := z :: !sizer_pool)
-      (fun () ->
-        size_value z v;
-        z.s_len)
+    let e = acquire () in
+    add_value e v;
+    let s = contents e in
+    release e;
+    s
 
   (* --- decoder ---------------------------------------------------- *)
 

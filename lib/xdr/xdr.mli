@@ -5,8 +5,9 @@
     argument into an external representation and the receiver {e
     decodes} it, possibly with user-provided code that may fail. This
     module provides the external value model, typed codecs built from
-    combinators, a deterministic byte-size model (used by the network
-    cost model), and hooks to inject encode/decode failures (the paper
+    combinators, a compact binary wire codec (whose encoded bytes the
+    network cost model and the channel windows charge), and hooks to
+    inject encode/decode failures (the paper
     maps them to the [failure] exception and a receiver-side stream
     break).
 
@@ -117,8 +118,7 @@ val failing_decode : ?reason:string -> every:int -> 'a codec -> 'a codec
     per-encoder interned string table so repeated record-field names
     and port names cost a one-byte reference after first use. Decoders
     accept any well-formed width; only the encoder is canonical. See
-    docs/WIRE.md for the format. [Bin.size] is the byte count actually
-    shipped. *)
+    docs/WIRE.md for the format. *)
 module Bin : sig
   val version : int
   (** Format version stamped as the first byte of every packet frame. *)
@@ -128,12 +128,18 @@ module Bin : sig
   type encoder
   (** A reusable encode buffer plus string-intern table. *)
 
-  val reset : encoder -> unit
-  (** Clear buffer and intern table for reuse. *)
-
   val length : encoder -> int
 
   val contents : encoder -> string
+
+  val append : encoder -> encoder -> unit
+  (** [append e src] adds [src]'s bytes, not its intern table, to [e]. *)
+
+  val mark : encoder -> unit
+  (** Remember the length and intern table (one mark per encoder). *)
+
+  val rewind : encoder -> unit
+  (** Back to the last {!mark}, as if nothing had been encoded since. *)
 
   val add_byte : encoder -> int -> unit
 
@@ -150,23 +156,23 @@ module Bin : sig
   (** Interned string reference: first occurrence is emitted inline and
       added to the table, later occurrences are a 1–2 byte reference. *)
 
+  val seed : encoder -> string -> unit
+  (** Intern a string as {!add_string} would, without writing it: for
+      bytes that will follow, in one frame, bytes that spell it. *)
+
   val add_raw_string : encoder -> string -> unit
   (** Length-prefixed bytes, never interned. *)
 
   val add_value : encoder -> value -> unit
 
-  val with_encoder : (encoder -> 'a) -> 'a
-  (** Run with a pooled encoder (reset before use, returned to the pool
-      after). Do not retain the encoder past the callback. *)
+  val acquire : unit -> encoder
+  (** An empty encoder from the process-wide pool. *)
+
+  val release : encoder -> unit
+  (** Return an encoder to the pool; do not use it again. *)
 
   val to_string : value -> string
   (** One-shot encode using the pool. *)
-
-  val size : value -> int
-  (** Actual encoded byte count, computed by a counting-only mirror of
-      the encoder — no buffer is filled and nothing is allocated beyond
-      a pooled intern table. Always equals
-      [String.length (to_string v)]. *)
 
   (** {2 Decoding}
 

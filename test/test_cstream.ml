@@ -111,10 +111,9 @@ let test_wire_send_ok_parses_as_normal_unit () =
   | Error e -> Alcotest.fail e
 
 let test_wire_send_ok_is_small () =
-  let full =
-    Xdr.Bin.size (W.reply_item ~trace:None (W.W_normal (Xdr.Str (String.make 100 'x'))))
-  in
-  let compact = Xdr.Bin.size (W.send_ok_item ~trace:None) in
+  let size v = String.length (Xdr.Bin.to_string v) in
+  let full = size (W.reply_item ~trace:None (W.W_normal (Xdr.Str (String.make 100 'x')))) in
+  let compact = size (W.send_ok_item ~trace:None) in
   check Alcotest.bool "compact reply much smaller" true (compact * 5 < full)
 
 let test_wire_malformed_rejected () =
@@ -664,6 +663,30 @@ let test_restart_reincarnates () =
   | Some (W.W_normal (Xdr.Int 42)) -> ()
   | Some o -> Alcotest.failf "unexpected %a" pp_routcome o
   | None -> Alcotest.fail "no reply after restart"
+
+(* A restart breaks the incarnation's call channel, and a broken
+   sending end leaves its hub's table: 200 call-and-restart cycles leave
+   the client hub with the one live channel. *)
+let test_restarts_leave_no_out_channels () =
+  let w = make_world () in
+  let _target, _ = install_service w in
+  let stream = SE.create w.hub_a ~agent:"client" ~dst:(Net.address w.node_b) ~gid:"svc" () in
+  let outs () = (CH.table_sizes w.hub_a).CH.outs in
+  let before = outs () in
+  ignore
+    (S.spawn w.sched (fun () ->
+         for i = 1 to 200 do
+           (match
+              SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int i) ~on_reply:(fun _ -> ())
+            with
+           | Ok _ -> ()
+           | Error e -> Alcotest.fail e);
+           (match SE.synch stream with Ok () -> () | Error _ -> Alcotest.fail "synch failed");
+           SE.restart stream
+         done));
+  run_ok w;
+  check Alcotest.int "one live sending end, as before the restarts" before (outs ());
+  check Alcotest.int "it is the stream's" 1 before
 
 let test_receiver_initiated_break () =
   let w = make_world () in
@@ -1302,6 +1325,8 @@ let suite =
         Alcotest.test_case "call on broken stream fails fast" `Quick
           test_call_on_broken_stream_fails_immediately;
         Alcotest.test_case "restart reincarnates" `Quick test_restart_reincarnates;
+        Alcotest.test_case "restarts leave no sending ends behind" `Quick
+          test_restarts_leave_no_out_channels;
         Alcotest.test_case "receiver-initiated break" `Quick test_receiver_initiated_break;
         Alcotest.test_case "stream reliable under loss" `Quick test_stream_reliable_under_loss;
         Alcotest.test_case "partition breaks; heal+restart recovers" `Quick

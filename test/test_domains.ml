@@ -282,10 +282,10 @@ let view_snapshot_cross_domain () =
   (* Two values in one frame, as a batch of items shares one intern
      table: the second defines strings the first never saw. *)
   let frame =
-    Bin.with_encoder (fun enc ->
-        Bin.add_value enc record;
-        Bin.add_value enc (Record [ ("grade", Str "beta"); ("later", Str "later") ]);
-        Bin.contents enc)
+    let enc = Bin.acquire () in
+    Bin.add_value enc record;
+    Bin.add_value enc (Record [ ("grade", Str "beta"); ("later", Str "later") ]);
+    Bin.contents enc
   in
   let d = Bin.decoder frame in
   let read () = match View.read d with Ok v -> v | Error e -> Alcotest.failf "view read: %s" e in

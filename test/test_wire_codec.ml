@@ -114,10 +114,6 @@ let prop_roundtrip =
       | Ok v' -> Xdr.equal_value v v'
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
 
-let prop_size_matches =
-  QCheck.Test.make ~name:"Bin.size v = length of encoding" ~count:200 arb_value (fun v ->
-      B.size v = String.length (B.to_string v))
-
 (* [Xdr.equal_value] with reals compared by their bits, so -0.0 differs
    from 0.0 and one NaN payload from another: a width picker that drops
    a sign or a payload fails it. *)
@@ -132,14 +128,12 @@ let rec equal_bits (a : Xdr.value) (b : Xdr.value) =
   | _ -> Xdr.equal_value a b
 
 let prop_bit_exact =
-  QCheck.Test.make ~name:"bits survive decode and views, size exact, re-encode identical"
+  QCheck.Test.make ~name:"bits survive decode and views, re-encode identical"
     ~count:1000 arb_value (fun v ->
       let enc = B.to_string v in
       match (B.of_string enc, Result.bind (Xdr.View.of_string enc) Xdr.View.materialize) with
       | Ok tree, Ok viewed ->
-          equal_bits v tree && equal_bits v viewed
-          && B.size v = String.length enc
-          && String.equal (B.to_string tree) enc
+          equal_bits v tree && equal_bits v viewed && String.equal (B.to_string tree) enc
       | Error e, _ | _, Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
 
 (* ------------------------------------------------------------------ *)
@@ -223,8 +217,9 @@ let test_string_interning_compresses () =
   (* 50 records sharing field names and a port string: the intern table
      should make this far smaller than 50 standalone encodings. *)
   let item i = Xdr.Record [ ("port", Xdr.Str "record_grade"); ("seq", Xdr.Int i) ] in
-  let batch = B.size (Xdr.List (List.init 50 item)) in
-  let standalone = List.init 50 (fun i -> B.size (item i)) |> List.fold_left ( + ) 0 in
+  let size v = String.length (B.to_string v) in
+  let batch = size (Xdr.List (List.init 50 item)) in
+  let standalone = List.init 50 (fun i -> size (item i)) |> List.fold_left ( + ) 0 in
   check Alcotest.bool
     (Printf.sprintf "batched %dB < 60%% of standalone %dB" batch standalone)
     true
@@ -379,6 +374,92 @@ let prop_packet_roundtrip =
       match CH.decode_packet f with
       | Ok p' -> equal_packet p p' && String.equal (CH.encode_packet p') f
       | Error e -> QCheck.Test.fail_reportf "packet decode failed: %s" e)
+
+(* A channel encodes each item into its open packet as it is sent, and
+   a flush writes the head in front: every frame must be the reference
+   encoding of the same packet. Labels, metas and the strings inside
+   items come from one small pool, so label = meta and items that
+   reuse the opening's strings are common. *)
+let prop_send_path_is_encode_packet =
+  let pool = [ "grades"; "~r/a/grades/1/0"; "k"; "" ] in
+  let gen =
+    let open QCheck.Gen in
+    let name = oneofl pool in
+    let item =
+      oneof
+        [
+          gen_value;
+          map (fun s -> Xdr.Str s) name;
+          map2 (fun s v -> Xdr.Tagged (s, v)) name gen_value;
+          map2 (fun s v -> Xdr.Record [ (s, v); (s, Xdr.Str s) ]) name gen_value;
+          map2
+            (fun s call -> Xdr.Pref { Xdr.ps_stream = s; ps_call = call; ps_field = Some s })
+            name small_nat;
+        ]
+    in
+    triple name name (list_size (int_range 1 4) (list_size (int_range 1 5) item))
+  in
+  let print (label, meta, batches) =
+    Printf.sprintf "label %S, meta %S, batches [%s]" label meta
+      (String.concat "; "
+         (List.map
+            (fun items -> String.concat ", " (List.map (Format.asprintf "%a" Xdr.pp_value) items))
+            batches))
+  in
+  QCheck.Test.make ~name:"send + flush_out frames = encode_packet" ~count:300
+    (QCheck.make ~print gen) (fun (label, meta, batches) ->
+      let sched = S.create () in
+      let net = Net.create sched Net.default_config in
+      let node = Net.add_node net ~name:"a" in
+      let frames = ref [] in
+      let capture ~dst:_ f = frames := f :: !frames in
+      let tr = { (Transport_sim.endpoint net node) with Transport.send = capture } in
+      let hub = CH.create_hub ~transport:tr () in
+      let cfg =
+        {
+          CH.default_config with
+          CH.max_batch = max_int;
+          max_batch_bytes = max_int;
+          flush_interval = infinity;
+        }
+      in
+      let out = CH.connect hub ~dst:(Net.address node + 1) ~label ~meta cfg in
+      let key = CH.out_key out in
+      let expected, _ =
+        List.fold_left
+          (fun (acc, first_seq) items ->
+            List.iter (fun v -> ignore (CH.send out v : (unit, string) result)) items;
+            CH.flush_out out;
+            let opening =
+              if first_seq = 0 then Some { CH.open_label = label; open_meta = meta } else None
+            in
+            let src = key.CH.src and idx = key.CH.idx in
+            let p = CH.Data { src; idx; first_seq; opening; acks = []; items } in
+            (CH.encode_packet p :: acc, first_seq + List.length items))
+          ([], 0) batches
+      in
+      List.equal String.equal (List.rev expected) (List.rev !frames))
+
+(* Rewinding to a mark forgets the bytes and the intern entries written
+   since: the strings of the dropped value are defined afresh by the
+   next one that uses them, as if it had never been encoded. *)
+let prop_rewind_forgets =
+  QCheck.Test.make ~name:"a, mark, b, rewind, c encodes as a, c" ~count:300
+    (QCheck.make ~print:(fun (a, b, c) ->
+         Format.asprintf "%a | %a | %a" Xdr.pp_value a Xdr.pp_value b Xdr.pp_value c)
+       (QCheck.Gen.triple gen_value gen_value gen_value))
+    (fun (a, b, c) ->
+      let rewound = B.acquire () and plain = B.acquire () in
+      B.add_value rewound a;
+      B.mark rewound;
+      B.add_value rewound b;
+      B.rewind rewound;
+      List.iter (B.add_value rewound) [ c; b ];
+      List.iter (B.add_value plain) [ a; c; b ];
+      let same = String.equal (B.contents rewound) (B.contents plain) in
+      B.release rewound;
+      B.release plain;
+      same)
 
 let test_opening_fields_only_at_seq_zero () =
   let compact = CH.encode_packet (data ~first_seq:1 ()) in
@@ -579,10 +660,17 @@ let test_idle_flush_ignores_ack_delay () =
       check Alcotest.int "no standalone ack" 0 ack_pkts;
       check Alcotest.bool "the item was delivered" true (Float.is_finite !received_at)
 
+(* The window-checked send: a refused offer waits, then offers again. *)
+let rec send_windowed out item =
+  match CH.offer out item with
+  | Ok true -> Ok (CH.commit out)
+  | Ok false -> send_windowed out item
+  | Error e -> Error e
+
 let test_window_backpressures_and_bounds_inflight () =
   let w = make_world () in
   let item = Xdr.Str (String.make 100 'x') in
-  let item_bytes = B.size item in
+  let item_bytes = String.length (B.to_string item) in
   (* Window fits ~4 items; 20 sends must block and drain in waves. *)
   let cfg =
     {
@@ -600,10 +688,7 @@ let test_window_backpressures_and_bounds_inflight () =
   ignore
     (S.spawn w.sched (fun () ->
          for _ = 1 to 20 do
-           (match CH.await_window out ~bytes:item_bytes with
-           | Ok () -> ()
-           | Error e -> Alcotest.failf "window wait failed: %s" e);
-           (match CH.send out item with
+           (match send_windowed out item with
            | Ok () -> ()
            | Error e -> Alcotest.failf "send failed: %s" e);
            if CH.inflight_bytes out > !max_seen then max_seen := CH.inflight_bytes out
@@ -626,8 +711,8 @@ let test_window_waiters_released_on_break () =
   ignore
     (S.spawn w.sched (fun () ->
          ignore (CH.send out item : (unit, string) result);
-         match CH.await_window out ~bytes:(B.size item) with
-         | Ok () -> Alcotest.fail "window opened on a broken channel"
+         match CH.offer out item with
+         | Ok _ -> Alcotest.fail "window opened on a broken channel"
          | Error e -> got_error := Some e));
   run_ok w;
   match !got_error with
@@ -926,11 +1011,10 @@ let test_stateful_dialect_refused () =
     (item 0);
   let v2_data =
     (* version 2, epoch 0, Data; src, idx 0, first_seq 1, no acks, one item *)
-    B.with_encoder (fun e ->
-        List.iter (B.add_byte e) [ 2; 0; 1 ];
-        List.iter (B.add_uvarint e) [ src; 0; 1; 0; 1 ];
-        B.contents e)
-    ^ item 1
+    let e = B.acquire () in
+    List.iter (B.add_byte e) [ 2; 0; 1 ];
+    List.iter (B.add_uvarint e) [ src; 0; 1; 0; 1 ];
+    B.contents e ^ item 1
   in
   let errors_at = ref [] and answers_at = ref [] in
   let note () =
@@ -1090,16 +1174,14 @@ let gen_int_list_value : Xdr.value QCheck.Gen.t =
           ])
 
 let prop_packed_roundtrip =
-  QCheck.Test.make ~name:"int lists: decode, re-encode and size agree" ~count:500
+  QCheck.Test.make ~name:"int lists: decode and re-encode agree" ~count:500
     (QCheck.make ~print:(Format.asprintf "%a" Xdr.pp_value) gen_int_list_value)
     (fun v ->
       let enc = B.to_string v in
       match B.of_string enc with
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
       | Ok v' ->
-          Xdr.equal_value v v'
-          && String.equal enc (B.to_string v')
-          && B.size v = String.length enc)
+          Xdr.equal_value v v' && String.equal enc (B.to_string v'))
 
 let hex s =
   String.concat " " (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
@@ -1122,9 +1204,10 @@ let test_packed_pinned_bytes () =
     (Xdr.List [ ints [ 1 ]; Xdr.List [] ]);
   (* 16 grades: one tag and one count instead of 16 tags *)
   let grades = ints (List.init 16 (fun g -> 40 + g)) in
-  check Alcotest.int "16 one-byte grades" 18 (B.size grades);
+  let size v = String.length (B.to_string v) in
+  check Alcotest.int "16 one-byte grades" 18 (size grades);
   (* grades 64-100 need no sign bit either *)
-  check Alcotest.int "16 grades in 85-100" 18 (B.size (ints (List.init 16 (fun g -> 85 + g))))
+  check Alcotest.int "16 grades in 85-100" 18 (size (ints (List.init 16 (fun g -> 85 + g))))
 
 let expect_rejected what frame =
   (match B.of_string frame with
@@ -1236,7 +1319,6 @@ let test_sheet_pinned () =
     List.find (fun (l, _, _) -> l = "sheet") Workloads.Exp_wire.reference_payloads
   in
   check Alcotest.int "sheet bytes" 1270 (String.length (B.to_string sheet));
-  check Alcotest.int "sheet size" 1270 (B.size sheet);
   check Alcotest.string "record 0"
     (String.concat " "
        [
@@ -1394,9 +1476,9 @@ let golden_frames =
 (* [frame] with its count prefix at [pos] replaced by [n]. *)
 let lie frame pos n =
   String.sub frame 0 pos
-  ^ B.with_encoder (fun e ->
-        B.add_uvarint e n;
-        B.contents e)
+  ^ (let e = B.acquire () in
+     B.add_uvarint e n;
+     B.contents e)
   ^ String.sub frame (pos + 1) (String.length frame - pos - 1)
 
 (* Every golden frame: each count prefix rewritten to a spread of lies,
@@ -1786,6 +1868,60 @@ let rpc_loop w h ~n =
 
 (* (a) In an RPC loop each reply's ack rides the client's next call:
    the client sends one standalone Ack at most, after its last call. *)
+(* The window charges the bytes an item ships in. A depth-4 chain's
+   four calls leave in one frame, whose three references name the same
+   stream: the frame spells the stream id once and refers to it twice.
+   When the frame leaves, before any ack, the channel's inflight bytes
+   are the frame minus its head, which is the same packet encoded with
+   no items. *)
+let test_window_charges_wire_bytes () =
+  let sched = S.create ~seed:42 () in
+  let net = Net.create sched Net.default_config in
+  let node_a = Net.add_node net ~name:"a" and node_b = Net.add_node net ~name:"b" in
+  let stream = ref None and sent = ref [] in
+  let tr = Transport_sim.endpoint net node_a in
+  let capture ~dst frame =
+    (match !stream with Some se -> sent := (frame, SE.inflight_bytes se) :: !sent | None -> ());
+    tr.Transport.send ~dst frame
+  in
+  let w =
+    {
+      sched;
+      net;
+      node_a;
+      node_b;
+      hub_a = CH.create_hub ~transport:{ tr with Transport.send = capture } ();
+      hub_b = CH.create_hub ~net:(net, node_b) ();
+    }
+  in
+  let h = work_pair w ~cfg:CH.adaptive_config ~service:0.0 in
+  stream := Some (Core.Remote.stream h);
+  ignore
+    (S.spawn sched (fun () ->
+         let p = ref (Core.Remote.stream_call h 7) in
+         for _ = 2 to 4 do
+           p := Core.Remote.Call.(submit (piped h (Core.Remote.pipe !p)))
+         done;
+         match Core.Promise.claim !p with
+         | Core.Promise.Normal 7 -> ()
+         | _ -> Alcotest.fail "chain failed"));
+  run_ok w;
+  match List.rev !sent with
+  | (frame, inflight) :: _ -> (
+      match CH.decode_packet frame with
+      | Ok (CH.Data { src; idx; first_seq; opening; acks; items }) ->
+          check Alcotest.int "the chain leaves in one frame" 4 (List.length items);
+          let refs = List.length (List.filter (fun i -> Xdr.View.has_prefs (view_of i)) items) in
+          check Alcotest.int "three calls carry a reference" 3 refs;
+          let head =
+            CH.encode_packet (CH.Data { src; idx; first_seq; opening; acks; items = [] })
+          in
+          check Alcotest.int "inflight bytes = frame - head"
+            (String.length frame - String.length head)
+            inflight
+      | Ok _ | Error _ -> Alcotest.fail "the first frame is not the chain's Data packet")
+  | [] -> Alcotest.fail "nothing sent"
+
 let test_rpc_reply_acks_ride_next_call () =
   let r = recorded_world () in
   let n = 20 in
@@ -2056,7 +2192,6 @@ let () =
       ( "codec",
         [
           QCheck_alcotest.to_alcotest prop_roundtrip;
-          QCheck_alcotest.to_alcotest prop_size_matches;
           QCheck_alcotest.to_alcotest prop_bit_exact;
           Alcotest.test_case "edge values" `Quick test_edge_values;
           Alcotest.test_case "deep nesting roundtrips" `Quick test_deep_nesting_roundtrips;
@@ -2077,6 +2212,8 @@ let () =
         [
           Alcotest.test_case "packet roundtrips" `Quick test_packet_roundtrips;
           QCheck_alcotest.to_alcotest prop_packet_roundtrip;
+          QCheck_alcotest.to_alcotest prop_send_path_is_encode_packet;
+          QCheck_alcotest.to_alcotest prop_rewind_forgets;
           Alcotest.test_case "opening fields only at seq 0" `Quick
             test_opening_fields_only_at_seq_zero;
           Alcotest.test_case "garbage frames rejected" `Quick test_packet_garbage_rejected;
@@ -2099,6 +2236,8 @@ let () =
             test_window_waiters_released_on_break;
           Alcotest.test_case "window preserves call order" `Quick
             test_stream_call_window_preserves_order;
+          Alcotest.test_case "window charges the bytes on the wire" `Quick
+            test_window_charges_wire_bytes;
         ] );
       ( "ack hold",
         [
