@@ -149,16 +149,10 @@ let pipe_field (p : _ Promise.t) ~field =
     | Some (Promise.Normal _ | Promise.Signal _) | None ->
         ref_of_promise ~what:"pipe_field" p ~field:(Some field)
 
-(* The dependent call of a pipelined reference. *)
-let issue_ref ?handoff h ~origin ~field =
-  let args =
-    Xdr.Pref
-      {
-        Xdr.ps_stream = origin.Promise.og_stream;
-        ps_call = origin.Promise.og_call;
-        ps_field = field;
-      }
-  in
+(* The dependent call of a pipelined reference to call [call] of
+   [stream]. *)
+let issue_ref ?handoff h ~stream ~call ~field =
+  let args = Xdr.Pref { Xdr.ps_stream = stream; ps_call = call; ps_field = field } in
   let p = issue ?handoff h ~args in
   Sim.Stats.incr (Sim.Stats.counter (S.stats h.h_sched) "pipelined_calls");
   p
@@ -287,7 +281,7 @@ module Call = struct
     let ann =
       { W.ho_owner = owner; ho_stream = stream; ho_call = call; ho_epoch = CH.handoff_epoch hub }
     in
-    let p = issue_ref ~handoff:[ ann ] h ~origin:r.ar_origin ~field:r.ar_field in
+    let p = issue_ref ~handoff:[ ann ] h ~stream ~call ~field:r.ar_field in
     Sim.Stats.incr (counter "handoff_calls");
     (match Promise.trace p with
     | Some tid ->
@@ -363,9 +357,14 @@ module Call = struct
     | W.Call, None, Arg_ref r ->
         (* A same-node reference resolves against that node's one
            outcome registry, whichever guardian runs either group; a
-           reference to another node's result is handed off. *)
-        if r.ar_origin.Promise.og_dst = SE.dst h.h_stream then
-          issue_ref h ~origin:r.ar_origin ~field:r.ar_field
+           reference to another node's result is handed off. A
+           reference to an earlier call on this very stream names it by
+           the empty id, which the receiver reads as the stream the
+           call arrives on. *)
+        let { Promise.og_stream; og_call = call; og_dst } = r.ar_origin in
+        if r.ar_home == h.h_stream then issue_ref h ~stream:W.own_stream ~call ~field:r.ar_field
+        else if og_dst = SE.dst h.h_stream then
+          issue_ref h ~stream:og_stream ~call ~field:r.ar_field
         else submit_handoff h r
 
   let detach b =

@@ -17,6 +17,7 @@ type t = {
   s_agent : string;
   s_dst : Net.address;
   s_gid : string;
+  s_stable : string;  (* incarnation-independent: computed once at [create] *)
   s_cfg : Chanhub.config;
   mutable chan : Chanhub.out_chan;
   mutable ports : Wire.port_names;  (* this incarnation's channel port table *)
@@ -65,19 +66,13 @@ let reply_label_for ~agent ~gid ~dst ~incarnation =
 let reply_label t =
   reply_label_for ~agent:t.s_agent ~gid:t.s_gid ~dst:t.s_dst ~incarnation:t.incarnation
 
-(* As the receiver will compute it from our reply-channel label — the
-   address half is this hub's node, the label half drops the
-   incarnation suffix, so the id survives restarts. *)
-let stable_id t =
-  Wire.stable_stream_id
-    ~src:(Chanhub.hub_addr t.hub)
-    ~reply_label:(reply_label t)
+let stable_id t = t.s_stable
 
 let span t ~kind ~trace ~call ?note () =
   let sp = spans t in
   if Sim.Span.sampled sp trace then
     Sim.Span.record sp ~time:(S.now t.sched) ~kind ~trace ~node:(node_addr t)
-      ~stream:(stable_id t) ~call ?note ()
+      ~stream:t.s_stable ~call ?note ()
 
 let wake_satisfied_synchers t =
   let ready, waiting =
@@ -175,6 +170,10 @@ let create hub ~agent ~dst ~gid ?(config = Chanhub.default_config) () =
       s_agent = agent;
       s_dst = dst;
       s_gid = gid;
+      (* As the receiver will compute it from our reply-channel label —
+         the address half is this hub's node, the label half drops the
+         incarnation suffix, so the id survives restarts. *)
+      s_stable = Wire.stable_stream_id ~src:(Chanhub.hub_addr hub) ~reply_label:label;
       s_cfg = config;
       chan;
       ports = Wire.port_names ();

@@ -271,7 +271,21 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
     let find (r : Xdr.promise_ref) =
       Pipeline.Registry.find reg ~stream:r.Xdr.ps_stream ~call:r.Xdr.ps_call
     in
-    let refs = Pipeline.refs args in
+    (* The empty stream id names this call's own stream
+       ({!Wire.own_stream}). Mapped here, once, so every check below
+       sees the stable id; a ref spelled both ways is one ref. *)
+    let own (r : Xdr.promise_ref) =
+      if String.equal r.Xdr.ps_stream Wire.own_stream then { r with Xdr.ps_stream = c.c_stable }
+      else r
+    in
+    let refs =
+      List.rev
+        (List.fold_left
+           (fun acc r ->
+             let r = own r in
+             if List.mem r acc then acc else r :: acc)
+           [] (Pipeline.refs args))
+    in
     if handoffs <> [] && traced t trace then
       span t ~kind:Sim.Span.Handoff ~trace ~stream:c.c_stable ~call:cid
         ~note:(Printf.sprintf "%d foreign ref(s) accepted" (List.length handoffs))
@@ -318,7 +332,7 @@ let resolve_refs c ~cid ~trace ~args ~handoffs ~reply k =
             reply o
         | None -> (
             let lookup (r : Xdr.promise_ref) =
-              match find r with
+              match find (own r) with
               | Some (Wire.W_normal v) -> Pipeline.project ~field:r.Xdr.ps_field v
               | Some _ | None -> Error "referenced outcome disappeared" (* unreachable *)
             in

@@ -20,6 +20,8 @@ let stable_stream_id ~src ~reply_label =
   in
   Printf.sprintf "%d|%s" src prefix
 
+let own_stream = ""
+
 (* A stable stream id embeds the reply label "~r/<agent>/<gid>/<dst>"
    (incarnation already stripped), so the node and the port group the
    stream sends to can be recovered: the last two '/'-segments, counted

@@ -29,6 +29,14 @@ val stable_stream_id : src:Net.address -> reply_label:string -> string
     keys the node's outcome registry, which serves both dedup and
     promise pipelining (docs/PIPELINE.md). *)
 
+val own_stream : string
+(** [""]: the stream id a promise reference carries when it names an
+    earlier call on the stream it travels on. The sender writes it in
+    place of its own {!stable_stream_id}; the receiver reads it as the
+    stable id of the stream the call arrived on, so a chain's call
+    packet does not spell that id (docs/PIPELINE.md). A spelled own id
+    is still accepted. *)
+
 val stream_id_group : string -> string option
 (** The port-group name embedded in a stable stream id — the group the
     identified stream sends its calls to. [None] if the id does not

@@ -47,12 +47,23 @@ type world = {
 (* Batching stream config, so back-to-back pipelined calls coalesce. *)
 let batch_cfg = { CH.default_config with CH.max_batch = 16; flush_interval = 1e-3 }
 
-let make_world ?(cfg = Net.default_config) () =
+(* [tap] sees every frame the client node sends. *)
+let make_world ?(cfg = Net.default_config) ?tap () =
   let sched = S.create () in
   let net = Net.create sched cfg in
   let client_node = Net.add_node net ~name:"client" in
   let server_node = Net.add_node net ~name:"server" in
-  let client_hub = CH.create_hub ~net:(net, client_node) () in
+  let client_hub =
+    match tap with
+    | None -> CH.create_hub ~net:(net, client_node) ()
+    | Some tap ->
+        let tr = Transport_sim.endpoint net client_node in
+        let send ~dst frame =
+          tap frame;
+          tr.Transport.send ~dst frame
+        in
+        CH.create_hub ~transport:{ tr with Transport.send } ()
+  in
   let server_hub = CH.create_hub ~net:(net, server_node) () in
   let server = G.create server_hub ~name:"server" in
   { sched; net; client_node; server_node; client_hub; server }
@@ -124,7 +135,9 @@ let test_args_materialized_once () =
    packet. Each idle channel flushes at the end of its turn with the
    peer's parked acks on board — the reply packet acks the calls, the
    next chain's call packet acks the replies — so no Ack travels
-   alone. *)
+   alone. The bytes are pinned too: the three references name their
+   own stream by the empty id, so the call packet does not spell the
+   stream's stable id. *)
 
 let test_adaptive_chain_two_packets () =
   let w = make_world ~cfg:{ Net.default_config with Net.kernel_overhead = 0.0 } () in
@@ -136,7 +149,8 @@ let test_adaptive_chain_two_packets () =
   let counts () =
     ( peek w.sched "chan_data_packets",
       peek w.sched "chan_items_sent",
-      peek w.sched "chan_ack_packets" )
+      peek w.sched "chan_ack_packets",
+      Sim.Stats.peek (Net.stats w.net) "bytes_sent" )
   in
   let marks = ref [] in
   ignore
@@ -156,11 +170,61 @@ let test_adaptive_chain_two_packets () =
      by a next chain whose call packet carries the replies' ack. *)
   let marks = Array.of_list (List.rev !marks) in
   for chain = 1 to 3 do
-    let d0, i0, a0 = marks.(chain) and d1, i1, a1 = marks.(chain + 1) in
+    let d0, i0, a0, b0 = marks.(chain) and d1, i1, a1, b1 = marks.(chain + 1) in
     check Alcotest.int (Printf.sprintf "chain %d: data packets" chain) 2 (d1 - d0);
     check Alcotest.int (Printf.sprintf "chain %d: items (4 calls, 4 replies)" chain) 8 (i1 - i0);
-    check Alcotest.int (Printf.sprintf "chain %d: standalone acks" chain) 0 (a1 - a0)
+    check Alcotest.int (Printf.sprintf "chain %d: standalone acks" chain) 0 (a1 - a0);
+    check Alcotest.int (Printf.sprintf "chain %d: bytes on the wire" chain) 61 (b1 - b0)
   done
+
+(* A reference to an earlier call on its own stream names the stream
+   by the empty id (Wire.own_stream): a warm chain's call frame does
+   not carry the stream's stable id. A dependent on another stream of
+   the same node still spells the producer's id. *)
+
+let test_own_stream_ref_elides_stable_id () =
+  let frames = ref [] in
+  let w = make_world ~tap:(fun f -> frames := f :: !frames) () in
+  G.register w.server ~group:"main" step_sig (fun _ n -> Ok (n + 1));
+  let chain_frames = ref [] and cross_frames = ref [] and own_id = ref "" in
+  ignore
+    (S.spawn w.sched (fun () ->
+         let h = handle w ~agent:"a" ~gid:"main" step_sig in
+         let other = handle w ~agent:"b" ~gid:"main" step_sig in
+         own_id := SE.stable_id (R.stream h);
+         let chain v =
+           let p = ref (R.stream_call h v) in
+           for _ = 2 to 4 do
+             p := R.Call.(submit (piped h (R.pipe !p)))
+           done;
+           R.flush h;
+           P.claim !p
+         in
+         check Alcotest.bool "cold chain value" true (chain 0 = P.Normal 4);
+         frames := [];
+         check Alcotest.bool "warm chain value" true (chain 10 = P.Normal 14);
+         chain_frames := !frames;
+         frames := [];
+         let p1 = R.stream_call h 20 in
+         R.flush h;
+         let p2 = R.Call.(submit (piped other (R.pipe p1))) in
+         R.flush other;
+         check Alcotest.bool "cross-stream value" true (P.claim p2 = P.Normal 22);
+         cross_frames := !frames));
+  run_ok w.sched;
+  let items f =
+    match CH.decode_packet f with Ok (CH.Data { items; _ }) -> List.length items | _ -> 0
+  in
+  (match List.filter (fun f -> items f > 0) !chain_frames with
+  | [ f ] ->
+      check Alcotest.int "the warm chain leaves in one frame" 4 (items f);
+      check Alcotest.bool "its frame does not spell the stable id" false
+        (contains ~affix:!own_id f)
+  | fs -> Alcotest.failf "warm chain: %d call frames, expected 1" (List.length fs));
+  check Alcotest.int "three references substituted per chain, one cross-stream" 7
+    (peek w.sched "ref_substitutions");
+  check Alcotest.bool "the cross-stream dependent's frame spells the producer's id" true
+    (List.exists (contains ~affix:!own_id) !cross_frames)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-stream, cross-group: the dependent call arrives (on its own
@@ -316,29 +380,87 @@ let test_pipe_requires_origin () =
 
 let test_forward_ref_on_same_stream_fails () =
   (* A reference to this stream's own (or a later) call can never
-     resolve — the receiver must fail it instead of deadlocking. *)
+     resolve — the receiver must fail it instead of deadlocking. The
+     empty stream id (Wire.own_stream) takes the same guard as the
+     spelled one, and nothing parks. *)
   let w = make_world () in
-  G.register w.server ~group:"main" step_sig (fun _ n -> Ok (n + 1));
-  let out = ref None in
+  let ran = ref 0 in
+  G.register w.server ~group:"main" step_sig (fun _ n ->
+      incr ran;
+      Ok (n + 1));
+  let outs = ref [] in
   ignore
     (S.spawn w.sched (fun () ->
          let h = handle w ~agent:"c" ~gid:"main" step_sig in
          let se = R.stream h in
-         let args =
-           Xdr.Pref { Xdr.ps_stream = SE.stable_id se; ps_call = 999; ps_field = None }
-         in
+         (* cid 0 names cid 999 by the spelled id; by the empty id,
+            cid 1 names itself and cid 2 names cid 5 *)
+         List.iter
+           (fun (ps_stream, ps_call) ->
+             let args = Xdr.Pref { Xdr.ps_stream; ps_call; ps_field = None } in
+             match
+               SE.call se ~port:"step" ~kind:Cstream.Wire.Call ~args ~on_reply:(fun o ->
+                   outs := o :: !outs)
+             with
+             | Ok _ -> ()
+             | Error e -> Alcotest.failf "call rejected: %s" e)
+           [ (SE.stable_id se, 999); (Cstream.Wire.own_stream, 1); (Cstream.Wire.own_stream, 5) ];
+         SE.flush se));
+  run_ok w.sched;
+  check Alcotest.int "every call answered" 3 (List.length !outs);
+  List.iter
+    (function
+      | Cstream.Wire.W_failure reason ->
+          check Alcotest.bool "fails on the same-stream guard" true
+            (contains ~affix:"not-earlier call on the same stream" reason)
+      | _ -> Alcotest.fail "forward self-reference must fail")
+    !outs;
+  check Alcotest.int "nothing parked" 0 (peek w.sched "parked_calls");
+  check Alcotest.int "no waiter left" 0 (Pipeline.Registry.waiting (CH.outcomes (G.hub w.server)));
+  check Alcotest.int "no handler ran" 0 !ran;
+  check Alcotest.int "counted as ref failures" 3 (peek w.sched "ref_failures")
+
+(* One call naming the same earlier call both by the empty id and by
+   the spelled stable id holds one reference: it parks one waiter and
+   counts one substitution, and both leaves get the value. *)
+let add_sig = Core.Sigs.hsig0 "add" ~arg:Xdr.(pair int int) ~res:Xdr.int
+
+let test_own_stream_and_spelled_id_are_one_ref () =
+  let w = make_world () in
+  G.register_group w.server ~group:"main"
+    ~config:GC.(default |> with_reply_config batch_cfg |> with_ordered false)
+    ();
+  G.register w.server ~group:"main" step_sig (fun ctx n ->
+      S.sleep ctx.G.sched 10e-3;
+      Ok (n + 1));
+  G.register w.server ~group:"main" add_sig (fun _ (a, b) -> Ok (a + b));
+  let reg = CH.outcomes (G.hub w.server) in
+  let waiting = ref (-1) and out = ref None in
+  (* the producer runs from ~1.2 ms to ~11.2 ms; the dependent is parked *)
+  S.at w.sched 5e-3 (fun () -> waiting := Pipeline.Registry.waiting reg);
+  ignore
+    (S.spawn w.sched (fun () ->
+         let h = handle w ~agent:"c" ~gid:"main" step_sig in
+         let se = R.stream h in
+         let p1 = R.stream_call h 10 in
+         let pref ps_stream = Xdr.Pref { Xdr.ps_stream; ps_call = 0; ps_field = None } in
+         let args = Xdr.Pair (pref Cstream.Wire.own_stream, pref (SE.stable_id se)) in
          (match
-            SE.call se ~port:"step" ~kind:Cstream.Wire.Call ~args ~on_reply:(fun o ->
+            SE.call se ~port:"add" ~kind:Cstream.Wire.Call ~args ~on_reply:(fun o ->
                 out := Some o)
           with
          | Ok _ -> ()
          | Error e -> Alcotest.failf "call rejected: %s" e);
-         SE.flush se));
+         SE.flush se;
+         ignore (P.claim p1 : _ P.outcome)));
   run_ok w.sched;
   (match !out with
-  | Some (Cstream.Wire.W_failure _) -> ()
-  | _ -> Alcotest.fail "forward self-reference must fail");
-  check Alcotest.int "counted as ref failure" 1 (peek w.sched "ref_failures")
+  | Some (Cstream.Wire.W_normal (Xdr.Int 22)) -> ()
+  | _ -> Alcotest.fail "both leaves must carry the producer's 11");
+  check Alcotest.int "one waiter parked" 1 !waiting;
+  check Alcotest.int "parked once" 1 (peek w.sched "parked_calls");
+  check Alcotest.int "one substitution" 1 (peek w.sched "ref_substitutions");
+  check Alcotest.int "no ref failures" 0 (peek w.sched "ref_failures")
 
 (* The builder's refused combinations: each raises [Invalid_argument]
    at the call site and transmits nothing. [plan h p1] tries one refused
@@ -445,6 +567,56 @@ let test_resubmit_dependent_exactly_once () =
   check Alcotest.int "probe executed exactly once" 1
     (Option.value ~default:0 (Hashtbl.find_opt executions 1));
   check Alcotest.int "no other argument values were executed" 3 (Hashtbl.length executions)
+
+(* A self-referencing chain on an unordered dedup group names its own
+   stream by the empty id, which the receiver maps to the stable id,
+   the same in every incarnation. The producer runs through an outage;
+   its dependents park on the first connection, which dies, and again
+   when resubmitted on the next. Each call runs exactly once. *)
+
+let test_resubmitted_own_stream_chain_exactly_once () =
+  let w = make_world () in
+  let execs : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  G.register_group w.server ~group:"ctr"
+    ~config:
+      GC.(default |> with_reply_config fast_chan_cfg |> with_dedup |> with_ordered false)
+    ();
+  G.register w.server ~group:"ctr" step_sig (fun ctx n ->
+      Hashtbl.replace execs n (1 + Option.value ~default:0 (Hashtbl.find_opt execs n));
+      if n = 10 then S.sleep ctx.G.sched 60e-3;
+      Ok (n + 1));
+  S.at w.sched 2e-3 (fun () -> Net.crash w.net w.server_node);
+  S.at w.sched 40e-3 (fun () -> Net.recover w.net w.server_node);
+  let out = ref None and probe = ref None in
+  ignore
+    (S.spawn w.sched (fun () ->
+         let h = handle w ~config:fast_chan_cfg ~agent:"c" ~gid:"ctr" step_sig in
+         let se = R.stream h in
+         SE.set_preserve_on_break se true;
+         let p = ref (R.stream_call h 10) in
+         for _ = 2 to 4 do
+           p := R.Call.(submit (piped h (R.pipe !p)))
+         done;
+         R.flush h;
+         S.sleep w.sched 3e-3;
+         let p5 = R.stream_call h 1 in
+         R.flush h;
+         while SE.broken se = None || S.now w.sched < 45e-3 do
+           S.sleep w.sched 1e-3
+         done;
+         check Alcotest.bool "resubmitted" true (SE.restart_resubmit se > 0);
+         out := Some (P.claim !p);
+         probe := Some (P.claim p5)));
+  run_ok w.sched;
+  check Alcotest.bool "chain result" true (!out = Some (P.Normal 14));
+  check Alcotest.bool "probe result" true (!probe = Some (P.Normal 2));
+  List.iter
+    (fun n ->
+      check Alcotest.int (Printf.sprintf "argument %d executed once" n) 1
+        (Option.value ~default:0 (Hashtbl.find_opt execs n)))
+    [ 10; 11; 12; 13; 1 ];
+  check Alcotest.int "no other argument values were executed" 5 (Hashtbl.length execs);
+  check Alcotest.int "no ref failures" 0 (peek w.sched "ref_failures")
 
 (* ------------------------------------------------------------------ *)
 (* Supervision x pipelining, the parked flavour: the dependent call is
@@ -934,6 +1106,8 @@ let () =
           Alcotest.test_case "4-deep chain in ~1 RTT" `Quick test_chain_single_round_trip;
           Alcotest.test_case "adaptive chain: one packet each way, no lone ack" `Quick
             test_adaptive_chain_two_packets;
+          Alcotest.test_case "own-stream reference does not spell the stream id" `Quick
+            test_own_stream_ref_elides_stable_id;
           Alcotest.test_case "call arguments decoded once" `Quick test_args_materialized_once;
           Alcotest.test_case "cross-stream dependent parks then runs" `Quick
             test_cross_stream_parking;
@@ -950,6 +1124,8 @@ let () =
             test_pipe_requires_origin;
           Alcotest.test_case "forward self-reference fails, no deadlock" `Quick
             test_forward_ref_on_same_stream_fails;
+          Alcotest.test_case "empty id and spelled id: one reference" `Quick
+            test_own_stream_and_spelled_id_are_one_ref;
           Alcotest.test_case "builder refuses submit of a send" `Quick test_refuse_submit_send;
           Alcotest.test_case "builder refuses detach of a retried plan" `Quick
             test_refuse_detach_retry;
@@ -976,6 +1152,8 @@ let () =
         [
           Alcotest.test_case "resubmitted dependent executes exactly once" `Quick
             test_resubmit_dependent_exactly_once;
+          Alcotest.test_case "resubmitted own-stream chain runs each call once" `Quick
+            test_resubmitted_own_stream_chain_exactly_once;
           Alcotest.test_case "parked dependent dies with its conn, duplicate runs once" `Quick
             test_parked_dependent_dies_with_conn;
           Alcotest.test_case "unacked outcomes survive a call flood" `Quick

@@ -331,12 +331,12 @@ let test_cross_shard_pipelining () =
     (S.spawn w.sched (fun () ->
          let h = handle w ~agent:"c" ~gid:"hot" step_sig in
          (* The dependent's argument is a reference to the stream's first
-            call (cid 0), not yet an int when its lane is chosen. The
+            call (cid 0), not yet an int when its lane is chosen; on its
+            own stream it names the stream by the empty id. The
             producer's argument is picked to hash to the other lane. *)
          let ref_lane =
            lane_of ~shards:2
-             (Xdr.Pref
-                { Xdr.ps_stream = SE.stable_id (R.stream h); ps_call = 0; ps_field = None })
+             (Xdr.Pref { Xdr.ps_stream = Cstream.Wire.own_stream; ps_call = 0; ps_field = None })
          in
          n := List.hd (keys_on_lane ~shards:2 ~lane:(1 - ref_lane) 1);
          let p1 = R.stream_call h !n in

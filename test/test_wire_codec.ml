@@ -1869,8 +1869,9 @@ let rpc_loop w h ~n =
 (* (a) In an RPC loop each reply's ack rides the client's next call:
    the client sends one standalone Ack at most, after its last call. *)
 (* The window charges the bytes an item ships in. A depth-4 chain's
-   four calls leave in one frame, whose three references name the same
-   stream: the frame spells the stream id once and refers to it twice.
+   four calls leave in one frame, whose three references name their
+   own stream by the empty id: the frame spells that id once and refers
+   to it twice.
    When the frame leaves, before any ack, the channel's inflight bytes
    are the frame minus its head, which is the same packet encoded with
    no items. *)
