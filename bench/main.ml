@@ -255,7 +255,6 @@ let wire_envelope_tests =
     let packet =
       CH.Data
         {
-          src = 1;
           idx = 0;
           first_seq = 64;
           opening = None;

@@ -18,7 +18,6 @@ type opening = { open_label : string; open_meta : string }
    public codec, frame-borrowing views on the receive path. *)
 type 'item packet =
   | Data of {
-      src : Net.address;
       idx : int;
       first_seq : int;
       opening : opening option;  (* present exactly when first_seq = 0 *)
@@ -32,24 +31,24 @@ type frame = string
 
 (* ------------------------------------------------------------------ *)
 (* Packet frame codec. Layout: version byte, packet tag (1 = Data,
-   2 = Ack, 3 = Reset), then the packet body. A channel is named by
-   (src, idx); only a Data packet starting at seq 0 also carries its
-   label and meta, so every frame decodes on its own and a retransmit
-   from seq 0 re-opens the channel. Every string — label, meta, port
-   names inside items — goes through one intern table per frame,
-   so a batch of calls to the same port pays for the port name once. *)
+   2 = Ack, 3 = Reset), then the packet body. A Data packet names its
+   channel by idx: the source is the frame's transport sender. Only a
+   Data packet starting at seq 0 carries the label and meta, so every
+   frame decodes on its own and a retransmit from seq 0 re-opens the
+   channel. Every string — label, meta, port names inside items — goes
+   through one intern table per frame, so a batch of calls to the same
+   port pays for the port name once. *)
 
+(* An ack packs the pressure into its idx varint's low two bits. *)
 let encode_ack e (a : ack_entry) =
-  B.add_uvarint e a.a_idx;
+  B.add_uvarint e ((a.a_idx lsl 2) lor max 0 (min 3 a.a_pressure));
   (* upto is -1 for "nothing received yet", hence signed *)
-  B.add_varint e a.a_upto;
-  B.add_uvarint e a.a_pressure
+  B.add_varint e a.a_upto
 
-(* A Data packet up to its [count] items, which follow in the same
-   intern table. *)
-let add_data_head e ~src ~idx ~first_seq ~opening ~acks ~count =
+(* A Data packet up to its items, which follow in the same intern
+   table. *)
+let add_data_head e ~idx ~first_seq ~opening ~acks =
   B.add_byte e 1;
-  B.add_uvarint e src;
   B.add_uvarint e idx;
   B.add_uvarint e first_seq;
   (match (first_seq, opening) with
@@ -60,8 +59,7 @@ let add_data_head e ~src ~idx ~first_seq ~opening ~acks ~count =
       invalid_arg "Chanhub.encode_packet: opening fields go with first_seq = 0 only"
   | _, None -> ());
   B.add_uvarint e (List.length acks);
-  List.iter (encode_ack e) acks;
-  B.add_uvarint e count
+  List.iter (encode_ack e) acks
 
 (* One pooled encoder per frame: the whole batch — envelope, acks and
    every item — shares a buffer and intern table. *)
@@ -69,8 +67,8 @@ let encode_packet p =
   let e = B.acquire () in
   B.add_byte e B.version;
   (match p with
-  | Data { src; idx; first_seq; opening; acks; items } ->
-      add_data_head e ~src ~idx ~first_seq ~opening ~acks ~count:(List.length items);
+  | Data { idx; first_seq; opening; acks; items } ->
+      add_data_head e ~idx ~first_seq ~opening ~acks;
       List.iter (B.add_value e) items
   | Ack { acks } ->
       B.add_byte e 2;
@@ -87,25 +85,25 @@ let encode_packet p =
 
 let ( let* ) = Result.bind
 
-(* [n] elements of [read], the count bounded by the input left. *)
-let decode_list what read d =
+let decode_acks d =
   let* n = B.read_uvarint d in
-  if n < 0 || n > B.remaining d then Error (what ^ " count overruns input")
+  if n < 0 || n > B.remaining d then Error "ack count overruns input"
   else
     let rec go k acc =
       if k = 0 then Ok (List.rev acc)
       else
-        let* x = read d in
-        go (k - 1) (x :: acc)
+        let* v = B.read_uvarint d in
+        let* a_upto = B.read_varint d in
+        go (k - 1) ({ a_idx = v lsr 2; a_upto; a_pressure = v land 3 } :: acc)
     in
     go n []
 
-let decode_acks =
-  decode_list "ack" (fun d ->
-      let* a_idx = B.read_uvarint d in
-      let* a_upto = B.read_varint d in
-      let* a_pressure = B.read_uvarint d in
-      Ok { a_idx; a_upto; a_pressure })
+(* Data items run to the end of the frame. *)
+let rec decode_items read d acc =
+  if B.remaining d = 0 then Ok (List.rev acc)
+  else
+    let* x = read d in
+    decode_items read d (x :: acc)
 
 (* The one frame decoder. [read] decodes a Data item (a tree or a
    view). A frame needs no state from earlier frames to decode. *)
@@ -119,8 +117,9 @@ let decode_frame ~read frame =
   let* p =
     match tag with
     | 1 ->
-        let* src = B.read_uvarint d in
         let* idx = B.read_uvarint d in
+        (* so that the idx's acks cannot overflow their varint *)
+        let* () = if idx < 0 || idx > max_int lsr 2 then Error "idx out of range" else Ok () in
         let* first_seq = B.read_uvarint d in
         let* opening =
           if first_seq <> 0 then Ok None
@@ -130,8 +129,8 @@ let decode_frame ~read frame =
             Ok (Some { open_label; open_meta })
         in
         let* acks = decode_acks d in
-        let* items = decode_list "item" read d in
-        Ok (Data { src; idx; first_seq; opening; acks; items })
+        let* items = decode_items read d [] in
+        Ok (Data { idx; first_seq; opening; acks; items })
     | 2 ->
         let* acks = decode_acks d in
         Ok (Ack { acks })
@@ -497,7 +496,7 @@ let opening_at o ~first_seq =
 
 let data_packet o ~first_seq ~acks ~items =
   let opening = opening_at o ~first_seq in
-  Data { src = o.o_key.src; idx = o.o_key.idx; first_seq; opening; acks; items }
+  Data { idx = o.o_key.idx; first_seq; opening; acks; items }
 
 (* Stamp every entry of [q] as (re)transmitted now. *)
 let stamp_sent o q ~retx =
@@ -556,8 +555,7 @@ let flush_out o =
       let acks = take_piggyback o.o_hub ~dst:o.o_dst in
       let e = B.acquire () in
       B.add_byte e B.version;
-      add_data_head e ~src:o.o_key.src ~idx:o.o_key.idx ~first_seq
-        ~opening:(opening_at o ~first_seq) ~acks ~count;
+      add_data_head e ~idx:o.o_key.idx ~first_seq ~opening:(opening_at o ~first_seq) ~acks;
       B.append e pkt;
       let frame = B.contents e in
       B.release e;
@@ -810,8 +808,9 @@ let handle_data hub ~src ~idx ~first_seq ~opening ~items =
             post_ack hub ~dst:src ~idx ~upto:(i.i_expected - 1) ~pressure:(probe_pressure i)
           end
 
-(* A frame naming a channel that its sender is not a peer of: counted
-   and dropped, so no node can feed or break another pair's channel. *)
+(* A Reset naming a channel that its sender is not a peer of: counted
+   and dropped, so no node can break another pair's channel. (A Data
+   packet can name only its sender's own channels.) *)
 let spoofed hub = Sim.Stats.incr (hub_counter hub "chan_spoofed_drops")
 
 (* A Reset names a channel by its sender: ours when [src] is this hub
@@ -848,8 +847,7 @@ let receive hub ~src frame =
   | Error _ ->
       (* Corrupt frame: drop it; go-back-n retransmission recovers. *)
       Sim.Stats.incr (hub_counter hub "chan_decode_errors")
-  | Ok (Data { src = chan_src; _ }) when chan_src <> src -> spoofed hub
-  | Ok (Data { idx; first_seq; opening; acks; items; _ }) ->
+  | Ok (Data { idx; first_seq; opening; acks; items }) ->
       (* Acks ride in front of the data they share a packet with. *)
       handle_acks hub ~from:src acks;
       handle_data hub ~src ~idx ~first_seq ~opening ~items

@@ -34,9 +34,9 @@
     writes the packet head in front of them.
 
     Each node owns a {e hub} that multiplexes all channel endpoints on
-    that node. On the wire a channel is named by (source address,
-    index), the index being unique per sending hub; acks name only the
-    index, since they always travel to the channel's sender. The
+    that node. A channel is named by (source address, index), the index
+    being unique per sending hub; on the wire Data and acks spell only
+    the index (the source is the frame's transport sender). The
     channel's [label] and [meta] ride once, on a Data packet starting
     at seq 0 (the {e opening} packet, re-sent whenever go-back-n
     retransmits from seq 0). The label is the rendezvous name — a hub
@@ -66,7 +66,8 @@ type ack_entry = {
       (** receiver queue-depth signal riding on the ack: [0] relaxed,
           [1] approaching the shed high-water mark, [2] at or over it.
           Senders with an adaptive window treat [2] as congestion
-          (multiplicative decrease) and [1] as "hold growth". *)
+          (multiplicative decrease) and [1] as "hold growth"; a peer's
+          [3] (the wire clamps to [0..3]) reads as congestion too. *)
 }
 
 type opening = { open_label : string; open_meta : string }
@@ -78,8 +79,7 @@ type opening = { open_label : string; open_meta : string }
     receive path (see {!set_deliver}). *)
 type 'item packet =
   | Data of {
-      src : Net.address;
-      idx : int;
+      idx : int;  (** at most [max_int lsr 2], or decoding refuses it *)
       first_seq : int;
       opening : opening option;
           (** [Some] exactly when [first_seq = 0]; {!encode_packet}
@@ -210,16 +210,15 @@ val hub_sched : hub -> Sched.Scheduler.t
     [chan_wire_bytes], [chan_items_sent], [chan_piggybacked_acks],
     [chan_standalone_acks], [chan_decode_errors],
     [chan_unopened_drops] (compact Data for a channel never opened
-    here, dropped without a Reset), [chan_spoofed_drops] (a Data or
-    Reset frame not sent by the named channel's peer, dropped),
-    [chan_window_cuts].
+    here, dropped without a Reset), [chan_spoofed_drops] (a Reset not
+    sent by the named channel's peer, dropped), [chan_window_cuts].
 
     A hub accepts a channel's traffic only from that channel's peer,
     the transport sender of the frame: an ack only from the acked
-    channel's receiver, a Data packet only from the channel's source
-    ([src]), and a Reset only from the other end of the channel it
-    names — the destination of one of our sending channels, the
-    source of one of our receiving ones. *)
+    channel's receiver, a Reset only from the other end of the channel
+    it names — the destination of one of our sending channels, the
+    source of one of our receiving ones. A Data packet feeds the
+    channel [(transport sender, idx)]: a node can name only its own. *)
 
 val outcomes : hub -> Wire.routcome Pipeline.Registry.t
 (** The node's promise-pipelining outcome registry (docs/PIPELINE.md),

@@ -253,13 +253,12 @@ let prop_chan_random_flush_interleavings =
       (match S.run w.sched with S.Completed -> () | _ -> failwith "bad run");
       !received = List.init (List.length plan) (fun i -> i + 1))
 
-(* Hand-built Data frames for channel 0 of node a, injected straight
-   into the network. *)
-let chan_data w ~first_seq values =
+(* Hand-built Data frames for node a's channel 0, injected straight
+   into the network from node a. *)
+let chan_data ~first_seq values =
   let opening = if first_seq = 0 then Some { CH.open_label = "sink"; open_meta = "" } else None in
   CH.Data
     {
-      src = Net.address w.node_a;
       idx = 0;
       first_seq;
       opening;
@@ -284,11 +283,11 @@ let test_chan_positions_across_gap_dup_and_lost_opening () =
       CH.set_deliver in_chan (fun seq items -> got := !got @ [ (seq, ints_of_views items) ]));
   let plan =
     [
-      chan_data w ~first_seq:2 [ 2; 3 ];
-      chan_data w ~first_seq:0 [ 0; 1 ];
-      chan_data w ~first_seq:4 [ 4; 5 ];
-      chan_data w ~first_seq:1 [ 1; 2; 3 ];
-      chan_data w ~first_seq:4 [ 4; 5 ];
+      chan_data ~first_seq:2 [ 2; 3 ];
+      chan_data ~first_seq:0 [ 0; 1 ];
+      chan_data ~first_seq:4 [ 4; 5 ];
+      chan_data ~first_seq:1 [ 1; 2; 3 ];
+      chan_data ~first_seq:4 [ 4; 5 ];
     ]
   in
   ignore
@@ -325,7 +324,7 @@ let prop_chan_positions_any_arrivals =
         (S.spawn w.sched (fun () ->
              List.iter
                (fun (first_seq, len) ->
-                 inject w (chan_data w ~first_seq (List.init len (fun k -> first_seq + k)));
+                 inject w (chan_data ~first_seq (List.init len (fun k -> first_seq + k)));
                  S.sleep w.sched 5e-3)
                windows));
       run_ok w;

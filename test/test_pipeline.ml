@@ -137,7 +137,9 @@ let test_args_materialized_once () =
    next chain's call packet acks the replies — so no Ack travels
    alone. The bytes are pinned too: the three references name their
    own stream by the empty id, so the call packet does not spell the
-   stream's stable id. *)
+   stream's stable id; and neither packet spells its sender or an item
+   count, nor an ack's pressure in a byte of its own (55 B, 6 B under
+   the frame grammar that did). *)
 
 let test_adaptive_chain_two_packets () =
   let w = make_world ~cfg:{ Net.default_config with Net.kernel_overhead = 0.0 } () in
@@ -174,7 +176,7 @@ let test_adaptive_chain_two_packets () =
     check Alcotest.int (Printf.sprintf "chain %d: data packets" chain) 2 (d1 - d0);
     check Alcotest.int (Printf.sprintf "chain %d: items (4 calls, 4 replies)" chain) 8 (i1 - i0);
     check Alcotest.int (Printf.sprintf "chain %d: standalone acks" chain) 0 (a1 - a0);
-    check Alcotest.int (Printf.sprintf "chain %d: bytes on the wire" chain) 61 (b1 - b0)
+    check Alcotest.int (Printf.sprintf "chain %d: bytes on the wire" chain) 55 (b1 - b0)
   done
 
 (* A reference to an earlier call on its own stream names the stream

@@ -353,8 +353,7 @@ let opening_spy tr =
   let set_receiver f =
     tr.Transport.set_receiver (fun ~src frame ->
         (match CH.decode_packet frame with
-        | Ok (CH.Data { src = chan_src; opening = Some o; _ }) ->
-            seen := (chan_src, o.CH.open_meta) :: !seen
+        | Ok (CH.Data { opening = Some o; _ }) -> seen := (src, o.CH.open_meta) :: !seen
         | Ok _ | Error _ -> ());
         f ~src frame)
   in

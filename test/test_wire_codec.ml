@@ -297,9 +297,9 @@ let ack ?(pressure = 0) idx upto = { CH.a_idx = idx; a_upto = upto; a_pressure =
 
 let equal_packet (a : Xdr.value CH.packet) (b : Xdr.value CH.packet) =
   match (a, b) with
-  | ( CH.Data { src = s1; idx = x1; first_seq = f1; opening = o1; acks = a1; items = i1 },
-      CH.Data { src = s2; idx = x2; first_seq = f2; opening = o2; acks = a2; items = i2 } ) ->
-      s1 = s2 && x1 = x2 && f1 = f2 && o1 = o2 && a1 = a2
+  | ( CH.Data { idx = x1; first_seq = f1; opening = o1; acks = a1; items = i1 },
+      CH.Data { idx = x2; first_seq = f2; opening = o2; acks = a2; items = i2 } ) ->
+      x1 = x2 && f1 = f2 && o1 = o2 && a1 = a2
       && List.length i1 = List.length i2
       && List.for_all2 Xdr.equal_value i1 i2
   | CH.Ack { acks = a1 }, CH.Ack { acks = a2 } -> a1 = a2
@@ -310,7 +310,7 @@ let sample_opening = { CH.open_label = "grades"; open_meta = "~r/a/grades/1/0" }
 
 let data ?(acks = []) ?(items = []) ~first_seq () =
   let opening = if first_seq = 0 then Some sample_opening else None in
-  CH.Data { src = 3; idx = 7; first_seq; opening; acks; items }
+  CH.Data { idx = 7; first_seq; opening; acks; items }
 
 let test_packet_roundtrips () =
   let packets =
@@ -339,10 +339,12 @@ let test_packet_roundtrips () =
 let gen_packet : Xdr.value CH.packet QCheck.Gen.t =
   let open QCheck.Gen in
   let nat = oneof [ small_nat; int_bound max_int ] in
+  (* a channel idx shares its varint with an ack's two pressure bits *)
+  let idx = oneof [ small_nat; int_bound (max_int lsr 2) ] in
   let gen_ack =
     map3
       (fun a_idx a_upto a_pressure -> { CH.a_idx; a_upto; a_pressure })
-      nat (oneof [ return (-1); nat ]) (int_bound 2)
+      idx (oneof [ return (-1); nat ]) (int_bound 3)
   in
   let gen_string = string_size ~gen:printable (int_range 0 24) in
   let gen_data =
@@ -353,9 +355,9 @@ let gen_packet : Xdr.value CH.packet QCheck.Gen.t =
         map2 (fun open_label open_meta -> Some { CH.open_label; open_meta }) gen_string gen_string
       else return None
     in
-    map4
-      (fun src idx acks items -> CH.Data { src; idx; first_seq; opening; acks; items })
-      nat nat
+    map3
+      (fun idx acks items -> CH.Data { idx; first_seq; opening; acks; items })
+      idx
       (list_size (int_range 0 4) gen_ack)
       (list_size (int_range 0 4) gen_value)
   in
@@ -433,8 +435,7 @@ let prop_send_path_is_encode_packet =
             let opening =
               if first_seq = 0 then Some { CH.open_label = label; open_meta = meta } else None
             in
-            let src = key.CH.src and idx = key.CH.idx in
-            let p = CH.Data { src; idx; first_seq; opening; acks = []; items } in
+            let p = CH.Data { idx = key.CH.idx; first_seq; opening; acks = []; items } in
             (CH.encode_packet p :: acc, first_seq + List.length items))
           ([], 0) batches
       in
@@ -475,10 +476,8 @@ let test_opening_fields_only_at_seq_zero () =
     | _ -> Alcotest.fail "inconsistent opening encoded"
     | exception Invalid_argument _ -> ()
   in
-  rejects (CH.Data { src = 3; idx = 7; first_seq = 0; opening = None; acks = []; items = [] });
-  rejects
-    (CH.Data
-       { src = 3; idx = 7; first_seq = 1; opening = Some sample_opening; acks = []; items = [] })
+  rejects (CH.Data { idx = 7; first_seq = 0; opening = None; acks = []; items = [] });
+  rejects (CH.Data { idx = 7; first_seq = 1; opening = Some sample_opening; acks = []; items = [] })
 
 let test_packet_garbage_rejected () =
   (match CH.decode_packet "" with Error _ -> () | Ok _ -> Alcotest.fail "empty frame accepted");
@@ -783,9 +782,8 @@ let sink w =
 let test_compact_for_unknown_channel_dropped () =
   let w = make_world () in
   let got, opened = sink w in
-  let a = Net.address w.node_a in
   inject w ~src:w.node_a ~dst:w.node_b
-    (CH.Data { src = a; idx = 0; first_seq = 3; opening = None; acks = []; items = [ Xdr.Int 1 ] });
+    (CH.Data { idx = 0; first_seq = 3; opening = None; acks = []; items = [ Xdr.Int 1 ] });
   run_ok w;
   check Alcotest.int "no in-chan created" 0 !opened;
   check Alcotest.int "nothing delivered" 0 (List.length !got);
@@ -884,10 +882,13 @@ let test_ack_past_sent_clamped () =
     (List.rev !unacked_at);
   check Alcotest.bool "not broken" true (CH.out_broken out = None)
 
-(* Only a channel's peer may feed or break it: Data or a Reset from a
-   third node naming the a->b channel is dropped and counted, and the
-   channel carries on. The peer sends item 1 before the forgery and
-   item 2 after it, at the position the forged Data claimed. *)
+(* Only a channel's peer may feed or break it. A Data packet names no
+   source, so a third node's compact Data with the a->b channel's idx
+   names the third node's own channel, never opened here: it is
+   dropped as unopened. A Reset from a third node naming the a->b
+   channel is dropped and counted as spoofed. Either way the channel
+   carries on. The peer sends item 1 before the forgery and item 2
+   after it, at the position the forged Data claimed. *)
 let spoof_world () =
   let w = make_world () in
   let got, _ = sink w in
@@ -899,12 +900,11 @@ let spoof_world () =
   send_at 0.2 2;
   (w, got, out, Net.add_node w.net ~name:"mallory")
 
-let check_channel_survived w got out =
+let check_channel_survived got out =
   check Alcotest.bool "the peer's items delivered, in order" true
     (List.equal Xdr.equal_value [ Xdr.Int 1; Xdr.Int 2 ] !got);
   check Alcotest.bool "sender not broken" true (CH.out_broken out = None);
-  check Alcotest.int "fully acked" 0 (CH.unacked_count out);
-  check Alcotest.int "counted" 1 (peek w "chan_spoofed_drops")
+  check Alcotest.int "fully acked" 0 (CH.unacked_count out)
 
 let test_spoofed_data_dropped () =
   let w, got, out, mallory = spoof_world () in
@@ -912,17 +912,13 @@ let test_spoofed_data_dropped () =
   S.after w.sched 0.1 (fun () ->
       inject w ~src:mallory ~dst:w.node_b
         (CH.Data
-           {
-             src = k.CH.src;
-             idx = k.CH.idx;
-             first_seq = 1;
-             opening = None;
-             acks = [];
-             items = [ Xdr.Int 99 ];
-           }));
+           { idx = k.CH.idx; first_seq = 1; opening = None; acks = []; items = [ Xdr.Int 99 ] }));
   run_ok w;
-  check_channel_survived w got out;
-  check Alcotest.int "acks only for the peer's two packets" 2 (peek w "chan_ack_packets")
+  check_channel_survived got out;
+  check Alcotest.int "acks only for the peer's two packets" 2 (peek w "chan_ack_packets");
+  check Alcotest.int "dropped as the third node's unopened channel" 1
+    (peek w "chan_unopened_drops");
+  check Alcotest.int "no Data counts as spoofed" 0 (peek w "chan_spoofed_drops")
 
 let test_spoofed_reset_dropped at () =
   let w, got, out, mallory = spoof_world () in
@@ -931,7 +927,41 @@ let test_spoofed_reset_dropped at () =
       inject w ~src:mallory ~dst:(at w)
         (CH.Reset { src = k.CH.src; idx = k.CH.idx; reason = "forged" }));
   run_ok w;
-  check_channel_survived w got out
+  check_channel_survived got out;
+  check Alcotest.int "counted" 1 (peek w "chan_spoofed_drops")
+
+(* A third node's opening Data reusing the a->b channel's idx opens the
+   third node's own (mallory, idx) end: its item is delivered there,
+   and the a->b channel's items and acks are untouched. *)
+let test_third_node_opening_reusing_idx () =
+  let w, _, out, mallory = spoof_world () in
+  let by_src = ref [] in
+  CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
+      CH.set_deliver in_chan (fun _ items ->
+          List.iter
+            (fun vw -> by_src := (CH.in_src in_chan, Xdr.View.as_int vw) :: !by_src)
+            items));
+  S.after w.sched 0.1 (fun () ->
+      inject w ~src:mallory ~dst:w.node_b
+        (CH.Data
+           {
+             idx = (CH.out_key out).CH.idx;
+             first_seq = 0;
+             opening = Some { CH.open_label = "sink"; open_meta = "" };
+             acks = [];
+             items = [ Xdr.Int 99 ];
+           }));
+  run_ok w;
+  let from node =
+    List.rev (List.filter_map (fun (s, v) -> if s = Net.address node then Some v else None) !by_src)
+  in
+  check Alcotest.(list (result int string)) "a's items, in order" [ Ok 1; Ok 2 ] (from w.node_a);
+  check Alcotest.(list (result int string)) "mallory's item, on its own end" [ Ok 99 ]
+    (from mallory);
+  check Alcotest.int "two receiving ends" 2 (CH.table_sizes w.hub_b).CH.ins;
+  check Alcotest.bool "sender not broken" true (CH.out_broken out = None);
+  check Alcotest.int "fully acked" 0 (CH.unacked_count out);
+  check Alcotest.int "nothing spoofed" 0 (peek w "chan_spoofed_drops")
 
 let test_truncated_opening_counted () =
   let w = make_world () in
@@ -940,7 +970,6 @@ let test_truncated_opening_counted () =
     CH.encode_packet
       (CH.Data
          {
-           src = Net.address w.node_a;
            idx = 0;
            first_seq = 0;
            opening = Some { CH.open_label = "sink"; open_meta = "~r/agent/g/1/0" };
@@ -948,9 +977,10 @@ let test_truncated_opening_counted () =
            items = [];
          })
   in
-  (* The frame ends with meta's bytes, then the two empty list counts:
-     cut four bytes into meta's tail. *)
-  let cut = String.sub frame 0 (String.length frame - 6) in
+  (* The frame ends with meta's bytes, then the empty ack list's count
+     (the items, none here, run to the end of the frame): cut four
+     bytes into meta's tail. *)
+  let cut = String.sub frame 0 (String.length frame - 5) in
   (match CH.decode_packet cut with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "frame truncated inside meta decoded");
@@ -966,15 +996,8 @@ let test_stale_compact_after_reset_answered () =
   ignore (CH.send out (Xdr.Int 1) : (unit, string) result);
   S.after w.sched 0.1 (fun () -> CH.break_out out ~reason:"restart");
   let stale =
-    CH.Data
-      {
-        src = (CH.out_key out).CH.src;
-        idx = (CH.out_key out).CH.idx;
-        first_seq = 1;
-        opening = None;
-        acks = [];
-        items = [ Xdr.Int 2 ];
-      }
+    let idx = (CH.out_key out).CH.idx in
+    CH.Data { idx; first_seq = 1; opening = None; acks = []; items = [ Xdr.Int 2 ] }
   in
   S.after w.sched 0.2 (fun () -> inject w ~src:w.node_a ~dst:w.node_b stale);
   run_ok w;
@@ -998,7 +1021,7 @@ let test_stateful_dialect_refused () =
   let src = Net.address peer and dst = Net.address w.node_b in
   let v1_data ~first_seq v =
     let opening = if first_seq = 0 then Some { CH.open_label = "sink"; open_meta = "" } else None in
-    CH.encode_packet (CH.Data { src; idx = 0; first_seq; opening; acks = []; items = [ v ] })
+    CH.encode_packet (CH.Data { idx = 0; first_seq; opening; acks = []; items = [ v ] })
   in
   (* A list of two strings, each introduced under [marker]: marker 0 is
      the v1 define. *)
@@ -1038,6 +1061,74 @@ let test_stateful_dialect_refused () =
   | _ -> Alcotest.fail "expected three notes");
   check Alcotest.bool "the opened channel carries on" true
     (List.equal Xdr.equal_value [ Xdr.Int 1; Xdr.Int 2 ] !got)
+
+(* An ack entry packs the channel idx and two pressure bits into one
+   varint, so a channel idx past [max_int lsr 2] could not be acked.
+   Both frame decoders refuse a Data packet naming one; a hub counts
+   such a frame as a decode error and opens nothing, while the largest
+   idx opens and is acked. *)
+let test_idx_past_range_refused () =
+  let top = max_int lsr 2 in
+  let raw_opening idx =
+    let e = B.acquire () in
+    List.iter (B.add_byte e) [ B.version; 1 ];
+    List.iter (B.add_uvarint e) [ idx; 0 ];
+    List.iter (B.add_string e) [ "sink"; "" ];
+    B.add_uvarint e 0;
+    B.add_value e (Xdr.Int 5);
+    B.contents e
+  in
+  let refused what f =
+    match (CH.decode_packet f, CH.decode_packet_view f) with
+    | Error _, Error _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  refused "Data idx max_int lsr 2 + 1" (raw_opening (top + 1));
+  refused "Data idx -1" (raw_opening (-1));
+  let w = make_world () in
+  let got, opened = sink w in
+  let send_raw f = Net.send w.net ~src:w.node_a ~dst:(Net.address w.node_b) ~bytes_:0 f in
+  send_raw (raw_opening (top + 1));
+  S.after w.sched 0.1 (fun () -> send_raw (raw_opening top));
+  run_ok w;
+  check Alcotest.int "one decode error" 1 (peek w "chan_decode_errors");
+  check Alcotest.int "only the in-range channel opened" 1 !opened;
+  check Alcotest.bool "its item delivered" true (List.equal Xdr.equal_value [ Xdr.Int 5 ] !got);
+  check Alcotest.int "and acked" 1 (peek w "chan_ack_packets")
+
+(* Pressure travels in two bits, so a peer can send 3: an adaptive
+   sender reads it as congestion, like 2. A relaxed ack grows the
+   window one step from its floor; the pressure-3 ack cuts it back. *)
+let test_pressure_3_cuts_adaptive_window () =
+  let w = make_world () in
+  let peer = Net.add_node w.net ~name:"silent" in
+  let out =
+    CH.connect w.hub_a ~dst:(Net.address peer) ~label:"sink" ~meta:""
+      { CH.aimd_config with CH.retransmit_timeout = 10.0 }
+  in
+  let idx = (CH.out_key out).CH.idx in
+  let windows = ref [] in
+  let note () = windows := CH.window_bytes out :: !windows in
+  let ack_upto ~pressure upto =
+    inject w ~src:peer ~dst:w.node_a (CH.Ack { acks = [ ack ~pressure idx upto ] })
+  in
+  let send v = ignore (CH.send out (Xdr.Int v) : (unit, string) result) in
+  send 1;
+  S.after w.sched 0.1 (fun () ->
+      note ();
+      ack_upto ~pressure:0 0);
+  S.after w.sched 0.2 (fun () ->
+      note ();
+      send 2);
+  S.after w.sched 0.3 (fun () -> ack_upto ~pressure:3 1);
+  S.after w.sched 0.4 note;
+  ignore (S.run ~until:1.0 w.sched : S.outcome);
+  let floor = CH.aimd_config.CH.window_min_bytes in
+  check Alcotest.(list int) "grown by the relaxed ack, cut by pressure 3"
+    [ floor; floor + CH.aimd_config.CH.window_increase; floor ]
+    (List.rev !windows);
+  check Alcotest.int "one cut" 1 (peek w "chan_window_cuts");
+  check Alcotest.int "fully acked" 0 (CH.unacked_count out)
 
 (* ------------------------------------------------------------------ *)
 (* Lazy views (docs/WIRE.md §Lazy views): a scan-validated slice must
@@ -1435,8 +1526,8 @@ let prop_decoders_agree =
    agree on what an accepted frame holds. *)
 
 let tree_of_view_packet : Xdr.View.t CH.packet -> Xdr.value CH.packet = function
-  | CH.Data { src; idx; first_seq; opening; acks; items } ->
-      CH.Data { src; idx; first_seq; opening; acks; items = List.map materialize_ok items }
+  | CH.Data { idx; first_seq; opening; acks; items } ->
+      CH.Data { idx; first_seq; opening; acks; items = List.map materialize_ok items }
   | CH.Ack { acks } -> CH.Ack { acks }
   | CH.Reset { src; idx; reason } -> CH.Reset { src; idx; reason }
 
@@ -1448,16 +1539,18 @@ let frame_decoders_agree f =
   | exception _ -> false
 
 (* Golden frames of every packet form, each with the offsets and values
-   of its count prefixes (ack count, item count, reason length), all
-   one byte long here. *)
+   of its count prefixes (ack count, reason length), all one byte long
+   here. A Data packet's items run to the end of the frame: there is no
+   item count to lie about. One frame sits at the largest channel idx,
+   acked at pressure 3, so mutations cross the idx bound. *)
 let golden_frames =
   let data_frame ~first_seq acks items =
     let enc acks items = CH.encode_packet (data ~first_seq ~acks ~items ()) in
-    ( enc acks items,
-      [
-        (String.length (enc [] []) - 2, List.length acks);
-        (String.length (enc acks []) - 1, List.length items);
-      ] )
+    (enc acks items, [ (String.length (enc [] []) - 1, List.length acks) ])
+  in
+  let at_top acks =
+    CH.encode_packet
+      (CH.Data { idx = max_int lsr 2; first_seq = 1; opening = None; acks; items = [] })
   in
   let call i port =
     W.call_item ~cid:i ~trace:None ~port ~kind:W.Call
@@ -1469,6 +1562,7 @@ let golden_frames =
       [ ack 2 (-1); ack ~pressure:2 5 17 ]
       [ call 0 (W.Define "record_grade"); call 1 (W.Ref 0) ];
     data_frame ~first_seq:300 [ ack 7 12 ] [ tag_tour; Xdr.Int 5 ];
+    (at_top [ ack ~pressure:3 (max_int lsr 2) 0 ], [ (String.length (at_top []) - 1, 1) ]);
     (CH.encode_packet (CH.Ack { acks = [ ack 7 (-1); ack ~pressure:1 8 300 ] }), [ (2, 2) ]);
     (reset "no such port group", [ (String.length (reset "") - 1, 18) ]);
   ]
@@ -1910,12 +2004,12 @@ let test_window_charges_wire_bytes () =
   match List.rev !sent with
   | (frame, inflight) :: _ -> (
       match CH.decode_packet frame with
-      | Ok (CH.Data { src; idx; first_seq; opening; acks; items }) ->
+      | Ok (CH.Data { idx; first_seq; opening; acks; items }) ->
           check Alcotest.int "the chain leaves in one frame" 4 (List.length items);
           let refs = List.length (List.filter (fun i -> Xdr.View.has_prefs (view_of i)) items) in
           check Alcotest.int "three calls carry a reference" 3 refs;
           let head =
-            CH.encode_packet (CH.Data { src; idx; first_seq; opening; acks; items = [] })
+            CH.encode_packet (CH.Data { idx; first_seq; opening; acks; items = [] })
           in
           check Alcotest.int "inflight bytes = frame - head"
             (String.length frame - String.length head)
@@ -2076,8 +2170,7 @@ let test_peer_down_drops_parked_acks () =
   S.at sched 0.0 (fun () ->
       !receiver ~src:1
         (CH.encode_packet
-           (CH.Data
-              { src = 1; idx = 0; first_seq = 0; opening; acks = []; items = [ Xdr.Int 1 ] }));
+           (CH.Data { idx = 0; first_seq = 0; opening; acks = []; items = [ Xdr.Int 1 ] }));
       !watch ~peer:1 ~reason:"connection reset");
   ignore (S.run sched : S.outcome);
   check Alcotest.int "delivered" 1 !delivered;
@@ -2139,7 +2232,6 @@ let test_bad_port_ref_breaks_only_its_channel () =
   let forged =
     CH.Data
       {
-        src = Net.address forger;
         idx = 0;
         first_seq = 0;
         opening = Some { CH.open_label = "echo"; open_meta = "~r/f/echo/1/0" };
@@ -2174,6 +2266,64 @@ let test_bad_port_ref_breaks_only_its_channel () =
   check Alcotest.bool "the good stream's replies echo its ports" true
     (List.rev !replies
     = List.map (fun p -> W.W_normal (Xdr.Str p)) [ "x"; "y"; "x" ])
+
+(* A third node's opening packet that reuses the a->b call channel's
+   idx (0: the stream's call channel is hub a's first) opens the third
+   node's own end, with its own port table: its ref 0 runs the port it
+   defined, and a's refs to entry 0 still run a's port. *)
+let test_reused_idx_keeps_port_tables_apart () =
+  let w = make_world () in
+  let executed = ref [] in
+  ignore
+    (T.create w.hub_b ~gid:"echo" (fun conn ~seq:_ ~port ~kind:_ ~args:_ ~reply ->
+         executed := (T.conn_src conn, port) :: !executed;
+         reply (W.W_normal (Xdr.Str port)))
+      : T.t);
+  let mallory = Net.add_node w.net ~name:"mallory" in
+  (* a hub accepting nothing: the group's reply channel is Reset *)
+  ignore (CH.create_hub ~net:(w.net, mallory) () : CH.hub);
+  let forged =
+    CH.Data
+      {
+        idx = 0;
+        first_seq = 0;
+        opening = Some { CH.open_label = "echo"; open_meta = "~r/m/echo/1/0" };
+        acks = [];
+        items =
+          List.map
+            (fun port -> W.call_item ~trace:None ~port ~kind:W.Call ~args:Xdr.Unit ())
+            [ W.Define "evil"; W.Ref 0 ];
+      }
+  in
+  let se = SE.create w.hub_a ~agent:"t" ~dst:(Net.address w.node_b) ~gid:"echo" () in
+  let replies = ref [] in
+  let call port =
+    match
+      SE.call se ~port ~kind:W.Call ~args:Xdr.Unit ~on_reply:(fun o -> replies := o :: !replies)
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "call failed: %s" e
+  in
+  ignore
+    (S.spawn w.sched (fun () ->
+         call "x";
+         match SE.synch se with Ok () -> () | Error _ -> Alcotest.fail "stream broke"));
+  S.after w.sched 0.1 (fun () -> inject w ~src:mallory ~dst:w.node_b forged);
+  S.after w.sched 0.2 (fun () ->
+      ignore
+        (S.spawn w.sched (fun () ->
+             List.iter call [ "x"; "y"; "x" ];
+             match SE.synch se with Ok () -> () | Error _ -> Alcotest.fail "stream broke")));
+  run_ok w;
+  let ran node = List.filter_map (fun (s, p) -> if s = Net.address node then Some p else None) in
+  check Alcotest.(list string) "a's calls ran a's ports" [ "x"; "x"; "y"; "x" ]
+    (List.rev (ran w.node_a !executed));
+  check Alcotest.(list string) "mallory's ref 0 ran its own define" [ "evil"; "evil" ]
+    (List.rev (ran mallory !executed));
+  check Alcotest.bool "a's replies echo its ports" true
+    (List.rev !replies = List.map (fun p -> W.W_normal (Xdr.Str p)) [ "x"; "x"; "y"; "x" ]);
+  check Alcotest.int "no retransmits" 0 (peek w "chan_retransmits");
+  check Alcotest.int "nothing spoofed" 0 (peek w "chan_spoofed_drops")
 
 let test_equal_value_nan () =
   check Alcotest.bool "NaN = NaN" true (Xdr.equal_value (Xdr.Real nan) (Xdr.Real nan));
@@ -2268,6 +2418,11 @@ let () =
             (test_spoofed_reset_dropped (fun w -> w.node_b));
           Alcotest.test_case "spoofed reset at the sender ignored" `Quick
             (test_spoofed_reset_dropped (fun w -> w.node_a));
+          Alcotest.test_case "third node reusing an idx opens its own end" `Quick
+            test_third_node_opening_reusing_idx;
+          Alcotest.test_case "idx past max_int lsr 2 refused" `Quick test_idx_past_range_refused;
+          Alcotest.test_case "ack pressure 3 cuts an adaptive window" `Quick
+            test_pressure_3_cuts_adaptive_window;
           Alcotest.test_case "opening truncated inside meta counted" `Quick
             test_truncated_opening_counted;
           Alcotest.test_case "stale compact data after reset answered" `Quick
@@ -2332,5 +2487,7 @@ let () =
             test_port_table_cap;
           Alcotest.test_case "a bad port ref breaks only its channel" `Quick
             test_bad_port_ref_breaks_only_its_channel;
+          Alcotest.test_case "a reused idx keeps port tables apart" `Quick
+            test_reused_idx_keeps_port_tables_apart;
         ] );
     ]
