@@ -30,8 +30,10 @@ type 'item packet =
 type frame = string
 
 (* ------------------------------------------------------------------ *)
-(* Packet frame codec. Layout: version byte, packet tag (1 = Data,
-   2 = Ack, 3 = Reset), then the packet body. A Data packet names its
+(* Packet frame codec (docs/WIRE.md §2): version byte, kind byte,
+   body. The kind's bits 0-1 are the tag (1 = Data, 2 = Ack, 3 =
+   Reset), bits 2-3 the ack form (none, one, or a count >= 2), bit 4
+   (Data only) counts uptos from first_seq. A Data packet names its
    channel by idx: the source is the frame's transport sender. Only a
    Data packet starting at seq 0 carries the label and meta, so every
    frame decodes on its own and a retransmit from seq 0 re-opens the
@@ -39,16 +41,37 @@ type frame = string
    through one intern table per frame, so a batch of calls to the same
    port pays for the port name once. *)
 
-(* An ack packs the pressure into its idx varint's low two bits. *)
-let encode_ack e (a : ack_entry) =
-  B.add_uvarint e ((a.a_idx lsl 2) lor max 0 (min 3 a.a_pressure));
-  (* upto is -1 for "nothing received yet", hence signed *)
-  B.add_varint e a.a_upto
+let ack_form = function [] -> 0 | [ _ ] -> 1 | _ -> 2
+
+(* An entry packs the pressure into its idx varint's low two bits; its
+   upto (-1 for "nothing received yet", hence signed) is from [base]. *)
+let add_acks e ~base acks =
+  if ack_form acks = 2 then B.add_uvarint e (List.length acks);
+  List.iter
+    (fun a ->
+      if a.a_idx < 0 || a.a_idx > max_int lsr 2 then
+        invalid_arg "Chanhub.encode_packet: ack idx out of range";
+      B.add_uvarint e ((a.a_idx lsl 2) lor max 0 (min 3 a.a_pressure));
+      B.add_varint e (a.a_upto - base))
+    acks
+
+(* Uptos count from first_seq exactly when that is strictly shorter
+   and no [upto - first_seq] overflows. *)
+let relative_acks ~first_seq acks =
+  let rec go gain = function
+    | [] -> gain > 0
+    | { a_upto = u; _ } :: rest ->
+        let d = u - first_seq in
+        (u lxor first_seq) land (u lxor d) >= 0
+        && go (gain + B.varint_length u - B.varint_length d) rest
+  in
+  go 0 acks
 
 (* A Data packet up to its items, which follow in the same intern
    table. *)
 let add_data_head e ~idx ~first_seq ~opening ~acks =
-  B.add_byte e 1;
+  let rel = relative_acks ~first_seq acks in
+  B.add_byte e (1 lor (ack_form acks lsl 2) lor if rel then 16 else 0);
   B.add_uvarint e idx;
   B.add_uvarint e first_seq;
   (match (first_seq, opening) with
@@ -58,8 +81,7 @@ let add_data_head e ~idx ~first_seq ~opening ~acks =
   | 0, None | _, Some _ ->
       invalid_arg "Chanhub.encode_packet: opening fields go with first_seq = 0 only"
   | _, None -> ());
-  B.add_uvarint e (List.length acks);
-  List.iter (encode_ack e) acks
+  add_acks e ~base:(if rel then first_seq else 0) acks
 
 (* One pooled encoder per frame: the whole batch — envelope, acks and
    every item — shares a buffer and intern table. *)
@@ -71,9 +93,8 @@ let encode_packet p =
       add_data_head e ~idx ~first_seq ~opening ~acks;
       List.iter (B.add_value e) items
   | Ack { acks } ->
-      B.add_byte e 2;
-      B.add_uvarint e (List.length acks);
-      List.iter (encode_ack e) acks
+      B.add_byte e (2 lor (ack_form acks lsl 2));
+      add_acks e ~base:0 acks
   | Reset { src; idx; reason } ->
       B.add_byte e 3;
       B.add_uvarint e src;
@@ -85,18 +106,26 @@ let encode_packet p =
 
 let ( let* ) = Result.bind
 
-let decode_acks d =
-  let* n = B.read_uvarint d in
-  if n < 0 || n > B.remaining d then Error "ack count overruns input"
+let rec decode_entries d ~base k acc =
+  if k = 0 then Ok (List.rev acc)
   else
-    let rec go k acc =
-      if k = 0 then Ok (List.rev acc)
-      else
-        let* v = B.read_uvarint d in
-        let* a_upto = B.read_varint d in
-        go (k - 1) ({ a_idx = v lsr 2; a_upto; a_pressure = v land 3 } :: acc)
-    in
-    go n []
+    let* v = B.read_uvarint d in
+    let* delta = B.read_varint d in
+    let a_upto = base + delta in
+    if v < 0 || (base lxor a_upto) land (delta lxor a_upto) < 0 then Error "ack out of range"
+    else
+      let a = { a_idx = v lsr 2; a_upto; a_pressure = v land 3 } in
+      decode_entries d ~base (k - 1) (a :: acc)
+
+let decode_acks d ~kind ~first_seq =
+  let base = if kind land 16 = 0 then 0 else first_seq in
+  match (kind lsr 2) land 3 with
+  | (0 | 1) as n -> decode_entries d ~base n []
+  | 2 ->
+      let* n = B.read_uvarint d in
+      if n < 2 || n > B.remaining d then Error "ack count out of range"
+      else decode_entries d ~base n []
+  | _ -> Error "ack form 3"
 
 (* Data items run to the end of the frame. *)
 let rec decode_items read d acc =
@@ -113,10 +142,11 @@ let decode_frame ~read frame =
   let* () =
     if v = B.version then Ok () else Error (Printf.sprintf "unsupported wire version %d" v)
   in
-  let* tag = B.read_byte d in
+  let* kind = B.read_byte d in
   let* p =
-    match tag with
-    | 1 ->
+    match kind land 3 with
+    (* bits 5-7 clear, and bit 4 only with acks *)
+    | 1 when kind land 0xe0 = 0 && kind land 0x1c <> 0x10 ->
         let* idx = B.read_uvarint d in
         (* so that the idx's acks cannot overflow their varint *)
         let* () = if idx < 0 || idx > max_int lsr 2 then Error "idx out of range" else Ok () in
@@ -128,18 +158,18 @@ let decode_frame ~read frame =
             let* open_meta = B.read_string d in
             Ok (Some { open_label; open_meta })
         in
-        let* acks = decode_acks d in
+        let* acks = decode_acks d ~kind ~first_seq in
         let* items = decode_items read d [] in
         Ok (Data { idx; first_seq; opening; acks; items })
-    | 2 ->
-        let* acks = decode_acks d in
+    | 2 when kind land 0xf0 = 0 ->
+        let* acks = decode_acks d ~kind ~first_seq:0 in
         Ok (Ack { acks })
-    | 3 ->
+    | 3 when kind = 3 ->
         let* src = B.read_uvarint d in
         let* idx = B.read_uvarint d in
         let* reason = B.read_raw_string d in
         Ok (Reset { src; idx; reason })
-    | t -> Error (Printf.sprintf "unknown packet tag %d" t)
+    | _ -> Error (Printf.sprintf "unknown frame kind %#x" kind)
   in
   let* () = B.expect_end d in
   Ok p

@@ -99,13 +99,14 @@ type frame = string
     {!Net}. *)
 
 val encode_packet : Xdr.value packet -> frame
-(** A version-1 frame. It decodes on its own: no state carries over
-    from earlier frames to the same peer. *)
+(** A version-3 frame (docs/WIRE.md §2). It decodes on its own: no
+    state carries over from earlier frames to the same peer. Raises
+    [Invalid_argument] on an ack [a_idx] outside [0 .. max_int lsr 2]. *)
 
 val decode_packet : frame -> (Xdr.value packet, string) result
-(** Decode a version-1 packet frame. Total: malformed frames, other
-    versions and unknown packet tags yield [Error], never an
-    exception. *)
+(** Decode a version-3 packet frame. Total: malformed frames, other
+    versions and kind bytes outside the grammar yield [Error], never
+    an exception. *)
 
 val decode_packet_view : frame -> (Xdr.View.t packet, string) result
 (** {!decode_packet} with every Data item left an encoded slice, as a

@@ -102,18 +102,18 @@ let ack_hold_name d = if d = 0.0 then "turn" else Printf.sprintf "%g ms" (d *. 1
    idle adaptive channel flushes at the end of the turn, not at its
    first item, so the adaptive rows' first call packet carries the
    whole turn's calls instead of a lone first call. A Data frame spells
-   no sender and no item count, and an ack's pressure rides in its idx
-   varint: 2 B less per Data frame, 1 B less per ack entry. *)
+   no sender, item count or count of one ack, and its uptos count from
+   its first_seq when that is shorter (docs/WIRE.md §2). *)
 let goldens =
   [
-    ("RPC", 0.0, 1201, 11420);
-    ("RPC", 1e-3, 801, 10220);
-    ("stream B=16", 0.0, 76, 3837);
-    ("stream B=16", 1e-3, 52, 3700);
-    ("send B=16", 0.0, 76, 3164);
-    ("send B=16", 1e-3, 52, 3027);
-    ("stream adaptive", 0.0, 23, 3534);
-    ("stream adaptive", 1e-3, 16, 3496);
+    ("RPC", 0.0, 1201, 9884);
+    ("RPC", 1e-3, 801, 8748);
+    ("stream B=16", 0.0, 76, 3761);
+    ("stream B=16", 1e-3, 52, 3648);
+    ("send B=16", 0.0, 76, 3088);
+    ("send B=16", 1e-3, 52, 2975);
+    ("stream adaptive", 0.0, 23, 3511);
+    ("stream adaptive", 1e-3, 16, 3480);
   ]
 
 let golden_mismatches rows =

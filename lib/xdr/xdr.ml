@@ -283,7 +283,7 @@ let failing_decode ?(reason = "injected decode failure") ~every c =
 (* Binary wire codec *)
 
 module Bin = struct
-  let version = 1
+  let version = 3
 
   (* Strings up to this length go through the per-encoder intern table,
      so a port name repeated across the calls of one batched packet is
@@ -394,6 +394,10 @@ module Bin = struct
   let unzigzag z = (z lsr 1) lxor (-(z land 1))
 
   let add_varint e n = add_uvarint e (zigzag n)
+
+  let varint_length n =
+    let rec go z k = if z land lnot 0x7f = 0 then k else go (z lsr 7) (k + 1) in
+    go (zigzag n) 1
 
   (* binary16 -> binary64, exactly: [float_of_half] is the decoder's
      widening. *)

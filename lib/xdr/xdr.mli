@@ -152,6 +152,9 @@ module Bin : sig
       (an [Int] value goes through {!add_value}, which picks its
       form). *)
 
+  val varint_length : int -> int
+  (** The bytes {!add_varint} writes for this int. *)
+
   val add_string : encoder -> string -> unit
   (** Interned string reference: first occurrence is emitted inline and
       added to the table, later occurrences are a 1–2 byte reference. *)

@@ -138,8 +138,9 @@ let test_args_materialized_once () =
    alone. The bytes are pinned too: the three references name their
    own stream by the empty id, so the call packet does not spell the
    stream's stable id; and neither packet spells its sender or an item
-   count, nor an ack's pressure in a byte of its own (55 B, 6 B under
-   the frame grammar that did). *)
+   count, nor an ack's pressure in a byte of its own, nor a count for
+   its one ack (53 B: 6 B more under the grammar with the first three,
+   2 B more with the ack count). *)
 
 let test_adaptive_chain_two_packets () =
   let w = make_world ~cfg:{ Net.default_config with Net.kernel_overhead = 0.0 } () in
@@ -176,7 +177,7 @@ let test_adaptive_chain_two_packets () =
     check Alcotest.int (Printf.sprintf "chain %d: data packets" chain) 2 (d1 - d0);
     check Alcotest.int (Printf.sprintf "chain %d: items (4 calls, 4 replies)" chain) 8 (i1 - i0);
     check Alcotest.int (Printf.sprintf "chain %d: standalone acks" chain) 0 (a1 - a0);
-    check Alcotest.int (Printf.sprintf "chain %d: bytes on the wire" chain) 55 (b1 - b0)
+    check Alcotest.int (Printf.sprintf "chain %d: bytes on the wire" chain) 53 (b1 - b0)
   done
 
 (* A reference to an earlier call on its own stream names the stream

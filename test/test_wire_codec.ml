@@ -336,20 +336,31 @@ let test_packet_roundtrips () =
       | Error e -> Alcotest.failf "packet decode failed: %s" e)
     packets
 
+(* Ack indexes and uptos range over every int; an ack idx outside
+   [0 .. max_int lsr 2], where it would not fit beside the pressure
+   bits, makes the encoder raise. first_seq runs up to [max_int lsr 2]
+   and takes the int edges too, where an upto counted from it would
+   overflow. *)
 let gen_packet : Xdr.value CH.packet QCheck.Gen.t =
   let open QCheck.Gen in
+  let top = max_int lsr 2 in
   let nat = oneof [ small_nat; int_bound max_int ] in
+  let edges = oneofl [ -1; 0; top; top + 1; max_int; min_int ] in
   (* a channel idx shares its varint with an ack's two pressure bits *)
-  let idx = oneof [ small_nat; int_bound (max_int lsr 2) ] in
+  let idx = oneof [ small_nat; int_bound top ] in
   let gen_ack =
     map3
       (fun a_idx a_upto a_pressure -> { CH.a_idx; a_upto; a_pressure })
-      idx (oneof [ return (-1); nat ]) (int_bound 3)
+      (frequency [ (10, idx); (1, int); (1, edges) ])
+      (oneof [ return (-1); nat; int; edges ])
+      (int_bound 3)
   in
   let gen_string = string_size ~gen:printable (int_range 0 24) in
   let gen_data =
     (* first_seq = 0 half the time: the opening form is not a corner case *)
-    let* first_seq = oneof [ return 0; map succ nat ] in
+    let* first_seq =
+      oneof [ return 0; oneof [ map succ small_nat; int_range 1 top; edges ] ]
+    in
     let* opening =
       if first_seq = 0 then
         map2 (fun open_label open_meta -> Some { CH.open_label; open_meta }) gen_string gen_string
@@ -369,13 +380,21 @@ let gen_packet : Xdr.value CH.packet QCheck.Gen.t =
       map3 (fun src idx reason -> CH.Reset { src; idx; reason }) nat nat gen_string;
     ]
 
+let acks_in_range = function
+  | CH.Data { acks; _ } | CH.Ack { acks } ->
+      List.for_all (fun a -> a.CH.a_idx >= 0 && a.CH.a_idx <= max_int lsr 2) acks
+  | CH.Reset _ -> true
+
 let prop_packet_roundtrip =
-  QCheck.Test.make ~name:"decode (encode p) = p, and re-encodes byte-for-byte" ~count:500
+  QCheck.Test.make ~name:"decode (encode p) = p, and re-encodes byte-for-byte" ~count:1000
     (QCheck.make gen_packet) (fun p ->
-      let f = CH.encode_packet p in
-      match CH.decode_packet f with
-      | Ok p' -> equal_packet p p' && String.equal (CH.encode_packet p') f
-      | Error e -> QCheck.Test.fail_reportf "packet decode failed: %s" e)
+      match CH.encode_packet p with
+      | exception Invalid_argument _ when not (acks_in_range p) -> true
+      | _ when not (acks_in_range p) -> QCheck.Test.fail_reportf "ack idx out of range encoded"
+      | f -> (
+          match CH.decode_packet f with
+          | Ok p' -> equal_packet p p' && String.equal (CH.encode_packet p') f
+          | Error e -> QCheck.Test.fail_reportf "packet decode failed: %s" e))
 
 (* A channel encodes each item into its open packet as it is sent, and
    a flush writes the head in front: every frame must be the reference
@@ -1074,7 +1093,6 @@ let test_idx_past_range_refused () =
     List.iter (B.add_byte e) [ B.version; 1 ];
     List.iter (B.add_uvarint e) [ idx; 0 ];
     List.iter (B.add_string e) [ "sink"; "" ];
-    B.add_uvarint e 0;
     B.add_value e (Xdr.Int 5);
     B.contents e
   in
@@ -1085,6 +1103,21 @@ let test_idx_past_range_refused () =
   in
   refused "Data idx max_int lsr 2 + 1" (raw_opening (top + 1));
   refused "Data idx -1" (raw_opening (-1));
+  (* the encoder refuses to write an ack for such an idx *)
+  List.iter
+    (fun a_idx ->
+      let a = [ ack a_idx 5 ] in
+      List.iter
+        (fun p ->
+          match CH.encode_packet p with
+          | _ -> Alcotest.failf "ack idx %d encoded" a_idx
+          | exception Invalid_argument _ -> ())
+        [ CH.Ack { acks = a }; data ~first_seq:9 ~acks:(ack 0 1 :: a) () ])
+    [ top + 1; -1; max_int; min_int ];
+  (match CH.decode_packet (CH.encode_packet (CH.Ack { acks = [ ack ~pressure:3 top 5 ] })) with
+  | Ok (CH.Ack { acks = [ a ] }) ->
+      check Alcotest.int "ack idx max_int lsr 2 round-trips" top a.CH.a_idx
+  | Ok _ | Error _ -> Alcotest.fail "ack at max_int lsr 2 lost");
   let w = make_world () in
   let got, opened = sink w in
   let send_raw f = Net.send w.net ~src:w.node_a ~dst:(Net.address w.node_b) ~bytes_:0 f in
@@ -1521,7 +1554,7 @@ let prop_decoders_agree =
     (QCheck.make ~print:hex gen_mutated_frame) decoders_agree
 
 (* The same property one layer up: [decode_packet] and
-   [decode_packet_view] read one frame grammar (version 1; Data, Ack,
+   [decode_packet_view] read one frame grammar (version 3; Data, Ack,
    Reset) and must accept exactly the same frames, never raise, and
    agree on what an accepted frame holds. *)
 
@@ -1540,21 +1573,32 @@ let frame_decoders_agree f =
 
 (* Golden frames of every packet form, each with the offsets and values
    of its count prefixes (ack count, reason length), all one byte long
-   here. A Data packet's items run to the end of the frame: there is no
-   item count to lie about. One frame sits at the largest channel idx,
-   acked at pressure 3, so mutations cross the idx bound. *)
+   here. Only a frame with two acks or more spells an ack count, and a
+   Data packet's items run to the end of the frame: there is no item
+   count to lie about. The Data frames cover the opening form, the
+   compact form with no ack, one and two absolute acks, and one and two
+   acks counted from first_seq (rpc_small's shape). One frame sits at
+   the largest channel idx, acked at pressure 3, beside an upto that
+   cannot count from first_seq without overflowing, so mutations cross
+   both bounds. *)
 let golden_frames =
   let data_frame ~first_seq acks items =
     let enc acks items = CH.encode_packet (data ~first_seq ~acks ~items ()) in
-    (enc acks items, [ (String.length (enc [] []) - 1, List.length acks) ])
+    let n = List.length acks in
+    let counts = if n < 2 then [] else [ (String.length (enc [] []), n) ] in
+    (enc acks items, counts)
   in
+  let top = max_int lsr 2 in
   let at_top acks =
-    CH.encode_packet
-      (CH.Data { idx = max_int lsr 2; first_seq = 1; opening = None; acks; items = [] })
+    CH.encode_packet (CH.Data { idx = top; first_seq = 1; opening = None; acks; items = [] })
   in
   let call i port =
     W.call_item ~cid:i ~trace:None ~port ~kind:W.Call
       ~args:(Xdr.Pair (Xdr.Str "stu00001", Xdr.Int 85)) ()
+  in
+  let ack_frame acks =
+    let counts = if List.length acks < 2 then [] else [ (2, List.length acks) ] in
+    (CH.encode_packet (CH.Ack { acks }), counts)
   in
   let reset reason = CH.encode_packet (CH.Reset { src = 3; idx = 7; reason }) in
   [
@@ -1562,8 +1606,15 @@ let golden_frames =
       [ ack 2 (-1); ack ~pressure:2 5 17 ]
       [ call 0 (W.Define "record_grade"); call 1 (W.Ref 0) ];
     data_frame ~first_seq:300 [ ack 7 12 ] [ tag_tour; Xdr.Int 5 ];
-    (at_top [ ack ~pressure:3 (max_int lsr 2) 0 ], [ (String.length (at_top []) - 1, 1) ]);
-    (CH.encode_packet (CH.Ack { acks = [ ack 7 (-1); ack ~pressure:1 8 300 ] }), [ (2, 2) ]);
+    data_frame ~first_seq:5 [] [ Xdr.Int 5 ];
+    data_frame ~first_seq:300 [ ack 7 12; ack 8 (-1) ] [ Xdr.Int 5 ];
+    data_frame ~first_seq:20000 [ ack 0 19999 ] [ call 20000 (W.Ref 0) ];
+    data_frame ~first_seq:20000 [ ack 0 19999; ack ~pressure:1 3 20001 ] [ Xdr.Int 5 ];
+    ( at_top [ ack ~pressure:3 top 0; ack top min_int ],
+      [ (String.length (at_top []), 2) ] );
+    ack_frame [ ack 7 (-1); ack ~pressure:1 8 300 ];
+    ack_frame [ ack 7 300 ];
+    ack_frame [];
     (reset "no such port group", [ (String.length (reset "") - 1, 18) ]);
   ]
 
@@ -1600,12 +1651,14 @@ let test_golden_frame_mutations () =
 let gen_mutated_packet_frame : string QCheck.Gen.t =
   let open QCheck.Gen in
   let gen_lie (frame, counts) =
-    let* k = int_bound (List.length counts - 1) in
-    let pos, n = List.nth counts k in
-    let* lie_n =
-      oneof [ map (fun d -> max 0 (n + d)) (int_range (-2) 3); oneofl [ 128; max_int; -1 ]; nat ]
-    in
-    return (lie frame pos lie_n)
+    if counts = [] then return frame
+    else
+      let* k = int_bound (List.length counts - 1) in
+      let pos, n = List.nth counts k in
+      let* lie_n =
+        oneof [ map (fun d -> max 0 (n + d)) (int_range (-2) 3); oneofl [ 128; max_int; -1 ]; nat ]
+      in
+      return (lie frame pos lie_n)
   in
   let* golden = oneofl golden_frames in
   let* frame = oneof [ return (fst golden); gen_lie golden ] in
@@ -1617,9 +1670,19 @@ let prop_frame_decoders_agree =
     (QCheck.make ~print:hex gen_mutated_packet_frame)
     frame_decoders_agree
 
-(* One wire version and three packet tags: every other version byte and
-   every other tag (the retired handshake tags 4 and 5 among them) is
-   refused by both frame decoders, whatever body follows. *)
+(* The kind bytes the grammar admits: Data with no ack, one, or a
+   count of them, the last two also with uptos counted from first_seq
+   (bit 4); Ack with no ack, one, or a count; Reset. *)
+let legal_kinds = [ 0x01; 0x05; 0x09; 0x15; 0x19; 0x02; 0x06; 0x0a; 0x03 ]
+
+let set_byte pos byte f = String.mapi (fun i c -> if i = pos then Char.chr byte else c) f
+
+(* One wire version and nine kind bytes: every other version byte (the
+   retired 1 and 2 among them, so the retired handshake tags 4 and 5
+   are refused under either) and every other kind byte (tag 0, ack form
+   3, bits 5-7 set, bit 4 off a Data packet with acks, a Reset kind
+   other than 3) is refused by both frame decoders, whatever body
+   follows. *)
 let test_other_versions_and_tags_refused () =
   let accepted = ref [] in
   let probe what f =
@@ -1627,16 +1690,104 @@ let test_other_versions_and_tags_refused () =
     | Error _, Error _ -> ()
     | _ -> accepted := Printf.sprintf "%s %s" what (hex f) :: !accepted
   in
-  let set pos byte f = String.mapi (fun i c -> if i = pos then Char.chr byte else c) f in
   List.iter
     (fun (frame, _) ->
-      check Alcotest.int "golden frame is version 1" B.version (Char.code frame.[0]);
+      check Alcotest.int "golden frame is version 3" B.version (Char.code frame.[0]);
       for byte = 0 to 255 do
-        if byte <> B.version then probe "version" (set 0 byte frame);
-        if byte < 1 || byte > 3 then probe "tag" (set 1 byte frame)
-      done)
+        if byte <> B.version then probe "version" (set_byte 0 byte frame);
+        if not (List.mem byte legal_kinds) then probe "kind" (set_byte 1 byte frame)
+      done;
+      List.iter
+        (fun v ->
+          List.iter (fun tag -> probe "retired" (set_byte 0 v (set_byte 1 tag frame))) [ 4; 5 ])
+        [ 1; 2 ])
     golden_frames;
   check Alcotest.(list string) "nothing accepted" [] !accepted
+
+(* A count under ack form 2 says two entries or more, and an upto
+   counted from first_seq must not overflow: both decoders refuse the
+   rest. The encoder never writes such a frame: from a first_seq where
+   counting would wrap, it spells the upto whole. *)
+let test_ack_count_and_overflow_refused () =
+  let frame kind ints =
+    let e = B.acquire () in
+    List.iter (B.add_byte e) [ B.version; kind ];
+    List.iter (fun (signed, n) -> if signed then B.add_varint e n else B.add_uvarint e n) ints;
+    B.contents e
+  in
+  let u n = (false, n) and z n = (true, n) in
+  let decodes f =
+    match (CH.decode_packet f, CH.decode_packet_view f) with
+    | Ok p, Ok _ -> Some p
+    | Error _, Error _ -> None
+    | _ -> Alcotest.failf "decoders disagree on %s" (hex f)
+  in
+  let refused what f = if decodes f <> None then Alcotest.failf "%s accepted" what in
+  refused "Ack count 0 under form 2" (frame 0x0a [ u 0 ]);
+  refused "Ack count 1 under form 2" (frame 0x0a [ u 1; u 0; z 5 ]);
+  refused "Data count 1 under form 2" (frame 0x19 [ u 0; u 5; u 1; u 0; z 0 ]);
+  refused "first_seq 5 + max_int" (frame 0x15 [ u 0; u 5; u 0; z max_int ]);
+  (match decodes (frame 0x15 [ u 0; u 5; u 0; z (max_int - 5) ]) with
+  | Some (CH.Data { acks = [ a ]; _ }) -> check Alcotest.int "5 + (max_int - 5)" max_int a.CH.a_upto
+  | _ -> Alcotest.fail "the largest upto from first_seq 5 refused");
+  List.iter
+    (fun (first_seq, upto) ->
+      let p = CH.Data { idx = 0; first_seq; opening = None; acks = [ ack 0 upto ]; items = [] } in
+      let f = CH.encode_packet p in
+      check Alcotest.int "spelled whole" 0x05 (Char.code f.[1]);
+      match decodes f with
+      | Some p' -> check Alcotest.bool "round-trips" true (equal_packet p p')
+      | None -> Alcotest.failf "first_seq %d, upto %d refused" first_seq upto)
+    [ (min_int, max_int); (max_int, min_int); (-1, max_int) ]
+
+(* Every golden frame under each of the 256 kind bytes and the version
+   bytes 1, 2 and 3. Only version 3 with a legal kind decodes; the two
+   decoders agree on every frame; each golden frame decodes under its
+   own kind, and a Data frame with acks also under its kind with bit 4
+   flipped, to the same packet with every upto moved by first_seq. A
+   hub counts each refused frame as one decode error. *)
+let test_kind_byte_exhaustive () =
+  let refused = ref [] and wrong = ref [] in
+  let fail what f = wrong := Printf.sprintf "%s %s" what (hex f) :: !wrong in
+  let shifted by = function
+    | CH.Data r ->
+        CH.Data { r with acks = List.map (fun a -> { a with CH.a_upto = a.CH.a_upto + by }) r.acks }
+    | p -> p
+  in
+  List.iter
+    (fun (frame, _) ->
+      let own = Char.code frame.[1] in
+      let golden = Result.get_ok (CH.decode_packet frame) in
+      check Alcotest.bool "golden kind is legal" true (List.mem own legal_kinds);
+      List.iter
+        (fun version ->
+          for kind = 0 to 255 do
+            let f = set_byte 0 version (set_byte 1 kind frame) in
+            if not (frame_decoders_agree f) then fail "decoders disagree" f;
+            let legal = version = B.version && List.mem kind legal_kinds in
+            match (CH.decode_packet f, golden) with
+            | Error _, _ ->
+                refused := f :: !refused;
+                if legal && (kind = own || kind = own lxor 0x10) then fail "refused" f
+            | Ok _, _ when not legal -> fail "accepted" f
+            | Ok p, CH.Data { first_seq; _ } when kind = own lxor 0x10 ->
+                let by = if own land 0x10 = 0 then first_seq else -first_seq in
+                if not (equal_packet p (shifted by golden)) then fail "other ack base misread" f
+            | Ok _, _ -> ()
+          done)
+        [ 1; 2; 3 ])
+    golden_frames;
+  check Alcotest.(list string) "kind bytes read as the grammar says" [] !wrong;
+  check Alcotest.(list int) "the golden frames cover every legal kind"
+    (List.sort compare legal_kinds)
+    (List.sort_uniq compare (List.map (fun (f, _) -> Char.code f.[1]) golden_frames));
+  let w = make_world () in
+  List.iter
+    (fun f -> Net.send w.net ~src:w.node_a ~dst:(Net.address w.node_b) ~bytes_:0 f)
+    !refused;
+  run_ok w;
+  check Alcotest.int "each refused frame one decode error" (List.length !refused)
+    (peek w "chan_decode_errors")
 
 (* ------------------------------------------------------------------ *)
 (* Golden wire bytes: every E12 cell must stay digit-for-digit on the
@@ -2139,6 +2290,147 @@ let test_hub_frames_decode_alone () =
       List.iter (check Alcotest.int "a repeated item costs the same every frame" len) rest
   | _ -> Alcotest.fail "expected several frames"
 
+(* A world whose two hubs log every frame they send, raw, oldest first.
+   With no receive overhead a server replies in its call's turn, as
+   over TCP, so its replies carry the acks. *)
+let raw_world () =
+  let sched = S.create ~seed:42 () in
+  let net = Net.create sched { Net.default_config with Net.kernel_overhead = 0.0 } in
+  let node_a = Net.add_node net ~name:"a" and node_b = Net.add_node net ~name:"b" in
+  let logged node =
+    let log = ref [] and tr = Transport_sim.endpoint net node in
+    let send ~dst f =
+      log := f :: !log;
+      tr.Transport.send ~dst f
+    in
+    (CH.create_hub ~transport:{ tr with Transport.send } (), fun () -> List.rev !log)
+  in
+  let hub_a, a_frames = logged node_a and hub_b, b_frames = logged node_b in
+  ({ sched; net; node_a; node_b; hub_a; hub_b }, a_frames, b_frames)
+
+(* rpc_small's frames: one call per frame naming its port by table
+   entry 0, acking the previous reply (upto = first_seq - 1); its reply
+   acks the call (upto = first_seq). *)
+let rpc_call_frame ~seq ~arg =
+  CH.encode_packet
+    (CH.Data
+       {
+         idx = 0;
+         first_seq = seq;
+         opening = None;
+         acks = [ ack 0 (seq - 1) ];
+         items = [ W.call_item ~trace:None ~port:(W.Ref 0) ~kind:W.Call ~args:(Xdr.Int arg) () ];
+       })
+
+let rpc_reply_frame ~seq ~value =
+  CH.encode_packet
+    (CH.Data
+       {
+         idx = 0;
+         first_seq = seq;
+         opening = None;
+         acks = [ ack 0 seq ];
+         items = [ W.reply_item ~trace:None (W.W_normal (Xdr.Int value)) ];
+       })
+
+(* Loadbench's frames, byte for byte. A sim RPC loop sends exactly the
+   frames above after the two openings; past seq 2^14, with loadbench's
+   4-byte arguments, the call is 15 B and the reply 14 B, each acking in
+   one byte from first_seq. A depth-4 chain on adaptive channels to an
+   unordered group sends one call frame (a fresh call and three
+   references to its own stream) and one reply frame; chain 3's pair is
+   pinned. At these small seqs an upto takes one byte either way, so
+   the acks stay absolute. *)
+let test_loadbench_frames_pinned () =
+  let w, a_frames, b_frames = raw_world () in
+  let n = 20 in
+  rpc_loop w (work_pair w ~cfg:CH.rpc_config ~service:0.0) ~n;
+  (* call seq s carries argument s + 1, which the handler echoes *)
+  let warm frames = List.filteri (fun k _ -> k >= 1 && k < n) frames in
+  check Alcotest.(list string) "a hub's RPC calls"
+    (List.init (n - 1) (fun k -> hex (rpc_call_frame ~seq:(k + 1) ~arg:(k + 2))))
+    (List.map hex (warm (a_frames ())));
+  check Alcotest.(list string) "a hub's RPC replies"
+    (List.init (n - 1) (fun k -> hex (rpc_reply_frame ~seq:(k + 1) ~value:(k + 2))))
+    (List.map hex (warm (b_frames ())));
+  check Alcotest.string "rpc_small call at seq 100000"
+    "03 15 00 a0 8d 06 00 01 0c 02 00 9e cb f3 10"
+    (hex (rpc_call_frame ~seq:100_000 ~arg:35_448_222));
+  check Alcotest.string "rpc_small reply at seq 100000"
+    "03 15 00 a0 8d 06 00 00 0c 01 9f cb f3 10"
+    (hex (rpc_reply_frame ~seq:100_000 ~value:35_448_223));
+  let w, a_frames, b_frames = raw_world () in
+  let cfg = CH.adaptive_config in
+  let server = Argus.Guardian.create w.hub_b ~name:"server" in
+  Argus.Guardian.register_group server ~group:"main"
+    ~config:GC.(default |> with_reply_config cfg |> with_ordered false)
+    ();
+  Argus.Guardian.register server ~group:"main" Workloads.Fixtures.work_sig (fun _ n -> Ok (n + 1));
+  let h =
+    Core.Remote.bind
+      (Core.Agent.create w.hub_a ~name:"client" ~config:cfg ())
+      ~dst:(Net.address w.node_b) ~gid:"main" Workloads.Fixtures.work_sig
+  in
+  ignore
+    (S.spawn w.sched (fun () ->
+         for chain = 0 to 3 do
+           let p = ref (Core.Remote.stream_call h (35_448_222 + chain)) in
+           for _ = 2 to 4 do
+             p := Core.Remote.Call.(submit (piped h (Core.Remote.pipe !p)))
+           done;
+           Core.Remote.flush h;
+           match Core.Promise.claim !p with
+           | Core.Promise.Normal v when v = 35_448_226 + chain -> ()
+           | _ -> Alcotest.fail "chain failed"
+         done));
+  run_ok w;
+  check Alcotest.(list string) "chain 3's call frame"
+    [
+      "03 05 00 0c 00 16 0c 02 00 a1 cb f3 10 08 02 03 00 0b 00 00 18 00 08 02 03 00 0b 01 1a 00 \
+       08 02 03 00 0b 01 1c 00";
+    ]
+    (List.map hex (List.filteri (fun k _ -> k = 3) (a_frames ())));
+  check Alcotest.(list string) "chain 3's reply frame"
+    [ "03 05 00 0c 00 1e 0c 01 a2 cb f3 10 0c 01 a3 cb f3 10 0c 01 a4 cb f3 10 0c 01 a5 cb f3 10" ]
+    (List.map hex (List.filteri (fun k _ -> k = 3) (b_frames ())))
+
+(* Loadbench's replay re-encodes exactly the frames whose first byte is
+   the wire version, so every frame a hub sends must start with it:
+   calls, replies and acks of an RPC loop and a stream, and a Reset. *)
+let test_hub_frames_start_with_version () =
+  let w, a_frames, b_frames = raw_world () in
+  let h = work_pair w ~cfg:CH.adaptive_config ~service:0.0 in
+  rpc_loop w h ~n:5;
+  ignore
+    (S.spawn w.sched (fun () ->
+         let ps = List.init 40 (fun i -> Core.Remote.stream_call h i) in
+         List.iteri
+           (fun i p ->
+             if Core.Promise.claim p <> Core.Promise.Normal i then
+               Alcotest.fail "stream call failed")
+           ps));
+  run_ok w;
+  let out = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"none" ~meta:"" CH.rpc_config in
+  CH.break_out out ~reason:"done";
+  run_ok w;
+  let frames = a_frames () @ b_frames () in
+  check Alcotest.(list string) "every frame starts with the version byte" []
+    (List.filter_map
+       (fun f -> if f <> "" && Char.code f.[0] = B.version then None else Some (hex f))
+       frames);
+  let kinds =
+    List.sort_uniq compare
+      (List.map
+         (fun f ->
+           match CH.decode_packet f with
+           | Ok (CH.Data _) -> "data"
+           | Ok (CH.Ack _) -> "ack"
+           | Ok (CH.Reset _) -> "reset"
+           | Error e -> e)
+         frames)
+  in
+  check Alcotest.(list string) "every packet form sent" [ "ack"; "data"; "reset" ] kinds
+
 (* A connection loss drops the acks parked for that peer: they name the
    old incarnation's channel indexes, which a restarted peer reuses.
    The simulated net never fires the peer watch, so the hub runs on a
@@ -2370,7 +2662,13 @@ let () =
           Alcotest.test_case "garbage frames rejected" `Quick test_packet_garbage_rejected;
           Alcotest.test_case "other versions and tags refused" `Quick
             test_other_versions_and_tags_refused;
+          Alcotest.test_case "every kind byte under versions 1-3" `Quick test_kind_byte_exhaustive;
+          Alcotest.test_case "ack counts below 2 and overflowing uptos refused" `Quick
+            test_ack_count_and_overflow_refused;
           Alcotest.test_case "hub frames decode alone" `Quick test_hub_frames_decode_alone;
+          Alcotest.test_case "loadbench frames pinned" `Quick test_loadbench_frames_pinned;
+          Alcotest.test_case "every hub frame starts with the version" `Quick
+            test_hub_frames_start_with_version;
         ] );
       ( "adaptive wire",
         [
