@@ -175,9 +175,10 @@ let envelope_mismatches () =
    take the packed int-list encoding, and [sheet], shaped like
    loadbench's [stream_large] argument — a key and 32 [student]
    records, grades 0–100 and each mean their sum over 16, so every
-   grade is a 1-byte varint and every mean a binary16 (docs/WIRE.md
-   §1). The sizes are pinned like the E12 cells: (label, value,
-   bytes). *)
+   grade is a 1-byte varint and every mean a binary16. Both record
+   lists share one field-name sequence, so each spells its names once
+   (the packed record list, docs/WIRE.md §1). The sizes are pinned
+   like the E12 cells: (label, value, bytes). *)
 let sheet_record i =
   let grades = List.init 16 (fun g -> ((i * 37) + (g * 59) + (i * g * 11)) mod 101) in
   let letter j = Char.chr (Char.code 'a' + (((i * 7) + (j * 11)) mod 26)) in
@@ -214,8 +215,8 @@ let reference_payloads =
   [
     ("small", small, 13);
     ("medium", medium, 335);
-    ("large", large, 3102);
-    ("sheet", sheet, 1270);
+    ("large", large, 2723);
+    ("sheet", sheet, 1114);
   ]
 
 let payload_mismatches () =

@@ -307,6 +307,7 @@ module Bin = struct
   and t_packed = 0x0C
   and t_nint = 0x0D
   and t_zpacked = 0x0E
+  and t_records = 0x0F
   and t_real16 = 0x10
 
   (* Every scalar travels at its shortest exact width (CBOR's preferred
@@ -332,6 +333,30 @@ module Bin = struct
       | _ :: _ -> 0
     in
     go 0 0 vs
+
+  (* A non-empty list whose elements are all [Record]s with one
+     non-empty field-name sequence (same names, same order) ships as
+     [t_records]: one tag, the count, the field count and the names
+     once, then the values record by record with no per-record tag,
+     count or names. [record_shape] is that rule: the first record's
+     fields when the list qualifies, [] otherwise. It is tried only
+     after [packed_count] said 0, and stops at the first element that
+     does not match, so a list that does not start with a record pays
+     O(1). *)
+  let rec same_names fs gs =
+    match (fs, gs) with
+    | (n, _) :: fs, (m, _) :: gs -> String.equal n m && same_names fs gs
+    | [], [] -> true
+    | _ -> false
+
+  let rec shared_shape fields = function
+    | [] -> fields
+    | Record gs :: rest when same_names fields gs -> shared_shape fields rest
+    | _ :: _ -> []
+
+  let record_shape = function
+    | Record (_ :: _ as fields) :: rest -> shared_shape fields rest
+    | _ -> []
 
   (* Decode refuses nesting deeper than this rather than risking a
      stack overflow on adversarial input. *)
@@ -379,15 +404,17 @@ module Bin = struct
   (* LEB128; the first iteration may see a negative int (all-ones
      pattern from zigzag of min_int) — [lsr] then makes it positive, so
      the loop terminates in at most 9 bytes for a 63-bit int. *)
-  let add_uvarint e n =
+  let buffer_add_uvarint b n =
     let rec go n =
-      if n land lnot 0x7f = 0 then Buffer.add_char e.e_buf (Char.unsafe_chr n)
+      if n land lnot 0x7f = 0 then Buffer.add_char b (Char.unsafe_chr n)
       else begin
-        Buffer.add_char e.e_buf (Char.unsafe_chr (n land 0x7f lor 0x80));
+        Buffer.add_char b (Char.unsafe_chr (n land 0x7f lor 0x80));
         go (n lsr 7)
       end
     in
     go n
+
+  let add_uvarint e n = buffer_add_uvarint e.e_buf n
 
   let zigzag n = (n lsl 1) lxor (n asr 62)
 
@@ -502,10 +529,20 @@ module Bin = struct
         add_value e b
     | List vs -> (
         match packed_count vs with
-        | 0 ->
-            add_byte e t_list;
-            add_uvarint e (List.length vs);
-            List.iter (add_value e) vs
+        | 0 -> (
+            match record_shape vs with
+            | [] ->
+                add_byte e t_list;
+                add_uvarint e (List.length vs);
+                List.iter (add_value e) vs
+            | fields ->
+                add_byte e t_records;
+                add_uvarint e (List.length vs);
+                add_uvarint e (List.length fields);
+                List.iter (fun (name, _) -> add_string e name) fields;
+                List.iter
+                  (function Record fs -> List.iter (fun (_, v) -> add_value e v) fs | _ -> ())
+                  vs)
         | n ->
             add_byte e (if n > 0 then t_packed else t_zpacked);
             add_uvarint e (abs n);
@@ -621,16 +658,19 @@ module Bin = struct
     d.d_table.(d.d_count) <- s;
     d.d_count <- d.d_count + 1
 
-  let string_exn d =
+  (* The intern slot a string reference names: marker [0] defines the
+     next slot inline, [k > 0] is slot [k-1]. *)
+  let slot_exn d =
     let n = uvarint_exn d in
     if n = 0 then begin
-      let s = raw_string_exn d in
-      push_interned d s;
-      s
+      push_interned d (raw_string_exn d);
+      d.d_count - 1
     end
     (* a 9-byte marker can wrap negative: refs are bounded on both sides *)
-    else if n > 0 && n - 1 < d.d_count then d.d_table.(n - 1)
+    else if n > 0 && n - 1 < d.d_count then n - 1
     else bad "string ref %d out of table range (%d entries)" n d.d_count
+
+  let string_exn d = d.d_table.(slot_exn d)
 
   (* A real of [width] bytes: 8 (binary64) or 2 (binary16). *)
   let real_exn d width =
@@ -647,6 +687,17 @@ module Bin = struct
     let n = uvarint_exn d in
     if n < 1 || n > remaining d then bad "packed list of %d ints overruns input" n;
     n
+
+  (* The field count after a [t_records] tag and its count [n]: at
+     least one record of at least one field (no lying count can build
+     empty records from a few bytes), and no more values, [n * k], than
+     the bytes left — compared as a quotient, so the product cannot
+     overflow. *)
+  let records_fields_exn d n =
+    let k = uvarint_exn d in
+    if n < 1 || k < 1 || n > remaining d / k then
+      bad "packed list of %d records of %d fields overruns input" n k;
+    k
 
   let rec value_exn d depth =
     if depth > max_depth then bad "nesting deeper than %d" max_depth;
@@ -685,6 +736,19 @@ module Bin = struct
       let rec go k acc =
         if k = 0 then List.rev acc else go (k - 1) (Int (unzigzag (uvarint_exn d)) :: acc)
       in
+      List (go n [])
+    end
+    else if tag = t_records then begin
+      let n = uvarint_exn d in
+      let k = records_fields_exn d n in
+      let rec names j acc = if j = 0 then List.rev acc else names (j - 1) (string_exn d :: acc) in
+      let names = names k [] in
+      (* a record's values sit where the tagged form's would: depth + 2 *)
+      let rec record acc = function
+        | [] -> Record (List.rev acc)
+        | name :: rest -> record ((name, value_exn d (depth + 2)) :: acc) rest
+      in
+      let rec go j acc = if j = 0 then List.rev acc else go (j - 1) (record [] names :: acc) in
       List (go n [])
     end
     else if tag = t_record then begin
@@ -787,6 +851,13 @@ module Bin = struct
       let n = packed_count_exn d in
       skip_varints src slen n d.d_pos
     end
+    else if tag = t_records then begin
+      d.d_pos <- pos;
+      let n = uvarint_exn d in
+      let k = records_fields_exn d n in
+      let pos = skip_names d src slen k d.d_pos in
+      skip_items d src slen stop_at_pref (depth + 2) (n * k) pos
+    end
     else if tag = t_record then begin
       d.d_pos <- pos;
       let n = uvarint_exn d in
@@ -823,6 +894,9 @@ module Bin = struct
       let pos = skip_pos d src slen stop_at_pref depth pos in
       skip_fields d src slen stop_at_pref depth (n - 1) pos
     end
+
+  and skip_names d src slen k pos =
+    if k = 0 then pos else skip_names d src slen (k - 1) (skip_istring d src slen pos)
 
   (* Skip an interned string. The common steady-state shape — a
      one-byte back-reference into a table the scan has already built —
@@ -947,7 +1021,7 @@ module View = struct
     else if t = Bin.t_real || t = Bin.t_real16 then Vreal
     else if t = Bin.t_str_ref || t = Bin.t_str_inline then Vstr
     else if t = Bin.t_pair then Vpair
-    else if t = Bin.t_list || t = Bin.t_packed || t = Bin.t_zpacked then Vlist
+    else if t = Bin.t_list || t = Bin.t_packed || t = Bin.t_zpacked || t = Bin.t_records then Vlist
     else if t = Bin.t_record then Vrecord
     else if t = Bin.t_tagged then Vtagged
     else Vpref
@@ -973,6 +1047,18 @@ module View = struct
     Bin.skip_value_exn d 0;
     capture d start tcount
 
+  (* How a list's elements are laid out after its head. *)
+  type items =
+    | Tagged_items  (* [t_list]: each element a whole value *)
+    | Packed_ints of int  (* bare varints; the scalar tag of their form *)
+    | Packed_records of string array
+        (* [t_records]: the bytes an element view writes before each
+           field's value *)
+
+  let plain_ints = Packed_ints Bin.t_int
+
+  let zigzag_ints = Packed_ints Bin.t_nint
+
   (* An element of a packed int list has no tag byte of its own, so its
      view is a fresh standalone [Int] encoding rather than a slice of
      the frame: the element's bytes behind [int_tag], the scalar tag of
@@ -992,33 +1078,84 @@ module View = struct
       v_tcount = 0;
     }
 
-  (* Read a list head: the element count, and for packed ints (bare
-     varints rather than tagged values) the scalar tag of their form —
-     [t_int] for plain LEB128, [t_nint] for zigzag; 0 for a tagged
-     list. *)
+  (* The head of a [t_records] list names its fields once, so an
+     element's view is a fresh [t_record] encoding too: a [09 k]
+     header, each name as a reference to its slot in the frame's
+     intern table, and each value's bytes copied from the frame. It
+     shares the frame's table, counted from the element's start, so
+     strings the element's values define land in their frame slots on
+     replay. [fields.(j)] holds the bytes before value [j]. *)
+  let record_prefixes_exn (d : Bin.decoder) k =
+    let b = Buffer.create 8 in
+    Array.init k (fun j ->
+        Buffer.clear b;
+        if j = 0 then begin
+          Buffer.add_char b (Char.chr Bin.t_record);
+          Bin.buffer_add_uvarint b k
+        end;
+        Bin.buffer_add_uvarint b (Bin.slot_exn d + 1);
+        Buffer.contents b)
+
+  let packed_record_exn fields (d : Bin.decoder) =
+    let tcount = d.Bin.d_count in
+    let b = Buffer.create 64 in
+    Array.iter
+      (fun prefix ->
+        Buffer.add_string b prefix;
+        let start = d.Bin.d_pos in
+        Bin.skip_value_exn d 0;
+        Buffer.add_substring b d.Bin.d_src start (d.Bin.d_pos - start))
+      fields;
+    {
+      v_src = Buffer.contents b;
+      v_start = 0;
+      v_stop = Buffer.length b;
+      v_table = d.Bin.d_table;
+      v_tcount = tcount;
+    }
+
+  (* Read a list head: the element count and how the elements are laid
+     out. *)
   let list_head_exn (d : Bin.decoder) =
     let t = Bin.u8 d in
     if t = Bin.t_list then begin
       let n = Bin.uvarint_exn d in
       if n < 0 || n > Bin.remaining d then Bin.bad "list of %d elements overruns input" n;
-      (n, 0)
+      (n, Tagged_items)
     end
-    else if t = Bin.t_packed then (Bin.packed_count_exn d, Bin.t_int)
-    else if t = Bin.t_zpacked then (Bin.packed_count_exn d, Bin.t_nint)
+    else if t = Bin.t_packed then (Bin.packed_count_exn d, plain_ints)
+    else if t = Bin.t_zpacked then (Bin.packed_count_exn d, zigzag_ints)
+    else if t = Bin.t_records then begin
+      let n = Bin.uvarint_exn d in
+      let k = Bin.records_fields_exn d n in
+      (n, Packed_records (record_prefixes_exn d k))
+    end
     else Bin.bad "expected list, got tag 0x%02x" t
+
+  let item_exn items d =
+    match items with
+    | Tagged_items -> sub_exn d
+    | Packed_ints int_tag -> packed_item_exn int_tag d
+    | Packed_records fields -> packed_record_exn fields d
 
   let list_items v =
     Bin.wrap
       (fun d ->
-        let n, int_tag = list_head_exn d in
-        let rec go k acc =
-          if k = 0 then List.rev acc
-          else go (k - 1) ((if int_tag <> 0 then packed_item_exn int_tag d else sub_exn d) :: acc)
-        in
+        let n, items = list_head_exn d in
+        let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (item_exn items d :: acc) in
         go n [])
       (replay v)
 
-  let list_length v = Bin.wrap (fun d -> fst (list_head_exn d)) (replay v)
+  (* Every list form puts its count right after the tag, so the count
+     alone needs no head: a [t_records] head would build its field
+     prefixes for nothing. *)
+  let list_length v =
+    Bin.wrap
+      (fun d ->
+        let t = Bin.u8 d in
+        if shape v <> Vlist then Bin.bad "expected list, got tag 0x%02x" t;
+        Bin.uvarint_exn d)
+      (replay v)
 
   (* One-item projection: items before [i] are skipped, items after it
      never scanned. [Ok None] when the list is shorter than [i + 1]. *)
@@ -1027,19 +1164,23 @@ module View = struct
     else
       Bin.wrap
         (fun d ->
-          let n, int_tag = list_head_exn d in
+          let n, items = list_head_exn d in
           if i >= n then None
-          else if int_tag <> 0 then begin
-            for _ = 1 to i do
-              ignore (Bin.uvarint_exn d : int)
-            done;
-            Some (packed_item_exn int_tag d)
-          end
           else begin
-            for _ = 1 to i do
-              Bin.skip_value_exn d 0
-            done;
-            Some (sub_exn d)
+            (match items with
+            | Tagged_items ->
+                for _ = 1 to i do
+                  Bin.skip_value_exn d 0
+                done
+            | Packed_ints _ ->
+                for _ = 1 to i do
+                  ignore (Bin.uvarint_exn d : int)
+                done
+            | Packed_records fields ->
+                for _ = 1 to i * Array.length fields do
+                  Bin.skip_value_exn d 0
+                done);
+            Some (item_exn items d)
           end)
         (replay v)
 

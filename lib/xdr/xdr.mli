@@ -116,9 +116,13 @@ val failing_decode : ?reason:string -> every:int -> 'a codec -> 'a codec
     LEB128, a negative one zigzag; a [Real] as binary16 when that
     keeps all 64 bits, else binary64), varint lengths, and a
     per-encoder interned string table so repeated record-field names
-    and port names cost a one-byte reference after first use. Decoders
-    accept any well-formed width; only the encoder is canonical. See
-    docs/WIRE.md for the format. *)
+    and port names cost a one-byte reference after first use. A
+    non-empty list of [Int]s ships packed, with no per-element tag; so
+    does a non-empty list of [Record]s that share one non-empty
+    field-name sequence, which spells the names once. Every other list
+    is tagged element by element, so each value has one encoding.
+    Decoders accept any well-formed width; only the encoder is
+    canonical. See docs/WIRE.md for the format. *)
 module Bin : sig
   val version : int
   (** Format version stamped as the first byte of every packet frame. *)

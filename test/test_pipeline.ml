@@ -259,6 +259,67 @@ let test_cross_stream_parking () =
   check Alcotest.int "dependent call parked" 1 (peek w.sched "parked_calls");
   check Alcotest.int "one substitution" 1 (peek w.sched "ref_substitutions")
 
+(* A [Pref] inside one record of a packed record list (tag 0x0F, whose
+   records spell no names of their own): the receiver's scan finds it,
+   the call parks on its producer, and the produced value lands in
+   that record. *)
+let entry_codec =
+  {
+    Xdr.type_name = "entry";
+    encode = (fun (who, g) -> Ok (Xdr.Record [ ("who", Xdr.Str who); ("g", Xdr.Int g) ]));
+    decode =
+      (function
+      | Xdr.Record [ ("who", Xdr.Str who); ("g", Xdr.Int g) ] -> Ok (who, g)
+      | v -> Error (Format.asprintf "not an entry: %a" Xdr.pp_value v));
+  }
+
+let total_sig = Core.Sigs.hsig0 "total" ~arg:(Xdr.list entry_codec) ~res:Xdr.int
+
+let test_pref_in_packed_records () =
+  let w = make_world () in
+  G.register w.server ~group:"main" step_sig (fun ctx n ->
+      S.sleep ctx.G.sched 5e-3;
+      Ok (n * 2));
+  let saw = ref [] in
+  G.register w.server ~group:"aux" total_sig (fun _ entries ->
+      saw := entries :: !saw;
+      Ok (List.fold_left (fun acc (_, g) -> acc + g) 0 entries));
+  let out = ref None in
+  ignore
+    (S.spawn w.sched (fun () ->
+         let producer = handle w ~agent:"a" ~gid:"main" step_sig in
+         let consumer = handle w ~agent:"b" ~gid:"aux" total_sig in
+         let p1 = R.stream_call producer 7 in
+         R.flush producer;
+         let ps_stream = SE.stable_id (R.stream producer) in
+         let pref = Xdr.Pref { Xdr.ps_stream; ps_call = 0; ps_field = None } in
+         let entry who g = Xdr.Record [ ("who", Xdr.Str who); ("g", g) ] in
+         let args =
+           Xdr.List [ entry "ann" (Xdr.Int 1); entry "bob" pref; entry "cy" (Xdr.Int 3) ]
+         in
+         let enc = Xdr.Bin.to_string args in
+         check Alcotest.char "packed record list" '\x0f' enc.[0];
+         check Alcotest.(result bool string) "has_prefs" (Ok true)
+           (Result.map Xdr.View.has_prefs (Xdr.View.of_string enc));
+         let se = R.stream consumer in
+         (match
+            SE.call se ~port:"total" ~kind:Cstream.Wire.Call ~args ~on_reply:(fun o ->
+                out := Some o)
+          with
+         | Ok _ -> ()
+         | Error e -> Alcotest.failf "call rejected: %s" e);
+         SE.flush se;
+         ignore (P.claim p1 : _ P.outcome)));
+  run_ok w.sched;
+  (match !out with
+  | Some (Cstream.Wire.W_normal (Xdr.Int 18)) -> ()
+  | _ -> Alcotest.fail "the total must include the producer's 14");
+  check Alcotest.(list (list (pair string int))) "handler ran once, value substituted"
+    [ [ ("ann", 1); ("bob", 14); ("cy", 3) ] ]
+    !saw;
+  check Alcotest.int "dependent call parked" 1 (peek w.sched "parked_calls");
+  check Alcotest.int "one substitution" 1 (peek w.sched "ref_substitutions")
+
 (* ------------------------------------------------------------------ *)
 (* Abnormal producers: the dependent call completes with the producer's
    outcome and its handler never runs. *)
@@ -1114,6 +1175,8 @@ let () =
           Alcotest.test_case "call arguments decoded once" `Quick test_args_materialized_once;
           Alcotest.test_case "cross-stream dependent parks then runs" `Quick
             test_cross_stream_parking;
+          Alcotest.test_case "a ref inside a packed record list parks then runs" `Quick
+            test_pref_in_packed_records;
           Alcotest.test_case "producer signal/failure propagate, dependent never runs" `Quick
             test_producer_signal_propagates;
           Alcotest.test_case "dead producer short-circuits at sender" `Quick

@@ -55,6 +55,34 @@ let gen_real : float QCheck.Gen.t =
       map Int64.float_of_bits int64;
     ]
 
+let field_names = [ "q"; "i"; "p"; "k"; "a"; "name"; "grades" ]
+
+(* Record [fields] with one field renamed, two swapped, one more or one
+   fewer ([miss] 1-4), or as it is (0). *)
+let near_miss miss fields =
+  match (miss, fields) with
+  | 1, (n, v) :: rest -> (n ^ "'", v) :: rest
+  | 2, a :: b :: rest -> b :: a :: rest
+  | 3, _ -> fields @ [ ("extra", Xdr.Unit) ]
+  | 4, _ :: rest -> rest
+  | _ -> fields
+
+(* A list of records sharing one field-name sequence, the packed record
+   form (tag 0x0F), or a near miss of one: one record renamed,
+   reordered, or with a field more or less, which must stay 0x08. *)
+let gen_record_list sub =
+  let open QCheck.Gen in
+  let* names = list_size (int_range 1 4) (oneofl field_names) in
+  let* rows = list_size (int_range 1 5) (list_repeat (List.length names) sub) in
+  let* miss = int_bound 4 and* j = int_bound (List.length rows - 1) in
+  return
+    (Xdr.List
+       (List.mapi
+          (fun i vs ->
+            let fields = List.combine names vs in
+            Xdr.Record (if i = j then near_miss miss fields else fields))
+          rows))
+
 let gen_value : Xdr.value QCheck.Gen.t =
   let open QCheck.Gen in
   let gen_string =
@@ -101,8 +129,8 @@ let gen_value : Xdr.value QCheck.Gen.t =
               (list_size (int_range 0 6) gen_int);
             map
               (fun fields -> Xdr.Record fields)
-              (list_size (int_range 0 5)
-                 (pair (oneofl [ "q"; "i"; "p"; "k"; "a"; "name"; "grades" ]) sub));
+              (list_size (int_range 0 5) (pair (oneofl field_names) sub));
+            gen_record_list sub;
             map2 (fun t v -> Xdr.Tagged (t, v)) (oneofl [ "n"; "g"; "u"; "f" ]) sub;
           ])
 
@@ -1386,6 +1414,136 @@ let test_packed_views () =
   | _ -> Alcotest.fail "record_field mean missing"
 
 (* ------------------------------------------------------------------ *)
+(* Packed record lists (docs/WIRE.md §1, tag 0x0F) *)
+
+(* The encoder's rule, restated: a non-empty list of records that all
+   spell the first one's non-empty field-name sequence. *)
+let packs_as_records = function
+  | Xdr.List (Xdr.Record (_ :: _ as fs) :: rest) ->
+      let names = List.map fst fs in
+      List.for_all (function Xdr.Record gs -> List.map fst gs = names | _ -> false) rest
+  | _ -> false
+
+let prop_record_list_form =
+  QCheck.Test.make ~name:"record lists: one form, decode and re-encode agree" ~count:500
+    (QCheck.make ~print:(Format.asprintf "%a" Xdr.pp_value)
+       (gen_record_list gen_value))
+    (fun v ->
+      let enc = B.to_string v in
+      Char.code enc.[0] = (if packs_as_records v then 0x0f else 0x08)
+      &&
+      match B.of_string enc with
+      | Ok v' -> equal_bits v v' && String.equal enc (B.to_string v')
+      | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
+
+let ab a b = Xdr.Record [ ("a", Xdr.Int a); ("b", Xdr.Int b) ]
+
+let test_records_pinned_bytes () =
+  let bytes what expect v = check Alcotest.string what expect (hex (B.to_string v)) in
+  (* tag 0x0F, the count, the field count and the names once, then the
+     values record by record with no tag, count or names of their own *)
+  bytes "two records, one header" "0f 02 02 00 01 61 00 01 62 03 01 03 02 03 03 03 04"
+    (Xdr.List [ ab 1 2; ab 3 4 ]);
+  bytes "a singleton is packed" "0f 01 02 00 01 61 00 01 62 03 01 03 02" (Xdr.List [ ab 1 2 ]);
+  bytes "empty records keep 0x08" "08 02 09 00 09 00" (Xdr.List [ Xdr.Record []; Xdr.Record [] ]);
+  let tagged what v = check Alcotest.string what "08" (String.sub (hex (B.to_string v)) 0 2) in
+  let second fields = Xdr.List [ ab 1 2; Xdr.Record fields ] in
+  tagged "one record renamed keeps 0x08" (second [ ("a", Xdr.Int 3); ("c", Xdr.Int 4) ]);
+  tagged "one record reordered keeps 0x08" (second [ ("b", Xdr.Int 4); ("a", Xdr.Int 3) ]);
+  tagged "a field more keeps 0x08" (second [ ("a", Xdr.Int 3); ("b", Xdr.Int 4); ("c", Xdr.Unit) ]);
+  tagged "a field fewer keeps 0x08" (second [ ("a", Xdr.Int 3) ]);
+  tagged "a non-record after records keeps 0x08" (Xdr.List [ ab 1 2; Xdr.Unit ]);
+  tagged "records after a non-record keep 0x08" (Xdr.List [ Xdr.Unit; ab 1 2 ]);
+  (* a record list nested in a packed record: both packed *)
+  bytes "nested" "0f 01 01 00 01 6c 0f 01 02 00 01 61 00 01 62 03 01 03 02"
+    (Xdr.List [ Xdr.Record [ ("l", Xdr.List [ ab 1 2 ]) ] ])
+
+let test_records_hostile_rejected () =
+  expect_rejected "count 0" "\x0f\x00\x01\x00\x01a";
+  (* five empty records would otherwise decode from three bytes, and
+     2^62 of them from twelve *)
+  expect_rejected "field count 0" "\x0f\x05\x00";
+  expect_rejected "huge count, field count 0" ("\x0f" ^ String.make 8 '\xff' ^ "\x3f\x00");
+  expect_rejected "n * k past the bytes left" "\x0f\x04\x02\x00\x01a\x03";
+  (* 2^61 + 1 records of 4 fields: the product wraps to 4 in 63 bits,
+     and exactly 4 values follow *)
+  expect_rejected "n * k overflowing"
+    ("\x0f\x81" ^ String.make 7 '\x80' ^ "\x20\x04\x00\x01a\x00\x01b\x00\x01c\x00\x01d"
+   ^ "\x03\x01\x03\x02\x03\x03\x03\x04");
+  expect_rejected "header name ref out of range" "\x0f\x01\x01\x05\x03\x01";
+  expect_rejected "header name ref wrapping negative"
+    ("\x0f\x01\x01" ^ String.make 8 '\xff' ^ "\x7f\x03\x01");
+  expect_rejected "truncated in the names" "\x0f\x01\x02\x00\x01a";
+  expect_rejected "truncated inside a name" "\x0f\x01\x01\x00\x05ab";
+  expect_rejected "truncated inside the last element" "\x0f\x02\x01\x00\x01a\x03\x01\x03";
+  expect_rejected "last element missing" "\x0f\x02\x01\x00\x01a\x03\x01";
+  expect_rejected "inside a tagged list" "\x08\x01\x0f\x01\x01\x00\x01a"
+
+let item_views vw =
+  match Xdr.View.list_items vw with Ok items -> items | Error e -> Alcotest.failf "list_items: %s" e
+
+let field_of what it name =
+  match Xdr.View.record_field it name with
+  | Ok (Some f) -> materialize_ok f
+  | Ok None -> Alcotest.failf "%s: field %s missing" what name
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let test_records_views () =
+  let rec3 id who tags = Xdr.Record [ ("id", Xdr.Int id); ("who", Xdr.Str who); ("tags", tags) ] in
+  (* "ann" and "bob" are defined inside elements 0 and 1, and elements
+     2 and 3 refer back to them: an element view's intern slots must
+     line up on replay, whichever element is read first *)
+  let tags = [ ints [ 1; 2 ]; Xdr.List []; ints [ 3 ]; ints [ 4 ] ] in
+  let items = List.mapi (fun i t -> rec3 (i + 1) (if i mod 2 = 1 then "bob" else "ann") t) tags in
+  let v = Xdr.List items in
+  check Alcotest.string "packed" "0f" (String.sub (hex (B.to_string v)) 0 2);
+  let vw = view_of v in
+  let same what x y = check Alcotest.bool what true (Xdr.equal_value x y) in
+  check Alcotest.bool "shape is Vlist" true (Xdr.View.shape vw = Xdr.View.Vlist);
+  check Alcotest.(result int string) "list_length" (Ok 4) (Xdr.View.list_length vw);
+  same "materialize" v (materialize_ok vw);
+  check Alcotest.bool "no prefs" false (Xdr.View.has_prefs vw);
+  List.iteri
+    (fun i it ->
+      let item = List.nth items i in
+      check Alcotest.bool "item shape" true (Xdr.View.shape it = Xdr.View.Vrecord);
+      same "list_items item" item (materialize_ok it);
+      same "list_items who" (Xdr.Str (if i mod 2 = 1 then "bob" else "ann"))
+        (field_of "item" it "who"))
+    (item_views vw);
+  List.iter
+    (fun i ->
+      match Xdr.View.list_item vw i with
+      | Ok (Some it) ->
+          same "list_item" (List.nth items i) (materialize_ok it);
+          same "list_item tags" (List.nth tags i) (field_of "list_item" it "tags");
+          check Alcotest.bool "absent field" true (Xdr.View.record_field it "nope" = Ok None)
+      | _ -> Alcotest.failf "list_item %d missing" i)
+    [ 3; 2; 0; 1 ];
+  (match Xdr.View.list_item vw 4 with
+  | Ok None -> ()
+  | _ -> Alcotest.fail "index past the end must be Ok None");
+  (* a Pref in element 1 only *)
+  let pref = Xdr.Pref { Xdr.ps_stream = "1|s"; ps_call = 4; ps_field = None } in
+  let pv = view_of (Xdr.List [ rec3 1 "ann" Xdr.Unit; rec3 2 "bob" pref; rec3 3 "cy" Xdr.Unit ]) in
+  check Alcotest.bool "prefs in the list" true (Xdr.View.has_prefs pv);
+  check Alcotest.(list bool) "prefs per element" [ false; true; false ]
+    (List.map Xdr.View.has_prefs (item_views pv));
+  (* 130 strings first, so "late" takes slot 130: element views refer
+     to it by a 2-byte ref, to "s5" by a 1-byte one *)
+  let strs = Xdr.List (List.init 130 (fun i -> Xdr.Str (Printf.sprintf "s%d" i))) in
+  let late i s = Xdr.Record [ ("late", Xdr.Int i); ("s5", Xdr.Str s) ] in
+  let outer = view_of (Xdr.List [ strs; Xdr.List [ late 1 "s129"; late 2 "new" ] ]) in
+  match Xdr.View.list_item outer 1 with
+  | Ok (Some lw) ->
+      List.iteri
+        (fun i it ->
+          same "late item" (late (i + 1) (if i = 0 then "s129" else "new")) (materialize_ok it);
+          same "late field" (Xdr.Int (i + 1)) (field_of "late item" it "late"))
+        (item_views lw)
+  | _ -> Alcotest.fail "list_item 1 missing"
+
+(* ------------------------------------------------------------------ *)
 (* Scalar widths (docs/WIRE.md §1): every Int and Real at its shortest
    exact width. *)
 
@@ -1431,18 +1589,33 @@ let test_scalar_hostile_rejected () =
   expect_rejected "truncated varint under 0x0D" "\x0d\x80";
   expect_rejected "count 0 under 0x0E" "\x0e\x00";
   expect_rejected "truncated binary16" "\x10\x00";
-  expect_rejected "unassigned tag 0x0F" "\x0f\x00\x00\x00\x00";
+  expect_rejected "0x0F with count and field count 0" "\x0f\x00\x00\x00\x00";
   expect_rejected "truncated binary64" ("\x04" ^ String.make 7 '\x00');
   expect_rejected "first unknown tag" "\x11"
 
 (* CI guard for loadbench's stream_large shape, kept in [@wire] so a
-   regression to zigzag grades or 9-byte means fails without running the
-   benchmark: the [sheet] payload's size and one record's bytes. *)
+   regression to zigzag grades, 9-byte means or per-record field names
+   fails without running the benchmark: the [sheet] payload's size, its
+   list header and one record's bytes. *)
 let test_sheet_pinned () =
   let _, sheet, _ =
     List.find (fun (l, _, _) -> l = "sheet") Workloads.Exp_wire.reference_payloads
   in
-  check Alcotest.int "sheet bytes" 1270 (String.length (B.to_string sheet));
+  let enc = B.to_string sheet in
+  check Alcotest.int "sheet bytes" 1114 (String.length enc);
+  check Alcotest.string "key, list header and record 0's values"
+    (String.concat " "
+       [
+         "07 05 00 0f 6b 65 79 2d 30 37 2d 71 68 72 7a 6d 74 77 65";
+         (* 0x0F: 32 records of 3 fields, the names once *)
+         "0f 20 03 00 04 6e 61 6d 65 00 06 67 72 61 64 65 73 00 04 6d 65 61 6e";
+         (* record 0's values, with no tag, count or names of its own *)
+         "05 00 06 61 6c 77 68 73 64";
+         "0c 10 00 3b 11 4c 22 5d 33 09 44 1a 55 2b 01 3c 12 4d";
+         "10 9a 51";
+       ])
+    (hex (String.sub enc 0 72));
+  (* the same record on its own is a 0x09 record spelling its names *)
   check Alcotest.string "record 0"
     (String.concat " "
        [
@@ -1472,8 +1645,8 @@ let decoders_agree s =
 
 (* One value holding every tag: both int forms, each with a 9-byte
    varint (so one byte set makes a 10-byte run), under 0x03/0x0D and
-   0x0C/0x0E, both real widths, both string forms and refs, and a
-   promise ref. *)
+   0x0C/0x0E, both real widths, both string forms and refs, a promise
+   ref and a packed record list. *)
 let tag_tour =
   Xdr.Record
     [
@@ -1486,6 +1659,14 @@ let tag_tour =
       ("z", ints [ min_int; 5 ]);
       ("t", Xdr.Tagged ("b", Xdr.Unit));
       ("f", Xdr.Pref { Xdr.ps_stream = "1|s"; ps_call = 3; ps_field = Some "u" });
+      (* 0x0F: "u" a ref and "n" a define in its header, "v" defined
+         in the first element and referred to from the second *)
+      ( "l",
+        Xdr.List
+          [
+            Xdr.Record [ ("u", Xdr.Int 1); ("n", Xdr.Str "v") ];
+            Xdr.Record [ ("u", Xdr.Unit); ("n", Xdr.Str "v") ];
+          ] );
     ]
 
 (* [probe] every prefix of [s], and [s] with each byte set to each of
@@ -1525,8 +1706,8 @@ let mutate s = function
       Bytes.to_string b
 
 (* One to three byte sets, bit flips or truncations. Set bytes lean
-   towards tags (0x00-0x10, where 0x0F is unassigned, and the first
-   unknown, 0x11) and varint continuation patterns. *)
+   towards tags (0x00-0x10, and the first unknown, 0x11) and varint
+   continuation patterns. *)
 let gen_mutations : mutation list QCheck.Gen.t =
   let open QCheck.Gen in
   let gen_byte = frequency [ (2, int_bound 255); (2, int_bound 0x11); (1, oneofl [ 0x7f; 0x80; 0xff ]) ] in
@@ -2029,6 +2210,104 @@ let test_call_missing_elements_rejected () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "incomplete call accepted: %a" Xdr.pp_value v)
     [ Xdr.List [ Xdr.Int 0x40 ]; Xdr.List [ Xdr.Int 0 ]; Xdr.List [ Xdr.Int 0x40; Xdr.Str "x" ] ]
+
+(* ------------------------------------------------------------------ *)
+(* Envelope fuzz: [parse_call_view] and [parse_reply_view] over mutated
+   envelopes never raise, and what they accept agrees with the
+   materialised tree. *)
+
+let materialized vw = Result.to_option (Xdr.View.materialize vw)
+
+(* The tree reading of an accepted call: its head, port, args, cid and
+   handoff elements, by position. *)
+let call_agrees_with_tree vw (cv : W.call_view) =
+  match materialized vw with
+  | Some (Xdr.List (Xdr.Int head :: rest)) -> (
+      let port_ok, rest =
+        match (cv.W.cv_port, rest) with
+        | W.Define p, Xdr.Str q :: rest -> (head land 0x40 <> 0 && String.equal p q, rest)
+        | W.Ref i, _ -> (head land 0x40 = 0 && i = head lsr 7, rest)
+        | W.Define _, _ -> (false, rest)
+      in
+      match rest with
+      | args :: opt ->
+          let at b i = if head land b = 0 then None else List.nth_opt opt i in
+          port_ok
+          && cv.W.cv_kind = (if head land 0x01 <> 0 then W.Send else W.Call)
+          && (match materialized cv.W.cv_args with Some a -> equal_bits a args | None -> false)
+          && (match (cv.W.cv_cid, at 0x08 0) with
+             | None, None -> true
+             | Some c, Some (Xdr.Int c') -> c = c'
+             | _ -> false)
+          && (match at 0x10 ((head lsr 3) land 1) with
+             | None -> cv.W.cv_handoff = []
+             | Some (Xdr.List hs) ->
+                 List.map W.parse_handoff hs = List.map Result.ok cv.W.cv_handoff
+             | Some _ -> false)
+      | [] -> false)
+  | _ -> false
+
+(* The tree reading of a reply: the element count picks the form. *)
+let reply_of_tree = function
+  | Xdr.List [] -> Some (W.W_normal Xdr.Unit)
+  | Xdr.List [ v ] -> Some (W.W_normal v)
+  | Xdr.List (Xdr.Int head :: payload) -> (
+      let traced = head land 0x20 <> 0 in
+      let payload =
+        if not traced then Some payload
+        else match List.rev payload with Xdr.Int _ :: rev -> Some (List.rev rev) | _ -> None
+      in
+      match (head land lnot 0x20, payload) with
+      | 0, Some [ v ] when traced -> Some (W.W_normal v)
+      | 1, Some [ Xdr.Str name; v ] -> Some (W.W_signal (name, v))
+      | 2, Some [ Xdr.Str reason ] -> Some (W.W_unavailable reason)
+      | 3, Some [ Xdr.Str reason ] -> Some (W.W_failure reason)
+      | 4, Some [] -> Some (W.W_normal Xdr.Unit)
+      | _ -> None)
+  | _ -> None
+
+let envelope_parsers_agree s =
+  try
+    match Xdr.View.of_string s with
+    | Error _ -> true
+    | Ok vw -> (
+        (match W.parse_call_view vw with Ok cv -> call_agrees_with_tree vw cv | Error _ -> true)
+        &&
+        let expected = Option.bind (materialized vw) reply_of_tree in
+        match Result.bind (W.parse_reply_view vw) W.outcome_of_view with
+        | Ok o -> ( match expected with Some o' -> equal_outcome o o' | None -> false)
+        | Error _ -> expected = None)
+  with _ -> false
+
+(* A call whose arguments and handoff annotations are packed record
+   lists, and replies carrying one. *)
+let record_envelopes =
+  let recs =
+    Xdr.List
+      (List.init 3 (fun i ->
+           Xdr.Record [ ("who", Xdr.Str (Printf.sprintf "s%d" i)); ("g", ints [ i; 90 ]) ]))
+  in
+  List.map B.to_string
+    [
+      W.call_item ~cid:7 ~handoff:[ sample_handoff ] ~trace:(Some 3) ~port:(W.Define "grade")
+        ~kind:W.Call ~args:(Xdr.Pair (Xdr.Str "k", recs)) ();
+      W.reply_item ~trace:None (W.W_normal recs);
+      W.reply_item ~trace:(Some 4) (W.W_signal ("late", recs));
+    ]
+
+let test_envelope_mutations () =
+  let disagree = ref [] in
+  let probe s = if not (envelope_parsers_agree s) then disagree := hex s :: !disagree in
+  List.iter (probe_one_byte_mutations probe) record_envelopes;
+  check Alcotest.(list string) "parsers agree with the tree on every mutation" [] !disagree
+
+let prop_envelope_parsers_agree =
+  let seeds =
+    List.map (fun (_, _, bytes) -> bytes) Workloads.Exp_wire.envelope_goldens @ record_envelopes
+  in
+  QCheck.Test.make ~name:"envelope parsers agree with the tree on mutated items" ~count:2000
+    (QCheck.make ~print:hex QCheck.Gen.(map2 (List.fold_left mutate) (oneofl seeds) gen_mutations))
+    envelope_parsers_agree
 
 (* ------------------------------------------------------------------ *)
 (* Ack hold: every ack parks for the next Data packet to its peer until
@@ -2743,6 +3022,13 @@ let () =
             test_packed_hostile_rejected;
           Alcotest.test_case "views" `Quick test_packed_views;
         ] );
+      ( "packed record lists",
+        [
+          QCheck_alcotest.to_alcotest prop_record_list_form;
+          Alcotest.test_case "pinned bytes" `Quick test_records_pinned_bytes;
+          Alcotest.test_case "hostile heads rejected" `Quick test_records_hostile_rejected;
+          Alcotest.test_case "views" `Quick test_records_views;
+        ] );
       ( "scalar widths",
         [
           Alcotest.test_case "pinned bytes" `Quick test_scalar_widths_pinned;
@@ -2770,6 +3056,9 @@ let () =
             test_reply_envelope_roundtrips;
           Alcotest.test_case "hostile envelopes rejected" `Quick test_hostile_envelopes_rejected;
           QCheck_alcotest.to_alcotest prop_reply_envelope_roundtrip;
+          Alcotest.test_case "every mutation of the record envelopes" `Quick
+            test_envelope_mutations;
+          QCheck_alcotest.to_alcotest prop_envelope_parsers_agree;
         ] );
       ( "satellites",
         [

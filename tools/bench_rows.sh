@@ -4,9 +4,12 @@
 # e13 and the sim rows of e19 (BENCH_pipeline.json), the sim rows of
 # e17 (BENCH_transport.json), e14 (BENCH_shard.json) and e15
 # (BENCH_overload.json) — in the working tree against the same rows
-# committed at REV (default HEAD). Prints the difference and exits 1 if
-# there is one. Wall-clock rows (e16, the tcp rows) and ns/op subjects
-# are left out: they move with the host.
+# committed at REV (default HEAD), and the sorted names of the codec
+# subjects in BENCH_wire.json, which embed the reference payloads'
+# encoded sizes: a size change must ship with its regenerated JSON.
+# Prints the difference and exits 1 if there is one. Wall-clock rows
+# (e16, the tcp rows) and ns/op figures are left out: they move with
+# the host.
 #
 # Usage (from anywhere inside the repo; needs jq), after
 # `dune exec bench/main.exe` has rewritten the JSONs:
@@ -16,20 +19,22 @@ shopt -s inherit_errexit
 cd "$(dirname "$0")/.."
 
 # One compact JSON line per row, prefixed with its file and table; the
-# working tree's files when $1 is empty, REV's otherwise.
+# working tree's files when $1 is empty, REV's otherwise. Filters name
+# tables as .["e12"]: jq 1.6 lexes .e12 as a number.
 rows() {
   local rev=$1 file table filter
   while read -r file table filter; do
     if [ -z "$rev" ]; then cat "$file"; else git show "$rev:$file"; fi |
-      jq -c ".[\"$table\"][] | $filter" | sed "s/^/$file $table /"
+      jq -c "$filter" | sed "s/^/$file $table /"
   done <<'EOF'
-BENCH_wire.json e12 .
-BENCH_wire.json e18 .
-BENCH_pipeline.json e13 .
-BENCH_pipeline.json e19 select(.backend == "sim")
-BENCH_transport.json e17 select(.backend == "sim")
-BENCH_shard.json e14 .
-BENCH_overload.json e15 .
+BENCH_wire.json e12 .["e12"][]
+BENCH_wire.json e18 .["e18"][]
+BENCH_wire.json codec [.["codec"][].subject] | sort | .[]
+BENCH_pipeline.json e13 .["e13"][]
+BENCH_pipeline.json e19 .["e19"][] | select(.backend == "sim")
+BENCH_transport.json e17 .["e17"][] | select(.backend == "sim")
+BENCH_shard.json e14 .["e14"][]
+BENCH_overload.json e15 .["e15"][]
 EOF
 }
 
